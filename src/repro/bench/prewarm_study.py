@@ -603,8 +603,7 @@ def _platform_exemplar(seed: int) -> Dict[str, object]:
                        observe=True)
     kernel = world.kernel
     platform = FaaSPlatform(kernel, PlatformConfig(prewarm=PrewarmConfig(
-        policy="learned", window_ms=200.0, service_ms_hint=500.0,
-        min_forecast=0.5)))
+        policy="learned", window_ms=200.0, service_ms_hint=500.0)))
     platform.register_function(lambda: make_app("markdown"),
                                start_technique="prebake",
                                cache_policy="freq-over-size")
@@ -612,19 +611,16 @@ def _platform_exemplar(seed: int) -> Dict[str, object]:
         platform.invoke("markdown")
         kernel.clock.advance(40.0)
         platform.gc_tick()
-    controller = platform.prewarm
-    stats = controller.stats if controller else None
-    autoscaler = platform.autoscaler
-    prewarm_events = sum(1 for e in autoscaler.events
-                         if e.action == "prewarm")
+    stats = platform.prewarm.stats
+    metrics = kernel.obs.metrics
     return {
-        "plans": stats.plans if stats else 0,
-        "windows_fed": stats.windows_fed if stats else 0,
-        "prewarm_replicas": stats.prewarm_replicas if stats else 0,
-        "prefetch_requests": stats.prefetch_requests if stats else 0,
-        "autoscaler_prewarm_events": prewarm_events,
-        "autoscaler_events_dropped": autoscaler.events_dropped,
-        "wasted_warm_ms": dict(autoscaler.wasted_warm_ms),
+        "plans": stats.plans,
+        "windows_fed": stats.windows_fed,
+        "prewarm_replicas": stats.prewarm_replicas,
+        "prefetch_requests": stats.prefetch_requests,
+        "autoscaler_prewarm_events": int(metrics.value(
+            "autoscaler_actions_total", {"action": "prewarm"})),
+        "wasted_warm_ms": metrics.value("autoscaler_wasted_warm_ms_total"),
     }
 
 
@@ -703,6 +699,5 @@ def render_prewarm_report(artifact: Dict[str, object]) -> str:
             "live platform exemplar: "
             f"{exemplar.get('prewarm_replicas', 0)} prewarmed replicas, "
             f"{exemplar.get('prefetch_requests', 0)} prefetch requests, "
-            f"{exemplar.get('windows_fed', 0)} forecast windows fed, "
-            f"{exemplar.get('autoscaler_events_dropped', 0)} events dropped")
+            f"{exemplar.get('windows_fed', 0)} forecast windows fed")
     return "\n".join(lines)

@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.core.bake import Prebaker
 from repro.core.policy import AfterReady, SnapshotPolicy
-from repro.functions.base import FunctionApp, make_app
+from repro.functions.base import make_app
 from repro.sim.engine import Simulation
 from repro.sim.rng import _derive_seed
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import pathlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Protocol
+from typing import List, Optional, Protocol
 
 from repro.core.store import SnapshotKey, SnapshotNotFound, SnapshotStore
 from repro.criu.images import CheckpointImage

@@ -7,7 +7,7 @@ system calls (henceforth, the Vanilla method)".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro import faults, obs

@@ -321,7 +321,6 @@ class ShardedSnapshotStore:
         image again (rebake) re-asserts placement idempotently.
         """
         self._refresh()
-        kernel = self.kernel
         for ref in layered.chunk_refs:
             cid = ref.chunk_id
             self._sizes[cid] = ref.size_bytes

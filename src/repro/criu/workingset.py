@@ -20,7 +20,7 @@ image records afresh, while byte-identical snapshots share a record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro import obs

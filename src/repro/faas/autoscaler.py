@@ -7,33 +7,35 @@ policy here is deliberately simple — target concurrency with idle
 timeout — because the paper's contribution is *how fast* a scale-up
 replica starts, not the scaling policy itself.
 
-Two predictive extensions sit on top (ROADMAP item 2), both off by
-default:
+Every action (``scale-up``, ``gc``, ``reap``, ``heal``, ``prewarm``)
+is recorded once, through the telemetry hub: an
+``autoscaler.action`` event on the flight tape and the
+``autoscaler_actions_total{function,action}`` counter. Every
+idle-GC'd replica also adds its terminal idle stretch to
+``autoscaler_wasted_warm_ms_total{function}``, the cost-side metric
+X13 reports next to the cold-start wins. With neither a hub nor a
+flight recorder installed, nothing is recorded.
 
-* an optional :class:`~repro.predict.policy.PrewarmController` adds a
-  ``prewarm`` action — budget-capped pre-placement of replicas ahead
-  of forecast bursts, boosted when the cold-start SLO burn rate
-  crosses its threshold — and lets the forecaster's histogram choose
-  per-function keep-alive instead of the fixed idle timeout;
-* wasted warm-seconds accounting: every idle-GC'd replica contributes
-  its terminal idle stretch to ``autoscaler_wasted_warm_ms_total``,
-  the cost-side metric X13 reports next to the cold-start wins.
+An optional :class:`~repro.predict.policy.PrewarmController` (off by
+default) adds the ``prewarm`` action — budget-capped pre-placement of
+replicas ahead of forecast bursts, boosted when the cold-start SLO
+burn rate crosses its threshold — and lets the forecaster's histogram
+choose per-function keep-alive instead of the fixed idle timeout.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Optional
 
 from repro import obs
 from repro.faas.deployer import FunctionDeployer
-from repro.faas.registry import FunctionRegistry
+from repro.faas.registry import FunctionRegistry, RegistryError
 from repro.faas.replica import ReplicaState
 from repro.faults.errors import CapacityExhausted
 from repro.obs.slo import COLD_START_P99
 from repro.osproc.kernel import Kernel
-from repro.predict.policy import PrewarmController
+from repro.predict.policy import PREFETCH_BUDGET_BYTES, PrewarmController
 
 
 @dataclass(frozen=True)
@@ -43,20 +45,6 @@ class AutoscalerConfig:
     idle_timeout_ms: float = 60_000.0
     min_replicas: int = 0
     max_replicas: int = 16
-    # Scale events kept for observability; older ones fall off the ring
-    # (mirroring the flight-recorder idiom) instead of growing without
-    # bound across a fleet-scale run.
-    event_capacity: int = 1024
-
-
-@dataclass
-class ScaleEvent:
-    """One autoscaler action, for observability."""
-
-    at_ms: float
-    function: str
-    action: str      # "scale-up" | "gc" | "reap" | "heal" | "prewarm"
-    replicas_after: int
 
 
 class Autoscaler:
@@ -75,20 +63,9 @@ class Autoscaler:
         self.deployer = deployer
         self.config = config
         self.prewarm = prewarm
-        self.events: Deque[ScaleEvent] = deque(
-            maxlen=max(1, config.event_capacity))
-        self.events_dropped = 0
-        self.wasted_warm_ms: Dict[str, float] = {}
 
     def _record_event(self, function: str, action: str,
-                      replicas_after: int, at_ms: float) -> None:
-        if len(self.events) == self.events.maxlen:
-            self.events_dropped += 1
-            obs.count(self.kernel, "autoscaler_events_dropped_total")
-        self.events.append(ScaleEvent(
-            at_ms=at_ms, function=function, action=action,
-            replicas_after=replicas_after,
-        ))
+                      replicas_after: int) -> None:
         obs.record(self.kernel, obs.flight.AUTOSCALER_ACTION,
                    function=function, action=action,
                    replicas_after=replicas_after)
@@ -112,17 +89,17 @@ class Autoscaler:
         """
         now = self.kernel.clock.now
         for name in self.registry.names():
-            self._reap_crashed(name, now)
+            self._reap_crashed(name)
             self._heal_to_min(name)
             self._gc_idle(name, now)
         if self.prewarm is not None:
             self._prewarm_pass(now)
 
-    def _reap_crashed(self, function: str, now: float) -> None:
+    def _reap_crashed(self, function: str) -> None:
         reaped = self.deployer.health_check(function)
         for _ in reaped:
             remaining = len(self.deployer.replicas(function))
-            self._record_event(function, "reap", remaining, now)
+            self._record_event(function, "reap", remaining)
 
     def _heal_to_min(self, function: str) -> None:
         """Re-provision up to the configured replica floor."""
@@ -136,8 +113,7 @@ class Autoscaler:
             except CapacityExhausted:
                 break
             remaining = len(self.deployer.replicas(function))
-            self._record_event(function, "heal", remaining,
-                               self.kernel.clock.now)
+            self._record_event(function, "heal", remaining)
 
     def _gc_idle(self, function: str, now: float) -> None:
         metadata = self.registry.lookup(function)
@@ -151,13 +127,11 @@ class Autoscaler:
                 break
             if replica.state is ReplicaState.IDLE and replica.idle_for_ms(now) >= timeout:
                 idle_ms = replica.idle_for_ms(now)
-                self.wasted_warm_ms[function] = (
-                    self.wasted_warm_ms.get(function, 0.0) + idle_ms)
                 obs.count(self.kernel, "autoscaler_wasted_warm_ms_total",
                           idle_ms, labels={"function": function})
                 replica.terminate()
                 remaining = len(self.deployer.replicas(function))
-                self._record_event(function, "gc", remaining, now)
+                self._record_event(function, "gc", remaining)
                 obs.gauge(self.kernel, "autoscaler_replicas", remaining,
                           labels={"function": function})
 
@@ -175,8 +149,8 @@ class Autoscaler:
         for action in actions:
             try:
                 metadata = self.registry.lookup(action.function)
-            except KeyError:
-                continue
+            except RegistryError:
+                continue                     # unregistered since it saw traffic
             limit = min(self.config.max_replicas, metadata.max_replicas)
             for _ in range(action.add_replicas):
                 if len(self.deployer.replicas(action.function)) >= limit:
@@ -189,14 +163,11 @@ class Autoscaler:
                 except CapacityExhausted:
                     break
                 remaining = len(self.deployer.replicas(action.function))
-                self._record_event(action.function, "prewarm", remaining,
-                                   self.kernel.clock.now)
+                self._record_event(action.function, "prewarm", remaining)
                 obs.gauge(self.kernel, "autoscaler_replicas", remaining,
                           labels={"function": action.function})
-            if action.prefetch:
-                self.deployer.prefetch_function(
-                    action.function,
-                    budget_bytes=self.prewarm.config.prefetch_budget_bytes)
+            self.deployer.prefetch_function(
+                action.function, budget_bytes=PREFETCH_BUDGET_BYTES)
 
     def ensure_capacity(self, function: str, pending_requests: int) -> int:
         """Scale up so ``pending_requests`` can be served concurrently.
@@ -214,8 +185,7 @@ class Autoscaler:
                           function=function, pending=pending_requests):
                 self.deployer.provision(function)
             added += 1
-            self._record_event(function, "scale-up", current + added,
-                               self.kernel.clock.now)
+            self._record_event(function, "scale-up", current + added)
             obs.gauge(self.kernel, "autoscaler_replicas", current + added,
                       labels={"function": function})
         return added

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.bake import BakeReport, Prebaker
-from repro.core.policy import SnapshotPolicy
 from repro.faas.registry import FunctionMetadata
 from repro.osproc.kernel import Kernel
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 from repro.bench.harness import run_service_experiment, run_startup_experiment
 from repro.core.policy import AfterReady, SnapshotPolicy

@@ -10,7 +10,7 @@ necessary to install the Docker Buildx CLI plugin".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.bake import Prebaker

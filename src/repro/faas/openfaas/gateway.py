@@ -210,7 +210,7 @@ class Gateway:
         deployed = self._services.get(service)
         if deployed is None:
             raise GatewayError(f"service {service!r} is not deployed")
-        current = deployed.live_replicas()
+        deployed.live_replicas()     # prune unhealthy replicas first
         added = 0
         while len(deployed.replicas) < replicas:
             self._add_replica(deployed)

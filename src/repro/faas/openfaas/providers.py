@@ -17,8 +17,8 @@ only needed to introduce it in the FaaS-Provider implementation" (§5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.faas.openfaas.containers import Container, ContainerImage
 from repro.faas.resources import Allocation, ResourceManager

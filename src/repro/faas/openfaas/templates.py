@@ -10,7 +10,7 @@ CRIU-version template for each language that we wanted to support."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.policy import AfterReady, AfterWarmup, SnapshotPolicy

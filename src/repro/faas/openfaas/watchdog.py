@@ -15,7 +15,7 @@ from typing import Optional
 from repro.core.starters import ReplicaHandle, Starter
 from repro.functions.base import FunctionApp
 from repro.osproc.kernel import Kernel
-from repro.osproc.process import Capability, Process
+from repro.osproc.process import Capability
 from repro.runtime.base import Request, Response
 
 

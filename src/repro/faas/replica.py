@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 

@@ -10,7 +10,7 @@ start the paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro import obs
 from repro.faas.deployer import FunctionDeployer

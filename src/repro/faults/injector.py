@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro import obs
-from repro.faults.model import FaultPlan, FaultSpec
+from repro.faults.model import FaultPlan
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ SNAPSHOT_QUARANTINED = "snapshot.quarantined"
 SNAPSHOT_REPAIRED = "snapshot.repaired"
 CACHE_LOOKUP = "cache.lookup"                # chunk-cache pass summary
 FAULT_INJECTED = "fault.injected"            # injector fired a site
-AUTOSCALER_ACTION = "autoscaler.action"      # scale-up / gc / reap / heal
+AUTOSCALER_ACTION = "autoscaler.action"      # scale-up/gc/reap/heal/prewarm
 DEPLOY = "deploy"                            # function (re)deployed/baked
 ANOMALY = "anomaly.detected"                 # online detector flagged
 METRIC_SAMPLE = "metric.sample"              # optional raw metric sample

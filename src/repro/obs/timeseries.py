@@ -100,8 +100,7 @@ class WindowedSeries:
         """Sample values with ``start_ms <= t < end_ms`` (time order)."""
         return [v for t, v in self._samples if start_ms <= t < end_ms]
 
-    def windows(self, window_ms: float, t0: float = 0.0,
-                t_end: Optional[float] = None) -> List[WindowStat]:
+    def windows(self, window_ms: float, t0: float = 0.0) -> List[WindowStat]:
         """Roll the buffered samples into fixed windows of ``window_ms``.
 
         Windows are aligned to ``t0`` (``[t0 + k*w, t0 + (k+1)*w)``).
@@ -116,8 +115,7 @@ class WindowedSeries:
         times = np.array([t for t, _ in self._samples])
         values = np.array([v for _, v in self._samples])
         first = int(np.floor((times.min() - t0) / window_ms))
-        last_t = times.max() if t_end is None else max(times.max(), t_end)
-        last = int(np.floor((last_t - t0) / window_ms))
+        last = int(np.floor((times.max() - t0) / window_ms))
         out: List[WindowStat] = []
         for k in range(first, last + 1):
             lo = t0 + k * window_ms

@@ -10,7 +10,7 @@ an over-provisioned snapshot restore fails in production.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.osproc.kernel import Kernel

@@ -9,7 +9,7 @@ speed-up comes from restore leaving file pages warm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.osproc.filesystem import FileSystem, PageCache, VirtualFile
-from repro.osproc.memory import PAGE_SIZE, AddressSpace, Page, VMA, VMAKind
-from repro.osproc.namespaces import NamespaceKind, NamespaceSet
+from repro.osproc.filesystem import FileSystem, PageCache
+from repro.osproc.memory import PAGE_SIZE, Page, VMA, VMAKind
+from repro.osproc.namespaces import NamespaceKind
 from repro.osproc.probes import ProbeRegistry
 from repro.osproc.process import Capability, Process, ProcessState, ThreadState
 from repro.sim.clock import SimClock

@@ -9,9 +9,9 @@ restore can verify it rebuilt an equivalent environment.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet
+from typing import Dict
 
 
 class NamespaceKind(Enum):

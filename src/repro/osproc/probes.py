@@ -10,7 +10,7 @@ event stream rather than read out of the cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ restoring → running) follow the real tool's protocol.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set
 

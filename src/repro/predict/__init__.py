@@ -3,9 +3,9 @@
 The platform's autoscaler is reactive — demand-driven scale-up plus
 idle-timeout GC — so every burst pays the cold-start tax before
 capacity catches up.  This package adds the forecasting layer ROADMAP
-item 2 calls for: per-function arrival forecasters fed from the
-``repro.obs.timeseries`` windows (an inter-arrival histogram + EWMA
-policy first, then a small numpy-only attention sequence model), and
+item 2 calls for: per-function arrival forecasters fed one arrival
+count per fixed window (an inter-arrival histogram + EWMA policy
+first, then a small numpy-only attention sequence model), and
 the prewarm policies/controller that turn forecasts into budget-capped
 ``prewarm`` actions and hot-chunk prefetches.
 

@@ -7,12 +7,15 @@ decisions, re-evaluated once per forecast window:
 * ``target_warm`` — how many replicas to hold ready for the *next*
   window (0 for purely reactive policies).
 
+Policies see arrivals only as inter-arrival gaps (``note_gap``) and
+one arrival count per completed window (``observe_window``).
+
 The X13 study (:mod:`repro.bench.prewarm_study`) sweeps the policy
 ladder — reactive, fixed keep-alive, histogram/EWMA, learned
 (attention), oracle — over the same trace; the platform runs one
-policy live through :class:`PrewarmController`, which feeds arrivals
-into :class:`repro.obs.timeseries.WindowedSeries` rings and hands the
-autoscaler budget-capped :class:`PrewarmAction` plans.
+policy live through :class:`PrewarmController`, which counts arrivals
+per window, feeds each completed window's count to the policy once,
+and hands the autoscaler budget-capped :class:`PrewarmAction` plans.
 
 Policies are deterministic: per-key forecaster seeds derive from the
 policy seed and the key via ``repro.sim.rng._derive_seed``.
@@ -21,10 +24,10 @@ policy seed and the key via ``repro.sim.rng._derive_seed``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.timeseries import VALUE_SAMPLE, WindowedSeries
 from repro.predict.forecast import (
     AttentionForecaster,
     EwmaForecaster,
@@ -35,6 +38,14 @@ from repro.sim.rng import _derive_seed
 DEFAULT_WINDOW_MS = 10_000.0
 DEFAULT_KEEPALIVE_FLOOR_MS = 1_000.0
 DEFAULT_KEEPALIVE_CAP_MS = 30_000.0
+
+#: Lag window of the attention forecaster, and the most completed
+#: windows one controller plan feeds (a long idle stretch costs
+#: O(HORIZON), not O(gap)).
+HORIZON = 64
+
+#: Byte budget of one prewarm action's hot-chunk prefetch.
+PREFETCH_BUDGET_BYTES = 128 * 1024 * 1024
 
 
 def _concurrency(forecast: float, window_ms: float, service_ms: float,
@@ -81,9 +92,6 @@ class PrewarmPolicy:
 
     def target_warm(self, key: str) -> int:
         return 0
-
-    def wants_prefetch(self, key: str) -> bool:
-        return self.target_warm(key) > 0
 
     def prewarm_schedule(self, key: str) -> Optional[Tuple[float, float]]:
         """Timer-style prewarm schedule, or None.
@@ -282,7 +290,7 @@ class LearnedPolicy(HistogramEwmaPolicy):
 
     def __init__(self, window_ms: float = DEFAULT_WINDOW_MS,
                  service_ms: float = 150.0,
-                 horizon: int = 64,
+                 horizon: int = HORIZON,
                  seed: int = 0,
                  **kwargs: float) -> None:
         super().__init__(window_ms=window_ms, service_ms=service_ms, **kwargs)
@@ -358,19 +366,11 @@ class PrewarmConfig:
 
     policy: str = "learned"              # "histogram" | "learned"
     window_ms: float = DEFAULT_WINDOW_MS
-    horizon: int = 64
     service_ms_hint: float = 100.0       # assumed busy time per request
     keepalive_floor_ms: float = DEFAULT_KEEPALIVE_FLOOR_MS
     keepalive_cap_ms: float = DEFAULT_KEEPALIVE_CAP_MS
-    min_forecast: float = 0.5
-    safety: float = 2.5
     max_prewarm_per_tick: int = 4        # replica budget per planning pass
     max_warm_per_function: int = 4
-    burn_threshold: float = 1.0          # SLO burn rate that triggers boost
-    burn_boost: float = 2.0              # target multiplier while burning
-    prefetch: bool = True                # push hot chunks to node caches
-    prefetch_budget_bytes: int = 128 * 1024 * 1024
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.policy not in ("histogram", "learned"):
@@ -383,13 +383,11 @@ class PrewarmConfig:
 
 @dataclass(frozen=True)
 class PrewarmAction:
-    """One function's plan for the next window."""
+    """One function's plan for the next window: pre-place
+    ``add_replicas`` and prefetch the function's hot chunks node-side."""
 
     function: str
     add_replicas: int       # replicas to pre-place now (may be 0)
-    target_warm: int        # desired warm set the forecast asked for
-    keepalive_ms: float     # policy-chosen idle timeout
-    prefetch: bool          # push the function's hot chunks node-side
     forecast: float         # raw next-window arrival forecast
 
 
@@ -400,20 +398,29 @@ class PrewarmStats:
     plans: int = 0
     prewarm_replicas: int = 0
     prefetch_requests: int = 0
-    burn_boosts: int = 0
     windows_fed: int = 0
-    per_function_prewarms: Dict[str, int] = field(default_factory=dict)
 
 
 class PrewarmController:
-    """Feeds arrivals into per-function timeseries windows and plans.
+    """Counts arrivals per forecast window and plans prewarm actions.
 
-    ``note_arrival`` is called from the router path (cheap: one ring
-    append + one histogram bump); ``plan`` is called from the
-    autoscaler tick and returns the budget-capped actions for this
+    Window ``k`` of a function is ``[k*w, k*w + w)``. Per function the
+    controller keeps only the arrival counts of windows it has not fed
+    yet and the next window index to feed, which starts at the window
+    of the function's first arrival. ``note_arrival`` is called from
+    the router path (cheap: one count bump + one histogram bump);
+    ``plan`` is called from the autoscaler tick, feeds every window
+    that ended by then to the policy once, in order, zero-count
+    windows included, and returns the budget-capped actions for this
     pass. The controller never touches the kernel RNG or clock, so
     installing it leaves un-prewarmed runs byte-identical.
     """
+
+    #: Cold-start SLO burn rate above which forecast targets are
+    #: multiplied by ``BURN_BOOST``, so capacity lands *before* the
+    #: error budget burns out.
+    BURN_THRESHOLD = 1.0
+    BURN_BOOST = 2.0
 
     def __init__(self, config: Optional[PrewarmConfig] = None) -> None:
         self.config = config or PrewarmConfig()
@@ -423,50 +430,45 @@ class PrewarmController:
             service_ms=cfg.service_ms_hint,
             keepalive_floor_ms=cfg.keepalive_floor_ms,
             keepalive_cap_ms=cfg.keepalive_cap_ms,
-            min_forecast=cfg.min_forecast,
-            safety=cfg.safety,
         )
         if cfg.policy == "learned":
-            self.policy: HistogramEwmaPolicy = LearnedPolicy(
-                horizon=cfg.horizon, seed=cfg.seed, **kwargs)
+            self.policy: HistogramEwmaPolicy = LearnedPolicy(**kwargs)
         else:
             self.policy = HistogramEwmaPolicy(**kwargs)
-        self._series: Dict[str, WindowedSeries] = {}
-        self._fed_until: Dict[str, float] = {}
+        self._counts: Dict[str, Counter] = {}
+        self._next_window: Dict[str, int] = {}
         self._last_arrival: Dict[str, float] = {}
         self.stats = PrewarmStats()
 
     # -- arrival path --------------------------------------------------------
 
     def note_arrival(self, function: str, at_ms: float) -> None:
-        series = self._series.get(function)
-        if series is None:
-            series = WindowedSeries(
-                f"prewarm_arrivals:{function}", kind=VALUE_SAMPLE)
-            self._series[function] = series
-        series.record(at_ms, 1.0)
+        window = math.floor(at_ms / self.config.window_ms)
         last = self._last_arrival.get(function)
-        if last is not None:
+        if last is None:
+            self._counts[function] = Counter()
+            self._next_window[function] = window
+        else:
             self.policy.note_gap(function, at_ms - last)
         self._last_arrival[function] = at_ms
+        self._counts[function][window] += 1
 
     # -- planning ------------------------------------------------------------
 
     def _feed_windows(self, function: str, now_ms: float) -> None:
-        """Feed completed arrival windows to the policy (at most
-        ``horizon`` trailing ones, so a long idle stretch costs O(horizon))."""
-        series = self._series[function]
-        cfg = self.config
-        fed_until = self._fed_until.get(function, 0.0)
-        stats = series.windows(cfg.window_ms, t_end=now_ms)
-        completed = [s for s in stats
-                     if s.end_ms <= now_ms and s.start_ms >= fed_until]
-        if len(completed) > cfg.horizon:
-            completed = completed[-cfg.horizon:]
-        for stat in completed:
-            self.policy.observe_window(function, float(stat.count))
-            self._fed_until[function] = stat.end_ms
-            self.stats.windows_fed += 1
+        """Feed the windows that ended by ``now_ms`` and were not fed
+        yet (at most the ``HORIZON`` most recent ones)."""
+        end = math.floor(now_ms / self.config.window_ms)
+        start = max(self._next_window[function], end - HORIZON)
+        if start >= end:
+            return
+        counts = self._counts[function]
+        for window in range(start, end):
+            self.policy.observe_window(function, float(counts.pop(window, 0)))
+        self.stats.windows_fed += end - start
+        for window in [w for w in counts if w < start]:
+            del counts[window]           # beyond the horizon cap
+        self._next_window[function] = end
 
     def keepalive_ms(self, function: str,
                      default_ms: float) -> float:
@@ -477,7 +479,7 @@ class PrewarmController:
         is floored at 1.5 forecast windows, so deliberately pre-placed
         replicas survive the GC pass between two plans instead of
         churning (prewarm → gc → prewarm)."""
-        if function not in self._series:
+        if function not in self._counts:
             return default_ms
         value = self.policy.keepalive_ms(function)
         if value <= 0:
@@ -493,46 +495,32 @@ class PrewarmController:
         ``current_warm`` maps function -> live replica count; the plan
         only asks for the shortfall against the forecast target. The
         total replicas added per pass is capped by the config budget;
-        when the cold-start SLO burn rate crosses the threshold the
-        per-function targets are boosted so capacity lands *before*
-        the budget burns out.
+        when the cold-start SLO burn rate crosses ``BURN_THRESHOLD``
+        the per-function targets are boosted. Every function with a
+        positive target gets an action, so its chunks are prefetched
+        even when no replica is added.
         """
         cfg = self.config
         self.stats.plans += 1
-        boost = 1.0
-        if burn_rate is not None and burn_rate > cfg.burn_threshold:
-            boost = cfg.burn_boost
-            self.stats.burn_boosts += 1
+        burning = burn_rate is not None and burn_rate > self.BURN_THRESHOLD
         budget = cfg.max_prewarm_per_tick
         actions: List[PrewarmAction] = []
-        for function in sorted(self._series):
+        for function in sorted(self._counts):
             self._feed_windows(function, now_ms)
-            forecast = self.policy.forecast(function)
             target = self.policy.target_warm(function)
-            if target > 0 and boost > 1.0:
-                target = int(math.ceil(target * boost))
+            if burning:
+                target = int(math.ceil(target * self.BURN_BOOST))
             target = min(target, cfg.max_warm_per_function)
-            have = int(current_warm.get(function, 0))
-            add = max(0, target - have)
-            if add > budget:
-                add = budget
-            prefetch = cfg.prefetch and (target > 0 or add > 0)
-            if add <= 0 and not prefetch:
+            if target <= 0:
                 continue
+            have = int(current_warm.get(function, 0))
+            add = min(max(0, target - have), budget)
             budget -= add
-            if add > 0:
-                self.stats.prewarm_replicas += add
-                per_fn = self.stats.per_function_prewarms
-                per_fn[function] = per_fn.get(function, 0) + add
-            if prefetch:
-                self.stats.prefetch_requests += 1
+            self.stats.prewarm_replicas += add
+            self.stats.prefetch_requests += 1
             actions.append(PrewarmAction(
                 function=function,
                 add_replicas=add,
-                target_warm=target,
-                keepalive_ms=self.keepalive_ms(
-                    function, cfg.keepalive_cap_ms),
-                prefetch=prefetch,
-                forecast=forecast,
+                forecast=self.policy.forecast(function),
             ))
         return actions

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.osproc.kernel import Kernel
-from repro.osproc.memory import PAGE_SIZE, VMAKind
+from repro.osproc.memory import VMAKind
 from repro.osproc.process import Process
 from repro.runtime.base import ManagedRuntime, Request, RuntimeError_
 

@@ -29,7 +29,7 @@ All durations are milliseconds; sizes are MiB unless suffixed ``_kib``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.sim.rng import RandomStreams

@@ -1,11 +1,12 @@
-"""Autoscaler prewarm integration: events ring, waste accounting,
-forecast-driven pre-placement, and chunk prefetch."""
+"""Autoscaler prewarm integration: the action record, waste
+accounting, forecast-driven pre-placement, and chunk prefetch."""
 
 import pytest
 
-from repro import make_world
+from repro import make_world, obs
 from repro.faas.autoscaler import AutoscalerConfig
 from repro.faas.platform import FaaSPlatform, PlatformConfig
+from repro.faas.registry import RegistryError
 from repro.functions.base import make_app
 from repro.predict.policy import PrewarmConfig
 
@@ -14,27 +15,48 @@ def _platform(kernel, **kwargs) -> FaaSPlatform:
     return FaaSPlatform(kernel, PlatformConfig(**kwargs))
 
 
-class TestEventRing:
-    def test_events_ring_is_bounded_and_counts_drops(self):
-        world = make_world(seed=3, observe=True)
-        platform = _platform(
-            world.kernel, autoscaler=AutoscalerConfig(event_capacity=8))
-        platform.register_function(lambda: make_app("markdown"))
-        scaler = platform.autoscaler
-        # Far more scale events than the ring holds.
-        for i in range(2, 14):
-            platform.scale("markdown", i % 4 + 1)
-            for replica in platform.deployer.replicas("markdown"):
-                replica.terminate()
-        assert len(scaler.events) <= 8
-        assert scaler.events_dropped > 0
-        # The ring keeps the *newest* events.
-        assert scaler.events[-1].at_ms >= scaler.events[0].at_ms
+def _actions(kernel, action: str) -> float:
+    return kernel.obs.metrics.value("autoscaler_actions_total",
+                                    {"action": action})
 
-    def test_dropped_counter_starts_at_zero(self):
-        world = make_world(seed=4, observe=True)
-        platform = _platform(world.kernel)
-        assert platform.autoscaler.events_dropped == 0
+
+def _wasted_ms(kernel, function: str) -> float:
+    return kernel.obs.metrics.value("autoscaler_wasted_warm_ms_total",
+                                    {"function": function})
+
+
+class TestActionRecord:
+    def test_flight_tape_and_counter_agree_for_every_action(self):
+        world = make_world(seed=3, observe=True)
+        kernel = world.kernel
+        tape = obs.install_flight(kernel)
+        platform = _platform(
+            kernel,
+            autoscaler=AutoscalerConfig(min_replicas=1,
+                                        idle_timeout_ms=1_000.0),
+            prewarm=PrewarmConfig(policy="histogram", window_ms=200.0,
+                                  service_ms_hint=500.0))
+        platform.register_function(lambda: make_app("markdown"))
+        platform.gc_tick()                                  # heal
+        (replica,) = platform.deployer.replicas("markdown")
+        kernel.kill(replica.handle.process.pid)
+        platform.gc_tick()                                  # reap + heal
+        platform.scale("markdown", 3)                       # scale-up
+        kernel.clock.advance(5_000.0)
+        platform.gc_tick()                                  # gc
+        for _ in range(60):                                 # prewarm
+            platform.invoke("markdown")
+            kernel.clock.advance(40.0)
+            platform.gc_tick()
+        taped = tape.events(obs.flight.AUTOSCALER_ACTION)
+        assert tape.dropped == 0
+        for action in ("scale-up", "gc", "reap", "heal", "prewarm"):
+            on_tape = [e for e in taped if e.attrs["action"] == action]
+            assert on_tape, action
+            assert all(e.attrs["function"] == "markdown" for e in on_tape)
+            assert len(on_tape) == _actions(kernel, action), action
+        assert len(taped) == kernel.obs.metrics.value(
+            "autoscaler_actions_total")
 
 
 class TestWasteAccounting:
@@ -46,11 +68,9 @@ class TestWasteAccounting:
         platform.invoke("markdown")
         world.kernel.clock.advance(5_000.0)
         platform.gc_tick()
-        scaler = platform.autoscaler
         assert platform.replica_count("markdown") == 0
-        assert scaler.wasted_warm_ms.get("markdown", 0.0) >= 5_000.0
-        gc_events = [e for e in scaler.events if e.action == "gc"]
-        assert gc_events
+        assert _wasted_ms(world.kernel, "markdown") >= 5_000.0
+        assert _actions(world.kernel, "gc") == 1
 
     def test_no_waste_accrued_while_replicas_stay_busy(self):
         world = make_world(seed=6, observe=True)
@@ -59,7 +79,7 @@ class TestWasteAccounting:
                                    idle_timeout_ms=60_000.0)
         platform.invoke("markdown")
         platform.gc_tick()
-        assert platform.autoscaler.wasted_warm_ms.get("markdown", 0.0) == 0.0
+        assert _wasted_ms(world.kernel, "markdown") == 0.0
 
 
 class TestPrewarmPass:
@@ -85,14 +105,12 @@ class TestPrewarmPass:
         platform.gc_tick()
 
     def test_forecast_drives_prewarm_provisioning(self):
-        _, platform = self._warm_platform()
+        world, platform = self._warm_platform()
         stats = platform.prewarm.stats
         assert stats.plans > 0
         assert stats.windows_fed > 0
         assert stats.prewarm_replicas > 0
-        prewarm_events = [e for e in platform.autoscaler.events
-                          if e.action == "prewarm"]
-        assert len(prewarm_events) > 0
+        assert _actions(world.kernel, "prewarm") > 0
         # Pre-placed capacity is real, live replicas.
         assert platform.replica_count("markdown") > 1
 
@@ -110,6 +128,31 @@ class TestPrewarmPass:
             world.kernel.clock.advance(40.0)
             platform.gc_tick()
         assert platform.replica_count("markdown") <= 2
+
+    def test_unregistered_function_is_skipped_not_fatal(self):
+        # Arrivals of a function the registry does not know still feed
+        # the forecaster; once it asks for a replica the prewarm pass
+        # must skip the function instead of crashing the tick.
+        world = make_world(seed=14, observe=True)
+        platform = _platform(world.kernel, prewarm=PrewarmConfig(
+            policy="histogram", window_ms=200.0, service_ms_hint=500.0))
+        for _ in range(60):
+            with pytest.raises(RegistryError):
+                platform.invoke("nope")
+            world.kernel.clock.advance(40.0)
+            platform.gc_tick()
+        assert platform.prewarm.stats.prefetch_requests > 0
+        assert _actions(world.kernel, "prewarm") == 0
+
+    def test_function_unregistered_after_traffic_is_skipped(self):
+        world, platform = self._warm_platform(seed=15)
+        platform.registry.unregister("markdown")
+        stats = platform.prewarm.stats
+        planned = stats.prefetch_requests
+        for _ in range(20):
+            world.kernel.clock.advance(40.0)
+            platform.gc_tick()
+        assert stats.prefetch_requests > planned   # still forecast, skipped
 
     def test_prewarm_plans_request_prefetch(self):
         _, platform = self._warm_platform(seed=10)
@@ -155,4 +198,4 @@ class TestKeepAliveOverride:
             world.kernel.clock.advance(2_000.0)
         platform.gc_tick()
         assert platform.replica_count("markdown") == 0
-        assert platform.autoscaler.wasted_warm_ms.get("markdown", 0.0) > 0.0
+        assert _wasted_ms(world.kernel, "markdown") > 0.0

@@ -1,6 +1,5 @@
 """Tests for the statistics module, cross-checked against scipy."""
 
-import math
 import random
 
 import pytest

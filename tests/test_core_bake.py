@@ -1,12 +1,10 @@
 """Tests for the bake pipeline."""
 
-import pytest
 
-from repro.core.bake import BakeError, Prebaker
+from repro.core.bake import Prebaker
 from repro.core.policy import AfterReady, AfterRuntimeBoot, AfterWarmup
 from repro.core.store import SnapshotStore
 from repro.functions import make_app, small_function
-from repro.osproc.process import ProcessState
 
 
 class TestBake:

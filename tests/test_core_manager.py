@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.manager import PrebakeManager
 from repro.core.policy import AfterReady, AfterWarmup
 from repro.core.starters import PrebakeStarter, VanillaStarter
 from repro.functions import make_app

@@ -1,6 +1,5 @@
 """Property-based tests: dump → restore is a faithful round-trip."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """Tests for the reproduction-report assembler."""
 
-import pathlib
 
 import pytest
 

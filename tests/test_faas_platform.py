@@ -15,7 +15,7 @@ from repro.faas import (
     ResourceError,
     ResourceManager,
 )
-from repro import make_world
+from repro import make_world, obs
 from repro.faas.replica import ReplicaState, next_replica_id, reset_replica_ids
 from repro.functions import MarkdownFunction, NoopFunction
 from repro.runtime.base import Request
@@ -166,13 +166,14 @@ class TestPlatformFlow:
         assert platform.replica_count("noop") == 3
 
     def test_gc_reclaims_idle_replicas(self, platform, kernel):
+        tape = obs.install_flight(kernel)
         platform.register_function(NoopFunction)
         platform.invoke("noop")
         kernel.clock.advance(2000.0)  # beyond idle timeout
         platform.gc_tick()
         assert platform.replica_count("noop") == 0
-        events = platform.autoscaler.events
-        assert any(e.action == "gc" for e in events)
+        events = tape.events(obs.flight.AUTOSCALER_ACTION)
+        assert any(e.attrs["action"] == "gc" for e in events)
 
     def test_gc_keeps_active_replicas(self, platform, kernel):
         platform.register_function(NoopFunction)

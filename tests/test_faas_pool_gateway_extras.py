@@ -3,7 +3,7 @@ boundaries, engine interleavings used by the platform."""
 
 import pytest
 
-from repro import make_world
+from repro import obs
 from repro.faas import AutoscalerConfig, FaaSPlatform, PlatformConfig
 from repro.faas.replica import FunctionReplica, ReplicaState
 from repro.core.starters import VanillaStarter
@@ -78,11 +78,13 @@ class TestAutoscalerBoundaries:
         assert platform.autoscaler.ensure_capacity("noop", 2) == 0
 
     def test_scale_events_recorded(self, kernel):
+        tape = obs.install_flight(kernel)
         platform = self._platform(kernel, idle_timeout=100.0)
         platform.scale("noop", 2)
         kernel.clock.advance(1_000.0)
         platform.gc_tick()
-        actions = [e.action for e in platform.autoscaler.events]
+        actions = [e.attrs["action"]
+                   for e in tape.events(obs.flight.AUTOSCALER_ACTION)]
         assert "scale-up" in actions and "gc" in actions
 
     def test_busy_replica_not_collected(self, kernel):

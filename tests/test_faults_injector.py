@@ -6,7 +6,6 @@ from repro import faults, make_world
 from repro.core.bake import Prebaker
 from repro.core.policy import AfterReady
 from repro.faults import (
-    IMAGE_CORRUPT,
     REPLICA_CRASH,
     RESTORE_FAIL,
     RESTORE_HANG,

@@ -244,8 +244,10 @@ class TestRouterResilience:
         world.kernel.kill(replica.handle.process.pid)
         platform.gc_tick()  # reap the corpse, then heal back to the floor
         assert platform.replica_count("noop") == 1
-        actions = [e.action for e in platform.autoscaler.events]
-        assert "reap" in actions and "heal" in actions
+        metrics = world.kernel.obs.metrics
+        for action in ("reap", "heal"):
+            assert metrics.value("autoscaler_actions_total",
+                                 {"action": action}) > 0
 
 
 class TestSpanErrorTagging:

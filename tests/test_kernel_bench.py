@@ -1,7 +1,6 @@
 """Tests for the kernel throughput microbenchmark and its gate (X11)."""
 
 import json
-import pathlib
 
 import pytest
 
@@ -12,11 +11,7 @@ from repro.bench.baseline import (
     load_baseline,
 )
 from repro.bench.cli import main as cli_main
-from repro.bench.kernelbench import (
-    SPEEDUP_HARD_FLOOR,
-    kernel_bench,
-    write_kernel_bench_json,
-)
+from repro.bench.kernelbench import kernel_bench, write_kernel_bench_json
 
 # Small budget: the workload still runs at least one full index of
 # every component, which is all determinism needs.

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import make_world
 from repro.bench.platform_study import run_multi_function_study
 from repro.bench.traces import TraceEvent, synthesize_workload
 from repro.faas.openfaas.stack import make_openfaas_stack

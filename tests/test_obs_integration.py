@@ -12,7 +12,7 @@ Two claims from the issue are pinned down here:
 
 import pytest
 
-from repro import make_world, obs
+from repro import make_world
 from repro.bench.harness import run_startup_experiment
 from repro.bench.tracer import PhaseTracer
 from repro.core.manager import PrebakeManager

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import make_world
 from repro.faas.openfaas import (
     AlertRule,
     ContainerImage,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.faas import FaaSPlatform
-from repro.faas.replica import ReplicaState
 from repro.functions.base import FunctionApp
 from repro.functions import register_app
 from repro.osproc.cgroups import CgroupError, CgroupManager, MemoryCgroup

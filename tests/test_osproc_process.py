@@ -3,7 +3,7 @@
 import pytest
 
 from repro.osproc.filesystem import VirtualFile
-from repro.osproc.process import Capability, Process, ProcessState, Thread, ThreadState
+from repro.osproc.process import Capability, Process, ProcessState, ThreadState
 
 
 def make_process(pid=100):

@@ -253,7 +253,6 @@ class TestPrewarmController:
 
     def test_burn_rate_boosts_targets(self):
         config = PrewarmConfig(policy="histogram", window_ms=100.0,
-                               burn_threshold=1.0, burn_boost=2.0,
                                max_prewarm_per_tick=32,
                                max_warm_per_function=32)
         results = {}
@@ -272,3 +271,61 @@ class TestPrewarmController:
     def test_keepalive_falls_back_to_default_until_data(self):
         controller = PrewarmController(PrewarmConfig(policy="histogram"))
         assert controller.keepalive_ms("unknown", 42_000.0) == 42_000.0
+
+
+# One step of a scripted platform clock: ``arrive``/``plan`` advance it
+# by a gap in ms, ``arrive_on_edge`` jumps exactly onto a later window
+# boundary, ``idle`` skips more windows than one plan feeds.
+_FEED_STEPS = st.one_of(
+    st.tuples(st.just("arrive"), st.integers(0, 250)),
+    st.tuples(st.just("arrive_on_edge"), st.integers(1, 3)),
+    st.tuples(st.just("idle"), st.integers(65, 150)),
+    st.tuples(st.just("plan"), st.integers(0, 250)),
+    st.tuples(st.just("plan_on_edge"), st.integers(1, 3)),
+)
+
+
+class TestWindowFeed:
+    @settings(max_examples=200, deadline=None)
+    @given(window=st.sampled_from([50, 100, 1000]),
+           steps=st.lists(_FEED_STEPS, max_size=60))
+    def test_feed_matches_offline_window_counts(self, window, steps):
+        controller = PrewarmController(PrewarmConfig(
+            policy="histogram", window_ms=float(window)))
+        fed = []
+        controller.policy.observe_window = (
+            lambda key, count: fed.append((key, count)))
+        t = 0
+        arrivals, plans = [], []
+        for kind, amount in steps:
+            if kind.endswith("_on_edge"):
+                t = (t // window + amount) * window
+            elif kind == "idle":
+                t += amount * window
+            else:
+                t += amount
+            if kind == "plan" or kind == "plan_on_edge":
+                controller.plan(float(t), {})
+                plans.append((t, len(arrivals)))
+            else:
+                controller.note_arrival("f", float(t))
+                arrivals.append(t)
+        # Offline: every window [k*w, k*w + w) that ended by a plan is
+        # fed once, in order, from the first arrival's window on, with
+        # at most the 64 most recent ones per plan.
+        expected = []
+        next_window = None
+        for now, noted in plans:
+            if not noted:
+                continue
+            if next_window is None:
+                next_window = arrivals[0] // window
+            end = now // window
+            for k in range(max(next_window, end - 64), end):
+                count = sum(1 for a in arrivals
+                            if k * window <= a < (k + 1) * window)
+                expected.append(("f", float(count)))
+            next_window = max(next_window, end)
+        assert fed == expected
+        assert controller.stats.windows_fed == len(expected)
+

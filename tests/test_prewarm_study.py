@@ -114,12 +114,10 @@ class TestExemplar:
         assert exemplar["prewarm_replicas"] > 0
         assert exemplar["prefetch_requests"] > 0
         assert exemplar["autoscaler_prewarm_events"] > 0
-        assert exemplar["autoscaler_events_dropped"] == 0
 
     def test_exemplar_accounts_wasted_warm_time(self, smoke):
-        # The exemplar run GCs idle prewarmed replicas at episode end,
-        # so per-function wasted warm time is observable.
-        assert isinstance(smoke.exemplar["wasted_warm_ms"], dict)
+        # Read off autoscaler_wasted_warm_ms_total (the world is observed).
+        assert smoke.exemplar["wasted_warm_ms"] >= 0.0
 
 
 class TestRendering:

@@ -314,7 +314,6 @@ class TestImageMerkleOnStore:
         assert stats.verified_ok is True
         # Sublinearity in the tested currency: repairing a handful of
         # windows costs far fewer combines than one full reseal.
-        merkle = store.merkle(report.key)
         rebuild_ops = ImageMerkle.from_layered(
             store.layered(report.key)).hash_ops
         assert stats.hash_ops < rebuild_ops

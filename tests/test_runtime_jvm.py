@@ -3,7 +3,6 @@
 import pytest
 
 from repro.functions import make_app, small_function
-from repro.osproc.process import ProcessState
 from repro.runtime.base import Request, RuntimeError_
 from repro.runtime.jvm import JVMRuntime
 from repro.sim.costmodel import DEFAULT_COST_MODEL

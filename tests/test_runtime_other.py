@@ -1,6 +1,5 @@
 """Tests for the CPython and Node.js runtime models (paper §7)."""
 
-import pytest
 
 from repro.functions.base import FunctionApp
 from repro.runtime.base import Request

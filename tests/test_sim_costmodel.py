@@ -6,7 +6,6 @@ from repro.sim.costmodel import (
     BUILTIN_PROFILES,
     CostModel,
     DEFAULT_COST_MODEL,
-    FunctionCosts,
     IMAGE_RESIZER_COSTS,
     MARKDOWN_COSTS,
     NOOP_COSTS,

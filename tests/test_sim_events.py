@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import Event, EventQueue, Signal
+from repro.sim.events import EventQueue, Signal
 
 
 class TestEventQueue:
