@@ -213,7 +213,7 @@ def _run_fleet_study(args) -> str:
 
     result = fleet_study(
         repetitions=max(1, min(args.repetitions, 3)), seed=args.seed,
-        requests=args.requests or 1_000_000, workers=args.workers)
+        requests=args.requests or 1_000_000)
     if args.fleet_out:
         with open(args.fleet_out, "w", encoding="utf-8") as handle:
             json.dump(result.as_dict(), handle, sort_keys=True)

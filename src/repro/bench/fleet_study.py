@@ -83,7 +83,6 @@ class FleetStudyConfig:
     node_cache_mib: int = 256
     keepalive_ms: float = 60_000.0
     max_replicas: int = 8
-    pipeline_workers: int = 1
     window_ms: float = 60_000.0
     flight_capacity: int = 2048
     # Deterministic storage outage: one store is down for the middle
@@ -157,7 +156,6 @@ class FleetStudyResult:
                 "storage_nodes": self.config.storage_nodes,
                 "replication_factor": self.config.replication_factor,
                 "node_cache_mib": self.config.node_cache_mib,
-                "pipeline_workers": self.config.pipeline_workers,
             },
             "reps": [
                 {
@@ -438,16 +436,14 @@ class _Fleet:
         self.h_hit_bytes[node].inc(float(local_bytes))
         self.h_miss_bytes[node].inc(float(remote_bytes))
 
-        # -- latency decomposition (calibrated CostModel constants) ------
+        # -- latency decomposition (the engine's one-worker restore plan) -
         costs = self.costs
         cf = local_bytes / total_bytes if total_bytes else 0.0
-        pages_ms = costs.restore_per_mib_ms * (total_bytes / MIB)
-        fetch_ms = pages_ms * costs.restore_fetch_fraction * (
-            (1.0 - cf) + cf * costs.restore_cache_hit_factor)
-        map_ms = pages_ms * (1.0 - costs.restore_fetch_fraction)
-        shard_ms = costs.shard_fetch_overhead_ms(
-            hops, workers=c.pipeline_workers)
-        restore_ms = costs.restore_base_ms + fetch_ms + map_ms + shard_ms
+        full = costs.restore_cost(total_bytes / MIB)
+        base = min(costs.restore_base_ms, full)
+        plan = costs.plan_restore_pipeline(full - base, cached_fraction=cf)
+        restore_ms = (base + plan.total_ms
+                      + costs.shard_fetch_overhead_ms(hops))
         # One multiplicative log-normal jitter per cold start, applied
         # to every phase, so the phase sums reproduce the total exactly.
         factor = math.exp(costs.noise_sigma * self.rng.standard_normal())
@@ -597,13 +593,12 @@ def fleet_study(repetitions: int = 1, seed: int = 42,
                 requests: int = 1_000_000, functions: int = 200,
                 compute_nodes: int = 8, storage_nodes: int = 6,
                 replication_factor: int = 2,
-                workers: int = 1,
                 duration_ms: float = 7_200_000.0) -> FleetStudyResult:
     """Run X12: ``repetitions`` independent fleet passes + the exemplar."""
     config = FleetStudyConfig(
         functions=functions, requests=requests, duration_ms=duration_ms,
         compute_nodes=compute_nodes, storage_nodes=storage_nodes,
-        replication_factor=replication_factor, pipeline_workers=workers)
+        replication_factor=replication_factor)
     result = FleetStudyResult(config=config, seed=seed)
     for rep in range(repetitions):
         result.reps.append(_run_repetition(config, seed, rep))

@@ -364,12 +364,11 @@ class _PolicySim:
         hit = self.cache.admit(fid, mib)
         if prefetch and not hit:
             self.outcome.prefetch_mib += mib
-        cf = 1.0 if hit else 0.0
-        pages_ms = costs.restore_per_mib_ms * mib
-        fetch_ms = pages_ms * costs.restore_fetch_fraction * (
-            (1.0 - cf) + cf * costs.restore_cache_hit_factor)
-        map_ms = pages_ms * (1.0 - costs.restore_fetch_fraction)
-        restore_ms = costs.restore_base_ms + fetch_ms + map_ms
+        full = costs.restore_cost(mib)
+        base = min(costs.restore_base_ms, full)
+        plan = costs.plan_restore_pipeline(
+            full - base, cached_fraction=1.0 if hit else 0.0)
+        restore_ms = base + plan.total_ms
         factor = math.exp(costs.noise_sigma * self.rng.standard_normal())
         return (costs.clone_ms + costs.criu_spawn_ms + restore_ms) * factor, hit
 

@@ -7,7 +7,7 @@ quickstart example) interacts with.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro import obs
 from repro.core.bake import BakeReport, Prebaker
@@ -91,7 +91,6 @@ class PrebakeManager:
         repair: bool = True,
         pipeline_workers: int = 1,
         chunk_cache=None,
-        cache_policy: Optional[str] = None,
         shard_store=None,
     ) -> Starter:
         """Build a starter for ``technique`` ("vanilla" | "prebake")."""
@@ -111,7 +110,6 @@ class PrebakeManager:
                 repair=repair,
                 pipeline_workers=pipeline_workers,
                 chunk_cache=chunk_cache,
-                cache_policy=cache_policy,
                 shard_store=shard_store,
             )
         raise ValueError(f"unknown technique {technique!r}")

@@ -170,7 +170,6 @@ class PrebakeStarter(Starter):
         repair: bool = True,
         pipeline_workers: int = 1,
         chunk_cache=None,
-        cache_policy: Optional[str] = None,
         shard_store=None,
     ) -> None:
         super().__init__(kernel)
@@ -187,13 +186,11 @@ class PrebakeStarter(Starter):
         # the page data; disable to force the legacy rebake-only path.
         self.repair = repair
         # Pipelined restore + node-local hot-chunk cache + sharded
-        # store knobs travel straight into the engine; the defaults
-        # (one worker, no cache, no shard store) keep the serial path
-        # bit-identical.
+        # store knobs travel straight into the engine (defaults: one
+        # worker, no cache, flat registry).
         self.restore_engine = RestoreEngine(
             kernel, pipeline_workers=pipeline_workers,
-            chunk_cache=chunk_cache, cache_policy=cache_policy,
-            shard_store=shard_store)
+            chunk_cache=chunk_cache, shard_store=shard_store)
 
     def snapshot_key(self, app: FunctionApp) -> SnapshotKey:
         return SnapshotKey(

@@ -29,6 +29,8 @@ from typing import Dict, Optional, Tuple
 FREQ_OVER_SIZE = "freq-over-size"
 LRU = "lru"
 POLICIES = (FREQ_OVER_SIZE, LRU)
+# Knob values that mean "no node cache".
+CACHE_OFF = (None, "none", "off", "")
 
 # Default node cache: 256 MiB holds the paper's whole function set
 # (largest snapshot 99.2 MiB) with room for churn; sweeps shrink it to
@@ -203,7 +205,7 @@ class HotChunkCache:
 def make_cache(policy: Optional[str],
                capacity_bytes: int = DEFAULT_CAPACITY_BYTES
                ) -> Optional[HotChunkCache]:
-    """Build a cache from a knob value (None/"none"/"off" -> no cache)."""
-    if policy is None or policy in ("none", "off", ""):
+    """Build a cache from a knob value (:data:`CACHE_OFF` -> no cache)."""
+    if policy in CACHE_OFF:
         return None
     return HotChunkCache(capacity_bytes=capacity_bytes, policy=policy)

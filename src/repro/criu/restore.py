@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from repro import faults, obs
-from repro.criu.chunkcache import HotChunkCache, make_cache
+from repro.criu.chunkcache import HotChunkCache
 from repro.criu.images import CheckpointImage
 from repro.criu.pagestore import image_chunk_count, image_chunk_index
 from repro.criu.workingset import WorkingSetRecord, WorkingSetTracker
@@ -48,13 +48,11 @@ class RestoreMode(Enum):
                                    # set, lazily fault the (rarely touched) rest
 
 
-# Default fraction of the page-mapping cost paid up front in LAZY mode
-# (hot pages criu always populates eagerly: stacks, parasite-adjacent).
-# Tunable per engine via ``RestoreEngine(lazy_eager_fraction=...)``.
-DEFAULT_LAZY_EAGER_FRACTION = 0.15
-
-# Backward-compatible alias for the module-level constant.
-LAZY_EAGER_FRACTION = DEFAULT_LAZY_EAGER_FRACTION
+# Fraction of the page-mapping cost paid up front in LAZY mode (hot
+# pages criu always populates eagerly: stacks, parasite-adjacent); the
+# remainder becomes the ``lazy_restore_debt_ms`` charged to the first
+# request.
+LAZY_EAGER_FRACTION = 0.15
 
 CRIU_BINARY = "/usr/sbin/criu"
 
@@ -62,52 +60,39 @@ CRIU_BINARY = "/usr/sbin/criu"
 class RestoreEngine:
     """Restores :class:`CheckpointImage` sets into live processes.
 
-    ``lazy_eager_fraction`` is the share of the page-population cost a
-    LAZY restore still pays before resuming (criu eagerly populates
-    stacks and parasite-adjacent pages even under lazy-pages); the
-    remainder becomes the ``lazy_restore_debt_ms`` charged to the first
-    request.
+    Every restore's page-population stage is priced by one formula,
+    :meth:`CostModel.plan_restore_pipeline`; the worker count and the
+    cache's hit fraction are its inputs.
 
     ``pipeline_workers`` parallelizes the page-population stage:
-    ``N > 1`` overlaps chunk fetching with page mapping/prefetching
-    (see :meth:`CostModel.plan_restore_pipeline`); the default of 1 is
-    the original serial model, bit-identical to its charges.
-    ``chunk_cache`` (or ``cache_policy``, which builds one) is a
-    node-local :class:`HotChunkCache` consulted per chunk window —
-    hits fetch at local-read speed instead of a registry round-trip.
+    ``N > 1`` overlaps chunk fetching with page mapping/prefetching;
+    the default of 1 is the serial charge.
+    ``chunk_cache`` is a node-local :class:`HotChunkCache` consulted
+    per chunk window — hits fetch at local-read speed instead of a
+    registry round-trip.
 
     ``shard_store`` (a
     :class:`~repro.criu.shardstore.ShardedSnapshotStore`) replaces the
     flat registry with N replicated storage nodes: each restore issues
-    quorum window fetches through it, prices retry hops and stragglers
-    via :meth:`CostModel.shard_fetch_overhead_ms`, and records a
-    :class:`~repro.criu.shardstore.DegradedRestoreReport` on
-    ``last_shard_report``. A window no surviving replica nor the cache
-    can serve raises :class:`RestoreFailed` (kind ``shard``) so the
-    starter's retry/fallback ladder takes over. ``None`` (the default)
-    keeps the unsharded path bit-identical.
+    quorum window fetches through it and prices retry hops and
+    stragglers via :meth:`CostModel.shard_fetch_overhead_ms`. A window
+    no surviving replica nor the cache can serve raises
+    :class:`RestoreFailed` (kind ``shard``) so the starter's
+    retry/fallback ladder takes over. ``None`` (the default) restores
+    from the flat registry.
     """
 
     def __init__(self, kernel: Kernel,
-                 lazy_eager_fraction: float = DEFAULT_LAZY_EAGER_FRACTION,
                  pipeline_workers: int = 1,
                  chunk_cache: Optional[HotChunkCache] = None,
-                 cache_policy: Optional[str] = None,
                  shard_store=None) -> None:
-        if not 0.0 <= lazy_eager_fraction <= 1.0:
-            raise ValueError(
-                f"lazy_eager_fraction must be in [0, 1], got {lazy_eager_fraction}"
-            )
         if pipeline_workers < 1:
             raise ValueError(
                 f"pipeline_workers must be >= 1, got {pipeline_workers}")
         self.kernel = kernel
-        self.lazy_eager_fraction = lazy_eager_fraction
         self.pipeline_workers = pipeline_workers
-        self.chunk_cache = (chunk_cache if chunk_cache is not None
-                            else make_cache(cache_policy))
+        self.chunk_cache = chunk_cache
         self.shard_store = shard_store
-        self.last_shard_report = None
         kernel.fs.ensure(CRIU_BINARY, size=5 * 1024 * 1024)
 
     def restore(
@@ -192,27 +177,21 @@ class RestoreEngine:
                     # fetch into a local read (no RNG, pure bookkeeping).
                     # With a sharded store the windows the cache misses
                     # come through quorum fetches over the replica set.
-                    shard_report = None
-                    if self.shard_store is not None:
-                        cached_fraction, shard_report = \
-                            self._shard_fetch_pass(image)
-                    else:
-                        cached_fraction = self._chunk_cache_pass(image)
+                    cached_fraction, shard_report = self._fetch_pass(image)
 
                     # Charge the restore work (page reads + remapping).
-                    duration, plan, serial_duration = self._restore_duration(
+                    base, plan, serial_duration = self._restore_duration(
                         image, mode, in_memory, duration_override_ms,
                         ws_record=ws_record, cached_fraction=cached_fraction)
-                    shard_ms = 0.0
-                    if shard_report is not None and (shard_report.retry_hops
-                                                     or shard_report.slow_ms):
+                    duration = base + plan.total_ms
+                    if shard_report is not None:
                         # Degraded fetches pay for their retry hops and
                         # stragglers; a clean quorum pass costs exactly 0.
-                        shard_ms = kernel.costs.shard_fetch_overhead_ms(
-                            shard_report.retry_hops, shard_report.slow_ms,
-                            workers=self.pipeline_workers)
-                        shard_report.extra_ms = shard_ms
-                        duration += shard_ms
+                        shard_report.extra_ms = \
+                            kernel.costs.shard_fetch_overhead_ms(
+                                shard_report.retry_hops, shard_report.slow_ms,
+                                workers=self.pipeline_workers)
+                        duration += shard_report.extra_ms
                     extra_ms = 0.0
                     if faults.should_fire(kernel, faults.IO_SLOW,
                                           detail=image.image_id):
@@ -229,9 +208,8 @@ class RestoreEngine:
                 raise
             if kernel.profile is not None:
                 self._record_restore_phases(
-                    proc, image, mode, ws_record, plan, extra_ms,
-                    duration, charged, serial_duration, in_memory,
-                    shard_ms=shard_ms)
+                    proc, image, mode, ws_record, base, plan, shard_report,
+                    extra_ms, duration, charged, in_memory)
             if mode is RestoreMode.LAZY:
                 # The deferred paging debt is real page work, so it is
                 # sized off the *serial* eager charge: pipelining the
@@ -311,18 +289,56 @@ class RestoreEngine:
                 image_id=image.image_id, kind="hang",
             )
 
-    def _chunk_cache_pass(self, image: CheckpointImage) -> float:
-        """Consult the node-local cache for every chunk window.
+    def _fetch_pass(self, image: CheckpointImage):
+        """Serve every chunk window, cache-first; ``(cached, report)``.
 
-        Returns the byte fraction of the image served by cache hits
-        (0.0 with no cache configured). Deterministic bookkeeping: no
-        RNG, no simulated time — the saved fetch work is priced by the
-        pipeline plan, and effectiveness counters feed the SLO layer.
+        ``cached`` is the byte fraction of the image the node cache
+        served, priced by the pipeline plan. Without a shard store the
+        misses come from the flat registry and ``report`` is None; with
+        one they come through quorum fetches and ``report`` is the
+        store's :class:`~repro.criu.shardstore.DegradedRestoreReport`.
+        Both paths leave the same cache-effectiveness record, so SLOs
+        and anomaly watches read identically either way.
+        """
+        cache = self.chunk_cache
+        report = None
+        if self.shard_store is not None:
+            report = self.shard_store.restore_pass(image, cache=cache)
+            counts = (report.chunks, report.cached_chunks,
+                      report.cached_bytes, report.total_bytes)
+        else:
+            counts = self._chunk_cache_pass(image)
+        chunks, cached_chunks, cached_bytes, total_bytes = counts
+        cached_fraction = cached_bytes / total_bytes if total_bytes else 0.0
+        if cache is not None:
+            kernel = self.kernel
+            obs.record(kernel, obs.flight.CACHE_LOOKUP, image=image.image_id,
+                       lookups=chunks, hits=cached_chunks,
+                       hit_fraction=round(cached_fraction, 4))
+            obs.count(kernel, "chunk_cache_lookups_total", value=float(chunks))
+            obs.count(kernel, "chunk_cache_hits_total",
+                      value=float(cached_chunks))
+            obs.count(kernel, "chunk_cache_misses_total",
+                      value=float(chunks - cached_chunks))
+            obs.gauge(kernel, "chunk_cache_hit_ratio", cache.stats.hit_ratio)
+            obs.gauge(kernel, "chunk_cache_used_bytes",
+                      float(cache.used_bytes))
+        if report is not None:
+            self._check_shard_report(image, report)
+        return cached_fraction, report
+
+    def _chunk_cache_pass(self, image: CheckpointImage
+                          ) -> Tuple[int, int, int, int]:
+        """Look every chunk window up in the node cache (flat registry).
+
+        Returns ``(chunks, cached chunks, cached bytes, total bytes)``,
+        all zero with no cache configured. Deterministic bookkeeping:
+        no RNG, no simulated time. Not a 1-node shard ring: that would
+        add a ``shard.fetch`` span per missed chunk (see DESIGN.md §14).
         """
         cache = self.chunk_cache
         if cache is None:
-            return 0.0
-        kernel = self.kernel
+            return 0, 0, 0, 0
         hits = hit_bytes = total_bytes = 0
         index = image_chunk_index(image)
         for _vma_index, _window_start, cid, size_bytes in index:
@@ -330,48 +346,17 @@ class RestoreEngine:
             if cache.lookup(cid, size_bytes):
                 hits += 1
                 hit_bytes += size_bytes
-        obs.record(kernel, obs.flight.CACHE_LOOKUP, image=image.image_id,
-                   lookups=len(index), hits=hits,
-                   hit_fraction=round(hit_bytes / total_bytes, 4)
-                   if total_bytes else 0.0)
-        obs.count(kernel, "chunk_cache_lookups_total", value=float(len(index)))
-        obs.count(kernel, "chunk_cache_hits_total", value=float(hits))
-        obs.count(kernel, "chunk_cache_misses_total",
-                  value=float(len(index) - hits))
-        obs.gauge(kernel, "chunk_cache_hit_ratio", cache.stats.hit_ratio)
-        obs.gauge(kernel, "chunk_cache_used_bytes", float(cache.used_bytes))
-        return hit_bytes / total_bytes if total_bytes else 0.0
+        return len(index), hits, hit_bytes, total_bytes
 
-    def _shard_fetch_pass(self, image: CheckpointImage):
-        """Fetch every window through the sharded store, cache-first.
+    def _check_shard_report(self, image: CheckpointImage, report) -> None:
+        """Fail or flag a sharded fetch pass that ran below full health.
 
         The degraded-mode ladder: node cache hit → first-success
         quorum fetch over surviving replicas → :class:`RestoreFailed`
         (kind ``shard``) when a window is unobtainable, which hands
-        recovery to the starter's retry → vanilla ladder. Returns
-        ``(cached byte fraction, DegradedRestoreReport)``; emits the
-        same cache-effectiveness counters as the unsharded pass so
-        SLOs and anomaly watches read identically either way.
+        recovery to the starter's retry → vanilla ladder.
         """
         kernel = self.kernel
-        cache = self.chunk_cache
-        report = self.shard_store.restore_pass(image, cache=cache)
-        self.last_shard_report = report
-        cached_fraction = (report.cached_bytes / report.total_bytes
-                           if report.total_bytes else 0.0)
-        if cache is not None:
-            obs.record(kernel, obs.flight.CACHE_LOOKUP, image=image.image_id,
-                       lookups=report.chunks, hits=report.cached_chunks,
-                       hit_fraction=round(cached_fraction, 4))
-            obs.count(kernel, "chunk_cache_lookups_total",
-                      value=float(report.chunks))
-            obs.count(kernel, "chunk_cache_hits_total",
-                      value=float(report.cached_chunks))
-            obs.count(kernel, "chunk_cache_misses_total",
-                      value=float(report.chunks - report.cached_chunks))
-            obs.gauge(kernel, "chunk_cache_hit_ratio", cache.stats.hit_ratio)
-            obs.gauge(kernel, "chunk_cache_used_bytes",
-                      float(cache.used_bytes))
         if report.failed_chunks:
             obs.record(kernel, obs.flight.RESTORE_FAILED,
                        image=image.image_id, reason="shard",
@@ -390,7 +375,6 @@ class RestoreEngine:
             obs.count(kernel, "restore_degraded_total")
             obs.record(kernel, obs.flight.RESTORE_DEGRADED,
                        image=image.image_id, **report.as_attrs())
-        return cached_fraction, report
 
     def _restore_duration(
         self,
@@ -400,14 +384,12 @@ class RestoreEngine:
         override_ms: Optional[float],
         ws_record: Optional[WorkingSetRecord] = None,
         cached_fraction: float = 0.0,
-    ) -> Tuple[float, Optional[PipelinePlan], float]:
-        """(charged duration, pipeline plan or None, serial duration).
+    ) -> Tuple[float, PipelinePlan, float]:
+        """(base, pipeline plan, serial duration).
 
-        The serial duration is what the unpipelined single-worker
-        model would charge — the pipeline's baseline and the quantity
-        LAZY paging debt is sized against. With ``pipeline_workers=1``
-        and no cache hits the charged duration *is* the serial one and
-        no plan is built, keeping the default path bit-identical.
+        The charged duration is ``base + plan.total_ms``. The serial
+        duration is what one worker with no cache hits would charge —
+        the quantity LAZY paging debt is sized against.
         """
         costs = self.kernel.costs
         full = costs.restore_cost(image.total_mib, override_ms)
@@ -419,20 +401,17 @@ class RestoreEngine:
             # No disk reads: the image is already resident [26].
             pages_part *= costs.restore_in_memory_factor
         if mode is RestoreMode.LAZY:
-            pages_part *= self.lazy_eager_fraction
+            pages_part *= LAZY_EAGER_FRACTION
         elif mode is RestoreMode.WORKING_SET and ws_record is not None:
             # Prefetch only the recorded working set; everything else
             # is left to demand faults (charged per miss at first
             # response — zero when the record is accurate).
             pages_part *= ws_record.fraction
-        serial = base + pages_part
-        if self.pipeline_workers == 1 and cached_fraction == 0.0:
-            return serial, None, serial
         plan = costs.plan_restore_pipeline(
             pages_part, workers=self.pipeline_workers,
             chunk_count=image_chunk_count(image),
             cached_fraction=cached_fraction)
-        return base + plan.total_ms, plan, serial
+        return base, plan, base + pages_part
 
     def _record_restore_phases(
         self,
@@ -440,13 +419,13 @@ class RestoreEngine:
         image: CheckpointImage,
         mode: RestoreMode,
         ws_record: Optional[WorkingSetRecord],
-        plan: Optional[PipelinePlan],
+        base: float,
+        plan: PipelinePlan,
+        shard_report,
         extra_ms: float,
         duration: float,
         charged: float,
-        serial_duration: float,
         in_memory: bool,
-        shard_ms: float = 0.0,
     ) -> None:
         """Attribute the jittered restore charge to restore sub-phases.
 
@@ -459,14 +438,9 @@ class RestoreEngine:
         so the recorded sub-phases sum to the jittered charge
         *exactly*, never to the pre-jitter model cost.
         """
-        if plan is None:
-            base = min(self.kernel.costs.restore_base_ms, serial_duration)
-            pages_part = serial_duration - base
-        else:
-            base = duration - extra_ms - shard_ms - plan.total_ms
-            pages_part = plan.total_ms
+        pages_part = plan.total_ms
         parts = [(RESTORE_DIGEST_VERIFY, base, {"image": image.image_id})]
-        if plan is not None and plan.pipelined and plan.ramp_ms:
+        if plan.pipelined and plan.ramp_ms:
             parts.append((RESTORE_PIPELINE_RAMP, plan.ramp_ms,
                           {"workers": plan.workers,
                            "chunks": plan.chunk_count}))
@@ -476,18 +450,15 @@ class RestoreEngine:
                           {"pages": ws_record.page_count,
                            "fraction": round(ws_record.fraction, 4)}))
         else:
-            attrs = {"chunks": image_chunk_count(image),
-                     "in_memory": in_memory}
-            if plan is not None:
+            attrs = {"chunks": plan.chunk_count, "in_memory": in_memory}
+            if plan.pipelined or plan.cached_fraction:
                 attrs["workers"] = plan.workers
                 attrs["cached_fraction"] = round(plan.cached_fraction, 4)
             parts.append((RESTORE_CHUNK_FETCH, pages_part, attrs))
-        if shard_ms:
-            report = self.last_shard_report
-            parts.append((RESTORE_SHARD_FETCH, shard_ms,
-                          {"retry_hops": report.retry_hops if report else 0,
-                           "slow_ms": round(report.slow_ms, 3)
-                           if report else 0.0}))
+        if shard_report is not None and shard_report.extra_ms:
+            parts.append((RESTORE_SHARD_FETCH, shard_report.extra_ms,
+                          {"retry_hops": shard_report.retry_hops,
+                           "slow_ms": round(shard_report.slow_ms, 3)}))
         if extra_ms:
             parts.append((RESTORE_CHUNK_FETCH, extra_ms,
                           {"reason": "io-slow"}))

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.core.manager import PrebakeManager
 from repro.core.store import SnapshotKey
-from repro.criu.chunkcache import HotChunkCache, make_cache
+from repro.criu.chunkcache import CACHE_OFF, HotChunkCache
 from repro.faas.registry import FunctionMetadata, FunctionRegistry
 from repro.faas.replica import FunctionReplica, ReplicaState
 from repro.faas.resources import ResourceManager
@@ -151,9 +151,8 @@ class FunctionDeployer:
         where a sibling recently restored skips the warm chunks. The
         first opt-in on a node fixes the node's policy.
         """
-        if metadata.start_technique != "prebake":
-            return None
-        if make_cache(metadata.cache_policy) is None:
+        if metadata.start_technique != "prebake" \
+                or metadata.cache_policy in CACHE_OFF:
             return None
         cache = self._node_chunk_cache.get(node_name)
         if cache is None:

@@ -13,6 +13,7 @@ from typing import Callable, List, Optional
 
 from repro.core.manager import PrebakeManager
 from repro.core.policy import AfterReady, SnapshotPolicy
+from repro.criu.chunkcache import CACHE_OFF, POLICIES
 from repro.criu.restore import RestoreMode
 from repro.faas.autoscaler import Autoscaler, AutoscalerConfig
 from repro.faas.builder import BuildResult, FunctionBuilder
@@ -28,7 +29,14 @@ from repro.runtime.base import Request, Response
 
 @dataclass
 class PlatformConfig:
-    """Cluster shape + autoscaler policy + router resilience."""
+    """Cluster shape + autoscaler policy + router resilience.
+
+    Nine settings: the compute nodes and their memory, the autoscaler
+    config, three router-resilience knobs, the sharded store's node
+    count and replication factor, and the optional prewarm layer. The
+    store's ring size and circuit-breaker tuning are its own
+    ``DEFAULT_*`` constants in :mod:`repro.criu.shardstore`.
+    """
 
     nodes: int = 2
     node_memory_mib: float = 8192.0
@@ -38,15 +46,12 @@ class PlatformConfig:
     requeue_backoff_ms: float = 5.0
     request_timeout_ms: float = 30_000.0
     max_crash_retries: int = 3
-    # Sharded snapshot store: 0 keeps the legacy flat registry
-    # (byte-identical to the committed baselines); N >= 1 spreads
-    # chunk windows over N storage nodes with ``replication_factor``
-    # copies each, quorum restores, and per-node circuit breakers.
+    # Sharded snapshot store: 0 keeps the flat registry; N >= 1
+    # spreads chunk windows over N storage nodes with
+    # ``replication_factor`` copies each, quorum restores, and
+    # per-node circuit breakers.
     storage_nodes: int = 0
     replication_factor: int = 1
-    storage_virtual_nodes: int = 64
-    storage_breaker_threshold: int = 3
-    storage_breaker_reset_ms: float = 2_000.0
     # Predictive prewarming (ROADMAP item 2): None keeps the purely
     # reactive autoscaler — the default, byte-identical to every
     # committed baseline. A PrewarmConfig installs the forecast-driven
@@ -76,9 +81,6 @@ class FaaSPlatform:
                 kernel,
                 node_count=config.storage_nodes,
                 replication_factor=config.replication_factor,
-                virtual_nodes=config.storage_virtual_nodes,
-                breaker_threshold=config.storage_breaker_threshold,
-                breaker_reset_ms=config.storage_breaker_reset_ms,
             )
         self.deployer = FunctionDeployer(
             kernel, self.registry, self.resources, self.prebake_manager,
@@ -113,6 +115,9 @@ class FaaSPlatform:
         """Register (a new version of) a function and build it."""
         if start_technique not in ("vanilla", "prebake"):
             raise ValueError(f"unknown start technique {start_technique!r}")
+        if cache_policy not in CACHE_OFF + POLICIES:
+            raise ValueError(f"unknown cache policy {cache_policy!r}; "
+                             f"known: {POLICIES}")
         sample = app_factory()
         version = 1
         if self.registry.contains(sample.name):

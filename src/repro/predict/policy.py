@@ -377,6 +377,8 @@ class PrewarmConfig:
             raise ValueError(f"unknown prewarm policy {self.policy!r}")
         if self.window_ms <= 0:
             raise ValueError("window_ms must be positive")
+        if self.service_ms_hint <= 0:
+            raise ValueError("service_ms_hint must be positive")
         if self.max_prewarm_per_tick < 1:
             raise ValueError("max_prewarm_per_tick must be >= 1")
 

@@ -182,23 +182,17 @@ class CostModel:
         ``pages_ms`` is the serial page charge (restore cost minus the
         base); ``cached_fraction`` the byte fraction of the image's
         chunks served by the node-local hot-chunk cache. A single
-        worker with no cache hits degenerates to exactly ``pages_ms``
-        (bit-identical to the unpipelined model); more workers overlap
-        fetch with map, bounded below by the slower of the two stages
-        plus the one-chunk ramp, and never slower than serial.
+        worker with no cache hits charges exactly ``pages_ms``; more
+        workers overlap fetch with map, bounded below by the slower of
+        the two stages plus the one-chunk ramp, and never slower than
+        serial.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         cached_fraction = min(1.0, max(0.0, cached_fraction))
         fetch_full = pages_ms * self.restore_fetch_fraction
+        # Exact (Sterbenz) while restore_fetch_fraction >= 0.5: fetch + map == pages_ms.
         map_ms = pages_ms - fetch_full
-        if workers == 1 and cached_fraction == 0.0:
-            # The unpipelined path: keep the original charge exactly
-            # (fetch + map could differ from pages_ms by a float ulp).
-            return PipelinePlan(workers=1, chunk_count=chunk_count,
-                                cached_fraction=0.0, fetch_ms=fetch_full,
-                                map_ms=map_ms, ramp_ms=0.0,
-                                serial_ms=pages_ms, total_ms=pages_ms)
         fetch_ms = fetch_full * ((1.0 - cached_fraction)
                                  + cached_fraction * self.restore_cache_hit_factor)
         serial_ms = fetch_ms + map_ms

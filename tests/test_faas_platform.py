@@ -219,6 +219,27 @@ class TestPlatformFlow:
         assert record.total_ms >= record.service_ms
 
 
+class TestCachePolicyValidation:
+    def test_unknown_policy_rejected_before_baking(self, platform):
+        # An unknown policy used to register and bake fine, then fail
+        # the first invoke with a bare ValueError from the router.
+        with pytest.raises(ValueError, match="unknown cache policy"):
+            platform.register_function(NoopFunction,
+                                       start_technique="prebake",
+                                       cache_policy="LRU")
+        assert not platform.registry.contains("noop")
+        with pytest.raises(KeyError, match="never deployed"):
+            platform.prebake_manager.current_version("noop")
+
+    @pytest.mark.parametrize("policy",
+                             [None, "none", "off", "", "lru",
+                              "freq-over-size"])
+    def test_known_values_register_and_serve(self, platform, policy):
+        platform.register_function(NoopFunction, start_technique="prebake",
+                                   cache_policy=policy)
+        assert platform.invoke("noop").ok
+
+
 class TestReplicaIds:
     """Replica IDs are allocated per simulated world, not globally."""
 

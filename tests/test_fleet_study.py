@@ -153,3 +153,16 @@ class TestFleetStudy:
         artifact = small_study().as_dict()
         clone = json.loads(json.dumps(artifact, sort_keys=True))
         assert render_fleet_report(clone) == render_fleet_report(artifact)
+
+
+class TestWorkerCountInvariance:
+    def test_cli_report_identical_for_any_worker_count(self, capsys):
+        # --workers fans repetitions out; it must never reach the
+        # simulated restore charge (it once divided retry-hop costs).
+        from repro.bench.cli import main
+        reports = []
+        for workers in ("1", "4"):
+            assert main(["fleet-study", "-r", "1", "-s", "42",
+                         "--requests", "2000", "--workers", workers]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]

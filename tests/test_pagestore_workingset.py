@@ -26,11 +26,7 @@ from repro.criu.pagestore import (
     layer_image,
     rebuild_vma_pages,
 )
-from repro.criu.restore import (
-    DEFAULT_LAZY_EAGER_FRACTION,
-    RestoreEngine,
-    RestoreMode,
-)
+from repro.criu.restore import RestoreMode
 from repro.criu.serialize import deserialize_image, serialize_image
 from repro.functions import make_app
 from repro.osproc.memory import PAGE_SIZE, VMAKind, page_content_key
@@ -351,29 +347,3 @@ class TestWorkingSetRestore:
                                 RestoreMode.WORKING_SET)
         ws_ms = ws.start(app2).startup_ms("ready")
         assert ws_ms == pytest.approx(eager_ms, rel=0.25)
-
-
-class TestLazyFractionParameter:
-    def test_default_matches_module_constant(self, kernel):
-        engine = RestoreEngine(kernel)
-        assert engine.lazy_eager_fraction == DEFAULT_LAZY_EAGER_FRACTION
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.5])
-    def test_out_of_range_rejected(self, kernel, bad):
-        with pytest.raises(ValueError):
-            RestoreEngine(kernel, lazy_eager_fraction=bad)
-
-    def test_fraction_scales_lazy_restore_cost(self):
-        def lazy_ready_ms(fraction):
-            world = make_world(seed=3)
-            manager = PrebakeManager(world.kernel)
-            app = make_app("image-resizer")
-            manager.deploy(app, policy=AfterWarmup(1))
-            starter = manager.starter(
-                "prebake", policy=AfterWarmup(1),
-                restore_mode=RestoreMode.LAZY,
-                version=manager.current_version(app.name))
-            starter.restore_engine.lazy_eager_fraction = fraction
-            return starter.start(app).startup_ms("ready")
-
-        assert lazy_ready_ms(0.05) < lazy_ready_ms(0.6)

@@ -234,6 +234,14 @@ class TestPrewarmController:
         with pytest.raises(ValueError):
             PrewarmConfig(max_prewarm_per_tick=0)
 
+    @pytest.mark.parametrize("hint", [0.0, -500.0])
+    def test_non_positive_service_hint_rejected(self, hint):
+        # A negative hint once made the staffing sqrt() of a negative
+        # load raise "math domain error" from inside gc_tick.
+        with pytest.raises(ValueError, match="service_ms_hint"):
+            PrewarmConfig(policy="histogram", window_ms=200.0,
+                          service_ms_hint=hint)
+
     def test_plan_is_budget_capped(self):
         config = PrewarmConfig(policy="histogram", window_ms=100.0,
                                service_ms_hint=100.0,

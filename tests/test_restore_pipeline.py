@@ -134,7 +134,8 @@ class TestRestoreEnginePipeline:
     def test_warm_cache_restore_is_faster_than_cold(self, quiet_kernel):
         image = _big_image(quiet_kernel)
         engine = RestoreEngine(quiet_kernel, pipeline_workers=4,
-                               cache_policy=FREQ_OVER_SIZE)
+                               chunk_cache=HotChunkCache(
+                                   policy=FREQ_OVER_SIZE))
         before = quiet_kernel.clock.now
         engine.restore(image)
         cold_ms = quiet_kernel.clock.now - before
@@ -387,7 +388,8 @@ class TestChunkCacheSLO:
         world = make_world(seed=13, observe=True)
         kernel = world.kernel
         image = _big_image(kernel, mib=4.0)
-        engine = RestoreEngine(kernel, cache_policy=FREQ_OVER_SIZE)
+        engine = RestoreEngine(
+            kernel, chunk_cache=HotChunkCache(policy=FREQ_OVER_SIZE))
         engine.restore(image)
         engine.restore(image)
         registry = kernel.obs.metrics
