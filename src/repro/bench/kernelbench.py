@@ -44,6 +44,7 @@ from repro.bench.report import format_table
 from repro.core.policy import AfterReady
 from repro.osproc.memory import (
     PAGE_SIZE,
+    TAGS,
     VMAKind,
     pagemap_backend,
     set_slow_pagemap,
@@ -119,7 +120,7 @@ def _pagemap_stress(seed: int, index: int) -> int:
     processed += len(full_indices)
     target = backend(start=PAGE_SIZE, length=pages * PAGE_SIZE,
                      kind=VMAKind.ANON, prot="rw-", label="bench-restore")
-    target.populate_pages(full_indices, full_tags)
+    target.populate_pages(full_indices, TAGS.intern_many(full_tags))
     processed += len(full_indices)
     if target.resident_bytes != vma.resident_bytes:
         raise RuntimeError("pagemap stress lost pages in populate")

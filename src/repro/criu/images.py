@@ -9,38 +9,113 @@ the quantity that drives restore latency in the paper.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.faults.errors import SnapshotCorrupted
-from repro.osproc.memory import PAGE_SIZE
+from repro.osproc.memory import PAGE_SIZE, TAGS
+from repro.runtime.classes import ClassTable
 
 
-def _stable(obj: Any, _depth: int = 0) -> Any:
-    """Project ``obj`` into a JSON-able form that is stable across runs.
+# Nesting depth past which the canonical form stops descending.
+_MAX_DEPTH = 12
+# Leaf types whose JSON text ``json.dumps`` produces exactly as the
+# canonical encoder would (exact types: subclasses take the slow path).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_CLASS_KEY = "__class__"
+_encode_str = json.encoder.encode_basestring_ascii
+_dumps = json.JSONEncoder().encode
+
+
+def canonical_json(obj: Any) -> str:
+    """The canonical JSON text of ``obj``, stable across runs.
 
     ``repr`` of plain objects embeds memory addresses, which would make
     content digests differ between identically seeded runs; instead,
-    objects are projected as class name + sorted attribute dict.
+    objects are encoded as their sorted attribute dict plus a
+    ``"__class__"`` entry naming the type. Dicts encode every entry
+    under ``str(key)``, sorted by ``(str(key), type name)``, so keys
+    that collide under ``str`` all stay covered; sets encode as lists
+    sorted by ``str``; anything nested deeper than 12 levels encodes as
+    ``"<depth-capped TYPE>"``. The text is what ``json.dumps(...,
+    sort_keys=True)`` writes for that projection, byte for byte.
+
+    Immutable values supply cached text: a
+    :class:`~repro.runtime.classes.ClassTable` encodes once per table.
     """
-    if _depth > 12:
-        return f"<depth-capped {type(obj).__name__}>"
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _stable(v, _depth + 1)
-                for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj, key=str) if isinstance(obj, (set, frozenset)) else obj
-        return [_stable(v, _depth + 1) for v in items]
-    attrs = getattr(obj, "__dict__", None)
-    if attrs is not None:
-        projected = {k: _stable(v, _depth + 1) for k, v in sorted(attrs.items())}
-        projected["__class__"] = type(obj).__name__
-        return projected
-    return f"<{type(obj).__name__}>"
+    out: List[str] = []
+    _encode(obj, 0, out.append)
+    return "".join(out)
+
+
+def _encode(obj: Any, depth: int, out) -> None:
+    if depth > _MAX_DEPTH:
+        out(_encode_str(f"<depth-capped {type(obj).__name__}>"))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, str):
+        out(_encode_str(obj))
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out(_dumps(float(obj)))
+    elif isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: (str(kv[0]), type(kv[0]).__name__))
+        _encode_entries([(str(k), v) for k, v in items], depth, out)
+    elif isinstance(obj, (list, tuple)):
+        if type(obj) is ClassTable and depth + 2 <= _MAX_DEPTH:
+            out(obj.canonical_json)
+        elif depth < _MAX_DEPTH and all(type(v) in _SCALARS for v in obj):
+            out(_dumps(obj))
+        else:
+            _encode_items(obj, depth, out)
+    elif isinstance(obj, (set, frozenset)):
+        _encode_items(sorted(obj, key=str), depth, out)
+    else:
+        attrs = getattr(obj, "__dict__", None)
+        if attrs is None:
+            out(_encode_str(f"<{type(obj).__name__}>"))
+            return
+        entries = [(k, v) for k, v in attrs.items() if k != _CLASS_KEY]
+        entries.append((_CLASS_KEY, _ClassName(type(obj).__name__)))
+        entries.sort(key=lambda entry: entry[0])
+        _encode_entries(entries, depth, out)
+
+
+class _ClassName(str):
+    """The ``"__class__"`` entry: emitted as is, at any depth."""
+
+
+def _encode_entries(entries, depth: int, out) -> None:
+    out("{")
+    for i, (key, value) in enumerate(entries):
+        if i:
+            out(", ")
+        out(_encode_str(key))
+        out(": ")
+        if type(value) is _ClassName:
+            out(_encode_str(value))
+        else:
+            _encode(value, depth + 1, out)
+    out("}")
+
+
+def _encode_items(items, depth: int, out) -> None:
+    out("[")
+    for i, value in enumerate(items):
+        if i:
+            out(", ")
+        _encode(value, depth + 1, out)
+    out("]")
 
 
 @dataclass(frozen=True)
@@ -61,6 +136,43 @@ class VMADescriptor:
     @property
     def resident_pages(self) -> int:
         return len(self.resident_indices)
+
+    # Derived forms, computed on first use. A descriptor is frozen and
+    # every change builds a new one (``dataclasses.replace``), so none
+    # of these can go stale.
+
+    @functools.cached_property
+    def canonical(self) -> bytes:
+        """This VMA's JSON as :meth:`CheckpointImage.compute_digest` hashes it."""
+        return _dumps(self._fields() + [self.resident_indices,
+                                        self.content_tags]).encode("utf-8")
+
+    @functools.cached_property
+    def meta_canonical(self) -> bytes:
+        """:attr:`canonical` without the page content tags (the meta digest's view)."""
+        return _dumps(self._fields() + [self.resident_indices]).encode("utf-8")
+
+    @functools.cached_property
+    def index_array(self) -> np.ndarray:
+        """Resident page indices as a read-only int64 array."""
+        indices = np.fromiter(self.resident_indices, dtype=np.int64,
+                              count=len(self.resident_indices))
+        indices.setflags(write=False)
+        return indices
+
+    @functools.cached_property
+    def tag_ids(self) -> np.ndarray:
+        """Content tags interned in :data:`~repro.osproc.memory.TAGS` (read-only int32).
+
+        The interning table is append-only, so an id never changes meaning.
+        """
+        ids = TAGS.intern_many(self.content_tags)
+        ids.setflags(write=False)
+        return ids
+
+    def _fields(self) -> list:
+        return [self.start, self.length, self.kind, self.prot, self.label,
+                self.file_path, self.file_offset, self.file_size]
 
 
 @dataclass(frozen=True)
@@ -149,27 +261,7 @@ class CheckpointImage:
         file sizes — any bit rot in those shows up as a mismatch
         against the sealed :attr:`digest`.
         """
-        payload = {
-            "pid": self.pid,
-            "comm": self.comm,
-            "argv": self.argv,
-            "namespaces": {k: v for k, v in sorted(self.namespace_ids.items())},
-            "vmas": [
-                [v.start, v.length, v.kind, v.prot, v.label, v.file_path,
-                 v.file_offset, v.file_size, list(v.resident_indices),
-                 list(v.content_tags)]
-                for v in self.vmas
-            ],
-            "fds": [
-                [f.fd, f.path, f.offset, f.flags, f.is_socket, f.file_size]
-                for f in self.fds
-            ],
-            "runtime_state": _stable(self.runtime_state),
-            "files": {name: f.size_bytes for name, f in sorted(self.files.items())},
-            "warm": self.warm,
-        }
-        encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(encoded).hexdigest()
+        return self._digest(meta=False)
 
     def compute_meta_digest(self) -> str:
         """SHA-256 over everything a restore consumes *except* pages.
@@ -180,26 +272,33 @@ class CheckpointImage:
         re-hashing any page content — the incremental verification the
         targeted repair path relies on.
         """
-        payload = {
-            "pid": self.pid,
-            "comm": self.comm,
+        return self._digest(meta=True)
+
+    def _digest(self, meta: bool) -> str:
+        """Hash the canonical JSON of the image's restore-relevant fields.
+
+        The bytes are those of one JSON object with sorted keys, streamed
+        in key order: the small mutable header, the runtime state, each
+        VMA's cached canonical fragment, then ``warm``. Every byte is
+        hashed on every call; only immutable values' encodings are reused.
+        """
+        header = json.dumps({
             "argv": self.argv,
-            "namespaces": {k: v for k, v in sorted(self.namespace_ids.items())},
-            "vmas": [
-                [v.start, v.length, v.kind, v.prot, v.label, v.file_path,
-                 v.file_offset, v.file_size, list(v.resident_indices)]
-                for v in self.vmas
-            ],
-            "fds": [
-                [f.fd, f.path, f.offset, f.flags, f.is_socket, f.file_size]
-                for f in self.fds
-            ],
-            "runtime_state": _stable(self.runtime_state),
-            "files": {name: f.size_bytes for name, f in sorted(self.files.items())},
-            "warm": self.warm,
-        }
-        encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(encoded).hexdigest()
+            "comm": self.comm,
+            "fds": [[f.fd, f.path, f.offset, f.flags, f.is_socket, f.file_size]
+                    for f in self.fds],
+            "files": {name: f.size_bytes for name, f in self.files.items()},
+            "namespaces": self.namespace_ids,
+            "pid": self.pid,
+        }, sort_keys=True)
+        sha = hashlib.sha256(header[:-1].encode("utf-8"))
+        sha.update(b', "runtime_state": ')
+        sha.update(canonical_json(self.runtime_state).encode("utf-8"))
+        sha.update(b', "vmas": [')
+        sha.update(b", ".join(v.meta_canonical if meta else v.canonical
+                              for v in self.vmas))
+        sha.update(f'], "warm": {json.dumps(self.warm)}}}'.encode("utf-8"))
+        return sha.hexdigest()
 
     def seal(self) -> str:
         """Record the content digests (done once, at dump time)."""

@@ -10,12 +10,12 @@ residency and content-tag changes between two images.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
-from repro.criu.images import CheckpointImage, VMADescriptor
-from repro.osproc.memory import PAGE_SIZE, TAGS
+from repro.criu.images import CheckpointImage
+from repro.osproc.memory import PAGE_SIZE
 
 
 @dataclass
@@ -87,17 +87,6 @@ class ImageDiff:
         return "\n".join(lines)
 
 
-def _page_map(vma: VMADescriptor) -> Dict[int, str]:
-    return dict(zip(vma.resident_indices, vma.content_tags))
-
-
-def _descriptor_arrays(vma: VMADescriptor):
-    """(resident indices, interned tag ids) as numpy arrays."""
-    count = len(vma.resident_indices)
-    indices = np.fromiter(vma.resident_indices, dtype=np.int64, count=count)
-    return indices, TAGS.intern_many(vma.content_tags)
-
-
 def diff_images(old: CheckpointImage, new: CheckpointImage) -> ImageDiff:
     """Compute the structural diff from ``old`` to ``new``.
 
@@ -124,8 +113,8 @@ def diff_images(old: CheckpointImage, new: CheckpointImage) -> ImageDiff:
                 pages_removed=old_vma.resident_pages,
             ))
             continue
-        old_idx, old_ids = _descriptor_arrays(old_vma)
-        new_idx, new_ids = _descriptor_arrays(new_vma)
+        old_idx, old_ids = old_vma.index_array, old_vma.tag_ids
+        new_idx, new_ids = new_vma.index_array, new_vma.tag_ids
         common, old_pos, new_pos = np.intersect1d(
             old_idx, new_idx, assume_unique=True, return_indices=True)
         retagged = int((old_ids[old_pos] != new_ids[new_pos]).sum())

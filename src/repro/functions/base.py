@@ -3,7 +3,8 @@
 A :class:`FunctionApp` bundles what the platform deploys: a handler, a
 calibrated cost profile (:class:`~repro.sim.costmodel.FunctionCosts`),
 the runtime kind it needs, and (for the paper's synthetic functions)
-the class set the first invocation lazily loads. The same app object is
+the class set the first invocation lazily loads — a shared, immutable
+:class:`~repro.runtime.classes.ClassTable`. The same app object is
 hosted by simulated runtimes and drives the real compute substrates
 (markdown engine, imaging) for its responses.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.osproc.kernel import Kernel
-from repro.runtime.classes import SyntheticClass
+from repro.runtime.classes import ClassTable
 from repro.sim.costmodel import FunctionCosts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -27,7 +28,7 @@ class FunctionApp:
 
     def __init__(self, profile: FunctionCosts) -> None:
         self.profile = profile
-        self.classes: List[SyntheticClass] = []
+        self.classes: ClassTable = ClassTable()
 
     @property
     def name(self) -> str:

@@ -284,13 +284,15 @@ class VMA(_VMABase):
         self._soft[window] = True
         self._resident_count += newly
 
-    def populate_pages(self, indices: Sequence[int], tags: Sequence[str],
+    def populate_pages(self, indices: Sequence[int], tag_ids: np.ndarray,
                        dirty: bool = False) -> None:
-        """Bulk-equivalent of ``touch(i, tag, dirty)`` per (index, tag) pair.
+        """Bulk-equivalent of ``touch(i, TAGS.tag(t), dirty)`` per (index, tag id).
 
-        ``indices`` must be unique (descriptor order from a dump is).
+        ``indices`` must be unique (descriptor order from a dump is);
+        ``tag_ids`` are :data:`TAGS` ids (``TAGS.intern_many(tags)``).
         The restore transmute path uses this to rebuild a mapping's
-        resident set in one vectorized pass.
+        resident set in one vectorized pass from the image descriptor's
+        cached arrays.
         """
         count = len(indices)
         if count == 0:
@@ -300,7 +302,7 @@ class VMA(_VMABase):
             raise MemoryError_(
                 f"page index out of range for VMA of {self.page_count} pages"
             )
-        ids = TAGS.intern_many(tags)
+        ids = np.asarray(tag_ids, dtype=np.int32)
         was_resident = self._resident[idx]
         self._resident[idx] = True
         self._resident_count += count - int(was_resident.sum())
@@ -422,10 +424,11 @@ class SlowVMA(_VMABase):
         for i in range(first, first + count):
             self.touch(i, content_tag=content_tag)
 
-    def populate_pages(self, indices: Sequence[int], tags: Sequence[str],
+    def populate_pages(self, indices: Sequence[int], tag_ids: np.ndarray,
                        dirty: bool = False) -> None:
-        for index, tag in zip(indices, tags):
-            self.touch(index, content_tag=tag, dirty=dirty)
+        for index, tid in zip(np.asarray(indices).tolist(),
+                              np.asarray(tag_ids).tolist()):
+            self.touch(index, content_tag=TAGS.tag(tid), dirty=dirty)
 
     @property
     def resident_indices(self) -> np.ndarray:

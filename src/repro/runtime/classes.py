@@ -7,13 +7,19 @@ classes have different sizes, and that is the reason for the growth in
 the number of classes does not match the size linearly" — so the
 generator draws heterogeneous per-class sizes that sum exactly to the
 requested total.
+
+A generated set is a :class:`ClassTable`: immutable, memoized per
+generator input, and shared by reference between every copy of the app
+that carries it (snapshot state, restored runtimes, sibling replicas).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
-from typing import List
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -24,31 +30,63 @@ class SyntheticClass:
     size_kib: float
 
     def __post_init__(self) -> None:
-        if self.size_kib <= 0:
-            raise ValueError(f"class size must be positive, got {self.size_kib}")
+        if not (math.isfinite(self.size_kib) and self.size_kib > 0):
+            raise ValueError(
+                f"class size must be positive and finite, got {self.size_kib}")
 
 
-def generate_classes(count: int, total_kib: float, seed: int = 7) -> List[SyntheticClass]:
+class ClassTable(tuple):
+    """An immutable tuple of :class:`SyntheticClass`, shared, never copied.
+
+    Nothing mutates a class table after generation, so ``copy`` and
+    ``deepcopy`` return the table itself: a checkpoint's runtime state,
+    every runtime restored from it and every sibling replica hold one
+    object. Derived forms that depend only on the contents (the
+    integrity digest's canonical text) are computed once per table.
+    """
+
+    def __copy__(self) -> "ClassTable":
+        return self
+
+    def __deepcopy__(self, memo) -> "ClassTable":
+        return self
+
+    @functools.cached_property
+    def canonical_json(self) -> str:
+        """The table's canonical JSON text, as the image digest hashes it."""
+        # Imported here: checkpoint images sit above the runtime layer.
+        from repro.criu.images import canonical_json
+        return canonical_json(tuple(self))
+
+
+def generate_classes(count: int, total_kib: float, seed: int = 7) -> ClassTable:
     """Generate ``count`` classes whose sizes sum to ``total_kib``.
 
     Sizes follow a log-normal draw re-normalized to the exact total, so
     the set is heterogeneous (as the paper describes) yet deterministic
     for a given seed and always sums to ``total_kib`` to within float
-    rounding.
+    rounding. The draw uses its own ``random.Random(seed)``, so equal
+    inputs give equal tables and the result is memoized: every app of
+    one function shares one table.
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
-    if total_kib <= 0:
-        raise ValueError(f"total_kib must be positive, got {total_kib}")
+    if not (math.isfinite(total_kib) and total_kib > 0):
+        raise ValueError(f"total_kib must be positive and finite, got {total_kib}")
+    return _generate(count, total_kib, seed)
+
+
+@functools.lru_cache(maxsize=64)
+def _generate(count: int, total_kib: float, seed: int) -> ClassTable:
     rng = random.Random(seed)
     raw = [rng.lognormvariate(0.0, 0.6) for _ in range(count)]
     scale = total_kib / sum(raw)
-    return [
+    return ClassTable(
         SyntheticClass(name=f"com.synthetic.Class{i:05d}", size_kib=w * scale)
         for i, w in enumerate(raw)
-    ]
+    )
 
 
-def total_size_kib(classes: List[SyntheticClass]) -> float:
+def total_size_kib(classes: Iterable[SyntheticClass]) -> float:
     """Sum of classfile sizes for a generated set."""
     return sum(c.size_kib for c in classes)

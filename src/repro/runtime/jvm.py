@@ -19,7 +19,7 @@ three techniques of Table 1 fall out of these mechanics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, TYPE_CHECKING
+from typing import Sequence, Set, TYPE_CHECKING
 
 from repro.osproc.kernel import Kernel
 from repro.osproc.memory import PAGE_SIZE, VMAKind
@@ -44,22 +44,18 @@ class JVMConfig:
     code_cache_per_class_kib: float = 0.0
 
 
-@dataclass
-class LoadedClass:
-    """Classloader metadata for one loaded class."""
-
-    cls: SyntheticClass
-    compiled: bool = False
-
-
 class ClassLoader:
-    """Lazy application classloader with metaspace accounting."""
+    """Lazy application classloader with metaspace accounting.
+
+    ``loaded`` holds the names of loaded (and JIT-compiled) classes;
+    the classes themselves live in the app's shared class table.
+    """
 
     def __init__(self, runtime: "JVMRuntime") -> None:
         self.runtime = runtime
-        self.loaded: Dict[str, LoadedClass] = {}
+        self.loaded: Set[str] = set()
 
-    def load_all(self, classes: List[SyntheticClass], jar_path: str) -> float:
+    def load_all(self, classes: Sequence[SyntheticClass], jar_path: str) -> float:
         """Load (and JIT) every not-yet-loaded class; return the cost in ms.
 
         The per-byte cost splits into a parse/compile component that is
@@ -81,7 +77,7 @@ class ClassLoader:
             total_ms += costs.cold_load_per_class_ms
             total_ms += cls.size_kib * (parse_per_kib + io_per_kib * (1.0 - warmth))
             total_kib += cls.size_kib
-            self.loaded[cls.name] = LoadedClass(cls=cls, compiled=True)
+            self.loaded.add(cls.name)
         if total_kib:
             # Reading the classfiles pulls the jar's pages into the cache
             # and the class metadata + JIT output into the metaspace.
@@ -103,7 +99,7 @@ class ClassLoader:
     def loaded_count(self) -> int:
         return len(self.loaded)
 
-    def all_loaded(self, classes: List[SyntheticClass]) -> bool:
+    def all_loaded(self, classes: Sequence[SyntheticClass]) -> bool:
         return all(c.name in self.loaded for c in classes)
 
 
@@ -250,11 +246,10 @@ class JVMRuntime(ManagedRuntime):
         space = self.process.address_space
         self._heap_vma = space.find_by_label("java-heap")
         self._metaspace_vma = space.find_by_label("metaspace")
-        loaded_names = set(extra.get("loaded_class_names", ()))
+        loaded_names = extra.get("loaded_class_names", ())
         if self.app is not None and loaded_names:
-            for cls in self.app.classes:
-                if cls.name in loaded_names:
-                    self.classloader.loaded[cls.name] = LoadedClass(cls=cls, compiled=True)
+            self.classloader.loaded = set(loaded_names).intersection(
+                cls.name for cls in self.app.classes)
 
     # -- introspection ------------------------------------------------------------------
 

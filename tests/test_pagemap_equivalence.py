@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.osproc.memory import (
     PAGE_SIZE,
     SlowVMA,
+    TAGS,
     VMA,
     VMAKind,
     pagemap_backend,
@@ -96,8 +97,9 @@ class TestBackendEquivalence:
         indices, tags = source.dump_pages()
         fast = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
         slow = SlowVMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
-        fast.populate_pages(indices, tags, dirty=dirty)
-        slow.populate_pages(indices, tags, dirty=dirty)
+        tag_ids = TAGS.intern_many(tags)
+        fast.populate_pages(indices, tag_ids, dirty=dirty)
+        slow.populate_pages(indices, tag_ids, dirty=dirty)
         assert _observe(fast) == _observe(slow)
 
     def test_iter_pages_orders_by_index(self):
