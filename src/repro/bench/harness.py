@@ -171,7 +171,7 @@ def _startup_repetition(
             record.update(rep=rep, function=app.name, technique=technique)
             trace_sink.append(record)
     if flight_sink is not None:
-        for event in kernel.flight.events():
+        for event in kernel.obs.flight.events():
             record = event.as_dict()
             if record.get("trace") is not None:
                 # Qualify like the trace sink: ids restart per world.

@@ -222,7 +222,7 @@ def incident_experiment(
     result.anomalies = list(monitor.events)
     result.bundles = list(collector.bundles)
     result.bundle_paths = list(collector.paths)
-    result.flight_events = [e.as_dict() for e in kernel.flight.events()]
+    result.flight_events = [e.as_dict() for e in kernel.obs.flight.events()]
     return result
 
 

@@ -263,10 +263,8 @@ class PrebakeStarter(Starter):
                             labels=labels)
                 obs.count(kernel, "prebake_restore_retries_total", labels=labels)
                 kernel.clock.advance(backoff)
-                if kernel.profile is not None:
-                    kernel.profile.record(RESTORE_BACKOFF, backoff,
-                                          attempt=attempt,
-                                          function=app.name)
+                obs.profile.record(kernel, RESTORE_BACKOFF, backoff,
+                                   attempt=attempt, function=app.name)
         if failure is None:
             failure = StartError(
                 f"prebake start of {app.name!r} exhausted "
@@ -292,16 +290,14 @@ class PrebakeStarter(Starter):
         kernel = self.kernel
         repair_start = kernel.clock.now
         repaired_chunks = self.store.repair(key)
-        if repaired_chunks and kernel.profile is not None:
-            # Registry-side chunk rewrites are free on the simulated
-            # clock today; the zero-duration sample still puts the
-            # repair on the critical-path ledger (count + chunks).
-            kernel.profile.record(RESTORE_REPAIR,
-                                  kernel.clock.now - repair_start,
-                                  chunks=repaired_chunks,
-                                  function=key.function)
         if not repaired_chunks:
             return False
+        # Registry-side chunk rewrites are free on the simulated clock
+        # today; the zero-duration sample still puts the repair on the
+        # critical-path ledger (count + chunks).
+        obs.profile.record(kernel, RESTORE_REPAIR,
+                           kernel.clock.now - repair_start,
+                           chunks=repaired_chunks, function=key.function)
         image = self.store.peek(key)
         if image is None:
             return False
@@ -313,11 +309,10 @@ class PrebakeStarter(Starter):
             # sample is zero-duration (registry-side work is free on
             # the simulated clock) but keeps the subtree verify and
             # its hash-op count on the critical-path ledger.
-            if kernel.profile is not None:
-                kernel.profile.record(RESTORE_SUBTREE_VERIFY, 0.0,
-                                      chunks=stats.checked_chunks,
-                                      hash_ops=stats.hash_ops,
-                                      function=key.function)
+            obs.profile.record(kernel, RESTORE_SUBTREE_VERIFY, 0.0,
+                               chunks=stats.checked_chunks,
+                               hash_ops=stats.hash_ops,
+                               function=key.function)
             obs.count(kernel, "snapshot_subtree_verify_total", labels=labels)
             if not stats.verified_ok:
                 # The subtree folded back to a different root: the

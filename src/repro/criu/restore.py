@@ -206,10 +206,9 @@ class RestoreEngine:
             except Exception:
                 kernel.kill(proc.pid)
                 raise
-            if kernel.profile is not None:
-                self._record_restore_phases(
-                    proc, image, mode, ws_record, base, plan, shard_report,
-                    extra_ms, duration, charged, in_memory)
+            self._record_restore_phases(
+                proc, image, mode, ws_record, base, plan, shard_report,
+                extra_ms, duration, charged, in_memory)
             if mode is RestoreMode.LAZY:
                 # The deferred paging debt is real page work, so it is
                 # sized off the *serial* eager charge: pipelining the
@@ -273,11 +272,10 @@ class RestoreEngine:
         if faults.should_fire(kernel, faults.RESTORE_HANG, detail=image.image_id):
             hang_ms = faults.extra_delay_ms(kernel, faults.RESTORE_HANG)
             kernel.clock.advance(hang_ms)
-            if kernel.profile is not None:
-                # The burned watchdog window is page-fetch work that
-                # never completed; keep it on the start-up ledger.
-                kernel.profile.record(RESTORE_CHUNK_FETCH, hang_ms,
-                                      pid=proc.pid, reason="hang")
+            # The burned watchdog window is page-fetch work that never
+            # completed; keep it on the start-up ledger.
+            obs.profile.record(kernel, RESTORE_CHUNK_FETCH, hang_ms,
+                               pid=proc.pid, reason="hang")
             obs.record(kernel, obs.flight.RESTORE_FAILED,
                        image=image.image_id, reason="hang",
                        hang_ms=round(hang_ms, 3))
@@ -462,7 +460,6 @@ class RestoreEngine:
         if extra_ms:
             parts.append((RESTORE_CHUNK_FETCH, extra_ms,
                           {"reason": "io-slow"}))
-        profiler = self.kernel.profile
         scale = charged / duration if duration else 0.0
         recorded = 0.0
         for position, (phase, part_ms, attrs) in enumerate(parts):
@@ -471,8 +468,8 @@ class RestoreEngine:
             else:
                 scaled = part_ms * scale
             recorded += scaled
-            profiler.record(phase, scaled, pid=proc.pid,
-                            mode=mode.value, **attrs)
+            obs.profile.record(self.kernel, phase, scaled, pid=proc.pid,
+                               mode=mode.value, **attrs)
 
     def _transmute(self, proc: Process, image: CheckpointImage) -> None:
         """Rebuild namespaces, files and memory inside ``proc``."""

@@ -163,10 +163,9 @@ class WorkingSetTracker:
         if misses:
             fault_ms = len(misses) * PREFETCH_MISS_FAULT_MS
             kernel.clock.advance(fault_ms)
-            if kernel.profile is not None:
-                kernel.profile.record("restore.lazy-page-fault", fault_ms,
-                                      pid=proc.pid, pages=len(misses),
-                                      source="prefetch-miss")
+            obs.profile.record(kernel, obs.profile.RESTORE_LAZY_FAULT,
+                               fault_ms, pid=proc.pid, pages=len(misses),
+                               source="prefetch-miss")
             self.records[capture.image_key] = WorkingSetRecord(
                 image_key=record.image_key,
                 pages=record.pages | misses,

@@ -18,9 +18,10 @@ flight recorder installed, nothing is recorded.
 
 An optional :class:`~repro.predict.policy.PrewarmController` (off by
 default) adds the ``prewarm`` action — budget-capped pre-placement of
-replicas ahead of forecast bursts, boosted when the cold-start SLO
-burn rate crosses its threshold — and lets the forecaster's histogram
-choose per-function keep-alive instead of the fixed idle timeout.
+replicas ahead of forecast bursts — and lets the forecaster's
+histogram choose per-function keep-alive instead of the fixed idle
+timeout. Like every other decision here, it reads only the pool and
+the arrival stream, never telemetry.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.faas.deployer import FunctionDeployer
 from repro.faas.registry import FunctionRegistry, RegistryError
 from repro.faas.replica import ReplicaState
 from repro.faults.errors import CapacityExhausted
-from repro.obs.slo import COLD_START_P99
 from repro.osproc.kernel import Kernel
 from repro.predict.policy import PREFETCH_BUDGET_BYTES, PrewarmController
 
@@ -138,14 +138,11 @@ class Autoscaler:
     def _prewarm_pass(self, now: float) -> None:
         """Pre-place replicas and prefetch chunks ahead of forecast load."""
         assert self.prewarm is not None
-        hub = self.kernel.obs
-        burn = (COLD_START_P99.burn_rate(hub.metrics)
-                if hub is not None else None)
         current_warm = {
             name: len(self.deployer.replicas(name))
             for name in self.registry.names()
         }
-        actions = self.prewarm.plan(now, current_warm, burn_rate=burn)
+        actions = self.prewarm.plan(now, current_warm)
         for action in actions:
             try:
                 metadata = self.registry.lookup(action.function)

@@ -1,6 +1,9 @@
 """repro.obs — unified telemetry for the prebake stack.
 
-One hub per simulated world, plus the incident-capture layer:
+One hub per simulated world, ``kernel.obs`` — the kernel's only
+telemetry switch. The hub always carries spans and metrics; its
+optional layers are ``None`` until installed, and installing any of
+them installs the hub first:
 
 * :mod:`repro.obs.spans` — nested lifecycle spans on simulated time
   (``deploy → bake → checkpoint → store → restore → replica.serve``);
@@ -9,18 +12,26 @@ One hub per simulated world, plus the incident-capture layer:
 * :mod:`repro.obs.export` — Prometheus text format and JSONL dumps,
   summarized by ``python -m repro.obs.cli``;
 * :mod:`repro.obs.flight` — bounded ring-buffer flight recorder on
-  ``kernel.flight`` (:func:`install_flight`), fed via :func:`record`;
+  ``hub.flight`` (:func:`install_flight`), fed via :func:`record`;
+* :mod:`repro.obs.profile` — phase profiler on ``hub.profile``
+  (:func:`repro.obs.profile.install`), fed via
+  :func:`repro.obs.profile.record`;
 * :mod:`repro.obs.timeseries` — windowed ``(sim_time, value)`` rollups
-  on the hub (:func:`enable_timeseries`), fed by the metric helpers;
-* :mod:`repro.obs.anomaly` — online EWMA+MAD detectors on the hub
-  (:func:`enable_anomaly`), also fed by the metric helpers;
+  on ``hub.timeseries`` (:func:`enable_timeseries`);
+* :mod:`repro.obs.anomaly` — online EWMA+MAD detectors on
+  ``hub.anomaly`` (:func:`enable_anomaly`);
 * :mod:`repro.obs.postmortem` — seals flight tail + span tree + metric
   windows + SLO burn + replay recipe into incident bundles.
 
 Instrumentation calls the module-level helpers below with the kernel
-in hand; when no :class:`Observability` hub is installed on the kernel
-they cost a single attribute load and do nothing, so un-observed
-worlds (the default) stay exactly as fast as before.
+in hand; when no hub is installed they cost a single attribute load
+and do nothing, so un-observed worlds (the default) stay exactly as
+fast as before. Every metric write (:func:`count`, :func:`gauge`,
+:func:`observe`) lands in the registry and then fans out through one
+path, in a fixed order: time series, the tape's ``metric.sample``
+events (when sampling is on), anomaly monitor. Telemetry only
+watches: no platform decision reads it, so an observed world runs
+bit-identically to an unobserved one under the same seed.
 
     from repro import make_world, obs
 
@@ -37,6 +48,7 @@ from typing import Dict, Optional, Union
 from repro.obs import export  # re-exported for `obs.export.*` call sites
 from repro.obs import fleet   # re-exported for `obs.fleet.*` call sites
 from repro.obs import flight  # re-exported for `obs.flight.*` call sites
+from repro.obs import profile  # re-exported for `obs.profile.*` call sites
 from repro.obs import timeseries as _timeseries
 from repro.obs.context import TraceContext
 from repro.obs.log import StructuredLogger, get_logger
@@ -51,12 +63,15 @@ from repro.obs.spans import NULL_SPAN, NullSpan, Span, SpanError, Tracer
 
 
 class Observability:
-    """Per-world telemetry hub: tracer + metrics, with optional
-    windowed time-series and anomaly layers (None until enabled)."""
+    """Per-world telemetry hub: tracer + metrics, with optional flight
+    tape, phase profile, time-series and anomaly layers (None until
+    installed)."""
 
     def __init__(self, clock) -> None:
         self.tracer = Tracer(clock)
         self.metrics = MetricsRegistry()
+        self.flight = None       # FlightRecorder via install_flight
+        self.profile = None      # PhaseProfiler via profile.install
         self.timeseries = None   # TimeseriesTable via enable_timeseries
         self.anomaly = None      # AnomalyMonitor via enable_anomaly
 
@@ -75,26 +90,24 @@ def uninstall(kernel) -> None:
 
 def install_flight(kernel, capacity: int = flight.DEFAULT_CAPACITY,
                    sample_metrics: bool = False) -> "flight.FlightRecorder":
-    """Install (or fetch) the flight recorder on ``kernel.flight``.
+    """Install (or fetch) the flight recorder on the hub, installing
+    the hub if needed.
 
-    Trace/span correlation engages automatically when the telemetry
-    hub is installed too (install the hub first to correlate), and so
-    does drop accounting: with a hub present, ring evictions increment
-    ``flight_dropped_total`` in the hub registry.
+    Events carry the hub tracer's trace/span ids, and ring evictions
+    increment ``flight_dropped_total`` in the hub registry.
     """
-    if kernel.flight is None:
-        hub = kernel.obs
-        tracer = hub.tracer if hub is not None else None
-        metrics = hub.metrics if hub is not None else None
-        kernel.flight = flight.FlightRecorder(
-            kernel.clock, tracer=tracer, capacity=capacity,
-            sample_metrics=sample_metrics, metrics=metrics)
-    return kernel.flight
+    hub = install(kernel)
+    if hub.flight is None:
+        hub.flight = flight.FlightRecorder(
+            kernel.clock, tracer=hub.tracer, capacity=capacity,
+            sample_metrics=sample_metrics, metrics=hub.metrics)
+    return hub.flight
 
 
 def uninstall_flight(kernel) -> None:
     """Detach the flight recorder; :func:`record` reverts to a no-op."""
-    kernel.flight = None
+    if kernel.obs is not None:
+        kernel.obs.flight = None
 
 
 def enable_timeseries(kernel, window_ms: float = 1_000.0,
@@ -159,19 +172,27 @@ def current_context(kernel) -> Optional[TraceContext]:
 def record(kernel, kind: str, **attrs: object) -> None:
     """Append a lifecycle event to the flight tape (no-op when no
     recorder is installed — one attribute load, like the tracer)."""
-    recorder = kernel.flight
-    if recorder is not None:
-        recorder.record(kind, **attrs)
+    hub = kernel.obs
+    if hub is not None and hub.flight is not None:
+        hub.flight.record(kind, **attrs)
 
 
-def _feed_sample(kernel, hub, name: str, value: float, kind: str) -> None:
-    """Fan a metric write out to the optional incident layers."""
+def _fan_out(kernel, hub: Observability, name: str, value: float,
+             kind: str, trace_id: Optional[str] = None) -> None:
+    """Feed one metric write to the hub's optional layers, in order:
+    time series, the tape's ``metric.sample`` events, anomaly monitor."""
+    now = kernel.clock.now
     if hub.timeseries is not None:
-        hub.timeseries.record(name, kernel.clock.now, value, kind=kind)
-    recorder = kernel.flight
+        hub.timeseries.record(name, now, value, kind=kind)
+    recorder = hub.flight
     if recorder is not None and recorder.sample_metrics:
         recorder.record(flight.METRIC_SAMPLE, metric=name,
                         value=value, sample_kind=kind)
+    if hub.anomaly is not None:
+        if kind == _timeseries.COUNTER_SAMPLE:
+            hub.anomaly.offer_count(name, now, value)
+        else:
+            hub.anomaly.offer(name, now, value, trace_id=trace_id)
 
 
 def count(kernel, name: str, value: float = 1.0,
@@ -179,9 +200,7 @@ def count(kernel, name: str, value: float = 1.0,
     hub = kernel.obs
     if hub is not None:
         hub.metrics.inc(name, value, labels)
-        _feed_sample(kernel, hub, name, value, _timeseries.COUNTER_SAMPLE)
-        if hub.anomaly is not None:
-            hub.anomaly.offer_count(name, kernel.clock.now, value)
+        _fan_out(kernel, hub, name, value, _timeseries.COUNTER_SAMPLE)
 
 
 def gauge(kernel, name: str, value: float,
@@ -189,9 +208,7 @@ def gauge(kernel, name: str, value: float,
     hub = kernel.obs
     if hub is not None:
         hub.metrics.set_gauge(name, value, labels)
-        _feed_sample(kernel, hub, name, value, _timeseries.VALUE_SAMPLE)
-        if hub.anomaly is not None:
-            hub.anomaly.offer(name, kernel.clock.now, value)
+        _fan_out(kernel, hub, name, value, _timeseries.VALUE_SAMPLE)
 
 
 def observe(kernel, name: str, value: float,
@@ -206,40 +223,8 @@ def observe(kernel, name: str, value: float,
         if exemplar is None:
             exemplar = hub.tracer.current_trace_id()
         hub.metrics.observe(name, value, labels, exemplar=exemplar)
-        _feed_sample(kernel, hub, name, value, _timeseries.VALUE_SAMPLE)
-        if hub.anomaly is not None:
-            hub.anomaly.offer(name, kernel.clock.now, value,
-                              trace_id=exemplar)
-
-
-def observe_many(kernel, name: str, values,
-                 labels: Optional[Dict[str, str]] = None) -> None:
-    """Batched :func:`observe`: one histogram write for many values.
-
-    The histogram lands the batch through its vectorized
-    ``observe_many`` (no exemplars); the optional time-series and
-    anomaly layers still see every sample individually, so rollups and
-    detectors behave exactly as with repeated single observations.
-    """
-    hub = kernel.obs
-    if hub is None or len(values) == 0:
-        return
-    hub.metrics.histogram_series(name, labels).observe_many(values)
-    feed_timeseries = hub.timeseries is not None
-    recorder = kernel.flight
-    feed_flight = recorder is not None and recorder.sample_metrics
-    feed_anomaly = hub.anomaly is not None
-    if feed_timeseries or feed_flight or feed_anomaly:
-        now = kernel.clock.now
-        for value in values:
-            if feed_timeseries:
-                hub.timeseries.record(name, now, value,
-                                      kind=_timeseries.VALUE_SAMPLE)
-            if feed_flight:
-                recorder.record(flight.METRIC_SAMPLE, metric=name,
-                                value=value, sample_kind=_timeseries.VALUE_SAMPLE)
-            if feed_anomaly:
-                hub.anomaly.offer(name, now, value)
+        _fan_out(kernel, hub, name, value, _timeseries.VALUE_SAMPLE,
+                 trace_id=exemplar)
 
 
 __all__ = [
@@ -254,13 +239,13 @@ __all__ = [
     "count",
     "gauge",
     "observe",
-    "observe_many",
     "CounterHandle",
     "GaugeHandle",
     "record",
     "current_context",
     "fleet",
     "flight",
+    "profile",
     "TraceContext",
     "Span",
     "SpanError",

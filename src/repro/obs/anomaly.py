@@ -327,20 +327,19 @@ class AnomalyMonitor:
 
     def _emit(self, event: AnomalyEvent) -> None:
         self.events.append(event)
-        kernel = self.kernel
-        if kernel is not None:
+        hub = self.kernel.obs if self.kernel is not None else None
+        if hub is not None:
             # Straight to the recorder/registry (not via the obs
             # helpers) so emitting can never re-enter this monitor.
-            if kernel.flight is not None:
-                kernel.flight.record(
+            if hub.flight is not None:
+                hub.flight.record(
                     flight_mod.ANOMALY, detector=event.detector,
                     metric=event.metric, value=round(event.value, 6),
                     score=round(event.score, 3),
                     window_start_ms=event.window_start_ms,
                 )
-            if kernel.obs is not None:
-                kernel.obs.metrics.inc("anomaly_events_total",
-                                       labels={"detector": event.detector})
+            hub.metrics.inc("anomaly_events_total",
+                            labels={"detector": event.detector})
         for subscriber in self._subscribers:
             subscriber(event)
 

@@ -27,6 +27,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.obs.export import SpanRecord, read_trace_jsonl
+from repro.obs.fleet import format_table
 from repro.obs.log import get_logger
 
 log = get_logger("obs.cli")
@@ -43,18 +44,6 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     upper = min(lower + 1, len(sorted_values) - 1)
     fraction = position - lower
     return sorted_values[lower] * (1 - fraction) + sorted_values[upper] * fraction
-
-
-def format_table(headers: List[str], rows: List[List[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(row):
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
 
 
 def summarize(records: List[SpanRecord]) -> str:

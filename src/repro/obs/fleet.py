@@ -455,7 +455,7 @@ class ColdStartAttribution:
                 f"{100.0 * cell.total_ms / fleet_total:.1f}%",
                 cell.dominant_phase(),
             ])
-        return _format_table(
+        return format_table(
             ["function", "node", "outcome", "count", "total(ms)",
              "mean(ms)", "share", "dominant phase"],
             rows,
@@ -495,7 +495,8 @@ class ColdStartAttribution:
         return out
 
 
-def _format_table(headers: List[str], rows: List[List[str]]) -> str:
+def format_table(headers: List[str], rows: List[List[str]]) -> str:
+    """Left-aligned text table: header row, dash rule, data rows."""
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):

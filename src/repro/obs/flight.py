@@ -3,8 +3,8 @@
 The black box of the platform. Instrumented layers append structured
 :class:`FlightEvent` records — request admitted/routed, restore phase
 transitions, fault injections, retries, cache traffic, autoscaler
-decisions — into a bounded ring buffer on the kernel
-(``kernel.flight``). When an incident is declared the *last N* events
+decisions — into a bounded ring buffer on the telemetry hub
+(``kernel.obs.flight``). When an incident is declared the *last N* events
 are exactly the window a postmortem needs: what the platform was doing
 right before things went wrong.
 
@@ -12,7 +12,7 @@ Design constraints, in order:
 
 * **Near-zero cost when disabled.** Instrumentation goes through
   :func:`repro.obs.record`, which is one attribute load when
-  ``kernel.flight is None`` (the default) — the same discipline as the
+  ``kernel.obs is None`` (the default) — the same discipline as the
   tracer and the fault injector.
 * **No interference with the simulation.** Recording reads the clock
   and never advances it, and draws no randomness, so a recorded world
@@ -20,8 +20,9 @@ Design constraints, in order:
 * **Bounded.** The ring holds ``capacity`` events; older events are
   evicted oldest-first and only counted (``dropped``), never resized.
 
-Events carry the active trace/span ids when a tracer has a span open,
-so a flight tape can be joined against the span tree of the same run.
+Events carry the active trace/span ids when the hub's tracer has a
+span open, so a flight tape can be joined against the span tree of
+the same run.
 """
 
 from __future__ import annotations
@@ -249,11 +250,6 @@ class FlightRecorder:
 
     def clear(self) -> None:
         self._ring.clear()
-
-    # -- (de)serialization -----------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        return events_to_jsonl(self._ring)
 
 
 # -- tape (de)serialization ---------------------------------------------------

@@ -294,7 +294,7 @@ class PostmortemCollector:
             payload["seed"] = self.seed
 
         # Flight tape tail.
-        flight = kernel.flight
+        flight = hub.flight if hub is not None else None
         if flight is not None:
             tail = flight.last(self.flight_tail)
             payload["flight"] = {

@@ -9,11 +9,12 @@ chunk-fetch, working-set-prefetch, lazy page-fault, repair, retry
 backoff), so a profile answers the same question the paper's Figure 4
 does: where does the cold start spend its time?
 
-Like the telemetry hub (:mod:`repro.obs`), the profiler is a per-world
-object on ``kernel.profile`` that defaults to ``None``; instrumented
-sites early-out on the attribute load, consume no randomness and
-charge no simulated time when it is uninstalled — figure outputs stay
-byte-identical whether or not a profile is being collected.
+The profiler is a layer of the telemetry hub (:mod:`repro.obs`):
+``kernel.obs.profile``, ``None`` until :func:`install` (which installs
+the hub too). Instrumented sites call :func:`record`, which early-outs
+on the attribute loads, consumes no randomness and charges no
+simulated time — figure outputs stay byte-identical whether or not a
+profile is being collected.
 
 Attribution convention (matches DESIGN.md §7's accounting): a restored
 replica pays no RTS and its whole restore window counts as APPINIT, so
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro import obs
 
 # -- the phase taxonomy (paper §4.2.1 + restore sub-phases) -----------------
 
@@ -85,7 +88,7 @@ class PhaseSample:
 
 
 class PhaseProfiler:
-    """Per-world phase-time collector (install on ``kernel.profile``)."""
+    """Per-world phase-time collector (the hub's ``profile`` layer)."""
 
     def __init__(self, clock) -> None:
         self.clock = clock
@@ -140,23 +143,27 @@ class PhaseProfiler:
 
 
 def install(kernel) -> PhaseProfiler:
-    """Install (or fetch) a profiler on ``kernel``."""
-    if kernel.profile is None:
-        kernel.profile = PhaseProfiler(kernel.clock)
-    return kernel.profile
+    """Install (or fetch) a profiler on the hub, installing the hub if
+    needed."""
+    hub = obs.install(kernel)
+    if hub.profile is None:
+        hub.profile = PhaseProfiler(kernel.clock)
+    return hub.profile
 
 
 def uninstall(kernel) -> None:
     """Detach the profiler; instrumentation reverts to zero-cost no-ops."""
-    kernel.profile = None
+    if kernel.obs is not None:
+        kernel.obs.profile = None
 
 
 def record(kernel, phase: str, duration_ms: float,
            pid: Optional[int] = None, **attrs: object) -> None:
-    """Zero-cost attribution helper (no-op when no profiler installed)."""
-    profiler = kernel.profile
-    if profiler is not None:
-        profiler.record(phase, duration_ms, pid=pid, **attrs)
+    """Attribute time to a phase (no-op when no profiler is installed —
+    the same attribute-load early-out as :func:`repro.obs.record`)."""
+    hub = kernel.obs
+    if hub is not None and hub.profile is not None:
+        hub.profile.record(phase, duration_ms, pid=pid, **attrs)
 
 
 # -- renderers ---------------------------------------------------------------

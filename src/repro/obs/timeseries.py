@@ -179,21 +179,6 @@ class TimeseriesTable:
                 out[name] = [s.as_dict() for s in stats]
         return out
 
-    def windowed_rate(self, bad: str, total: str, start_ms: float,
-                      end_ms: float) -> Optional[float]:
-        """``sum(bad) / sum(total)`` over one window, or None when the
-        window saw no ``total`` increments."""
-        total_series = self._series.get(total)
-        if total_series is None:
-            return None
-        denominator = sum(total_series.values_between(start_ms, end_ms))
-        if denominator <= 0:
-            return None
-        bad_series = self._series.get(bad)
-        numerator = (sum(bad_series.values_between(start_ms, end_ms))
-                     if bad_series is not None else 0.0)
-        return min(1.0, numerator / denominator)
-
 
 def replay_events(events, window_ms: float = 1_000.0,
                   capacity: int = DEFAULT_CAPACITY) -> TimeseriesTable:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro import obs
+from repro.obs.profile import PHASE_CLONE, PHASE_EXEC
 from repro.osproc.filesystem import FileSystem, PageCache
 from repro.osproc.memory import PAGE_SIZE, Page, VMA, VMAKind
 from repro.osproc.namespaces import NamespaceKind
@@ -53,24 +55,18 @@ class Kernel:
         self.fs = FileSystem()
         self.page_cache = PageCache()
         self.probes = ProbeRegistry()
-        # Telemetry hub (repro.obs.Observability) or None; instrumented
+        # Telemetry hub (repro.obs.Observability) or None — the only
+        # telemetry switch: spans, metrics, flight tape, phase profile,
+        # time series and anomaly monitor all live on it. Instrumented
         # code treats None as "telemetry off" and pays nothing.
         self.obs = None
         # Fault injector (repro.faults.FaultInjector) or None; site
         # checks treat None as "never fire" and draw no randomness.
         self.faults = None
-        # Phase profiler (repro.obs.profile.PhaseProfiler) or None;
-        # attribution sites treat None as "profiling off" — no time is
-        # charged and no randomness drawn either way.
-        self.profile = None
         # Working-set tracker (repro.criu.workingset.WorkingSetTracker)
         # or None; installed lazily by the first WORKING_SET restore so
         # eager-only worlds never pay for (or observe) it.
         self.working_sets = None
-        # Flight recorder (repro.obs.flight.FlightRecorder) or None;
-        # lifecycle instrumentation treats None as "recorder off" and
-        # pays one attribute load per event site.
-        self.flight = None
         self.processes: Dict[int, Process] = {}
         self._next_pid = 100
         self._tracees: Dict[int, int] = {}  # target pid -> tracer pid
@@ -139,8 +135,8 @@ class Kernel:
             pid = self._alloc_pid()
         duration = self._charge("clone", parent.pid, self.costs.clone_ms,
                                 detail=comm or "")
-        if self.profile is not None:
-            self.profile.record("CLONE", duration, pid=pid, comm=comm or "")
+        obs.profile.record(self, PHASE_CLONE, duration, pid=pid,
+                           comm=comm or "")
         namespaces = parent.namespaces.clone_with_new(*new_namespaces)
         child = Process(
             pid=pid,
@@ -162,8 +158,8 @@ class Kernel:
         binary = self.fs.lookup(path)  # ENOENT if missing
         duration = self._charge("execve", proc.pid, self.costs.exec_ms,
                                 detail=path)
-        if self.profile is not None:
-            self.profile.record("EXEC", duration, pid=proc.pid, path=path)
+        obs.profile.record(self, PHASE_EXEC, duration, pid=proc.pid,
+                           path=path)
         proc.comm = path.rsplit("/", 1)[-1]
         proc.argv = list(argv or [path])
         proc.payload.clear()

@@ -37,8 +37,6 @@ class ProbeRegistry:
     def __init__(self) -> None:
         self._enter: Dict[str, List[ProbeCallback]] = {}
         self._exit: Dict[str, List[ProbeCallback]] = {}
-        self.history: List[SyscallRecord] = []
-        self.record_history = False
         # Deterministic count of probe events published since boot —
         # the numerator the kernel throughput bench divides wall-clock
         # time into (simulated work is identical across backends, so
@@ -54,12 +52,9 @@ class ProbeRegistry:
     def clear(self) -> None:
         self._enter.clear()
         self._exit.clear()
-        self.history.clear()
 
     def emit(self, record: SyscallRecord) -> None:
         self.events_emitted += 1
-        if self.record_history:
-            self.history.append(record)
         table = self._enter if record.phase == "enter" else self._exit
         for callback in table.get(record.syscall, ()):
             callback(record)

@@ -418,12 +418,6 @@ class PrewarmController:
     installing it leaves un-prewarmed runs byte-identical.
     """
 
-    #: Cold-start SLO burn rate above which forecast targets are
-    #: multiplied by ``BURN_BOOST``, so capacity lands *before* the
-    #: error budget burns out.
-    BURN_THRESHOLD = 1.0
-    BURN_BOOST = 2.0
-
     def __init__(self, config: Optional[PrewarmConfig] = None) -> None:
         self.config = config or PrewarmConfig()
         cfg = self.config
@@ -490,29 +484,24 @@ class PrewarmController:
             value = max(value, 1.5 * self.config.window_ms)
         return value
 
-    def plan(self, now_ms: float, current_warm: Mapping[str, int],
-             burn_rate: Optional[float] = None) -> List[PrewarmAction]:
+    def plan(self, now_ms: float,
+             current_warm: Mapping[str, int]) -> List[PrewarmAction]:
         """Plan this pass's prewarm actions.
 
         ``current_warm`` maps function -> live replica count; the plan
         only asks for the shortfall against the forecast target. The
-        total replicas added per pass is capped by the config budget;
-        when the cold-start SLO burn rate crosses ``BURN_THRESHOLD``
-        the per-function targets are boosted. Every function with a
-        positive target gets an action, so its chunks are prefetched
-        even when no replica is added.
+        total replicas added per pass is capped by the config budget.
+        Every function with a positive target gets an action, so its
+        chunks are prefetched even when no replica is added.
         """
         cfg = self.config
         self.stats.plans += 1
-        burning = burn_rate is not None and burn_rate > self.BURN_THRESHOLD
         budget = cfg.max_prewarm_per_tick
         actions: List[PrewarmAction] = []
         for function in sorted(self._counts):
             self._feed_windows(function, now_ms)
-            target = self.policy.target_warm(function)
-            if burning:
-                target = int(math.ceil(target * self.BURN_BOOST))
-            target = min(target, cfg.max_warm_per_function)
+            target = min(self.policy.target_warm(function),
+                         cfg.max_warm_per_function)
             if target <= 0:
                 continue
             have = int(current_warm.get(function, 0))

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
+from repro import obs
 from repro.obs.context import TraceContext
 from repro.obs.profile import (
     PHASE_APPINIT,
@@ -103,18 +104,17 @@ class ManagedRuntime:
         self._require_alive()
         if self.booted:
             raise RuntimeError_("runtime already booted")
-        profiler = self.kernel.profile
-        boot_start = self.kernel.clock.now if profiler is not None else 0.0
+        boot_start = self.kernel.clock.now
         duration = self.kernel.costs.jitter(
             self.rts_ms, self.kernel.streams, f"{self.kind}.rts"
         )
         self.kernel.clock.advance(duration)
         self._map_base_memory()
-        if profiler is not None:
-            # Clock delta, not the jitter draw: RTS is everything from
-            # execve return to main() entry, however it was charged.
-            profiler.record(PHASE_RTS, self.kernel.clock.now - boot_start,
-                            pid=self.process.pid, runtime=self.kind)
+        # Clock delta, not the jitter draw: RTS is everything from
+        # execve return to main() entry, however it was charged.
+        obs.profile.record(self.kernel, PHASE_RTS,
+                           self.kernel.clock.now - boot_start,
+                           pid=self.process.pid, runtime=self.kind)
         self.booted = True
         # The paper logged "before the runtime starts executing the
         # first line of code" — i.e. main() entry ends the RTS phase.
@@ -129,13 +129,12 @@ class ManagedRuntime:
             raise RuntimeError_("boot() must run before load_application()")
         if self.ready:
             raise RuntimeError_("application already loaded")
-        profiler = self.kernel.profile
-        init_start = self.kernel.clock.now if profiler is not None else 0.0
+        init_start = self.kernel.clock.now
         self.app = app
         self._app_init(app)
-        if profiler is not None:
-            profiler.record(PHASE_APPINIT, self.kernel.clock.now - init_start,
-                            pid=self.process.pid, function=app.name)
+        obs.profile.record(self.kernel, PHASE_APPINIT,
+                           self.kernel.clock.now - init_start,
+                           pid=self.process.pid, function=app.name)
         self.ready = True
         self.kernel.probes.syscall_enter(
             "runtime.ready", self.process.pid, self.kernel.clock.now, detail=app.name
@@ -154,10 +153,8 @@ class ManagedRuntime:
             charged = self.kernel.costs.jitter(
                 debt, self.kernel.streams, "criu.lazy-pages")
             self.kernel.clock.advance(charged)
-            if self.kernel.profile is not None:
-                self.kernel.profile.record(
-                    RESTORE_LAZY_FAULT, charged, pid=self.process.pid,
-                    source="lazy-debt")
+            obs.profile.record(self.kernel, RESTORE_LAZY_FAULT, charged,
+                               pid=self.process.pid, source="lazy-debt")
         self._before_request(request)
         body, status = self.app.execute(self, request)
         duration = self.kernel.streams.lognormal_jitter(

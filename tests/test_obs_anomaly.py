@@ -131,7 +131,7 @@ class TestHelperWiring:
         (event,) = monitor.events
         assert event.detector == COLD_START_LATENCY
         # The emission reached the tape and the registry directly.
-        (tape,) = kernel.flight.events(kind="anomaly.detected")
+        (tape,) = kernel.obs.flight.events(kind="anomaly.detected")
         assert tape.attrs["detector"] == COLD_START_LATENCY
         assert kernel.obs.metrics.value(
             "anomaly_events_total",

@@ -139,7 +139,7 @@ class TestTraceCorrelation:
         obs.install_flight(kernel)
         with obs.span(kernel, "unit.work"):
             obs.record(kernel, "deploy", function="noop")
-        (event,) = kernel.flight.events()
+        (event,) = kernel.obs.flight.events()
         (span,) = kernel.obs.tracer.find("unit.work")
         assert event.trace_id == span.trace_id
         assert event.span_id == span.span_id
@@ -148,7 +148,7 @@ class TestTraceCorrelation:
         kernel = make_world(seed=5, observe=True).kernel
         obs.install_flight(kernel)
         obs.record(kernel, "deploy", function="noop")
-        (event,) = kernel.flight.events()
+        (event,) = kernel.obs.flight.events()
         assert event.trace_id is None
         assert event.span_id is None
 
@@ -161,7 +161,7 @@ class TestLifecycleCoverage:
         platform.register_function(lambda: make_app("markdown"),
                                    start_technique="prebake")
         platform.invoke("markdown")
-        kinds = {e.kind for e in kernel.flight.events()}
+        kinds = {e.kind for e in kernel.obs.flight.events()}
         assert {"request.admitted", "restore.started", "restore.finished",
                 "replica.provisioned", "request.routed"} <= kinds
 
@@ -169,17 +169,17 @@ class TestLifecycleCoverage:
         kernel = make_world(seed=11, observe=True).kernel
         obs.install_flight(kernel)
         PrebakeManager(kernel).deploy(make_app("noop"))
-        (event,) = kernel.flight.events(kind="deploy")
+        (event,) = kernel.obs.flight.events(kind="deploy")
         assert event.attrs["function"] == "noop"
         assert event.attrs["version"] == 1
 
     def test_recording_off_is_a_noop(self):
         kernel = make_world(seed=11).kernel
-        assert kernel.flight is None
+        assert kernel.obs is None
         obs.record(kernel, "deploy", function="noop")  # must not raise
         manager = PrebakeManager(kernel)
         manager.deploy(make_app("noop"))
-        assert kernel.flight is None
+        assert kernel.obs is None
 
 
 class TestDisabledPathOverheadGuard:
@@ -204,11 +204,11 @@ class TestDisabledPathOverheadGuard:
         kernel = make_world(seed=2, observe=True).kernel
         obs.install_flight(kernel)  # sample_metrics defaults off
         obs.observe(kernel, "criu_restore_duration_ms", 12.5)
-        assert kernel.flight.events(kind=METRIC_SAMPLE) == []
+        assert kernel.obs.flight.events(kind=METRIC_SAMPLE) == []
         obs.uninstall_flight(kernel)
         obs.install_flight(kernel, sample_metrics=True)
         obs.observe(kernel, "criu_restore_duration_ms", 12.5)
-        (sample,) = kernel.flight.events(kind=METRIC_SAMPLE)
+        (sample,) = kernel.obs.flight.events(kind=METRIC_SAMPLE)
         assert sample.attrs["metric"] == "criu_restore_duration_ms"
         assert sample.attrs["value"] == 12.5
 

@@ -126,11 +126,11 @@ class TestZeroCost:
 
     def test_install_is_idempotent_and_uninstall_detaches(self):
         kernel = make_world(seed=3).kernel
-        assert kernel.profile is None
+        assert kernel.obs is None
         profiler = prof.install(kernel)
         assert prof.install(kernel) is profiler
         prof.uninstall(kernel)
-        assert kernel.profile is None
+        assert kernel.obs.profile is None
         prof.record(kernel, "CLONE", 1.0)  # no-op, must not raise
 
 

@@ -77,14 +77,6 @@ class TestTimeseriesTable:
         (window,) = table.windows("criu_restore_duration_ms")
         assert window.p50 == 52.0
 
-    def test_windowed_rate_none_without_denominator(self):
-        table = TimeseriesTable(window_ms=100.0)
-        assert table.windowed_rate("bad", "total", 0.0, 100.0) is None
-        table.record("total", 10.0, 1.0, kind=COUNTER_SAMPLE)
-        table.record("bad", 20.0, 1.0, kind=COUNTER_SAMPLE)
-        assert table.windowed_rate("bad", "total", 0.0, 100.0) == 1.0
-        assert table.windowed_rate("bad", "total", 100.0, 200.0) is None
-
     def test_rollup_is_json_ready(self):
         table = TimeseriesTable(window_ms=100.0)
         table.record("latency_ms", 10.0, 5.0)

@@ -259,23 +259,6 @@ class TestPrewarmController:
         added = sum(a.add_replicas for a in actions)
         assert 0 < added <= 3
 
-    def test_burn_rate_boosts_targets(self):
-        config = PrewarmConfig(policy="histogram", window_ms=100.0,
-                               max_prewarm_per_tick=32,
-                               max_warm_per_function=32)
-        results = {}
-        for label, burn in (("calm", 0.0), ("burning", 5.0)):
-            controller = PrewarmController(config)
-            t = 0.0
-            for _ in range(30):
-                for _ in range(4):
-                    controller.note_arrival("f", t)
-                    t += 5.0
-            actions = controller.plan(t + 100.0, {"f": 0}, burn_rate=burn)
-            results[label] = sum(a.add_replicas for a in actions)
-        assert results["burning"] > results["calm"]
-        assert results["calm"] > 0
-
     def test_keepalive_falls_back_to_default_until_data(self):
         controller = PrewarmController(PrewarmConfig(policy="histogram"))
         assert controller.keepalive_ms("unknown", 42_000.0) == 42_000.0
