@@ -34,8 +34,6 @@ KNOWN_SECTIONS = [
     ("ablation_bake_timing", "Ablation — bake timing"),
     ("ext_runtimes", "Extension — prebaking across runtimes"),
     ("ext_pool_baseline", "Extension — warm-pool baseline"),
-    ("ext_concurrency", "Extension — concurrent bursts"),
-    ("ext_migration", "Extension — live migration"),
 ]
 
 

@@ -48,10 +48,6 @@ class StudyResult:
             return 0.0
         return quantile(self.queued_ms, q)
 
-    @property
-    def idle_gib_hours(self) -> float:
-        return self.idle_mib_ms / (1024.0 * 3_600_000.0)
-
 
 def _resolve(function) -> Callable[[], FunctionApp]:
     if callable(function):
@@ -142,54 +138,6 @@ def run_pool_study(
         queued_ms=queued,
         idle_mib_ms=pool.snapshot_idle_cost(),
     )
-
-
-def run_multi_function_study(
-    trace_events,
-    techniques: Optional[dict] = None,
-    idle_timeout_ms: float = 60_000.0,
-    seed: int = 42,
-) -> List[StudyResult]:
-    """Replay a multi-function :class:`~repro.bench.traces.TraceEvent`
-    trace against one platform hosting every named function.
-
-    ``techniques`` maps function name → "vanilla" | "prebake"
-    (default: prebake for everything). Returns one StudyResult per
-    function so the heavy head and cold tail can be compared.
-    """
-    trace_events = sorted(trace_events, key=lambda e: e.at_ms)
-    names = sorted({event.function for event in trace_events})
-    if not names:
-        raise ValueError("trace has no events")
-    techniques = techniques or {}
-    world = make_world(seed=_derive_seed(seed, "multi-study"))
-    platform = FaaSPlatform(world.kernel, PlatformConfig(
-        nodes=4,
-        autoscaler=AutoscalerConfig(idle_timeout_ms=idle_timeout_ms),
-    ))
-    for name in names:
-        platform.register_function(
-            _resolve(name),
-            start_technique=techniques.get(name, "prebake"),
-            snapshot_policy=AfterWarmup(requests=1),
-            idle_timeout_ms=idle_timeout_ms,
-        )
-    for event in trace_events:
-        if event.at_ms > world.now:
-            world.clock.set_time(event.at_ms)
-        platform.gc_tick()
-        platform.invoke(event.function, Request())
-    results = []
-    for name in names:
-        records = [r for r in platform.router.stats.records
-                   if r.function == name]
-        results.append(StudyResult(
-            strategy=f"{name}({techniques.get(name, 'prebake')})",
-            requests=len(records),
-            cold_starts=sum(1 for r in records if r.cold_start),
-            queued_ms=[r.queued_ms for r in records],
-        ))
-    return results
 
 
 def compare_strategies(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -22,14 +22,6 @@ def format_interval(low: float, high: float, digits: int = 2) -> str:
     return f"({low:.{digits}f};{high:.{digits}f})"
 
 
-def format_ms(value: float, digits: int = 2) -> str:
-    return f"{value:.{digits}f}ms"
-
-
-def format_pct(value: float, digits: int = 2) -> str:
-    return f"{value:.{digits}f}%"
-
-
 def stacked_bar(parts: dict, total_width: int = 60) -> str:
     """ASCII stacked bar for the Figure 4 phase breakdown."""
     total = sum(parts.values())
@@ -41,7 +33,3 @@ def stacked_bar(parts: dict, total_width: int = 60) -> str:
         width = int(round(total_width * value / total))
         bar.append(glyphs.get(name, "?") * width)
     return "".join(bar)[:total_width]
-
-
-def bullet_list(items: List[str]) -> str:
-    return "\n".join(f"  - {item}" for item in items)

@@ -292,20 +292,6 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> TestResult:
     return TestResult(statistic=u_a, p_value=max(0.0, min(1.0, p)))
 
 
-def hodges_lehmann(a: Sequence[float], b: Sequence[float]) -> float:
-    """Hodges–Lehmann estimator of the location shift between samples.
-
-    The median of all pairwise differences ``a_i - b_j`` — the point
-    estimator associated with the Mann–Whitney test the paper uses for
-    its median-difference statements. O(n·m); fine at the paper's
-    n = m = 200.
-    """
-    if not a or not b:
-        raise ValueError("both samples must be non-empty")
-    diffs = [x - y for x in a for y in b]
-    return median(diffs)
-
-
 # ---------------------------------------------------------------------------
 # ECDF / Kolmogorov-Smirnov
 # ---------------------------------------------------------------------------

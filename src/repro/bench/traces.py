@@ -1,150 +1,20 @@
-"""Invocation-trace files and a production-shaped synthesizer.
+"""A production-shaped fleet trace synthesizer.
 
-Workload studies become comparable when traces are artifacts: this
-module reads/writes arrival traces as JSONL and CSV, and synthesizes a
-multi-function workload with the heavy-tailed popularity and bursty
-per-function behaviour production FaaS traces show (cf. the Azure
-Functions trace analyses): a few hot functions dominate, a long tail is
-invoked rarely — exactly the regime where cold starts happen.
+Synthesizes a multi-function workload with the heavy-tailed popularity
+and bursty per-function behaviour production FaaS traces show (cf. the
+Azure Functions trace analyses): a few hot functions dominate, a long
+tail is invoked rarely — exactly the regime where cold starts happen.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import random
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
-
-from repro.bench.arrivals import bursty_arrivals, poisson_arrivals
 
 
 class TraceFormatError(Exception):
     """Unreadable trace data."""
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One invocation in a multi-function trace."""
-
-    at_ms: float
-    function: str
-
-    def __post_init__(self) -> None:
-        if self.at_ms < 0:
-            raise TraceFormatError(f"negative timestamp {self.at_ms}")
-        if not self.function:
-            raise TraceFormatError("empty function name")
-
-
-def sort_trace(events: Iterable[TraceEvent]) -> List[TraceEvent]:
-    return sorted(events, key=lambda e: (e.at_ms, e.function))
-
-
-# ---------------------------------------------------------------------------
-# File formats
-# ---------------------------------------------------------------------------
-
-def dump_jsonl(events: Iterable[TraceEvent]) -> str:
-    """Serialize to JSON-lines (one event per line)."""
-    lines = [json.dumps({"at_ms": e.at_ms, "function": e.function},
-                        separators=(",", ":"))
-             for e in events]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def load_jsonl(text: str) -> List[TraceEvent]:
-    events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            events.append(TraceEvent(at_ms=float(record["at_ms"]),
-                                     function=str(record["function"])))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    return sort_trace(events)
-
-
-def dump_csv(events: Iterable[TraceEvent]) -> str:
-    """Serialize to CSV with an ``at_ms,function`` header."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["at_ms", "function"])
-    for event in events:
-        writer.writerow([f"{event.at_ms:.3f}", event.function])
-    return buffer.getvalue()
-
-
-def load_csv(text: str) -> List[TraceEvent]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TraceFormatError("empty CSV") from None
-    if [h.strip() for h in header] != ["at_ms", "function"]:
-        raise TraceFormatError(f"unexpected CSV header {header!r}")
-    events = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise TraceFormatError(f"line {lineno}: expected 2 columns")
-        try:
-            events.append(TraceEvent(at_ms=float(row[0]), function=row[1]))
-        except ValueError as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    return sort_trace(events)
-
-
-# ---------------------------------------------------------------------------
-# Synthesis
-# ---------------------------------------------------------------------------
-
-def synthesize_workload(
-    functions: List[str],
-    duration_ms: float,
-    total_rate_per_s: float = 10.0,
-    zipf_s: float = 1.2,
-    bursty_fraction: float = 0.3,
-    seed: int = 0,
-) -> List[TraceEvent]:
-    """Synthesize a multi-function trace with production shape.
-
-    Function popularity follows a Zipf law with exponent ``zipf_s``; a
-    ``bursty_fraction`` of the functions get on/off arrival processes,
-    the rest are Poisson.
-    """
-    if not functions:
-        raise TraceFormatError("need at least one function")
-    if not 0.0 <= bursty_fraction <= 1.0:
-        raise TraceFormatError(
-            f"bursty_fraction must be in [0, 1], got {bursty_fraction}")
-    rng = random.Random(seed)
-    weights = [1.0 / (rank + 1) ** zipf_s for rank in range(len(functions))]
-    total_weight = sum(weights)
-    events: List[TraceEvent] = []
-    for index, (function, weight) in enumerate(zip(functions, weights)):
-        rate = total_rate_per_s * weight / total_weight
-        if rate <= 0:
-            continue
-        sub_seed = rng.randrange(2 ** 31)
-        if rng.random() < bursty_fraction:
-            arrivals = bursty_arrivals(
-                burst_rate_per_s=max(rate * 10, 1.0),
-                duration_ms=duration_ms,
-                mean_on_ms=2_000.0,
-                mean_off_ms=max(2_000.0, 20_000.0 / max(rate, 0.01)),
-                seed=sub_seed,
-            )
-        else:
-            arrivals = poisson_arrivals(rate, duration_ms, seed=sub_seed)
-        events.extend(TraceEvent(at_ms=t, function=function) for t in arrivals)
-    return sort_trace(events)
 
 
 def synthesize_fleet_workload(
@@ -162,11 +32,10 @@ def synthesize_fleet_workload(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fleet-scale trace: Zipf popularity × (diurnal ∘ bursty) arrivals.
 
-    The millions-of-requests sibling of :func:`synthesize_workload`:
-    instead of a list of :class:`TraceEvent` objects it returns two
-    parallel numpy arrays — sorted arrival times (ms, float64) and
-    function indices (int32) — so the X12 fleet study can stream a
-    ≥1M-request trace without materializing a million Python objects.
+    Returns two parallel numpy arrays — sorted arrival times (ms,
+    float64) and function indices (int32) — so the X12 fleet study can
+    stream a ≥1M-request trace without materializing a million Python
+    objects.
 
     Shape: function popularity is Zipf(``zipf_s``); a deterministic
     ``bursty_fraction`` of functions arrive as interrupted-Poisson
@@ -244,9 +113,3 @@ def synthesize_fleet_workload(
     order = np.argsort(times, kind="stable")
     return times[order], fids[order]
 
-
-def per_function_counts(events: Iterable[TraceEvent]) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for event in events:
-        counts[event.function] = counts.get(event.function, 0) + 1
-    return counts

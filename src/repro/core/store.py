@@ -143,9 +143,6 @@ class SnapshotStore:
     def quarantined_count(self) -> int:
         return len(self._quarantined)
 
-    def quarantined_keys(self) -> List[SnapshotKey]:
-        return [e.key for e in self._quarantined]
-
     def restore_count(self, key: SnapshotKey) -> int:
         entry = self._snapshots.get(key)
         return entry.restore_count if entry else 0

@@ -91,10 +91,6 @@ class HotChunkCache:
     def used_bytes(self) -> int:
         return self._used_bytes
 
-    @property
-    def resident_chunks(self) -> int:
-        return len(self._resident)
-
     def contains(self, chunk_id: str) -> bool:
         return chunk_id in self._resident
 

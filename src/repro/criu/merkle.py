@@ -89,10 +89,6 @@ class MerkleTree:
     def leaf(self, index: int) -> str:
         return self._levels[0][index]
 
-    def verify_leaf(self, index: int, digest: str) -> bool:
-        """Does ``digest`` match the sealed leaf? O(1), no hashing."""
-        return self._levels[0][index] == digest
-
     # -- incremental update --------------------------------------------------
 
     def update_leaf(self, index: int, digest: str) -> int:
@@ -183,15 +179,6 @@ class ImageMerkle:
         return None
 
     # -- verification --------------------------------------------------------
-
-    def verify_window(self, vma_index: int, window_start: int,
-                      chunk_digest: str) -> bool:
-        """Does one window's current digest match its sealed leaf?"""
-        located = self.locate(vma_index, window_start)
-        if located is None:
-            return False
-        name, pos = located
-        return self.layers[name].tree.verify_leaf(pos, chunk_digest)
 
     def reverify_subtree(self, vma_index: int, window_start: int,
                          chunk_digest: str) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,15 +168,6 @@ class LayeredImage:
     @property
     def logical_bytes(self) -> int:
         return sum(layer.logical_bytes for layer in self.layers)
-
-    @property
-    def manifest_digest(self) -> str:
-        hasher = hashlib.sha256()
-        for layer in self.layers:
-            hasher.update(layer.name.encode("utf-8"))
-            for ref in layer.chunk_refs:
-                hasher.update(ref.chunk_id.encode("utf-8"))
-        return hasher.hexdigest()
 
     def summary(self) -> str:
         parts = [
@@ -352,26 +343,6 @@ def image_chunk_count(image: CheckpointImage,
     simulated time, no RNG.
     """
     return len(image_chunk_index(image, chunk_pages))
-
-
-def _windows(vma: VMADescriptor,
-             chunk_pages: int) -> Iterable[Tuple[int, List[Tuple[int, str]]]]:
-    """Yield (window_start, [(relative index, tag), ...]) per chunk.
-
-    Reference per-page walk, kept for tests and ad-hoc callers; the
-    hot paths go through the vectorized :func:`image_windows`.
-    """
-    window_start = -1
-    pairs: List[Tuple[int, str]] = []
-    for index, tag in zip(vma.resident_indices, vma.content_tags):
-        start = (index // chunk_pages) * chunk_pages
-        if start != window_start:
-            if pairs:
-                yield window_start, pairs
-            window_start, pairs = start, []
-        pairs.append((index - start, tag))
-    if pairs:
-        yield window_start, pairs
 
 
 def _vma_layer(vma: VMADescriptor, warm_labels: frozenset) -> str:

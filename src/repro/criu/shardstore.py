@@ -19,10 +19,6 @@ use to keep restores alive through that weather:
   delivered when the home recovers;
 * **read-repair** — a fetch that observes an up-but-missing replica
   re-replicates the window on the spot;
-* **anti-entropy** — a background pass walks the per-layer Merkle
-  trees and folds repaired windows back in with
-  :meth:`ImageMerkle.reverify_subtree`, so repair hash-work stays
-  subtree-local and fully-replicated layers are skipped outright;
 * **circuit breakers** — per-node, open after K consecutive failures,
   half-open probe after a sim-clock cooldown, so a dead node stops
   costing a retry hop on every single window once the breaker learns.
@@ -40,10 +36,9 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import faults, obs
-from repro.criu.merkle import ImageMerkle
 from repro.criu.pagestore import LayeredImage
 
 # Virtual nodes per physical storage node. 64 keeps the per-node load
@@ -222,11 +217,6 @@ class DegradedRestoreReport:
         return bool(self.degraded_chunks or self.failed_chunks
                     or self.retry_hops or self.slow_ms)
 
-    @property
-    def quorum_ok(self) -> bool:
-        """Every window answered from its full home set."""
-        return not (self.degraded_chunks or self.failed_chunks)
-
     def as_attrs(self) -> Dict[str, object]:
         """Flight-event attribute form (compact, JSON-safe)."""
         return {
@@ -239,18 +229,6 @@ class DegradedRestoreReport:
             "read_repairs": self.read_repairs,
             "nodes_down": ",".join(self.nodes_down) or None,
         }
-
-
-@dataclass
-class AntiEntropyReport:
-    """Outcome of one Merkle-driven anti-entropy pass."""
-
-    images_checked: int = 0
-    layers_checked: int = 0
-    layers_skipped: int = 0         # fully replicated: root match, no work
-    windows_repaired: int = 0
-    hash_ops: int = 0               # subtree-local re-verification work
-    under_replicated: int = 0       # deficits left (home still down)
 
 
 class ShardedSnapshotStore:
@@ -293,7 +271,7 @@ class ShardedSnapshotStore:
         }
         self._placements: Dict[str, Tuple[str, ...]] = {}
         self._sizes: Dict[str, int] = {}
-        self._images: Dict[str, Tuple[LayeredImage, Optional[ImageMerkle]]] = {}
+        self._image_ids: Set[str] = set()
         self.handoffs = 0
         self.handoffs_delivered = 0
         self.read_repairs = 0
@@ -302,7 +280,7 @@ class ShardedSnapshotStore:
     # -- placement / writes ----------------------------------------------------
 
     def has_image(self, image_id: str) -> bool:
-        return image_id in self._images
+        return image_id in self._image_ids
 
     def placement(self, cid: str) -> Tuple[str, ...]:
         homes = self._placements.get(cid)
@@ -311,8 +289,7 @@ class ShardedSnapshotStore:
             self._placements[cid] = homes
         return homes
 
-    def register_image(self, layered: LayeredImage,
-                       merkle: Optional[ImageMerkle] = None) -> None:
+    def register_image(self, layered: LayeredImage) -> None:
         """Place every window of ``layered`` on its home replica set.
 
         A down home gets a hinted handoff: the window lands on the
@@ -331,7 +308,7 @@ class ShardedSnapshotStore:
                     node.holdings[cid] = ref.size_bytes
                 else:
                     self._handoff(cid, ref.size_bytes, home, homes)
-        self._images[layered.image_id] = (layered, merkle)
+        self._image_ids.add(layered.image_id)
 
     def _handoff(self, cid: str, size_bytes: int, home: str,
                  homes: Tuple[str, ...]) -> None:
@@ -356,7 +333,7 @@ class ShardedSnapshotStore:
                        home=home, carrier=name, chunk=cid[:12], node=name)
             return
         # No live node can carry the hint; the write stays
-        # under-replicated until anti-entropy finds it.
+        # under-replicated.
 
     # -- liveness --------------------------------------------------------------
 
@@ -579,62 +556,6 @@ class ShardedSnapshotStore:
         if report.retry_hops:
             obs.count(kernel, "shard_fetch_retry_hops_total",
                       value=float(report.retry_hops))
-        return report
-
-    # -- anti-entropy ----------------------------------------------------------
-
-    def anti_entropy(self) -> AntiEntropyReport:
-        """Merkle-driven repair sweep over every registered image.
-
-        A layer whose windows are all at full replication is skipped
-        with zero hash work (its sealed root still covers it). Layers
-        with deficits re-replicate each under-replicated window to its
-        up homes and fold the (unchanged) digest back through
-        :meth:`ImageMerkle.reverify_subtree`, so the accounted hash
-        work is depth-of-subtree per repaired window, never a rebuild.
-        """
-        self._refresh()
-        report = AntiEntropyReport()
-        for layered, merkle in self._images.values():
-            report.images_checked += 1
-            for layer in layered.layers:
-                if not layer.chunk_refs:
-                    continue
-                report.layers_checked += 1
-                deficits = [
-                    ref for ref in layer.chunk_refs
-                    if any(ref.chunk_id not in self.nodes[h].holdings
-                           for h in self.placement(ref.chunk_id))
-                ]
-                if not deficits:
-                    report.layers_skipped += 1
-                    continue
-                for ref in deficits:
-                    cid = ref.chunk_id
-                    repaired = False
-                    for home in self.placement(cid):
-                        node = self.nodes[home]
-                        if cid in node.holdings:
-                            continue
-                        if node.up:
-                            node.holdings[cid] = ref.size_bytes
-                            repaired = True
-                        else:
-                            report.under_replicated += 1
-                    if repaired:
-                        report.windows_repaired += 1
-                        if merkle is not None:
-                            report.hash_ops += merkle.reverify_subtree(
-                                ref.vma_index, ref.window_start, cid)
-        if report.windows_repaired or report.under_replicated:
-            obs.count(self.kernel, "shard_anti_entropy_repairs_total",
-                      value=float(report.windows_repaired))
-        obs.record(self.kernel, obs.flight.SHARD_ANTI_ENTROPY,
-                   images=report.images_checked,
-                   layers_skipped=report.layers_skipped,
-                   repaired=report.windows_repaired,
-                   hash_ops=report.hash_ops,
-                   under_replicated=report.under_replicated)
         return report
 
     # -- accounting ------------------------------------------------------------

@@ -179,9 +179,7 @@ class FunctionDeployer:
             self._snapshot_key(metadata))
         if layered is None or self.shard_store.has_image(layered.image_id):
             return
-        merkle = self.prebake_manager.store.merkle(
-            self._snapshot_key(metadata))
-        self.shard_store.register_image(layered, merkle=merkle)
+        self.shard_store.register_image(layered)
 
     def _locality_hint(self, metadata: FunctionMetadata) -> Optional[str]:
         """Preferred node for chunk locality (sharded clusters only).
@@ -386,17 +384,6 @@ class FunctionDeployer:
                           float(len(self.replicas(name))),
                           labels={"function": name})
         return reaped
-
-    def scale_down(self, function: str, count: int = 1) -> int:
-        """Terminate up to ``count`` idle replicas; return how many died."""
-        killed = 0
-        for replica in list(self.replicas(function)):
-            if killed >= count:
-                break
-            if replica.state is ReplicaState.IDLE:
-                replica.terminate()
-                killed += 1
-        return killed
 
     def terminate_all(self, function: Optional[str] = None) -> None:
         names = [function] if function else list(self._replicas)

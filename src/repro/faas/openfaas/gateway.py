@@ -76,7 +76,6 @@ class Gateway:
             prometheus = PrometheusLite(registry=registry)
         self.prometheus = prometheus
         self._services: Dict[str, DeployedService] = {}
-        self._latency: Dict[str, "LatencyDigest"] = {}
         self.prometheus.subscribe(self._on_alert)
 
     # -- deploy -------------------------------------------------------------------
@@ -156,52 +155,10 @@ class Gateway:
             else:
                 replica = replicas[0]
             response = replica.watchdog.forward(request)
-        self._record_latency(service, response.service_ms)
         self.prometheus.observe("gateway_service_duration_ms",
                                 response.service_ms,
                                 labels={"function": service})
         return response
-
-    def _record_latency(self, service: str, service_ms: float) -> None:
-        from repro.bench.digest import LatencyDigest
-        digest = self._latency.get(service)
-        if digest is None:
-            digest = LatencyDigest()
-            self._latency[service] = digest
-        digest.observe(service_ms)
-
-    def latency_summary(self, service: str) -> Dict[str, float]:
-        """Streaming latency percentiles for one service (P² digest)."""
-        digest = self._latency.get(service)
-        if digest is None:
-            raise GatewayError(f"no latency recorded for {service!r}")
-        return digest.summary()
-
-    def invoke_http(self, service: str, wire: bytes) -> bytes:
-        """Wire-level entry point: HTTP request bytes in, response out.
-
-        Malformed requests produce proper HTTP error responses instead
-        of exceptions — this is the gateway's public surface.
-        """
-        from repro.faas.http import (
-            HttpError,
-            HttpResponse,
-            compose_response,
-            from_runtime_response,
-            parse_request,
-            to_runtime_request,
-        )
-        try:
-            http_request = parse_request(wire)
-        except HttpError as exc:
-            return compose_response(HttpResponse(
-                status=exc.status, body=str(exc).encode("utf-8")))
-        try:
-            response = self.invoke(service, to_runtime_request(http_request))
-        except GatewayError as exc:
-            return compose_response(HttpResponse(
-                status=404, body=str(exc).encode("utf-8")))
-        return compose_response(from_runtime_response(response))
 
     # -- scale ----------------------------------------------------------------------
 

@@ -64,16 +64,6 @@ class ImageRepository:
             node_cache.update(l.blob_digest for l in image.layers)
         return image
 
-    def pull_bytes(self, reference: str,
-                   node_cache: Optional[Set[str]] = None) -> int:
-        """Bytes a pull of ``reference`` would transfer for this cache."""
-        image = self._images.get(reference)
-        if image is None:
-            raise ImageNotFound(f"no image {reference!r}")
-        cache = node_cache or set()
-        return sum(l.size_bytes for l in image.layers
-                   if l.blob_digest not in cache)
-
     def contains(self, reference: str) -> bool:
         return reference in self._images
 
@@ -97,7 +87,3 @@ class ImageRepository:
     def dedup_ratio(self) -> float:
         physical = self.physical_bytes
         return self.total_bytes / physical if physical else 1.0
-
-    @property
-    def blob_count(self) -> int:
-        return len(self._blobs)

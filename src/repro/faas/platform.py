@@ -118,6 +118,9 @@ class FaaSPlatform:
         if cache_policy not in CACHE_OFF + POLICIES:
             raise ValueError(f"unknown cache policy {cache_policy!r}; "
                              f"known: {POLICIES}")
+        if max_replicas < 1:
+            raise ValueError("max_replicas must be at least 1, "
+                             f"got {max_replicas}")
         sample = app_factory()
         version = 1
         if self.registry.contains(sample.name):
@@ -160,8 +163,7 @@ class FaaSPlatform:
             )
             layered = self.prebake_manager.store.layered(key)
             if layered is not None:
-                self.shard_store.register_image(
-                    layered, merkle=self.prebake_manager.store.merkle(key))
+                self.shard_store.register_image(layered)
         return result
 
     # -- data path ----------------------------------------------------------------------

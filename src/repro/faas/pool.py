@@ -38,11 +38,6 @@ class PoolStats:
     idle_mib_ms: float = 0.0     # memory-time integral of idle instances
     wasted_warm_ms: float = 0.0  # wall-time integral of idle instances
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class WarmPool:
     """Keeps up to ``size`` pre-started idle replicas of one function.
@@ -193,11 +188,6 @@ class WarmPool:
     @property
     def idle_count(self) -> int:
         return len(self._idle)
-
-    @property
-    def idle_mib(self) -> float:
-        """Memory currently held by idle pool instances."""
-        return sum(h.process.rss_mib for h, _ in self._idle)
 
     def snapshot_idle_cost(self) -> float:
         """Flush per-replica accounting; return the MiB·ms integral."""

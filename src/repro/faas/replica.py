@@ -43,14 +43,6 @@ def next_replica_id(kernel) -> int:
     return next(counter)
 
 
-def reset_replica_ids(kernel=None) -> None:
-    """Restart numbering for one kernel (or every tracked kernel)."""
-    if kernel is None:
-        _replica_counters.clear()
-    else:
-        _replica_counters.pop(kernel, None)
-
-
 class FunctionReplica:
     """Wraps a started replica with platform-level lifecycle state."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 class ResourceError(Exception):
@@ -93,11 +93,6 @@ class ResourceManager:
     def __init__(self, nodes: Optional[List[ComputeNode]] = None) -> None:
         self.nodes: List[ComputeNode] = nodes or [ComputeNode(name="node-0")]
 
-    def add_node(self, node: ComputeNode) -> None:
-        if any(n.name == node.name for n in self.nodes):
-            raise ResourceError(f"duplicate node name {node.name!r}")
-        self.nodes.append(node)
-
     def place(self, function: str, memory_mib: float,
               privileged: bool = False,
               prefer: Optional[str] = None) -> Allocation:
@@ -128,7 +123,3 @@ class ResourceManager:
     @property
     def total_free_mib(self) -> float:
         return sum(n.free_mib for n in self.nodes)
-
-    def utilization(self) -> Dict[str, float]:
-        return {n.name: (n.used_mib / n.memory_mib if n.memory_mib else 0.0)
-                for n in self.nodes}

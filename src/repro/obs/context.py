@@ -28,7 +28,3 @@ class TraceContext:
 
     trace_id: str
     span_id: Optional[int] = None
-
-    def child_of(self, span_id: int) -> "TraceContext":
-        """The context a span hands to work it causes."""
-        return TraceContext(trace_id=self.trace_id, span_id=span_id)

@@ -70,7 +70,6 @@ SHARD_NODE_UP = "shard.node-up"              # a storage node recovered
 SHARD_HANDOFF = "shard.handoff"              # hinted handoff (write or delivery)
 SHARD_READ_REPAIR = "shard.read-repair"      # under-replicated window re-replicated
 SHARD_BREAKER = "shard.breaker"              # circuit breaker state change
-SHARD_ANTI_ENTROPY = "shard.anti-entropy"    # Merkle-driven repair pass summary
 PREWARM_PREFETCH = "prewarm.prefetch"        # predictive chunk prefetch summary
 
 EVENT_KINDS = (
@@ -80,8 +79,7 @@ EVENT_KINDS = (
     RESTORE_FALLBACK, SNAPSHOT_QUARANTINED, SNAPSHOT_REPAIRED,
     CACHE_LOOKUP, FAULT_INJECTED, AUTOSCALER_ACTION, DEPLOY, ANOMALY,
     METRIC_SAMPLE, RESTORE_DEGRADED, SHARD_NODE_DOWN, SHARD_NODE_UP,
-    SHARD_HANDOFF, SHARD_READ_REPAIR, SHARD_BREAKER, SHARD_ANTI_ENTROPY,
-    PREWARM_PREFETCH,
+    SHARD_HANDOFF, SHARD_READ_REPAIR, SHARD_BREAKER, PREWARM_PREFETCH,
 )
 
 

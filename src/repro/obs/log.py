@@ -38,13 +38,6 @@ def set_trace_provider(
     _trace_provider = provider
 
 
-def active_trace_id() -> Optional[str]:
-    """The trace id log lines would be stamped with right now."""
-    if _trace_provider is None:
-        return None
-    return _trace_provider()
-
-
 @contextlib.contextmanager
 def bound_trace_provider(
         provider: Optional[Callable[[], Optional[str]]]) -> Iterator[None]:

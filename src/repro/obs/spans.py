@@ -13,7 +13,7 @@ un-observed world pays one attribute load per instrumentation point.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.context import TraceContext
 
@@ -237,7 +237,3 @@ class Tracer:
         survive — the trace continues into the next drain window)."""
         drained, self.spans = self.spans, []
         return drained
-
-    def iter_dicts(self) -> Iterator[Dict[str, object]]:
-        for span in self.spans:
-            yield span.as_dict()

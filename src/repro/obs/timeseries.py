@@ -96,10 +96,6 @@ class WindowedSeries:
     def samples(self) -> List[Tuple[float, float]]:
         return list(self._samples)
 
-    def values_between(self, start_ms: float, end_ms: float) -> List[float]:
-        """Sample values with ``start_ms <= t < end_ms`` (time order)."""
-        return [v for t, v in self._samples if start_ms <= t < end_ms]
-
     def windows(self, window_ms: float, t0: float = 0.0) -> List[WindowStat]:
         """Roll the buffered samples into fixed windows of ``window_ms``.
 

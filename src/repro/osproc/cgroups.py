@@ -74,10 +74,6 @@ class MemoryCgroup:
         self.peak_mib = max(self.peak_mib, usage)
         return usage
 
-    @property
-    def over_limit(self) -> bool:
-        return self.limit_mib is not None and self.usage_mib > self.limit_mib
-
     # -- enforcement -------------------------------------------------------------------
 
     def enforce(self) -> List[OomEvent]:

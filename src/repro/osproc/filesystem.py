@@ -40,7 +40,6 @@ class FileDescriptor:
     file: VirtualFile
     offset: int = 0
     flags: str = "r"
-    closed: bool = False
 
 
 class FileSystem:

@@ -298,17 +298,6 @@ class Kernel:
         """``/proc/<pid>/pagemap``: every resident page, address order."""
         return self.get(pid).address_space.iter_resident()
 
-    def proc_maps(self, pid: int) -> List[str]:
-        """``/proc/<pid>/maps``-style summary lines."""
-        lines = []
-        for vma in self.get(pid).address_space.vmas:
-            backing = vma.file_path or ("[stack]" if vma.kind is VMAKind.STACK else "[anon]")
-            lines.append(
-                f"{vma.start:012x}-{vma.end:012x} {vma.prot}p "
-                f"{vma.kind.value:<10} {backing} rss={vma.resident_pages}p"
-            )
-        return lines
-
     def clear_refs(self, pid: int) -> None:
         """``/proc/<pid>/clear_refs`` = 4: reset soft-dirty (pre-dump)."""
         self.get(pid).address_space.clear_soft_dirty()

@@ -137,11 +137,6 @@ class Page:
     dirty: bool = False
     soft_dirty: bool = False
 
-    @property
-    def content_key(self) -> str:
-        """Content-addressed identity (see :func:`page_content_key`)."""
-        return page_content_key(self.content_tag)
-
 
 class _VMABase:
     """Geometry, validation and derived properties shared by both backends."""

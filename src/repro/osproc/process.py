@@ -85,15 +85,6 @@ class Process:
         # Arbitrary per-process payload (the runtime object lives here).
         self.payload: Dict[str, object] = {}
 
-    # -- threads -------------------------------------------------------------
-
-    def spawn_thread(self, name: str = "") -> Thread:
-        if self.state is not ProcessState.RUNNING:
-            raise RuntimeError(f"cannot spawn thread in state {self.state}")
-        thread = Thread.fresh(name=name or self.comm)
-        self.threads.append(thread)
-        return thread
-
     @property
     def alive(self) -> bool:
         return self.state in (
@@ -111,14 +102,8 @@ class Process:
         self._next_fd += 1
         return fd
 
-    def close_fd(self, fd: int) -> None:
-        entry = self.fds.pop(fd, None)
-        if entry is None:
-            raise KeyError(f"pid {self.pid} has no fd {fd}")
-        entry.closed = True
-
     def open_files(self) -> List[FileDescriptor]:
-        return [d for d in self.fds.values() if not d.closed]
+        return list(self.fds.values())
 
     # -- bookkeeping ---------------------------------------------------------
 

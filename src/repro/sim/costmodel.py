@@ -265,10 +265,6 @@ class PipelinePlan:
     def pipelined(self) -> bool:
         return self.workers > 1
 
-    @property
-    def overlap_saved_ms(self) -> float:
-        return self.serial_ms - self.total_ms
-
 
 DEFAULT_COST_MODEL = CostModel()
 

@@ -152,19 +152,6 @@ class Simulation:
             self.events_dispatched += dispatched
         raise RuntimeError(f"simulation exceeded {max_events} events; likely a livelock")
 
-    def run_until(self, t: float, max_events: int = 10_000_000) -> None:
-        """Run events with time <= ``t``; the clock ends at ``t``."""
-        peek_time = self.queue.peek_time
-        for _ in range(max_events):
-            nxt = peek_time()
-            if nxt is None or nxt > t:
-                break
-            self.step()
-        else:
-            raise RuntimeError(f"simulation exceeded {max_events} events; likely a livelock")
-        if t > self.clock.now:
-            self.clock.set_time(t)
-
     def run_process(self, gen: SimGenerator, name: str = "") -> Any:
         """Spawn ``gen``, run the simulation until it finishes, return its result."""
         process = self.spawn(gen, name=name)

@@ -110,14 +110,6 @@ class EventQueue:
             self._cancelled -= 1
         return None
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None``."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        return heap[0].time if heap else None
-
     def _note_cancel(self) -> None:
         """Account a cancellation; compact when tombstones dominate."""
         self._live -= 1

@@ -18,7 +18,6 @@ FAST_EXAMPLES = [
     ("quickstart.py", []),
     ("openfaas_demo.py", []),
     ("warmup_study.py", ["3"]),
-    ("migration_demo.py", []),
 ]
 
 
@@ -52,5 +51,5 @@ class TestExamples:
     def test_all_examples_present(self):
         names = {p.name for p in EXAMPLES_DIR.glob("*.py")}
         assert {"quickstart.py", "warmup_study.py", "openfaas_demo.py",
-                "workload_study.py", "migration_demo.py",
-                "bake_farm_demo.py", "real_process_demo.py"} <= names
+                "workload_study.py", "bake_farm_demo.py",
+                "real_process_demo.py"} <= names

@@ -1,15 +1,10 @@
-"""Tests for the Function Builder, gateway HTTP endpoint, faas-cli
-list/describe, and the Hodges–Lehmann estimator."""
-
-import random
+"""Tests for the Function Builder and faas-cli list/describe."""
 
 import pytest
 
-from repro.bench.stats import hodges_lehmann, median
 from repro.core.bake import Prebaker
 from repro.core.policy import AfterWarmup
 from repro.faas.builder import FunctionBuilder
-from repro.faas.http import parse_response
 from repro.faas.openfaas.stack import make_openfaas_stack
 from repro.faas.registry import FunctionMetadata
 from repro.functions import MarkdownFunction, NoopFunction
@@ -57,32 +52,6 @@ class TestFunctionBuilder:
         assert result.build_duration_ms > 100.0
 
 
-class TestGatewayHttp:
-    @pytest.fixture
-    def stack(self, kernel):
-        stack = make_openfaas_stack(kernel)
-        stack.cli.new("md", "java8-criu", MarkdownFunction)
-        stack.cli.up("md")
-        return stack
-
-    def test_http_roundtrip(self, stack):
-        wire = (b"POST /function/md HTTP/1.1\r\n"
-                b"Content-Length: 8\r\n\r\n**bold**")
-        out = stack.gateway.invoke_http("md", wire)
-        response = parse_response(out)
-        assert response.status == 200
-        assert b"<strong>bold</strong>" in response.body
-
-    def test_malformed_request_becomes_400(self, stack):
-        out = stack.gateway.invoke_http("md", b"NOT HTTP AT ALL")
-        assert parse_response(out).status == 400
-
-    def test_unknown_service_becomes_404(self, stack):
-        wire = b"GET / HTTP/1.1\r\n\r\n"
-        out = stack.gateway.invoke_http("ghost", wire)
-        assert parse_response(out).status == 404
-
-
 class TestFaasCliListDescribe:
     def test_list_empty(self, kernel):
         stack = make_openfaas_stack(kernel)
@@ -118,31 +87,3 @@ class TestFaasCliListDescribe:
         stack.cli.build("md")
         info = stack.cli.describe("md")
         assert "markdown@v1" in info["snapshot_key"]
-
-
-class TestHodgesLehmann:
-    def test_matches_brute_force_median_of_diffs(self):
-        a = [1.0, 5.0, 9.0]
-        b = [2.0, 3.0]
-        expected = median([x - y for x in a for y in b])
-        assert hodges_lehmann(a, b) == expected
-
-    def test_pure_shift_recovered(self):
-        rng = random.Random(3)
-        base = [rng.gauss(50, 4) for _ in range(80)]
-        shifted = [x + 7.5 for x in base]
-        assert hodges_lehmann(shifted, base) == pytest.approx(7.5, abs=0.01)
-
-    def test_noop_paper_difference(self):
-        """The paper's NOOP median difference is ≈ [40.35, 42.29] ms."""
-        from repro.bench.harness import run_startup_experiment
-        vanilla = run_startup_experiment("noop", "vanilla",
-                                         repetitions=25, seed=13)
-        prebake = run_startup_experiment("noop", "prebake",
-                                         repetitions=25, seed=13)
-        shift = hodges_lehmann(vanilla.values, prebake.values)
-        assert shift == pytest.approx(41.3, abs=2.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            hodges_lehmann([], [1.0])

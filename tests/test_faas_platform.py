@@ -16,7 +16,7 @@ from repro.faas import (
     ResourceManager,
 )
 from repro import make_world, obs
-from repro.faas.replica import ReplicaState, next_replica_id, reset_replica_ids
+from repro.faas.replica import ReplicaState, next_replica_id
 from repro.functions import MarkdownFunction, NoopFunction
 from repro.runtime.base import Request
 
@@ -94,17 +94,6 @@ class TestResources:
         manager = ResourceManager(nodes=[ComputeNode(name="n", memory_mib=64)])
         with pytest.raises(ResourceError, match="no node"):
             manager.place("fn", 1000.0)
-
-    def test_duplicate_node_name_rejected(self):
-        manager = ResourceManager()
-        with pytest.raises(ResourceError, match="duplicate"):
-            manager.add_node(ComputeNode(name="node-0"))
-
-    def test_utilization(self):
-        node = ComputeNode(name="n", memory_mib=100)
-        manager = ResourceManager(nodes=[node])
-        manager.place("fn", 25.0)
-        assert manager.utilization()["n"] == pytest.approx(0.25)
 
 
 @pytest.fixture
@@ -219,6 +208,26 @@ class TestPlatformFlow:
         assert record.total_ms >= record.service_ms
 
 
+class TestMaxReplicasValidation:
+    @pytest.mark.parametrize("max_replicas", [0, -1])
+    def test_non_positive_cap_rejected_before_baking(self, platform,
+                                                     max_replicas):
+        # A cap below one used to register and bake fine, then every
+        # invoke queued until RequestTimeout: no replica could start.
+        with pytest.raises(ValueError, match="max_replicas"):
+            platform.register_function(NoopFunction,
+                                       start_technique="prebake",
+                                       max_replicas=max_replicas)
+        assert not platform.registry.contains("noop")
+        with pytest.raises(KeyError, match="never deployed"):
+            platform.prebake_manager.current_version("noop")
+
+    def test_cap_of_one_serves(self, platform):
+        platform.register_function(NoopFunction, start_technique="prebake",
+                                   max_replicas=1)
+        assert platform.invoke("noop").ok
+
+
 class TestCachePolicyValidation:
     def test_unknown_policy_rejected_before_baking(self, platform):
         # An unknown policy used to register and bake fine, then fail
@@ -262,19 +271,3 @@ class TestReplicaIds:
         assert next_replica_id(k1) == 1
         assert next_replica_id(k1) == 2
         assert next_replica_id(k2) == 1  # unaffected by k1's allocations
-
-    def test_reset_restarts_one_world(self):
-        kernel = make_world(seed=1).kernel
-        next_replica_id(kernel)
-        next_replica_id(kernel)
-        reset_replica_ids(kernel)
-        assert next_replica_id(kernel) == 1
-
-    def test_reset_all_worlds(self):
-        k1 = make_world(seed=1).kernel
-        k2 = make_world(seed=2).kernel
-        next_replica_id(k1)
-        next_replica_id(k2)
-        reset_replica_ids()
-        assert next_replica_id(k1) == 1
-        assert next_replica_id(k2) == 1

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro import faults, make_world, obs
 from repro.core.manager import PrebakeManager
 from repro.faas.platform import FaaSPlatform, PlatformConfig
+from repro.faas.replica import ReplicaState
 from repro.faults import (
     CapacityExhausted,
     FaultPlan,
@@ -206,7 +207,10 @@ class TestRouterResilience:
         platform = FaaSPlatform(world.kernel, PlatformConfig(
             requeue_backoff_ms=10.0, request_timeout_ms=50.0))
         platform.register_function(lambda: make_app("noop"),
-                                   max_replicas=0)
+                                   max_replicas=1)
+        # The only slot is held by an in-flight request for the whole
+        # wait, so every dispatch try finds the function at its cap.
+        platform.deployer.provision("noop").state = ReplicaState.BUSY
         with pytest.raises(RequestTimeout):
             platform.invoke("noop")
         metrics = world.kernel.obs.metrics

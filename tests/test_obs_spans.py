@@ -108,12 +108,6 @@ class TestTracer:
         tracer.finish(keep_open)
         assert [s.name for s in tracer.spans] == ["b"]
 
-    def test_iter_dicts_matches_spans(self, tracer):
-        with tracer.span("x", k=1):
-            pass
-        (record,) = list(tracer.iter_dicts())
-        assert record == tracer.spans[0].as_dict()
-
 
 class TestKernelHelpers:
     def test_unobserved_world_is_a_noop(self):

@@ -58,12 +58,6 @@ class TestWindowedSeries:
         assert series.total_samples == 10
         assert [v for _, v in series.samples()] == [7.0, 8.0, 9.0]
 
-    def test_values_between_is_half_open(self):
-        series = WindowedSeries("latency_ms")
-        series.record(100.0, 1.0)
-        series.record(200.0, 2.0)
-        assert series.values_between(100.0, 200.0) == [1.0]
-
 
 class TestTimeseriesTable:
     def test_helpers_feed_the_table(self):

@@ -213,14 +213,6 @@ class TestProcfs:
         pages = list(kernel.pagemap(child.pid))
         assert len(pages) == 256  # 1 MiB of 4 KiB pages
 
-    def test_proc_maps_format(self, kernel):
-        child = kernel.clone(kernel.init_process)
-        child.address_space.grow_anon("heap", 0.1)
-        lines = kernel.proc_maps(child.pid)
-        assert len(lines) == 1
-        assert "anon" in lines[0]
-        assert "rss=26p" in lines[0]
-
     def test_clear_refs(self, kernel):
         child = kernel.clone(kernel.init_process)
         vma = child.address_space.grow_anon("heap", 0.01)

@@ -28,11 +28,6 @@ class TestStudyResultMath:
     def test_latency_empty(self):
         assert StudyResult("x", 0, 0).latency_p(0.99) == 0.0
 
-    def test_idle_gib_hours_conversion(self):
-        # 1024 MiB held for one hour = 1 GiB·hour.
-        result = self._result([], idle=1024.0 * 3_600_000.0)
-        assert result.idle_gib_hours == pytest.approx(1.0)
-
 
 class TestIdleAccounting:
     def test_idle_memory_grows_with_quiet_time(self):

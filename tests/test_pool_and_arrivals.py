@@ -59,13 +59,6 @@ class TestWarmPool:
         assert response.ok
         assert pool.idle_count == 2
 
-    def test_hit_rate(self, pool):
-        pool.refill()
-        pool.take()
-        pool.take()
-        pool.take()  # third is a miss
-        assert pool.stats.hit_rate == pytest.approx(2 / 3)
-
     def test_idle_cost_accrues_over_time(self, pool, kernel):
         pool.refill()
         kernel.clock.advance(1000.0)

@@ -1,8 +1,8 @@
 """Tests for the sharded, replicated snapshot store (ISSUE 7).
 
 Covers the hash ring, the circuit breaker, the quorum / hinted-handoff
-/ read-repair / anti-entropy protocol, the degraded-mode restore
-ladder through the platform, the RF=1 byte-identity guarantee, the X10
+/ read-repair protocol, the degraded-mode restore ladder through the
+platform, the RF=1 byte-identity guarantee, the X10
 shard-chaos experiment, and the satellite items (eviction counter
 export, ghost-history promotion, ``FaultPlan.of`` typo rejection).
 """
@@ -104,14 +104,14 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# Placement, quorum fetch, handoff, read-repair, anti-entropy
+# Placement, quorum fetch, handoff, read-repair
 # ---------------------------------------------------------------------------
 
 
 def _baked_layered(kernel, name="markdown"):
     store = SnapshotStore()
     report = Prebaker(kernel, store).bake(make_app(name), policy=AfterReady())
-    return store.layered(report.key), store.merkle(report.key)
+    return store.layered(report.key)
 
 
 class TestShardedSnapshotStore:
@@ -122,7 +122,7 @@ class TestShardedSnapshotStore:
             ShardedSnapshotStore(kernel, node_count=3, replication_factor=0)
 
     def test_register_places_rf_copies_on_every_window(self, kernel):
-        layered, _ = _baked_layered(kernel)
+        layered = _baked_layered(kernel)
         store = ShardedSnapshotStore(kernel, node_count=5,
                                      replication_factor=2)
         store.register_image(layered)
@@ -131,7 +131,7 @@ class TestShardedSnapshotStore:
             assert store.replica_count(ref.chunk_id) == 2
 
     def test_placement_spreads_over_all_nodes(self, kernel):
-        layered, _ = _baked_layered(kernel)
+        layered = _baked_layered(kernel)
         store = ShardedSnapshotStore(kernel, node_count=5,
                                      replication_factor=1)
         store.register_image(layered)
@@ -146,7 +146,7 @@ class TestShardedSnapshotStore:
         assert sum(balance.values()) == sum(distinct.values())
 
     def test_quorum_fetch_survives_one_down_replica(self, kernel):
-        layered, _ = _baked_layered(kernel)
+        layered = _baked_layered(kernel)
         store = ShardedSnapshotStore(kernel, node_count=5,
                                      replication_factor=2)
         store.register_image(layered)
@@ -160,7 +160,7 @@ class TestShardedSnapshotStore:
         assert result.degraded
 
     def test_rf1_fetch_fails_when_the_only_home_is_down(self, kernel):
-        layered, _ = _baked_layered(kernel)
+        layered = _baked_layered(kernel)
         store = ShardedSnapshotStore(kernel, node_count=3,
                                      replication_factor=1)
         store.register_image(layered)
@@ -172,7 +172,7 @@ class TestShardedSnapshotStore:
         assert result.retry_hops == 1
 
     def test_breaker_stops_charging_hops_for_a_dead_node(self, kernel):
-        layered, _ = _baked_layered(kernel)
+        layered = _baked_layered(kernel)
         store = ShardedSnapshotStore(kernel, node_count=3,
                                      replication_factor=1,
                                      breaker_threshold=3,
@@ -193,7 +193,7 @@ class TestShardedSnapshotStore:
         assert store.breakers[home].state == BREAKER_OPEN
 
     def test_hinted_handoff_delivers_on_recovery(self, kernel):
-        layered, _ = _baked_layered(kernel)
+        layered = _baked_layered(kernel)
         probe = ShardedSnapshotStore(kernel, node_count=4,
                                      replication_factor=1)
         ref = layered.chunk_refs[0]
@@ -215,7 +215,7 @@ class TestShardedSnapshotStore:
         assert store.fetch_window(ref.chunk_id, ref.size_bytes).found
 
     def test_read_repair_refills_an_up_but_missing_replica(self, kernel):
-        layered, _ = _baked_layered(kernel)
+        layered = _baked_layered(kernel)
         store = ShardedSnapshotStore(kernel, node_count=5,
                                      replication_factor=2)
         store.register_image(layered)
@@ -227,38 +227,6 @@ class TestShardedSnapshotStore:
         assert result.read_repaired == 1
         assert ref.chunk_id in store.nodes[homes[0]].holdings
         assert store.replica_count(ref.chunk_id) == 2
-
-    def test_anti_entropy_repairs_with_subtree_local_hash_work(self, kernel):
-        layered, merkle = _baked_layered(kernel)
-        store = ShardedSnapshotStore(kernel, node_count=5,
-                                     replication_factor=2)
-        store.register_image(layered, merkle=merkle)
-        clean = store.anti_entropy()
-        assert clean.windows_repaired == 0
-        assert clean.hash_ops == 0             # fully replicated: no work
-        assert clean.layers_skipped == clean.layers_checked
-        ref = layered.chunk_refs[0]
-        homes = store.placement(ref.chunk_id)
-        del store.nodes[homes[0]].holdings[ref.chunk_id]
-        repair = store.anti_entropy()
-        assert repair.windows_repaired == 1
-        assert repair.hash_ops > 0
-        assert repair.layers_skipped < repair.layers_checked
-        assert store.replica_count(ref.chunk_id) == 2
-        assert merkle.root_matches_seal()      # digest unchanged by repair
-
-    def test_anti_entropy_counts_deficits_it_cannot_repair(self, kernel):
-        layered, merkle = _baked_layered(kernel)
-        store = ShardedSnapshotStore(kernel, node_count=5,
-                                     replication_factor=2)
-        store.register_image(layered, merkle=merkle)
-        ref = layered.chunk_refs[0]
-        homes = store.placement(ref.chunk_id)
-        del store.nodes[homes[0]].holdings[ref.chunk_id]
-        store.fail_node(homes[0], down_for_ms=600_000.0)
-        report = store.anti_entropy()
-        assert report.under_replicated >= 1
-        assert ref.chunk_id not in store.nodes[homes[0]].holdings
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +288,7 @@ class TestDegradedRestores:
             if sharded:
                 shard_store = ShardedSnapshotStore(kernel, node_count=1,
                                                    replication_factor=1)
-                shard_store.register_image(store.layered(report.key),
-                                           merkle=store.merkle(report.key))
+                shard_store.register_image(store.layered(report.key))
             starter = PrebakeStarter(kernel, store, policy=AfterReady(),
                                      shard_store=shard_store)
             sequences.append([

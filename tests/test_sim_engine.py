@@ -20,15 +20,6 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(9.0, lambda: None)
 
-    def test_run_until_stops_at_time(self):
-        sim = Simulation()
-        fired = []
-        sim.schedule_in(1.0, lambda: fired.append(1))
-        sim.schedule_in(10.0, lambda: fired.append(10))
-        sim.run_until(5.0)
-        assert fired == [1]
-        assert sim.now == 5.0
-
     def test_step_returns_false_when_empty(self):
         assert Simulation().step() is False
 

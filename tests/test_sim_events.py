@@ -45,16 +45,6 @@ class TestEventQueue:
         assert len(queue) == 1
         assert keep.cancelled is False
 
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(4.0, lambda: None)
-        first.cancel()
-        assert queue.peek_time() == 4.0
-
-    def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None
-
 
 class TestSignal:
     def test_fire_wakes_all_waiters(self):
