@@ -2,8 +2,8 @@
 
 * :mod:`repro.bench.stats` — bootstrap median CIs [6], Shapiro–Wilk
   normality [24], Wilcoxon–Mann–Whitney median comparison, ECDFs;
-* :mod:`repro.bench.tracer` — bpftrace-style phase measurement
-  (CLONE/EXEC/RTS/APPINIT, §4.2.1);
+* :mod:`repro.bench.profile` — bpftrace-style phase measurement
+  (CLONE/EXEC/RTS/APPINIT, §4.2.1) from the kernel probes;
 * :mod:`repro.bench.workload` — the load generator (hold the first
   request until ready, then constant-rate sequential load, §4.1);
 * :mod:`repro.bench.harness` — the 200-repetition factorial runner;
@@ -19,7 +19,6 @@ from repro.bench.stats import (
     median_difference_ci,
     shapiro_wilk,
 )
-from repro.bench.tracer import PhaseBreakdown, PhaseTracer
 from repro.bench.workload import LoadGenerator, LoadResult
 from repro.bench.harness import (
     StartupSample,
@@ -36,8 +35,6 @@ __all__ = [
     "median",
     "median_difference_ci",
     "shapiro_wilk",
-    "PhaseBreakdown",
-    "PhaseTracer",
     "LoadGenerator",
     "LoadResult",
     "StartupSample",

@@ -193,7 +193,7 @@ def figure4(repetitions: int = 200, seed: int = 42,
             result.cells.append(Fig4Cell(
                 function=name,
                 technique=technique,
-                phases=summary.phase_medians().as_dict(),
+                phases=summary.phase_medians(),
             ))
     if trace_path is not None:
         write_trace_jsonl(trace_path, trace_sink)

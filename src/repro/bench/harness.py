@@ -21,13 +21,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import make_world, obs
 from repro.obs.log import bound_trace_provider
+from repro.bench.profile import profiled_start
 from repro.bench.stats import ConfidenceInterval, bootstrap_median_ci, median
-from repro.bench.tracer import PhaseBreakdown, PhaseTracer
 from repro.bench.workload import LoadGenerator
 from repro.core.manager import PrebakeManager
 from repro.core.policy import AfterReady, SnapshotPolicy
 from repro.criu.restore import RestoreMode
 from repro.functions.base import FunctionApp, make_app
+from repro.obs.profile import STARTUP_PHASES, fold
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.rng import _derive_seed
 
@@ -47,7 +48,8 @@ class StartupSample:
     repetition: int
     startup_ms: float
     snapshot_mib: float = 0.0
-    phases: Optional[PhaseBreakdown] = None
+    # obs.profile.fold of the start window, when phases were traced.
+    phases: Optional[Dict[str, float]] = None
 
 
 @dataclass
@@ -71,16 +73,13 @@ class StartupSummary:
     def ci(self, confidence: float = 0.95, seed: int = 0) -> ConfidenceInterval:
         return bootstrap_median_ci(self.values, confidence=confidence, seed=seed)
 
-    def phase_medians(self) -> PhaseBreakdown:
+    def phase_medians(self) -> Dict[str, float]:
+        """Median CLONE/EXEC/RTS/APPINIT over the traced repetitions."""
         phased = [s.phases for s in self.samples if s.phases is not None]
         if not phased:
             raise ValueError("experiment did not trace phases")
-        return PhaseBreakdown(
-            clone_ms=median([p.clone_ms for p in phased]),
-            exec_ms=median([p.exec_ms for p in phased]),
-            rts_ms=median([p.rts_ms for p in phased]),
-            appinit_ms=median([p.appinit_ms for p in phased]),
-        )
+        return {phase: median([p[phase] for p in phased])
+                for phase in STARTUP_PHASES}
 
 
 def _startup_repetition(
@@ -125,20 +124,23 @@ def _startup_repetition(
         if technique == "prebake":
             report = manager.deploy(app, policy=policy)
             snapshot_mib = report.snapshot_mib
-        tracer = PhaseTracer(kernel) if trace_phases else None
         starter = manager.starter(
             technique, policy=policy, restore_mode=restore_mode,
             in_memory=in_memory,
             version=(manager.current_version(app.name)
                      if technique == "prebake" else 1),
         )
-        if tracer:
-            tracer.start_episode()
-        handle = starter.start(app)
+        phases = None
+        if trace_phases:
+            # The paper's bpftrace method: phases are measured from the
+            # kernel probes over the ready window, and must sum to it.
+            handle, run = profiled_start(kernel, starter, app, technique,
+                                         rep)
+            phases = fold(run.samples)
+        else:
+            handle = starter.start(app)
         if resolved_metric == "first_response":
             handle.invoke()
-        if tracer:
-            tracer.stop_episode()
         if trace_sink is not None and resolved_metric != "first_response":
             # The measured episode is over (startup_ms derives from
             # the recorded spawn/ready stamps); drive one request so
@@ -148,7 +150,7 @@ def _startup_repetition(
         repetition=rep,
         startup_ms=handle.startup_ms(resolved_metric),
         snapshot_mib=snapshot_mib,
-        phases=tracer.breakdown() if tracer else None,
+        phases=phases,
     )
     if trace_sink is not None:
         # Tracer self-check: a clean episode leaves no span open.

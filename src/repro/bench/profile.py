@@ -1,17 +1,21 @@
 """Phase-profile experiment: Figure 4's question, answered per request.
 
-Runs instrumented start-up episodes for both techniques with the
-:mod:`repro.obs.profile` profiler installed, checks the accounting
-invariant (the four top-level phases sum to the measured start-up
-time, restore sub-phases partition the restore charge), and renders
+Runs start-up episodes for both techniques with the
+:mod:`repro.obs.profile` profiler subscribed to the kernel probes,
+checks the accounting invariant (the four top-level phases sum to the
+measured start-up time, restore sub-phases partition the restore
+charge), and renders
 
 * a folded-stack flamegraph (``technique;function;PHASE[;sub] <µs>``,
   the format ``flamegraph.pl``/speedscope ingest directly), and
 * a per-technique critical-path table in the paper's CLONE / EXEC /
   RTS / APPINIT taxonomy, restore sub-phases indented under APPINIT.
 
-The profiler is installed *after* deploy/bake so samples cover only
-the measured episode — the same window ``startup_ms`` measures.
+:func:`profiled_start` is the one measured start: the profiler is
+installed *after* deploy/bake and detached at ready, so samples cover
+exactly the window ``startup_ms("ready")`` measures. The Figure 4
+harness (:mod:`repro.bench.harness`) measures its phases through it
+too.
 """
 
 from __future__ import annotations
@@ -19,13 +23,14 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro import make_world
 from repro.bench.report import format_table
 from repro.bench.stats import median
 from repro.core.manager import PrebakeManager
 from repro.core.policy import AfterReady, SnapshotPolicy
+from repro.core.starters import ReplicaHandle
 from repro.criu.restore import RestoreMode
 from repro.functions.base import make_app
 from repro.obs import profile as prof
@@ -52,14 +57,6 @@ class ProfileRun:
     rep: int
     startup_ms: float
     samples: List[PhaseSample] = field(default_factory=list)
-
-    def phase_totals(self) -> Dict[str, float]:
-        """Figure-4 accounting: restore.* folded into APPINIT."""
-        out = {phase: 0.0 for phase in prof.STARTUP_PHASES}
-        for sample in self.samples:
-            top = prof.phase_stack(sample.phase)[0]
-            out[top] = out.get(top, 0.0) + sample.duration_ms
-        return out
 
     def accounting_error_ms(self) -> float:
         return abs(sum(s.duration_ms for s in self.samples) - self.startup_ms)
@@ -186,6 +183,26 @@ def result_from_dict(payload: Dict[str, object]) -> ProfileResult:
     return result
 
 
+def profiled_start(kernel, starter, app, technique: str,
+                   rep: int) -> Tuple[ReplicaHandle, ProfileRun]:
+    """Start one replica with the profiler attached for exactly its
+    start window; return the handle and the verified run.
+
+    "ready" is the window the taxonomy partitions (DESIGN.md §7/§10);
+    first-response metrics would add serve time the phases
+    deliberately exclude. Raises :class:`ProfileAccountingError` when
+    the phases do not sum to that window.
+    """
+    profiler = prof.install(kernel)
+    handle = starter.start(app)
+    run = ProfileRun(technique=technique, function=app.name, rep=rep,
+                     startup_ms=handle.startup_ms("ready"),
+                     samples=profiler.reset())
+    prof.uninstall(kernel)
+    run.verify()
+    return handle, run
+
+
 def run_profile_experiment(
     function: str = "image-resizer",
     repetitions: int = 5,
@@ -224,21 +241,8 @@ def run_profile_experiment(
                 )
             else:
                 starter = manager.starter(technique)
-            profiler = prof.install(kernel)
-            handle = starter.start(app)
-            run = ProfileRun(
-                technique=technique,
-                function=app.name,
-                rep=rep,
-                # "ready" is the window the taxonomy partitions
-                # (DESIGN.md §7/§10); first-response metrics would add
-                # serve time the phases deliberately exclude.
-                startup_ms=handle.startup_ms("ready"),
-                samples=profiler.reset(),
-            )
-            run.verify()
+            _, run = profiled_start(kernel, starter, app, technique, rep)
             result.runs.append(run)
-            prof.uninstall(kernel)
             if metrics_sink is not None and kernel.obs is not None:
                 metrics_sink.merge(kernel.obs.metrics)
     return result

@@ -263,8 +263,9 @@ class PrebakeStarter(Starter):
                             labels=labels)
                 obs.count(kernel, "prebake_restore_retries_total", labels=labels)
                 kernel.clock.advance(backoff)
-                obs.profile.record(kernel, RESTORE_BACKOFF, backoff,
-                                   attempt=attempt, function=app.name)
+                kernel.probes.charge(RESTORE_BACKOFF, None, kernel.clock.now,
+                                     backoff, attempt=attempt,
+                                     function=app.name)
         if failure is None:
             failure = StartError(
                 f"prebake start of {app.name!r} exhausted "
@@ -293,11 +294,11 @@ class PrebakeStarter(Starter):
         if not repaired_chunks:
             return False
         # Registry-side chunk rewrites are free on the simulated clock
-        # today; the zero-duration sample still puts the repair on the
+        # today; the zero-duration charge still puts the repair on the
         # critical-path ledger (count + chunks).
-        obs.profile.record(kernel, RESTORE_REPAIR,
-                           kernel.clock.now - repair_start,
-                           chunks=repaired_chunks, function=key.function)
+        kernel.probes.charge(RESTORE_REPAIR, None, kernel.clock.now,
+                             kernel.clock.now - repair_start,
+                             chunks=repaired_chunks, function=key.function)
         image = self.store.peek(key)
         if image is None:
             return False
@@ -306,13 +307,14 @@ class PrebakeStarter(Starter):
             # Incremental verification: the repaired leaves were folded
             # back into the sealed Merkle tree and the root + meta
             # digest re-checked — no full-image re-hash needed. The
-            # sample is zero-duration (registry-side work is free on
+            # charge is zero-duration (registry-side work is free on
             # the simulated clock) but keeps the subtree verify and
             # its hash-op count on the critical-path ledger.
-            obs.profile.record(kernel, RESTORE_SUBTREE_VERIFY, 0.0,
-                               chunks=stats.checked_chunks,
-                               hash_ops=stats.hash_ops,
-                               function=key.function)
+            kernel.probes.charge(RESTORE_SUBTREE_VERIFY, None,
+                                 kernel.clock.now, 0.0,
+                                 chunks=stats.checked_chunks,
+                                 hash_ops=stats.hash_ops,
+                                 function=key.function)
             obs.count(kernel, "snapshot_subtree_verify_total", labels=labels)
             if not stats.verified_ok:
                 # The subtree folded back to a different root: the

@@ -33,6 +33,7 @@ from repro.obs.profile import (
 )
 from repro.osproc.kernel import Kernel
 from repro.osproc.memory import VMAKind
+from repro.osproc.probes import PhaseCharge
 from repro.osproc.process import Capability, Process, ProcessState
 from repro.sim.costmodel import PipelinePlan
 
@@ -141,7 +142,7 @@ class RestoreEngine:
         proc.state = ProcessState.RESTORING
 
         # The span opens right after execve so its duration matches the
-        # tracer-observed RTS+APPINIT window of a restored start.
+        # probe-measured RTS+APPINIT window of a restored start.
         with obs.span(kernel, "criu.restore", image=image.image_id,
                       image_mib=round(image.total_mib, 3), mode=mode.value,
                       in_memory=in_memory, warm=image.warm):
@@ -206,8 +207,8 @@ class RestoreEngine:
             except Exception:
                 kernel.kill(proc.pid)
                 raise
-            self._record_restore_phases(
-                proc, image, mode, ws_record, base, plan, shard_report,
+            charges = self._restore_charges(
+                image, mode, ws_record, base, plan, shard_report,
                 extra_ms, duration, charged, in_memory)
             if mode is RestoreMode.LAZY:
                 # The deferred paging debt is real page work, so it is
@@ -223,6 +224,7 @@ class RestoreEngine:
             kernel.probes.syscall_enter(
                 "criu.restore", proc.pid, kernel.clock.now,
                 detail=f"{image.total_mib:.1f}MiB image={image.image_id}",
+                charges=charges,
             )
             runtime = proc.payload.get("runtime")
             if runtime is not None:
@@ -274,8 +276,8 @@ class RestoreEngine:
             kernel.clock.advance(hang_ms)
             # The burned watchdog window is page-fetch work that never
             # completed; keep it on the start-up ledger.
-            obs.profile.record(kernel, RESTORE_CHUNK_FETCH, hang_ms,
-                               pid=proc.pid, reason="hang")
+            kernel.probes.charge(RESTORE_CHUNK_FETCH, proc.pid,
+                                 kernel.clock.now, hang_ms, reason="hang")
             obs.record(kernel, obs.flight.RESTORE_FAILED,
                        image=image.image_id, reason="hang",
                        hang_ms=round(hang_ms, 3))
@@ -411,9 +413,8 @@ class RestoreEngine:
             cached_fraction=cached_fraction)
         return base, plan, base + pages_part
 
-    def _record_restore_phases(
+    def _restore_charges(
         self,
-        proc: Process,
         image: CheckpointImage,
         mode: RestoreMode,
         ws_record: Optional[WorkingSetRecord],
@@ -424,8 +425,9 @@ class RestoreEngine:
         duration: float,
         charged: float,
         in_memory: bool,
-    ) -> None:
-        """Attribute the jittered restore charge to restore sub-phases.
+    ) -> Tuple[PhaseCharge, ...]:
+        """Split the jittered restore charge into restore sub-phases
+        (the charges the ``criu.restore`` probe event carries).
 
         Mirrors the :meth:`_restore_duration` cost split (base →
         digest-verify, page population → chunk-fetch or working-set
@@ -462,14 +464,15 @@ class RestoreEngine:
                           {"reason": "io-slow"}))
         scale = charged / duration if duration else 0.0
         recorded = 0.0
+        charges = []
         for position, (phase, part_ms, attrs) in enumerate(parts):
             if position == len(parts) - 1:
                 scaled = charged - recorded
             else:
                 scaled = part_ms * scale
             recorded += scaled
-            obs.profile.record(self.kernel, phase, scaled, pid=proc.pid,
-                               mode=mode.value, **attrs)
+            charges.append((phase, scaled, {"mode": mode.value, **attrs}))
+        return tuple(charges)
 
     def _transmute(self, proc: Process, image: CheckpointImage) -> None:
         """Rebuild namespaces, files and memory inside ``proc``."""

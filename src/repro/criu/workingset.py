@@ -25,6 +25,7 @@ from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro import obs
 from repro.criu.images import CheckpointImage
+from repro.obs.profile import RESTORE_LAZY_FAULT
 from repro.osproc.kernel import Kernel
 from repro.osproc.memory import VMAKind
 from repro.osproc.process import Process
@@ -163,9 +164,9 @@ class WorkingSetTracker:
         if misses:
             fault_ms = len(misses) * PREFETCH_MISS_FAULT_MS
             kernel.clock.advance(fault_ms)
-            obs.profile.record(kernel, obs.profile.RESTORE_LAZY_FAULT,
-                               fault_ms, pid=proc.pid, pages=len(misses),
-                               source="prefetch-miss")
+            kernel.probes.charge(RESTORE_LAZY_FAULT, proc.pid,
+                                 kernel.clock.now, fault_ms,
+                                 pages=len(misses), source="prefetch-miss")
             self.records[capture.image_key] = WorkingSetRecord(
                 image_key=record.image_key,
                 pages=record.pages | misses,

@@ -14,8 +14,8 @@ them installs the hub first:
 * :mod:`repro.obs.flight` — bounded ring-buffer flight recorder on
   ``hub.flight`` (:func:`install_flight`), fed via :func:`record`;
 * :mod:`repro.obs.profile` — phase profiler on ``hub.profile``
-  (:func:`repro.obs.profile.install`), fed via
-  :func:`repro.obs.profile.record`;
+  (:func:`repro.obs.profile.install`), a subscriber to the phase
+  charges the ``kernel.probes`` events carry;
 * :mod:`repro.obs.timeseries` — windowed ``(sim_time, value)`` rollups
   on ``hub.timeseries`` (:func:`enable_timeseries`);
 * :mod:`repro.obs.anomaly` — online EWMA+MAD detectors on
@@ -84,7 +84,9 @@ def install(kernel) -> Observability:
 
 
 def uninstall(kernel) -> None:
-    """Detach the hub; instrumentation reverts to zero-cost no-ops."""
+    """Detach the hub (and its profiler's probe subscriptions);
+    instrumentation reverts to zero-cost no-ops."""
+    profile.uninstall(kernel)
     kernel.obs = None
 
 

@@ -9,12 +9,18 @@ chunk-fetch, working-set-prefetch, lazy page-fault, repair, retry
 backoff), so a profile answers the same question the paper's Figure 4
 does: where does the cold start spend its time?
 
-The profiler is a layer of the telemetry hub (:mod:`repro.obs`):
-``kernel.obs.profile``, ``None`` until :func:`install` (which installs
-the hub too). Instrumented sites call :func:`record`, which early-outs
-on the attribute loads, consumes no randomness and charges no
-simulated time — figure outputs stay byte-identical whether or not a
-profile is being collected.
+Each phase occurrence is emitted once, as a charge on a
+``kernel.probes`` event (:data:`PHASE_PROBES`): CLONE and EXEC on the
+``clone``/``execve`` exits, RTS on ``runtime.main``, APPINIT on
+``runtime.ready``, the restore partition on ``criu.restore``, and the
+fault-path and demand-fault time on events of their own. The profiler
+is a layer of the telemetry hub (:mod:`repro.obs`):
+``kernel.obs.profile``, ``None`` until :func:`install` subscribes it to
+those probes (installing the hub too); :func:`uninstall` detaches it.
+It only listens — no randomness, no simulated time — so figure outputs
+are byte-identical whether or not a profile is being collected.
+:func:`fold` is the one accounting over samples: Figure 4, the
+``prebake-bench profile`` table and the accounting check all read it.
 
 Attribution convention (matches DESIGN.md §7's accounting): a restored
 replica pays no RTS and its whole restore window counts as APPINIT, so
@@ -23,16 +29,20 @@ and the invariant
 
     CLONE + EXEC + RTS + APPINIT == ready - spawned
 
-holds for both techniques (retries included; each failed attempt's
-clone/exec/restore work lands in the same buckets).
+holds for both techniques. Retries included: each attempt's clone and
+exec land in CLONE and EXEC, its burned restore work and the backoff
+in APPINIT's sub-phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro import obs
+
+if TYPE_CHECKING:  # pragma: no cover - osproc imports this module
+    from repro.osproc.probes import SyscallRecord
 
 # -- the phase taxonomy (paper §4.2.1 + restore sub-phases) -----------------
 
@@ -57,7 +67,20 @@ RESTORE_PHASES = (RESTORE_DIGEST_VERIFY, RESTORE_PIPELINE_RAMP,
                   RESTORE_CHUNK_FETCH, RESTORE_WS_PREFETCH,
                   RESTORE_LAZY_FAULT, RESTORE_SUBTREE_VERIFY,
                   RESTORE_REPAIR, RESTORE_BACKOFF, RESTORE_SHARD_FETCH)
-ALL_PHASES = STARTUP_PHASES + RESTORE_PHASES
+
+
+# Probe points whose events carry phase charges, as (direction, probe):
+# the CLONE/EXEC syscall exits, the runtime's main()/ready boundaries,
+# the finished restore (its sub-phase partition), and the fault-path
+# and demand-fault events published via ``ProbeRegistry.charge``.
+PHASE_PROBES = (
+    ("exit", "clone"), ("exit", "execve"),
+    ("enter", "runtime.main"), ("enter", "runtime.ready"),
+    ("enter", "criu.restore"),
+    ("enter", RESTORE_CHUNK_FETCH), ("enter", RESTORE_LAZY_FAULT),
+    ("enter", RESTORE_SUBTREE_VERIFY), ("enter", RESTORE_REPAIR),
+    ("enter", RESTORE_BACKOFF),
+)
 
 
 def phase_stack(phase: str) -> Tuple[str, ...]:
@@ -88,53 +111,17 @@ class PhaseSample:
 
 
 class PhaseProfiler:
-    """Per-world phase-time collector (the hub's ``profile`` layer)."""
+    """Per-world phase-time collector (the hub's ``profile`` layer):
+    one sample per charge on a :data:`PHASE_PROBES` event."""
 
-    def __init__(self, clock) -> None:
-        self.clock = clock
+    def __init__(self) -> None:
         self.samples: List[PhaseSample] = []
 
-    def record(self, phase: str, duration_ms: float,
-               pid: Optional[int] = None, **attrs: object) -> PhaseSample:
-        sample = PhaseSample(
-            phase=phase,
-            duration_ms=duration_ms,
-            at_ms=self.clock.now,
-            pid=pid,
-            attrs=dict(attrs),
-        )
-        self.samples.append(sample)
-        return sample
-
-    def totals(self) -> Dict[str, float]:
-        """Per-phase time, insertion-independent canonical order.
-
-        Raw per-sample-phase sums: ``restore.*`` keys appear beside the
-        top-level phases and are *not* folded into APPINIT here — use
-        :meth:`phase_totals` for the Figure-4 four-way accounting.
-        """
-        out: Dict[str, float] = {}
-        for phase in ALL_PHASES:
-            out[phase] = 0.0
-        for sample in self.samples:
-            out[sample.phase] = out.get(sample.phase, 0.0) + sample.duration_ms
-        return {phase: ms for phase, ms in out.items()
-                if ms or phase in STARTUP_PHASES}
-
-    def phase_totals(self) -> Dict[str, float]:
-        """Figure-4 accounting: restore sub-phases folded into APPINIT.
-
-        ``sum(phase_totals().values()) == total_ms()`` and, over one
-        clean start-up episode, equals ``ready - spawned``.
-        """
-        out = {phase: 0.0 for phase in STARTUP_PHASES}
-        for sample in self.samples:
-            top = phase_stack(sample.phase)[0]
-            out[top] = out.get(top, 0.0) + sample.duration_ms
-        return out
-
-    def total_ms(self) -> float:
-        return sum(s.duration_ms for s in self.samples)
+    def on_probe(self, record: "SyscallRecord") -> None:
+        for phase, duration_ms, attrs in record.charges:
+            self.samples.append(PhaseSample(
+                phase, duration_ms, record.timestamp, record.pid,
+                dict(attrs)))
 
     def reset(self) -> List[PhaseSample]:
         """Return all samples and clear the buffer (per-episode use)."""
@@ -144,26 +131,43 @@ class PhaseProfiler:
 
 def install(kernel) -> PhaseProfiler:
     """Install (or fetch) a profiler on the hub, installing the hub if
-    needed."""
+    needed, and subscribe it to the phase-carrying probes."""
     hub = obs.install(kernel)
     if hub.profile is None:
-        hub.profile = PhaseProfiler(kernel.clock)
+        hub.profile = PhaseProfiler()
+        for direction, probe in PHASE_PROBES:
+            subscribe = (kernel.probes.on_exit if direction == "exit"
+                         else kernel.probes.on_enter)
+            subscribe(probe, hub.profile.on_probe)
     return hub.profile
 
 
 def uninstall(kernel) -> None:
-    """Detach the profiler; instrumentation reverts to zero-cost no-ops."""
-    if kernel.obs is not None:
-        kernel.obs.profile = None
-
-
-def record(kernel, phase: str, duration_ms: float,
-           pid: Optional[int] = None, **attrs: object) -> None:
-    """Attribute time to a phase (no-op when no profiler is installed —
-    the same attribute-load early-out as :func:`repro.obs.record`)."""
+    """Detach the profiler from the hub and from every probe."""
     hub = kernel.obs
     if hub is not None and hub.profile is not None:
-        hub.profile.record(phase, duration_ms, pid=pid, **attrs)
+        kernel.probes.detach(hub.profile.on_probe)
+        hub.profile = None
+
+
+def fold(samples: Iterable[PhaseSample]) -> Dict[str, float]:
+    """The Figure-4 accounting of a sample window.
+
+    The four top-level phases come first, always present, with the
+    ``restore.*`` sub-phases folded into APPINIT — over one start-up
+    window they sum to ``ready - spawned``. The sub-phases that
+    occurred follow, each with its own total, as a decomposition of
+    APPINIT rather than additional time.
+    """
+    raw: Dict[str, float] = {}
+    for sample in samples:
+        raw[sample.phase] = raw.get(sample.phase, 0.0) + sample.duration_ms
+    out = {phase: 0.0 for phase in STARTUP_PHASES}
+    for phase, ms in raw.items():
+        out[phase_stack(phase)[0]] += ms
+    out.update((phase, ms) for phase, ms in raw.items()
+               if phase not in STARTUP_PHASES)
+    return out
 
 
 # -- renderers ---------------------------------------------------------------
@@ -188,26 +192,19 @@ def folded_lines(samples: List[PhaseSample], prefix: str = "") -> List[str]:
 def critical_path_rows(samples: List[PhaseSample]) -> List[Tuple[str, float, float]]:
     """(phase, ms, share-of-total) rows in canonical taxonomy order.
 
-    Top-level rows use the Figure-4 accounting (restore sub-phases
-    folded into APPINIT); the sub-phases follow indented under APPINIT
-    as a decomposition of it, not additional time. The four top-level
-    ``ms`` values therefore sum to the measured start-up time.
+    Rows follow :func:`fold`: the four top-level phases, which sum to
+    the measured start-up time, with the restore sub-phases indented
+    under APPINIT as a decomposition of it, not additional time.
     """
-    raw: Dict[str, float] = {}
-    for sample in samples:
-        raw[sample.phase] = raw.get(sample.phase, 0.0) + sample.duration_ms
-    folded: Dict[str, float] = {}
-    for phase, ms in raw.items():
-        top = phase_stack(phase)[0]
-        folded[top] = folded.get(top, 0.0) + ms
-    total = sum(folded.values())
+    folded = fold(samples)
+    total = sum(folded[phase] for phase in STARTUP_PHASES)
     rows: List[Tuple[str, float, float]] = []
     for phase in STARTUP_PHASES:
-        ms = folded.get(phase, 0.0)
+        ms = folded[phase]
         rows.append((phase, ms, ms / total if total else 0.0))
         if phase == PHASE_APPINIT:
             for sub in RESTORE_PHASES:
-                sub_ms = raw.get(sub, 0.0)
+                sub_ms = folded.get(sub, 0.0)
                 if sub_ms:
                     rows.append((f"  {sub}", sub_ms,
                                  sub_ms / total if total else 0.0))

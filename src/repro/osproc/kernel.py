@@ -1,16 +1,15 @@
 """The simulated kernel: syscalls, freezer, ptrace, procfs.
 
 Every syscall charges virtual time from the calibrated cost model and
-publishes enter/exit probe events (see :mod:`repro.osproc.probes`), so
-benchmark tracers observe the same CLONE/EXEC boundaries the paper
-measured with bpftrace.
+publishes enter/exit probe events (see :mod:`repro.osproc.probes`); the
+``clone``/``execve`` exits carry their CLONE/EXEC charge, so the phase
+profiler observes the same boundaries the paper measured with bpftrace.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro import obs
 from repro.obs.profile import PHASE_CLONE, PHASE_EXEC
 from repro.osproc.filesystem import FileSystem, PageCache
 from repro.osproc.memory import PAGE_SIZE, Page, VMA, VMAKind
@@ -82,13 +81,16 @@ class Kernel:
         self._next_pid += 1
         return pid
 
-    def _charge(self, syscall: str, pid: int, median_cost: float, detail: str = "") -> float:
-        """Run a syscall's cost through probes + clock; return duration."""
+    def _charge(self, syscall: str, pid: int, median_cost: float,
+                detail: str = "", phase: Optional[str] = None,
+                **attrs: object) -> None:
+        """Run a syscall's cost through probes + clock; a ``phase``
+        rides on the exit event as that syscall's charge."""
         self.probes.syscall_enter(syscall, pid, self.clock.now, detail)
         duration = self.costs.jitter(median_cost, self.streams, f"syscall.{syscall}")
         self.clock.advance(duration)
-        self.probes.syscall_exit(syscall, pid, self.clock.now, detail)
-        return duration
+        charges = ((phase, duration, attrs),) if phase else ()
+        self.probes.syscall_exit(syscall, pid, self.clock.now, detail, charges)
 
     def get(self, pid: int) -> Process:
         proc = self.processes.get(pid)
@@ -133,10 +135,8 @@ class Kernel:
             self._next_pid = max(self._next_pid, pid + 1)
         else:
             pid = self._alloc_pid()
-        duration = self._charge("clone", parent.pid, self.costs.clone_ms,
-                                detail=comm or "")
-        obs.profile.record(self, PHASE_CLONE, duration, pid=pid,
-                           comm=comm or "")
+        self._charge("clone", parent.pid, self.costs.clone_ms,
+                     detail=comm or "", phase=PHASE_CLONE, comm=comm or "")
         namespaces = parent.namespaces.clone_with_new(*new_namespaces)
         child = Process(
             pid=pid,
@@ -156,10 +156,8 @@ class Kernel:
         if not proc.alive:
             raise KernelError(f"pid {proc.pid} is not alive")
         binary = self.fs.lookup(path)  # ENOENT if missing
-        duration = self._charge("execve", proc.pid, self.costs.exec_ms,
-                                detail=path)
-        obs.profile.record(self, PHASE_EXEC, duration, pid=proc.pid,
-                           path=path)
+        self._charge("execve", proc.pid, self.costs.exec_ms,
+                     detail=path, phase=PHASE_EXEC, path=path)
         proc.comm = path.rsplit("/", 1)[-1]
         proc.argv = list(argv or [path])
         proc.payload.clear()

@@ -10,8 +10,10 @@ matches the paper's start-up phase decomposition (§4.2.1):
 * :meth:`handle` — per-request service, including the lazy class
   loading / JIT compilation a first invocation can trigger.
 
-Lifecycle boundaries are published through the kernel probe registry so
-benchmark tracers measure phase durations the way the paper did.
+Lifecycle boundaries are published through the kernel probe registry:
+``runtime.main`` carries the RTS charge and ``runtime.ready`` the
+APPINIT charge, so the phase profiler measures phase durations from
+the probes the way the paper did.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
-from repro import obs
 from repro.obs.context import TraceContext
 from repro.obs.profile import (
     PHASE_APPINIT,
@@ -110,16 +111,15 @@ class ManagedRuntime:
         )
         self.kernel.clock.advance(duration)
         self._map_base_memory()
-        # Clock delta, not the jitter draw: RTS is everything from
-        # execve return to main() entry, however it was charged.
-        obs.profile.record(self.kernel, PHASE_RTS,
-                           self.kernel.clock.now - boot_start,
-                           pid=self.process.pid, runtime=self.kind)
         self.booted = True
         # The paper logged "before the runtime starts executing the
         # first line of code" — i.e. main() entry ends the RTS phase.
+        # Clock delta, not the jitter draw: RTS is everything from
+        # execve return to main() entry, however it was charged.
+        now = self.kernel.clock.now
         self.kernel.probes.syscall_enter(
-            "runtime.main", self.process.pid, self.kernel.clock.now, detail=self.kind
+            "runtime.main", self.process.pid, now, detail=self.kind,
+            charges=((PHASE_RTS, now - boot_start, {"runtime": self.kind}),),
         )
 
     def load_application(self, app: "FunctionApp") -> None:
@@ -132,12 +132,12 @@ class ManagedRuntime:
         init_start = self.kernel.clock.now
         self.app = app
         self._app_init(app)
-        obs.profile.record(self.kernel, PHASE_APPINIT,
-                           self.kernel.clock.now - init_start,
-                           pid=self.process.pid, function=app.name)
         self.ready = True
+        now = self.kernel.clock.now
         self.kernel.probes.syscall_enter(
-            "runtime.ready", self.process.pid, self.kernel.clock.now, detail=app.name
+            "runtime.ready", self.process.pid, now, detail=app.name,
+            charges=((PHASE_APPINIT, now - init_start,
+                      {"function": app.name}),),
         )
 
     def handle(self, request: Request) -> Response:
@@ -153,8 +153,9 @@ class ManagedRuntime:
             charged = self.kernel.costs.jitter(
                 debt, self.kernel.streams, "criu.lazy-pages")
             self.kernel.clock.advance(charged)
-            obs.profile.record(self.kernel, RESTORE_LAZY_FAULT, charged,
-                               pid=self.process.pid, source="lazy-debt")
+            self.kernel.probes.charge(
+                RESTORE_LAZY_FAULT, self.process.pid, self.kernel.clock.now,
+                charged, source="lazy-debt")
         self._before_request(request)
         body, status = self.app.execute(self, request)
         duration = self.kernel.streams.lognormal_jitter(

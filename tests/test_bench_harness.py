@@ -1,104 +1,53 @@
-"""Tests for the tracer, load generator, harness and report helpers."""
+"""Tests for probe-measured phases, the load generator, harness and
+report helpers."""
 
 import pytest
 
 from repro.bench.harness import run_service_experiment, run_startup_experiment
+from repro.bench.profile import ProfileAccountingError
 from repro.bench.report import format_interval, format_table, stacked_bar
-from repro.bench.tracer import PhaseTracer, TraceError
 from repro.bench.workload import LoadGenerator
 from repro.core.manager import PrebakeManager
 from repro.core.policy import AfterReady, AfterWarmup
 from repro.core.starters import VanillaStarter
 from repro.functions import make_app
-from repro.osproc.probes import SyscallRecord
+from repro.obs import profile as prof
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 
 
-def _emit(kernel, syscall, phase):
-    kernel.probes.emit(SyscallRecord(
-        syscall=syscall, pid=99, phase=phase, timestamp=kernel.clock.now))
+def _phases(kernel, start):
+    """Probe-measured phases of one start (the profile fold)."""
+    profiler = prof.install(kernel)
+    handle = start()
+    phases = prof.fold(profiler.reset())
+    prof.uninstall(kernel)
+    return handle, phases
 
 
-class TestPhaseTracer:
+class TestProbePhases:
     def test_vanilla_phase_breakdown(self, quiet_kernel):
-        tracer = PhaseTracer(quiet_kernel)
-        tracer.start_episode()
-        VanillaStarter(quiet_kernel).start(make_app("noop"))
-        tracer.stop_episode()
-        phases = tracer.breakdown()
+        _, phases = _phases(quiet_kernel, lambda: VanillaStarter(
+            quiet_kernel).start(make_app("noop")))
         m = DEFAULT_COST_MODEL
-        assert phases.clone_ms == pytest.approx(m.clone_ms)
-        assert phases.exec_ms == pytest.approx(m.exec_ms)
-        assert phases.rts_ms == pytest.approx(m.jvm_rts_ms)
-        assert phases.appinit_ms == pytest.approx(31.3, abs=0.5)
+        assert phases["CLONE"] == pytest.approx(m.clone_ms)
+        assert phases["EXEC"] == pytest.approx(m.exec_ms)
+        assert phases["RTS"] == pytest.approx(m.jvm_rts_ms)
+        assert phases["APPINIT"] == pytest.approx(31.3, abs=0.5)
 
     def test_prebake_rts_is_zero(self, quiet_kernel):
         manager = PrebakeManager(quiet_kernel)
         app = make_app("noop")
         manager.deploy(app)
-        tracer = PhaseTracer(quiet_kernel)
-        tracer.start_episode()
-        manager.start_replica(app, technique="prebake")
-        tracer.stop_episode()
-        phases = tracer.breakdown()
-        assert phases.rts_ms == 0.0
-        assert phases.appinit_ms == pytest.approx(60.0, abs=0.5)
-
-    def test_empty_episode_rejected(self, kernel):
-        tracer = PhaseTracer(kernel)
-        tracer.start_episode()
-        tracer.stop_episode()
-        with pytest.raises(TraceError):
-            tracer.breakdown()
-
-    def test_events_outside_episode_ignored(self, kernel):
-        tracer = PhaseTracer(kernel)
-        VanillaStarter(kernel).start(make_app("noop"))  # not recording
-        assert tracer.events == []
-
-    def test_episode_without_ready_rejected(self, kernel):
-        """clone+exec happened but the runtime never signalled ready
-        (e.g. the restore path died before runtime.ready)."""
-        tracer = PhaseTracer(kernel)
-        tracer.start_episode()
-        for syscall in ("clone", "execve"):
-            _emit(kernel, syscall, "enter")
-            kernel.clock.advance(1.0)
-            _emit(kernel, syscall, "exit")
-        tracer.stop_episode()
-        with pytest.raises(TraceError, match="never reached runtime.ready"):
-            tracer.breakdown()
-
-    def test_episode_without_clone_exec_rejected(self, kernel):
-        tracer = PhaseTracer(kernel)
-        tracer.start_episode()
-        _emit(kernel, "runtime.ready", "enter")
-        tracer.stop_episode()
-        with pytest.raises(TraceError, match="missing clone/exec"):
-            tracer.breakdown()
-
-    def test_partial_episode_does_not_poison_the_next(self, kernel):
-        tracer = PhaseTracer(kernel)
-        tracer.start_episode()
-        _emit(kernel, "clone", "enter")  # truncated episode
-        tracer.stop_episode()
-        with pytest.raises(TraceError):
-            tracer.breakdown()
-        # a fresh episode on the same tracer records cleanly
-        tracer.start_episode()
-        VanillaStarter(kernel).start(make_app("noop"))
-        tracer.stop_episode()
-        phases = tracer.breakdown()
-        assert phases.total_ms > 0.0
-        assert not any(e.pid == 99 for e in tracer.events)
+        _, phases = _phases(quiet_kernel, lambda: manager.start_replica(
+            app, technique="prebake"))
+        assert phases["RTS"] == 0.0
+        assert phases["APPINIT"] == pytest.approx(60.0, abs=0.5)
 
     def test_breakdown_total(self, quiet_kernel):
-        tracer = PhaseTracer(quiet_kernel)
-        tracer.start_episode()
-        handle = VanillaStarter(quiet_kernel).start(make_app("noop"))
-        tracer.stop_episode()
-        phases = tracer.breakdown()
-        assert phases.total_ms == pytest.approx(handle.startup_ms("ready"), rel=0.01)
+        handle, phases = _phases(quiet_kernel, lambda: VanillaStarter(
+            quiet_kernel).start(make_app("noop")))
+        total = sum(phases[phase] for phase in prof.STARTUP_PHASES)
+        assert total == pytest.approx(handle.startup_ms("ready"), rel=0.01)
 
 
 class TestLoadGenerator:
@@ -169,7 +118,16 @@ class TestStartupExperiment:
         summary = run_startup_experiment("noop", "vanilla", repetitions=3,
                                          seed=1, trace_phases=True)
         phases = summary.phase_medians()
-        assert phases.rts_ms == pytest.approx(70.0, rel=0.05)
+        assert phases["RTS"] == pytest.approx(70.0, rel=0.05)
+
+    def test_phases_missing_from_the_probes_rejected(self, monkeypatch):
+        """A traced repetition whose phases do not sum to its ready
+        window (here: the execve exits go unobserved) fails loudly."""
+        monkeypatch.setattr(prof, "PHASE_PROBES", tuple(
+            point for point in prof.PHASE_PROBES if point[1] != "execve"))
+        with pytest.raises(ProfileAccountingError, match="start-up measured"):
+            run_startup_experiment("noop", "vanilla", repetitions=1,
+                                   seed=1, trace_phases=True)
 
     def test_phase_medians_without_tracing_rejected(self):
         summary = run_startup_experiment("noop", "vanilla", repetitions=3, seed=1)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import PrebakeManager, make_world
-from repro.bench.tracer import PhaseTracer
 from repro.core.policy import AfterReady, AfterWarmup
 from repro.faas import FaaSPlatform
 from repro.faas.openfaas.stack import make_openfaas_stack
@@ -13,6 +12,7 @@ from repro.functions import (
     make_app,
     small_function,
 )
+from repro.obs import profile as prof
 from repro.runtime.base import Request
 
 
@@ -134,17 +134,16 @@ class TestTracerOnFullStack:
         app = make_app("markdown")
         manager.deploy(app)
 
-        tracer = PhaseTracer(world.kernel)
-        tracer.start_episode()
+        profiler = prof.install(world.kernel)
         manager.start_replica(make_app("markdown"), technique="vanilla")
-        tracer.stop_episode()
-        vanilla_phases = tracer.breakdown()
+        vanilla_phases = prof.fold(profiler.reset())
 
-        tracer.start_episode()
         manager.start_replica(app, technique="prebake")
-        tracer.stop_episode()
-        prebake_phases = tracer.breakdown()
+        prebake_phases = prof.fold(profiler.reset())
 
-        assert vanilla_phases.rts_ms > 60.0
-        assert prebake_phases.rts_ms == 0.0
-        assert prebake_phases.total_ms < vanilla_phases.total_ms
+        def total(phases):
+            return sum(phases[phase] for phase in prof.STARTUP_PHASES)
+
+        assert vanilla_phases["RTS"] > 60.0
+        assert prebake_phases["RTS"] == 0.0
+        assert total(prebake_phases) < total(vanilla_phases)

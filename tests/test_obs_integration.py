@@ -4,8 +4,8 @@ Two claims from the issue are pinned down here:
 
 * a traced prebake repetition yields a JSONL trace whose nested spans
   cover bake → checkpoint → store → restore → first-request serve, and
-  the ``criu.restore`` span's duration equals the PhaseTracer's
-  RTS+APPINIT for the same episode;
+  the ``criu.restore`` span's duration equals the probe-measured
+  RTS+APPINIT (the profile fold) for the same episode;
 * the Prometheus text export round-trips the counters, gauges and
   histogram quantiles the platform/autoscaler path writes.
 """
@@ -14,10 +14,10 @@ import pytest
 
 from repro import make_world
 from repro.bench.harness import run_startup_experiment
-from repro.bench.tracer import PhaseTracer
 from repro.core.manager import PrebakeManager
 from repro.faas import FaaSPlatform
 from repro.functions import MarkdownFunction, NoopFunction, make_app
+from repro.obs import profile as prof
 from repro.obs.cli import summarize
 from repro.obs.export import (
     parse_prometheus,
@@ -29,21 +29,19 @@ from repro.obs.export import (
 
 class TestRestoreSpanAgreement:
     def test_restore_span_equals_rts_plus_appinit(self):
-        """The span and the probe-based tracer must agree exactly: both
-        measure execve-exit → runtime.ready on the same sim clock."""
+        """The span and the probe-measured phases must agree exactly:
+        both cover execve-exit → runtime.ready on the same sim clock."""
         kernel = make_world(seed=7, observe=True).kernel
         manager = PrebakeManager(kernel)
         app = make_app("markdown")
         manager.deploy(app)
-        tracer = PhaseTracer(kernel)
-        tracer.start_episode()
+        profiler = prof.install(kernel)
         manager.start_replica(app, technique="prebake")
-        tracer.stop_episode()
-        phases = tracer.breakdown()
+        phases = prof.fold(profiler.reset())
         (restore,) = kernel.obs.tracer.find("criu.restore")
         assert restore.duration_ms == pytest.approx(
-            phases.rts_ms + phases.appinit_ms, abs=1e-9)
-        assert phases.rts_ms == 0.0  # restored processes skip main()
+            phases["RTS"] + phases["APPINIT"], abs=1e-9)
+        assert phases["RTS"] == 0.0  # restored processes skip main()
 
 
 class TestTracedRepetition:
@@ -72,7 +70,7 @@ class TestTracedRepetition:
         # the restore span agrees with the probe-derived phase breakdown
         phases = summary.samples[0].phases
         assert restore["duration_ms"] == pytest.approx(
-            phases.rts_ms + phases.appinit_ms, abs=1e-9)
+            phases["RTS"] + phases["APPINIT"], abs=1e-9)
 
         # every record is tagged for merging across repetitions
         assert all(r["rep"] == 0 and r["technique"] == "prebake"

@@ -2,13 +2,16 @@
 
 The acceptance bar: for both techniques the four top-level phases sum
 to the measured start-up time exactly (float round-off only), restore
-sub-phases partition the restore charge, and an uninstalled profiler
-leaves simulated time and RNG draws untouched.
+sub-phases partition the restore charge, the Figure 4 harness and the
+profile experiment read the same fold, and an uninstalled profiler
+leaves simulated time, RNG draws and the probe registry untouched.
 """
 
 import pytest
 
-from repro import make_world
+from repro import faults, make_world
+from repro.bench import harness
+from repro.bench import profile as bench_profile
 from repro.bench.profile import (
     ProfileAccountingError,
     ProfileRun,
@@ -17,9 +20,21 @@ from repro.bench.profile import (
 )
 from repro.core.manager import PrebakeManager
 from repro.criu.restore import RestoreMode
+from repro.faults import FaultPlan
 from repro.functions import make_app
 from repro.obs import profile as prof
-from repro.obs.profile import PhaseSample, PhaseProfiler
+from repro.obs.profile import PhaseSample
+
+FAULT_PLANS = {
+    "none": FaultPlan(),
+    "restore_fail": FaultPlan.of(restore_fail=0.5),
+    "io_slow": FaultPlan.of(io_slow=1.0),
+    "image_corrupt": FaultPlan.of(image_corrupt=1.0),  # vanilla fallback
+}
+
+
+def _top_level(phases):
+    return {phase: phases[phase] for phase in prof.STARTUP_PHASES}
 
 
 class TestTaxonomy:
@@ -29,17 +44,14 @@ class TestTaxonomy:
         assert prof.phase_stack("CLONE") == ("CLONE",)
 
     def test_phase_totals_fold_and_sum(self):
-        profiler = PhaseProfiler(clock=make_world(seed=1).kernel.clock)
-        profiler.record("CLONE", 1.0)
-        profiler.record("restore.digest-verify", 2.0)
-        profiler.record("restore.chunk-fetch", 3.0)
-        totals = profiler.phase_totals()
-        assert totals["APPINIT"] == 5.0
-        assert totals["RTS"] == 0.0
-        assert sum(totals.values()) == profiler.total_ms() == 6.0
-        # Raw totals keep the sub-phases distinct.
-        raw = profiler.totals()
-        assert raw["restore.chunk-fetch"] == 3.0
+        totals = prof.fold([PhaseSample("CLONE", 1.0, at_ms=0.0),
+                            PhaseSample("restore.digest-verify", 2.0, at_ms=1.0),
+                            PhaseSample("restore.chunk-fetch", 3.0, at_ms=3.0)])
+        assert _top_level(totals) == {"CLONE": 1.0, "EXEC": 0.0,
+                                      "RTS": 0.0, "APPINIT": 5.0}
+        # The sub-phases follow as a decomposition of APPINIT.
+        assert totals["restore.digest-verify"] == 2.0
+        assert totals["restore.chunk-fetch"] == 3.0
 
     def test_folded_lines_format(self):
         samples = [PhaseSample("CLONE", 0.5, at_ms=0.0),
@@ -62,9 +74,33 @@ class TestExperimentAccounting:
             runs = result.technique_runs(technique)
             assert len(runs) == 2
             for run in runs:
-                totals = run.phase_totals()
+                totals = _top_level(prof.fold(run.samples))
                 assert sum(totals.values()) == pytest.approx(
                     run.startup_ms, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("plan", sorted(FAULT_PLANS))
+    def test_fig4_phases_equal_the_profile_fold_under_faults(
+            self, monkeypatch, plan, seed):
+        """The Figure 4 harness and the profile experiment run the same
+        faulted world; their phases agree and sum to ready - spawned.
+        Retried attempts' clone/exec land in CLONE/EXEC, not APPINIT."""
+        def faulted_world(**kwargs):
+            world = make_world(**{**kwargs, "seed": seed})
+            faults.install(world.kernel, FAULT_PLANS[plan])
+            return world
+
+        monkeypatch.setattr(harness, "make_world", faulted_world)
+        monkeypatch.setattr(bench_profile, "make_world", faulted_world)
+        summary = harness.run_startup_experiment(
+            "markdown", "prebake", repetitions=1, trace_phases=True)
+        (run,) = run_profile_experiment("markdown", repetitions=1,
+                                        techniques=("prebake",)).runs
+        phases = _top_level(summary.samples[0].phases)
+        assert phases == pytest.approx(_top_level(prof.fold(run.samples)),
+                                       abs=1e-6)
+        assert sum(phases.values()) == pytest.approx(run.startup_ms,
+                                                     abs=1e-6)
 
     def test_vanilla_has_no_restore_subphases_and_prebake_no_rts(self):
         result = run_profile_experiment("markdown", repetitions=1, seed=7)
@@ -72,7 +108,7 @@ class TestExperimentAccounting:
         assert not any(s.phase.startswith("restore.")
                        for s in vanilla.samples)
         prebake = result.technique_runs("prebake")[0]
-        assert prebake.phase_totals()["RTS"] == 0.0
+        assert prof.fold(prebake.samples)["RTS"] == 0.0
         assert any(s.phase.startswith("restore.") for s in prebake.samples)
 
     def test_restore_subphases_partition_the_restore_span(self):
@@ -126,12 +162,25 @@ class TestZeroCost:
 
     def test_install_is_idempotent_and_uninstall_detaches(self):
         kernel = make_world(seed=3).kernel
+        manager = PrebakeManager(kernel)
+        app = make_app("noop")
         assert kernel.obs is None
         profiler = prof.install(kernel)
         assert prof.install(kernel) is profiler
+        manager.start_replica(app, technique="vanilla")
+        # One subscription: each phase of the start recorded once.
+        assert [s.phase for s in profiler.samples] == \
+            list(prof.STARTUP_PHASES)
+
         prof.uninstall(kernel)
         assert kernel.obs.profile is None
-        prof.record(kernel, "CLONE", 1.0)  # no-op, must not raise
+        manager.start_replica(make_app("noop"), technique="vanilla")
+        assert len(profiler.samples) == len(prof.STARTUP_PHASES)
+        subscribed = [callback
+                      for table in (kernel.probes._enter, kernel.probes._exit)
+                      for callbacks in table.values()
+                      for callback in callbacks]
+        assert profiler.on_probe not in subscribed
 
 
 class TestSerialization:
