@@ -82,16 +82,17 @@ class MetricBaseline:
 
 def metric_from_values(values: List[float],
                        direction: str = LOWER) -> MetricBaseline:
-    """Distribution metric: quantiles plus a bootstrap CI on the median."""
-    ci = bootstrap_median_ci(values, seed=0)
+    """Distribution metric: quantiles plus a bootstrap CI on the median
+    (no CI for a single value)."""
+    ci = bootstrap_median_ci(values, seed=0) if len(values) > 1 else None
     return MetricBaseline(
         p50=quantile(values, 0.5),
         p99=quantile(values, 0.99),
         mean=sum(values) / len(values),
         n=len(values),
         direction=direction,
-        ci_low=ci.low,
-        ci_high=ci.high,
+        ci_low=ci.low if ci else None,
+        ci_high=ci.high if ci else None,
     )
 
 
@@ -244,42 +245,46 @@ def collect_fleet(repetitions: int, seed: int) -> Metrics:
 def collect_prewarm(repetitions: int, seed: int) -> Metrics:
     """X13 prewarm study: forecast-driven prebaking vs fixed keep-alive.
 
-    Besides the learned policy's own cold-start metrics, two 0/1
-    structural verdicts are gated with direction HIGHER so any drop
-    from 1.0 trips immediately:
+    Each rep is one paired seed, so every outcome metric is the
+    distribution over reps with its bootstrap CI. Two 0/1 verdicts are
+    gated with direction HIGHER so any drop from 1.0 trips immediately:
 
-    * ``prewarm/learned_beats_fixed`` — the learned policy cut both
-      cold-start count and cold p99 at no higher wasted warm-seconds
-      than the fixed keep-alive on every repetition;
+    * ``prewarm/histogram_beats_fixed`` — over the paired seeds, the
+      CIs of the histogram − fixed differences lie below zero for cold
+      starts and cold p99 and end at or below zero for wasted
+      warm-seconds (:func:`~repro.bench.prewarm_study.paired_verdict`);
     * ``prewarm/oracle_bound`` — the clairvoyant oracle's cold-start
-      rate lower-bounds the learned policy's on every repetition.
+      rate lower-bounds the histogram policy's on every repetition.
     """
-    from repro.bench.prewarm_study import prewarm_study
+    from repro.bench.prewarm_study import paired_verdict, prewarm_study
 
     result = prewarm_study(repetitions=repetitions, seed=seed)
-    rep = result.headline
-    learned = rep.outcomes["learned"]
-    fixed = rep.outcomes["fixed"]
-    oracle = rep.outcomes["oracle"]
+
+    def per_rep(rung: str, field: str,
+                direction: str = LOWER) -> MetricBaseline:
+        return metric_from_values(
+            [float(getattr(r.outcomes[rung], field)) for r in result.reps],
+            direction)
+
     metrics: Metrics = {}
-    metrics["prewarm/learned_beats_fixed"] = scalar_metric(
-        1.0 if all(r.learned_beats_fixed for r in result.reps) else 0.0,
+    metrics["prewarm/histogram_beats_fixed"] = scalar_metric(
+        1.0 if paired_verdict(result.reps)["beats"] else 0.0,
         direction=HIGHER)
     metrics["prewarm/oracle_bound"] = scalar_metric(
         1.0 if all(r.oracle_bounds_gap for r in result.reps) else 0.0,
         direction=HIGHER)
     metrics["prewarm/requests_total"] = \
-        scalar_metric(float(learned.requests), direction=HIGHER)
-    metrics["prewarm/learned_cold_rate"] = \
-        scalar_metric(learned.cold_start_rate)
-    metrics["prewarm/learned_cold_p99_ms"] = \
-        scalar_metric(learned.cold_p99_ms)
-    metrics["prewarm/learned_wasted_warm_s"] = \
-        scalar_metric(learned.wasted_warm_s)
-    metrics["prewarm/fixed_cold_rate"] = scalar_metric(fixed.cold_start_rate)
-    metrics["prewarm/oracle_cold_rate"] = scalar_metric(oracle.cold_start_rate)
-    metrics["prewarm/learned_timer_cold_starts"] = \
-        scalar_metric(float(learned.timer_cold_starts))
+        per_rep("histogram", "requests", direction=HIGHER)
+    metrics["prewarm/histogram_cold_rate"] = \
+        per_rep("histogram", "cold_start_rate")
+    metrics["prewarm/histogram_cold_p99_ms"] = \
+        per_rep("histogram", "cold_p99_ms")
+    metrics["prewarm/histogram_wasted_warm_s"] = \
+        per_rep("histogram", "wasted_warm_s")
+    metrics["prewarm/fixed_cold_rate"] = per_rep("fixed", "cold_start_rate")
+    metrics["prewarm/oracle_cold_rate"] = per_rep("oracle", "cold_start_rate")
+    metrics["prewarm/histogram_timer_cold_starts"] = \
+        per_rep("histogram", "timer_cold_starts")
     return metrics
 
 
@@ -303,7 +308,7 @@ BENCHES: Dict[str, Bench] = {
     "kernel-throughput": Bench("kernel-throughput", collect_kernel_throughput,
                                default_repetitions=3),
     "fleet": Bench("fleet", collect_fleet, default_repetitions=1),
-    "prewarm": Bench("prewarm", collect_prewarm, default_repetitions=1),
+    "prewarm": Bench("prewarm", collect_prewarm, default_repetitions=10),
 }
 
 

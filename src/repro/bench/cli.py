@@ -252,11 +252,11 @@ def _run_prewarm(args) -> str:
     """X13: forecast-driven prewarming vs fixed keep-alive sweep."""
     import json
 
-    from repro.bench.prewarm_study import prewarm_study
+    from repro.bench.prewarm_study import PAIRED_SEEDS, prewarm_study
 
     result = prewarm_study(
-        repetitions=max(1, min(args.repetitions, 3)), seed=args.seed,
-        requests=args.requests or 200_000, horizon=args.horizon)
+        repetitions=max(1, min(args.repetitions, PAIRED_SEEDS)),
+        seed=args.seed, requests=args.requests or 200_000)
     if args.prewarm_out:
         with open(args.prewarm_out, "w", encoding="utf-8") as handle:
             json.dump(result.as_dict(), handle, sort_keys=True)
@@ -352,9 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulated requests per repetition "
                              "(fleet-study default 1000000, prewarm "
                              "default 200000)")
-    parser.add_argument("--horizon", type=int, default=64, metavar="N",
-                        help="forecast lag-window length for the learned "
-                             "policy (prewarm experiment)")
     parser.add_argument("--fleet-out", default=None, metavar="PATH",
                         help="write the fleet-study artifact JSON "
                              "(fleet-study experiment)")
@@ -387,10 +384,6 @@ def validate_args(args) -> str | None:
         return f"--events must be a positive integer, got {args.events}"
     if args.requests is not None and args.requests < 1:
         return f"--requests must be a positive integer, got {args.requests}"
-    if args.horizon < 2:
-        return (f"--horizon must be a positive integer >= 2 "
-                f"(the forecaster needs at least two lag windows), "
-                f"got {args.horizon}")
     if args.experiment == "fleet-report" and not args.fleet_in:
         return "fleet-report requires --fleet-in PATH (a recorded artifact)"
     return None

@@ -40,6 +40,7 @@ import numpy as np
 from repro import make_world
 from repro.bench.report import format_table
 from repro.bench.traces import synthesize_fleet_workload
+from repro.criu.chunkcache import LRU, HotChunkCache
 from repro.criu.shardstore import HashRing
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.functions.base import make_app
@@ -278,26 +279,17 @@ class _Fleet:
             base_chunks.append(np.arange(next_cid, next_cid + count,
                                          dtype=np.int64))
             next_cid += count
-        self.func_chunks: List[np.ndarray] = []
+        self.func_chunks: List[List[int]] = []
         priv_mib = setup.integers(4, 25, size=c.functions)
         for fid in range(c.functions):
             count = int(priv_mib[fid]) * CHUNKS_PER_MIB
             priv = np.arange(next_cid, next_cid + count, dtype=np.int64)
             next_cid += count
             base = base_chunks[fid % len(RUNTIME_BASE_MIB)]
-            self.func_chunks.append(np.concatenate([base, priv]))
-        self.total_chunks = next_cid
+            self.func_chunks.append(np.concatenate([base, priv]).tolist())
         self.image_bytes = np.array(
-            [chunks.size * CHUNK_BYTES for chunks in self.func_chunks],
+            [len(chunks) * CHUNK_BYTES for chunks in self.func_chunks],
             dtype=np.float64)
-
-        # Reverse index chunk -> functions (coverage bookkeeping).
-        owners: List[List[int]] = [[] for _ in range(next_cid)]
-        for fid, chunks in enumerate(self.func_chunks):
-            for cid in chunks.tolist():
-                owners[cid].append(fid)
-        self.chunk_funcs = [np.asarray(fns, dtype=np.int64)
-                            for fns in owners]
 
         # Storage placement via the real shardstore ring.
         ring = HashRing([f"store-{i}" for i in range(c.storage_nodes)])
@@ -310,12 +302,9 @@ class _Fleet:
                 self.chunk_homes[cid, slot] = store_index[name]
 
         # -- per-node state -----------------------------------------------
-        self.cache_capacity = c.node_cache_mib * MIB
-        self.caches: List[Dict[int, None]] = [
-            {} for _ in range(c.compute_nodes)]
-        self.cache_bytes = [0] * c.compute_nodes
-        # coverage[node, fid]: bytes of fid's image in node's cache.
-        self.coverage = np.zeros((c.compute_nodes, c.functions))
+        self.caches = [
+            HotChunkCache(capacity_bytes=c.node_cache_mib * MIB, policy=LRU)
+            for _ in range(c.compute_nodes)]
         # Warm pools: per function, [node, busy_until, last_used].
         self.pools: List[List[List[float]]] = [
             [] for _ in range(c.functions)]
@@ -365,19 +354,6 @@ class _Fleet:
         self.cross_node_bytes = 0
         self.degraded_cold_starts = 0
 
-    # -- cache mechanics -----------------------------------------------------
-
-    def _admit(self, node: int, cid: int) -> None:
-        cache = self.caches[node]
-        cache[cid] = None
-        self.cache_bytes[node] += CHUNK_BYTES
-        self.coverage[node, self.chunk_funcs[cid]] += CHUNK_BYTES
-        while self.cache_bytes[node] > self.cache_capacity:
-            victim = next(iter(cache))
-            del cache[victim]
-            self.cache_bytes[node] -= CHUNK_BYTES
-            self.coverage[node, self.chunk_funcs[victim]] -= CHUNK_BYTES
-
     def _storage_down(self, store: int, t: float) -> bool:
         lo, hi = self.outage_window
         return store == self.outage_node and lo <= t < hi
@@ -393,14 +369,18 @@ class _Fleet:
         # perfectly balanced fleet). Full local coverage beats an empty
         # node unless the covering node already runs well over its fair
         # share; deterministic argmax, first max wins.
+        chunks = self.func_chunks[fid]
         total_bytes = self.image_bytes[fid]
+        coverage = np.array([
+            float(CHUNK_BYTES * sum(map(cache.contains, chunks)))
+            for cache in self.caches])
         load_total = self.node_load.sum()
-        score = self.coverage[:, fid] / total_bytes
+        score = coverage / total_bytes
         if load_total > 0.0:
             score = score - (0.5 * c.compute_nodes / load_total) \
                 * self.node_load
         node = int(np.argmax(score))
-        covered = self.coverage[node, fid]
+        covered = coverage[node]
         self.node_load[node] += 1.0
         self.h_placement[node].inc()
         if covered * 2 < total_bytes:
@@ -410,11 +390,9 @@ class _Fleet:
         remote_bytes = 0
         hops = 0
         cache = self.caches[node]
-        for cid in self.func_chunks[fid].tolist():
-            if cid in cache:
-                # dict move-to-end LRU bump
-                del cache[cid]
-                cache[cid] = None
+        for cid in chunks:
+            # A miss is fetched from the store and admitted (LRU).
+            if cache.lookup(cid, CHUNK_BYTES):
                 local_bytes += CHUNK_BYTES
                 continue
             homes = self.chunk_homes[cid]
@@ -428,10 +406,8 @@ class _Fleet:
             remote_bytes += CHUNK_BYTES
             self.h_served[serving].inc(float(CHUNK_BYTES))
             self.hot_chunks.offer(f"chunk-{cid:08d}", float(CHUNK_BYTES))
-            self._admit(node, cid)
         if hops:
-            self.h_hops[int(self.chunk_homes
-                            [self.func_chunks[fid][0]][0])].inc(float(hops))
+            self.h_hops[int(self.chunk_homes[chunks[0]][0])].inc(float(hops))
         self.cross_node_bytes += remote_bytes
         self.h_hit_bytes[node].inc(float(local_bytes))
         self.h_miss_bytes[node].inc(float(remote_bytes))

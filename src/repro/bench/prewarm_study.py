@@ -16,11 +16,14 @@ wasted warm-seconds held:
   inter-arrival histogram chooses the keep-alive, an EWMA of window
   counts sizes the warm set, and long *predictable* gaps get a
   just-in-time prewarm schedule instead of an unaffordable timeout;
-* **learned** — same skeleton, but next-window counts come from the
-  numpy-only attention forecaster, which tracks burst edges faster
-  than a decayed average;
 * **oracle** — reads next-window counts straight off the trace: the
   clairvoyant bound on what any forecast could achieve.
+
+Every rung replays the same trace of a repetition, so the reps are
+paired seeds. The verdict "histogram beats fixed" is read from the
+per-seed differences (histogram minus fixed) of cold starts, cold p99
+and wasted warm-seconds: each axis's bootstrap CI of the median
+difference must lie below zero (waste may touch it).
 
 The trace composes the X12 fleet synthesizer (Zipf popularity,
 interrupted-Poisson bursts, diurnal thinning) with a class of
@@ -32,10 +35,11 @@ Timer functions deliberately carry the largest images, so covering
 them moves the cold-start *tail*, not just the rate.
 
 Cold-start latency uses the calibrated CostModel decomposition (the
-same clone/spawn/restore prices as X12) against a node-local image
-cache that predictive policies *prefetch* into — the chunk-prefetch
-half of the tentpole, so a predicted-then-realized cold start fetches
-from local cache instead of the registry.
+same clone/spawn/restore prices as X12) against the platform's
+:class:`~repro.criu.chunkcache.HotChunkCache` (LRU, one entry per
+image) that predictive policies *prefetch* into, so a
+predicted-then-realized cold start fetches from local cache instead
+of the registry.
 
 One *real* platform episode (FaaSPlatform with ``PrewarmConfig``
 installed) rides along as the exemplar: its controller stats prove
@@ -53,13 +57,14 @@ import numpy as np
 
 from repro import make_world
 from repro.bench.report import format_table
+from repro.bench.stats import bootstrap_median_ci
 from repro.bench.traces import synthesize_fleet_workload
+from repro.criu.chunkcache import LRU, HotChunkCache
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.functions.base import make_app
 from repro.predict.policy import (
     FixedKeepAlivePolicy,
     HistogramEwmaPolicy,
-    LearnedPolicy,
     OraclePolicy,
     PrewarmConfig,
     PrewarmPolicy,
@@ -70,7 +75,16 @@ from repro.sim.rng import _derive_seed
 
 MIB = 1024 * 1024
 
-POLICY_LADDER = ("reactive", "fixed", "histogram", "learned", "oracle")
+POLICY_LADDER = ("reactive", "fixed", "histogram", "oracle")
+
+#: Paired seeds behind the sealed verdict (the baseline's repetitions).
+PAIRED_SEEDS = 10
+
+#: The verdict's axes: outcome field, and whether a CI ending exactly
+#: at zero still passes (wasted warm-seconds may tie; cold starts and
+#: cold p99 must drop).
+VERDICT_AXES = (("cold_starts", False), ("cold_p99_ms", False),
+                ("wasted_warm_s", True))
 
 
 @dataclass(frozen=True)
@@ -90,7 +104,6 @@ class PrewarmStudyConfig:
     # the histogram says the coverage pays (Serverless-in-the-Wild
     # caps at several multiples of the default for the same reason).
     keepalive_cap_ms: float = 120_000.0
-    horizon: int = 64
     ewma_alpha: float = 0.25
     node_cache_mib: int = 768         # image-prefetch cache per node
     # Bursty main-population shape (interrupted Poisson).
@@ -166,20 +179,35 @@ class PrewarmRepResult:
     outcomes: Dict[str, PolicyOutcome] = field(default_factory=dict)
 
     @property
-    def learned_beats_fixed(self) -> bool:
-        """The acceptance criterion: strictly fewer cold starts AND a
-        strictly lower cold p99 at equal-or-lower wasted warm-seconds."""
-        learned = self.outcomes["learned"]
-        fixed = self.outcomes["fixed"]
-        return (learned.cold_starts < fixed.cold_starts
-                and learned.cold_p99_ms < fixed.cold_p99_ms
-                and learned.wasted_warm_s <= fixed.wasted_warm_s)
-
-    @property
     def oracle_bounds_gap(self) -> bool:
-        """The oracle never does worse than the learned policy."""
+        """The oracle never does worse than the histogram policy."""
         return (self.outcomes["oracle"].cold_start_rate
-                <= self.outcomes["learned"].cold_start_rate)
+                <= self.outcomes["histogram"].cold_start_rate)
+
+
+def paired_verdict(reps: List[PrewarmRepResult]) -> Dict[str, object]:
+    """Does the histogram policy beat fixed keep-alive across the reps'
+    paired seeds?
+
+    Per :data:`VERDICT_AXES`, the per-seed differences histogram −
+    fixed get a 95 % bootstrap CI of their median. ``beats`` holds
+    when every axis's CI lies below zero (or ends at zero where the
+    axis allows a tie). One seed forms no CI, so it never beats.
+    """
+    verdict: Dict[str, object] = {"seeds": len(reps)}
+    beats = len(reps) >= 2
+    for axis, tie_ok in VERDICT_AXES:
+        if len(reps) < 2:
+            verdict[axis] = None
+            continue
+        diffs = [float(getattr(r.outcomes["histogram"], axis)
+                       - getattr(r.outcomes["fixed"], axis)) for r in reps]
+        ci = bootstrap_median_ci(diffs, seed=0)
+        verdict[axis] = {"median": ci.point, "ci_low": ci.low,
+                         "ci_high": ci.high}
+        beats = beats and (ci.high <= 0.0 if tie_ok else ci.high < 0.0)
+    verdict["beats"] = beats
+    return verdict
 
 
 @dataclass
@@ -205,7 +233,6 @@ class PrewarmStudyResult:
                 "requests": self.config.requests,
                 "duration_ms": self.config.duration_ms,
                 "window_ms": self.config.window_ms,
-                "horizon": self.config.horizon,
                 "fixed_keepalive_ms": self.config.fixed_keepalive_ms,
                 "node_cache_mib": self.config.node_cache_mib,
             },
@@ -213,13 +240,13 @@ class PrewarmStudyResult:
                 {
                     "rep": r.rep,
                     "seed": r.seed,
-                    "learned_beats_fixed": r.learned_beats_fixed,
                     "oracle_bounds_gap": r.oracle_bounds_gap,
                     "policies": {name: o.as_dict()
                                  for name, o in r.outcomes.items()},
                 }
                 for r in self.reps
             ],
+            "verdict": paired_verdict(self.reps),
             "exemplar": self.exemplar,
         }
 
@@ -285,31 +312,6 @@ def _image_sizes(config: PrewarmStudyConfig, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _ImageLRU:
-    """Whole-image LRU cache standing in for a node's HotChunkCache."""
-
-    def __init__(self, capacity_mib: float) -> None:
-        self.capacity_mib = float(capacity_mib)
-        self._resident: Dict[int, float] = {}   # fid -> MiB, LRU-ordered
-        self._used_mib = 0.0
-
-    def admit(self, fid: int, mib: float) -> bool:
-        """Touch ``fid``; returns True when it was already resident."""
-        present = fid in self._resident
-        if present:
-            del self._resident[fid]            # move-to-end bump
-        else:
-            self._used_mib += mib
-        self._resident[fid] = mib
-        while self._used_mib > self.capacity_mib and len(self._resident) > 1:
-            victim, size = next(iter(self._resident.items()))
-            if victim == fid:
-                break
-            del self._resident[victim]
-            self._used_mib -= size
-        return present
-
-
 class _PolicySim:
     """One chronological sweep of the trace under one prewarm policy.
 
@@ -334,7 +336,8 @@ class _PolicySim:
         self.sched_mark: List[float] = [-1.0] * n
         self.wasted_ms = np.zeros(n, dtype=np.float64)
         self.cold_by_fid = np.zeros(n, dtype=np.int64)
-        self.cache = _ImageLRU(config.node_cache_mib)
+        self.cache = HotChunkCache(
+            capacity_bytes=config.node_cache_mib * MIB, policy=LRU)
         self.cold_lats: List[float] = []
         self.outcome = PolicyOutcome(policy=policy.name)
 
@@ -361,7 +364,7 @@ class _PolicySim:
         """Calibrated provision latency against the node image cache."""
         costs = self.costs
         mib = float(self.image_mib[fid])
-        hit = self.cache.admit(fid, mib)
+        hit = self.cache.lookup(str(fid), int(mib) * MIB)
         if prefetch and not hit:
             self.outcome.prefetch_mib += mib
         full = costs.restore_cost(mib)
@@ -426,7 +429,7 @@ class _PolicySim:
             elif target > 0:
                 # Target already met: refresh the image cache so a
                 # predicted-then-realized cold start fetches locally.
-                self.cache.admit(fid, float(self.image_mib[fid]))
+                self.cache.prefetch(str(fid), int(self.image_mib[fid]) * MIB)
             if (not pool and placed < budget
                     and self.last_arrival[fid] >= 0.0
                     and self.sched_mark[fid] != self.last_arrival[fid]):
@@ -544,7 +547,7 @@ def _window_counts(config: PrewarmStudyConfig, times: np.ndarray,
             for fid in range(config.total_functions)}
 
 
-def _build_policy(name: str, config: PrewarmStudyConfig, seed: int,
+def _build_policy(name: str, config: PrewarmStudyConfig,
                   oracle_counts: Dict[int, List[float]]) -> PrewarmPolicy:
     kwargs = dict(
         window_ms=config.window_ms,
@@ -560,10 +563,6 @@ def _build_policy(name: str, config: PrewarmStudyConfig, seed: int,
         return FixedKeepAlivePolicy(config.fixed_keepalive_ms)
     if name == "histogram":
         return HistogramEwmaPolicy(**kwargs)
-    if name == "learned":
-        return LearnedPolicy(horizon=config.horizon,
-                             seed=_derive_seed(seed, "learned-policy"),
-                             **kwargs)
     if name == "oracle":
         # The clairvoyant bound staffs generously: it knows the next
         # window's exact count and never pays for a wrong forecast, so
@@ -581,10 +580,10 @@ def _run_repetition(config: PrewarmStudyConfig, seed: int,
     oracle_counts = _window_counts(config, times, fids)
     result = PrewarmRepResult(rep=rep, seed=rep_seed)
     for name in POLICY_LADDER:
-        policy = _build_policy(name, config, rep_seed, oracle_counts)
+        policy = _build_policy(name, config, oracle_counts)
         sim = _PolicySim(config, policy, image_mib, DEFAULT_COST_MODEL,
                          seed=_derive_seed(rep_seed, f"latency-{name}"))
-        tick = name in ("histogram", "learned", "oracle")
+        tick = name in ("histogram", "oracle")
         result.outcomes[name] = sim.run(times, fids, tick=tick)
     return result
 
@@ -602,7 +601,7 @@ def _platform_exemplar(seed: int) -> Dict[str, object]:
                        observe=True)
     kernel = world.kernel
     platform = FaaSPlatform(kernel, PlatformConfig(prewarm=PrewarmConfig(
-        policy="learned", window_ms=200.0, service_ms_hint=500.0)))
+        window_ms=200.0, service_ms_hint=500.0)))
     platform.register_function(lambda: make_app("markdown"),
                                start_technique="prebake",
                                cache_policy="freq-over-size")
@@ -624,13 +623,13 @@ def _platform_exemplar(seed: int) -> Dict[str, object]:
 
 
 def prewarm_study(repetitions: int = 1, seed: int = 42,
-                  requests: int = 200_000, horizon: int = 64,
+                  requests: int = 200_000,
                   functions: int = 36, timer_functions: int = 12,
                   duration_ms: float = 7_200_000.0) -> PrewarmStudyResult:
     """Run X13: the policy ladder over ``repetitions`` fleet traces."""
     config = PrewarmStudyConfig(
         functions=functions, timer_functions=timer_functions,
-        requests=requests, duration_ms=duration_ms, horizon=horizon)
+        requests=requests, duration_ms=duration_ms)
     result = PrewarmStudyResult(config=config, seed=seed)
     for rep in range(repetitions):
         result.reps.append(_run_repetition(config, seed, rep))
@@ -641,6 +640,32 @@ def prewarm_study(repetitions: int = 1, seed: int = 42,
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
+
+
+def _verdict_lines(artifact: Dict[str, object]) -> List[str]:
+    """The two greppable verdict lines, over all paired seeds."""
+    verdict = artifact["verdict"]
+    seeds = verdict["seeds"]
+    if seeds < 2:
+        detail = f"{seeds} seed: a paired CI needs at least 2"
+    else:
+        cold, p99, waste = (verdict[axis] for axis, _ in VERDICT_AXES)
+        detail = (
+            f"histogram - fixed over {seeds} paired seeds, "
+            f"median [95% CI]: "
+            f"cold {cold['median']:.1f} "
+            f"[{cold['ci_low']:.1f}, {cold['ci_high']:.1f}], "
+            f"p99 {p99['median']:.2f} "
+            f"[{p99['ci_low']:.2f}, {p99['ci_high']:.2f}] ms, "
+            f"waste {waste['median']:.0f} "
+            f"[{waste['ci_low']:.0f}, {waste['ci_high']:.0f}] s")
+    bounded = sum(1 for rep in artifact["reps"] if rep["oracle_bounds_gap"])
+    return [
+        f"predictive beats fixed keep-alive: "
+        f"{'yes' if verdict['beats'] else 'NO'} ({detail})",
+        f"oracle bounds the gap: {'yes' if bounded == seeds else 'NO'} "
+        f"(oracle cold rate <= histogram on {bounded} of {seeds} seeds)",
+    ]
 
 
 def render_prewarm_report(artifact: Dict[str, object]) -> str:
@@ -675,22 +700,8 @@ def render_prewarm_report(artifact: Dict[str, object]) -> str:
         lines.append(format_table(
             ["policy", "cold", "cold-rate", "p50(ms)", "p99(ms)",
              "waste(s)", "timer-cold", "prewarmed"], rows))
-        learned = rep["policies"]["learned"]
-        fixed = rep["policies"]["fixed"]
-        oracle = rep["policies"]["oracle"]
-        verdict = "yes" if rep["learned_beats_fixed"] else "NO"
-        lines.append(
-            f"predictive beats fixed keep-alive: {verdict} "
-            f"(cold {learned['cold_starts']} vs {fixed['cold_starts']}, "
-            f"p99 {learned['cold_p99_ms']:.1f} vs "
-            f"{fixed['cold_p99_ms']:.1f} ms, "
-            f"waste {learned['wasted_warm_s']:.0f} vs "
-            f"{fixed['wasted_warm_s']:.0f} s)")
-        bound = "yes" if rep["oracle_bounds_gap"] else "NO"
-        lines.append(
-            f"oracle bounds the gap: {bound} "
-            f"(oracle cold rate {100.0 * oracle['cold_start_rate']:.2f}% "
-            f"<= learned {100.0 * learned['cold_start_rate']:.2f}%)")
+    lines.append("")
+    lines.extend(_verdict_lines(artifact))
     exemplar = artifact.get("exemplar", {})
     if exemplar:
         lines.append("")

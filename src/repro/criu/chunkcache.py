@@ -18,7 +18,9 @@ Two policies:
 
 The cache is deliberately deterministic (no RNG, no wall clock): the
 recency stamp is a monotonic lookup counter, so identically seeded
-experiments produce identical hit sequences.
+experiments produce identical hit sequences. Resident chunks are kept
+in stamp order (a touched chunk moves to the end), so the LRU victim
+is the first resident key.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class HotChunkCache:
         self.capacity_bytes = capacity_bytes
         self.policy = policy
         self.stats = CacheStats()
-        self._resident: Dict[str, Tuple[int, int]] = {}  # cid -> (size, stamp)
+        # cid -> (size, stamp), in ascending stamp order.
+        self._resident: Dict[str, Tuple[int, int]] = {}
         self._freq: Dict[str, int] = {}                  # ghost history too
         self._used_bytes = 0
         self._tick = 0
@@ -112,7 +115,7 @@ class HotChunkCache:
         if chunk_id in self._resident:
             self.stats.hits += 1
             self.stats.hit_bytes += size_bytes
-            self._resident[chunk_id] = (size_bytes, self._tick)
+            self._touch(chunk_id, size_bytes)
             return True
         self.stats.misses += 1
         self.stats.miss_bytes += size_bytes
@@ -135,7 +138,7 @@ class HotChunkCache:
         if len(self._freq) > _MAX_GHOST_ENTRIES:
             self._trim_ghosts()
         if chunk_id in self._resident:
-            self._resident[chunk_id] = (size_bytes, self._tick)
+            self._touch(chunk_id, size_bytes)
             return True
         self._admit(chunk_id, size_bytes, freq)
         admitted = chunk_id in self._resident
@@ -145,6 +148,11 @@ class HotChunkCache:
         return admitted
 
     # -- policy internals ----------------------------------------------------
+
+    def _touch(self, chunk_id: str, size_bytes: int) -> None:
+        """Restamp a resident chunk and move it to the recency end."""
+        del self._resident[chunk_id]
+        self._resident[chunk_id] = (size_bytes, self._tick)
 
     def _score(self, chunk_id: str, size_bytes: int) -> float:
         """Frequency-over-size: hot small chunks are worth the most."""
@@ -174,7 +182,7 @@ class HotChunkCache:
         if not self._resident:
             return None
         if self.policy == LRU:
-            return min(self._resident, key=lambda cid: self._resident[cid][1])
+            return next(iter(self._resident))
         # freq-over-size, LRU as the tie-break so equal-score chunks
         # age out in access order.
         return min(

@@ -1,33 +1,23 @@
-"""Arrival forecasters: inter-arrival histogram, EWMA, attention model.
+"""Arrival forecasters: inter-arrival histogram and EWMA.
 
-Three estimators at increasing sophistication, all deterministic:
+Two deterministic estimators:
 
 * :class:`InterArrivalHistogram` — log2-bucketed gap histogram per
   function.  Its quantiles choose keep-alive windows the way the
   Serverless-in-the-Wild hybrid policy does: keep a replica warm for
   the gap length that covers the q-th fraction of observed gaps.
 * :class:`EwmaForecaster` — exponentially weighted moving average of
-  per-window arrival counts; the cheap rate estimate the histogram
-  policy pre-provisions against.
-* :class:`AttentionForecaster` — a small numpy-only attention/feature
-  sequence model (transformer-inspired, per the PAPERS.md cold-start
-  forecasting line of work).  Fixed seeded projections map a lag
-  window of count features to keys/values, softmax attention pools
-  them into a context vector, and an online normalized-LMS readout
-  predicts the next window's arrival count.  No new dependencies, no
-  wall-clock or unseeded randomness: for a fixed seed the model is
-  bit-deterministic across runs.
+  per-window arrival counts; the rate estimate the histogram policy
+  pre-provisions against.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 import numpy as np
-
-from repro.sim.rng import _derive_seed
 
 #: Number of log2 gap buckets: bucket i covers [2**i, 2**(i+1)) ms,
 #: bucket 0 additionally absorbs sub-millisecond gaps.  2**48 ms is
@@ -131,10 +121,6 @@ class EwmaForecaster:
         self._value = 0.0
         self._seen = 0
 
-    @property
-    def windows_seen(self) -> int:
-        return self._seen
-
     def observe(self, count: float) -> None:
         if count < 0.0 or not math.isfinite(count):
             return
@@ -147,115 +133,3 @@ class EwmaForecaster:
     def forecast(self) -> float:
         return self._value if self._seen else 0.0
 
-
-class AttentionForecaster:
-    """Numpy-only attention model predicting next-window arrival counts.
-
-    Architecture (all float64, all seeded):
-
-    * each of the last ``horizon`` windows becomes a feature vector
-      ``[log1p(count), count/(1+ewma), sin(age), cos(age), 1]``;
-    * fixed projections ``Wq/Wk/Wv`` (drawn once from a PCG64 stream
-      derived from ``seed``) map features to a query (latest window),
-      keys, and values;
-    * scaled-dot softmax attention pools the values into a context
-      vector;
-    * the readout ``w . [context, log1p(last), ewma, 1]`` is trained
-      online with normalized LMS against each realized count.
-
-    The readout starts as the pure-EWMA predictor, so the model is
-    never worse than EWMA before training kicks in and the attention
-    terms only earn weight when they reduce error — e.g. by noticing
-    burst onsets (last-window spike) or periodic structure that a
-    single decayed average smears away.
-    """
-
-    __slots__ = ("horizon", "d_model", "lr", "_wq", "_wk", "_wv", "_w",
-                 "_counts", "_ewma", "_last_phi", "_last_pred")
-
-    _FEATURES = 5
-
-    def __init__(self, horizon: int = 64, d_model: int = 16,
-                 lr: float = 0.2, ewma_alpha: float = 0.25,
-                 seed: int = 0) -> None:
-        if horizon < 2:
-            raise ValueError(f"horizon must be >= 2, got {horizon}")
-        if d_model < 1:
-            raise ValueError(f"d_model must be >= 1, got {d_model}")
-        self.horizon = int(horizon)
-        self.d_model = int(d_model)
-        self.lr = float(lr)
-        rng = np.random.Generator(np.random.PCG64(
-            _derive_seed(seed, "attention-forecaster")))
-        scale = 1.0 / math.sqrt(self._FEATURES)
-        self._wq = rng.normal(0.0, scale, (self._FEATURES, d_model))
-        self._wk = rng.normal(0.0, scale, (self._FEATURES, d_model))
-        self._wv = rng.normal(0.0, scale, (self._FEATURES, d_model))
-        # Readout over [context (d_model), log1p(last), ewma, 1]; start
-        # as the EWMA predictor so the untrained model is sane.
-        self._w = np.zeros(d_model + 3, dtype=np.float64)
-        self._w[d_model + 1] = 1.0
-        self._counts: Deque[float] = deque(maxlen=self.horizon)
-        self._ewma = EwmaForecaster(alpha=ewma_alpha)
-        self._last_phi: Optional[np.ndarray] = None
-        self._last_pred = 0.0
-
-    @property
-    def windows_seen(self) -> int:
-        return self._ewma.windows_seen
-
-    def _features(self) -> np.ndarray:
-        """Lag-window feature matrix, oldest first."""
-        counts = np.asarray(self._counts, dtype=np.float64)
-        n = counts.size
-        ewma = self._ewma.forecast()
-        ages = np.arange(n - 1, -1, -1, dtype=np.float64)  # 0 == latest
-        angle = 2.0 * np.pi * ages / self.horizon
-        feats = np.empty((n, self._FEATURES), dtype=np.float64)
-        feats[:, 0] = np.log1p(counts)
-        feats[:, 1] = counts / (1.0 + ewma)
-        feats[:, 2] = np.sin(angle)
-        feats[:, 3] = np.cos(angle)
-        feats[:, 4] = 1.0
-        return feats
-
-    def observe(self, count: float) -> None:
-        """Fold in one completed window and train on the last forecast."""
-        if count < 0.0 or not math.isfinite(count):
-            return
-        count = float(count)
-        if self._last_phi is not None:
-            # Normalized LMS: step size is scale-free in ||phi||.
-            error = count - self._last_pred
-            phi = self._last_phi
-            self._w += self.lr * error * phi / (1.0 + phi @ phi)
-        self._counts.append(count)
-        self._ewma.observe(count)
-        self._last_phi = self._readout_features()
-        self._last_pred = float(self._w @ self._last_phi)
-
-    def _readout_features(self) -> np.ndarray:
-        feats = self._features()
-        query = feats[-1] @ self._wq
-        keys = feats @ self._wk
-        values = feats @ self._wv
-        scores = keys @ query / math.sqrt(self.d_model)
-        scores -= scores.max()
-        weights = np.exp(scores)
-        weights /= weights.sum()
-        context = weights @ values
-        last = self._counts[-1]
-        return np.concatenate([
-            context,
-            [math.log1p(last), self._ewma.forecast(), 1.0],
-        ])
-
-    def forecast(self) -> float:
-        """Predicted arrival count for the next window (clipped at 0)."""
-        if not self._counts:
-            return 0.0
-        return max(0.0, self._last_pred)
-
-    def state_digest(self) -> List[float]:
-        """Readout weights as a plain list (for determinism tests)."""
-        return [float(v) for v in self._w]

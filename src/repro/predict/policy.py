@@ -11,14 +11,14 @@ Policies see arrivals only as inter-arrival gaps (``note_gap``) and
 one arrival count per completed window (``observe_window``).
 
 The X13 study (:mod:`repro.bench.prewarm_study`) sweeps the policy
-ladder — reactive, fixed keep-alive, histogram/EWMA, learned
-(attention), oracle — over the same trace; the platform runs one
-policy live through :class:`PrewarmController`, which counts arrivals
-per window, feeds each completed window's count to the policy once,
-and hands the autoscaler budget-capped :class:`PrewarmAction` plans.
+ladder — reactive, fixed keep-alive, histogram/EWMA, oracle — over the
+same trace; the platform runs the histogram/EWMA policy live through
+:class:`PrewarmController`, which counts arrivals per window, feeds
+each completed window's count to the policy once, and hands the
+autoscaler budget-capped :class:`PrewarmAction` plans.
 
-Policies are deterministic: per-key forecaster seeds derive from the
-policy seed and the key via ``repro.sim.rng._derive_seed``.
+Policies hold no randomness: the same arrivals give the same
+decisions.
 """
 
 from __future__ import annotations
@@ -28,20 +28,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.predict.forecast import (
-    AttentionForecaster,
-    EwmaForecaster,
-    InterArrivalHistogram,
-)
-from repro.sim.rng import _derive_seed
+from repro.predict.forecast import EwmaForecaster, InterArrivalHistogram
 
 DEFAULT_WINDOW_MS = 10_000.0
 DEFAULT_KEEPALIVE_FLOOR_MS = 1_000.0
 DEFAULT_KEEPALIVE_CAP_MS = 30_000.0
 
-#: Lag window of the attention forecaster, and the most completed
-#: windows one controller plan feeds (a long idle stretch costs
-#: O(HORIZON), not O(gap)).
+#: The most completed windows one controller plan feeds to the policy
+#: (a long idle stretch costs O(HORIZON), not O(gap); the EWMA has
+#: decayed older windows to nothing by then).
 HORIZON = 64
 
 #: Byte budget of one prewarm action's hot-chunk prefetch.
@@ -277,43 +272,6 @@ class HistogramEwmaPolicy(PrewarmPolicy):
         return eta, hold
 
 
-class LearnedPolicy(HistogramEwmaPolicy):
-    """Histogram keep-alive + attention-forecast pre-provisioning.
-
-    Same shape as :class:`HistogramEwmaPolicy` but the next-window count
-    comes from a per-key :class:`AttentionForecaster` (seeded from the
-    policy seed and the key, so the study is reproducible function by
-    function).
-    """
-
-    name = "learned"
-
-    def __init__(self, window_ms: float = DEFAULT_WINDOW_MS,
-                 service_ms: float = 150.0,
-                 horizon: int = HORIZON,
-                 seed: int = 0,
-                 **kwargs: float) -> None:
-        super().__init__(window_ms=window_ms, service_ms=service_ms, **kwargs)
-        self.horizon = int(horizon)
-        self.seed = int(seed)
-        self._models: Dict[str, AttentionForecaster] = {}
-
-    def _model(self, key: str) -> AttentionForecaster:
-        model = self._models.get(key)
-        if model is None:
-            model = self._models[key] = AttentionForecaster(
-                horizon=self.horizon,
-                seed=_derive_seed(self.seed, f"prewarm-{key}"))
-        return model
-
-    def observe_window(self, key: str, count: float) -> None:
-        super().observe_window(key, count)
-        self._model(key).observe(count)
-
-    def forecast(self, key: str) -> float:
-        return self._model(key).forecast()
-
-
 class OraclePolicy(PrewarmPolicy):
     """Clairvoyant upper bound: reads next-window counts off the trace.
 
@@ -364,7 +322,7 @@ class OraclePolicy(PrewarmPolicy):
 class PrewarmConfig:
     """Knobs for the live prewarm layer (off unless installed)."""
 
-    policy: str = "learned"              # "histogram" | "learned"
+    policy: str = "histogram"            # the only live policy
     window_ms: float = DEFAULT_WINDOW_MS
     service_ms_hint: float = 100.0       # assumed busy time per request
     keepalive_floor_ms: float = DEFAULT_KEEPALIVE_FLOOR_MS
@@ -373,7 +331,7 @@ class PrewarmConfig:
     max_warm_per_function: int = 4
 
     def __post_init__(self) -> None:
-        if self.policy not in ("histogram", "learned"):
+        if self.policy != "histogram":
             raise ValueError(f"unknown prewarm policy {self.policy!r}")
         if self.window_ms <= 0:
             raise ValueError("window_ms must be positive")
@@ -421,16 +379,12 @@ class PrewarmController:
     def __init__(self, config: Optional[PrewarmConfig] = None) -> None:
         self.config = config or PrewarmConfig()
         cfg = self.config
-        kwargs = dict(
+        self.policy = HistogramEwmaPolicy(
             window_ms=cfg.window_ms,
             service_ms=cfg.service_ms_hint,
             keepalive_floor_ms=cfg.keepalive_floor_ms,
             keepalive_cap_ms=cfg.keepalive_cap_ms,
         )
-        if cfg.policy == "learned":
-            self.policy: HistogramEwmaPolicy = LearnedPolicy(**kwargs)
-        else:
-            self.policy = HistogramEwmaPolicy(**kwargs)
         self._counts: Dict[str, Counter] = {}
         self._next_window: Dict[str, int] = {}
         self._last_arrival: Dict[str, float] = {}

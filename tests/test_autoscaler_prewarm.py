@@ -86,7 +86,7 @@ class TestPrewarmPass:
     def _warm_platform(self, seed=7):
         world = make_world(seed=seed, observe=True)
         platform = _platform(world.kernel, prewarm=PrewarmConfig(
-            policy="learned", window_ms=200.0, service_ms_hint=500.0))
+            policy="histogram", window_ms=200.0, service_ms_hint=500.0))
         platform.register_function(lambda: make_app("markdown"),
                                    start_technique="prebake",
                                    cache_policy="freq-over-size")

@@ -52,7 +52,7 @@ class TestMain:
         assert main(["prewarm", "-r", "1", "--requests", "8000"]) == 0
         out = capsys.readouterr().out
         assert "X13" in out
-        for policy in ("reactive", "fixed", "histogram", "learned", "oracle"):
+        for policy in ("reactive", "fixed", "histogram", "oracle"):
             assert policy in out
         assert "predictive beats fixed keep-alive:" in out
         assert "oracle bounds the gap:" in out
@@ -81,9 +81,6 @@ class TestArgumentValidation:
         (["prewarm", "-s", "-7"], "--seed"),
         (["prewarm", "--requests", "0"], "--requests"),
         (["prewarm", "--requests", "-1"], "--requests"),
-        (["prewarm", "--horizon", "0"], "--horizon"),
-        (["prewarm", "--horizon", "-4"], "--horizon"),
-        (["prewarm", "--horizon", "1"], "--horizon"),
     ])
     def test_non_positive_knobs_exit_2_with_a_clear_message(
             self, capsys, argv, flag):

@@ -7,15 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.predict.forecast import (
-    AttentionForecaster,
-    EwmaForecaster,
-    InterArrivalHistogram,
-)
+from repro.predict.forecast import EwmaForecaster, InterArrivalHistogram
 from repro.predict.policy import (
     FixedKeepAlivePolicy,
     HistogramEwmaPolicy,
-    LearnedPolicy,
     OraclePolicy,
     PrewarmConfig,
     PrewarmController,
@@ -103,56 +98,6 @@ class TestEwmaForecaster:
             EwmaForecaster(alpha=1.5)
 
 
-class TestAttentionForecaster:
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           counts_seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_bit_deterministic_for_fixed_seed(self, seed, counts_seed):
-        rng = np.random.Generator(np.random.PCG64(counts_seed))
-        counts = rng.poisson(4.0, size=120).astype(float)
-        runs = []
-        for _ in range(2):
-            model = AttentionForecaster(horizon=32, seed=seed)
-            for count in counts:
-                model.observe(count)
-            runs.append((model.forecast(), model.state_digest()))
-        assert runs[0][0] == runs[1][0]
-        assert runs[0][1] == runs[1][1]
-
-    def test_different_seeds_give_different_projections(self):
-        a = AttentionForecaster(seed=1)
-        b = AttentionForecaster(seed=2)
-        for count in (3.0, 5.0, 2.0, 7.0, 4.0):
-            a.observe(count)
-            b.observe(count)
-        assert a.state_digest() != b.state_digest()
-
-    @given(rate=st.floats(min_value=1.0, max_value=30.0),
-           seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_tracks_a_stationary_poisson_stream(self, rate, seed):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        model = AttentionForecaster(horizon=32, seed=0)
-        for count in rng.poisson(rate, size=600):
-            model.observe(float(count))
-        # The readout starts as the EWMA predictor and LMS only moves
-        # it to reduce error, so on a stationary stream the forecast
-        # stays in a Poisson-scaled band around the true rate.
-        assert abs(model.forecast() - rate) < 6.0 * math.sqrt(rate) + 1.0
-
-    def test_forecast_never_negative(self):
-        model = AttentionForecaster(seed=0)
-        for count in (50.0, 0.0, 0.0, 0.0, 0.0, 0.0):
-            model.observe(count)
-        assert model.forecast() >= 0.0
-
-    def test_rejects_degenerate_shapes(self):
-        with pytest.raises(ValueError):
-            AttentionForecaster(horizon=1)
-        with pytest.raises(ValueError):
-            AttentionForecaster(d_model=0)
-
-
 class TestPolicies:
     def test_reactive_never_holds_anything(self):
         policy = ReactivePolicy()
@@ -201,15 +146,6 @@ class TestPolicies:
         assert policy.target_warm("hot") >= 8  # load alone is 8
         assert policy.target_warm("idle-fn") == 0
 
-    def test_learned_policy_is_seed_deterministic(self):
-        outs = []
-        for _ in range(2):
-            policy = LearnedPolicy(window_ms=1_000.0, seed=7)
-            for count in (3.0, 9.0, 1.0, 6.0, 4.0, 8.0):
-                policy.observe_window("f", count)
-            outs.append((policy.forecast("f"), policy.target_warm("f")))
-        assert outs[0] == outs[1]
-
     def test_oracle_reads_the_next_window_off_the_trace(self):
         policy = OraclePolicy({"f": [4.0, 0.0, 2.0]}, window_ms=1_000.0,
                               service_ms=500.0)
@@ -222,7 +158,6 @@ class TestPolicies:
 
     def test_forecast_policies_do_not_place_singletons(self):
         assert not HistogramEwmaPolicy.prewarm_singletons
-        assert not LearnedPolicy.prewarm_singletons
 
 
 class TestPrewarmController:
@@ -230,9 +165,16 @@ class TestPrewarmController:
         with pytest.raises(ValueError):
             PrewarmConfig(policy="nope")
         with pytest.raises(ValueError):
+            PrewarmConfig(policy="learned")
+        with pytest.raises(ValueError):
             PrewarmConfig(window_ms=0.0)
         with pytest.raises(ValueError):
             PrewarmConfig(max_prewarm_per_tick=0)
+
+    def test_controller_runs_the_histogram_policy(self):
+        assert PrewarmConfig().policy == "histogram"
+        controller = PrewarmController(PrewarmConfig(policy="histogram"))
+        assert type(controller.policy) is HistogramEwmaPolicy
 
     @pytest.mark.parametrize("hint", [0.0, -500.0])
     def test_non_positive_service_hint_rejected(self, hint):

@@ -5,10 +5,14 @@ import json
 import pytest
 
 from repro.bench.prewarm_study import (
+    PAIRED_SEEDS,
     POLICY_LADDER,
+    PolicyOutcome,
+    PrewarmRepResult,
     PrewarmStudyConfig,
     _synthesize_prewarm_trace,
     _window_counts,
+    paired_verdict,
     prewarm_study,
     render_prewarm_report,
 )
@@ -21,7 +25,9 @@ SMOKE = dict(repetitions=1, seed=42, requests=8_000)
 
 @pytest.fixture(scope="module")
 def smoke():
-    return prewarm_study(**SMOKE)
+    """The smoke shape over the verdict's paired seeds (rep 0 is the
+    one-rep smoke run: reps are independent)."""
+    return prewarm_study(**dict(SMOKE, repetitions=PAIRED_SEEDS))
 
 
 class TestTraceSynthesis:
@@ -73,26 +79,25 @@ class TestStudy:
 
     def test_predictive_beats_fixed_on_the_smoke_trace(self, smoke):
         rep = smoke.headline
-        assert rep.learned_beats_fixed
         assert rep.oracle_bounds_gap
-        learned = rep.outcomes["learned"]
+        histogram = rep.outcomes["histogram"]
         fixed = rep.outcomes["fixed"]
-        assert learned.cold_starts < fixed.cold_starts
-        assert learned.cold_p99_ms < fixed.cold_p99_ms
-        assert learned.wasted_warm_s <= fixed.wasted_warm_s
+        assert histogram.cold_starts < fixed.cold_starts
+        assert histogram.cold_p99_ms < fixed.cold_p99_ms
+        assert histogram.wasted_warm_s <= fixed.wasted_warm_s
 
     def test_prewarming_actually_happened(self, smoke):
         rep = smoke.headline
-        assert rep.outcomes["learned"].prewarm_placements > 0
+        assert rep.outcomes["histogram"].prewarm_placements > 0
         assert rep.outcomes["oracle"].prewarm_placements > 0
         assert rep.outcomes["fixed"].prewarm_placements == 0
-        assert rep.outcomes["learned"].prefetch_mib > 0.0
+        assert rep.outcomes["histogram"].prefetch_mib > 0.0
 
     def test_timer_functions_are_covered_by_scheduling(self, smoke):
         rep = smoke.headline
         # The fixed keep-alive cannot cover multi-minute timer periods;
-        # the histogram policies prewarm on schedule instead.
-        assert (rep.outcomes["learned"].timer_cold_starts
+        # the histogram policy prewarms on schedule instead.
+        assert (rep.outcomes["histogram"].timer_cold_starts
                 < rep.outcomes["fixed"].timer_cold_starts)
 
     def test_study_is_deterministic(self):
@@ -103,7 +108,57 @@ class TestStudy:
     def test_artifact_is_json_round_trippable(self, smoke):
         artifact = json.loads(json.dumps(smoke.as_dict(), sort_keys=True))
         assert artifact["experiment"] == "prewarm-study"
-        assert artifact["reps"][0]["policies"]["learned"]["cold_starts"] >= 0
+        assert artifact["reps"][0]["policies"]["histogram"]["cold_starts"] >= 0
+        assert artifact["verdict"]["seeds"] == PAIRED_SEEDS
+
+
+def _rep(rep, fixed, histogram):
+    """A rep whose two rungs score (cold, p99 ms, waste s)."""
+    result = PrewarmRepResult(rep=rep, seed=rep)
+    for name, (cold, p99, waste) in (("fixed", fixed),
+                                     ("histogram", histogram)):
+        result.outcomes[name] = PolicyOutcome(
+            policy=name, cold_starts=cold, cold_p99_ms=p99,
+            wasted_warm_s=waste)
+    return result
+
+
+class TestPairedVerdict:
+    def test_every_axis_ci_excludes_zero_on_the_smoke_seeds(self, smoke):
+        verdict = paired_verdict(smoke.reps)
+        assert verdict["seeds"] == PAIRED_SEEDS
+        for axis in ("cold_starts", "cold_p99_ms", "wasted_warm_s"):
+            assert verdict[axis]["ci_low"] <= verdict[axis]["median"]
+            assert verdict[axis]["ci_high"] < 0.0, axis
+        assert verdict["beats"]
+
+    def test_an_axis_whose_ci_straddles_zero_is_no(self):
+        # Cold starts and p99 drop on every seed; waste rises on half.
+        reps = [_rep(i, (100, 160.0, 1000.0),
+                     (80, 150.0, 1000.0 + (50.0 if i % 2 else -50.0)))
+                for i in range(PAIRED_SEEDS)]
+        verdict = paired_verdict(reps)
+        waste = verdict["wasted_warm_s"]
+        assert waste["ci_low"] < 0.0 < waste["ci_high"]
+        assert verdict["cold_starts"]["ci_high"] < 0.0
+        assert verdict["cold_p99_ms"]["ci_high"] < 0.0
+        assert not verdict["beats"]
+
+    def test_a_waste_tie_still_beats(self):
+        reps = [_rep(i, (100, 160.0, 1000.0), (80 - i, 150.0, 1000.0))
+                for i in range(PAIRED_SEEDS)]
+        assert paired_verdict(reps)["beats"]
+
+    def test_one_seed_forms_no_ci_and_never_beats(self):
+        verdict = paired_verdict([_rep(0, (100, 160.0, 1000.0),
+                                       (10, 100.0, 10.0))])
+        assert verdict["cold_starts"] is None
+        assert not verdict["beats"]
+        report = render_prewarm_report({
+            "config": {}, "verdict": verdict,
+            "reps": [{"rep": 0, "policies": {},
+                      "oracle_bounds_gap": True}]})
+        assert "predictive beats fixed keep-alive: NO" in report
 
 
 class TestExemplar:

@@ -238,6 +238,33 @@ class TestHotChunkCache:
         second = drive(HotChunkCache(capacity_bytes=128, policy=FREQ_OVER_SIZE))
         assert first == second
 
+    @given(policy=st.sampled_from([LRU, FREQ_OVER_SIZE]),
+           ops=st.lists(st.tuples(st.booleans(),
+                                  st.integers(min_value=0, max_value=9),
+                                  st.integers(min_value=10, max_value=120)),
+                        max_size=80))
+    @settings(max_examples=60, deadline=None)
+    def test_victim_is_the_min_stamp_victim(self, policy, ops):
+        # The recency-ordered resident map must pick exactly the victim
+        # a scan for the minimum (score,) stamp picks.
+        cache = HotChunkCache(capacity_bytes=300, policy=policy)
+
+        def reference():
+            def key(cid):
+                size, stamp = cache._resident[cid]
+                if policy == LRU:
+                    return (stamp,)
+                return (cache._score(cid, size), stamp)
+            return min(cache._resident, key=key)
+
+        for is_prefetch, chunk, size in ops:
+            op = cache.prefetch if is_prefetch else cache.lookup
+            op(f"c{chunk}", size)
+            stamps = [stamp for _, stamp in cache._resident.values()]
+            assert stamps == sorted(stamps)
+            if cache._resident:
+                assert cache._pick_victim() == reference()
+
     def test_make_cache_knob_values(self):
         assert make_cache(None) is None
         assert make_cache("none") is None
