@@ -12,12 +12,20 @@ wasted warm-seconds held:
   corner;
 * **fixed** — the classic fixed idle timeout (the platform status
   quo, and the baseline the acceptance criteria compare against);
-* **histogram** — Serverless-in-the-Wild-style hybrid: per-function
-  inter-arrival histogram chooses the keep-alive, an EWMA of window
-  counts sizes the warm set, and long *predictable* gaps get a
-  just-in-time prewarm schedule instead of an unaffordable timeout;
-* **oracle** — reads next-window counts straight off the trace: the
-  clairvoyant bound on what any forecast could achieve.
+* **histogram** — the platform's own planner,
+  :class:`~repro.predict.policy.PrewarmController` running the
+  Serverless-in-the-Wild-style hybrid: a per-function inter-arrival
+  histogram chooses the keep-alive, an EWMA of window counts sizes
+  the warm set, and long *predictable* gaps get a just-in-time timer
+  placement instead of an unaffordable timeout;
+* **oracle** — the same controller with a policy that reads
+  next-window counts straight off the trace: the clairvoyant bound on
+  what any forecast could achieve.
+
+Reactive and fixed run without a controller, as a platform with
+``PlatformConfig(prewarm=None)`` does. The study keeps only the
+trace, the replica pools and the pricing; every prewarm decision is
+the controller's, one ``plan`` per forecast window.
 
 Every rung replays the same trace of a repetition, so the reps are
 paired seeds. The verdict "histogram beats fixed" is read from the
@@ -50,8 +58,8 @@ fires outside the simulator too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,12 +71,10 @@ from repro.criu.chunkcache import LRU, HotChunkCache
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.functions.base import make_app
 from repro.predict.policy import (
-    FixedKeepAlivePolicy,
-    HistogramEwmaPolicy,
     OraclePolicy,
     PrewarmConfig,
-    PrewarmPolicy,
-    ReactivePolicy,
+    PrewarmController,
+    idle_expiry_ms,
 )
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.rng import _derive_seed
@@ -87,6 +93,25 @@ VERDICT_AXES = (("cold_starts", False), ("cold_p99_ms", False),
                 ("wasted_warm_s", True))
 
 
+#: The planner the histogram and oracle rungs run: the platform's
+#: :class:`PrewarmController` with X13's window, service time,
+#: keep-alive range, per-window placement budget and replica cap.
+#: Per-function keep-alives may exceed the fixed status quo where the
+#: histogram says the coverage pays (Serverless-in-the-Wild caps at
+#: several multiples of the default for the same reason).
+STUDY_PREWARM = PrewarmConfig(
+    window_ms=10_000.0, service_ms_hint=150.0,
+    keepalive_floor_ms=1_000.0, keepalive_cap_ms=120_000.0,
+    max_prewarm_per_tick=16, max_warm_per_function=8)
+
+#: The fixed rung's idle timeout: the platform's status quo, and the
+#: keep-alive of a function the planner has not seen arrive yet.
+FIXED_KEEPALIVE_MS = 60_000.0
+
+#: Image-prefetch cache per node.
+NODE_CACHE_MIB = 768
+
+
 @dataclass(frozen=True)
 class PrewarmStudyConfig:
     """Shape of one X13 run (defaults = the sealed baseline)."""
@@ -95,32 +120,6 @@ class PrewarmStudyConfig:
     timer_functions: int = 12         # periodic cron-style triggers
     requests: int = 200_000
     duration_ms: float = 7_200_000.0  # 2 simulated hours
-    window_ms: float = 10_000.0       # forecast window
-    service_ms: float = 150.0
-    max_replicas: int = 8
-    fixed_keepalive_ms: float = 60_000.0
-    keepalive_floor_ms: float = 1_000.0
-    # Per-function keep-alives may exceed the fixed status quo where
-    # the histogram says the coverage pays (Serverless-in-the-Wild
-    # caps at several multiples of the default for the same reason).
-    keepalive_cap_ms: float = 120_000.0
-    ewma_alpha: float = 0.25
-    node_cache_mib: int = 768         # image-prefetch cache per node
-    # Bursty main-population shape (interrupted Poisson).
-    bursty_fraction: float = 0.3
-    mean_on_ms: float = 30_000.0
-    mean_off_ms: float = 120_000.0
-    # Timer class: periods far beyond any keep-alive, mild jitter.
-    timer_period_lo_ms: float = 150_000.0
-    timer_period_hi_ms: float = 420_000.0
-    timer_jitter: float = 0.03
-    # Image sizes: timers carry the big batch images, so covering their
-    # cold starts moves the tail of the cold-latency distribution.
-    main_image_lo_mib: int = 16
-    main_image_hi_mib: int = 64
-    timer_image_lo_mib: int = 96
-    timer_image_hi_mib: int = 160
-    prewarm_budget_per_window: int = 16
 
     @property
     def total_functions(self) -> int:
@@ -151,23 +150,7 @@ class PolicyOutcome:
         return self.cold_starts / self.requests if self.requests else 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "policy": self.policy,
-            "requests": self.requests,
-            "cold_starts": self.cold_starts,
-            "cold_start_rate": self.cold_start_rate,
-            "warm_starts": self.warm_starts,
-            "queued": self.queued,
-            "cold_p50_ms": self.cold_p50_ms,
-            "cold_p99_ms": self.cold_p99_ms,
-            "cold_mean_ms": self.cold_mean_ms,
-            "wasted_warm_s": self.wasted_warm_s,
-            "timer_cold_starts": self.timer_cold_starts,
-            "timer_wasted_warm_s": self.timer_wasted_warm_s,
-            "prewarm_placements": self.prewarm_placements,
-            "prefetch_mib": self.prefetch_mib,
-            "cold_cache_hits": self.cold_cache_hits,
-        }
+        return {**asdict(self), "cold_start_rate": self.cold_start_rate}
 
 
 @dataclass
@@ -232,9 +215,9 @@ class PrewarmStudyResult:
                 "timer_functions": self.config.timer_functions,
                 "requests": self.config.requests,
                 "duration_ms": self.config.duration_ms,
-                "window_ms": self.config.window_ms,
-                "fixed_keepalive_ms": self.config.fixed_keepalive_ms,
-                "node_cache_mib": self.config.node_cache_mib,
+                "window_ms": STUDY_PREWARM.window_ms,
+                "fixed_keepalive_ms": FIXED_KEEPALIVE_MS,
+                "node_cache_mib": NODE_CACHE_MIB,
             },
             "reps": [
                 {
@@ -261,14 +244,19 @@ class PrewarmStudyResult:
 
 def _synthesize_prewarm_trace(config: PrewarmStudyConfig,
                               seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Merged (times, fids): fleet trace + periodic timer arrivals."""
+    """Merged (times, fids): fleet trace + periodic timer arrivals.
+
+    Each main function is interrupted-Poisson bursty with probability 0.3
+    (30 s on, 120 s off on average). Timer periods (150–420 s, 3 %
+    jitter) are far beyond any keep-alive.
+    """
     times, fids = synthesize_fleet_workload(
         function_count=config.functions,
         duration_ms=config.duration_ms,
         requests=config.requests,
-        bursty_fraction=config.bursty_fraction,
-        mean_on_ms=config.mean_on_ms,
-        mean_off_ms=config.mean_off_ms,
+        bursty_fraction=0.3,
+        mean_on_ms=30_000.0,
+        mean_off_ms=120_000.0,
         seed=_derive_seed(seed, "prewarm-trace"))
     rng = np.random.Generator(np.random.PCG64(
         _derive_seed(seed, "prewarm-timers")))
@@ -276,14 +264,12 @@ def _synthesize_prewarm_trace(config: PrewarmStudyConfig,
     timer_fids: List[int] = []
     for i in range(config.timer_functions):
         fid = config.functions + i
-        period = rng.uniform(config.timer_period_lo_ms,
-                             config.timer_period_hi_ms)
+        period = rng.uniform(150_000.0, 420_000.0)
         t = rng.uniform(0.0, period)
         while t < config.duration_ms:
             timer_times.append(t)
             timer_fids.append(fid)
-            gap = period * (1.0 + config.timer_jitter
-                            * rng.standard_normal())
+            gap = period * (1.0 + 0.03 * rng.standard_normal())
             t += max(gap, 0.5 * period)
     all_times = np.concatenate([
         times, np.asarray(timer_times, dtype=np.float64)])
@@ -295,15 +281,15 @@ def _synthesize_prewarm_trace(config: PrewarmStudyConfig,
 
 
 def _image_sizes(config: PrewarmStudyConfig, seed: int) -> np.ndarray:
+    """Image MiB per function: 16–64 for the main population, 96–160
+    for timers, which carry the big batch images, so covering their
+    cold starts moves the tail of the cold-latency distribution."""
     setup = np.random.Generator(np.random.PCG64(
         _derive_seed(seed, "prewarm-images")))
     sizes = np.empty(config.total_functions, dtype=np.float64)
-    sizes[:config.functions] = setup.integers(
-        config.main_image_lo_mib, config.main_image_hi_mib,
-        size=config.functions)
+    sizes[:config.functions] = setup.integers(16, 64, size=config.functions)
     sizes[config.functions:] = setup.integers(
-        config.timer_image_lo_mib, config.timer_image_hi_mib,
-        size=config.timer_functions)
+        96, 160, size=config.timer_functions)
     return sizes
 
 
@@ -313,33 +299,47 @@ def _image_sizes(config: PrewarmStudyConfig, seed: int) -> np.ndarray:
 
 
 class _PolicySim:
-    """One chronological sweep of the trace under one prewarm policy.
+    """One chronological sweep of the trace under one rung.
 
-    Replicas are ``[ready_ms, busy_until_ms, idle_from_ms, expire_override]``
-    rows in per-function pools. Expiry is lazy (evaluated at arrivals,
-    window ticks, and the final flush) but exact: an idle replica's
-    expiry instant is a deterministic function of when it went idle,
+    Without a ``controller`` (reactive, fixed) every idle replica is
+    kept ``idle_timeout_ms``. With one, arrivals feed ``note_arrival``,
+    and each window tick runs the GC, ``plan``, the placements and one
+    image prefetch per action, then re-reads the keep-alives
+    (``idle_timeout_ms`` for a function the controller has not seen).
+
+    Replicas are ``[ready_ms, busy_until_ms, idle_from_ms]`` rows in
+    per-function pools. Expiry is lazy (evaluated at arrivals, window
+    ticks, and the final flush) but exact: an idle replica expires at
+    :func:`~repro.predict.policy.idle_expiry_ms` of when it went idle,
     so wasted warm-time never depends on when the sweep notices it.
     """
 
-    def __init__(self, config: PrewarmStudyConfig, policy: PrewarmPolicy,
-                 image_mib: np.ndarray, costs: CostModel, seed: int) -> None:
+    def __init__(self, name: str, config: PrewarmStudyConfig,
+                 controller: Optional[PrewarmController],
+                 idle_timeout_ms: float, image_mib: np.ndarray,
+                 costs: CostModel, seed: int) -> None:
         self.c = config
-        self.policy = policy
+        self.controller = controller
+        self.idle_timeout_ms = idle_timeout_ms
         self.costs = costs
         self.image_mib = image_mib
         self.rng = np.random.Generator(np.random.PCG64(seed))
+        # The service-time hint is exact in the study.
+        self.service_ms = STUDY_PREWARM.service_ms_hint
+        self.max_replicas = STUDY_PREWARM.max_warm_per_function
         n = config.total_functions
         self.pools: List[List[List[float]]] = [[] for _ in range(n)]
-        self.ka: List[float] = [policy.keepalive_ms(fid) for fid in range(n)]
-        self.last_arrival: List[float] = [-1.0] * n
-        self.sched_mark: List[float] = [-1.0] * n
+        self.ka: List[float] = [idle_timeout_ms] * n
+        self.hold_end_ms: Callable[[int], float] = (
+            controller.hold_end_ms if controller is not None
+            else lambda fid: -math.inf)
+        self.boundary = (STUDY_PREWARM.window_ms if controller is not None
+                         else math.inf)
         self.wasted_ms = np.zeros(n, dtype=np.float64)
-        self.cold_by_fid = np.zeros(n, dtype=np.int64)
         self.cache = HotChunkCache(
-            capacity_bytes=config.node_cache_mib * MIB, policy=LRU)
+            capacity_bytes=NODE_CACHE_MIB * MIB, policy=LRU)
         self.cold_lats: List[float] = []
-        self.outcome = PolicyOutcome(policy=policy.name)
+        self.outcome = PolicyOutcome(policy=name)
 
     # -- replica lifecycle ---------------------------------------------------
 
@@ -348,12 +348,13 @@ class _PolicySim:
         if not pool:
             return
         ka = self.ka[fid]
+        hold_end = self.hold_end_ms(fid)
         keep: List[List[float]] = []
         for r in pool:
             if r[1] > t:                      # busy or still provisioning
                 keep.append(r)
                 continue
-            expire_at = r[3] if r[3] >= 0.0 else r[2] + ka
+            expire_at = idle_expiry_ms(r[2], ka, hold_end)
             if expire_at <= t:
                 self.wasted_ms[fid] += max(0.0, expire_at - r[2])
             else:
@@ -375,79 +376,41 @@ class _PolicySim:
         factor = math.exp(costs.noise_sigma * self.rng.standard_normal())
         return (costs.clone_ms + costs.criu_spawn_ms + restore_ms) * factor, hit
 
-    def _place(self, fid: int, t: float, expire_override: float) -> None:
+    def _place(self, fid: int, t: float) -> None:
         """Pre-provision one replica (prefetching its image first)."""
         latency, _ = self._cold_latency(fid, prefetch=True)
         ready = t + latency
-        self.pools[fid].append([ready, ready, ready, expire_override])
+        self.pools[fid].append([ready, ready, ready])
         self.outcome.prewarm_placements += 1
 
     # -- forecast-window tick ------------------------------------------------
 
-    def _tick(self, boundary: float, counts: List[int]) -> None:
-        c = self.c
-        policy = self.policy
-        for fid in range(c.total_functions):
-            policy.observe_window(fid, float(counts[fid]))
-        placed = 0
-        budget = c.prewarm_budget_per_window
-        min_target = 1 if policy.prewarm_singletons else 2
-        for fid in range(c.total_functions):
-            target = policy.target_warm(fid)
-            ka = policy.keepalive_ms(fid)
-            if target > 0:
-                # Anti-churn floor (mirrors PrewarmController): a
-                # deliberately held replica must outlive the gap to the
-                # next planning pass.
-                ka = max(ka, 1.5 * c.window_ms)
-            self.ka[fid] = ka
-            pool = self.pools[fid]
-            if target >= min_target and pool:
-                # Target-protected retention: GC never reaps below the
-                # planned warm set. The most-recently-idle replicas up
-                # to the target are refreshed (their standby time is
-                # accrued as waste now, restarting their idle clock) so
-                # surplus depth for overlap bursts survives between
-                # plans instead of churning cold. Forecast policies
-                # exclude singleton targets (see
-                # ``PrewarmPolicy.prewarm_singletons``).
-                busy = sum(1 for r in pool if r[1] > boundary)
-                idle = sorted((r for r in pool if r[1] <= boundary),
-                              key=lambda r: r[2], reverse=True)
-                for r in idle[:max(0, target - busy)]:
-                    if r[3] >= 0.0:
-                        continue          # scheduled holds keep their own
-                    self.wasted_ms[fid] += max(0.0, boundary - r[2])
-                    r[2] = boundary
+    def _tick(self, boundary: float) -> None:
+        controller = self.controller
+        assert controller is not None
+        n = self.c.total_functions
+        for fid in range(n):
             self._expire(fid, boundary)
-            if target >= min_target and target > len(pool) and placed < budget:
-                add = min(target - len(pool), budget - placed,
-                          c.max_replicas - len(pool))
-                for _ in range(add):
-                    self._place(fid, boundary, -1.0)
-                placed += max(0, add)
-            elif target > 0:
-                # Target already met: refresh the image cache so a
-                # predicted-then-realized cold start fetches locally.
-                self.cache.prefetch(str(fid), int(self.image_mib[fid]) * MIB)
-            if (not pool and placed < budget
-                    and self.last_arrival[fid] >= 0.0
-                    and self.sched_mark[fid] != self.last_arrival[fid]):
-                schedule = policy.prewarm_schedule(fid)
-                if schedule is not None:
-                    eta, hold = schedule
-                    due = self.last_arrival[fid] + eta
-                    if boundary >= due + hold:
-                        self.sched_mark[fid] = self.last_arrival[fid]
-                    elif due <= boundary:
-                        self._place(fid, boundary, due + hold)
-                        self.sched_mark[fid] = self.last_arrival[fid]
-                        placed += 1
+        if isinstance(controller.policy, OraclePolicy):
+            controller.policy.now_ms = boundary
+        live = {fid: len(pool) for fid, pool in enumerate(self.pools)}
+        for action in controller.plan(boundary, live):
+            fid = action.function
+            for _ in range(action.add_replicas):
+                self._place(fid, boundary)
+            self.cache.prefetch(str(fid), int(self.image_mib[fid]) * MIB)
+        self.ka = [controller.keepalive_ms(fid, self.idle_timeout_ms)
+                   for fid in range(n)]
 
     # -- arrivals ------------------------------------------------------------
 
+    def _tick_until(self, t: float) -> None:
+        while self.boundary <= t:
+            self._tick(self.boundary)
+            self.boundary += STUDY_PREWARM.window_ms
+
     def _arrival(self, t: float, fid: int) -> None:
-        c = self.c
+        self._tick_until(t)
         self._expire(fid, t)
         pool = self.pools[fid]
         best: Optional[List[float]] = None
@@ -456,52 +419,34 @@ class _PolicySim:
                 best = r                      # LIFO: most recently idle
         if best is not None:
             self.wasted_ms[fid] += max(0.0, t - best[2])
-            best[1] = t + c.service_ms
+            best[1] = t + self.service_ms
             best[2] = best[1]
-            best[3] = -1.0
             self.outcome.warm_starts += 1
-        elif len(pool) < c.max_replicas:
+        elif len(pool) < self.max_replicas:
             latency, cached = self._cold_latency(fid)
             self.cold_lats.append(latency)
-            busy = t + latency + c.service_ms
-            pool.append([t, busy, busy, -1.0])
+            busy = t + latency + self.service_ms
+            pool.append([t, busy, busy])
             self.outcome.cold_starts += 1
-            self.cold_by_fid[fid] += 1
             if cached:
                 self.outcome.cold_cache_hits += 1
-            if fid >= c.functions:
+            if fid >= self.c.functions:
                 self.outcome.timer_cold_starts += 1
         else:
             replica = min(pool, key=lambda r: r[1])
-            replica[1] += c.service_ms
+            replica[1] += self.service_ms
             replica[2] = replica[1]
-            replica[3] = -1.0
             self.outcome.queued += 1
-        if self.last_arrival[fid] >= 0.0:
-            self.policy.note_gap(fid, t - self.last_arrival[fid])
-        self.last_arrival[fid] = t
+        if self.controller is not None:
+            self.controller.note_arrival(fid, t)
 
     # -- the sweep -----------------------------------------------------------
 
-    def run(self, times: np.ndarray, fids: np.ndarray,
-            tick: bool) -> PolicyOutcome:
+    def run(self, times: np.ndarray, fids: np.ndarray) -> PolicyOutcome:
         c = self.c
-        n = c.total_functions
-        boundary = c.window_ms
-        counts = [0] * n
         for t, fid in zip(times.tolist(), fids.tolist()):
-            if tick:
-                while boundary <= t:
-                    self._tick(boundary, counts)
-                    counts = [0] * n
-                    boundary += c.window_ms
-            counts[fid] += 1
             self._arrival(t, fid)
-        if tick:
-            while boundary <= c.duration_ms:
-                self._tick(boundary, counts)
-                counts = [0] * n
-                boundary += c.window_ms
+        self._tick_until(c.duration_ms)
         self._flush(c.duration_ms)
 
         out = self.outcome
@@ -520,11 +465,12 @@ class _PolicySim:
         """Close out idle time still accruing when the trace ends."""
         for fid, pool in enumerate(self.pools):
             ka = self.ka[fid]
+            hold_end = self.hold_end_ms(fid)
             for r in pool:
                 idle_from = r[2]
                 if idle_from >= end_ms:
                     continue
-                expire_at = r[3] if r[3] >= 0.0 else idle_from + ka
+                expire_at = idle_expiry_ms(idle_from, ka, hold_end)
                 self.wasted_ms[fid] += max(
                     0.0, min(expire_at, end_ms) - idle_from)
 
@@ -536,10 +482,10 @@ class _PolicySim:
 
 def _window_counts(config: PrewarmStudyConfig, times: np.ndarray,
                    fids: np.ndarray) -> Dict[int, List[float]]:
-    """Per-function next-window count vectors for the oracle."""
-    nwin = int(math.ceil(config.duration_ms / config.window_ms))
-    windows = np.minimum(
-        (times / config.window_ms).astype(np.int64), nwin - 1)
+    """Per-function window count vectors for the oracle."""
+    window_ms = STUDY_PREWARM.window_ms
+    nwin = int(math.ceil(config.duration_ms / window_ms))
+    windows = np.minimum((times / window_ms).astype(np.int64), nwin - 1)
     flat = np.bincount(fids * nwin + windows,
                        minlength=config.total_functions * nwin)
     matrix = flat.reshape(config.total_functions, nwin)
@@ -547,44 +493,33 @@ def _window_counts(config: PrewarmStudyConfig, times: np.ndarray,
             for fid in range(config.total_functions)}
 
 
-def _build_policy(name: str, config: PrewarmStudyConfig,
-                  oracle_counts: Dict[int, List[float]]) -> PrewarmPolicy:
-    kwargs = dict(
-        window_ms=config.window_ms,
-        service_ms=config.service_ms,
-        keepalive_floor_ms=config.keepalive_floor_ms,
-        keepalive_cap_ms=config.keepalive_cap_ms,
-        default_keepalive_ms=config.fixed_keepalive_ms,
-        ewma_alpha=config.ewma_alpha,
-    )
-    if name == "reactive":
-        return ReactivePolicy()
-    if name == "fixed":
-        return FixedKeepAlivePolicy(config.fixed_keepalive_ms)
-    if name == "histogram":
-        return HistogramEwmaPolicy(**kwargs)
-    if name == "oracle":
-        # The clairvoyant bound staffs generously: it knows the next
-        # window's exact count and never pays for a wrong forecast, so
-        # a wide overlap margin only tightens the bound.
-        return OraclePolicy(oracle_counts, window_ms=config.window_ms,
-                            service_ms=config.service_ms, safety=4.0)
-    raise ValueError(f"unknown policy {name!r}")
-
-
 def _run_repetition(config: PrewarmStudyConfig, seed: int,
                     rep: int) -> PrewarmRepResult:
     rep_seed = _derive_seed(seed, f"prewarm-{rep}")
     times, fids = _synthesize_prewarm_trace(config, rep_seed)
     image_mib = _image_sizes(config, rep_seed)
-    oracle_counts = _window_counts(config, times, fids)
+    # The clairvoyant bound staffs generously: it knows the next
+    # window's exact count and never pays for a wrong forecast, so a
+    # wide overlap margin only tightens the bound.
+    oracle = OraclePolicy(_window_counts(config, times, fids),
+                          window_ms=STUDY_PREWARM.window_ms,
+                          service_ms=STUDY_PREWARM.service_ms_hint,
+                          safety=4.0)
+    # Each rung's planner (None: no prewarm layer) and idle timeout.
+    rungs = {
+        "reactive": (None, 0.0),
+        "fixed": (None, FIXED_KEEPALIVE_MS),
+        "histogram": (PrewarmController(STUDY_PREWARM), FIXED_KEEPALIVE_MS),
+        "oracle": (PrewarmController(STUDY_PREWARM, policy=oracle),
+                   FIXED_KEEPALIVE_MS),
+    }
     result = PrewarmRepResult(rep=rep, seed=rep_seed)
     for name in POLICY_LADDER:
-        policy = _build_policy(name, config, oracle_counts)
-        sim = _PolicySim(config, policy, image_mib, DEFAULT_COST_MODEL,
+        controller, idle_timeout_ms = rungs[name]
+        sim = _PolicySim(name, config, controller, idle_timeout_ms,
+                         image_mib, DEFAULT_COST_MODEL,
                          seed=_derive_seed(rep_seed, f"latency-{name}"))
-        tick = name in ("histogram", "oracle")
-        result.outcomes[name] = sim.run(times, fids, tick=tick)
+        result.outcomes[name] = sim.run(times, fids)
     return result
 
 

@@ -2,19 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from repro.obs.fleet import format_table
 
-
-def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Render an aligned fixed-width table."""
-    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
-    lines = []
-    for r, row in enumerate(cells):
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-        if r == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+__all__ = ["format_interval", "format_table", "stacked_bar"]
 
 
 def format_interval(low: float, high: float, digits: int = 2) -> str:

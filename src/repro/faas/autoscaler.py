@@ -20,12 +20,15 @@ An optional :class:`~repro.predict.policy.PrewarmController` (off by
 default) adds the ``prewarm`` action — budget-capped pre-placement of
 replicas ahead of forecast bursts — and lets the forecaster's
 histogram choose per-function keep-alive instead of the fixed idle
-timeout. Like every other decision here, it reads only the pool and
-the arrival stream, never telemetry.
+timeout. A replica the controller's timer schedule places is held
+past the keep-alive until the schedule's hold ends. Like every other
+decision here, it reads only the pool and the arrival stream, never
+telemetry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +38,11 @@ from repro.faas.registry import FunctionRegistry, RegistryError
 from repro.faas.replica import ReplicaState
 from repro.faults.errors import CapacityExhausted
 from repro.osproc.kernel import Kernel
-from repro.predict.policy import PREFETCH_BUDGET_BYTES, PrewarmController
+from repro.predict.policy import (
+    PREFETCH_BUDGET_BYTES,
+    PrewarmController,
+    idle_expiry_ms,
+)
 
 
 @dataclass(frozen=True)
@@ -118,14 +125,17 @@ class Autoscaler:
     def _gc_idle(self, function: str, now: float) -> None:
         metadata = self.registry.lookup(function)
         timeout = min(self.config.idle_timeout_ms, metadata.idle_timeout_ms)
+        hold_end = -math.inf
         if self.prewarm is not None:
             timeout = self.prewarm.keepalive_ms(function, timeout)
+            hold_end = self.prewarm.hold_end_ms(function)
         replicas = self.deployer.replicas(function)
         keep = max(self.config.min_replicas, 0)
         for replica in replicas:
             if len(self.deployer.replicas(function)) <= keep:
                 break
-            if replica.state is ReplicaState.IDLE and replica.idle_for_ms(now) >= timeout:
+            if replica.state is ReplicaState.IDLE and now >= idle_expiry_ms(
+                    replica.last_active_ms, timeout, hold_end):
                 idle_ms = replica.idle_for_ms(now)
                 obs.count(self.kernel, "autoscaler_wasted_warm_ms_total",
                           idle_ms, labels={"function": function})

@@ -5,7 +5,9 @@ faas-cli (new/build/push/deploy), the template store (including the
 CRIU templates the authors published), the container image repository,
 the API gateway with Prometheus-driven autoscaling, the per-replica
 watchdog, and pluggable FaaS providers (Kubernetes / Docker Swarm)
-with ``--privileged`` support for the restore operation.
+with ``--privileged`` support for the restore operation. The gateway's
+``/metrics`` text is :func:`repro.obs.export.render_prometheus` of its
+``PrometheusLite`` registry.
 """
 
 from repro.faas.openfaas.containers import Container, ContainerImage, ImageLayer
@@ -21,11 +23,11 @@ from repro.faas.openfaas.providers import (
 from repro.faas.openfaas.watchdog import Watchdog
 from repro.faas.openfaas.gateway import Gateway
 from repro.faas.openfaas.cli import FaasCli, FaasCliError
-from repro.faas.openfaas.exposition import parse_exposition, render_exposition
+from repro.obs.export import parse_prometheus, render_prometheus
 
 __all__ = [
-    "render_exposition",
-    "parse_exposition",
+    "render_prometheus",
+    "parse_prometheus",
     "Container",
     "ContainerImage",
     "ImageLayer",

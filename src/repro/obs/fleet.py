@@ -32,7 +32,7 @@ the committed baselines.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import (
     SUBBUCKETS,
@@ -495,10 +495,13 @@ class ColdStartAttribution:
         return out
 
 
-def format_table(headers: List[str], rows: List[List[str]]) -> str:
-    """Left-aligned text table: header row, dash rule, data rows."""
-    widths = [len(h) for h in headers]
-    for row in rows:
+def format_table(headers: Sequence[object],
+                 rows: Sequence[Sequence[object]]) -> str:
+    """Left-aligned text table of ``str()`` cells: header row, dash
+    rule, data rows."""
+    head, *body = [[str(cell) for cell in row] for row in [headers, *rows]]
+    widths = [len(h) for h in head]
+    for row in body:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
 
@@ -506,8 +509,8 @@ def format_table(headers: List[str], rows: List[List[str]]) -> str:
         return "  ".join(cell.ljust(widths[i])
                          for i, cell in enumerate(row)).rstrip()
 
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
+    lines = [fmt(head), fmt(["-" * w for w in widths])]
+    lines.extend(fmt(row) for row in body)
     return "\n".join(lines)
 
 

@@ -1,21 +1,25 @@
 """Prewarm policies and the platform-side prewarm controller.
 
-A *policy* turns the observed arrival stream of one function into two
-decisions, re-evaluated once per forecast window:
+A *policy* turns the observed arrival stream of one function into
+three decisions, re-evaluated once per forecast window:
 
 * ``keepalive_ms`` — how long an idle warm replica is worth keeping;
 * ``target_warm`` — how many replicas to hold ready for the *next*
-  window (0 for purely reactive policies).
+  window;
+* ``prewarm_schedule`` — when to pre-place one replica for a function
+  that scaled to zero between predictable (timer) arrivals.
 
 Policies see arrivals only as inter-arrival gaps (``note_gap``) and
 one arrival count per completed window (``observe_window``).
 
-The X13 study (:mod:`repro.bench.prewarm_study`) sweeps the policy
-ladder — reactive, fixed keep-alive, histogram/EWMA, oracle — over the
-same trace; the platform runs the histogram/EWMA policy live through
-:class:`PrewarmController`, which counts arrivals per window, feeds
-each completed window's count to the policy once, and hands the
-autoscaler budget-capped :class:`PrewarmAction` plans.
+:class:`PrewarmController` is the one planner. It counts arrivals per
+window, feeds each completed window's count to its policy once, and
+hands the caller budget-capped :class:`PrewarmAction` plans: forecast
+targets plus the timer placement, whose replica it holds until the
+schedule's hold ends. The platform's autoscaler runs it with
+:class:`HistogramEwmaPolicy`; the X13 study
+(:mod:`repro.bench.prewarm_study`) replays its trace through the same
+controller, with :class:`OraclePolicy` as the clairvoyant bound.
 
 Policies hold no randomness: the same arrivals give the same
 decisions.
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.predict.forecast import EwmaForecaster, InterArrivalHistogram
 
@@ -63,18 +67,7 @@ def _concurrency(forecast: float, window_ms: float, service_ms: float,
 
 
 class PrewarmPolicy:
-    """Interface shared by the study's policy ladder."""
-
-    name = "base"
-
-    #: Whether a singleton target (exactly one warm replica) is worth
-    #: pre-placing. Forecast-driven policies say no — keeping one
-    #: replica warm is the keep-alive's job, and a speculative
-    #: singleton placed on every window the forecast clears the noise
-    #: floor holds a standing replica through troughs the status quo
-    #: scales out of. The clairvoyant oracle says yes: it only places
-    #: for windows that really have arrivals.
-    prewarm_singletons = False
+    """Interface :class:`PrewarmController` plans through."""
 
     def note_gap(self, key: str, gap_ms: float) -> None:
         """Record one inter-arrival gap for ``key``."""
@@ -82,11 +75,15 @@ class PrewarmPolicy:
     def observe_window(self, key: str, count: float) -> None:
         """Fold in one completed window's arrival count for ``key``."""
 
+    def forecast(self, key: str) -> float:
+        """Arrivals expected in the next window."""
+        raise NotImplementedError
+
     def keepalive_ms(self, key: str) -> float:
-        return 0.0
+        raise NotImplementedError
 
     def target_warm(self, key: str) -> int:
-        return 0
+        raise NotImplementedError
 
     def prewarm_schedule(self, key: str) -> Optional[Tuple[float, float]]:
         """Timer-style prewarm schedule, or None.
@@ -103,30 +100,12 @@ class PrewarmPolicy:
         return None
 
 
-class ReactivePolicy(PrewarmPolicy):
-    """No keep-alive, no prewarm: every start after idle is cold."""
-
-    name = "reactive"
-
-
-class FixedKeepAlivePolicy(PrewarmPolicy):
-    """The classic fixed idle timeout (the platform's status quo)."""
-
-    name = "fixed"
-
-    def __init__(self, keepalive_ms: float = 60_000.0) -> None:
-        self._keepalive_ms = float(keepalive_ms)
-
-    def keepalive_ms(self, key: str) -> float:
-        return self._keepalive_ms
-
-
 class HistogramEwmaPolicy(PrewarmPolicy):
     """Serverless-in-the-Wild-style hybrid: histogram keep-alive + EWMA
     pre-provisioning.
 
     The per-key inter-arrival histogram picks a keep-alive covering the
-    ``hist_quantile`` fraction of observed gaps — but only when the gap
+    ``HIST_QUANTILE`` fraction of observed gaps — but only when the gap
     distribution is *informative*. Two escape hatches keep the policy
     honest on the distributions a quantile can't serve:
 
@@ -137,8 +116,6 @@ class HistogramEwmaPolicy(PrewarmPolicy):
       minutes) → no single affordable window is also covering, so fall
       back to ``default_keepalive_ms``, the platform's status quo.
     """
-
-    name = "histogram"
 
     #: Gap-distribution spread (tail quantile / median, in log2-bucket
     #: edges) beyond which the histogram is treated as an ON/OFF
@@ -151,24 +128,23 @@ class HistogramEwmaPolicy(PrewarmPolicy):
     #: the extension only pays on functions that arrive often enough.
     EXTEND_MEAN_GAP_MS = 20_000.0
 
+    #: Gap coverage of the keep-alive, EWMA smoothing of window counts,
+    #: the forecast noise floor, and the staffing safety factor.
+    HIST_QUANTILE = 0.99
+    EWMA_ALPHA = 0.25
+    MIN_FORECAST = 0.5
+    SAFETY = 2.5
+
     def __init__(self, window_ms: float = DEFAULT_WINDOW_MS,
                  service_ms: float = 150.0,
-                 hist_quantile: float = 0.99,
                  keepalive_floor_ms: float = DEFAULT_KEEPALIVE_FLOOR_MS,
                  keepalive_cap_ms: float = DEFAULT_KEEPALIVE_CAP_MS,
-                 default_keepalive_ms: float = 60_000.0,
-                 ewma_alpha: float = 0.25,
-                 min_forecast: float = 0.5,
-                 safety: float = 2.5) -> None:
+                 default_keepalive_ms: float = 60_000.0) -> None:
         self.window_ms = float(window_ms)
         self.service_ms = float(service_ms)
-        self.hist_quantile = float(hist_quantile)
         self.keepalive_floor_ms = float(keepalive_floor_ms)
         self.keepalive_cap_ms = float(keepalive_cap_ms)
         self.default_keepalive_ms = float(default_keepalive_ms)
-        self.ewma_alpha = float(ewma_alpha)
-        self.min_forecast = float(min_forecast)
-        self.safety = float(safety)
         self._hists: Dict[str, InterArrivalHistogram] = {}
         self._ewmas: Dict[str, EwmaForecaster] = {}
 
@@ -181,7 +157,7 @@ class HistogramEwmaPolicy(PrewarmPolicy):
     def _ewma(self, key: str) -> EwmaForecaster:
         ewma = self._ewmas.get(key)
         if ewma is None:
-            ewma = self._ewmas[key] = EwmaForecaster(alpha=self.ewma_alpha)
+            ewma = self._ewmas[key] = EwmaForecaster(alpha=self.EWMA_ALPHA)
         return ewma
 
     def note_gap(self, key: str, gap_ms: float) -> None:
@@ -219,12 +195,12 @@ class HistogramEwmaPolicy(PrewarmPolicy):
         # exactly like the fixed baseline, and let the EWMA target do
         # the predictive work.
         median = hist.quantile(0.5)
-        tail = hist.quantile(self.hist_quantile)
+        tail = hist.quantile(self.HIST_QUANTILE)
         if median is not None and tail is not None \
                 and tail > self.BROAD_RATIO * median:
             return self._clamp(self.default_keepalive_ms)
         value = hist.keepalive_ms(
-            self.hist_quantile, self.keepalive_floor_ms,
+            self.HIST_QUANTILE, self.keepalive_floor_ms,
             self.keepalive_cap_ms)
         if value > self.default_keepalive_ms:
             # Cost-aware extension: a keep-alive beyond the status quo
@@ -245,7 +221,7 @@ class HistogramEwmaPolicy(PrewarmPolicy):
 
     def target_warm(self, key: str) -> int:
         return _concurrency(self.forecast(key), self.window_ms,
-                            self.service_ms, self.min_forecast, self.safety)
+                            self.service_ms, self.MIN_FORECAST, self.SAFETY)
 
     # Schedule thresholds: enough gap samples to trust the histogram,
     # a spread test separating periodic triggers from Poisson-ish
@@ -276,13 +252,13 @@ class OraclePolicy(PrewarmPolicy):
     """Clairvoyant upper bound: reads next-window counts off the trace.
 
     Constructed with the per-key window-count vectors the study
-    precomputes from the trace; ``observe_window`` only advances the
-    per-key cursor. Keep-alive collapses to one window — the oracle
-    never holds a replica it knows won't be used.
+    precomputes from the trace. The caller sets ``now_ms`` before each
+    plan, and the oracle reads window ``floor(now_ms / window_ms)``,
+    the one that starts at the plan's boundary. Keep-alive is two
+    windows while that window has arrivals and 0 otherwise: a replica
+    that went idle in the current window then outlives the whole next
+    one, and the oracle never holds a replica it knows won't be used.
     """
-
-    name = "oracle"
-    prewarm_singletons = True
 
     def __init__(self, counts: Mapping[str, Sequence[float]],
                  window_ms: float = DEFAULT_WINDOW_MS,
@@ -292,25 +268,20 @@ class OraclePolicy(PrewarmPolicy):
         self.service_ms = float(service_ms)
         self.safety = float(safety)
         self._counts = {key: list(values) for key, values in counts.items()}
-        self._cursor: Dict[str, int] = {}
+        self.now_ms = 0.0
 
-    def observe_window(self, key: str, count: float) -> None:
-        self._cursor[key] = self._cursor.get(key, -1) + 1
-
-    def _next_count(self, key: str) -> float:
+    def forecast(self, key: str) -> float:
         counts = self._counts.get(key)
-        if counts is None:
-            return 0.0
-        index = self._cursor.get(key, -1) + 1
-        if index >= len(counts):
+        index = math.floor(self.now_ms / self.window_ms)
+        if counts is None or index >= len(counts):
             return 0.0
         return float(counts[index])
 
     def keepalive_ms(self, key: str) -> float:
-        return self.window_ms if self._next_count(key) > 0 else 0.0
+        return 2.0 * self.window_ms if self.forecast(key) > 0 else 0.0
 
     def target_warm(self, key: str) -> int:
-        return _concurrency(self._next_count(key), self.window_ms,
+        return _concurrency(self.forecast(key), self.window_ms,
                             self.service_ms, 0.5, self.safety)
 
 
@@ -337,8 +308,14 @@ class PrewarmConfig:
             raise ValueError("window_ms must be positive")
         if self.service_ms_hint <= 0:
             raise ValueError("service_ms_hint must be positive")
+        if self.keepalive_floor_ms <= 0:
+            raise ValueError("keepalive_floor_ms must be positive")
+        if self.keepalive_cap_ms < self.keepalive_floor_ms:
+            raise ValueError("keepalive_cap_ms must be >= keepalive_floor_ms")
         if self.max_prewarm_per_tick < 1:
             raise ValueError("max_prewarm_per_tick must be >= 1")
+        if self.max_warm_per_function < 1:
+            raise ValueError("max_warm_per_function must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -361,6 +338,13 @@ class PrewarmStats:
     windows_fed: int = 0
 
 
+def idle_expiry_ms(idle_since_ms: float, keepalive_ms: float,
+                   hold_end_ms: float) -> float:
+    """The one expiry rule for an idle replica: its keep-alive after it
+    went idle, but never before its function's timer hold ends."""
+    return max(idle_since_ms + keepalive_ms, hold_end_ms)
+
+
 class PrewarmController:
     """Counts arrivals per forecast window and plans prewarm actions.
 
@@ -374,12 +358,16 @@ class PrewarmController:
     windows included, and returns the budget-capped actions for this
     pass. The controller never touches the kernel RNG or clock, so
     installing it leaves un-prewarmed runs byte-identical.
+
+    ``policy`` defaults to the histogram policy built from ``config``;
+    X13's oracle rung passes an :class:`OraclePolicy`.
     """
 
-    def __init__(self, config: Optional[PrewarmConfig] = None) -> None:
+    def __init__(self, config: Optional[PrewarmConfig] = None,
+                 policy: Optional[PrewarmPolicy] = None) -> None:
         self.config = config or PrewarmConfig()
         cfg = self.config
-        self.policy = HistogramEwmaPolicy(
+        self.policy = policy if policy is not None else HistogramEwmaPolicy(
             window_ms=cfg.window_ms,
             service_ms=cfg.service_ms_hint,
             keepalive_floor_ms=cfg.keepalive_floor_ms,
@@ -388,6 +376,10 @@ class PrewarmController:
         self._counts: Dict[str, Counter] = {}
         self._next_window: Dict[str, int] = {}
         self._last_arrival: Dict[str, float] = {}
+        # Functions whose last arrival the timer schedule has not yet
+        # placed for (or given up on), and the end of each live hold.
+        self._unscheduled: Set[str] = set()
+        self._hold_end: Dict[str, float] = {}
         self.stats = PrewarmStats()
 
     # -- arrival path --------------------------------------------------------
@@ -402,6 +394,8 @@ class PrewarmController:
             self.policy.note_gap(function, at_ms - last)
         self._last_arrival[function] = at_ms
         self._counts[function][window] += 1
+        self._unscheduled.add(function)
+        self._hold_end.pop(function, None)
 
     # -- planning ------------------------------------------------------------
 
@@ -420,10 +414,9 @@ class PrewarmController:
             del counts[window]           # beyond the horizon cap
         self._next_window[function] = end
 
-    def keepalive_ms(self, function: str,
-                     default_ms: float) -> float:
-        """Policy keep-alive for the autoscaler's idle GC (falls back to
-        the configured timeout until the histogram has data).
+    def keepalive_ms(self, function: str, default_ms: float) -> float:
+        """Policy keep-alive for the idle GC (the configured timeout
+        until the function has arrived).
 
         While the forecast holds a positive warm target the keep-alive
         is floored at 1.5 forecast windows, so deliberately pre-placed
@@ -432,21 +425,42 @@ class PrewarmController:
         if function not in self._counts:
             return default_ms
         value = self.policy.keepalive_ms(function)
-        if value <= 0:
-            return default_ms
         if self.policy.target_warm(function) > 0:
             value = max(value, 1.5 * self.config.window_ms)
         return value
+
+    def hold_end_ms(self, function: str) -> float:
+        """End of ``function``'s timer hold (-inf without one); its
+        next arrival clears it. See :func:`idle_expiry_ms`."""
+        return self._hold_end.get(function, -math.inf)
+
+    def _timer_due(self, function: str, now_ms: float) -> bool:
+        """Whether the schedule places one replica now: at most once per
+        last arrival, from ``last + eta`` until the hold would end."""
+        schedule = self.policy.prewarm_schedule(function)
+        if schedule is None:
+            return False
+        eta, hold = schedule
+        due = self._last_arrival[function] + eta
+        if now_ms < due:
+            return False
+        self._unscheduled.discard(function)
+        if now_ms >= due + hold:
+            return False
+        self._hold_end[function] = due + hold
+        return True
 
     def plan(self, now_ms: float,
              current_warm: Mapping[str, int]) -> List[PrewarmAction]:
         """Plan this pass's prewarm actions.
 
         ``current_warm`` maps function -> live replica count; the plan
-        only asks for the shortfall against the forecast target. The
-        total replicas added per pass is capped by the config budget.
-        Every function with a positive target gets an action, so its
-        chunks are prefetched even when no replica is added.
+        only asks for the shortfall against the forecast target. A
+        function with a zero target and no live replica gets the timer
+        placement when its schedule is due. The total replicas added
+        per pass is capped by the config budget. Every function with a
+        positive target gets an action, so its chunks are prefetched
+        even when no replica is added.
         """
         cfg = self.config
         self.stats.plans += 1
@@ -456,10 +470,15 @@ class PrewarmController:
             self._feed_windows(function, now_ms)
             target = min(self.policy.target_warm(function),
                          cfg.max_warm_per_function)
-            if target <= 0:
-                continue
             have = int(current_warm.get(function, 0))
-            add = min(max(0, target - have), budget)
+            if target > 0:
+                add = min(max(0, target - have), budget)
+            elif (have == 0 and budget > 0
+                    and function in self._unscheduled
+                    and self._timer_due(function, now_ms)):
+                add = 1
+            else:
+                continue
             budget -= add
             self.stats.prewarm_replicas += add
             self.stats.prefetch_requests += 1

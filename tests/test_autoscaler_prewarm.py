@@ -8,7 +8,7 @@ from repro.faas.autoscaler import AutoscalerConfig
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.registry import RegistryError
 from repro.functions.base import make_app
-from repro.predict.policy import PrewarmConfig
+from repro.predict.policy import HistogramEwmaPolicy, PrewarmConfig
 
 
 def _platform(kernel, **kwargs) -> FaaSPlatform:
@@ -193,9 +193,46 @@ class TestKeepAliveOverride:
         # Long, regular gaps: the histogram's scale-to-zero fast path
         # collapses keep-alive to the floor, far below the fixed
         # timeout, so the idle replica is GC'd almost immediately.
+        # The gaps are also a timer: the schedule, due 0.9 gaps after
+        # the last arrival, places one replica after the GC.
         for _ in range(12):
             platform.invoke("markdown")
             world.kernel.clock.advance(2_000.0)
         platform.gc_tick()
-        assert platform.replica_count("markdown") == 0
+        assert _actions(world.kernel, "gc") == 1
         assert _wasted_ms(world.kernel, "markdown") > 0.0
+        assert _actions(world.kernel, "prewarm") == 1
+
+
+class TestTimerSchedule:
+    def test_periodic_function_is_warm_off_the_schedule(self):
+        # One function invoked every 60 s, twice the default 30 s
+        # keep-alive cap, with the reconciler ticking every second.
+        period_s = 60
+        world = make_world(seed=16, observe=True)
+        kernel = world.kernel
+        platform = _platform(kernel, prewarm=PrewarmConfig())
+        platform.register_function(lambda: make_app("markdown"))
+        samples = HistogramEwmaPolicy.SCHEDULE_MIN_SAMPLES
+        colds = []
+        for arrival in range(samples + 4):
+            platform.invoke("markdown")
+            colds.append(platform.router.stats.records[-1].cold_start)
+            live = []
+            for _ in range(period_s):
+                kernel.clock.advance(1_000.0)
+                platform.gc_tick()
+                live.append(platform.replica_count("markdown"))
+            if arrival >= samples:
+                # The keep-alive floor GCs the serving replica within
+                # seconds; the schedule then places one shortly before
+                # the next arrival, and the hold keeps it through the
+                # ticks that remain until then.
+                assert 0 in live
+                placed = live.index(1, live.index(0))
+                assert all(count == 1 for count in live[placed:])
+        assert _actions(kernel, "prewarm") >= 4
+        assert platform.prewarm.hold_end_ms("markdown") > kernel.clock.now
+        # After the histogram holds SCHEDULE_MIN_SAMPLES gaps, every
+        # arrival finds the scheduled replica warm.
+        assert not any(colds[samples + 1:])

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.criu.checkpoint import CheckpointEngine
 from repro.criu.imgdiff import diff_images
-from repro.faas.openfaas.exposition import parse_exposition, render_exposition
 from repro.faas.openfaas.prometheus import PrometheusLite
+from repro.obs.export import parse_prometheus, render_prometheus
 
 
 class TestExposition:
@@ -15,25 +15,25 @@ class TestExposition:
         prom = PrometheusLite()
         prom.inc("requests_total", 3, labels={"fn": "md"})
         prom.set_gauge("replicas", 2.5, labels={"fn": "md"})
-        text = render_exposition(prom)
+        text = render_prometheus(prom.registry)
         assert '# TYPE requests_total counter' in text
         assert 'requests_total{fn="md"} 3' in text
         assert 'replicas{fn="md"} 2.5' in text
 
     def test_render_empty_registry(self):
-        assert render_exposition(PrometheusLite()) == ""
+        assert render_prometheus(PrometheusLite().registry) == ""
 
     def test_unlabelled_series(self):
         prom = PrometheusLite()
         prom.inc("up")
-        assert "up 1" in render_exposition(prom)
+        assert "up 1" in render_prometheus(prom.registry)
 
     def test_label_escaping(self):
         prom = PrometheusLite()
         prom.inc("m", labels={"path": 'a"b\\c'})
-        text = render_exposition(prom)
+        text = render_prometheus(prom.registry)
         assert '\\"' in text and "\\\\" in text
-        parsed = parse_exposition(text)
+        parsed = parse_prometheus(text)
         labelset = next(iter(parsed["m"]))
         assert dict(labelset)["path"] == 'a"b\\c'
 
@@ -42,12 +42,12 @@ class TestExposition:
         prom.inc("hits", 7, labels={"fn": "a", "code": "200"})
         prom.inc("hits", 2, labels={"fn": "b", "code": "200"})
         prom.set_gauge("load", 0.75)
-        parsed = parse_exposition(render_exposition(prom))
+        parsed = parse_prometheus(render_prometheus(prom.registry))
         assert parsed["hits"][(("code", "200"), ("fn", "a"))] == 7
         assert parsed["load"][()] == 0.75
 
     def test_parse_skips_comments_and_blanks(self):
-        parsed = parse_exposition("# HELP x\n\nx 4\n")
+        parsed = parse_prometheus("# HELP x\n\nx 4\n")
         assert parsed["x"][()] == 4.0
 
     @pytest.mark.parametrize("bad", [
@@ -57,13 +57,13 @@ class TestExposition:
     ])
     def test_parse_malformed(self, bad):
         with pytest.raises(ValueError):
-            parse_exposition(bad)
+            parse_prometheus(bad)
 
     def test_deterministic_ordering(self):
         prom = PrometheusLite()
         prom.inc("b_metric")
         prom.inc("a_metric")
-        text = render_exposition(prom)
+        text = render_prometheus(prom.registry)
         assert text.index("a_metric") < text.index("b_metric")
 
     @given(value=st.floats(min_value=0, max_value=1e9,
@@ -72,7 +72,7 @@ class TestExposition:
     def test_values_roundtrip(self, value):
         prom = PrometheusLite()
         prom.set_gauge("g", value)
-        parsed = parse_exposition(render_exposition(prom))
+        parsed = parse_prometheus(render_prometheus(prom.registry))
         assert parsed["g"][()] == pytest.approx(value)
 
 

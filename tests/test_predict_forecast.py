@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from repro.predict.forecast import EwmaForecaster, InterArrivalHistogram
 from repro.predict.policy import (
-    FixedKeepAlivePolicy,
+    HORIZON,
     HistogramEwmaPolicy,
     OraclePolicy,
     PrewarmConfig,
     PrewarmController,
-    ReactivePolicy,
 )
 
 
@@ -99,18 +98,6 @@ class TestEwmaForecaster:
 
 
 class TestPolicies:
-    def test_reactive_never_holds_anything(self):
-        policy = ReactivePolicy()
-        policy.note_gap("f", 100.0)
-        assert policy.keepalive_ms("f") == 0.0
-        assert policy.target_warm("f") == 0
-        assert policy.prewarm_schedule("f") is None
-
-    def test_fixed_keepalive_is_constant(self):
-        policy = FixedKeepAlivePolicy(keepalive_ms=45_000.0)
-        assert policy.keepalive_ms("anything") == 45_000.0
-        assert policy.target_warm("anything") == 0
-
     def test_histogram_policy_defaults_to_status_quo_without_data(self):
         policy = HistogramEwmaPolicy(default_keepalive_ms=60_000.0,
                                      keepalive_cap_ms=120_000.0)
@@ -139,8 +126,7 @@ class TestPolicies:
         assert policy.keepalive_ms("bursty") == 60_000.0
 
     def test_ewma_target_scales_with_forecast(self):
-        policy = HistogramEwmaPolicy(window_ms=1_000.0, service_ms=200.0,
-                                     min_forecast=0.5)
+        policy = HistogramEwmaPolicy(window_ms=1_000.0, service_ms=200.0)
         for _ in range(10):
             policy.observe_window("hot", 40.0)
         assert policy.target_warm("hot") >= 8  # load alone is 8
@@ -149,15 +135,34 @@ class TestPolicies:
     def test_oracle_reads_the_next_window_off_the_trace(self):
         policy = OraclePolicy({"f": [4.0, 0.0, 2.0]}, window_ms=1_000.0,
                               service_ms=500.0)
+        # The window read is floor(now / window): the one starting at
+        # the plan's boundary, whatever windows were fed before.
+        for now_ms, count in ((0.0, 4.0), (999.0, 4.0), (1_000.0, 0.0),
+                              (2_500.0, 2.0), (3_000.0, 0.0)):
+            policy.now_ms = now_ms
+            assert policy.forecast("f") == count
+            assert policy.keepalive_ms("f") == (2_000.0 if count else 0.0)
+        policy.now_ms = 0.0
         assert policy.target_warm("f") >= 2      # next window has 4
-        assert policy.keepalive_ms("f") == 1_000.0
-        policy.observe_window("f", 4.0)
+        policy.now_ms = 1_000.0
         assert policy.target_warm("f") == 0      # next window is empty
-        assert policy.keepalive_ms("f") == 0.0
-        assert policy.prewarm_singletons
+        assert policy.forecast("unknown") == 0.0
 
-    def test_forecast_policies_do_not_place_singletons(self):
-        assert not HistogramEwmaPolicy.prewarm_singletons
+    def test_oracle_controller_reads_the_window_across_a_horizon_skip(self):
+        # A feed cursor would fall behind the window index here: the
+        # controller feeds at most HORIZON windows per plan.
+        window = 1_000.0
+        counts = [0.0] * (HORIZON + 10)
+        counts[-1] = 3.0
+        policy = OraclePolicy({"f": counts}, window_ms=window,
+                              service_ms=500.0)
+        controller = PrewarmController(
+            PrewarmConfig(window_ms=window), policy=policy)
+        controller.note_arrival("f", 0.0)
+        policy.now_ms = (len(counts) - 1) * window
+        (action,) = controller.plan(policy.now_ms, {"f": 0})
+        assert action.forecast == 3.0
+        assert action.add_replicas >= 1
 
 
 class TestPrewarmController:
@@ -170,6 +175,16 @@ class TestPrewarmController:
             PrewarmConfig(window_ms=0.0)
         with pytest.raises(ValueError):
             PrewarmConfig(max_prewarm_per_tick=0)
+        # A floor of 0 would let a policy keep-alive of 0 reach the GC.
+        with pytest.raises(ValueError, match="keepalive_floor_ms"):
+            PrewarmConfig(keepalive_floor_ms=0.0)
+        with pytest.raises(ValueError, match="keepalive_floor_ms"):
+            PrewarmConfig(keepalive_floor_ms=-1.0)
+        with pytest.raises(ValueError, match="keepalive_cap_ms"):
+            PrewarmConfig(keepalive_cap_ms=10.0)     # default floor 1 s
+        # A zero warm cap silently disabled every pre-placement.
+        with pytest.raises(ValueError, match="max_warm_per_function"):
+            PrewarmConfig(max_warm_per_function=0)
 
     def test_controller_runs_the_histogram_policy(self):
         assert PrewarmConfig().policy == "histogram"
@@ -204,6 +219,58 @@ class TestPrewarmController:
     def test_keepalive_falls_back_to_default_until_data(self):
         controller = PrewarmController(PrewarmConfig(policy="histogram"))
         assert controller.keepalive_ms("unknown", 42_000.0) == 42_000.0
+
+    def test_controller_takes_its_policy(self):
+        policy = OraclePolicy({"f": [0.0]})
+        controller = PrewarmController(PrewarmConfig(), policy=policy)
+        assert controller.policy is policy
+        controller.note_arrival("f", 0.0)
+        # The oracle's keep-alive of 0 is 0, not the default.
+        assert controller.keepalive_ms("f", 42_000.0) == 0.0
+
+
+def _timer_controller(period_ms=60_000.0, arrivals=8):
+    """A controller that saw ``arrivals`` strictly periodic arrivals."""
+    controller = PrewarmController(PrewarmConfig())
+    for i in range(arrivals):
+        controller.note_arrival("cron", i * period_ms)
+    return controller, (arrivals - 1) * period_ms
+
+
+class TestTimerSchedule:
+    def test_schedule_places_once_per_arrival_and_holds(self):
+        controller, last = _timer_controller()
+        eta, hold = controller.policy.prewarm_schedule("cron")
+        due = last + eta
+        assert controller.plan(due - 1.0, {}) == []
+        (action,) = controller.plan(due, {})
+        assert action.function == "cron" and action.add_replicas == 1
+        assert controller.stats.prewarm_replicas == 1
+        assert controller.hold_end_ms("cron") == due + hold
+        # Fired once for this arrival, even with no live replica.
+        assert controller.plan(due + 1.0, {}) == []
+        # The next arrival clears the hold and re-arms the schedule.
+        controller.note_arrival("cron", last + 60_000.0)
+        assert controller.hold_end_ms("cron") == float("-inf")
+
+    def test_schedule_skips_a_live_replica_and_a_missed_hold(self):
+        controller, last = _timer_controller()
+        eta, hold = controller.policy.prewarm_schedule("cron")
+        assert controller.plan(last + eta, {"cron": 1}) == []
+        assert controller.plan(last + eta + hold, {}) == []
+        assert controller.plan(last + eta + 1.0, {}) == []
+        assert controller.stats.prewarm_replicas == 0
+
+    def test_schedule_counts_against_the_budget(self):
+        controller = PrewarmController(PrewarmConfig(max_prewarm_per_tick=1))
+        for i in range(8):
+            for function in ("a", "b"):
+                controller.note_arrival(function, i * 60_000.0)
+        eta, _ = controller.policy.prewarm_schedule("a")
+        actions = controller.plan(7 * 60_000.0 + eta, {})
+        assert [a.function for a in actions] == ["a"]
+        (action,) = controller.plan(7 * 60_000.0 + eta + 1.0, {})
+        assert action.function == "b"
 
 
 # One step of a scripted platform clock: ``arrive``/``plan`` advance it
