@@ -7,12 +7,13 @@ replicas into computing resources."
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core.manager import PrebakeManager
 from repro.core.store import SnapshotKey
 from repro.criu.chunkcache import CACHE_OFF, HotChunkCache
+from repro.criu.pagestore import LayeredImage
 from repro.faas.registry import FunctionMetadata, FunctionRegistry
 from repro.faas.replica import FunctionReplica, ReplicaState
 from repro.faas.resources import ResourceManager
@@ -56,6 +57,12 @@ class FunctionDeployer:
         # a function's hottest chunks first, so a tight budget still
         # lands the bytes most likely to be re-read.
         self.chunk_sketch = SpaceSavingSketch(capacity=512)
+        # (node, snapshot key) -> (layered image, node-cache evictions)
+        # when a prefetch last found every chunk of that image resident.
+        # Only an eviction makes a resident chunk non-resident, so while
+        # the image and the eviction count are unchanged it still is.
+        self._resident_images: Dict[Tuple[str, SnapshotKey],
+                                    Tuple[LayeredImage, int]] = {}
 
     # -- provisioning --------------------------------------------------------------
 
@@ -293,6 +300,12 @@ class FunctionDeployer:
         first, chunk id as the deterministic tie-break) and admitted
         through the cache's normal policy under ``budget_bytes``.
 
+        When the node cache already holds every chunk of the image
+        there is nothing to admit, so the call returns 0 before ranking
+        and leaves the cache untouched. A repeat of that finding costs
+        O(1): it holds while the image and the cache's eviction count
+        are the ones the last full check saw.
+
         Returns the number of bytes newly admitted. No-op (0) for
         non-prebake functions, functions without a cache policy, and
         clusters with no nodes.
@@ -300,9 +313,12 @@ class FunctionDeployer:
         metadata = self.registry.lookup(function)
         if metadata.start_technique != "prebake":
             return 0
-        layered = self.prebake_manager.store.layered(
-            self._snapshot_key(metadata))
-        if layered is None or not layered.chunk_refs:
+        key = self._snapshot_key(metadata)
+        layered = self.prebake_manager.store.layered(key)
+        if layered is None:
+            return 0
+        refs = layered.chunk_refs
+        if not refs:
             return 0
         if node_name is None:
             node_name = self._locality_hint(metadata)
@@ -313,10 +329,17 @@ class FunctionDeployer:
         cache = self._restore_cache(node_name, metadata)
         if cache is None:
             return 0
-        heat = {key: count
-                for key, count, _ in self.chunk_sketch.top(512)}
+        evictions = cache.stats.evictions
+        seen = self._resident_images.get((node_name, key))
+        if seen is not None and seen[0] is layered and seen[1] == evictions:
+            return 0
+        if all(cache.contains(ref.chunk_id) for ref in refs):
+            self._resident_images[node_name, key] = (layered, evictions)
+            return 0
+        heat = {cid: count
+                for cid, count, _ in self.chunk_sketch.top(512)}
         ranked = sorted(
-            layered.chunk_refs,
+            refs,
             key=lambda ref: (-heat.get(ref.chunk_id, 0.0), ref.chunk_id))
         budget = (budget_bytes if budget_bytes is not None
                   else cache.capacity_bytes)

@@ -9,6 +9,9 @@ _ESCAPABLE = set("\\`*_{}[]()#+-.!<>|\"'~")
 
 _AUTOLINK_RE = re.compile(r"<(https?://[^\s<>]+|[\w.+-]+@[\w.-]+\.\w+)>")
 _LINK_RE = re.compile(r"!?\[([^\]]*)\]\(\s*(<[^>]*>|[^\s)]*)(?:\s+\"([^\"]*)\")?\s*\)")
+# A run of characters none of which can start a span: anything but
+# ``\ ` * _ ! [ <``, and a space unless it begins a hard break "  \n".
+_PLAIN_RUN_RE = re.compile(r"(?:[^\\`*_!\[< ]| (?! \n))+")
 
 
 def escape_html(text: str, quote: bool = False) -> str:
@@ -54,8 +57,12 @@ class _InlineRenderer:
                 self.out.append("<br />\n")
                 self.pos += 3
             else:
-                self.out.append(escape_html(ch))
-                self.pos += 1
+                # Escaping a run gives the text escaping each of its
+                # characters would; a lone "\" or "!" matches no run.
+                m = _PLAIN_RUN_RE.match(text, self.pos)
+                end = m.end() if m else self.pos + 1
+                self.out.append(escape_html(text[self.pos:end]))
+                self.pos = end
         return "".join(self.out)
 
     # -- span handlers --------------------------------------------------------

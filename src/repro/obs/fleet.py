@@ -31,6 +31,7 @@ the committed baselines.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -85,7 +86,7 @@ class SpaceSavingSketch:
     smallest key.
     """
 
-    __slots__ = ("capacity", "total", "_counts", "_errors")
+    __slots__ = ("capacity", "total", "_counts", "_errors", "_heap")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -94,24 +95,35 @@ class SpaceSavingSketch:
         self.total = 0.0
         self._counts: Dict[str, float] = {}
         self._errors: Dict[str, float] = {}
+        # One (count, key) entry per tracked key. A hit does not touch
+        # it, so an entry's count may lag its key's, never lead it
+        # (weights are non-negative): the victim search refreshes lagging
+        # entries until the top one is current, and that is the minimum.
+        self._heap: List[Tuple[float, str]] = []
 
     def offer(self, key: str, weight: float = 1.0) -> None:
-        if weight < 0:
+        if not weight >= 0:      # also refuses NaN, which no count can order
             raise FleetError("sketch weights only go up")
         self.total += weight
         counts = self._counts
         if key in counts:
             counts[key] += weight
             return
+        heap = self._heap
         if len(counts) < self.capacity:
             counts[key] = weight
             self._errors[key] = 0.0
+            heapq.heappush(heap, (weight, key))
             return
-        victim = min(counts, key=lambda k: (counts[k], k))
-        floor = counts.pop(victim)
-        self._errors.pop(victim)
+        floor, victim = heap[0]
+        while counts[victim] != floor:
+            heapq.heapreplace(heap, (counts[victim], victim))
+            floor, victim = heap[0]
+        del counts[victim]
+        del self._errors[victim]
         counts[key] = floor + weight
         self._errors[key] = floor
+        heapq.heapreplace(heap, (floor + weight, key))
 
     def __len__(self) -> int:
         return len(self._counts)

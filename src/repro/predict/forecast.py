@@ -17,8 +17,6 @@ import math
 from collections import deque
 from typing import Deque, Optional
 
-import numpy as np
-
 #: Number of log2 gap buckets: bucket i covers [2**i, 2**(i+1)) ms,
 #: bucket 0 additionally absorbs sub-millisecond gaps.  2**48 ms is
 #: ~9000 years — an open upper bound in practice.
@@ -84,10 +82,25 @@ class InterArrivalHistogram:
         replica shortly before a timer-triggered function's next
         predicted arrival — needs real edges, so the last
         ``RECENT_GAPS`` gaps are kept exactly.
+
+        Interpolates like ``np.quantile(..., method="linear")``, step
+        for step, so the result is the same float: index ``(n-1)*q``,
+        and past its midpoint the lerp runs down from the upper gap.
         """
         if not self._recent:
             return None
-        return float(np.quantile(np.asarray(self._recent), q))
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        gaps = sorted(self._recent)
+        index = (len(gaps) - 1) * q
+        if index >= len(gaps) - 1:
+            return float(gaps[-1])
+        below = math.floor(index)
+        lo, hi = gaps[below], gaps[below + 1]
+        t = index - below
+        if t >= 0.5:
+            return float(hi - (hi - lo) * (1 - t))
+        return float(lo + (hi - lo) * t)
 
     def rate_per_ms(self) -> Optional[float]:
         """Exact sample arrival rate (gaps per ms of observed gap time)."""

@@ -1,9 +1,14 @@
 """Autoscaler prewarm integration: the action record, waste
 accounting, forecast-driven pre-placement, and chunk prefetch."""
 
+import dataclasses
+
 import pytest
 
 from repro import make_world, obs
+from repro.core.bake import Prebaker
+from repro.core.policy import AfterWarmup
+from repro.criu.chunkcache import HotChunkCache
 from repro.faas.autoscaler import AutoscalerConfig
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.registry import RegistryError
@@ -180,6 +185,97 @@ class TestPrewarmPass:
         platform.register_function(lambda: make_app("markdown"),
                                    start_technique="vanilla")
         assert platform.deployer.prefetch_function("markdown") == 0
+
+
+class TestPrefetchResidentImage:
+    """Prefetch of an image the node cache fully holds returns at once,
+    and the memo of that finding goes stale on eviction or rebake."""
+
+    def _setup(self):
+        world = make_world(seed=13, observe=True)
+        platform = _platform(world.kernel)
+        platform.register_function(lambda: make_app("markdown"),
+                                   start_technique="prebake",
+                                   cache_policy="freq-over-size")
+        deployer = platform.deployer
+        key = deployer._snapshot_key(platform.registry.lookup("markdown"))
+        layered = deployer.prebake_manager.store.layered(key)
+        # Room for exactly the image's distinct chunks.
+        sizes = {ref.chunk_id: ref.size_bytes for ref in layered.chunk_refs}
+        node = platform.resources.nodes[0].name
+        cache = HotChunkCache(capacity_bytes=sum(sizes.values()),
+                              policy="freq-over-size")
+        deployer._node_chunk_cache[node] = cache
+        assert deployer.prefetch_function("markdown", node) > 0
+        assert all(cache.contains(cid) for cid in sizes)
+        return world, deployer, key, node, cache, sizes
+
+    @staticmethod
+    def _state(cache):
+        return (dataclasses.asdict(cache.stats), dict(cache._freq),
+                cache._tick, list(cache._resident.items()))
+
+    @staticmethod
+    def _count_ranking(deployer):
+        calls = []
+        top = deployer.chunk_sketch.top
+        deployer.chunk_sketch = _SketchSpy(top, calls)
+        return calls
+
+    def test_resident_image_leaves_the_cache_untouched(self):
+        _, deployer, _, node, cache, _ = self._setup()
+        before = self._state(cache)
+        ranked = self._count_ranking(deployer)
+        for _ in range(3):
+            assert deployer.prefetch_function("markdown", node) == 0
+        assert self._state(cache) == before
+        assert ranked == []
+
+    def test_an_eviction_of_one_chunk_is_admitted_again(self):
+        _, deployer, _, node, cache, sizes = self._setup()
+        assert deployer.prefetch_function("markdown", node) == 0  # memoised
+        # Make one chunk the coldest (every other one is read again),
+        # then a foreign chunk of its size displaces it.
+        coldest = sorted(cid for cid, size in sizes.items()
+                         if size == max(sizes.values()))[0]
+        for cid, size in sizes.items():
+            if cid != coldest:
+                cache.lookup(cid, size)
+        evictions = cache.stats.evictions
+        cache.lookup("foreign-chunk", sizes[coldest])
+        assert cache.stats.evictions == evictions + 1
+        assert not cache.contains(coldest)
+        ranked = self._count_ranking(deployer)
+        assert deployer.prefetch_function("markdown", node) \
+            == sizes[coldest]
+        assert ranked == [1]
+        assert all(cache.contains(cid) for cid in sizes)
+        assert not cache.contains("foreign-chunk")
+
+    def test_a_rebake_with_a_new_image_ranks_again(self):
+        world, deployer, key, node, cache, sizes = self._setup()
+        assert deployer.prefetch_function("markdown", node) == 0  # memoised
+        warm = Prebaker(world.kernel).bake(make_app("markdown"),
+                                           policy=AfterWarmup(1)).image
+        store = deployer.prebake_manager.store
+        store.put(key, warm)
+        fresh = {ref.chunk_id for ref in store.layered(key).chunk_refs}
+        assert fresh - set(sizes)              # some chunks are new
+        ranked = self._count_ranking(deployer)
+        assert deployer.prefetch_function("markdown", node) > 0
+        assert ranked == [1]
+
+
+class _SketchSpy:
+    """Stands in for the deployer's chunk sketch and counts rankings."""
+
+    def __init__(self, top, calls):
+        self._top = top
+        self._calls = calls
+
+    def top(self, k):
+        self._calls.append(1)
+        return self._top(k)
 
 
 class TestKeepAliveOverride:

@@ -1,6 +1,7 @@
 """Fleet observability plane: federation, sketches, attribution."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,36 @@ class TestSpaceSavingSketch:
             SpaceSavingSketch(capacity=0)
         with pytest.raises(FleetError):
             SpaceSavingSketch(capacity=1).offer("x", -1.0)
+        with pytest.raises(FleetError):
+            SpaceSavingSketch(capacity=1).offer("x", math.nan)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_victim_choice_matches_a_full_scan(self, seed):
+        """The heap-kept minimum evicts what scanning every key would."""
+        rng = random.Random(seed)
+        capacity = rng.choice((1, 2, 3, 8, 32))
+        keys = [f"k{i}" for i in range(rng.choice((4, 16, 100)))]
+        sketch = SpaceSavingSketch(capacity=capacity)
+        counts, errors = {}, {}
+        for _ in range(2000):
+            key = rng.choice(keys)
+            weight = rng.choice((0.0, 1.0, 1.0, 2.0, rng.random() * 4.0))
+            sketch.offer(key, weight)
+            # The reference: Space-Saving with an O(capacity) scan.
+            if key in counts:
+                counts[key] += weight
+            elif len(counts) < capacity:
+                counts[key], errors[key] = weight, 0.0
+            else:
+                victim = min(counts, key=lambda k: (counts[k], k))
+                floor = counts.pop(victim)
+                del errors[victim]
+                counts[key], errors[key] = floor + weight, floor
+            assert sketch._counts == counts
+            assert sketch._errors == errors
+            assert sketch.top(capacity) == [
+                (k, counts[k], errors[k])
+                for k in sorted(counts, key=lambda k: (-counts[k], k))]
 
     def test_as_dict_sorted(self):
         sketch = SpaceSavingSketch(capacity=4)

@@ -69,6 +69,26 @@ class TestInterArrivalHistogram:
         with pytest.raises(ValueError):
             InterArrivalHistogram().quantile(1.5)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exact_quantile_is_bitwise_numpy_linear(self, seed):
+        rng = np.random.default_rng(seed)
+        hist = InterArrivalHistogram()
+        for _ in range(int(rng.integers(1, 2 * hist.RECENT_GAPS))):
+            scale = float(rng.choice([1.0, 37.5, 1_000.0, 60_000.0]))
+            gap = float(rng.choice([round(rng.exponential(scale)),
+                                    rng.exponential(scale), scale]))
+            hist.note_gap(gap)
+            recent = np.asarray(list(hist._recent))
+            for q in (0.05, 0.98, float(rng.random()), 0.0, 0.5, 1.0):
+                want = float(np.quantile(recent, q, method="linear"))
+                assert hist.exact_quantile(q).hex() == want.hex()
+
+    def test_exact_quantile_rejects_out_of_range(self):
+        hist = InterArrivalHistogram()
+        hist.note_gap(5.0)
+        with pytest.raises(ValueError):
+            hist.exact_quantile(1.5)
+
 
 class TestEwmaForecaster:
     @given(rate=st.floats(min_value=0.5, max_value=50.0),
