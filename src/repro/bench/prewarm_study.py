@@ -347,18 +347,19 @@ class _PolicySim:
         pool = self.pools[fid]
         if not pool:
             return
-        ka = self.ka[fid]
         hold_end = self.hold_end_ms(fid)
+        if hold_end > t:
+            return  # idle_expiry_ms is never before the hold ends
+        # With the hold over, idle_expiry_ms(idle, ka, hold_end) <= t
+        # exactly when idle + ka <= t: only the expired pay for the call.
+        ka = self.ka[fid]
         keep: List[List[float]] = []
         for r in pool:
-            if r[1] > t:                      # busy or still provisioning
-                keep.append(r)
-                continue
-            expire_at = idle_expiry_ms(r[2], ka, hold_end)
-            if expire_at <= t:
+            if r[1] <= t and r[2] + ka <= t:
+                expire_at = idle_expiry_ms(r[2], ka, hold_end)
                 self.wasted_ms[fid] += max(0.0, expire_at - r[2])
             else:
-                keep.append(r)
+                keep.append(r)                # busy, provisioning or kept
         pool[:] = keep
 
     def _cold_latency(self, fid: int, prefetch: bool = False) -> float:

@@ -143,9 +143,13 @@ class VMADescriptor:
 
     @functools.cached_property
     def canonical(self) -> bytes:
-        """This VMA's JSON as :meth:`CheckpointImage.compute_digest` hashes it."""
-        return _dumps(self._fields() + [self.resident_indices,
-                                        self.content_tags]).encode("utf-8")
+        """This VMA's JSON as :meth:`CheckpointImage.compute_digest` hashes it.
+
+        The JSON list of :attr:`meta_canonical` with the content tags
+        appended, so the resident indices are encoded once.
+        """
+        return b"".join((self.meta_canonical[:-1], b", ",
+                         _dumps(self.content_tags).encode("utf-8"), b"]"))
 
     @functools.cached_property
     def meta_canonical(self) -> bytes:

@@ -36,6 +36,13 @@ from repro.osproc.memory import PAGE_SIZE, TAGS, VMAKind
 # granularity. Coarser chunks mean fewer hashes but less sharing.
 CHUNK_PAGES = 64
 
+# A chunk window's pages as (relative page index, content tag) pairs,
+# and the exact content key its identity is memoized under: the mapping's
+# "kind|prot" prefix, then the window's relative indices (int64) and
+# interned tag ids (int32) as bytes.
+Pairs = Tuple[Tuple[int, str], ...]
+WindowKey = Tuple[str, bytes, bytes]
+
 # Canonical layer names, most-shared first.
 RUNTIME_BASE_LAYER = "runtime-base"
 FUNCTION_CODE_LAYER = "function-code"
@@ -193,6 +200,10 @@ class PageStore:
         self._chunks: Dict[str, PageChunk] = {}
         self._refs: Dict[str, int] = {}
         self.dedup_hits = 0  # add() calls resolved by an existing chunk
+        # (pairs, chunk id) per distinct window content registered here
+        # (see image_windows). Owned by the store, so it lives exactly
+        # as long as the store and its world.
+        self.window_memo: Dict[WindowKey, Tuple[Pairs, str]] = {}
 
     # -- chunk lifecycle ---------------------------------------------------------
 
@@ -266,47 +277,67 @@ class PageStore:
 def image_windows(
     image: CheckpointImage,
     chunk_pages: int = CHUNK_PAGES,
-) -> Tuple[Tuple[int, int, Tuple[Tuple[int, str], ...], str], ...]:
+    memo: Optional[Dict[WindowKey, Tuple[Pairs, str]]] = None,
+) -> Tuple[Tuple[int, int, Pairs, str], ...]:
     """Chunk windows of ``image`` with their identities, memoized.
 
     Returns ``(vma_index, window_start, pairs, chunk_id)`` per window.
     The window split is one vectorized pass over each descriptor's
-    resident indices (no per-page Python walk), content keys resolve
-    through the interning table once per VMA, and the result is cached
-    on the image instance keyed by its mutation ``generation`` (bumped
-    by :meth:`CheckpointImage.tamper` and repairs) — so layering,
-    restore planning and the hot-chunk cache all share one walk per
-    snapshot. Pure bookkeeping — no simulated time, no RNG.
+    resident indices (no per-page Python walk), and the result is
+    cached on the image instance keyed by its mutation ``generation``
+    (bumped by :meth:`CheckpointImage.tamper` and repairs) — so
+    layering, restore planning and the hot-chunk cache all share one
+    walk per snapshot. Pure bookkeeping — no simulated time, no RNG.
+
+    Each window's pairs and chunk id are computed once per distinct
+    content: ``memo`` (a :attr:`PageStore.window_memo`; a fresh dict
+    when omitted) maps the window's :data:`WindowKey` to them. A full
+    heap window, or the runtime text every function maps, is formatted
+    and hashed once per store. The key is exact: a chunk id is a pure
+    function of the prefix, the relative indices and the tags, and an
+    interned tag id never changes meaning.
     """
     generation = getattr(image, "generation", 0)
     cached = image.__dict__.get("_window_cache")
     if cached is not None and cached[0] == (generation, chunk_pages):
         return cached[1]
-    out: List[Tuple[int, int, Tuple[Tuple[int, str], ...], str]] = []
+    if memo is None:
+        memo = {}
+    out: List[Tuple[int, int, Pairs, str]] = []
     for vma_index, vma in enumerate(image.vmas):
         count = len(vma.resident_indices)
         if count == 0:
             continue
         indices = vma.index_array
-        keys = TAGS.keys_of(vma.tag_ids)
+        ids = vma.tag_ids
         starts = (indices // chunk_pages) * chunk_pages
-        rel = (indices - starts).tolist()
+        rel = indices - starts
         # Window boundaries: positions where the chunk-aligned start
         # changes (resident indices are ascending within a descriptor).
         bounds = (np.nonzero(np.diff(starts))[0] + 1).tolist()
         bounds.append(count)
         starts_list = starts.tolist()
-        tags = vma.content_tags
         prefix = f"{vma.kind}|{vma.prot}"
         lo = 0
         for hi in bounds:
-            cid = _chunk_id_from_keys(prefix, rel[lo:hi], keys[lo:hi])
-            pairs = tuple(zip(rel[lo:hi], tags[lo:hi]))
-            out.append((vma_index, starts_list[lo], pairs, cid))
+            key = (prefix, rel[lo:hi].tobytes(), ids[lo:hi].tobytes())
+            content = memo.get(key)
+            if content is None:
+                content = memo[key] = _window_content(
+                    prefix, rel[lo:hi], ids[lo:hi])
+            out.append((vma_index, starts_list[lo]) + content)
             lo = hi
     result = tuple(out)
     image.__dict__["_window_cache"] = ((generation, chunk_pages), result)
     return result
+
+
+def _window_content(prefix: str, rel: np.ndarray,
+                    ids: np.ndarray) -> Tuple[Pairs, str]:
+    """(pairs, chunk id) of one window from its relative indices and tag ids."""
+    rel_list = rel.tolist()
+    return (tuple(zip(rel_list, TAGS.tags_of(ids))),
+            _chunk_id_from_keys(prefix, rel_list, TAGS.keys_of(ids)))
 
 
 def image_chunk_index(
@@ -384,7 +415,7 @@ def layer_image(image: CheckpointImage, store: PageStore,
     }
     layer_names = [_vma_layer(vma, warm_labels) for vma in image.vmas]
     for vma_index, window_start, pairs, cid in image_windows(
-            image, store.chunk_pages):
+            image, store.chunk_pages, store.window_memo):
         vma = image.vmas[vma_index]
         store.add(vma.kind, vma.prot, pairs, cid=cid)
         refs[layer_names[vma_index]].append(ChunkRef(

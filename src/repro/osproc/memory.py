@@ -86,13 +86,18 @@ class _TagTable:
         return tid
 
     def intern_many(self, tags: Sequence[str]) -> np.ndarray:
-        """Intern a tag sequence; returns their ids as an int32 array."""
+        """Intern a tag sequence; returns their ids as an int32 array.
+
+        Distinct tags are interned first, in order of first appearance
+        (so ids are what interning one tag at a time would give); the
+        per-page lookups then run as one ``map`` in C.
+        """
         ids = self._ids
-        intern = self.intern
-        return np.fromiter(
-            (ids.get(t) if t in ids else intern(t) for t in tags),
-            dtype=np.int32, count=len(tags),
-        )
+        for tag in dict.fromkeys(tags):
+            if tag not in ids:
+                self.intern(tag)
+        return np.fromiter(map(ids.__getitem__, tags),
+                           dtype=np.int32, count=len(tags))
 
     def tag(self, tid: int) -> str:
         return self._tags[tid]

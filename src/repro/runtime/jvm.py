@@ -19,13 +19,13 @@ three techniques of Table 1 fall out of these mechanics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Set, TYPE_CHECKING
+from typing import Optional, Sequence, Set, TYPE_CHECKING
 
 from repro.osproc.kernel import Kernel
 from repro.osproc.memory import PAGE_SIZE, VMAKind
 from repro.osproc.process import Process
 from repro.runtime.base import ManagedRuntime, Request, RuntimeError_
-from repro.runtime.classes import SyntheticClass
+from repro.runtime.classes import ClassTable, SyntheticClass
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.functions.base import FunctionApp
@@ -53,7 +53,19 @@ class ClassLoader:
 
     def __init__(self, runtime: "JVMRuntime") -> None:
         self.runtime = runtime
-        self.loaded: Set[str] = set()
+        self.loaded = set()
+
+    @property
+    def loaded(self) -> Set[str]:
+        return self._loaded
+
+    @loaded.setter
+    def loaded(self, names: Set[str]) -> None:
+        self._loaded = names
+        # The class table known to be fully loaded (see all_loaded).
+        # Names are only ever added to a set, so it stays fully loaded
+        # until the set itself is replaced.
+        self._complete: Optional[ClassTable] = None
 
     def load_all(self, classes: Sequence[SyntheticClass], jar_path: str) -> float:
         """Load (and JIT) every not-yet-loaded class; return the cost in ms.
@@ -71,13 +83,14 @@ class ClassLoader:
         io_per_kib = max(0.0, costs.cold_load_per_kib_ms - parse_per_kib)
         total_ms = 0.0
         total_kib = 0.0
+        loaded = self._loaded
         for cls in classes:
-            if cls.name in self.loaded:
+            if cls.name in loaded:
                 continue
             total_ms += costs.cold_load_per_class_ms
             total_ms += cls.size_kib * (parse_per_kib + io_per_kib * (1.0 - warmth))
             total_kib += cls.size_kib
-            self.loaded.add(cls.name)
+            loaded.add(cls.name)
         if total_kib:
             # Reading the classfiles pulls the jar's pages into the cache
             # and the class metadata + JIT output into the metaspace.
@@ -100,7 +113,20 @@ class ClassLoader:
         return len(self.loaded)
 
     def all_loaded(self, classes: Sequence[SyntheticClass]) -> bool:
-        return all(c.name in self.loaded for c in classes)
+        """Whether every class in ``classes`` is loaded.
+
+        Scans once per class table: a table found fully loaded is
+        remembered (class tables are immutable), so each later request
+        asks one identity question instead of one per class.
+        """
+        if classes is self._complete:
+            return True
+        loaded = self._loaded
+        if not all(c.name in loaded for c in classes):
+            return False
+        if type(classes) is ClassTable:
+            self._complete = classes
+        return True
 
 
 class JVMRuntime(ManagedRuntime):

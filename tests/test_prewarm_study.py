@@ -1,7 +1,10 @@
 """Tests for X13 (repro.bench.prewarm_study): the prewarm policy sweep."""
 
 import json
+import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.bench.prewarm_study import (
@@ -10,12 +13,15 @@ from repro.bench.prewarm_study import (
     PolicyOutcome,
     PrewarmRepResult,
     PrewarmStudyConfig,
+    _PolicySim,
     _synthesize_prewarm_trace,
     _window_counts,
     paired_verdict,
     prewarm_study,
     render_prewarm_report,
 )
+from repro.predict.policy import idle_expiry_ms
+from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.rng import _derive_seed
 
 # Small but non-degenerate smoke shape: enough arrivals for the
@@ -193,3 +199,40 @@ class TestSeedDerivation:
     def test_rep_seeds_are_distinct(self):
         seeds = {_derive_seed(42, f"prewarm-{rep}") for rep in range(8)}
         assert len(seeds) == 8
+
+
+class TestExpiry:
+    @staticmethod
+    def _reference_expire(pool, ka, hold_end, t):
+        """Every idle replica judged by ``idle_expiry_ms`` one at a time."""
+        keep, wasted = [], 0.0
+        for r in pool:
+            expire_at = idle_expiry_ms(r[2], ka, hold_end)
+            if r[1] > t or expire_at > t:
+                keep.append(r)
+            else:
+                wasted += max(0.0, expire_at - r[2])
+        return keep, wasted
+
+    def test_expire_matches_the_per_replica_rule(self):
+        # Whole-millisecond times, so expiries land exactly on ``t`` and
+        # on the hold's end as often as on either side of them.
+        config = PrewarmStudyConfig(functions=1, timer_functions=0)
+        rng = random.Random(7)
+        for _ in range(500):
+            sim = _PolicySim("fixed", config, None, 1_000.0, np.ones(1),
+                             DEFAULT_COST_MODEL, seed=0)
+            t = float(rng.randint(0, 20))
+            hold_end = rng.choice([-math.inf, float(rng.randint(0, 20))])
+            sim.ka[0] = float(rng.randint(0, 10))
+            sim.hold_end_ms = lambda fid: hold_end
+            pool = []
+            for _ in range(rng.randint(0, 6)):
+                idle = float(rng.randint(0, 20))
+                busy = idle if rng.random() < 0.7 else t + rng.randint(0, 3)
+                pool.append([idle, busy, idle])
+            sim.pools[0] = list(pool)
+            keep, wasted = self._reference_expire(pool, sim.ka[0], hold_end, t)
+            sim._expire(0, t)
+            assert sim.pools[0] == keep
+            assert sim.wasted_ms[0] == wasted

@@ -140,6 +140,28 @@ class TestClassLoading:
         runtime.handle(Request())
         assert seen and "374" in seen[0]
 
+    def test_fully_loaded_table_is_remembered_until_loaded_is_replaced(self, kernel):
+        app = small_function()
+        runtime = launch(kernel, app=app)
+        loader = runtime.classloader
+        assert not loader.all_loaded(app.classes)
+        loader.load_all(app.classes, runtime.jar_path)
+        assert loader.all_loaded(app.classes)
+        # A replaced name set forgets the table, however it was replaced.
+        loader.loaded = set(loader.loaded) - {app.classes[0].name}
+        assert not loader.all_loaded(app.classes)
+        assert loader.all_loaded(app.classes[1:])
+        loader.loaded.add(app.classes[0].name)
+        assert loader.all_loaded(app.classes)
+
+    def test_restored_loader_does_not_inherit_the_memo(self, kernel):
+        app = small_function()
+        runtime = launch(kernel, app=app)
+        runtime.handle(Request())
+        assert runtime.classloader.all_loaded(app.classes)
+        runtime._apply_extra_state({"loaded_class_names": [app.classes[0].name]})
+        assert not runtime.classloader.all_loaded(app.classes)
+
 
 class TestRequests:
     def test_response_carries_service_timing(self, kernel):
