@@ -118,9 +118,10 @@ class CheckpointEngine:
         for vma in target.address_space.vmas:
             if vma.kind is VMAKind.PARASITE:
                 continue  # the parasite never lands in the image
-            indices, tags = vma.dump_pages(incremental=incremental)
+            indices, tag_ids = vma.dump_arrays(incremental=incremental)
             vma_descriptors.append(
-                VMADescriptor(
+                VMADescriptor.from_dump(
+                    indices, tag_ids,
                     start=vma.start,
                     length=vma.length,
                     kind=vma.kind.value,
@@ -132,8 +133,6 @@ class CheckpointEngine:
                         kernel.fs.lookup(vma.file_path).size if vma.file_path
                         and kernel.fs.exists(vma.file_path) else 0
                     ),
-                    resident_indices=tuple(indices),
-                    content_tags=tuple(tags),
                 )
             )
 

@@ -122,6 +122,39 @@ class HotChunkCache:
         self._admit(chunk_id, size_bytes, freq)
         return False
 
+    def lookup_run(self, chunk_id: str, size_bytes: int, count: int) -> int:
+        """``count`` consecutive :meth:`lookup` calls of one chunk.
+
+        Returns how many of them hit. Leaves exactly the state the
+        single lookups would: accesses run one at a time until the chunk
+        is resident, and every later access of the run is a hit on the
+        newest key, so those are applied at once (tick, lookups, hits,
+        hit bytes and frequency advance by the remainder, and the stamp
+        is the final tick). A chunk the policy refuses, or one larger
+        than the cache, thus misses exactly as often as before.
+        """
+        hits = 0
+        for done in range(1, count + 1):
+            hits += self.lookup(chunk_id, size_bytes)
+            # Bulk only once a further access can change nothing but
+            # counts: the chunk is resident and its frequency entry
+            # exists (a ghost trim may have dropped it before admission),
+            # so no access adds an entry or trims the history.
+            if chunk_id in self._resident and chunk_id in self._freq \
+                    and len(self._freq) <= _MAX_GHOST_ENTRIES:
+                rest = count - done
+                if rest:
+                    self._tick += rest
+                    self._freq[chunk_id] += rest
+                    stats = self.stats
+                    stats.lookups += rest
+                    stats.hits += rest
+                    stats.hit_bytes += rest * size_bytes
+                    # Already the newest key: restamping keeps its place.
+                    self._resident[chunk_id] = (size_bytes, self._tick)
+                return hits + rest
+        return hits
+
     def prefetch(self, chunk_id: str, size_bytes: int) -> bool:
         """Warm-path admission without miss accounting.
 

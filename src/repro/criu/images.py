@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.faults.errors import SnapshotCorrupted
 from repro.osproc.memory import PAGE_SIZE, TAGS
-from repro.runtime.classes import ClassTable
+from repro.runtime.classes import ClassNames, ClassTable
 
 
 # Nesting depth past which the canonical form stops descending.
@@ -45,8 +45,9 @@ def canonical_json(obj: Any) -> str:
     ``"<depth-capped TYPE>"``. The text is what ``json.dumps(...,
     sort_keys=True)`` writes for that projection, byte for byte.
 
-    Immutable values supply cached text: a
-    :class:`~repro.runtime.classes.ClassTable` encodes once per table.
+    Immutable values supply their own text: a
+    :class:`~repro.runtime.classes.ClassTable` encodes once per table,
+    and :class:`~repro.runtime.classes.ClassNames` joins its names.
     """
     out: List[str] = []
     _encode(obj, 0, out.append)
@@ -73,6 +74,8 @@ def _encode(obj: Any, depth: int, out) -> None:
         _encode_entries([(str(k), v) for k, v in items], depth, out)
     elif isinstance(obj, (list, tuple)):
         if type(obj) is ClassTable and depth + 2 <= _MAX_DEPTH:
+            out(obj.canonical_json)
+        elif type(obj) is ClassNames and depth < _MAX_DEPTH:
             out(obj.canonical_json)
         elif depth < _MAX_DEPTH and all(type(v) in _SCALARS for v in obj):
             out(_dumps(obj))
@@ -177,6 +180,25 @@ class VMADescriptor:
     def _fields(self) -> list:
         return [self.start, self.length, self.kind, self.prot, self.label,
                 self.file_path, self.file_offset, self.file_size]
+
+    @classmethod
+    def from_dump(cls, index_array: np.ndarray, tag_ids: np.ndarray,
+                  **fields) -> "VMADescriptor":
+        """A descriptor of dumped pages, given as the dump's arrays.
+
+        ``index_array`` (int64) and ``tag_ids`` (int32 :data:`TAGS` ids)
+        become the tuple fields and also seed the cached properties of
+        the same names, which are exactly what the tuples would derive:
+        the bake reuses the dump's arrays instead of rebuilding them.
+        Both arrays are made read-only.
+        """
+        desc = cls(resident_indices=tuple(index_array.tolist()),
+                   content_tags=tuple(TAGS.tags_of(tag_ids)), **fields)
+        index_array.setflags(write=False)
+        tag_ids.setflags(write=False)
+        desc.__dict__["index_array"] = index_array
+        desc.__dict__["tag_ids"] = tag_ids
+        return desc
 
 
 @dataclass(frozen=True)

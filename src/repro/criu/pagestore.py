@@ -22,9 +22,11 @@ output.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +45,10 @@ CHUNK_PAGES = 64
 Pairs = Tuple[Tuple[int, str], ...]
 WindowKey = Tuple[str, bytes, bytes]
 
+# A maximal stretch of consecutive manifest windows holding one chunk:
+# (chunk id, size in bytes, window count).
+ChunkRun = Tuple[str, int, int]
+
 # Canonical layer names, most-shared first.
 RUNTIME_BASE_LAYER = "runtime-base"
 FUNCTION_CODE_LAYER = "function-code"
@@ -57,6 +63,18 @@ _RUNTIME_BASE_KINDS = {
     VMAKind.STACK.value,
     VMAKind.VDSO.value,
 }
+
+
+def chunk_runs(windows: Iterable[Tuple[str, int]]) -> Tuple[ChunkRun, ...]:
+    """Run-length form of a ``(chunk id, size bytes)`` window sequence.
+
+    Consecutive equal windows fold into one ``(chunk id, size, count)``
+    run, in manifest order. A long heap or a zero-filled mapping repeats
+    one chunk window after window, so an image's few thousand windows
+    fold into a few hundred runs.
+    """
+    return tuple((cid, size, sum(1 for _ in group))
+                 for (cid, size), group in itertools.groupby(windows))
 
 
 def chunk_id(kind: str, prot: str,
@@ -167,6 +185,16 @@ class LayeredImage:
                      for ref in self.chunk_refs}
             self.__dict__["_ref_index"] = index
         return index.get((vma_index, window_start))
+
+    @functools.cached_property
+    def chunk_runs(self) -> Tuple[ChunkRun, ...]:
+        """:func:`chunk_runs` of :attr:`chunk_refs`, computed once.
+
+        A layered image is never changed after :func:`layer_image`
+        builds it (the index behind :meth:`ref_at` relies on that too).
+        """
+        return chunk_runs((ref.chunk_id, ref.size_bytes)
+                          for ref in self.chunk_refs)
 
     @property
     def chunk_ids(self) -> List[str]:
@@ -340,27 +368,26 @@ def _window_content(prefix: str, rel: np.ndarray,
             _chunk_id_from_keys(prefix, rel_list, TAGS.keys_of(ids)))
 
 
-def image_chunk_index(
+def image_chunk_runs(
     image: CheckpointImage,
     chunk_pages: int = CHUNK_PAGES,
-) -> Tuple[Tuple[int, int, str, int], ...]:
-    """Per-window chunk identities of ``image``, memoized on the image.
+) -> Tuple[ChunkRun, ...]:
+    """``(chunk id, size bytes, count)`` runs of ``image``'s chunk windows.
 
-    Returns ``(vma_index, window_start, chunk_id, size_bytes)`` per
-    chunk window — what the hot-chunk cache keys restore-time lookups
-    on (a projection of :func:`image_windows`, memoized the same way).
+    :func:`chunk_runs` over :func:`image_windows`, memoized on the image
+    the same way (keyed by its mutation ``generation``). What every
+    restore-time walk iterates: the hot-chunk cache and the shard store
+    decide once per run of equal windows instead of once per window.
     """
     generation = getattr(image, "generation", 0)
-    cached = image.__dict__.get("_chunk_index_cache")
+    cached = image.__dict__.get("_chunk_runs_cache")
     if cached is not None and cached[0] == (generation, chunk_pages):
         return cached[1]
-    index = tuple(
-        (vma_index, window_start, cid, len(pairs) * PAGE_SIZE)
-        for vma_index, window_start, pairs, cid
-        in image_windows(image, chunk_pages)
-    )
-    image.__dict__["_chunk_index_cache"] = ((generation, chunk_pages), index)
-    return index
+    runs = chunk_runs((cid, len(pairs) * PAGE_SIZE) for _vma_index,
+                      _window_start, pairs, cid
+                      in image_windows(image, chunk_pages))
+    image.__dict__["_chunk_runs_cache"] = ((generation, chunk_pages), runs)
+    return runs
 
 
 def image_chunk_count(image: CheckpointImage,
@@ -369,11 +396,12 @@ def image_chunk_count(image: CheckpointImage,
 
     The unit the restore profiler reports chunk-fetch work in: an
     eager restore materializes every window, whatever fraction of
-    them dedup to already-resident chunks. O(1) after the first call
-    (shares :func:`image_chunk_index`'s memo). Pure bookkeeping — no
-    simulated time, no RNG.
+    them dedup to already-resident chunks. A sum over
+    :func:`image_chunk_runs`' memo. Pure bookkeeping — no simulated
+    time, no RNG.
     """
-    return len(image_chunk_index(image, chunk_pages))
+    return sum(count for _cid, _size, count
+               in image_chunk_runs(image, chunk_pages))
 
 
 def _vma_layer(vma: VMADescriptor, warm_labels: frozenset) -> str:

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 from repro import faults, obs
 from repro.criu.chunkcache import HotChunkCache
 from repro.criu.images import CheckpointImage
-from repro.criu.pagestore import image_chunk_count, image_chunk_index
+from repro.criu.pagestore import image_chunk_count, image_chunk_runs
 from repro.criu.workingset import WorkingSetRecord, WorkingSetTracker
 from repro.faults.errors import RestoreFailed, SnapshotCorrupted
 from repro.obs.profile import (
@@ -331,6 +331,9 @@ class RestoreEngine:
                           ) -> Tuple[int, int, int, int]:
         """Look every chunk window up in the node cache (flat registry).
 
+        Walks the image's chunk runs: one :meth:`HotChunkCache.lookup_run`
+        per run leaves the cache as one lookup per window would.
+
         Returns ``(chunks, cached chunks, cached bytes, total bytes)``,
         all zero with no cache configured. Deterministic bookkeeping:
         no RNG, no simulated time. Not a 1-node shard ring: that would
@@ -339,14 +342,14 @@ class RestoreEngine:
         cache = self.chunk_cache
         if cache is None:
             return 0, 0, 0, 0
-        hits = hit_bytes = total_bytes = 0
-        index = image_chunk_index(image)
-        for _vma_index, _window_start, cid, size_bytes in index:
-            total_bytes += size_bytes
-            if cache.lookup(cid, size_bytes):
-                hits += 1
-                hit_bytes += size_bytes
-        return len(index), hits, hit_bytes, total_bytes
+        chunks = hits = hit_bytes = total_bytes = 0
+        for cid, size_bytes, count in image_chunk_runs(image):
+            chunks += count
+            total_bytes += count * size_bytes
+            run_hits = cache.lookup_run(cid, size_bytes, count)
+            hits += run_hits
+            hit_bytes += run_hits * size_bytes
+        return chunks, hits, hit_bytes, total_bytes
 
     def _check_shard_report(self, image: CheckpointImage, report) -> None:
         """Fail or flag a sharded fetch pass that ran below full health.
@@ -498,7 +501,7 @@ class RestoreEngine:
                 file_offset=desc.file_offset,
                 label=desc.label,
             )
-            vma.populate_pages(desc.index_array, desc.tag_ids, dirty=False)
+            vma.restore_pages(desc.index_array, desc.tag_ids)
             if desc.file_path is not None:
                 # Mapping the file's dumped pages leaves them warm — the
                 # mechanism behind the paper's cheaper post-restore

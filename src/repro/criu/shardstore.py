@@ -503,7 +503,7 @@ class ShardedSnapshotStore:
         report; the caller prices ``retry_hops``/``slow_ms`` into the
         restore duration and decides whether failures are fatal.
         """
-        from repro.criu.pagestore import image_chunk_index
+        from repro.criu.pagestore import image_chunk_runs
         self.maybe_crash_node(detail=image.image_id)
         report = DegradedRestoreReport(image_id=image.image_id)
         # The pass runs synchronously under the caller's criu.restore
@@ -512,32 +512,20 @@ class ShardedSnapshotStore:
         # crossing from the compute node into the storage nodes.
         with obs.span(self.kernel, "shard.restore-pass",
                       image_id=image.image_id[:12]) as pass_span:
-            for _vma, _win, cid, size_bytes in image_chunk_index(image):
-                report.chunks += 1
-                report.total_bytes += size_bytes
-                if cache is not None and cache.contains(cid):
-                    cache.lookup(cid, size_bytes)  # bump recency/frequency
-                    report.cached_chunks += 1
-                    report.cached_bytes += size_bytes
-                    continue
-                with obs.span(self.kernel, "shard.fetch",
-                              chunk=cid[:12]) as fetch_span:
-                    fetched = self.fetch_window(cid, size_bytes)
-                    fetch_span.set(
-                        node_id=fetched.served_by or "unavailable",
-                        hop=fetched.retry_hops,
-                        degraded=fetched.degraded)
-                report.retry_hops += fetched.retry_hops
-                report.slow_ms += fetched.slow_ms
-                report.read_repairs += fetched.read_repaired
-                if fetched.found:
-                    report.shard_chunks += 1
-                    if fetched.degraded:
-                        report.degraded_chunks += 1
-                    if cache is not None:
-                        cache.lookup(cid, size_bytes)  # admit fresh fetch
-                else:
-                    report.failed_chunks.append(cid)
+            for cid, size_bytes, count in image_chunk_runs(image):
+                report.chunks += count
+                report.total_bytes += count * size_bytes
+                for done in range(count):
+                    if cache is not None and cache.contains(cid):
+                        # Resident now, so resident for the rest of the
+                        # run: its lookups are all hits (recency and
+                        # frequency still advance once per window).
+                        rest = count - done
+                        cache.lookup_run(cid, size_bytes, rest)
+                        report.cached_chunks += rest
+                        report.cached_bytes += rest * size_bytes
+                        break
+                    self._fetch_missed(cid, size_bytes, cache, report)
             report.nodes_down = self.down_nodes()
             report.breakers_open = self.open_breakers()
             pass_span.set(chunks=report.chunks,
@@ -557,6 +545,28 @@ class ShardedSnapshotStore:
             obs.count(kernel, "shard_fetch_retry_hops_total",
                       value=float(report.retry_hops))
         return report
+
+    def _fetch_missed(self, cid: str, size_bytes: int, cache,
+                      report: DegradedRestoreReport) -> None:
+        """Quorum-fetch one window the node cache missed, into ``report``."""
+        with obs.span(self.kernel, "shard.fetch",
+                      chunk=cid[:12]) as fetch_span:
+            fetched = self.fetch_window(cid, size_bytes)
+            fetch_span.set(
+                node_id=fetched.served_by or "unavailable",
+                hop=fetched.retry_hops,
+                degraded=fetched.degraded)
+        report.retry_hops += fetched.retry_hops
+        report.slow_ms += fetched.slow_ms
+        report.read_repairs += fetched.read_repaired
+        if fetched.found:
+            report.shard_chunks += 1
+            if fetched.degraded:
+                report.degraded_chunks += 1
+            if cache is not None:
+                cache.lookup(cid, size_bytes)  # admit fresh fetch
+        else:
+            report.failed_chunks.append(cid)
 
     # -- accounting ------------------------------------------------------------
 

@@ -206,10 +206,11 @@ class FunctionDeployer:
             return None
         best_name: Optional[str] = None
         best_bytes = 0
+        runs = layered.chunk_runs
         for node_name in sorted(self._node_chunk_cache):
-            cache = self._node_chunk_cache[node_name]
-            cached = sum(ref.size_bytes for ref in layered.chunk_refs
-                         if cache.contains(ref.chunk_id))
+            contains = self._node_chunk_cache[node_name].contains
+            cached = sum(size * count for cid, size, count in runs
+                         if contains(cid))
             if cached > best_bytes:
                 best_name, best_bytes = node_name, cached
         if best_name is not None:
@@ -237,10 +238,10 @@ class FunctionDeployer:
             return
         cache = self._node_chunk_cache.get(node_name)
         total = cached = 0
-        for ref in layered.chunk_refs:
-            total += ref.size_bytes
-            if cache is not None and cache.contains(ref.chunk_id):
-                cached += ref.size_bytes
+        for cid, size, count in layered.chunk_runs:
+            total += size * count
+            if cache is not None and cache.contains(cid):
+                cached += size * count
         labels = {"function": metadata.name, "node": node_name}
         obs.count(self.kernel, "deployer_cold_placement_total",
                   labels=labels)
@@ -263,12 +264,13 @@ class FunctionDeployer:
             return
         cache = self.node_cache(node_name)
         pulled = cached = 0
-        for ref in layered.chunk_refs:
-            self.chunk_sketch.offer(ref.chunk_id)
-            if cache.lookup(ref.chunk_id, ref.size_bytes):
-                cached += ref.size_bytes
-            else:
-                pulled += ref.size_bytes
+        # One sketch offer and one cache run lookup per run of equal
+        # windows: both leave what one call per window would.
+        for cid, size, count in layered.chunk_runs:
+            self.chunk_sketch.offer(cid, float(count))
+            hits = cache.lookup_run(cid, size, count)
+            cached += hits * size
+            pulled += (count - hits) * size
         labels = {"function": metadata.name}
         obs.count(self.kernel, "deployer_layer_bytes_pulled_total",
                   value=float(pulled), labels=labels)
@@ -317,8 +319,8 @@ class FunctionDeployer:
         layered = self.prebake_manager.store.layered(key)
         if layered is None:
             return 0
-        refs = layered.chunk_refs
-        if not refs:
+        runs = layered.chunk_runs
+        if not runs:
             return 0
         if node_name is None:
             node_name = self._locality_hint(metadata)
@@ -333,26 +335,27 @@ class FunctionDeployer:
         seen = self._resident_images.get((node_name, key))
         if seen is not None and seen[0] is layered and seen[1] == evictions:
             return 0
-        if all(cache.contains(ref.chunk_id) for ref in refs):
+        if all(cache.contains(cid) for cid, _size, _count in runs):
             self._resident_images[node_name, key] = (layered, evictions)
             return 0
         heat = {cid: count
                 for cid, count, _ in self.chunk_sketch.top(512)}
         ranked = sorted(
-            refs,
-            key=lambda ref: (-heat.get(ref.chunk_id, 0.0), ref.chunk_id))
+            runs, key=lambda run: (-heat.get(run[0], 0.0), run[0]))
         budget = (budget_bytes if budget_bytes is not None
                   else cache.capacity_bytes)
         admitted_bytes = 0
         admitted_chunks = 0
-        for ref in ranked:
-            if cache.contains(ref.chunk_id):
-                continue
-            if admitted_bytes + ref.size_bytes > budget:
-                continue
-            if cache.prefetch(ref.chunk_id, ref.size_bytes):
-                admitted_bytes += ref.size_bytes
-                admitted_chunks += 1
+        for cid, size, count in ranked:
+            # One attempt per window until the chunk is resident or over
+            # budget; nothing else touches the cache in between, so the
+            # run's remaining windows would all be skipped.
+            for _ in range(count):
+                if cache.contains(cid) or admitted_bytes + size > budget:
+                    break
+                if cache.prefetch(cid, size):
+                    admitted_bytes += size
+                    admitted_chunks += 1
         if admitted_chunks:
             obs.record(self.kernel, obs.flight.PREWARM_PREFETCH,
                        function=function, node=node_name,

@@ -102,6 +102,15 @@ class SpaceSavingSketch:
         self._heap: List[Tuple[float, str]] = []
 
     def offer(self, key: str, weight: float = 1.0) -> None:
+        """Add ``weight`` to ``key``'s count, evicting the minimum if full.
+
+        One offer of a positive whole-number weight ``w`` leaves the counts,
+        errors and total that ``w`` unit offers of the key would: the
+        victim is always the true ``(count, key)`` minimum whatever lag
+        the heap entries carry, and the first unit would evict that same
+        victim before the rest add up. So a run of equal keys can be
+        offered once, with its length as the weight.
+        """
         if not weight >= 0:      # also refuses NaN, which no count can order
             raise FleetError("sketch weights only go up")
         self.total += weight

@@ -318,6 +318,20 @@ class VMA(_VMABase):
             self._tag_ids[idx[overwrite]] = ids[overwrite]
         self._soft[idx] = True
 
+    def restore_pages(self, indices: np.ndarray, tag_ids: np.ndarray) -> None:
+        """:meth:`populate_pages` with ``dirty=False`` on a fresh mapping.
+
+        The restore transmute's write: the mapping has no resident page
+        yet, and ``indices`` are unique and ascending (a dump's
+        descriptor order), so the resident set, tags and soft-dirty bits
+        are written once, with no residency read-back or overwrite mask.
+        """
+        _check_fresh_restore(self, indices)
+        self._resident[indices] = True
+        self._tag_ids[indices] = tag_ids
+        self._soft[indices] = True
+        self._resident_count = len(indices)
+
     # -- bulk views ----------------------------------------------------------
 
     @property
@@ -331,10 +345,14 @@ class VMA(_VMABase):
         ``incremental=True`` restricts to soft-dirty pages — what a
         second pre-dump pass copies after ``clear_refs``.
         """
+        idx, ids = self.dump_arrays(incremental)
+        return tuple(idx.tolist()), tuple(TAGS.tags_of(ids))
+
+    def dump_arrays(self, incremental: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`dump_pages` as fresh arrays: int64 indices, int32 :data:`TAGS` ids."""
         mask = self._resident & self._soft if incremental else self._resident
-        idx = np.nonzero(mask)[0]
-        tags = TAGS.tags_of(self._tag_ids[idx])
-        return tuple(idx.tolist()), tuple(tags)
+        idx = np.nonzero(mask)[0].astype(np.int64, copy=False)
+        return idx, self._tag_ids[idx]
 
     def touched_indices(self, floor: bool = False) -> np.ndarray:
         """Resident pages touched since the last soft-dirty clear.
@@ -430,6 +448,14 @@ class SlowVMA(_VMABase):
                               np.asarray(tag_ids).tolist()):
             self.touch(index, content_tag=TAGS.tag(tid), dirty=dirty)
 
+    def restore_pages(self, indices: np.ndarray, tag_ids: np.ndarray) -> None:
+        _check_fresh_restore(self, indices)
+        tag = TAGS.tag
+        self._pages = {
+            index: Page(index=index, content_tag=tag(tid), soft_dirty=True)
+            for index, tid in zip(indices.tolist(), tag_ids.tolist())
+        }
+
     @property
     def resident_indices(self) -> np.ndarray:
         return np.fromiter(sorted(self._pages), dtype=np.int64,
@@ -445,6 +471,11 @@ class SlowVMA(_VMABase):
             indices.append(index)
             tags.append(page.content_tag)
         return tuple(indices), tuple(tags)
+
+    def dump_arrays(self, incremental: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+        indices, tags = self.dump_pages(incremental)
+        return (np.fromiter(indices, dtype=np.int64, count=len(indices)),
+                TAGS.intern_many(tags))
 
     def touched_indices(self, floor: bool = False) -> np.ndarray:
         hits = sorted(
@@ -464,6 +495,18 @@ class SlowVMA(_VMABase):
     @property
     def pages(self) -> Dict[int, Page]:
         return self._pages
+
+
+def _check_fresh_restore(vma: _VMABase, indices: np.ndarray) -> None:
+    """``restore_pages``' preconditions that cost O(1) to check."""
+    if vma.resident_pages:
+        raise MemoryError_(
+            f"restore_pages needs a fresh mapping; {vma.label!r} already "
+            f"has {vma.resident_pages} resident pages")
+    if len(indices) and (int(indices[0]) < 0
+                         or int(indices[-1]) >= vma.page_count):
+        raise MemoryError_(
+            f"page index out of range for VMA of {vma.page_count} pages")
 
 
 # -- backend selection -------------------------------------------------------

@@ -147,6 +147,10 @@ class HistogramEwmaPolicy(PrewarmPolicy):
         self.default_keepalive_ms = float(default_keepalive_ms)
         self._hists: Dict[str, InterArrivalHistogram] = {}
         self._ewmas: Dict[str, EwmaForecaster] = {}
+        # key -> (gaps noted, histogram keep-alive, floor applies): the
+        # histogram's verdict changes only when an accepted gap bumps
+        # its count (see keepalive_ms).
+        self._keepalives: Dict[str, Tuple[int, float, bool]] = {}
 
     def _hist(self, key: str) -> InterArrivalHistogram:
         hist = self._hists.get(key)
@@ -173,11 +177,36 @@ class HistogramEwmaPolicy(PrewarmPolicy):
         return min(max(value, self.keepalive_floor_ms), self.keepalive_cap_ms)
 
     def keepalive_ms(self, key: str) -> float:
+        """The keep-alive for ``key``.
+
+        Everything but the active-function floor reads only the gap
+        histogram, so that verdict is memoized per key on the
+        histogram's gap count (every accepted ``note_gap`` bumps it);
+        the floor reads the forecast, which moves every window, and is
+        decided afresh on each call.
+        """
         hist = self._hist(key)
+        memo = self._keepalives.get(key)
+        if memo is None or memo[0] != hist.total:
+            memo = self._keepalives[key] = (
+                hist.total, *self._histogram_keepalive(hist))
+        _, value, floor_applies = memo
+        # Active-function floor: while the forecast holds a positive
+        # warm target, surplus replicas above it are retained at least
+        # as long as the status quo would retain them. A sub-default
+        # keep-alive on a busy function saves milliseconds of idle but
+        # churns the standing depth that arrival clumps reuse.
+        if floor_applies and self.target_warm(key) > 0:
+            return self._clamp(self.default_keepalive_ms)
+        return value
+
+    def _histogram_keepalive(self, hist: InterArrivalHistogram
+                             ) -> Tuple[float, bool]:
+        """(keep-alive, whether the active-function floor may raise it)."""
         if hist.total == 0:
             # No gap data yet: keep the status-quo timeout until the
             # histogram earns the right to shrink it.
-            return self._clamp(self.default_keepalive_ms)
+            return self._clamp(self.default_keepalive_ms), False
         # Scale-to-zero fast path: when even a tenth of the observed
         # gaps outlast the cap, no affordable keep-alive covers this
         # function (timer/cron-style long periods) — idling a replica
@@ -185,7 +214,7 @@ class HistogramEwmaPolicy(PrewarmPolicy):
         # ``prewarm_schedule`` place a replica just in time instead.
         shortest = hist.quantile(0.1)
         if shortest is not None and shortest > self.keepalive_cap_ms:
-            return self.keepalive_floor_ms
+            return self.keepalive_floor_ms, False
         # Uninformative-distribution fallback: a quantile of an ON/OFF
         # mixture picks the intra-burst spacing (milliseconds) and lets
         # surplus replicas die mid-burst, while the off gaps it would
@@ -198,7 +227,7 @@ class HistogramEwmaPolicy(PrewarmPolicy):
         tail = hist.quantile(self.HIST_QUANTILE)
         if median is not None and tail is not None \
                 and tail > self.BROAD_RATIO * median:
-            return self._clamp(self.default_keepalive_ms)
+            return self._clamp(self.default_keepalive_ms), False
         value = hist.keepalive_ms(
             self.HIST_QUANTILE, self.keepalive_floor_ms,
             self.keepalive_cap_ms)
@@ -209,15 +238,8 @@ class HistogramEwmaPolicy(PrewarmPolicy):
             rate = hist.rate_per_ms()
             mean_gap = (1.0 / rate) if rate else None
             if mean_gap is None or mean_gap > self.EXTEND_MEAN_GAP_MS:
-                return self._clamp(self.default_keepalive_ms)
-        # Active-function floor: while the forecast holds a positive
-        # warm target, surplus replicas above it are retained at least
-        # as long as the status quo would retain them. A sub-default
-        # keep-alive on a busy function saves milliseconds of idle but
-        # churns the standing depth that arrival clumps reuse.
-        if value < self.default_keepalive_ms and self.target_warm(key) > 0:
-            return self._clamp(self.default_keepalive_ms)
-        return value
+                return self._clamp(self.default_keepalive_ms), False
+        return value, value < self.default_keepalive_ms
 
     def target_warm(self, key: str) -> int:
         return _concurrency(self.forecast(key), self.window_ms,

@@ -68,6 +68,55 @@ class ClassTable(tuple):
         return text
 
 
+class ClassNames(tuple):
+    """The sorted names of a fully loaded :class:`ClassTable`.
+
+    What a JVM snapshot records as its loaded classes when its loader
+    holds exactly its app's table (see :meth:`of`). Immutable: it
+    refuses in-place edits, and ``copy`` and ``deepcopy`` return it.
+    ``table`` is that table, so a restore marks the whole table loaded
+    without comparing names.
+    """
+
+    table: ClassTable
+
+    @classmethod
+    def of(cls, table: ClassTable) -> "ClassNames":
+        names = cls(sorted({c.name for c in table}))
+        names.table = table
+        # Names JSON writes verbatim between quotes (printable ASCII
+        # without quote or backslash) let the text be one join.
+        names._verbatim = all(type(n) is str for n in names) \
+            and _is_verbatim("".join(names))
+        return names
+
+    def __copy__(self) -> "ClassNames":
+        return self
+
+    def __deepcopy__(self, memo) -> "ClassNames":
+        return self
+
+    @property
+    def canonical_json(self) -> str:
+        """The canonical JSON text of the names, as the image digest hashes it.
+
+        Equal, byte for byte, to the generic encoder's text for the
+        equivalent list. Verbatim names are joined directly, which is
+        cheap enough that no copy of the text is kept.
+        """
+        if not self:
+            return "[]"
+        if self._verbatim:
+            return '["' + '", "'.join(self) + '"]'
+        from repro.criu.images import canonical_json
+        return canonical_json(tuple(self))
+
+
+def _is_verbatim(text: str) -> bool:
+    return text.isascii() and text.isprintable() \
+        and '"' not in text and "\\" not in text
+
+
 # One class as the canonical encoder writes an object: its attributes
 # sorted by name, with "__class__" (which sorts first) naming the type.
 _CLASS_TEXT = '{"__class__": "SyntheticClass", "name": %s, "size_kib": %s}'

@@ -25,7 +25,7 @@ from repro.osproc.kernel import Kernel
 from repro.osproc.memory import PAGE_SIZE, VMAKind
 from repro.osproc.process import Process
 from repro.runtime.base import ManagedRuntime, Request, RuntimeError_
-from repro.runtime.classes import ClassTable, SyntheticClass
+from repro.runtime.classes import ClassNames, ClassTable, SyntheticClass
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.functions.base import FunctionApp
@@ -107,6 +107,15 @@ class ClassLoader:
             )
             return jittered
         return 0.0
+
+    def load_names(self, names: ClassNames) -> None:
+        """Mark every class of ``names.table`` loaded (a restore: no cost).
+
+        The name set is fresh, and the table is known to be fully loaded
+        without a scan.
+        """
+        self.loaded = set(names)
+        self._complete = names.table
 
     @property
     def loaded_count(self) -> int:
@@ -264,8 +273,25 @@ class JVMRuntime(ManagedRuntime):
     def _extra_state(self):
         return {
             "jar_path": self.jar_path,
-            "loaded_class_names": sorted(self.classloader.loaded),
+            "loaded_class_names": self._loaded_class_names(),
         }
+
+    def _loaded_class_names(self):
+        """The loaded names, sorted.
+
+        When the loader holds exactly the app's class table this is an
+        immutable :class:`ClassNames`, which the integrity check encodes
+        in one join and a restore applies without comparing names;
+        otherwise a list.
+        """
+        loader = self.classloader
+        classes = self.app.classes if self.app is not None else None
+        if type(classes) is ClassTable and classes \
+                and loader.all_loaded(classes):
+            names = ClassNames.of(classes)
+            if len(names) == len(loader.loaded):
+                return names
+        return sorted(loader.loaded)
 
     def _apply_extra_state(self, extra) -> None:
         self.jar_path = extra.get("jar_path", "")
@@ -273,9 +299,14 @@ class JVMRuntime(ManagedRuntime):
         self._heap_vma = space.find_by_label("java-heap")
         self._metaspace_vma = space.find_by_label("metaspace")
         loaded_names = extra.get("loaded_class_names", ())
-        if self.app is not None and loaded_names:
+        if self.app is None or not loaded_names:
+            return
+        classes = self.app.classes
+        if type(loaded_names) is ClassNames and loaded_names.table is classes:
+            self.classloader.load_names(loaded_names)
+        else:
             self.classloader.loaded = set(loaded_names).intersection(
-                cls.name for cls in self.app.classes)
+                cls.name for cls in classes)
 
     # -- introspection ------------------------------------------------------------------
 

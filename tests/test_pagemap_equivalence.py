@@ -13,12 +13,14 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.osproc.memory import (
     PAGE_SIZE,
+    MemoryError_,
     SlowVMA,
     TAGS,
     VMA,
@@ -102,6 +104,50 @@ class TestBackendEquivalence:
         slow.populate_pages(indices, tag_ids, dirty=dirty)
         assert _observe(fast) == _observe(slow)
 
+    @given(ops=st.lists(_ops, max_size=20))
+    @settings(max_examples=40, deadline=None)
+    def test_restore_pages_equivalence(self, ops):
+        source = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
+        for op in ops:
+            _apply(source, op)
+        indices, tag_ids = source.dump_arrays()
+        restored = []
+        for backend in (VMA, SlowVMA):
+            fresh = backend(start=0, length=PAGES * PAGE_SIZE,
+                            kind=VMAKind.ANON)
+            fresh.restore_pages(indices, tag_ids)
+            restored.append(_observe(fresh))
+        populated = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
+        populated.populate_pages(indices, tag_ids, dirty=False)
+        assert restored[0] == restored[1] == _observe(populated)
+
+    @pytest.mark.parametrize("backend", [VMA, SlowVMA])
+    def test_restore_pages_refuses_a_used_or_too_small_mapping(self, backend):
+        indices = np.array([0, 5, PAGES - 1], dtype=np.int64)
+        tag_ids = TAGS.intern_many(["a", "b", "c"])
+        used = backend(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
+        used.touch(3, content_tag="x")
+        with pytest.raises(MemoryError_, match="fresh mapping"):
+            used.restore_pages(indices, tag_ids)
+        small = backend(start=0, length=(PAGES - 1) * PAGE_SIZE,
+                        kind=VMAKind.ANON)
+        with pytest.raises(MemoryError_, match="out of range"):
+            small.restore_pages(indices, tag_ids)
+        assert small.resident_pages == 0
+
+    @given(ops=st.lists(_ops, max_size=20), incremental=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_dump_arrays_equal_dump_pages(self, ops, incremental):
+        for backend in (VMA, SlowVMA):
+            vma = backend(start=0, length=PAGES * PAGE_SIZE,
+                          kind=VMAKind.ANON)
+            for op in ops:
+                _apply(vma, op)
+            indices, tag_ids = vma.dump_arrays(incremental)
+            assert indices.dtype == np.int64 and tag_ids.dtype == np.int32
+            assert (tuple(indices.tolist()), tuple(TAGS.tags_of(tag_ids))) \
+                == vma.dump_pages(incremental)
+
     def test_iter_pages_orders_by_index(self):
         for backend in (VMA, SlowVMA):
             vma = backend(start=0, length=PAGES * PAGE_SIZE,
@@ -109,6 +155,40 @@ class TestBackendEquivalence:
             for index in (9, 3, 41, 0):
                 vma.touch(index, content_tag=f"p{index}")
             assert [p.index for p in vma.iter_pages()] == [0, 3, 9, 41]
+
+
+def _restored_pagemaps(image, slow: bool):
+    """Every VMA of ``image`` restored under one backend, observed."""
+    from repro.criu.restore import RestoreEngine
+    from repro import make_world
+    entry = slow_pagemap_enabled()
+    try:
+        set_slow_pagemap(slow)
+        proc = RestoreEngine(make_world(seed=5).kernel).restore(image)
+        vmas = proc.address_space.vmas
+        assert all(type(v) is (SlowVMA if slow else VMA) for v in vmas)
+        return [(v.start, v.label, _observe(v)) for v in vmas]
+    finally:
+        set_slow_pagemap(entry)
+
+
+@pytest.mark.parametrize("name", ["markdown", "synthetic-small"])
+def test_both_backends_restore_a_baked_image_identically(name):
+    from repro import make_world
+    from repro.core.bake import Prebaker
+    from repro.core.policy import AfterWarmup
+    from repro.functions import make_app
+    world = make_world(seed=5)
+    image = Prebaker(world.kernel).bake(
+        make_app(name), policy=AfterWarmup(1)).image
+    fast = _restored_pagemaps(image, slow=False)
+    assert fast == _restored_pagemaps(image, slow=True)
+    # What was dumped is what comes back, page for page.
+    dumped = [(d.start, d.label, d.resident_indices, d.content_tags)
+              for d in image.vmas]
+    assert [(start, label, tuple(seen["dump_full"][0]),
+             tuple(seen["dump_full"][1])) for start, label, seen in fast] \
+        == dumped
 
 
 class TestBackendSwitch:

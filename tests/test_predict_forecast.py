@@ -117,6 +117,31 @@ class TestEwmaForecaster:
             EwmaForecaster(alpha=1.5)
 
 
+def _keepalive_formula(policy, key):
+    """The keep-alive decision, recomputed in full on every call."""
+    hist = policy._hist(key)
+    default = policy._clamp(policy.default_keepalive_ms)
+    if hist.total == 0:
+        return default
+    shortest = hist.quantile(0.1)
+    if shortest is not None and shortest > policy.keepalive_cap_ms:
+        return policy.keepalive_floor_ms
+    median, tail = hist.quantile(0.5), hist.quantile(policy.HIST_QUANTILE)
+    if median is not None and tail is not None \
+            and tail > policy.BROAD_RATIO * median:
+        return default
+    value = hist.keepalive_ms(policy.HIST_QUANTILE,
+                              policy.keepalive_floor_ms,
+                              policy.keepalive_cap_ms)
+    if value > policy.default_keepalive_ms:
+        rate = hist.rate_per_ms()
+        if not rate or 1.0 / rate > policy.EXTEND_MEAN_GAP_MS:
+            return default
+    if value < policy.default_keepalive_ms and policy.target_warm(key) > 0:
+        return default
+    return value
+
+
 class TestPolicies:
     def test_histogram_policy_defaults_to_status_quo_without_data(self):
         policy = HistogramEwmaPolicy(default_keepalive_ms=60_000.0,
@@ -151,6 +176,40 @@ class TestPolicies:
             policy.observe_window("hot", 40.0)
         assert policy.target_warm("hot") >= 8  # load alone is 8
         assert policy.target_warm("idle-fn") == 0
+
+    @given(steps=st.lists(st.one_of(
+        st.tuples(st.just("gap"), st.sampled_from("ab"),
+                  st.one_of(st.floats(min_value=0.0, max_value=400_000.0),
+                            st.just(-1.0), st.just(math.nan))),
+        st.tuples(st.just("window"), st.sampled_from("ab"),
+                  st.one_of(st.floats(min_value=0.0, max_value=50.0),
+                            st.just(-1.0))),
+        st.tuples(st.just("ask"), st.sampled_from("abc"), st.just(0.0))),
+        max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_memoized_keepalive_equals_the_per_call_formula(self, steps):
+        policy = HistogramEwmaPolicy(window_ms=1_000.0, service_ms=200.0,
+                                     keepalive_cap_ms=120_000.0)
+        for kind, key, value in steps:
+            if kind == "gap":
+                policy.note_gap(key, value)
+            elif kind == "window":
+                policy.observe_window(key, value)
+            # Rejected evidence (negative, NaN) bumps no count and
+            # changes no decision; accepted evidence is never missed.
+            assert policy.keepalive_ms(key) == _keepalive_formula(policy, key)
+
+    def test_the_active_function_floor_follows_the_forecast(self):
+        policy = HistogramEwmaPolicy(window_ms=1_000.0, service_ms=200.0,
+                                     keepalive_cap_ms=120_000.0)
+        for _ in range(20):
+            policy.note_gap("f", 40.0)
+        assert policy.keepalive_ms("f") < policy.default_keepalive_ms
+        policy.observe_window("f", 10.0)
+        assert policy.keepalive_ms("f") == policy.default_keepalive_ms
+        for _ in range(30):
+            policy.observe_window("f", 0.0)
+        assert policy.keepalive_ms("f") < policy.default_keepalive_ms
 
     def test_oracle_reads_the_next_window_off_the_trace(self):
         policy = OraclePolicy({"f": [4.0, 0.0, 2.0]}, window_ms=1_000.0,

@@ -22,7 +22,7 @@ from repro.criu.chunkcache import (
     make_cache,
 )
 from repro.criu.merkle import DEFAULT_ARITY, ImageMerkle, MerkleTree
-from repro.criu.pagestore import image_chunk_index
+from repro.criu.pagestore import image_chunk_runs
 from repro.criu.restore import RestoreEngine
 from repro.faults import FaultPlan
 from repro.faults.errors import RestoreFailed
@@ -379,13 +379,13 @@ class TestMemoization:
         assert page_content_key("tag-x") == first
         assert page_content_key.cache_info().hits == hits_before + 1
 
-    def test_image_chunk_index_memoized_until_generation_bump(self, kernel):
+    def test_image_chunk_runs_memoized_until_generation_bump(self, kernel):
         image = _big_image(kernel, mib=4.0)
-        first = image_chunk_index(image)
-        assert image_chunk_index(image) is first
+        first = image_chunk_runs(image)
+        assert image_chunk_runs(image) is first
         image.generation += 1
-        assert image_chunk_index(image) is not first
-        assert image_chunk_index(image) == first  # same content, recomputed
+        assert image_chunk_runs(image) is not first
+        assert image_chunk_runs(image) == first  # same content, recomputed
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -28,12 +28,18 @@ from repro import make_world
 from repro.core.bake import Prebaker
 from repro.core.policy import AfterReady, AfterWarmup
 from repro.criu.images import CheckpointImage, build_image_files, canonical_json
+from repro.criu.serialize import deserialize_image, serialize_image
 from repro.criu.restore import RestoreEngine
 from repro.faults.errors import SnapshotCorrupted
 from repro.functions import make_app
 from repro.functions.synthetic import custom_function
 from repro.osproc.memory import TAGS
-from repro.runtime.classes import ClassTable, SyntheticClass, generate_classes
+from repro.runtime.classes import (
+    ClassNames,
+    ClassTable,
+    SyntheticClass,
+    generate_classes,
+)
 
 
 def _bake(name, policy, seed):
@@ -279,6 +285,13 @@ def _swap_classes(image):
     app.classes = generate_classes(len(app.classes), 1000.0, seed=99)
 
 
+def _add_loaded_name(image):
+    # The recorded names are immutable; drift replaces the value.
+    extra = image.runtime_state["extra"]
+    extra["loaded_class_names"] = [*extra["loaded_class_names"],
+                                   "com.synthetic.Drift"]
+
+
 DRIFTS = {
     "tamper-pages": lambda img: img.tamper(),
     "tamper-metadata": _strip_pages,
@@ -295,8 +308,7 @@ DRIFTS = {
     "warm": lambda img: setattr(img, "warm", not img.warm),
     "app-attribute": lambda img: setattr(img.runtime_state["app"], "drift", 1),
     "app-classes": _swap_classes,
-    "loaded-class-names": lambda img: img.runtime_state["extra"][
-        "loaded_class_names"].append("com.synthetic.Drift"),
+    "loaded-class-names": _add_loaded_name,
 }
 
 
@@ -336,3 +348,82 @@ def test_restored_replicas_share_only_the_class_table():
     assert second.app.classes is snapshot_app.classes
     assert len(snapshot_app.classes) == len(names)
     image.verify_integrity()
+
+
+# -- the recorded class names are one immutable value per table --------------
+
+def test_warm_image_records_the_tables_names_immutably(warm_image):
+    names = warm_image.runtime_state["extra"]["loaded_class_names"]
+    table = warm_image.runtime_state["app"].classes
+    assert type(names) is ClassNames
+    assert names.table is table
+    assert list(names) == sorted(cls.name for cls in table)
+    assert copy.copy(names) is names
+    assert copy.deepcopy(warm_image).runtime_state["extra"][
+        "loaded_class_names"] is names
+
+
+def test_class_names_refuse_in_place_mutation(warm_image):
+    names = warm_image.runtime_state["extra"]["loaded_class_names"]
+    with pytest.raises(AttributeError):
+        names.append("com.synthetic.Drift")
+    with pytest.raises(TypeError):
+        names[0] = "com.synthetic.Drift"
+    warm_image.verify_integrity()
+
+
+_names = st.text(alphabet=st.sampled_from(
+    ['a', 'Z', '0', '.', '$', ' ', '"', '\\', '/', '\n', '\x00', '\x7f',
+     'é', '中', '\U0001f600']), max_size=8)
+
+
+@given(st.lists(_names, max_size=12))
+@example([])
+@example([""])
+@example(['say "hi"', "plain"])
+@example(["back\\slash", "x"])
+@example(["tab\tstop", "del\x7f", "caf\u00e9"])
+@settings(max_examples=200, deadline=None)
+def test_class_names_text_equals_the_generic_encoder(names):
+    table = ClassTable(SyntheticClass(name, 1.0) for name in names)
+    recorded = ClassNames.of(table)
+    assert list(recorded) == sorted(set(names))
+    assert recorded.canonical_json == canonical_json(list(recorded))
+
+
+@pytest.mark.parametrize("depth", [0, 5, 11, 12])
+def test_class_names_text_equals_the_generic_encoding(warm_image, depth):
+    names = warm_image.runtime_state["extra"]["loaded_class_names"]
+    assert names._verbatim  # generated names take the join
+
+    def nest(value):
+        for _ in range(depth):
+            value = [value]
+        return value
+
+    assert names.canonical_json == canonical_json(list(names))
+    assert canonical_json(nest(names)) == canonical_json(nest(list(names)))
+    assert canonical_json({"names": names}) == json.dumps(
+        reference_projection({"names": list(names)}), sort_keys=True)
+
+
+def test_serialized_image_verifies_and_restores_like_the_original():
+    world, image = _bake("synthetic-small", AfterWarmup(1), 3)
+    copy_ = deserialize_image(serialize_image(image))
+    names = copy_.runtime_state["extra"]["loaded_class_names"]
+    assert type(names) is list
+    assert names == list(image.runtime_state["extra"]["loaded_class_names"])
+    assert copy_.compute_digest() == image.compute_digest() == image.digest
+    copy_.verify_integrity()
+
+    engine = RestoreEngine(world.kernel)
+    restored = engine.restore(copy_).payload["runtime"]
+    original = engine.restore(image).payload["runtime"]
+    assert restored.classloader.loaded == original.classloader.loaded
+    assert restored.classloader.loaded == set(names)
+    # The recorded names mark their table loaded without a scan; the
+    # plain list is intersected and scanned on first use, as before.
+    assert original.classloader._complete is original.app.classes
+    assert restored.classloader._complete is None
+    assert restored.classloader.all_loaded(restored.app.classes)
+    assert original.classloader.all_loaded(original.app.classes)
