@@ -16,7 +16,9 @@ import pytest
 from repro.functions.imaging import Image, resize_box, synthetic_photo
 from repro.functions.imaging.resize import scale_to_fraction
 from repro.functions.markdown import SAMPLE_DOCUMENT
-from repro.functions.markdown_engine import render_document
+from repro.functions.markdown_engine import parse_blocks, render_document
+from repro.functions.markdown_engine.nodes import (
+    BlockQuote, CodeBlock, Heading, ListBlock)
 
 # -- markdown -----------------------------------------------------------------
 
@@ -50,6 +52,31 @@ def _random_strings(seed, count=3000):
             for _ in range(count)]
 
 
+# Block markers and line shapes: digits (one of them non-ASCII), setext
+# underlines, quote, list, fence, HTML and break markers, indents of
+# 1-4 spaces, a tab and a no-break space; lines end in "\n", "\r\n"
+# or "\r".
+_BLOCK_TOKENS = ("a", "b c", " ", "  ", "   ", "    ", "\t", "\xa0", "0", "7",
+                 "12", "\u0663", "=", "===", ">", "> ", "- ", "* ", "+ ",
+                 "1. ", "2)", "```", "~~~", "<div>", "</div>", "<!-- ",
+                 " -->", "***", "---", "#", "## ", "*", "_", "`")
+_LINE_BREAKS = ("\n", "\n", "\n", "\n", "\r\n", "\r")
+
+
+def _block_documents(seed, count=3000):
+    """Random multi-line documents built from block-level tokens."""
+    rng = random.Random(seed)
+    documents = []
+    for _ in range(count):
+        parts = []
+        for _ in range(rng.randint(1, 10)):
+            parts.extend(rng.choice(_BLOCK_TOKENS)
+                         for _ in range(rng.randint(0, 5)))
+            parts.append(rng.choice(_LINE_BREAKS))
+        documents.append("".join(parts))
+    return documents
+
+
 def _digest_renders(documents):
     digest = hashlib.sha256()
     for text in documents:
@@ -65,6 +92,8 @@ MARKDOWN_GOLDEN = {
         "cae064cf747765d2997a715b79ae018cdad0d08a1527754113a72f6479a10b9c",
     "random-3000":
         "308f09ffd864eb796d54f2c84c9e626cf48aafb590125716ff85a4d5fefbc466",
+    "blocks-random-3000":
+        "01b913d0b0dfa957d131881e43c0a1dade0d1bfc6258dc2f323e455ae51f006c",
 }
 
 
@@ -73,6 +102,8 @@ def _markdown_corpus(name):
         return [SAMPLE_DOCUMENT]
     if name == "bench-seeds-1-5":
         return [doc for seed in range(1, 6) for doc in _bench_documents(seed)]
+    if name == "blocks-random-3000":
+        return _block_documents(seed=2020)
     return _random_strings(seed=2020)
 
 
@@ -85,6 +116,40 @@ def test_random_corpus_reaches_every_span_kind():
     html = "".join(render_document(text) for text in _random_strings(seed=2020))
     for tag in ("<br />", "<code>", "<em>", "<strong>", "&amp;", "&lt;"):
         assert tag in html
+
+
+def _block_kinds(nodes, kinds):
+    for node in nodes:
+        if isinstance(node, ListBlock):
+            kinds.add(("ol" if node.ordered else "ul",
+                       "tight" if node.tight else "loose"))
+            if node.start != 1:
+                kinds.add("ol-start")
+            for item in node.items:
+                _block_kinds(item.children, kinds)
+        elif isinstance(node, BlockQuote):
+            kinds.add("quote")
+            _block_kinds(node.children, kinds)
+        elif isinstance(node, CodeBlock):
+            kinds.add("fenced" if node.fenced else "indented")
+        else:
+            kinds.add(type(node).__name__)
+    return kinds
+
+
+def test_block_corpus_reaches_every_block_kind():
+    documents = _block_documents(seed=2020)
+    kinds = set()
+    for text in documents:
+        _block_kinds(parse_blocks(text).children, kinds)
+    assert kinds >= {("ol", "tight"), ("ol", "loose"), ("ul", "tight"),
+                     ("ul", "loose"), "ol-start", "quote", "fenced",
+                     "indented", "Heading", "HtmlBlock", "ThematicBreak",
+                     "Paragraph"}
+    # Setext headings: a level-1 heading in a document without "#".
+    assert any(isinstance(node, Heading) and node.level == 1
+               for text in documents if "#" not in text
+               for node in parse_blocks(text).children)
 
 
 # -- box resize ---------------------------------------------------------------
