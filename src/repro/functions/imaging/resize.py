@@ -7,6 +7,8 @@ downscales and is the default here.
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from repro.functions.imaging.image import Image, ImageFormatError
@@ -43,43 +45,52 @@ def resize_bilinear(image: Image, width: int, height: int) -> Image:
     return Image(top * (1 - wy) + bottom * wy)
 
 
+def _box_edges(size: int, count: int) -> List[int]:
+    """Edges of ``count`` boxes over ``size >= count`` source pixels.
+
+    The even split ``k * size / count`` is rounded half to even, as
+    ``np.round(np.linspace(0, size, count + 1))`` rounds it; those edges
+    already rise and stay inside ``[0, size]``. They are then forced to
+    rise strictly, so no box is empty.
+    """
+    step = size / count
+    edges = [round(k * step) for k in range(count)]
+    edges.append(size)
+    for i in range(1, count + 1):
+        if edges[i] <= edges[i - 1]:
+            edges[i] = min(edges[i - 1] + 1, size)
+    for i in range(count - 1, -1, -1):
+        if edges[i] >= edges[i + 1]:
+            edges[i] = max(edges[i + 1] - 1, 0)
+    return edges
+
+
 def resize_box(image: Image, width: int, height: int) -> Image:
     """Box (area-average) filter — the right filter for big downscales.
 
     Box edges are snapped to whole source pixels (exact for integer
     ratios, within 1 px otherwise) and never empty. Each box is summed
-    in exact integers — rows, then columns, with ``np.add.reduceat`` —
-    and divided by its pixel count.
+    in exact integers — each row box's uint8 rows straight into int64,
+    then the columns with ``np.add.reduceat`` — and divided by its
+    pixel count.
     """
     _check_target(width, height)
     if width > image.width or height > image.height:
         # Box (area) filtering is a pure *downscale* filter: enlarging
         # an axis produces empty source boxes. Interpolate instead.
         return resize_bilinear(image, width, height)
-    x_edges = np.linspace(0, image.width, width + 1)
-    y_edges = np.linspace(0, image.height, height + 1)
-    # Snap fractional edges to pixel boundaries (exact for integer
-    # ratios; a <=1px approximation otherwise).
-    xi = np.round(x_edges).astype(int)
-    yi = np.round(y_edges).astype(int)
-    xi = np.maximum.accumulate(np.clip(xi, 0, image.width))
-    yi = np.maximum.accumulate(np.clip(yi, 0, image.height))
-    # Guarantee non-empty boxes.
-    for arr, limit in ((xi, image.width), (yi, image.height)):
-        for i in range(1, len(arr)):
-            if arr[i] <= arr[i - 1]:
-                arr[i] = min(arr[i - 1] + 1, limit)
-        for i in range(len(arr) - 2, -1, -1):
-            if arr[i] >= arr[i + 1]:
-                arr[i] = max(arr[i + 1] - 1, 0)
-
+    xi = _box_edges(image.width, width)
+    yi = _box_edges(image.height, height)
+    px = image.pixels
+    rows = np.empty((height, image.width, 3), dtype=np.int64)
+    for r in range(height):
+        px[yi[r]:yi[r + 1]].sum(axis=0, dtype=np.int64, out=rows[r])
     # The last edge is the image border and the edges strictly rise, so
-    # segment i of each reduceat is exactly source pixels [e_i, e_i+1).
+    # segment i of the reduceat is exactly source columns [e_i, e_i+1).
     # uint8 pixels keep every sum far below 2**53: the float64 cast is
     # exact.
-    rows = np.add.reduceat(image.pixels.astype(np.int64), yi[:-1], axis=0)
     sums = np.add.reduceat(rows, xi[:-1], axis=1).astype(np.float64)
-    areas = ((yi[1:] - yi[:-1])[:, None] * (xi[1:] - xi[:-1])[None, :])[:, :, None]
+    areas = (np.diff(yi)[:, None] * np.diff(xi)[None, :])[:, :, None]
     return Image(sums / areas)
 
 

@@ -8,7 +8,7 @@ blocks (blockquotes and list items). Produces the AST defined in
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.functions.markdown_engine.nodes import (
     BlockQuote,
@@ -24,17 +24,29 @@ from repro.functions.markdown_engine.nodes import (
 )
 
 _ATX_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
-_THEMATIC_RE = re.compile(r"^ {0,3}((\*\s*){3,}|(-\s*){3,}|(_\s*){3,})$")
 _FENCE_RE = re.compile(r"^ {0,3}(```+|~~~+)\s*([^`\s]*)\s*$")
-_ORDERED_RE = re.compile(r"^( {0,3})(\d{1,9})([.)])\s+(.*)$")
-_BULLET_RE = re.compile(r"^( {0,3})([-+*])\s+(.*)$")
+# One list item, bullet or ordered: group 1 is the indent and marker
+# (the item's content starts one column after it), group 2 the ordered
+# number, group 3 the content.
+_ITEM_RE = re.compile(r"^( {0,3}(?:[-+*]|(\d{1,9})[.)]))\s+(.*)$")
 _QUOTE_RE = re.compile(r"^ {0,3}>\s?(.*)$")
 _SETEXT_RE = re.compile(r"^ {0,3}(=+|-+)\s*$")
-_HTML_BLOCK_RE = re.compile(r"^ {0,3}<(?:[a-zA-Z][^>]*|/[a-zA-Z][^>]*|!--.*)>?")
-
-
-def _is_blank(line: str) -> bool:
-    return not line.strip()
+# Every block kind a line can open, in the parser's priority order; the
+# first alternative that matches names the line (``lastgroup``), and no
+# match is paragraph text. ATX allows up to three leading whitespace
+# characters of any kind (the line is lstripped before the ``#``).
+_LINE_RE = re.compile(
+    r"(?P<blank>\s*$)"
+    r"|(?P<fence> {0,3}(?:```+|~~~+)\s*[^`\s]*\s*$)"
+    r"|(?P<thematic> {0,3}(?:(?:\*\s*){3,}|(?:-\s*){3,}|(?:_\s*){3,})$)"
+    r"|(?P<atx>\s{0,3}#{1,6}\s)"
+    r"|(?P<quote> {0,3}>)"
+    r"|(?P<item> {0,3}(?:[-+*]|\d{1,9}[.)])\s)"
+    r"|(?P<code>    )"
+    r"|(?P<html> {0,3}<(?:/?[a-zA-Z]|!--))"
+)
+# Kinds that end a paragraph instead of continuing it.
+_INTERRUPTS = frozenset(("fence", "thematic", "atx", "quote", "item"))
 
 
 def parse_blocks(text: str) -> Document:
@@ -45,18 +57,19 @@ def parse_blocks(text: str) -> Document:
 
 def _parse_lines(lines: List[str]) -> List[Node]:
     nodes: List[Node] = []
+    classify = _LINE_RE.match
     i = 0
     n = len(lines)
     while i < n:
         line = lines[i]
-        if _is_blank(line):
+        m = classify(line)
+        kind = m.lastgroup if m else None
+        if kind == "blank":
             i += 1
             continue
 
-        # Fenced code block.
-        fence = _FENCE_RE.match(line)
-        if fence:
-            marker, language = fence.group(1), fence.group(2)
+        if kind == "fence":
+            marker, language = _FENCE_RE.match(line).groups()
             close_re = re.compile(r"^ {0,3}" + re.escape(marker[0]) + "{" + str(len(marker)) + r",}\s*$")
             body: List[str] = []
             i += 1
@@ -67,27 +80,25 @@ def _parse_lines(lines: List[str]) -> List[Node]:
             nodes.append(CodeBlock(code="\n".join(body), language=language, fenced=True))
             continue
 
-        # Thematic break (checked before lists: `---` vs `- item`).
-        if _THEMATIC_RE.match(line):
+        if kind == "thematic":
             nodes.append(ThematicBreak())
             i += 1
             continue
 
-        # ATX heading.
-        atx = _ATX_RE.match(line.lstrip())
-        if atx and len(line) - len(line.lstrip()) <= 3:
+        if kind == "atx":
+            atx = _ATX_RE.match(line.lstrip())
             nodes.append(Heading(level=len(atx.group(1)), text=atx.group(2)))
             i += 1
             continue
 
         # Blockquote: gather the contiguous quoted run, strip markers, recurse.
-        if _QUOTE_RE.match(line):
+        if kind == "quote":
             quoted: List[str] = []
             while i < n:
-                m = _QUOTE_RE.match(lines[i])
-                if m:
-                    quoted.append(m.group(1))
-                elif not _is_blank(lines[i]) and quoted and not _is_blank(quoted[-1]):
+                q = _QUOTE_RE.match(lines[i])
+                if q:
+                    quoted.append(q.group(1))
+                elif lines[i].strip() and quoted and quoted[-1].strip():
                     quoted.append(lines[i])  # lazy continuation
                 else:
                     break
@@ -95,16 +106,15 @@ def _parse_lines(lines: List[str]) -> List[Node]:
             nodes.append(BlockQuote(children=_parse_lines(quoted)))
             continue
 
-        # Lists.
-        if _BULLET_RE.match(line) or _ORDERED_RE.match(line):
+        if kind == "item":
             block, i = _parse_list(lines, i)
             nodes.append(block)
             continue
 
         # Indented code block (4+ spaces, not a list continuation).
-        if line.startswith("    "):
+        if kind == "code":
             body = []
-            while i < n and (lines[i].startswith("    ") or _is_blank(lines[i])):
+            while i < n and (lines[i].startswith("    ") or not lines[i].strip()):
                 body.append(lines[i][4:] if lines[i].startswith("    ") else "")
                 i += 1
             while body and not body[-1].strip():
@@ -113,84 +123,68 @@ def _parse_lines(lines: List[str]) -> List[Node]:
             continue
 
         # Raw HTML block.
-        if _HTML_BLOCK_RE.match(line):
+        if kind == "html":
             body = []
-            while i < n and not _is_blank(lines[i]):
+            while i < n and lines[i].strip():
                 body.append(lines[i])
                 i += 1
             nodes.append(HtmlBlock(html="\n".join(body)))
             continue
 
-        # Paragraph (with setext heading lookahead).
-        para: List[Tuple[str, bool]] = []  # (content, ends-with-hard-break)
-        while i < n and not _is_blank(lines[i]):
+        # Paragraph (with setext heading lookahead). Its first line is
+        # paragraph text; each later line is classified again. ``parts``
+        # alternates stripped lines and their joins: a hard break after
+        # a line ending in two spaces, else one space.
+        parts = [line.strip()]
+        hard = line.endswith("  ")
+        i += 1
+        while i < n:
             nxt = lines[i]
-            if para:
-                setext = _SETEXT_RE.match(nxt)
-                if setext:
-                    level = 1 if setext.group(1)[0] == "=" else 2
-                    nodes.append(Heading(
-                        level=level, text=" ".join(s for s, _ in para)))
-                    para = []
-                    i += 1
-                    break
-                if (_BULLET_RE.match(nxt) or _ORDERED_RE.match(nxt)
-                        or _QUOTE_RE.match(nxt) or _FENCE_RE.match(nxt)
-                        or _THEMATIC_RE.match(nxt)
-                        or (_ATX_RE.match(nxt.lstrip()) and len(nxt) - len(nxt.lstrip()) <= 3)):
-                    break
-            para.append((nxt.strip(), nxt.endswith("  ")))
+            m = classify(nxt)
+            kind = m.lastgroup if m else None
+            if kind == "blank":
+                break
+            setext = _SETEXT_RE.match(nxt)
+            if setext:
+                level = 1 if setext.group(1)[0] == "=" else 2
+                nodes.append(Heading(level=level, text=" ".join(parts[::2])))
+                parts = []
+                i += 1
+                break
+            if kind in _INTERRUPTS:
+                break
+            parts.append("  \n" if hard else " ")
+            parts.append(nxt.strip())
+            hard = nxt.endswith("  ")
             i += 1
-        if para:
-            nodes.append(Paragraph(text=_join_paragraph(para)))
+        if parts:
+            nodes.append(Paragraph(text="".join(parts)))
     return nodes
 
 
-def _join_paragraph(parts: List[Tuple[str, bool]]) -> str:
-    """Join paragraph lines; trailing double spaces become hard breaks."""
-    out = []
-    for index, (content, hard) in enumerate(parts):
-        out.append(content)
-        if index < len(parts) - 1:
-            out.append("  \n" if hard else " ")
-    return "".join(out)
-
-
-def _match_list_item(line: str) -> Optional[Tuple[bool, int, int, str]]:
-    """Return (ordered, start, content_indent, first_content) or None."""
-    m = _BULLET_RE.match(line)
-    if m:
-        indent = len(m.group(1)) + len(m.group(2)) + 1
-        return False, 1, indent, m.group(3)
-    m = _ORDERED_RE.match(line)
-    if m:
-        indent = len(m.group(1)) + len(m.group(2)) + len(m.group(3)) + 1
-        return True, int(m.group(2)), indent, m.group(4)
-    return None
-
-
 def _parse_list(lines: List[str], i: int) -> Tuple[ListBlock, int]:
-    """Parse a run of list items starting at ``lines[i]``."""
-    first = _match_list_item(lines[i])
-    assert first is not None
-    ordered = first[0]
-    block = ListBlock(ordered=ordered, start=first[1])
+    """Parse a run of list items starting at ``lines[i]``.
+
+    Each line is matched against ``_ITEM_RE`` at most once: ``m`` is
+    always the item match of ``lines[i]`` (None when it is no item, is
+    blank or is past the end).
+    """
+    match_item = _ITEM_RE.match
+    m = match_item(lines[i])
+    ordered = m.group(2) is not None
+    block = ListBlock(ordered=ordered, start=int(m.group(2)) if ordered else 1)
     n = len(lines)
     saw_blank_inside = False
-    while i < n:
-        line = lines[i]
-        item_match = _match_list_item(line)
-        if item_match is None:
-            break
-        if item_match[0] != ordered:
-            break  # list type change ends this list
-        _, _, content_indent, first_content = item_match
-        item_lines = [first_content]
+    # A list type change ends this list.
+    while m is not None and (m.group(2) is not None) == ordered:
+        content_indent = m.end(1) + 1
+        item_lines = [m.group(3)]
+        m = None
         i += 1
         blank_run = 0
         while i < n:
             cont = lines[i]
-            if _is_blank(cont):
+            if not cont.strip():
                 blank_run += 1
                 if blank_run > 1:
                     break
@@ -203,7 +197,8 @@ def _parse_list(lines: List[str], i: int) -> Tuple[ListBlock, int]:
                 blank_run = 0
                 i += 1
                 continue
-            if blank_run == 0 and _match_list_item(cont) is None and not _QUOTE_RE.match(cont):
+            m = match_item(cont)
+            if blank_run == 0 and m is None and not _QUOTE_RE.match(cont):
                 # Lazy continuation of the item's trailing paragraph.
                 item_lines.append(cont.strip())
                 i += 1
@@ -211,23 +206,22 @@ def _parse_list(lines: List[str], i: int) -> Tuple[ListBlock, int]:
             break
         # Trailing blanks make the list loose only when another sibling
         # item follows; a blank before unrelated content just ends the
-        # list.
+        # list. The only blank item lines are "": a blank source line,
+        # or a first line with no content after the marker.
         trailing_blank = False
-        while item_lines and not item_lines[-1].strip():
+        while item_lines and not item_lines[-1]:
             item_lines.pop()
             trailing_blank = True
-        if trailing_blank and i < n and _match_list_item(lines[i]) is not None:
+        if trailing_blank and m is not None:
             saw_blank_inside = True
-        if any(_is_blank(l) for l in item_lines):
+        if "" in item_lines:
             saw_blank_inside = True
         block.items.append(ListItem(children=_parse_lines(item_lines)))
-        # Skip blank separator lines between sibling items.
-        while i < n and _is_blank(lines[i]):
-            nxt = i + 1
-            if nxt < n and _match_list_item(lines[nxt]) is not None:
+        # Skip a blank separator line between sibling items.
+        if m is None and i + 1 < n and not lines[i].strip():
+            m = match_item(lines[i + 1])
+            if m is not None:
                 saw_blank_inside = True
                 i += 1
-            else:
-                break
     block.tight = not saw_blank_inside
     return block, i
