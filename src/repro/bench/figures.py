@@ -404,16 +404,15 @@ def section5(seed: int = 42) -> Sec5Result:
         world = make_world(seed=seed + index)
         stack = make_openfaas_stack(world.kernel)
         factory = lambda fn=fn: make_app(fn)
-        project = f"{fn}-{template}"
-        stack.cli.new(project, template, factory)
+        stack.cli.new(fn, template, factory)
         t0 = world.now
-        stack.cli.build(project)
+        stack.cli.build(fn)
         build_ms = world.now - t0
-        stack.cli.push(project)
-        stack.cli.deploy(project)
-        response = stack.gateway.invoke(project)
+        stack.cli.push(fn)
+        stack.cli.deploy(fn)
+        response = stack.gateway.invoke(fn)
         assert response.ok
-        cold = stack.gateway._services[project].replicas[0].cold_start_ms
+        (cold,) = stack.platform.cold_start_latencies(fn)
         result.rows.append((fn, template, build_ms, cold))
     return result
 

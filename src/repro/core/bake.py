@@ -63,7 +63,6 @@ class Prebaker:
         app: FunctionApp,
         policy: SnapshotPolicy = AfterReady(),
         version: int = 1,
-        parent: Optional[Process] = None,
     ) -> BakeReport:
         """Produce and store a snapshot of ``app`` under ``policy``."""
         kernel = self.kernel
@@ -74,9 +73,9 @@ class Prebaker:
                       version=version, runtime=app.runtime_kind):
             with obs.span(kernel, "bake.donor", function=app.name):
                 if isinstance(policy, AfterRuntimeBoot):
-                    donor = self._boot_only(app, parent)
+                    donor = self._boot_only(app)
                 else:
-                    handle = launch_vanilla(kernel, app, parent=parent)
+                    handle = launch_vanilla(kernel, app)
                     donor = handle.process
                     if isinstance(policy, AfterWarmup):
                         for _ in range(policy.requests):
@@ -140,7 +139,7 @@ class Prebaker:
             warmup_requests=warmup_requests,
         )
 
-    def _boot_only(self, app: FunctionApp, parent: Optional[Process]) -> Process:
+    def _boot_only(self, app: FunctionApp) -> Process:
         """Start the runtime but stop before APPINIT (ablation point)."""
         kernel = self.kernel
         runtime_cls = RUNTIME_KINDS.get(app.runtime_kind)
@@ -148,7 +147,7 @@ class Prebaker:
             raise BakeError(f"unknown runtime kind {app.runtime_kind!r}")
         binary = RUNTIME_BINARIES[app.runtime_kind]
         kernel.fs.ensure(binary, size=128 * 1024)
-        proc = kernel.clone(parent or kernel.init_process, comm=app.runtime_kind)
+        proc = kernel.clone(kernel.init_process, comm=app.runtime_kind)
         kernel.execve(proc, binary, argv=[binary, "-jar", app.artifact_path()])
         runtime = runtime_cls(kernel, proc)
         runtime.boot()

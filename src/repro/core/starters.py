@@ -97,23 +97,21 @@ class Starter:
     def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
 
-    def start(self, app: FunctionApp, parent: Optional[Process] = None) -> ReplicaHandle:
+    def start(self, app: FunctionApp) -> ReplicaHandle:
         raise NotImplementedError
 
 
-def launch_vanilla(kernel: Kernel, app: FunctionApp,
-                   parent: Optional[Process] = None) -> ReplicaHandle:
+def launch_vanilla(kernel: Kernel, app: FunctionApp) -> ReplicaHandle:
     """The standard start path: clone, exec, runtime boot, app init."""
     runtime_cls = RUNTIME_KINDS.get(app.runtime_kind)
     if runtime_cls is None:
         raise StartError(f"unknown runtime kind {app.runtime_kind!r}")
     binary = RUNTIME_BINARIES[app.runtime_kind]
     kernel.fs.ensure(binary, size=128 * 1024)
-    parent = parent or kernel.init_process
     spawned_at = kernel.clock.now
     with obs.span(kernel, "replica.start", technique="vanilla",
                   function=app.name, runtime=app.runtime_kind):
-        proc = kernel.clone(parent, comm=app.runtime_kind)
+        proc = kernel.clone(kernel.init_process, comm=app.runtime_kind)
         kernel.execve(proc, binary, argv=[binary, "-jar", app.artifact_path()])
         runtime = runtime_cls(kernel, proc)
         with obs.span(kernel, "runtime.boot", runtime=app.runtime_kind):
@@ -139,8 +137,8 @@ class VanillaStarter(Starter):
 
     technique = "vanilla"
 
-    def start(self, app: FunctionApp, parent: Optional[Process] = None) -> ReplicaHandle:
-        return launch_vanilla(self.kernel, app, parent=parent)
+    def start(self, app: FunctionApp) -> ReplicaHandle:
+        return launch_vanilla(self.kernel, app)
 
 
 class PrebakeStarter(Starter):
@@ -200,7 +198,7 @@ class PrebakeStarter(Starter):
             version=self.version,
         )
 
-    def start(self, app: FunctionApp, parent: Optional[Process] = None) -> ReplicaHandle:
+    def start(self, app: FunctionApp) -> ReplicaHandle:
         kernel = self.kernel
         key = self.snapshot_key(app)
         labels = {"function": app.name}
@@ -210,7 +208,7 @@ class PrebakeStarter(Starter):
             try:
                 image = self.store.get(key)
                 faults.corrupt_image(kernel, image)
-                handle = self._start_from_image(app, image, parent)
+                handle = self._start_from_image(app, image)
                 # Request-observed start-up includes any retries that
                 # preceded this successful attempt.
                 handle.spawned_at_ms = started_at
@@ -282,7 +280,7 @@ class PrebakeStarter(Starter):
         obs.count(kernel, "prebake_fallback_total", labels=labels)
         with obs.span(kernel, "prebake.fallback", function=app.name,
                       reason=type(failure).__name__):
-            handle = launch_vanilla(kernel, app, parent=parent)
+            handle = launch_vanilla(kernel, app)
         handle.spawned_at_ms = started_at
         return handle
 
@@ -336,8 +334,8 @@ class PrebakeStarter(Starter):
                   value=float(repaired_chunks), labels=labels)
         return True
 
-    def _start_from_image(self, app: FunctionApp, image: CheckpointImage,
-                          parent: Optional[Process]) -> ReplicaHandle:
+    def _start_from_image(self, app: FunctionApp,
+                          image: CheckpointImage) -> ReplicaHandle:
         kernel = self.kernel
         spawned_at = kernel.clock.now
         override = app.profile.restore_override_ms(image.warm)
@@ -346,7 +344,6 @@ class PrebakeStarter(Starter):
                       policy=self.policy.key):
             proc = self.restore_engine.restore(
                 image,
-                parent=parent,
                 mode=self.restore_mode,
                 in_memory=self.in_memory,
                 duration_override_ms=override,

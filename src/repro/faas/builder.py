@@ -19,10 +19,9 @@ from repro.osproc.kernel import Kernel
 
 @dataclass
 class BuildResult:
-    """Outcome of one build."""
+    """Outcome of one build: the built version's metadata, ready to deploy."""
 
-    function: str
-    version: int
+    metadata: FunctionMetadata
     artifact_path: str
     artifact_bytes: int
     build_duration_ms: float
@@ -69,8 +68,7 @@ class FunctionBuilder:
         metadata.artifact_path = artifact_path
         metadata.artifact_bytes = artifact_bytes
         return BuildResult(
-            function=metadata.name,
-            version=metadata.version,
+            metadata=metadata,
             artifact_path=artifact_path,
             artifact_bytes=artifact_bytes,
             build_duration_ms=kernel.clock.now - started,

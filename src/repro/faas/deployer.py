@@ -411,8 +411,13 @@ class FunctionDeployer:
                           labels={"function": name})
         return reaped
 
+    def retire(self, replicas: List[FunctionReplica]) -> None:
+        """Take replicas out of service: an idle one terminates now, a
+        busy one when its request releases it. A version bump, a
+        scale-down and a service removal all retire through here."""
+        for replica in replicas:
+            replica.retire()
+
     def terminate_all(self, function: Optional[str] = None) -> None:
-        names = [function] if function else list(self._replicas)
-        for name in names:
-            for replica in self.replicas(name):
-                replica.terminate()
+        for name in [function] if function else list(self._replicas):
+            self.retire(self.replicas(name))

@@ -1,26 +1,23 @@
-"""OpenFaaS integration (paper §5).
+"""OpenFaaS integration (paper §5), as a front end over one platform.
 
-Models the OpenFaaS components the paper integrated prebaking with:
+Models the OpenFaaS pieces the paper integrated prebaking with —
 faas-cli (new/build/push/deploy), the template store (including the
-CRIU templates the authors published), the container image repository,
-the API gateway with Prometheus-driven autoscaling, the per-replica
-watchdog, and pluggable FaaS providers (Kubernetes / Docker Swarm)
-with ``--privileged`` support for the restore operation. The gateway's
-``/metrics`` text is :func:`repro.obs.export.render_prometheus` of its
-``PrometheusLite`` registry.
+CRIU templates the authors published), the container image repository
+and the API gateway — on top of one
+:class:`~repro.faas.platform.FaaSPlatform`. ``faas-cli build`` runs the
+platform's Function Builder (the CRIU templates bake there) and ships
+the snapshot as an image layer; ``deploy`` registers the built version;
+the gateway opens each request's trace and routes it through the
+platform. Kubernetes vs Docker Swarm is whether the platform's nodes
+allow the privileged restore. ``PrometheusLite`` is the stack's
+alert/SLO layer over the world's metrics registry, whose ``/metrics``
+text is :func:`repro.obs.export.render_prometheus`.
 """
 
-from repro.faas.openfaas.containers import Container, ContainerImage, ImageLayer
+from repro.faas.openfaas.containers import ContainerImage, ImageLayer
 from repro.faas.openfaas.templates import Template, TemplateStore
 from repro.faas.openfaas.imagerepo import ImageRepository, ImageNotFound
 from repro.faas.openfaas.prometheus import AlertRule, PrometheusLite
-from repro.faas.openfaas.providers import (
-    DockerSwarmProvider,
-    FaasProvider,
-    KubernetesProvider,
-    ProviderError,
-)
-from repro.faas.openfaas.watchdog import Watchdog
 from repro.faas.openfaas.gateway import Gateway
 from repro.faas.openfaas.cli import FaasCli, FaasCliError
 from repro.obs.export import parse_prometheus, render_prometheus
@@ -28,7 +25,6 @@ from repro.obs.export import parse_prometheus, render_prometheus
 __all__ = [
     "render_prometheus",
     "parse_prometheus",
-    "Container",
     "ContainerImage",
     "ImageLayer",
     "Template",
@@ -37,11 +33,6 @@ __all__ = [
     "ImageNotFound",
     "AlertRule",
     "PrometheusLite",
-    "FaasProvider",
-    "KubernetesProvider",
-    "DockerSwarmProvider",
-    "ProviderError",
-    "Watchdog",
     "Gateway",
     "FaasCli",
     "FaasCliError",

@@ -3,9 +3,11 @@
 Implements the four operations the paper lists — ``new`` (copy a
 template), ``build`` (artifact + build-time checkpoint for CRIU
 templates), ``push`` (to the image repository) and ``deploy`` (to the
-gateway) — including the Docker Buildx wrinkle: "Since usual docker
+platform) — including the Docker Buildx wrinkle: "Since usual docker
 build does not allow the execution of privileged operations, it was
-necessary to install the Docker Buildx CLI plugin".
+necessary to install the Docker Buildx CLI plugin". ``build`` and
+``deploy`` are the two steps of
+:meth:`~repro.faas.platform.FaaSPlatform.register_function`.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.core.bake import Prebaker
 from repro.faas.openfaas.containers import ContainerImage, ImageLayer
-from repro.faas.openfaas.gateway import DeployedService, Gateway
 from repro.faas.openfaas.imagerepo import ImageRepository
 from repro.faas.openfaas.templates import Template, TemplateStore
+from repro.faas.platform import FaaSPlatform
+from repro.faas.registry import FunctionMetadata
 from repro.functions.base import FunctionApp
-from repro.osproc.kernel import Kernel
 
 
 class FaasCliError(Exception):
@@ -34,11 +35,8 @@ class FunctionProject:
     template: Template
     app_factory: Callable[[], FunctionApp]
     image: Optional[ContainerImage] = None
+    metadata: Optional[FunctionMetadata] = None   # the built version
     version: int = 1
-
-    @property
-    def image_reference(self) -> str:
-        return f"registry.local/{self.name}:{self.version}"
 
 
 class FaasCli:
@@ -46,23 +44,17 @@ class FaasCli:
 
     BASE_LAYER_BYTES = 85 * 1024 * 1024   # of-watchdog + runtime base image
     CRIU_LAYER_BYTES = 9 * 1024 * 1024    # criu + its dependencies
-    PACKAGE_BASE_MS = 350.0               # compile + docker-build baseline
-    PACKAGE_PER_MIB_MS = 120.0
 
     def __init__(
         self,
-        kernel: Kernel,
+        platform: FaaSPlatform,
         templates: TemplateStore,
-        prebaker: Prebaker,
         image_repo: ImageRepository,
-        gateway: Gateway,
         buildx_installed: bool = True,
     ) -> None:
-        self.kernel = kernel
+        self.platform = platform
         self.templates = templates
-        self.prebaker = prebaker
         self.image_repo = image_repo
-        self.gateway = gateway
         self.buildx_installed = buildx_installed
         self._projects: Dict[str, FunctionProject] = {}
 
@@ -81,6 +73,13 @@ class FaasCli:
                 f"{sample.runtime_kind!r} but template {template_name!r} "
                 f"provides {template.runtime_kind!r}"
             )
+        if sample.name != name:
+            # The platform registers, routes and snapshots a function
+            # under its handler's name, so the service carries it too.
+            raise FaasCliError(
+                f"project {name!r} must be named after its function "
+                f"{sample.name!r}"
+            )
         project = FunctionProject(name=name, template=template,
                                   app_factory=app_factory)
         self._projects[name] = project
@@ -92,32 +91,29 @@ class FaasCli:
         For CRIU templates the build "start[s] the function runtime and
         run[s] an optional post-processing script (e.g., warm-up
         requests), and checkpoint[s] the function process into the
-        container image" (§5.2).
+        container image" (§5.2). The platform's Function Builder does
+        both; the image's layers are assembled from what it produced.
         """
         project = self._require_project(name)
         template = project.template
-        app = project.app_factory()
-        artifact_path = app.ensure_artifacts(self.kernel)
-        artifact_bytes = self.kernel.fs.lookup(artifact_path).size
-        package_ms = (self.PACKAGE_BASE_MS
-                      + self.PACKAGE_PER_MIB_MS * artifact_bytes / (1024 * 1024))
-        self.kernel.clock.advance(self.kernel.costs.jitter(
-            package_ms, self.kernel.streams, "faascli.build"))
+        if template.criu_enabled and not self.buildx_installed:
+            raise FaasCliError(
+                "usual docker build does not allow privileged operations; "
+                "install the Docker Buildx CLI plugin to build CRIU templates"
+            )
+        result = self.platform.build(
+            project.app_factory,
+            start_technique=template.start_technique,
+            snapshot_policy=(template.snapshot_policy()
+                             if template.criu_enabled else None),
+            version=project.version,
+        )
         layers = [
             ImageLayer("base", self.BASE_LAYER_BYTES),
-            ImageLayer("function", artifact_bytes),
+            ImageLayer("function", result.artifact_bytes),
         ]
-        snapshot_key = None
-        requires_privileged = False
-        if template.criu_enabled:
-            if not self.buildx_installed:
-                raise FaasCliError(
-                    "usual docker build does not allow privileged operations; "
-                    "install the Docker Buildx CLI plugin to build CRIU templates"
-                )
-            report = self.prebaker.bake(
-                app, policy=template.snapshot_policy(), version=project.version
-            )
+        report = result.bake_report
+        if report is not None:
             layers.append(ImageLayer("criu-deps", self.CRIU_LAYER_BYTES))
             # The snapshot layer's digest is the checkpoint's sealed
             # content digest: identical snapshots share a registry
@@ -127,17 +123,14 @@ class FaasCli:
                 digest=(f"sha256:{report.image.digest}"
                         if report.image.digest else ""),
             ))
-            snapshot_key = report.key
-            requires_privileged = True
-        image = ContainerImage(
+        project.image = ContainerImage(
             repository=f"registry.local/{name}",
             tag=str(project.version),
             layers=layers,
-            snapshot_key=snapshot_key,
-            requires_privileged=requires_privileged,
+            snapshot_key=report.key if report is not None else None,
         )
-        project.image = image
-        return image
+        project.metadata = result.metadata
+        return project.image
 
     def push(self, name: str) -> str:
         """``faas-cli push``: upload the built image."""
@@ -147,24 +140,21 @@ class FaasCli:
         self.image_repo.push(project.image)
         return project.image.reference
 
-    def deploy(self, name: str, memory_mib: float = 256.0,
-               initial_replicas: int = 0) -> DeployedService:
-        """``faas-cli deploy``: make the function invokable."""
+    def deploy(self, name: str, initial_replicas: int = 0) -> FunctionMetadata:
+        """``faas-cli deploy``: register the built version on the platform."""
         project = self._require_project(name)
         if project.image is None or not self.image_repo.contains(
                 project.image.reference):
             raise FaasCliError(
                 f"project {name!r} must be built and pushed before deploy"
             )
-        return self.gateway.deploy(
-            service=name,
-            image_reference=project.image.reference,
-            app_factory=project.app_factory,
-            memory_mib=memory_mib,
-            initial_replicas=initial_replicas,
-        )
+        self.image_repo.pull(project.image.reference)
+        metadata = self.platform.deploy(project.metadata)
+        if initial_replicas:
+            self.platform.scale(name, initial_replicas)
+        return metadata
 
-    def up(self, name: str, **deploy_kwargs) -> DeployedService:
+    def up(self, name: str, **deploy_kwargs) -> FunctionMetadata:
         """``faas-cli up`` = build + push + deploy."""
         self.build(name)
         self.push(name)
@@ -173,20 +163,20 @@ class FaasCli:
     def list(self) -> List[Dict[str, object]]:
         """``faas-cli list``: deployed services with replica counts."""
         rows = []
-        for service in self.gateway.services():
-            deployed = self.gateway._services[service]
+        for service in self.platform.registry.names():
+            metadata = self.platform.registry.lookup(service)
             rows.append({
                 "name": service,
-                "image": deployed.image.reference,
-                "replicas": len(deployed.live_replicas()),
-                "prebaked": deployed.image.has_snapshot,
+                "image": f"registry.local/{service}:{metadata.version}",
+                "replicas": self.platform.replica_count(service),
+                "prebaked": metadata.start_technique == "prebake",
             })
         return rows
 
     def describe(self, name: str) -> Dict[str, object]:
         """``faas-cli describe``: one project's full lifecycle state."""
         project = self._require_project(name)
-        deployed = self.gateway._services.get(name)
+        deployed = self.platform.registry.contains(name)
         info: Dict[str, object] = {
             "name": name,
             "template": project.template.name,
@@ -194,15 +184,15 @@ class FaasCli:
             "built": project.image is not None,
             "pushed": bool(project.image and self.image_repo.contains(
                 project.image.reference)),
-            "deployed": deployed is not None,
+            "deployed": deployed,
         }
         if project.image is not None:
             info["image"] = project.image.reference
             info["image_bytes"] = project.image.total_bytes
             info["snapshot_key"] = (str(project.image.snapshot_key)
                                     if project.image.snapshot_key else None)
-        if deployed is not None:
-            info["replicas"] = len(deployed.live_replicas())
+        if deployed:
+            info["replicas"] = self.platform.replica_count(name)
         return info
 
     # -- helpers ---------------------------------------------------------------------
@@ -220,4 +210,5 @@ class FaasCli:
         project = self._require_project(name)
         project.version += 1
         project.image = None
+        project.metadata = None
         return project.version

@@ -1,17 +1,16 @@
-"""Container images and containers.
+"""Container images.
 
 "Prebaking templates start the function runtime and run an optional
 post-processing script (e.g., warm-up requests), and checkpoint the
 function process into the container image" (§5.2) — so an image here
-is a list of layers, one of which may be a CRIU snapshot, and a
-container is an image instance that may need ``--privileged`` to
+is a list of layers, one of which may be a CRIU snapshot, and an image
+with a snapshot needs ``--privileged`` (or CAP_CHECKPOINT_RESTORE) to
 restore it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -44,7 +43,6 @@ class ContainerImage:
     tag: str
     layers: List[ImageLayer] = field(default_factory=list)
     snapshot_key: Optional[SnapshotKey] = None
-    requires_privileged: bool = False
 
     @property
     def reference(self) -> str:
@@ -58,24 +56,14 @@ class ContainerImage:
     def has_snapshot(self) -> bool:
         return self.snapshot_key is not None
 
+    @property
+    def requires_privileged(self) -> bool:
+        """The restore is a privileged operation (§5.2)."""
+        return self.has_snapshot
+
     def snapshot_layer(self) -> Optional[ImageLayer]:
         for layer in self.layers:
             if layer.name == "criu-snapshot":
                 return layer
         return None
 
-
-_container_ids = itertools.count(1)
-
-
-@dataclass
-class Container:
-    """A running container instance."""
-
-    image: ContainerImage
-    privileged: bool
-    container_id: int = field(default_factory=lambda: next(_container_ids))
-    running: bool = True
-
-    def stop(self) -> None:
-        self.running = False

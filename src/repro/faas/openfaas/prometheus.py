@@ -1,15 +1,15 @@
-"""PrometheusLite: the alerting layer for the OpenFaaS autoscaler.
+"""PrometheusLite: the OpenFaaS stack's alert and SLO layer.
 
 "The platform auto-scaling functionality is shared between the Gateway
 API and the Prometheus tool, which continuously monitors metrics and
-fires alerts. All alerts fired by Prometheus are processed by Gateway
-API, which decides when to scale down/up" (§5.1).
+fires alerts" (§5.1). Here scale-up is the platform autoscaler's own
+decision; this class keeps the threshold rules, SLO burn-rate checks
+and alert delivery over the world's metrics registry.
 
 Metric storage lives in the shared :class:`repro.obs.metrics.MetricsRegistry`
-(one per world when telemetry is installed); this class adds the
-threshold rules and alert delivery on top. ``inc``/``set_gauge``/
-``observe``/``value`` delegate straight to the registry, so gateway
-metrics and experiment-harness metrics land in the same series.
+(one per world when telemetry is installed). ``inc``/``set_gauge``/
+``observe``/``value`` delegate straight to the registry, so rules see
+the same series the platform's instrumentation writes.
 """
 
 from __future__ import annotations

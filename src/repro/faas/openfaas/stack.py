@@ -4,32 +4,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.bake import Prebaker
-from repro.core.store import SnapshotStore
 from repro.faas.openfaas.cli import FaasCli
 from repro.faas.openfaas.gateway import Gateway
 from repro.faas.openfaas.imagerepo import ImageRepository
 from repro.faas.openfaas.prometheus import PrometheusLite
-from repro.faas.openfaas.providers import (
-    DockerSwarmProvider,
-    FaasProvider,
-    KubernetesProvider,
-)
 from repro.faas.openfaas.templates import TemplateStore
-from repro.faas.resources import ComputeNode, ResourceManager
+from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.osproc.kernel import Kernel
 
 
 @dataclass
 class OpenFaasStack:
-    """All the §5 components, wired."""
+    """All the §5 components, wired over one platform."""
 
     kernel: Kernel
-    resources: ResourceManager
-    provider: FaasProvider
+    platform: FaaSPlatform
     templates: TemplateStore
-    snapshot_store: SnapshotStore
-    prebaker: Prebaker
     image_repo: ImageRepository
     prometheus: PrometheusLite
     gateway: Gateway
@@ -44,39 +34,32 @@ def make_openfaas_stack(
     node_memory_mib: float = 8192.0,
     allow_unprivileged_cr: bool = False,
 ) -> OpenFaasStack:
-    """Build a complete OpenFaaS deployment on top of ``kernel``."""
-    resources = ResourceManager(
-        nodes=[ComputeNode(name=f"node-{i}", memory_mib=node_memory_mib)
-               for i in range(nodes)]
-    )
-    if provider_name == "kubernetes":
-        provider: FaasProvider = KubernetesProvider(resources)
-    elif provider_name == "dockerswarm":
-        provider = DockerSwarmProvider(resources,
-                                       allow_unprivileged_cr=allow_unprivileged_cr)
-    else:
+    """Build a complete OpenFaaS deployment on top of ``kernel``.
+
+    The provider decides whether the platform's nodes may host the
+    privileged restore (§5.2): Kubernetes runs ``--privileged``
+    containers; Docker Swarm cannot, unless the kernel grants criu
+    CAP_CHECKPOINT_RESTORE (Linux >= 5.9 [11]) — ``allow_unprivileged_cr``.
+    """
+    if provider_name not in ("kubernetes", "dockerswarm"):
         raise ValueError(f"unknown provider {provider_name!r}")
+    platform = FaaSPlatform(kernel, PlatformConfig(
+        nodes=nodes, node_memory_mib=node_memory_mib))
+    if provider_name == "dockerswarm":
+        for node in platform.resources.nodes:
+            node.allow_privileged = allow_unprivileged_cr
     templates = TemplateStore()
-    snapshot_store = SnapshotStore()
-    prebaker = Prebaker(kernel, snapshot_store)
     image_repo = ImageRepository()
     # When the world has a telemetry hub, Prometheus rules evaluate
     # against the same registry the obs instrumentation writes to.
     registry = kernel.obs.metrics if kernel.obs is not None else None
-    prometheus = PrometheusLite(registry=registry)
-    gateway = Gateway(kernel, provider, image_repo, snapshot_store,
-                      prometheus=prometheus)
-    cli = FaasCli(kernel, templates, prebaker, image_repo, gateway,
-                  buildx_installed=buildx_installed)
     return OpenFaasStack(
         kernel=kernel,
-        resources=resources,
-        provider=provider,
+        platform=platform,
         templates=templates,
-        snapshot_store=snapshot_store,
-        prebaker=prebaker,
         image_repo=image_repo,
-        prometheus=prometheus,
-        gateway=gateway,
-        cli=cli,
+        prometheus=PrometheusLite(registry=registry),
+        gateway=Gateway(platform),
+        cli=FaasCli(platform, templates, image_repo,
+                    buildx_installed=buildx_installed),
     )

@@ -33,6 +33,10 @@ class Template:
     warmup_requests: int = 0
     extra_packages: tuple = ()
 
+    @property
+    def start_technique(self) -> str:
+        return "prebake" if self.criu_enabled else "vanilla"
+
     def snapshot_policy(self) -> SnapshotPolicy:
         if not self.criu_enabled:
             raise TemplateError(f"template {self.name!r} is not a CRIU template")

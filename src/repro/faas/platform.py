@@ -102,7 +102,16 @@ class FaaSPlatform:
 
     # -- function lifecycle ---------------------------------------------------------
 
-    def register_function(
+    def register_function(self, app_factory: Callable[[], FunctionApp],
+                          **build_options) -> FunctionMetadata:
+        """Build the next version of a function and deploy it.
+
+        The two steps faas-cli runs as ``build`` and ``deploy``;
+        ``build_options`` are :meth:`build`'s keyword arguments.
+        """
+        return self.deploy(self.build(app_factory, **build_options).metadata)
+
+    def build(
         self,
         app_factory: Callable[[], FunctionApp],
         start_technique: str = "vanilla",
@@ -111,8 +120,15 @@ class FaaSPlatform:
         max_replicas: int = 16,
         idle_timeout_ms: float = 60_000.0,
         cache_policy: Optional[str] = None,
-    ) -> FunctionMetadata:
-        """Register (a new version of) a function and build it."""
+        version: Optional[int] = None,
+    ) -> BuildResult:
+        """Run the Function Builder for a new version of a function.
+
+        ``version`` defaults to one past the registered version. On
+        sharded clusters a freshly baked snapshot is placed onto the
+        storage nodes right away (the write side of the protocol: a
+        down home shard gets a hinted handoff).
+        """
         if start_technique not in ("vanilla", "prebake"):
             raise ValueError(f"unknown start technique {start_technique!r}")
         if cache_policy not in CACHE_OFF + POLICIES:
@@ -122,9 +138,10 @@ class FaaSPlatform:
             raise ValueError("max_replicas must be at least 1, "
                              f"got {max_replicas}")
         sample = app_factory()
-        version = 1
-        if self.registry.contains(sample.name):
-            version = self.registry.lookup(sample.name).version + 1
+        if version is None:
+            version = 1
+            if self.registry.contains(sample.name):
+                version = self.registry.lookup(sample.name).version + 1
         metadata = FunctionMetadata(
             name=sample.name,
             runtime_kind=sample.runtime_kind,
@@ -137,34 +154,26 @@ class FaaSPlatform:
             idle_timeout_ms=idle_timeout_ms,
             cache_policy=cache_policy,
         )
-        self.build(metadata)
-        # Keep the PrebakeManager's version counter in sync so the
-        # deployer restores the snapshot this build produced.
-        self.prebake_manager.sync_version(sample.name, version)
-        self.registry.register(metadata)
-        return metadata
-
-    def build(self, metadata: FunctionMetadata) -> BuildResult:
-        """Run the Function Builder for ``metadata``.
-
-        On sharded clusters a freshly baked snapshot is placed onto
-        the storage nodes right away (the write side of the protocol:
-        a down home shard gets a hinted handoff).
-        """
         result = self.builder.build(metadata)
-        if self.shard_store is not None \
-                and metadata.start_technique == "prebake":
-            from repro.core.store import SnapshotKey
-            key = SnapshotKey(
-                function=metadata.name,
-                runtime_kind=metadata.runtime_kind,
-                policy=metadata.snapshot_policy.key,
-                version=metadata.version,
-            )
-            layered = self.prebake_manager.store.layered(key)
+        if self.shard_store is not None and result.bake_report is not None:
+            layered = self.prebake_manager.store.layered(result.bake_report.key)
             if layered is not None:
                 self.shard_store.register_image(layered)
         return result
+
+    def deploy(self, metadata: FunctionMetadata) -> FunctionMetadata:
+        """Register a built version; replicas of older versions retire.
+
+        Every live replica was provisioned from an older version (the
+        registry only accepts a newer one), so none serves a request
+        routed after this returns.
+        """
+        self.registry.register(metadata)
+        # Keep the PrebakeManager's version counter in sync so the
+        # deployer restores the snapshot this build produced.
+        self.prebake_manager.sync_version(metadata.name, metadata.version)
+        self.deployer.retire(self.deployer.replicas(metadata.name))
+        return metadata
 
     # -- data path ----------------------------------------------------------------------
 
@@ -175,9 +184,10 @@ class FaaSPlatform:
         self.autoscaler.note_arrival(function)
         return self.router.route(function, request)
 
-    def scale(self, function: str, replicas: int) -> None:
-        """Imperatively scale a function's pool up to ``replicas``."""
-        self.autoscaler.ensure_capacity(function, replicas)
+    def scale(self, function: str, replicas: int) -> int:
+        """Imperatively scale a function's pool up to ``replicas``;
+        returns how many were added."""
+        return self.autoscaler.ensure_capacity(function, replicas)
 
     def gc_tick(self) -> None:
         """Run one autoscaler reconciliation pass (reap → heal → GC)."""

@@ -25,6 +25,7 @@ class ReplicaState(Enum):
     PROVISIONING = "provisioning"
     IDLE = "idle"
     BUSY = "busy"
+    DRAINING = "draining"     # retired while busy; ends with its request
     TERMINATED = "terminated"
 
 
@@ -102,6 +103,8 @@ class FunctionReplica:
         finally:
             if self.state is ReplicaState.BUSY:
                 self.state = ReplicaState.IDLE
+            elif self.state is ReplicaState.DRAINING:
+                self.terminate()
         self.requests_served += 1
         self.last_active_ms = response.finished_ms
         obs.count(kernel, "replica_requests_total",
@@ -131,6 +134,13 @@ class FunctionReplica:
 
     def idle_for_ms(self, now_ms: float) -> float:
         return now_ms - self.last_active_ms
+
+    def retire(self) -> None:
+        """Leave service: terminate now, or after the in-flight request."""
+        if self.state is ReplicaState.BUSY:
+            self.state = ReplicaState.DRAINING
+        elif self.state is not ReplicaState.DRAINING:
+            self.terminate()
 
     def terminate(self) -> None:
         if self.state is ReplicaState.TERMINATED:

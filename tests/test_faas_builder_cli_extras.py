@@ -59,11 +59,11 @@ class TestFaasCliListDescribe:
 
     def test_list_after_deploy(self, kernel):
         stack = make_openfaas_stack(kernel)
-        stack.cli.new("md", "java8-criu", MarkdownFunction)
-        stack.cli.up("md", initial_replicas=2)
+        stack.cli.new("markdown", "java8-criu", MarkdownFunction)
+        stack.cli.up("markdown", initial_replicas=2)
         rows = stack.cli.list()
         assert len(rows) == 1
-        assert rows[0]["name"] == "md"
+        assert rows[0]["name"] == "markdown"
         assert rows[0]["replicas"] == 2
         assert rows[0]["prebaked"] is True
 
@@ -83,7 +83,7 @@ class TestFaasCliListDescribe:
 
     def test_describe_snapshot_key(self, kernel):
         stack = make_openfaas_stack(kernel)
-        stack.cli.new("md", "java8-criu", MarkdownFunction)
-        stack.cli.build("md")
-        info = stack.cli.describe("md")
+        stack.cli.new("markdown", "java8-criu", MarkdownFunction)
+        stack.cli.build("markdown")
+        info = stack.cli.describe("markdown")
         assert "markdown@v1" in info["snapshot_key"]

@@ -149,6 +149,42 @@ class TestPlatformFlow:
         meta = platform.register_function(NoopFunction)
         assert meta.version == 2
 
+    def test_new_version_retires_old_replicas(self):
+        """No request routed after register_function(vN) returns is
+        served by a replica of an older version; those processes die."""
+        platform = FaaSPlatform(make_world(seed=5).kernel)
+        for version in (1, 2, 3):
+            old = platform.deployer.replicas("markdown")
+            meta = platform.register_function(
+                MarkdownFunction, start_technique="prebake")
+            assert meta.version == version
+            assert not any(r.handle.process.alive for r in old)
+            assert all(r.allocation.released for r in old)
+            platform.invoke("markdown")
+            (served,) = platform.deployer.replicas("markdown")
+            assert served not in old
+            assert platform.router.stats.records[-1].replica_id \
+                == served.replica_id
+        assert platform.router.stats.cold_starts == 3
+
+    def test_busy_replica_retires_when_released(self, platform):
+        platform.register_function(NoopFunction)
+        platform.invoke("noop")
+        (replica,) = platform.deployer.replicas("noop")
+        invoke = replica.handle.invoke
+
+        def register_mid_request(request):
+            platform.register_function(NoopFunction)
+            assert replica.state is ReplicaState.DRAINING
+            assert replica.handle.process.alive
+            return invoke(request)
+
+        replica.handle.invoke = register_mid_request
+        assert platform.invoke("noop").ok
+        assert replica.state is ReplicaState.TERMINATED
+        assert not replica.handle.process.alive
+        assert platform.replica_count("noop") == 0
+
     def test_scale_up(self, platform):
         platform.register_function(NoopFunction)
         platform.scale("noop", 3)

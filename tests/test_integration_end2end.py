@@ -105,16 +105,22 @@ class TestOpenFaasEndToEnd:
     def test_version_bump_rebakes_and_redeploys(self):
         world = make_world(seed=90)
         stack = make_openfaas_stack(world.kernel)
-        stack.cli.new("md", "java8-criu", MarkdownFunction)
-        stack.cli.up("md")
-        first = stack.gateway.invoke("md")
+        stack.cli.new("markdown", "java8-criu", MarkdownFunction)
+        stack.cli.up("markdown")
+        first = stack.gateway.invoke("markdown")
         assert first.ok
+        (old,) = stack.platform.deployer.replicas("markdown")
 
-        stack.cli.bump_version("md")
-        stack.cli.up("md")
-        second = stack.gateway.invoke("md", Request(body="# v2"))
+        stack.cli.bump_version("markdown")
+        stack.cli.up("markdown")
+        # The v1 replica is gone with its process, not left running
+        # beside a released allocation.
+        assert not old.handle.process.alive
+        second = stack.gateway.invoke("markdown", Request(body="# v2"))
         assert "<h1>v2</h1>" in second.body
-        assert len(stack.snapshot_store) == 2  # one snapshot per version
+        assert stack.platform.router.stats.cold_starts == 2
+        # One snapshot per version.
+        assert len(stack.platform.prebake_manager.store) == 2
 
     def test_snapshot_reused_across_replicas(self):
         world = make_world(seed=91)
@@ -122,8 +128,8 @@ class TestOpenFaasEndToEnd:
         stack.cli.new("noop", "java8-criu", NoopFunction)
         stack.cli.up("noop")
         stack.gateway.scale("noop", 4)
-        key = stack.snapshot_store.keys()[0]
-        assert stack.snapshot_store.restore_count(key) == 4
+        store = stack.platform.prebake_manager.store
+        assert store.restore_count(store.keys()[0]) == 4
 
 
 class TestTracerOnFullStack:

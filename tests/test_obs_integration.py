@@ -137,7 +137,7 @@ class TestPlatformMetricsRoundTrip:
 
 
 class TestOpenFaasSharedRegistry:
-    def test_gateway_metrics_land_in_world_registry(self):
+    def test_gateway_invokes_land_in_router_series(self):
         from repro.faas.openfaas.stack import make_openfaas_stack
         from repro.runtime.base import Request
 
@@ -145,16 +145,16 @@ class TestOpenFaasSharedRegistry:
         stack = make_openfaas_stack(kernel)
         assert stack.prometheus.registry is kernel.obs.metrics
 
-        stack.cli.new("md", "java8-criu", MarkdownFunction)
-        stack.cli.up("md", initial_replicas=1)
-        stack.gateway.invoke("md", Request(body="# T"))
+        stack.cli.new("markdown", "java8-criu", MarkdownFunction)
+        stack.cli.up("markdown", initial_replicas=1)
+        stack.gateway.invoke("markdown", Request(body="# T"))
 
         registry = kernel.obs.metrics
-        assert registry.value("gateway_function_invocation_total",
-                              {"function_name": "md"}) >= 1.0 or \
-            registry.value("gateway_function_invocation_total") >= 1.0
-        histogram = registry.histogram("gateway_service_duration_ms",
-                                       {"function": "md"})
-        assert histogram is not None and histogram.count >= 1
+        labels = {"function": "markdown", "technique": "prebake"}
+        assert registry.value("router_invocations_total", labels) == 1.0
+        histogram = registry.histogram("router_request_total_ms", labels)
+        assert histogram is not None and histogram.count == 1
         parsed = parse_prometheus(render_prometheus(registry))
-        assert "gateway_service_duration_ms_count" in parsed
+        assert "router_request_total_ms_count" in parsed
+        # No parallel gateway series.
+        assert not any(name.startswith("gateway_") for name in parsed)

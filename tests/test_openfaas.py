@@ -10,12 +10,14 @@ from repro.faas.openfaas import (
     ImageNotFound,
     ImageRepository,
     PrometheusLite,
-    ProviderError,
     Template,
     TemplateStore,
 )
+from repro import faults, make_world
 from repro.faas.openfaas.stack import make_openfaas_stack
 from repro.faas.openfaas.templates import TemplateError
+from repro.faas.registry import RegistryError
+from repro.faas.resources import ResourceError
 from repro.functions import MarkdownFunction, NoopFunction
 from repro.runtime.base import Request
 
@@ -183,14 +185,14 @@ class TestPrometheus:
 
 class TestCliWorkflow:
     def test_new_build_push_deploy_invoke(self, stack):
-        stack.cli.new("md", "java8-criu-warm", MarkdownFunction)
-        image = stack.cli.build("md")
+        stack.cli.new("markdown", "java8-criu-warm", MarkdownFunction)
+        image = stack.cli.build("markdown")
         assert image.has_snapshot
         assert image.requires_privileged
         assert image.snapshot_layer() is not None
-        stack.cli.push("md")
-        stack.cli.deploy("md")
-        response = stack.gateway.invoke("md", Request(body="# X"))
+        stack.cli.push("markdown")
+        stack.cli.deploy("markdown")
+        response = stack.gateway.invoke("markdown", Request(body="# X"))
         assert "<h1>X</h1>" in response.body
 
     def test_up_shortcut(self, stack):
@@ -205,9 +207,13 @@ class TestCliWorkflow:
         assert not image.requires_privileged
 
     def test_new_duplicate_project_rejected(self, stack):
-        stack.cli.new("a", "java8", NoopFunction)
+        stack.cli.new("noop", "java8", NoopFunction)
         with pytest.raises(FaasCliError, match="already exists"):
-            stack.cli.new("a", "java8", NoopFunction)
+            stack.cli.new("noop", "java8", NoopFunction)
+
+    def test_project_named_after_its_function(self, stack):
+        with pytest.raises(FaasCliError, match="named after its function"):
+            stack.cli.new("md", "java8", MarkdownFunction)
 
     def test_runtime_template_mismatch_rejected(self, stack):
         with pytest.raises(FaasCliError, match="runtime"):
@@ -218,32 +224,32 @@ class TestCliWorkflow:
             stack.cli.build("ghost")
 
     def test_push_before_build_rejected(self, stack):
-        stack.cli.new("a", "java8", NoopFunction)
+        stack.cli.new("noop", "java8", NoopFunction)
         with pytest.raises(FaasCliError, match="not been built"):
-            stack.cli.push("a")
+            stack.cli.push("noop")
 
     def test_deploy_before_push_rejected(self, stack):
-        stack.cli.new("a", "java8", NoopFunction)
-        stack.cli.build("a")
+        stack.cli.new("noop", "java8", NoopFunction)
+        stack.cli.build("noop")
         with pytest.raises(FaasCliError, match="built and pushed"):
-            stack.cli.deploy("a")
+            stack.cli.deploy("noop")
 
     def test_criu_build_requires_buildx(self, kernel):
         """§5.2: usual docker build cannot run privileged operations."""
         stack = make_openfaas_stack(kernel, buildx_installed=False)
-        stack.cli.new("md", "java8-criu", MarkdownFunction)
+        stack.cli.new("markdown", "java8-criu", MarkdownFunction)
         with pytest.raises(FaasCliError, match="Buildx"):
-            stack.cli.build("md")
+            stack.cli.build("markdown")
         # Vanilla builds still work without buildx.
-        stack.cli.new("ok", "java8", NoopFunction)
-        stack.cli.build("ok")
+        stack.cli.new("noop", "java8", NoopFunction)
+        stack.cli.build("noop")
 
     def test_bump_version_rebuilds(self, stack):
-        stack.cli.new("md", "java8-criu", MarkdownFunction)
-        first = stack.cli.build("md")
-        version = stack.cli.bump_version("md")
+        stack.cli.new("markdown", "java8-criu", MarkdownFunction)
+        first = stack.cli.build("markdown")
+        version = stack.cli.bump_version("markdown")
         assert version == 2
-        second = stack.cli.build("md")
+        second = stack.cli.build("markdown")
         assert second.tag == "2"
         assert first.snapshot_key != second.snapshot_key
 
@@ -255,98 +261,113 @@ class TestGateway:
         assert stack.gateway.replica_count("noop") == 0
         stack.gateway.invoke("noop")
         assert stack.gateway.replica_count("noop") == 1
-        assert stack.prometheus.value("gateway_cold_start_total",
-                                      {"function": "noop"}) == 1
+        assert stack.platform.router.stats.cold_starts == 1
 
     def test_scale_up_and_down(self, stack):
         stack.cli.new("noop", "java8", NoopFunction)
         stack.cli.up("noop")
-        stack.gateway.scale("noop", 3)
+        assert stack.gateway.scale("noop", 3) == 3
         assert stack.gateway.replica_count("noop") == 3
-        stack.gateway.scale("noop", 1)
+        assert stack.gateway.scale("noop", 1) == 0
         assert stack.gateway.replica_count("noop") == 1
 
+    def test_scale_down_kills_function_process(self, stack):
+        stack.cli.new("noop", "java8", NoopFunction)
+        stack.cli.up("noop", initial_replicas=1)
+        (replica,) = stack.platform.deployer.replicas("noop")
+        assert replica.healthy
+        stack.gateway.scale("noop", 0)
+        assert not replica.handle.process.alive
+        assert replica.allocation.released
+
     def test_invoke_unknown_service(self, stack):
-        from repro.faas.openfaas.gateway import GatewayError
-        with pytest.raises(GatewayError, match="not deployed"):
+        with pytest.raises(RegistryError, match="not registered"):
             stack.gateway.invoke("ghost")
 
     def test_remove_service(self, stack):
         stack.cli.new("noop", "java8", NoopFunction)
         stack.cli.up("noop", initial_replicas=2)
+        replicas = stack.platform.deployer.replicas("noop")
         stack.gateway.remove("noop")
         assert "noop" not in stack.gateway.services()
-        assert stack.provider.service_containers("noop") == []
+        assert stack.gateway.replica_count("noop") == 0
+        assert not any(r.handle.process.alive for r in replicas)
 
-    def test_invocation_metrics_counted(self, stack):
+    def test_invocations_counted_in_router_series(self):
+        kernel = make_world(seed=3, observe=True).kernel
+        stack = make_openfaas_stack(kernel)
         stack.cli.new("noop", "java8", NoopFunction)
         stack.cli.up("noop")
         for _ in range(3):
             stack.gateway.invoke("noop")
-        assert stack.prometheus.value("gateway_function_invocation_total",
+        assert stack.prometheus.value("router_invocations_total",
                                       {"function": "noop"}) == 3
+        assert stack.prometheus.value("router_cold_starts_total",
+                                      {"function": "noop"}) == 1
 
 
-class TestProviders:
-    def test_swarm_refuses_privileged_snapshot_image(self, kernel):
+class TestClusterFlavours:
+    def test_swarm_cannot_place_privileged_restore(self, kernel):
         stack = make_openfaas_stack(kernel, provider_name="dockerswarm")
-        stack.cli.new("md", "java8-criu", MarkdownFunction)
-        stack.cli.build("md")
-        stack.cli.push("md")
-        stack.cli.deploy("md")
-        with pytest.raises(ProviderError):
-            stack.gateway.invoke("md")
+        stack.cli.new("markdown", "java8-criu", MarkdownFunction)
+        stack.cli.up("markdown")
+        with pytest.raises(ResourceError, match="privileged=True"):
+            stack.gateway.invoke("markdown")
+
+    def test_swarm_runs_vanilla_functions(self, kernel):
+        stack = make_openfaas_stack(kernel, provider_name="dockerswarm")
+        stack.cli.new("noop", "java8", NoopFunction)
+        stack.cli.up("noop")
+        assert stack.gateway.invoke("noop").ok
 
     def test_swarm_with_unprivileged_cr_capability(self, kernel):
         """CAP_CHECKPOINT_RESTORE [11] removes the --privileged need."""
         stack = make_openfaas_stack(kernel, provider_name="dockerswarm",
                                     allow_unprivileged_cr=True)
-        stack.cli.new("md", "java8-criu", MarkdownFunction)
-        stack.cli.build("md")
-        stack.cli.push("md")
-        stack.cli.deploy("md")
-        response = stack.gateway.invoke("md")
+        stack.cli.new("markdown", "java8-criu", MarkdownFunction)
+        stack.cli.up("markdown")
+        response = stack.gateway.invoke("markdown")
         assert response.ok
 
     def test_kubernetes_runs_privileged(self, stack):
-        stack.cli.new("md", "java8-criu", MarkdownFunction)
-        stack.cli.up("md", initial_replicas=1)
-        containers = stack.provider.service_containers("md")
-        assert containers[0].container.privileged
+        stack.cli.new("markdown", "java8-criu", MarkdownFunction)
+        stack.cli.up("markdown", initial_replicas=1)
+        (replica,) = stack.platform.deployer.replicas("markdown")
+        assert replica.allocation.privileged
 
     def test_unknown_provider_rejected(self, kernel):
         with pytest.raises(ValueError):
             make_openfaas_stack(kernel, provider_name="nomad")
 
 
-class TestWatchdog:
-    def test_health_endpoint(self, stack):
-        stack.cli.new("noop", "java8", NoopFunction)
-        stack.cli.up("noop", initial_replicas=1)
-        service = stack.gateway._services["noop"]
-        watchdog = service.replicas[0].watchdog
-        assert watchdog.healthy()
-        assert watchdog.health_checks >= 1
+class TestOnePlatform:
+    """A CRIU-template function runs on the platform's restore path."""
 
-    def test_watchdog_shutdown_kills_function(self, stack):
-        stack.cli.new("noop", "java8", NoopFunction)
-        stack.cli.up("noop", initial_replicas=1)
-        service = stack.gateway._services["noop"]
-        replica = service.replicas[0]
-        function_proc = replica.watchdog.handle.process
-        stack.gateway.scale("noop", 0)
-        assert not function_proc.alive
+    def _deployed(self, kernel):
+        stack = make_openfaas_stack(kernel)
+        stack.cli.new("markdown", "java8-criu-warm", MarkdownFunction)
+        stack.cli.up("markdown")
+        return stack
 
-    def test_unprivileged_watchdog_cannot_restore(self, kernel):
-        """The watchdog needs --privileged to run criu restore."""
-        from repro.core.bake import Prebaker
-        from repro.core.starters import PrebakeStarter
-        from repro.criu.restore import RestoreError
-        from repro.faas.openfaas.watchdog import Watchdog
-        app = MarkdownFunction()
-        prebaker = Prebaker(kernel)
-        prebaker.bake(app)
-        starter = PrebakeStarter(kernel, prebaker.store)
-        watchdog = Watchdog(kernel, privileged=False)
-        with pytest.raises(RestoreError, match="capability"):
-            watchdog.start_function(starter, app)
+    def test_gateway_invoke_is_a_platform_request(self, kernel):
+        stack = self._deployed(kernel)
+        platform = stack.platform
+        assert stack.gateway.invoke("markdown", Request(body="# X")).ok
+        (record,) = platform.router.stats.records
+        assert record.cold_start and record.technique == "prebake"
+        assert [r.replica_id for r in platform.deployer.replicas("markdown")] \
+            == [record.replica_id]
+        assert platform.cold_start_latencies("markdown") == [record.queued_ms]
+        store = platform.prebake_manager.store
+        assert store.restore_count(store.keys()[0]) == 1
+
+    def test_restore_faults_take_the_starter_retry_path(self):
+        kernel = make_world(seed=4, observe=True).kernel
+        stack = self._deployed(kernel)
+        stack.platform.install_faults(faults.FaultPlan.of(restore_fail=1.0))
+        assert stack.gateway.invoke("markdown").ok
+        metrics = kernel.obs.metrics
+        assert metrics.value("prebake_restore_retries_total") >= 1
+        assert metrics.value("prebake_fallback_total") == 1
+        (record,) = stack.platform.router.stats.records
+        assert record.cold_start and record.technique == "vanilla"
