@@ -46,8 +46,9 @@ def canonical_json(obj: Any) -> str:
     sort_keys=True)`` writes for that projection, byte for byte.
 
     Immutable values supply their own text: a
-    :class:`~repro.runtime.classes.ClassTable` encodes once per table,
-    and :class:`~repro.runtime.classes.ClassNames` joins its names.
+    :class:`~repro.runtime.classes.ClassTable` is encoded as the list
+    of its classes, once per table, and
+    :class:`~repro.runtime.classes.ClassNames` joins its names.
     """
     out: List[str] = []
     _encode(obj, 0, out.append)
@@ -72,10 +73,14 @@ def _encode(obj: Any, depth: int, out) -> None:
     elif isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: (str(kv[0]), type(kv[0]).__name__))
         _encode_entries([(str(k), v) for k, v in items], depth, out)
-    elif isinstance(obj, (list, tuple)):
-        if type(obj) is ClassTable and depth + 2 <= _MAX_DEPTH:
+    elif type(obj) is ClassTable:
+        # A sequence of classes, each an object of two attributes.
+        if depth + 2 <= _MAX_DEPTH:
             out(obj.canonical_json)
-        elif type(obj) is ClassNames and depth < _MAX_DEPTH:
+        else:
+            _encode_items(obj, depth, out)
+    elif isinstance(obj, (list, tuple)):
+        if type(obj) is ClassNames and depth < _MAX_DEPTH:
             out(obj.canonical_json)
         elif depth < _MAX_DEPTH and all(type(v) in _SCALARS for v in obj):
             out(_dumps(obj))

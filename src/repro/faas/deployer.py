@@ -7,6 +7,7 @@ replicas into computing resources."
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -125,8 +126,12 @@ class FunctionDeployer:
                 limit_mib=memory_mib,
             )
             cgroup.attach(handle.process)
-            replica = FunctionReplica(function, handle, allocation=allocation,
-                                      cgroup=cgroup)
+            # Through a weak proxy: a replica must not keep its deployer
+            # (and with it the whole world) alive in a reference cycle.
+            deployer = weakref.proxy(self)
+            replica = FunctionReplica(
+                function, handle, allocation=allocation, cgroup=cgroup,
+                on_terminate=lambda: deployer._publish_replicas(function))
             provision_span.set(replica_id=replica.replica_id)
         self._replicas.setdefault(function, []).append(replica)
         obs.record(self.kernel, obs.flight.REPLICA_PROVISIONED,
@@ -136,10 +141,14 @@ class FunctionDeployer:
         obs.count(self.kernel, "deployer_provision_total",
                   labels={"function": function,
                           "technique": metadata.start_technique})
-        obs.gauge(self.kernel, "deployer_replicas",
-                  float(len(self._replicas[function])),
-                  labels={"function": function})
+        self._publish_replicas(function)
         return replica
+
+    def _publish_replicas(self, function: str) -> None:
+        """Set the live-replica gauge: on provision and on every end."""
+        obs.gauge(self.kernel, "deployer_replicas",
+                  float(len(self.replicas(function))),
+                  labels={"function": function})
 
     def node_cache(self, node_name: str) -> HotChunkCache:
         """The node's hot-chunk cache (created on first use)."""
@@ -403,11 +412,6 @@ class FunctionDeployer:
                 obs.record(self.kernel, obs.flight.REPLICA_REAPED,
                            function=name, replica_id=replica.replica_id)
                 obs.count(self.kernel, "deployer_reaped_total",
-                          labels={"function": name})
-            if dead:
-                # Prune terminated entries and republish the live gauge.
-                obs.gauge(self.kernel, "deployer_replicas",
-                          float(len(self.replicas(name))),
                           labels={"function": name})
         return reaped
 

@@ -10,7 +10,6 @@ restore it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -24,15 +23,7 @@ class ImageLayer:
     name: str
     size_bytes: int
     media_type: str = "application/vnd.oci.image.layer.v1.tar"
-    digest: str = ""  # content digest; derived from (name, size) if unset
-
-    @property
-    def blob_digest(self) -> str:
-        """Registry blob identity — equal digests share one stored blob."""
-        if self.digest:
-            return self.digest
-        raw = f"{self.name}:{self.size_bytes}:{self.media_type}"
-        return "sha256:" + hashlib.sha256(raw.encode("utf-8")).hexdigest()
+    digest: str = ""  # content digest (a snapshot layer's sealed digest)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from repro import faults, obs
 from repro.core.starters import ReplicaHandle
@@ -49,7 +49,9 @@ class FunctionReplica:
 
     def __init__(self, function: str, handle: ReplicaHandle,
                  allocation: Optional[Allocation] = None,
-                 cgroup: Optional[MemoryCgroup] = None) -> None:
+                 cgroup: Optional[MemoryCgroup] = None,
+                 on_terminate: Optional[Callable[[], None]] = None,
+                 ) -> None:
         self.replica_id = next_replica_id(handle.runtime.kernel)
         self.function = function
         self.handle = handle
@@ -62,6 +64,8 @@ class FunctionReplica:
         # Set by the router per dispatch: did this request's dispatch
         # provision the replica (i.e. was it a cold start)?
         self.provisioned_cold = False
+        # Called once, when the replica ends (whichever way it ends).
+        self.on_terminate = on_terminate
 
     @property
     def technique(self) -> str:
@@ -151,3 +155,5 @@ class FunctionReplica:
         if self.allocation is not None:
             self.allocation.release()
         self.state = ReplicaState.TERMINATED
+        if self.on_terminate is not None:
+            self.on_terminate()

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.osproc.kernel import Kernel
-from repro.runtime.classes import ClassTable
+from repro.runtime.classes import ClassTable, total_size_kib
 from repro.sim.costmodel import FunctionCosts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -42,7 +42,9 @@ class FunctionApp:
     def artifact_size(self) -> int:
         """Size of the deployable artifact in bytes."""
         base = 256 * 1024
-        return base + int(sum(c.size_kib for c in self.classes) * 1024)
+        if not self.classes:
+            return base
+        return base + int(total_size_kib(self.classes) * 1024)
 
     def ensure_artifacts(self, kernel: Kernel) -> str:
         """Create the function's artifact(s) in the simulated VFS."""

@@ -19,13 +19,13 @@ three techniques of Table 1 fall out of these mechanics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set, TYPE_CHECKING
+from typing import Optional, Set, TYPE_CHECKING
 
 from repro.osproc.kernel import Kernel
 from repro.osproc.memory import PAGE_SIZE, VMAKind
 from repro.osproc.process import Process
 from repro.runtime.base import ManagedRuntime, Request, RuntimeError_
-from repro.runtime.classes import ClassNames, ClassTable, SyntheticClass
+from repro.runtime.classes import ClassNames, ClassTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.functions.base import FunctionApp
@@ -67,13 +67,13 @@ class ClassLoader:
         # until the set itself is replaced.
         self._complete: Optional[ClassTable] = None
 
-    def load_all(self, classes: Sequence[SyntheticClass], jar_path: str) -> float:
+    def load_all(self, classes: ClassTable, jar_path: str) -> float:
         """Load (and JIT) every not-yet-loaded class; return the cost in ms.
 
         The per-byte cost splits into a parse/compile component that is
         always paid and an I/O component scaled by how cold the jar's
         pages are — warm page cache (e.g. right after a CRIU restore of
-        the jar mapping) skips it.
+        the jar mapping) skips it. Classes are charged in table order.
         """
         kernel = self.runtime.kernel
         costs = kernel.costs
@@ -81,16 +81,18 @@ class ClassLoader:
         warmth = kernel.page_cache.warmth(jar)
         parse_per_kib = costs.restored_load_per_kib_ms
         io_per_kib = max(0.0, costs.cold_load_per_kib_ms - parse_per_kib)
+        per_class_ms = costs.cold_load_per_class_ms
+        per_kib_ms = parse_per_kib + io_per_kib * (1.0 - warmth)
         total_ms = 0.0
         total_kib = 0.0
         loaded = self._loaded
-        for cls in classes:
-            if cls.name in loaded:
+        for name, size in zip(classes.names, classes.sizes):
+            if name in loaded:
                 continue
-            total_ms += costs.cold_load_per_class_ms
-            total_ms += cls.size_kib * (parse_per_kib + io_per_kib * (1.0 - warmth))
-            total_kib += cls.size_kib
-            loaded.add(cls.name)
+            total_ms += per_class_ms
+            total_ms += size * per_kib_ms
+            total_kib += size
+            loaded.add(name)
         if total_kib:
             # Reading the classfiles pulls the jar's pages into the cache
             # and the class metadata + JIT output into the metaspace.
@@ -121,7 +123,7 @@ class ClassLoader:
     def loaded_count(self) -> int:
         return len(self.loaded)
 
-    def all_loaded(self, classes: Sequence[SyntheticClass]) -> bool:
+    def all_loaded(self, classes: ClassTable) -> bool:
         """Whether every class in ``classes`` is loaded.
 
         Scans once per class table: a table found fully loaded is
@@ -130,11 +132,9 @@ class ClassLoader:
         """
         if classes is self._complete:
             return True
-        loaded = self._loaded
-        if not all(c.name in loaded for c in classes):
+        if not all(map(self._loaded.__contains__, classes.names)):
             return False
-        if type(classes) is ClassTable:
-            self._complete = classes
+        self._complete = classes
         return True
 
 
@@ -306,7 +306,7 @@ class JVMRuntime(ManagedRuntime):
             self.classloader.load_names(loaded_names)
         else:
             self.classloader.loaded = set(loaded_names).intersection(
-                cls.name for cls in classes)
+                classes.names)
 
     # -- introspection ------------------------------------------------------------------
 

@@ -85,9 +85,9 @@ class NodeJSRuntime(ManagedRuntime):
             warmth = self.kernel.page_cache.warmth(bundle)
             cfg = self.config
             cost = 0.0
-            for mod in app.classes[self.required_modules:]:
+            for size_kib in app.classes.sizes[self.required_modules:]:
                 cost += cfg.require_per_module_ms
-                cost += mod.size_kib * (
+                cost += size_kib * (
                     cfg.require_per_kib_ms + cfg.require_io_per_kib_ms * (1.0 - warmth)
                 )
             self.kernel.clock.advance(

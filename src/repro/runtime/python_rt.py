@@ -88,9 +88,9 @@ class CPythonRuntime(ManagedRuntime):
             warmth = self.kernel.page_cache.warmth(source)
             cfg = self.config
             cost = 0.0
-            for mod in app.classes[self.imported_modules:]:
+            for size_kib in app.classes.sizes[self.imported_modules:]:
                 cost += cfg.import_per_module_ms
-                cost += mod.size_kib * (
+                cost += size_kib * (
                     cfg.import_per_kib_ms + cfg.import_io_per_kib_ms * (1.0 - warmth)
                 )
             self.kernel.clock.advance(

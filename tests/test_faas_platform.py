@@ -244,6 +244,49 @@ class TestPlatformFlow:
         assert record.total_ms >= record.service_ms
 
 
+class TestReplicaGauge:
+    """``deployer_replicas{function}`` follows the live replica count
+    through every way a replica ends, not only provision and reap."""
+
+    @staticmethod
+    def _observed_platform():
+        kernel = make_world(seed=5, observe=True).kernel
+        return kernel, FaaSPlatform(kernel, PlatformConfig(
+            nodes=2, autoscaler=AutoscalerConfig(idle_timeout_ms=1000.0)))
+
+    @staticmethod
+    def _gauge(kernel):
+        return kernel.obs.metrics.value("deployer_replicas",
+                                        {"function": "noop"})
+
+    def test_new_version_deploy_reads_zero(self):
+        kernel, platform = self._observed_platform()
+        platform.register_function(NoopFunction)
+        platform.invoke("noop")
+        assert self._gauge(kernel) == 1.0
+        platform.register_function(NoopFunction)
+        assert platform.replica_count("noop") == 0
+        assert self._gauge(kernel) == 0.0
+
+    def test_retiring_both_replicas_reads_zero(self):
+        kernel, platform = self._observed_platform()
+        platform.register_function(NoopFunction)
+        platform.scale("noop", 2)
+        assert self._gauge(kernel) == 2.0
+        platform.deployer.retire(platform.deployer.replicas("noop"))
+        assert platform.replica_count("noop") == 0
+        assert self._gauge(kernel) == 0.0
+
+    def test_idle_gc_reads_zero(self):
+        kernel, platform = self._observed_platform()
+        platform.register_function(NoopFunction)
+        platform.invoke("noop")
+        kernel.clock.advance(2000.0)  # beyond the idle timeout
+        platform.gc_tick()
+        assert platform.replica_count("noop") == 0
+        assert self._gauge(kernel) == 0.0
+
+
 class TestMaxReplicasValidation:
     @pytest.mark.parametrize("max_replicas", [0, -1])
     def test_non_positive_cap_rejected_before_baking(self, platform,

@@ -117,7 +117,10 @@ def test_sealed_digests_are_unchanged(fresh_digests, key):
 # -- the canonical encoder equals the JSON projection it replaced ------------
 
 def reference_projection(obj, _depth=0):
-    """The digest's original JSON projection (dicts keep one entry per ``str(key)``)."""
+    """The digest's original JSON projection (dicts keep one entry per ``str(key)``).
+
+    A class table projects as the list of its classes.
+    """
     if _depth > 12:
         return f"<depth-capped {type(obj).__name__}>"
     if obj is None or isinstance(obj, (str, int, float, bool)):
@@ -125,7 +128,7 @@ def reference_projection(obj, _depth=0):
     if isinstance(obj, dict):
         return {str(k): reference_projection(v, _depth + 1)
                 for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple, set, frozenset)):
+    if isinstance(obj, (list, tuple, set, frozenset, ClassTable)):
         items = sorted(obj, key=str) if isinstance(obj, (set, frozenset)) else obj
         return [reference_projection(v, _depth + 1) for v in items]
     attrs = getattr(obj, "__dict__", None)
