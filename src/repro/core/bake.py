@@ -100,7 +100,8 @@ class Prebaker:
             # Version-to-version image diff (repro.criu.imgdiff): how
             # much of the previous version's snapshot the new one
             # reuses — the delta a content-addressed registry ships.
-            if version > 1:
+            # Only telemetry reads it, so it is computed only then.
+            if version > 1 and kernel.obs is not None:
                 previous = self.store.peek(SnapshotKey(
                     function=app.name, runtime_kind=app.runtime_kind,
                     policy=policy.key, version=version - 1))
@@ -117,13 +118,15 @@ class Prebaker:
                 self.store.put(key, image, now_ms=kernel.clock.now)
             # Registry-level dedup accounting after the put: logical is
             # what monolithic storage would hold, physical what the
-            # content-addressed chunk store holds.
-            obs.gauge(kernel, "snapshot_store_dedup_ratio",
-                      self.store.dedup_ratio)
-            obs.gauge(kernel, "snapshot_store_logical_mib",
-                      self.store.logical_bytes / (1024 * 1024))
-            obs.gauge(kernel, "snapshot_store_physical_mib",
-                      self.store.physical_bytes / (1024 * 1024))
+            # content-addressed chunk store holds. Summing the logical
+            # bytes walks every stored image, so only with telemetry on.
+            if kernel.obs is not None:
+                obs.gauge(kernel, "snapshot_store_dedup_ratio",
+                          self.store.dedup_ratio)
+                obs.gauge(kernel, "snapshot_store_logical_mib",
+                          self.store.logical_bytes / (1024 * 1024))
+                obs.gauge(kernel, "snapshot_store_physical_mib",
+                          self.store.physical_bytes / (1024 * 1024))
 
         duration = kernel.clock.now - started
         obs.count(kernel, "prebake_bake_total",

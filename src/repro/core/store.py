@@ -286,7 +286,7 @@ class SnapshotStore:
         for (vma_index, window_start), ref in damaged.items():
             chunk = self.pages.chunk(ref.chunk_id)
             vma = image.vmas[vma_index]
-            pages = dict(zip(vma.resident_indices, vma.content_tags))
+            pages = dict(zip(vma.resident_indices.tolist(), vma.content_tags))
             if all(pages.get(window_start + rel) == tag
                    for rel, tag in chunk.pairs):
                 continue
@@ -328,7 +328,7 @@ class SnapshotStore:
                           layered: LayeredImage) -> int:
         """Legacy manifest-wide repair (no damage hints available)."""
         current: Dict[int, Dict[int, str]] = {
-            i: dict(zip(vma.resident_indices, vma.content_tags))
+            i: dict(zip(vma.resident_indices.tolist(), vma.content_tags))
             for i, vma in enumerate(image.vmas)
         }
         repaired_chunks = 0
@@ -343,7 +343,8 @@ class SnapshotStore:
         rebuilt_pages = rebuild_vma_pages(image, layered, self.pages)
         for i, vma in enumerate(image.vmas):
             indices, tags = rebuilt_pages[i]
-            if (tuple(vma.resident_indices), tuple(vma.content_tags)) != (indices, tags):
+            if (tuple(vma.resident_indices.tolist()),
+                    tuple(vma.content_tags)) != (indices, tags):
                 image.vmas[i] = replace(vma, resident_indices=indices,
                                         content_tags=tags)
         image.generation += 1

@@ -126,9 +126,15 @@ def _encode_items(items, depth: int, out) -> None:
     out("]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VMADescriptor:
-    """Serialized form of one VMA."""
+    """Serialized form of one VMA.
+
+    The resident pages are held as arrays, not one Python int per page:
+    ``resident_indices`` is a read-only, ascending int64 array. The
+    constructor accepts any sequence of ints; an int64 array is adopted
+    as is (and made read-only), anything else is copied into one.
+    """
 
     start: int
     length: int
@@ -138,8 +144,23 @@ class VMADescriptor:
     file_path: Optional[str]
     file_offset: int
     file_size: int
-    resident_indices: tuple
+    resident_indices: np.ndarray
     content_tags: tuple  # parallel to resident_indices
+
+    def __post_init__(self) -> None:
+        indices = self.resident_indices
+        if type(indices) is not np.ndarray or indices.dtype != np.int64:
+            indices = np.array(indices, dtype=np.int64)
+            object.__setattr__(self, "resident_indices", indices)
+        indices.setflags(write=False)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not VMADescriptor:
+            return NotImplemented
+        return (self._fields() == other._fields()
+                and self.content_tags == other.content_tags
+                and np.array_equal(self.resident_indices,
+                                   other.resident_indices))
 
     @property
     def resident_pages(self) -> int:
@@ -162,15 +183,8 @@ class VMADescriptor:
     @functools.cached_property
     def meta_canonical(self) -> bytes:
         """:attr:`canonical` without the page content tags (the meta digest's view)."""
-        return _dumps(self._fields() + [self.resident_indices]).encode("utf-8")
-
-    @functools.cached_property
-    def index_array(self) -> np.ndarray:
-        """Resident page indices as a read-only int64 array."""
-        indices = np.fromiter(self.resident_indices, dtype=np.int64,
-                              count=len(self.resident_indices))
-        indices.setflags(write=False)
-        return indices
+        return _dumps(self._fields()
+                      + [self.resident_indices.tolist()]).encode("utf-8")
 
     @functools.cached_property
     def tag_ids(self) -> np.ndarray:
@@ -191,17 +205,15 @@ class VMADescriptor:
                   **fields) -> "VMADescriptor":
         """A descriptor of dumped pages, given as the dump's arrays.
 
-        ``index_array`` (int64) and ``tag_ids`` (int32 :data:`TAGS` ids)
-        become the tuple fields and also seed the cached properties of
-        the same names, which are exactly what the tuples would derive:
-        the bake reuses the dump's arrays instead of rebuilding them.
-        Both arrays are made read-only.
+        ``index_array`` (int64) becomes :attr:`resident_indices` and
+        ``tag_ids`` (int32 :data:`TAGS` ids) seeds :attr:`tag_ids`, which
+        is exactly what the content tags would derive: the bake reuses
+        the dump's arrays instead of rebuilding them. Both arrays are
+        made read-only.
         """
-        desc = cls(resident_indices=tuple(index_array.tolist()),
+        desc = cls(resident_indices=index_array,
                    content_tags=tuple(TAGS.tags_of(tag_ids)), **fields)
-        index_array.setflags(write=False)
         tag_ids.setflags(write=False)
-        desc.__dict__["index_array"] = index_array
         desc.__dict__["tag_ids"] = tag_ids
         return desc
 
@@ -326,8 +338,10 @@ class CheckpointImage:
         sha.update(b', "runtime_state": ')
         sha.update(canonical_json(self.runtime_state).encode("utf-8"))
         sha.update(b', "vmas": [')
-        sha.update(b", ".join(v.meta_canonical if meta else v.canonical
-                              for v in self.vmas))
+        for i, vma in enumerate(self.vmas):
+            if i:
+                sha.update(b", ")
+            sha.update(vma.meta_canonical if meta else vma.canonical)
         sha.update(f'], "warm": {json.dumps(self.warm)}}}'.encode("utf-8"))
         return sha.hexdigest()
 
@@ -374,7 +388,7 @@ class CheckpointImage:
                     # Record *where* the damage landed (absolute page
                     # index) so repair can verify just that subtree.
                     self.dirty_pages.add(
-                        (index, vma.resident_indices[offset]))
+                        (index, int(vma.resident_indices[offset])))
                 self.vmas[index] = replace(vma, content_tags=tuple(tags))
                 return
         self.comm = self.comm + "\x00corrupt"

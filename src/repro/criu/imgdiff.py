@@ -113,8 +113,8 @@ def diff_images(old: CheckpointImage, new: CheckpointImage) -> ImageDiff:
                 pages_removed=old_vma.resident_pages,
             ))
             continue
-        old_idx, old_ids = old_vma.index_array, old_vma.tag_ids
-        new_idx, new_ids = new_vma.index_array, new_vma.tag_ids
+        old_idx, old_ids = old_vma.resident_indices, old_vma.tag_ids
+        new_idx, new_ids = new_vma.resident_indices, new_vma.tag_ids
         common, old_pos, new_pos = np.intersect1d(
             old_idx, new_idx, assume_unique=True, return_indices=True)
         retagged = int((old_ids[old_pos] != new_ids[new_pos]).sum())

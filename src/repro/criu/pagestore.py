@@ -333,10 +333,10 @@ def image_windows(
         memo = {}
     out: List[Tuple[int, int, Pairs, str]] = []
     for vma_index, vma in enumerate(image.vmas):
-        count = len(vma.resident_indices)
+        indices = vma.resident_indices
+        count = len(indices)
         if count == 0:
             continue
-        indices = vma.index_array
         ids = vma.tag_ids
         starts = (indices // chunk_pages) * chunk_pages
         rel = indices - starts

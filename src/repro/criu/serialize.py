@@ -46,7 +46,7 @@ class SerializationError(Exception):
 # Encoding
 # ---------------------------------------------------------------------------
 
-def _encode_runs(indices: Tuple[int, ...], tags: Tuple[str, ...]) -> List[Dict[str, Any]]:
+def _encode_runs(indices: List[int], tags: Tuple[str, ...]) -> List[Dict[str, Any]]:
     """Run-length encode (sorted) resident pages by content tag."""
     runs: List[Dict[str, Any]] = []
     i = 0
@@ -62,7 +62,7 @@ def _encode_runs(indices: Tuple[int, ...], tags: Tuple[str, ...]) -> List[Dict[s
     return runs
 
 
-def _decode_runs(runs: List[Dict[str, Any]]) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
+def _decode_runs(runs: List[Dict[str, Any]]) -> Tuple[List[int], Tuple[str, ...]]:
     indices: List[int] = []
     tags: List[str] = []
     for run in runs:
@@ -71,7 +71,7 @@ def _decode_runs(runs: List[Dict[str, Any]]) -> Tuple[Tuple[int, ...], Tuple[str
             raise SerializationError(f"non-positive run length {count}")
         indices.extend(range(start, start + count))
         tags.extend([tag] * count)
-    return tuple(indices), tuple(tags)
+    return indices, tuple(tags)
 
 
 def _vma_to_dict(vma: VMADescriptor) -> Dict[str, Any]:
@@ -84,7 +84,7 @@ def _vma_to_dict(vma: VMADescriptor) -> Dict[str, Any]:
         "file_path": vma.file_path,
         "file_offset": vma.file_offset,
         "file_size": vma.file_size,
-        "runs": _encode_runs(vma.resident_indices, vma.content_tags),
+        "runs": _encode_runs(vma.resident_indices.tolist(), vma.content_tags),
     }
 
 

@@ -8,7 +8,7 @@ profiler observes the same boundaries the paper measured with bpftrace.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.profile import PHASE_CLONE, PHASE_EXEC
 from repro.osproc.filesystem import FileSystem, PageCache
@@ -66,7 +66,10 @@ class Kernel:
         # or None; installed lazily by the first WORKING_SET restore so
         # eager-only worlds never pay for (or observe) it.
         self.working_sets = None
+        # The process table holds live processes and unreaped zombies; a
+        # reaped pid leaves it (see _reap) and is remembered in _reaped.
         self.processes: Dict[int, Process] = {}
+        self._reaped: Set[int] = set()
         self._next_pid = 100
         self._tracees: Dict[int, int] = {}  # target pid -> tracer pid
         init = Process(pid=self.INIT_PID, ppid=0, comm="init",
@@ -148,6 +151,7 @@ class Kernel:
         )
         child.start_time = self.clock.now
         self.processes[pid] = child
+        self._reaped.discard(pid)
         parent.children.append(pid)
         return child
 
@@ -202,10 +206,13 @@ class Kernel:
         return code
 
     def kill(self, pid: int) -> None:
-        """``SIGKILL``: terminate and reap immediately (platform GC path)."""
-        proc = self.get(pid)
-        if proc.state is ProcessState.DEAD:
+        """``SIGKILL``: terminate and reap immediately (platform GC path).
+
+        Killing an already reaped pid is a no-op.
+        """
+        if pid in self._reaped:
             return
+        proc = self.get(pid)
         proc.exit_code = -9
         self._reap(proc)
         parent = self.processes.get(proc.ppid)
@@ -213,9 +220,19 @@ class Kernel:
             parent.children.remove(pid)
 
     def _reap(self, proc: Process) -> None:
+        """Release everything ``proc`` held, at once.
+
+        The mappings, the payload (the runtime lives there) and the
+        process-table slot go now, so a reaped process is freed by
+        reference counting rather than left to the cyclic collector.
+        """
         proc.state = ProcessState.DEAD
         proc.address_space.clear()
+        proc.payload.clear()
         self._tracees.pop(proc.pid, None)
+        if self.processes.get(proc.pid) is proc:
+            del self.processes[proc.pid]
+            self._reaped.add(proc.pid)
 
     # -- cgroup freezer -----------------------------------------------------------
 

@@ -18,6 +18,7 @@ three techniques of Table 1 fall out of these mechanics.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Set, TYPE_CHECKING
 
@@ -52,7 +53,10 @@ class ClassLoader:
     """
 
     def __init__(self, runtime: "JVMRuntime") -> None:
-        self.runtime = runtime
+        # Through a weak proxy: the runtime owns its loader, and a
+        # strong back-reference would leave a reaped runtime (and its
+        # mappings) to the cyclic collector.
+        self.runtime = weakref.proxy(runtime)
         self.loaded = set()
 
     @property

@@ -1,6 +1,9 @@
 """Tests for the bake pipeline."""
 
+import pytest
 
+from repro import make_world
+from repro.core import bake as bake_module
 from repro.core.bake import Prebaker
 from repro.core.policy import AfterReady, AfterRuntimeBoot, AfterWarmup
 from repro.core.store import SnapshotStore
@@ -72,3 +75,40 @@ class TestBake:
     def test_version_flows_into_key(self, kernel):
         report = Prebaker(kernel).bake(make_app("noop"), version=4)
         assert report.key.version == 4
+
+
+class TestStoreGauges:
+    """The store totals and the version diff feed only telemetry."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        seen = []
+        logical = SnapshotStore.logical_bytes
+        monkeypatch.setattr(SnapshotStore, "logical_bytes", property(
+            lambda store: seen.append("logical") or logical.fget(store)))
+        diff_images = bake_module.diff_images
+        monkeypatch.setattr(bake_module, "diff_images", lambda old, new: (
+            seen.append("diff") or diff_images(old, new)))
+        return seen
+
+    @staticmethod
+    def _bake_two_versions(kernel):
+        prebaker = Prebaker(kernel)
+        prebaker.bake(make_app("noop"))
+        prebaker.bake(make_app("noop"), version=2)
+        return prebaker.store
+
+    def test_not_computed_with_telemetry_off(self, kernel, reads):
+        self._bake_two_versions(kernel)
+        assert reads == []
+
+    def test_published_with_telemetry_on(self, reads):
+        kernel = make_world(seed=1234, observe=True).kernel
+        store = self._bake_two_versions(kernel)
+        assert reads.count("diff") == 1
+        metrics = kernel.obs.metrics
+        assert metrics.value("snapshot_store_logical_mib") == \
+            store.logical_bytes / (1024 * 1024)
+        assert metrics.value("snapshot_store_dedup_ratio") == store.dedup_ratio
+        assert metrics.value("imgdiff_dedup_ratio",
+                             {"function": "noop"}) == 1.0

@@ -1,0 +1,151 @@
+"""A VMA descriptor holds its resident pages as an int64 array.
+
+Every byte a descriptor contributes (its canonical and meta-canonical
+text, the image digests, the serialized blob) and every page a tamper
+marks must be what a descriptor holding a tuple of Python ints gave.
+The reference below is written from that tuple form, independently of
+the encoder.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.criu.images import (
+    CheckpointImage,
+    FdDescriptor,
+    VMADescriptor,
+    build_image_files,
+)
+from repro.criu.serialize import deserialize_image, serialize_image
+from repro.osproc.memory import PAGE_SIZE
+
+_tags = st.sampled_from(["", "heap", "jit", "x\x00y", "é", "text:/bin/java"])
+
+
+@st.composite
+def _pages(draw):
+    """(page count, sorted resident indices, parallel tags) of one VMA."""
+    page_count = draw(st.integers(1, 70_000))
+    indices = sorted(draw(st.sets(st.integers(0, page_count - 1), max_size=40)))
+    tags = [draw(_tags) for _ in indices]
+    return page_count, tuple(indices), tuple(tags)
+
+
+_vmas = st.lists(_pages(), min_size=1, max_size=4)
+
+
+def _fields(i, page_count):
+    return dict(start=0x7F00_0000_0000 + i * 2**32,
+                length=page_count * PAGE_SIZE, kind="anon", prot="rw-",
+                label=f"v{i}", file_path=None if i % 2 else f"/lib/{i}.so",
+                file_offset=0, file_size=4096 * i)
+
+
+def _image(vmas, as_array):
+    descs = []
+    for i, (page_count, indices, tags) in enumerate(vmas):
+        pages = np.array(indices, dtype=np.int64) if as_array else indices
+        descs.append(VMADescriptor(resident_indices=pages, content_tags=tags,
+                                   **_fields(i, page_count)))
+    image = CheckpointImage(
+        image_id="img-ref", pid=4242, comm="java",
+        argv=["java", "-jar", "fn.jar"], created_at_ms=12.5,
+        namespace_ids={"pid": 3, "net": 9}, vmas=descs,
+        fds=[FdDescriptor(fd=3, path="/app/fn.jar", offset=0, flags="r",
+                          is_socket=False, file_size=4096)],
+        runtime_state={"kind": "jvm", "booted": True, "ready": True,
+                       "requests_served": 1, "app": None, "extra": {}},
+        warm=True)
+    build_image_files(image)
+    return image
+
+
+def _reference_row(i, page_count, indices, tags, meta):
+    f = _fields(i, page_count)
+    row = [f["start"], f["length"], f["kind"], f["prot"], f["label"],
+           f["file_path"], f["file_offset"], f["file_size"], list(indices)]
+    return row if meta else row + [list(tags)]
+
+
+def _reference_digest(image, vmas, meta):
+    """SHA-256 of the whole restore-relevant object, dumped in one go."""
+    doc = {
+        "argv": image.argv,
+        "comm": image.comm,
+        "fds": [[f.fd, f.path, f.offset, f.flags, f.is_socket, f.file_size]
+                for f in image.fds],
+        "files": {name: f.size_bytes for name, f in image.files.items()},
+        "namespaces": image.namespace_ids,
+        "pid": image.pid,
+        "runtime_state": image.runtime_state,
+        "vmas": [_reference_row(i, *vma, meta) for i, vma in enumerate(vmas)],
+        "warm": image.warm,
+    }
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+@given(_vmas)
+@settings(max_examples=60, deadline=None)
+def test_canonical_bytes_and_digests_match_the_tuple_reference(vmas):
+    for as_array in (False, True):
+        image = _image(vmas, as_array)
+        for i, (desc, vma) in enumerate(zip(image.vmas, vmas)):
+            assert desc.resident_indices.dtype == np.int64
+            assert not desc.resident_indices.flags.writeable
+            assert desc.meta_canonical == json.dumps(
+                _reference_row(i, *vma, meta=True)).encode("utf-8")
+            assert desc.canonical == json.dumps(
+                _reference_row(i, *vma, meta=False)).encode("utf-8")
+        assert image.compute_digest() == _reference_digest(image, vmas, False)
+        assert image.compute_meta_digest() == \
+            _reference_digest(image, vmas, True)
+
+
+@given(_vmas)
+@settings(max_examples=40, deadline=None)
+def test_serialize_round_trip_keeps_pages_and_digest(vmas):
+    image = _image(vmas, as_array=True)
+    image.seal()
+    blob = serialize_image(image)
+    from_tuples = _image(vmas, as_array=False)
+    from_tuples.seal()
+    assert blob == serialize_image(from_tuples)
+    clone = deserialize_image(blob)
+    assert clone.vmas == image.vmas
+    for desc, (_, indices, tags) in zip(clone.vmas, vmas):
+        assert desc.resident_indices.tolist() == list(indices)
+        assert desc.content_tags == tags
+    assert clone.compute_digest() == image.digest
+    clone.verify_integrity()
+
+
+@given(_vmas, st.integers(1, 50), st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_tamper_marks_the_pages_of_the_tuple_reference(vmas, pages, first):
+    image = _image(vmas, as_array=True)
+    image.seal()
+    image.tamper(pages=pages, first_page=first)
+    expected = set()
+    tampered = [list(tags) for _, _, tags in vmas]
+    for index, (_, indices, tags) in enumerate(vmas):
+        if tags:
+            start = min(first, len(tags) - 1)
+            for offset in range(start, min(start + pages, len(tags))):
+                tampered[index][offset] += "\x00corrupt"
+                expected.add((index, indices[offset]))
+            break
+    assert image.dirty_pages == expected
+    assert all(type(page) is int for _, page in image.dirty_pages)
+    assert image.dirty_meta is (not expected)
+    if expected:
+        after = [(count, indices, tuple(tags)) for (count, indices, _), tags
+                 in zip(vmas, tampered)]
+        assert image.compute_digest() == _reference_digest(image, after, False)
+        assert image.compute_digest() != image.digest

@@ -184,7 +184,8 @@ def test_both_backends_restore_a_baked_image_identically(name):
     fast = _restored_pagemaps(image, slow=False)
     assert fast == _restored_pagemaps(image, slow=True)
     # What was dumped is what comes back, page for page.
-    dumped = [(d.start, d.label, d.resident_indices, d.content_tags)
+    dumped = [(d.start, d.label, tuple(d.resident_indices.tolist()),
+               d.content_tags)
               for d in image.vmas]
     assert [(start, label, tuple(seen["dump_full"][0]),
              tuple(seen["dump_full"][1])) for start, label, seen in fast] \

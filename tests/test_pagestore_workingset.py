@@ -40,7 +40,8 @@ def dump_process(kernel, mib=1.0, tag="h", comm="subject", warm=False):
 
 
 def vma_pages(image):
-    return {v.start: (v.resident_indices, v.content_tags) for v in image.vmas}
+    return {v.start: (v.resident_indices.tolist(), v.content_tags)
+            for v in image.vmas}
 
 
 class TestPageStore:
@@ -123,7 +124,7 @@ class TestPageStore:
         image = dump_process(kernel, 3.0)
         layered = layer_image(image, store)
         rebuilt = rebuild_vma_pages(image, layered, store)
-        expected = {i: (v.resident_indices, v.content_tags)
+        expected = {i: (tuple(v.resident_indices.tolist()), v.content_tags)
                     for i, v in enumerate(image.vmas)}
         assert rebuilt == expected
 

@@ -48,7 +48,8 @@ class TestSerializeRoundTrip:
         image = dump_process(kernel, 0.5)
         clone = deserialize_image(serialize_image(image))
         for original, restored in zip(image.vmas, clone.vmas):
-            assert restored.resident_indices == original.resident_indices
+            assert restored.resident_indices.tolist() == \
+                original.resident_indices.tolist()
             assert restored.content_tags == original.content_tags
 
     def test_roundtrip_with_runtime_state(self, kernel):

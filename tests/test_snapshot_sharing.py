@@ -19,6 +19,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -264,11 +265,12 @@ def test_class_tables_are_memoized_and_never_copied():
 def test_descriptor_arrays_are_read_only_and_follow_replace():
     _, image = _bake("synthetic-small", AfterWarmup(1), 3)
     desc = max(image.vmas, key=lambda v: v.resident_pages)
-    assert not desc.index_array.flags.writeable
+    assert not desc.resident_indices.flags.writeable
+    assert desc.resident_indices.dtype == np.int64
     assert not desc.tag_ids.flags.writeable
-    assert desc.index_array.tolist() == list(desc.resident_indices)
     assert TAGS.tags_of(desc.tag_ids) == list(desc.content_tags)
     retagged = replace(desc, content_tags=("other",) * desc.resident_pages)
+    assert retagged.resident_indices is desc.resident_indices
     assert set(TAGS.tags_of(retagged.tag_ids)) == {"other"}
     assert retagged.canonical != desc.canonical
     assert retagged.meta_canonical == desc.meta_canonical
