@@ -163,16 +163,16 @@ def collect_restore_pipeline(repetitions: int, seed: int) -> Metrics:
 
 def collect_chaos(repetitions: int, seed: int) -> Metrics:
     """Cold-start percentiles and success rates under faults."""
-    from repro.bench.chaos import chaos_experiment
+    from repro.bench import fault_sweep
     metrics: Metrics = {}
-    result = chaos_experiment(repetitions=repetitions, seed=seed)
-    for t in result.treatments:
-        prefix = f"rate{t.fault_rate:g}/{t.technique}"
-        if t.cold_waits_ms:
+    result = fault_sweep.run("chaos", repetitions=repetitions, seed=seed)
+    for r in result.cells:
+        prefix = f"rate{r.cell.rate:g}/{r.cell.technique}"
+        if r.cold_waits_ms:
             metrics[f"{prefix}/cold_wait_ms"] = \
-                metric_from_values(t.cold_waits_ms)
+                metric_from_values(r.cold_waits_ms)
         metrics[f"{prefix}/success_rate"] = \
-            scalar_metric(t.success_rate, direction=HIGHER)
+            scalar_metric(r.success_rate, direction=HIGHER)
     return metrics
 
 

@@ -88,44 +88,25 @@ def _run_ext_pool(args) -> str:
                                  "30 s idle timeout")
 
 
-def _run_chaos(args) -> str:
-    """Fault-injection sweep: resilience of both start techniques."""
-    from repro.bench.chaos import chaos_experiment
-    result = chaos_experiment(
-        repetitions=max(5, args.repetitions // 5), seed=args.seed,
-        postmortem_dir=args.postmortem_dir,
-    )
-    if args.postmortem_dir:
-        sealed = sum(t.postmortems for t in result.treatments)
-        log.info("chaos.postmortems_written", directory=args.postmortem_dir,
-                 bundles=sealed)
-    return result.render()
-
-
-def _run_incident(args) -> str:
-    """X9: chaos with anomaly detection and postmortem bundles."""
-    from repro.bench.incident import incident_experiment
+def _run_fault_sweep(experiment: str, args, flight_out: str | None = None,
+                     **params) -> str:
+    """One preset of the fault sweep (X5 chaos, X9 incident, X10
+    shard chaos); ``flight_out`` takes the tape of a one-world run."""
+    from repro.bench.fault_sweep import run
     from repro.obs.flight import write_flight_jsonl
 
-    result = incident_experiment(seed=args.seed,
-                                 postmortem_dir=args.postmortem_dir)
+    result = run(experiment, seed=args.seed,
+                 postmortem_dir=args.postmortem_dir, **params)
     if args.postmortem_dir:
-        log.info("incident.postmortems_written",
+        log.info("fault_sweep.postmortems_written",
                  directory=args.postmortem_dir,
-                 bundles=len(result.bundle_paths))
-    if args.flight_out:
-        write_flight_jsonl(args.flight_out, result.flight_events)
-        log.info("incident.flight_written", file=args.flight_out,
-                 events=len(result.flight_events))
+                 bundles=sum(len(r.bundle_paths) for r in result.cells))
+    if flight_out:
+        tape = result.cells[0].flight_events
+        write_flight_jsonl(flight_out, tape)
+        log.info("fault_sweep.flight_written", file=flight_out,
+                 events=len(tape))
     return result.render()
-
-
-def _run_shard_chaos(args) -> str:
-    """X10: replication factor x storage-node failure sweep."""
-    from repro.bench.shard_chaos import shard_chaos_experiment
-    return shard_chaos_experiment(
-        repetitions=max(5, min(args.repetitions, 12)), seed=args.seed,
-    ).render()
 
 
 def _run_restore_sweep(args) -> str:
@@ -296,9 +277,12 @@ EXPERIMENTS: Dict[str, Callable] = {
     "ext-pool": _run_ext_pool,
     "restore-sweep": _run_restore_sweep,
     "restore-pipeline": _run_restore_pipeline,
-    "chaos": _run_chaos,
-    "incident": _run_incident,
-    "shard-chaos": _run_shard_chaos,
+    "chaos": lambda args: _run_fault_sweep(  # X5
+        "chaos", args, repetitions=max(5, args.repetitions // 5)),
+    "incident": lambda args: _run_fault_sweep(  # X9
+        "incident", args, flight_out=args.flight_out),
+    "shard-chaos": lambda args: _run_fault_sweep(  # X10
+        "shard-chaos", args, repetitions=max(5, min(args.repetitions, 12))),
     "trace": _run_trace,
     "profile": _run_profile,
     "kernel-bench": _run_kernel_bench,
@@ -330,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the flight-recorder tape as JSONL "
                              "(trace and incident experiments)")
     parser.add_argument("--postmortem-dir", default=None, metavar="DIR",
-                        help="seal postmortem bundles into DIR (chaos "
-                             "and incident experiments)")
+                        help="seal postmortem bundles into DIR (chaos, "
+                             "shard-chaos and incident experiments)")
     parser.add_argument("--function", default=None, metavar="NAME",
                         help="function to profile (profile experiment; "
                              "default image-resizer)")
@@ -384,6 +368,9 @@ def validate_args(args) -> str | None:
         return f"--events must be a positive integer, got {args.events}"
     if args.requests is not None and args.requests < 1:
         return f"--requests must be a positive integer, got {args.requests}"
+    if args.flight_out and args.experiment in ("chaos", "shard-chaos"):
+        return ("--flight-out records one world's tape; "
+                f"{args.experiment} runs many worlds")
     if args.experiment == "fleet-report" and not args.fleet_in:
         return "fleet-report requires --fleet-in PATH (a recorded artifact)"
     return None

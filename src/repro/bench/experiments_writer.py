@@ -34,6 +34,7 @@ KNOWN_SECTIONS = [
     ("ablation_bake_timing", "Ablation — bake timing"),
     ("ext_runtimes", "Extension — prebaking across runtimes"),
     ("ext_pool_baseline", "Extension — warm-pool baseline"),
+    ("chaos_recovery", "X5 — chaos preset of the fault sweep"),
 ]
 
 

@@ -15,8 +15,9 @@ into one JSON bundle:
 * every anomaly flagged so far; and
 * a **replay recipe** — the seed plus the experiment parameters that
   produced the run. Because the whole stack is deterministic, feeding
-  the recipe back (``repro.bench.incident.replay_recipe``) reproduces
-  the identical incident: same schedule digest, same flagged windows.
+  the recipe back (``repro.bench.fault_sweep.replay_recipe``, which
+  re-runs the one world the recipe names) reproduces the identical
+  incident: same schedule digest, same flagged windows.
 
 Bundles are sealed from *live* state (reading the tracer, registry,
 flight ring and injector mutates nothing and advances no clock), so

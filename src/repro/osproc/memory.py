@@ -146,6 +146,10 @@ class Page:
 class _VMABase:
     """Geometry, validation and derived properties shared by both backends."""
 
+    # The backends' own ``__slots__`` drop the per-mapping ``__dict__``
+    # only if every base declares slots too; weak references stay.
+    __slots__ = ("__weakref__",)
+
     start: int
     length: int
     kind: VMAKind

@@ -1,5 +1,7 @@
 """Tests for the virtual-memory model, including hypothesis invariants."""
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +10,22 @@ from repro.osproc.memory import (
     PAGE_SIZE,
     AddressSpace,
     MemoryError_,
+    SlowVMA,
     VMA,
     VMAKind,
 )
 
 
 class TestVMA:
+    @pytest.mark.parametrize("backend", [VMA, SlowVMA])
+    def test_mapping_has_no_dict_but_is_weakly_referenceable(self, backend):
+        vma = backend(start=0, length=PAGE_SIZE, kind=VMAKind.ANON)
+        assert not hasattr(vma, "__dict__")
+        ref = weakref.ref(vma)
+        assert ref() is vma
+        del vma
+        assert ref() is None
+
     def test_rejects_unaligned_length(self):
         with pytest.raises(MemoryError_):
             VMA(start=0, length=PAGE_SIZE + 1, kind=VMAKind.ANON)

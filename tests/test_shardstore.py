@@ -305,25 +305,26 @@ class TestDegradedRestores:
 
 class TestShardChaosExperiment:
     def test_rf2_node_kills_cause_zero_failed_requests(self):
-        from repro.bench.shard_chaos import shard_chaos_experiment
-        result = shard_chaos_experiment(
-            replication_factors=(2,), failure_rates=(0.0, 0.5),
+        from repro.bench import fault_sweep
+        result = fault_sweep.run(
+            "shard-chaos", replication_factors=(2,), fault_rates=(0.0, 0.5),
             repetitions=2, requests_per_rep=4)
-        assert result.failed_at_rf2_plus() == 0
-        faulty = result.treatment(2, 0.5)
+        assert sum(r.failed for r in result.cells
+                   if r.cell.replication_factor >= 2) == 0
+        faulty = result.cell(replication_factor=2, rate=0.5)
         assert faulty.requests == 8
         assert faulty.successes == 8
-        assert faulty.degraded_restores + faulty.fallbacks >= 1
+        assert faulty.counts["degraded"] + faulty.counts["fallback"] >= 1
         rendered = result.render()
         assert "RF>=2 failed requests: 0" in rendered
         assert "fault schedule digest:" in rendered
 
     def test_sweep_is_deterministic_for_a_seed(self):
-        from repro.bench.shard_chaos import shard_chaos_experiment
+        from repro.bench import fault_sweep
         runs = [
-            shard_chaos_experiment(replication_factors=(2,),
-                                   failure_rates=(0.5,),
-                                   repetitions=1, requests_per_rep=3)
+            fault_sweep.run("shard-chaos", replication_factors=(2,),
+                            fault_rates=(0.5,), repetitions=1,
+                            requests_per_rep=3)
             for _ in range(2)
         ]
         assert runs[0].render() == runs[1].render()
