@@ -14,12 +14,16 @@ chunk placement comes from the real :class:`~repro.criu.shardstore`
 consistent-hash ring and whose latency decomposition comes from the
 calibrated :class:`~repro.sim.costmodel.CostModel` constants — the
 same clone/spawn/restore/fetch/hop prices the request-level simulator
-charges. Every aggregate flows through :mod:`repro.obs.fleet`:
-per-node registries federated under ``node=`` labels, merged
-histograms for the fleet quantiles, Space-Saving sketches for hot
-functions/chunks, windowed rollups, and exact per-request cold-start
-attribution — **no per-request sample list is ever retained**, which
-is what lets one rep stream ≥1M requests in bounded memory.
+charges. Every counter and histogram lives in one
+:class:`~repro.obs.metrics.MetricsRegistry` with a ``node=`` label on
+each series: fleet totals are unlabelled ``value`` reads, per-node
+values filter on the label, and the fleet quantiles come from
+:func:`~repro.obs.slo.merged_histogram` over the node series. Hot
+functions/chunks come from Space-Saving sketches and the blame table
+from the exact per-request cold-start attribution of
+:mod:`repro.obs.fleet` — **no per-request sample list is ever
+retained**, which is what lets one rep stream ≥1M requests in bounded
+memory.
 
 A deterministic mid-trace storage-node outage produces the degraded
 slice of the attribution table, and one *real* platform cold start
@@ -44,16 +48,16 @@ from repro.criu.chunkcache import LRU, HotChunkCache
 from repro.criu.shardstore import HashRing
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.functions.base import make_app
-from repro.obs.flight import REPLICA_PROVISIONED, RESTORE_DEGRADED, FlightRecorder
 from repro.obs.fleet import (
+    NODE_LABEL,
     OUTCOME_DEGRADED,
     OUTCOME_LOCAL_HIT,
     OUTCOME_REMOTE_FETCH,
     ColdStartAttribution,
-    FleetRegistry,
-    FleetWindowSeries,
     SpaceSavingSketch,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.slo import merged_histogram
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.rng import _derive_seed
 
@@ -64,8 +68,6 @@ CHUNKS_PER_MIB = MIB // CHUNK_BYTES
 # Shared runtime bases: functions of the same runtime share these
 # chunks, which is what gives cross-function locality its teeth.
 RUNTIME_BASE_MIB = (6, 8, 12)
-
-CONTROLLER_NODE = "controller"    # control-plane registry in the fleet
 
 
 @dataclass(frozen=True)
@@ -84,21 +86,10 @@ class FleetStudyConfig:
     node_cache_mib: int = 256
     keepalive_ms: float = 60_000.0
     max_replicas: int = 8
-    window_ms: float = 60_000.0
-    flight_capacity: int = 2048
     # Deterministic storage outage: one store is down for the middle
     # [40%, 60%) slice of the trace, producing the degraded bucket.
     outage_start_frac: float = 0.40
     outage_end_frac: float = 0.60
-
-
-class _StudyClock:
-    """Minimal ``.now`` clock shim driving the flight recorder."""
-
-    __slots__ = ("now",)
-
-    def __init__(self) -> None:
-        self.now = 0.0
 
 
 @dataclass
@@ -115,11 +106,9 @@ class FleetRepResult:
     cache_hit_rate: float = 0.0            # fleet chunk-bytes hit rate
     locality_hit_rate: float = 0.0         # placements covering >=50%
     cross_node_bytes: int = 0
-    flight_dropped: int = 0
     per_node_rows: List[Dict[str, object]] = field(default_factory=list)
     hot_functions: List[Tuple[str, float, float]] = field(default_factory=list)
     hot_chunks: List[Tuple[str, float, float]] = field(default_factory=list)
-    window_points: List[Dict[str, float]] = field(default_factory=list)
     attribution: Optional[ColdStartAttribution] = None
 
     @property
@@ -171,7 +160,6 @@ class FleetStudyResult:
                     "locality_hit_rate": r.locality_hit_rate,
                     "cross_node_bytes": r.cross_node_bytes,
                     "cross_node_kib_per_restore": r.cross_node_kib_per_restore,
-                    "flight_dropped": r.flight_dropped,
                     "per_node": r.per_node_rows,
                     "hot_functions": [
                         {"key": k, "count": c, "error": e}
@@ -179,7 +167,6 @@ class FleetStudyResult:
                     "hot_chunks": [
                         {"key": k, "count": c, "error": e}
                         for k, c, e in r.hot_chunks],
-                    "windows": r.window_points,
                     "attribution": (r.attribution.as_dict()
                                     if r.attribution else []),
                     "folded": (r.attribution.folded_lines()
@@ -264,7 +251,6 @@ class _Fleet:
         self.config = config
         self.costs = costs
         self.rng = np.random.Generator(np.random.PCG64(seed))
-        self.clock = _StudyClock()
         c = config
 
         # -- image catalog ------------------------------------------------
@@ -279,6 +265,7 @@ class _Fleet:
             base_chunks.append(np.arange(next_cid, next_cid + count,
                                          dtype=np.int64))
             next_cid += count
+        self.function_names = [f"fn-{fid:03d}" for fid in range(c.functions)]
         self.func_chunks: List[List[int]] = []
         priv_mib = setup.integers(4, 25, size=c.functions)
         for fid in range(c.functions):
@@ -312,41 +299,33 @@ class _Fleet:
         self.node_load = np.zeros(c.compute_nodes)
 
         # -- observability plane ------------------------------------------
-        self.fleet = FleetRegistry()
-        self.node_regs = [self.fleet.node(f"node-{i}")
-                          for i in range(c.compute_nodes)]
-        self.store_regs = [self.fleet.node(f"store-{i}")
-                           for i in range(c.storage_nodes)]
-        self.ctl_reg = self.fleet.node(CONTROLLER_NODE)
-        self.flight = FlightRecorder(self.clock,
-                                     capacity=c.flight_capacity,
-                                     metrics=self.ctl_reg)
-        self.windows = FleetWindowSeries(window_ms=c.window_ms)
+        # One registry; every series carries its node's ``node=`` label.
+        self.registry = MetricsRegistry()
         self.attribution = ColdStartAttribution()
         self.hot_functions = SpaceSavingSketch(capacity=64)
         self.hot_chunks = SpaceSavingSketch(capacity=256)
 
-        # Pre-resolved counter handles (the PR8 fast path).
-        self.h_requests = [r.counter("fleet_requests_total")
-                           for r in self.node_regs]
-        self.h_warm = [r.counter("fleet_warm_total")
-                       for r in self.node_regs]
-        self.h_cold = [r.counter("fleet_cold_total")
-                       for r in self.node_regs]
-        self.h_hit_bytes = [r.counter("chunk_cache_hit_bytes_total")
-                            for r in self.node_regs]
-        self.h_miss_bytes = [r.counter("chunk_cache_miss_bytes_total")
-                             for r in self.node_regs]
-        self.h_placement = [r.counter("deployer_cold_placement_total")
-                            for r in self.node_regs]
-        self.h_loc_miss = [r.counter("deployer_locality_miss_total")
-                           for r in self.node_regs]
-        self.h_served = [r.counter("shard_served_bytes_total")
-                         for r in self.store_regs]
-        self.h_hops = [r.counter("shard_retry_hops_total")
-                       for r in self.store_regs]
-        self.cold_hists = [r.histogram_series("fleet_cold_start_ms")
-                           for r in self.node_regs]
+        # Pre-resolved per-node handles: a write is one dict update.
+        compute = [{NODE_LABEL: f"node-{i}"} for i in range(c.compute_nodes)]
+        stores = [{NODE_LABEL: f"store-{i}"} for i in range(c.storage_nodes)]
+        counter = self.registry.counter
+        self.h_requests = [counter("fleet_requests_total", n) for n in compute]
+        self.h_warm = [counter("fleet_warm_total", n) for n in compute]
+        self.h_cold = [counter("fleet_cold_total", n) for n in compute]
+        self.h_hit_bytes = [counter("chunk_cache_hit_bytes_total", n)
+                            for n in compute]
+        self.h_miss_bytes = [counter("chunk_cache_miss_bytes_total", n)
+                             for n in compute]
+        self.h_placement = [counter("deployer_cold_placement_total", n)
+                            for n in compute]
+        self.h_loc_miss = [counter("deployer_locality_miss_total", n)
+                           for n in compute]
+        self.h_served = [counter("shard_served_bytes_total", n)
+                         for n in stores]
+        self.h_hops = [counter("shard_retry_hops_total", n) for n in stores]
+        self.cold_hists = [
+            self.registry.histogram_series("fleet_cold_start_ms", n)
+            for n in compute]
 
         self.outage_node = -1
         self.outage_window = (c.duration_ms * c.outage_start_frac,
@@ -439,17 +418,10 @@ class _Fleet:
             outcome = OUTCOME_LOCAL_HIT
         else:
             outcome = OUTCOME_REMOTE_FETCH
-        fname = f"fn-{fid:03d}"
-        node_name = f"node-{node}"
-        self.attribution.record(fname, node_name, outcome, phases, total_ms)
+        self.attribution.record(self.function_names[fid], f"node-{node}",
+                                outcome, phases, total_ms)
         self.h_cold[node].inc()
         self.cold_hists[node].observe(total_ms)
-        self.windows.observe(node_name, t, total_ms)
-        self.flight.record(REPLICA_PROVISIONED, function=fname,
-                           node=node_name, outcome=outcome)
-        if outcome == OUTCOME_DEGRADED:
-            self.flight.record(RESTORE_DEGRADED, function=fname,
-                               node=node_name, retry_hops=hops)
         return node, total_ms
 
     # -- the request loop ----------------------------------------------------
@@ -460,11 +432,13 @@ class _Fleet:
         keepalive = c.keepalive_ms
         service_ms = costs.exec_ms
         pools = self.pools
-        clock = self.clock
+        names = self.function_names
+        offer = self.hot_functions.offer
+        h_requests = self.h_requests
+        h_warm = self.h_warm
         for t, fid in zip(times.tolist(), fids.tolist()):
-            clock.now = t
             pool = pools[fid]
-            self.hot_functions.offer(f"fn-{fid:03d}")
+            offer(names[fid])
             if pool:
                 live = [r for r in pool if r[2] + keepalive >= t]
                 if len(live) != len(pool):
@@ -481,12 +455,10 @@ class _Fleet:
                 replica[1] = t + service_ms
                 replica[2] = t
                 node = int(replica[0])
-                self.h_requests[node].inc()
-                self.h_warm[node].inc()
+                h_warm[node].inc()
             elif len(pool) < c.max_replicas:
                 node, latency = self.cold_start(t, fid)
                 pool.append([float(node), t + latency + service_ms, t])
-                self.h_requests[node].inc()
             else:
                 # Pool at capacity and every replica busy: queue on the
                 # earliest-free replica (still a warm service).
@@ -494,9 +466,8 @@ class _Fleet:
                 replica[1] += service_ms
                 replica[2] = t
                 node = int(replica[0])
-                self.h_requests[node].inc()
-                self.h_warm[node].inc()
-        self.windows.flush()
+                h_warm[node].inc()
+            h_requests[node].inc()
 
 
 def _run_repetition(config: FleetStudyConfig, seed: int,
@@ -513,54 +484,48 @@ def _run_repetition(config: FleetStudyConfig, seed: int,
     )
     fleet.run(times, fids)
 
-    reg = fleet.fleet
-    requests = int(reg.fleet_value("fleet_requests_total"))
-    cold = int(reg.fleet_value("fleet_cold_total"))
-    hit_bytes = reg.fleet_value("chunk_cache_hit_bytes_total")
-    miss_bytes = reg.fleet_value("chunk_cache_miss_bytes_total")
-    placements = reg.fleet_value("deployer_cold_placement_total")
-    loc_misses = reg.fleet_value("deployer_locality_miss_total")
+    reg = fleet.registry
+    hit_bytes = reg.value("chunk_cache_hit_bytes_total")
+    miss_bytes = reg.value("chunk_cache_miss_bytes_total")
+    placements = reg.value("deployer_cold_placement_total")
+    loc_misses = reg.value("deployer_locality_miss_total")
+    cold_hist = merged_histogram(reg, "fleet_cold_start_ms")
 
     result = FleetRepResult(rep=rep, seed=rep_seed)
-    result.requests = requests
-    result.cold_starts = cold
+    result.requests = int(reg.value("fleet_requests_total"))
+    result.cold_starts = int(reg.value("fleet_cold_total"))
     result.degraded_cold_starts = fleet.degraded_cold_starts
-    result.cold_p50_ms = reg.fleet_quantile("fleet_cold_start_ms", 0.5)
-    result.cold_p99_ms = reg.fleet_quantile("fleet_cold_start_ms", 0.99)
+    if cold_hist is not None:
+        result.cold_p50_ms = cold_hist.quantile(0.5)
+        result.cold_p99_ms = cold_hist.quantile(0.99)
     denominator = hit_bytes + miss_bytes
     result.cache_hit_rate = hit_bytes / denominator if denominator else 0.0
     result.locality_hit_rate = (
         1.0 - loc_misses / placements if placements else 0.0)
     result.cross_node_bytes = fleet.cross_node_bytes
-    result.flight_dropped = int(
-        reg.fleet_value("flight_dropped_total"))
-    assert result.flight_dropped == fleet.flight.dropped
 
     for i in range(config.compute_nodes):
-        node = f"node-{i}"
-        node_hit = reg.per_node_value("chunk_cache_hit_bytes_total")[node]
-        node_miss = reg.per_node_value("chunk_cache_miss_bytes_total")[node]
+        node = {NODE_LABEL: f"node-{i}"}
+        node_hit = reg.value("chunk_cache_hit_bytes_total", node)
+        node_miss = reg.value("chunk_cache_miss_bytes_total", node)
         node_total = node_hit + node_miss
-        histogram = fleet.node_regs[i].histogram("fleet_cold_start_ms")
         result.per_node_rows.append({
-            "node": node,
-            "requests": int(reg.per_node_value("fleet_requests_total")[node]),
-            "cold": int(reg.per_node_value("fleet_cold_total")[node]),
+            "node": node[NODE_LABEL],
+            "requests": int(reg.value("fleet_requests_total", node)),
+            "cold": int(reg.value("fleet_cold_total", node)),
             "cache_hit_rate": (node_hit / node_total) if node_total else 0.0,
-            "cold_p99_ms": histogram.quantile(0.99) if histogram else 0.0,
+            "cold_p99_ms": reg.quantile("fleet_cold_start_ms", 0.99, node),
         })
     for i in range(config.storage_nodes):
-        store = f"store-{i}"
+        store = {NODE_LABEL: f"store-{i}"}
         result.per_node_rows.append({
-            "node": store,
+            "node": store[NODE_LABEL],
             "requests": 0,
             "cold": 0,
-            "served_mib": reg.per_node_value(
-                "shard_served_bytes_total")[store] / MIB,
+            "served_mib": reg.value("shard_served_bytes_total", store) / MIB,
         })
     result.hot_functions = fleet.hot_functions.top(10)
     result.hot_chunks = fleet.hot_chunks.top(10)
-    result.window_points = [p.as_dict() for p in fleet.windows.points]
     result.attribution = fleet.attribution
     return result
 
@@ -583,7 +548,7 @@ def fleet_study(repetitions: int = 1, seed: int = 42,
 
 
 # ---------------------------------------------------------------------------
-# Rendering (shared with prebake-bench fleet-report / repro.obs.cli fleet)
+# Rendering (shared with prebake-bench fleet-report)
 # ---------------------------------------------------------------------------
 
 
@@ -610,8 +575,6 @@ def render_fleet_report(artifact: Dict[str, object]) -> str:
             f"  chunk-cache hit rate {rep['cache_hit_rate']:.3f}  "
             f"locality hit rate {rep['locality_hit_rate']:.3f}  "
             f"cross-node {rep['cross_node_kib_per_restore']:.1f} KiB/restore")
-        lines.append(
-            f"  flight events dropped: {rep['flight_dropped']}")
         rows = []
         for row in rep.get("per_node", []):
             if str(row["node"]).startswith("node-"):

@@ -27,7 +27,7 @@ from repro.functions.base import FunctionApp
 from repro.osproc.kernel import Kernel
 from repro.osproc.process import Process
 from repro.runtime import RUNTIME_KINDS
-from repro.runtime.base import ManagedRuntime, Request, Response
+from repro.runtime.base import ManagedRuntime, Request, Response, admit
 
 _log = get_logger("prebake")
 
@@ -57,7 +57,7 @@ class ReplicaHandle:
     def invoke(self, request: Optional[Request] = None) -> Response:
         """Send one request to the replica."""
         kernel = self.runtime.kernel
-        request = request or Request()
+        request = admit(kernel, request)
         request.arrival_ms = kernel.clock.now
         first = self.first_response_at_ms is None
         with obs.span(kernel, "replica.serve", context=request.trace,

@@ -14,7 +14,6 @@ time from the calibrated cost model.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro import obs
@@ -27,9 +26,6 @@ from repro.criu.images import (
 from repro.osproc.kernel import Kernel
 from repro.osproc.memory import VMAKind
 from repro.osproc.process import Capability, Process, ProcessState
-
-_image_ids = itertools.count(1)
-
 
 class CheckpointError(Exception):
     """Dump protocol failure."""
@@ -152,7 +148,7 @@ class CheckpointEngine:
         runtime_state = runtime.snapshot_state() if runtime is not None else None
 
         image = CheckpointImage(
-            image_id=f"img-{next(_image_ids):06d}",
+            image_id=f"img-{kernel.next_id('image'):06d}",
             pid=target.pid,
             comm=target.comm,
             argv=list(target.argv),

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro.faas.platform import FaaSPlatform
-from repro.runtime.base import Request, Response
+from repro.runtime.base import Request, Response, admit
 
 
 class Gateway:
@@ -26,7 +26,7 @@ class Gateway:
 
     def invoke(self, service: str, request: Optional[Request] = None) -> Response:
         """Invoke a function, cold-starting a replica when none is idle."""
-        request = request or Request()
+        request = admit(self.platform.kernel, request)
         with obs.span(self.platform.kernel, "gateway.invoke", function=service,
                       request_id=request.request_id,
                       context=request.trace) as invoke_span:

@@ -25,7 +25,7 @@ from repro import obs
 from repro.core.starters import ReplicaHandle, Starter
 from repro.functions.base import FunctionApp
 from repro.osproc.kernel import Kernel
-from repro.runtime.base import Request, Response
+from repro.runtime.base import Request, Response, admit
 
 
 @dataclass
@@ -164,7 +164,7 @@ class WarmPool:
               release: bool = True) -> Response:
         """Take a replica, serve one request, and (optionally) return
         the replica to the pool afterwards."""
-        request = request or Request()
+        request = admit(self.kernel, request)
         # Join whatever trace is active at the seam (router or harness)
         # so the replica's serve span lands in the caller's tree even
         # if it runs outside this call stack later.

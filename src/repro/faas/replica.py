@@ -8,8 +8,6 @@ certain period, the platform garbage collects the function replica".
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from enum import Enum
 from typing import Callable, Optional
 
@@ -29,21 +27,6 @@ class ReplicaState(Enum):
     TERMINATED = "terminated"
 
 
-# Replica IDs are allocated per simulated world (keyed weakly on the
-# kernel), not from a module global: a fresh world always numbers its
-# replicas from 1, so traces and logs are deterministic across runs
-# and tests cannot leak IDs into each other.
-_replica_counters: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def next_replica_id(kernel) -> int:
-    counter = _replica_counters.get(kernel)
-    if counter is None:
-        counter = itertools.count(1)
-        _replica_counters[kernel] = counter
-    return next(counter)
-
-
 class FunctionReplica:
     """Wraps a started replica with platform-level lifecycle state."""
 
@@ -52,7 +35,7 @@ class FunctionReplica:
                  cgroup: Optional[MemoryCgroup] = None,
                  on_terminate: Optional[Callable[[], None]] = None,
                  ) -> None:
-        self.replica_id = next_replica_id(handle.runtime.kernel)
+        self.replica_id = handle.runtime.kernel.next_id("replica")
         self.function = function
         self.handle = handle
         self.allocation = allocation

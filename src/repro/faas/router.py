@@ -16,7 +16,7 @@ from repro import obs
 from repro.faas.deployer import FunctionDeployer
 from repro.faults.errors import CapacityExhausted, ReplicaCrashed, RequestTimeout
 from repro.osproc.kernel import Kernel
-from repro.runtime.base import Request, Response
+from repro.runtime.base import Request, Response, admit
 
 
 @dataclass
@@ -78,7 +78,7 @@ class FunctionRouter:
 
     def route(self, function: str, request: Optional[Request] = None) -> Response:
         """Deliver one request, provisioning a replica if none is idle."""
-        request = request or Request()
+        request = admit(self.kernel, request)
         arrived = self.kernel.clock.now
         deadline = arrived + self.request_timeout_ms
         cold = False

@@ -2,7 +2,7 @@
 
 Default output is a per-span-name stage table (count, total, mean,
 p50/p95, max — exact percentiles, the trace has every sample);
-``--tree`` prints the nested spans of one trace instead. Four
+``--tree`` prints the nested spans of one trace instead. Three
 subcommands audit other recorded artifacts:
 
     python -m repro.obs.cli trace.jsonl
@@ -10,7 +10,6 @@ subcommands audit other recorded artifacts:
     python -m repro.obs.cli alerts metrics.jsonl     # SLO burn rates
     python -m repro.obs.cli profile profile.json     # phase breakdown
     python -m repro.obs.cli postmortem bundles/      # incident bundles
-    python -m repro.obs.cli fleet fleet.json         # X12 fleet report
 
 ``alerts`` reconstructs a metrics registry from a JSONL dump and
 evaluates the stack's SLO contract against it — exit 1 when any SLO
@@ -221,53 +220,6 @@ def profile_main(argv: List[str]) -> int:
     return 0
 
 
-def fleet_main(argv: List[str]) -> int:
-    """Re-render a fleet-study artifact (X12 report + blame tables)."""
-    from repro.bench.fleet_study import render_fleet_report
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.cli fleet",
-        description="Render a fleet-study JSON artifact recorded by "
-                    "`prebake-bench fleet-study --fleet-out`.",
-    )
-    parser.add_argument("fleet_file", help="fleet artifact JSON (- for stdin)")
-    parser.add_argument("--flame", action="store_true",
-                        help="print only the folded attribution stacks")
-    parser.add_argument("--assert-stitched", action="store_true",
-                        help="exit 1 unless the exemplar trace stitches "
-                             "spans across >= 2 node identities")
-    args = parser.parse_args(argv)
-    import json
-    try:
-        if args.fleet_file == "-":
-            artifact = json.loads(sys.stdin.read())
-        else:
-            artifact = json.loads(
-                pathlib.Path(args.fleet_file).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        log.error("fleet.unreadable", file=args.fleet_file, reason=str(exc))
-        return 2
-    try:
-        if args.flame:
-            lines: List[str] = []
-            for rep in artifact.get("repetitions", []):
-                lines.extend(rep.get("folded", []))
-            print("\n".join(lines))
-        else:
-            print(render_fleet_report(artifact))
-    except (KeyError, TypeError, ValueError) as exc:
-        log.error("fleet.malformed", file=args.fleet_file, reason=str(exc))
-        return 2
-    if args.assert_stitched:
-        from repro.bench.fleet_study import stitched_trace_nodes
-        nodes = stitched_trace_nodes(artifact.get("exemplar_spans", []))
-        if len(nodes) < 2:
-            log.error("fleet.not_stitched", nodes=sorted(nodes))
-            return 1
-        log.info("fleet.stitched", nodes=sorted(nodes))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.cli",
@@ -292,8 +244,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return profile_main(argv[1:])
     if argv and argv[0] == "postmortem":
         return postmortem_main(argv[1:])
-    if argv and argv[0] == "fleet":
-        return fleet_main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
         if args.trace_file == "-":

@@ -1,46 +1,33 @@
-"""Fleet observability plane: node-labeled metric federation.
+"""Fleet-scale aggregates that stay bounded at millions of requests.
 
-A single :class:`~repro.obs.metrics.MetricsRegistry` describes one
-world (or one node). A fleet — deployer nodes plus storage nodes — is
-a *set* of registries, and the questions worth asking of it are
-cross-node: what is the fleet cold-start p99, which node is burning
-it, which functions and chunks are hot everywhere. This module keeps
-those answers memory-bounded at millions-of-requests scale:
+A fleet's counters and histograms need nothing beyond one
+:class:`~repro.obs.metrics.MetricsRegistry` with a ``node=`` label on
+each series: fleet totals are unlabelled ``value`` reads, and fleet
+quantiles come from :func:`repro.obs.slo.merged_histogram`, which
+merges the node histograms bucket-wise, so no per-request sample list
+is ever kept. This module holds the two aggregates a registry cannot
+express:
 
-* :class:`FleetRegistry` — per-node registries merged on demand under
-  a ``node=`` label (counters add, histograms merge bucket-wise via
-  :meth:`Histogram.merge`), so fleet p50/p99 always come from merged
-  histograms, never from materialized sample lists. Re-attaching a
-  node replaces its contribution, making federation idempotent.
 * :class:`SpaceSavingSketch` — the Metwally/Agrawal/El Abbadi
   Space-Saving heavy-hitters sketch: top-k hot functions / hot chunks
   in O(capacity) memory with a per-key overestimation bound.
-* :class:`FleetWindowSeries` — streaming per-window rollups: one
-  bounded histogram per (window, node), merged at window close into
-  fleet-level p50/p99 points; a bounded deque of closed windows.
 * :class:`ColdStartAttribution` — the exact critical-path
   decomposition of PR4's :class:`~repro.obs.profile.PhaseProfiler`
   (phase sums equal ready-spawned time to float round-off, enforced
   on every record) bucketed by (function, node, cache outcome),
   renderable as a fleet blame table and folded flamegraph stacks.
 
-Federation is strictly opt-in: nothing here is touched by world-local
-instrumentation, so serial single-node runs stay byte-identical to
-the committed baselines.
+Nothing here is touched by world-local instrumentation, so serial
+single-node runs stay byte-identical to the committed baselines.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.obs.metrics import (
-    SUBBUCKETS,
-    Histogram,
-    MetricsRegistry,
-    label_set,
-)
+from repro.obs.metrics import SUBBUCKETS
 
 NODE_LABEL = "node"
 
@@ -53,15 +40,15 @@ OUTCOMES = (OUTCOME_LOCAL_HIT, OUTCOME_REMOTE_FETCH, OUTCOME_DEGRADED)
 
 
 class FleetError(Exception):
-    """Fleet federation misuse (conflicting node labels, bad phases)."""
+    """Fleet aggregate misuse (bad sketch weights, bad phases)."""
 
 
 def bucket_width(value: float) -> float:
     """Width of the log-linear bucket holding ``value``.
 
     The quantile error bound of one merged-histogram read: a fleet
-    p99 from merged buckets sits within one bucket width of the p99
-    over the concatenated samples.
+    p99 from merged node buckets sits within one bucket width of the
+    p99 over the concatenated samples.
     """
     if value <= 0.0:
         return 0.0
@@ -153,224 +140,6 @@ class SpaceSavingSketch:
                 for key, count, error in self.top(self.capacity)
             ],
         }
-
-
-# ---------------------------------------------------------------------------
-# Node-labeled federation
-# ---------------------------------------------------------------------------
-
-
-class FleetRegistry:
-    """Per-node :class:`MetricsRegistry` instances federated on read.
-
-    Writes stay node-local (each node's hot path owns its registry,
-    no cross-node synchronization); fleet reads merge the node
-    registries under ``node=<id>`` labels through the exact
-    counter/histogram merge from PR4. :meth:`attach` *replaces* a
-    node's registry, so federating the same node twice is idempotent
-    — the fleet never double-counts a re-announced node.
-    """
-
-    def __init__(self) -> None:
-        self._nodes: Dict[str, MetricsRegistry] = {}
-
-    # -- membership ----------------------------------------------------------
-
-    def node(self, node_id: str) -> MetricsRegistry:
-        """The node's registry, created empty on first use."""
-        registry = self._nodes.get(node_id)
-        if registry is None:
-            registry = MetricsRegistry()
-            self._nodes[node_id] = registry
-        return registry
-
-    def attach(self, node_id: str, registry: MetricsRegistry) -> None:
-        """Federate (or re-federate) one node's registry.
-
-        A series inside ``registry`` already labeled with a *different*
-        node id is a conflicting label set — two nodes' series would
-        collapse into one under the fleet label — and raises
-        :class:`FleetError` instead of silently merging.
-        """
-        if not node_id:
-            raise FleetError("node_id must be non-empty")
-        for family in registry.families():
-            for key in family.series:
-                have = dict(key)
-                claimed = have.get(NODE_LABEL)
-                if claimed is not None and claimed != node_id:
-                    raise FleetError(
-                        f"registry for node {node_id!r} carries series "
-                        f"{family.name!r} labeled node={claimed!r}"
-                    )
-        self._nodes[node_id] = registry
-
-    def node_ids(self) -> List[str]:
-        return sorted(self._nodes)
-
-    # -- fleet reads ---------------------------------------------------------
-
-    def merged(self) -> MetricsRegistry:
-        """One registry with every node's series under ``node=`` labels.
-
-        Rebuilt from the attached node registries on every call —
-        which is what makes federation idempotent: the merge input is
-        always the current per-node truth, never a running total.
-        """
-        fleet = MetricsRegistry()
-        for node_id in self.node_ids():
-            fleet.merge(_relabeled(self._nodes[node_id], node_id))
-        return fleet
-
-    def fleet_histogram(self, name: str,
-                        labels: Optional[Dict[str, str]] = None
-                        ) -> Optional[Histogram]:
-        """The node histograms for one label set merged into one.
-
-        This is the only sanctioned path to a fleet quantile: bucket
-        counts merge exactly, so the answer matches a single giant
-        histogram over all observations — with no per-request samples
-        retained anywhere.
-        """
-        merged: Optional[Histogram] = None
-        for node_id in self.node_ids():
-            histogram = self._nodes[node_id].histogram(name, labels)
-            if histogram is None:
-                continue
-            if merged is None:
-                merged = Histogram()
-            merged.merge(histogram)
-        return merged
-
-    def fleet_quantile(self, name: str, q: float,
-                       labels: Optional[Dict[str, str]] = None) -> float:
-        histogram = self.fleet_histogram(name, labels)
-        return histogram.quantile(q) if histogram else 0.0
-
-    def fleet_value(self, name: str,
-                    labels: Optional[Dict[str, str]] = None) -> float:
-        """Counter/gauge sum across every node."""
-        return sum(registry.value(name, labels)
-                   for registry in self._nodes.values())
-
-    def per_node_value(self, name: str,
-                       labels: Optional[Dict[str, str]] = None
-                       ) -> Dict[str, float]:
-        return {node_id: self._nodes[node_id].value(name, labels)
-                for node_id in self.node_ids()}
-
-
-def _relabeled(registry: MetricsRegistry, node_id: str) -> MetricsRegistry:
-    """A copy of ``registry`` with ``node=node_id`` on every series.
-
-    Histograms are copied via a merge into a fresh histogram, so the
-    fleet view never aliases (or mutates) node-local state; exemplars
-    ride along — a fleet p99 bucket still names the trace that
-    produced it.
-    """
-    out = MetricsRegistry()
-    for family in registry.families():
-        for key, series in family.series.items():
-            labels = dict(key)
-            labels[NODE_LABEL] = node_id
-            if family.kind == "counter":
-                out.inc(family.name, float(series), labels)  # type: ignore[arg-type]
-            elif family.kind == "gauge":
-                out.set_gauge(family.name, float(series), labels)  # type: ignore[arg-type]
-            else:
-                target = out.histogram_series(family.name, labels)
-                target.merge(series)  # type: ignore[arg-type]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Streaming per-window rollups
-# ---------------------------------------------------------------------------
-
-DEFAULT_WINDOW_MS = 60_000.0
-DEFAULT_WINDOW_CAPACITY = 512
-
-
-class WindowPoint:
-    """One closed window's fleet rollup (merged across nodes)."""
-
-    __slots__ = ("start_ms", "count", "p50", "p99", "max_value")
-
-    def __init__(self, start_ms: float, count: int, p50: float, p99: float,
-                 max_value: float) -> None:
-        self.start_ms = start_ms
-        self.count = count
-        self.p50 = p50
-        self.p99 = p99
-        self.max_value = max_value
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"start_ms": self.start_ms, "count": self.count,
-                "p50": self.p50, "p99": self.p99, "max": self.max_value}
-
-
-class FleetWindowSeries:
-    """Per-window fleet quantiles, streamed and bounded.
-
-    Observations land in one histogram per (current window, node);
-    when simulated time crosses a window boundary the node histograms
-    merge into a fleet histogram whose p50/p99 become one
-    :class:`WindowPoint`. State is bounded by (nodes in the current
-    window) + ``capacity`` closed points — per-request samples are
-    never retained.
-    """
-
-    def __init__(self, window_ms: float = DEFAULT_WINDOW_MS,
-                 capacity: int = DEFAULT_WINDOW_CAPACITY) -> None:
-        if window_ms <= 0:
-            raise FleetError(f"window_ms must be positive, got {window_ms}")
-        if capacity < 1:
-            raise FleetError(f"capacity must be >= 1, got {capacity}")
-        self.window_ms = window_ms
-        self.capacity = capacity
-        self.points: List[WindowPoint] = []
-        self.evicted = 0
-        self._window_index: Optional[int] = None
-        self._current: Dict[str, Histogram] = {}
-
-    def observe(self, node_id: str, at_ms: float, value: float) -> None:
-        index = int(at_ms // self.window_ms)
-        if self._window_index is None:
-            self._window_index = index
-        while self._window_index < index:
-            self._close()
-            self._window_index += 1
-        histogram = self._current.get(node_id)
-        if histogram is None:
-            histogram = Histogram()
-            self._current[node_id] = histogram
-        histogram.observe(value)
-
-    def flush(self) -> None:
-        """Close the final partial window — call at end of run."""
-        if self._window_index is not None and self._current:
-            self._close()
-            self._window_index += 1
-
-    def _close(self) -> None:
-        if not self._current:
-            return
-        merged = Histogram()
-        for node_id in sorted(self._current):
-            merged.merge(self._current[node_id])
-        self._current = {}
-        assert self._window_index is not None
-        self.points.append(WindowPoint(
-            start_ms=self._window_index * self.window_ms,
-            count=merged.count,
-            p50=merged.quantile(0.5),
-            p99=merged.quantile(0.99),
-            max_value=merged.max_value,
-        ))
-        overflow = len(self.points) - self.capacity
-        if overflow > 0:
-            del self.points[:overflow]
-            self.evicted += overflow
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +313,6 @@ __all__ = [
     "FleetError",
     "bucket_width",
     "SpaceSavingSketch",
-    "FleetRegistry",
-    "FleetWindowSeries",
-    "WindowPoint",
     "ColdStartAttribution",
     "AttributionCell",
-    "label_set",
 ]

@@ -72,6 +72,9 @@ class Kernel:
         self._reaped: Set[int] = set()
         self._next_pid = 100
         self._tracees: Dict[int, int] = {}  # target pid -> tracer pid
+        # Replica, image and request ids are numbered per world, from 1,
+        # so traces and logs reproduce whatever else ran in the process.
+        self._id_counters: Dict[str, int] = {}
         init = Process(pid=self.INIT_PID, ppid=0, comm="init",
                        capabilities={Capability.SYS_ADMIN})
         init.start_time = self.clock.now
@@ -83,6 +86,12 @@ class Kernel:
         pid = self._next_pid
         self._next_pid += 1
         return pid
+
+    def next_id(self, kind: str) -> int:
+        """The next number of this world's ``kind`` id sequence."""
+        number = self._id_counters.get(kind, 0) + 1
+        self._id_counters[kind] = number
+        return number
 
     def _charge(self, syscall: str, pid: int, median_cost: float,
                 detail: str = "", phase: Optional[str] = None,

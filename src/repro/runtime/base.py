@@ -19,8 +19,7 @@ the probes the way the paper did.
 from __future__ import annotations
 
 import copy
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 from repro.obs.context import TraceContext
@@ -40,9 +39,6 @@ class RuntimeError_(Exception):
     """Runtime lifecycle violation (bad phase ordering, dead process)."""
 
 
-_request_ids = itertools.count(1)
-
-
 @dataclass
 class Request:
     """An invocation arriving at a function replica."""
@@ -50,12 +46,26 @@ class Request:
     body: Any = None
     path: str = "/"
     method: str = "POST"
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    # 0 until the request enters a world (see :func:`admit`).
+    request_id: int = 0
     arrival_ms: float = 0.0
     # Causal trace handle, stamped where the request enters the system
     # (gateway or router) and carried to every span it causes. None in
     # unobserved worlds and for requests injected below the router.
     trace: Optional[TraceContext] = None
+
+
+def admit(kernel: Kernel, request: Optional[Request]) -> Request:
+    """``request`` (a fresh one if None), numbered in ``kernel``'s world.
+
+    A request keeps the id of the first world it enters, so each world
+    numbers its requests from 1 in arrival order.
+    """
+    if request is None:
+        request = Request()
+    if not request.request_id:
+        request.request_id = kernel.next_id("request")
+    return request
 
 
 @dataclass
@@ -142,6 +152,7 @@ class ManagedRuntime:
 
     def handle(self, request: Request) -> Response:
         """Serve one request, charging lazy-load + service costs."""
+        admit(self.kernel, request)
         self._require_alive()
         if not self.ready or self.app is None:
             raise RuntimeError_("runtime is not ready to serve requests")

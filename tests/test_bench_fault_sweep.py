@@ -4,7 +4,8 @@
   postmortem bundle and the detector flags the injected-fault window;
 * a clean run (fault rate 0) flags nothing and seals nothing;
 * a bundle's recipe replays exactly the world it came from — for every
-  preset — reproducing its fault-schedule digest;
+  preset — reproducing its fault-schedule digest, and in the process
+  that sealed it, the bundle itself byte for byte;
 * collecting postmortems leaves every report byte-identical, checked on
   a cell that does seal bundles.
 """
@@ -205,6 +206,16 @@ class TestReplayRecipe:
         assert replayed.schedule_digests == run.schedule_digests
         assert replayed.phase_bounds_ms == run.phase_bounds_ms
         assert _anomaly_signature(replayed) == _anomaly_signature(run)
+
+    def test_replay_in_the_sealing_process_is_byte_identical(
+            self, tmp_path_factory):
+        # Image, request and replica ids are numbered per world, so the
+        # replayed world seals the same bundles byte for byte, ids and
+        # all, even though earlier worlds ran in this process.
+        run = _run(tmp_path_factory).cells[0]
+        replayed = fault_sweep.replay_recipe(run.bundles[-1].replay)
+        assert ([bundle.to_json() for bundle in replayed.bundles]
+                == [bundle.to_json() for bundle in run.bundles])
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(ValueError, match="unknown fault-sweep"):

@@ -16,7 +16,8 @@ from repro.faas import (
     ResourceManager,
 )
 from repro import make_world, obs
-from repro.faas.replica import ReplicaState, next_replica_id
+from repro.criu.checkpoint import CheckpointEngine
+from repro.faas.replica import ReplicaState
 from repro.functions import MarkdownFunction, NoopFunction
 from repro.runtime.base import Request
 
@@ -347,6 +348,33 @@ class TestReplicaIds:
     def test_two_live_worlds_do_not_share_a_counter(self):
         k1 = make_world(seed=1).kernel
         k2 = make_world(seed=2).kernel
-        assert next_replica_id(k1) == 1
-        assert next_replica_id(k1) == 2
-        assert next_replica_id(k2) == 1  # unaffected by k1's allocations
+        assert k1.next_id("replica") == 1
+        assert k1.next_id("replica") == 2
+        assert k2.next_id("replica") == 1  # unaffected by k1's allocations
+
+
+class TestWorldIds:
+    """Image and request ids are numbered per world, like replica ids."""
+
+    def _ids(self, seed):
+        kernel = make_world(seed=seed).kernel
+        process = kernel.clone(kernel.init_process)
+        process.address_space.grow_anon("heap", 1.0)
+        image = CheckpointEngine(kernel).dump(process)
+        platform = FaaSPlatform(kernel)
+        platform.register_function(NoopFunction)
+        requests = [platform.invoke("noop").request_id,
+                    platform.invoke("noop", Request()).request_id]
+        return image.image_id, requests
+
+    def test_each_world_numbers_from_one(self):
+        assert self._ids(1) == ("img-000001", [1, 2])
+        assert self._ids(2) == ("img-000001", [1, 2])
+
+    def test_a_request_keeps_the_id_it_was_admitted_with(self):
+        kernel = make_world(seed=1).kernel
+        request = Request(request_id=7)
+        platform = FaaSPlatform(kernel)
+        platform.register_function(NoopFunction)
+        assert platform.invoke("noop", request).request_id == 7
+        assert platform.invoke("noop").request_id == 1

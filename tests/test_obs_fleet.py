@@ -1,4 +1,4 @@
-"""Fleet observability plane: federation, sketches, attribution."""
+"""Fleet aggregates: node-labelled merges, sketches, attribution."""
 
 import math
 import random
@@ -8,17 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.fleet import (
+    NODE_LABEL,
     OUTCOME_DEGRADED,
     OUTCOME_LOCAL_HIT,
     OUTCOME_REMOTE_FETCH,
     ColdStartAttribution,
     FleetError,
-    FleetRegistry,
-    FleetWindowSeries,
     SpaceSavingSketch,
     bucket_width,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.slo import merged_histogram
 
 
 class TestSpaceSavingSketch:
@@ -107,81 +107,97 @@ class TestSpaceSavingSketch:
         assert blob["total"] == 9.0
 
 
-class TestFleetRegistry:
+class TestNodeLabelledMerge:
+    @staticmethod
+    def node(name):
+        return {NODE_LABEL: name}
+
     def test_counters_sum_under_node_labels(self):
-        fleet = FleetRegistry()
-        fleet.node("node-0").inc("requests_total", 3.0)
-        fleet.node("node-1").inc("requests_total", 4.0)
-        assert fleet.fleet_value("requests_total") == 7.0
-        assert fleet.per_node_value("requests_total") == {
-            "node-0": 3.0, "node-1": 4.0}
-        merged = fleet.merged()
-        assert merged.value("requests_total", {"node": "node-0"}) == 3.0
-        assert merged.value("requests_total") == 7.0
-
-    def test_double_merge_is_idempotent(self):
-        fleet = FleetRegistry()
-        fleet.node("node-0").inc("requests_total", 3.0)
-        first = fleet.merged().value("requests_total")
-        second = fleet.merged().value("requests_total")
-        assert first == second == 3.0
-
-    def test_reattach_replaces_not_accumulates(self):
-        fleet = FleetRegistry()
         registry = MetricsRegistry()
-        registry.inc("requests_total", 5.0)
-        fleet.attach("node-0", registry)
-        fleet.attach("node-0", registry)  # re-announce, same truth
-        assert fleet.fleet_value("requests_total") == 5.0
+        registry.counter("requests_total", self.node("node-0")).inc(3.0)
+        registry.counter("requests_total", self.node("node-1")).inc(4.0)
+        assert registry.value("requests_total") == 7.0
+        assert registry.value("requests_total", self.node("node-0")) == 3.0
+        assert registry.value("requests_total", self.node("node-1")) == 4.0
 
-    def test_conflicting_node_label_raises(self):
-        fleet = FleetRegistry()
-        impostor = MetricsRegistry()
-        impostor.inc("requests_total", 1.0, labels={"node": "node-9"})
-        with pytest.raises(FleetError):
-            fleet.attach("node-0", impostor)
-        # The node's own label is fine.
-        honest = MetricsRegistry()
-        honest.inc("requests_total", 1.0, labels={"node": "node-0"})
-        fleet.attach("node-0", honest)
+    def test_reads_leave_the_registry_unchanged(self):
+        registry = MetricsRegistry()
+        registry.counter("requests_total", self.node("node-0")).inc(3.0)
+        registry.histogram_series(
+            "latency_ms", self.node("node-0")).observe(2.0)
+        first = merged_histogram(registry, "latency_ms")
+        second = merged_histogram(registry, "latency_ms")
+        assert first.count == second.count == 1
+        assert first.buckets == second.buckets
+        assert (registry.value("requests_total")
+                == registry.value("requests_total") == 3.0)
 
-    def test_empty_node_id_raises(self):
-        with pytest.raises(FleetError):
-            FleetRegistry().attach("", MetricsRegistry())
+    def test_rebound_handle_writes_the_same_series(self):
+        registry = MetricsRegistry()
+        first = registry.counter("requests_total", self.node("node-0"))
+        again = registry.counter("requests_total", self.node("node-0"))
+        first.inc(2.0)
+        again.inc(3.0)
+        assert registry.value("requests_total") == 5.0
+        assert (registry.histogram_series("latency_ms", self.node("node-0"))
+                is registry.histogram_series(
+                    "latency_ms", self.node("node-0")))
 
-    def test_fleet_histogram_merges_counts(self):
-        fleet = FleetRegistry()
+    def test_merged_histogram_counts_every_node(self):
+        registry = MetricsRegistry()
         for node, values in (("node-0", [1.0, 2.0]), ("node-1", [3.0])):
+            series = registry.histogram_series("latency_ms", self.node(node))
             for value in values:
-                fleet.node(node).observe("latency_ms", value)
-        histogram = fleet.fleet_histogram("latency_ms")
-        assert histogram is not None
-        assert histogram.count == 3
-        assert histogram.min_value == 1.0
-        assert histogram.max_value == 3.0
-        assert fleet.fleet_quantile("latency_ms", 1.0) == 3.0
+                series.observe(value)
+        merged = merged_histogram(registry, "latency_ms")
+        assert merged is not None
+        assert merged.count == 3
+        assert merged.min_value == 1.0
+        assert merged.max_value == 3.0
+        assert merged.quantile(1.0) == 3.0
 
-    def test_fleet_histogram_does_not_alias_node_state(self):
-        fleet = FleetRegistry()
-        fleet.node("node-0").observe("latency_ms", 1.0)
-        merged = fleet.fleet_histogram("latency_ms")
+    def test_merged_histogram_does_not_alias_node_state(self):
+        registry = MetricsRegistry()
+        series = registry.histogram_series("latency_ms", self.node("node-0"))
+        series.observe(1.0)
+        merged = merged_histogram(registry, "latency_ms")
         merged.observe(99.0)
-        assert fleet.node("node-0").histogram("latency_ms").count == 1
+        assert series.count == 1
+        assert series.max_value == 1.0
 
-    def test_exemplars_survive_federation(self):
-        fleet = FleetRegistry()
-        fleet.node("node-0").observe("latency_ms", 4.2, exemplar="t-0042")
-        merged = fleet.merged().histogram(
-            "latency_ms", {"node": "node-0"})
+    def test_exemplars_survive_the_merge(self):
+        registry = MetricsRegistry()
+        registry.histogram_series(
+            "latency_ms", self.node("node-0")).observe(4.2, exemplar="t-0042")
+        registry.histogram_series(
+            "latency_ms", self.node("node-1")).observe(900.0, exemplar="t-9")
+        merged = merged_histogram(registry, "latency_ms")
         assert ("t-0042", 4.2) in merged.exemplars.values()
-        combined = fleet.fleet_histogram("latency_ms")
-        assert ("t-0042", 4.2) in combined.exemplars.values()
+        assert ("t-9", 900.0) in merged.exemplars.values()
+
+    def test_node_subset_reads_one_node(self):
+        registry = MetricsRegistry()
+        for i, value in enumerate((1.0, 10.0, 100.0, 1000.0)):
+            registry.histogram_series(
+                "latency_ms", self.node(f"node-{i % 2}")).observe(value)
+        only = merged_histogram(registry, "latency_ms", self.node("node-1"))
+        assert only.count == 2
+        assert (only.min_value, only.max_value) == (10.0, 1000.0)
+        assert (registry.quantile("latency_ms", 1.0, self.node("node-1"))
+                == 1000.0)
+        assert (registry.quantile("latency_ms", 1.0, self.node("node-0"))
+                == 100.0)
 
     def test_no_data_reads(self):
-        fleet = FleetRegistry()
-        assert fleet.fleet_histogram("nope") is None
-        assert fleet.fleet_quantile("nope", 0.99) == 0.0
-        assert fleet.fleet_value("nope") == 0.0
+        registry = MetricsRegistry()
+        registry.histogram_series(
+            "latency_ms", self.node("node-0")).observe(1.0)
+        assert merged_histogram(registry, "nope") is None
+        assert merged_histogram(
+            registry, "latency_ms", self.node("node-7")) is None
+        assert registry.quantile("latency_ms", 0.99, self.node("node-7")) == 0.0
+        assert registry.value("nope") == 0.0
+        assert registry.value("nope", self.node("node-0")) == 0.0
 
     @given(
         samples=st.lists(
@@ -192,61 +208,24 @@ class TestFleetRegistry:
     )
     @settings(max_examples=100, deadline=None)
     def test_merged_p99_within_one_bucket_width(self, samples, nodes):
-        # The federation contract: a fleet quantile read off merged
-        # histograms lands within one log-linear bucket width of the
-        # quantile over the concatenated raw samples.
-        fleet = FleetRegistry()
+        # The fleet read contract: a quantile read off the node=-labelled
+        # histograms merged into one lands within one log-linear bucket
+        # width of the quantile over the concatenated raw samples.
+        registry = MetricsRegistry()
         for i, value in enumerate(samples):
-            fleet.node(f"node-{i % nodes}").observe("latency_ms", value)
+            registry.histogram_series(
+                "latency_ms", {NODE_LABEL: f"node-{i % nodes}"}).observe(value)
         single = Histogram()
         for value in samples:
             single.observe(value)
+        merged = merged_histogram(registry, "latency_ms")
         for q in (0.5, 0.99):
-            merged_q = fleet.fleet_quantile("latency_ms", q)
+            merged_q = merged.quantile(q)
             # Exact merge: identical to one giant histogram.
             assert merged_q == single.quantile(q)
             ordered = sorted(samples)
             exact = ordered[math.ceil(q * len(ordered)) - 1]
             assert abs(merged_q - exact) <= bucket_width(exact)
-
-
-class TestFleetWindowSeries:
-    def test_windows_close_on_boundary(self):
-        series = FleetWindowSeries(window_ms=100.0)
-        series.observe("node-0", 10.0, 5.0)
-        series.observe("node-1", 20.0, 7.0)
-        assert series.points == []  # window still open
-        series.observe("node-0", 150.0, 9.0)
-        assert len(series.points) == 1
-        point = series.points[0]
-        assert point.start_ms == 0.0
-        assert point.count == 2
-        assert point.max_value == 7.0
-        series.flush()
-        assert len(series.points) == 2
-        assert series.points[1].start_ms == 100.0
-
-    def test_empty_gap_windows_emit_nothing(self):
-        series = FleetWindowSeries(window_ms=100.0)
-        series.observe("node-0", 10.0, 1.0)
-        series.observe("node-0", 950.0, 1.0)
-        series.flush()
-        assert [p.start_ms for p in series.points] == [0.0, 900.0]
-
-    def test_bounded_with_eviction_count(self):
-        series = FleetWindowSeries(window_ms=10.0, capacity=3)
-        for i in range(8):
-            series.observe("node-0", i * 10.0, 1.0)
-        series.flush()
-        assert len(series.points) == 3
-        assert series.evicted == 5
-        assert [p.start_ms for p in series.points] == [50.0, 60.0, 70.0]
-
-    def test_bad_inputs(self):
-        with pytest.raises(FleetError):
-            FleetWindowSeries(window_ms=0.0)
-        with pytest.raises(FleetError):
-            FleetWindowSeries(capacity=0)
 
 
 class TestColdStartAttribution:
