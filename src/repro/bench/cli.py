@@ -125,6 +125,16 @@ def _run_restore_pipeline(args) -> str:
     ).render()
 
 
+def _capped_repetitions(args, cap: int, name: str) -> int:
+    """``--repetitions`` clamped to ``cap``, with a warning that names
+    both counts when the clamp changes it."""
+    repetitions = min(args.repetitions, cap)
+    if repetitions != args.repetitions:
+        log.warning("experiment.repetitions_capped", name=name,
+                    requested=args.repetitions, running=repetitions)
+    return repetitions
+
+
 def _run_trace(args) -> str:
     """Record full lifecycle traces for a few episodes and summarize.
 
@@ -136,7 +146,7 @@ def _run_trace(args) -> str:
     from repro.obs.export import write_trace_jsonl
     from repro.obs.flight import write_flight_jsonl
 
-    repetitions = max(1, min(args.repetitions, 5))
+    repetitions = _capped_repetitions(args, 5, "trace")
     sink: List[Dict[str, object]] = []
     flight_sink: List[Dict[str, object]] | None = (
         [] if args.flight_out else None)
@@ -169,7 +179,7 @@ def _run_profile(args) -> str:
     # Registry names use hyphens ("image-resizer"); accept underscore
     # spellings from the shell.
     function = (args.function or "image-resizer").replace("_", "-")
-    repetitions = max(1, min(args.repetitions, 5))
+    repetitions = _capped_repetitions(args, 5, "profile")
     metrics = MetricsRegistry() if args.metrics_out else None
     result = run_profile_experiment(function, repetitions=repetitions,
                                     seed=args.seed, metrics_sink=metrics)
@@ -193,7 +203,8 @@ def _run_fleet_study(args) -> str:
     from repro.bench.fleet_study import fleet_study
 
     result = fleet_study(
-        repetitions=max(1, min(args.repetitions, 3)), seed=args.seed,
+        repetitions=_capped_repetitions(args, 3, "fleet-study"),
+        seed=args.seed,
         requests=args.requests or 1_000_000)
     if args.fleet_out:
         with open(args.fleet_out, "w", encoding="utf-8") as handle:
@@ -236,7 +247,7 @@ def _run_prewarm(args) -> str:
     from repro.bench.prewarm_study import PAIRED_SEEDS, prewarm_study
 
     result = prewarm_study(
-        repetitions=max(1, min(args.repetitions, PAIRED_SEEDS)),
+        repetitions=_capped_repetitions(args, PAIRED_SEEDS, "prewarm"),
         seed=args.seed, requests=args.requests or 200_000)
     if args.prewarm_out:
         with open(args.prewarm_out, "w", encoding="utf-8") as handle:

@@ -1,67 +1,49 @@
 """X12 — trace-driven fleet study on the fleet observability plane.
 
-The paper's numbers are per-function; ROADMAP item 1's open remainder
-is the *fleet* question: with the PR7 sharded store and chunk-locality
-routing in place, what do cold-start p99, chunk-cache hit rates, and
-cross-node traffic look like under production-shaped traces — Zipf
-popularity over hundreds of functions, diurnal + bursty arrivals,
-millions of requests?
+The paper's numbers are per function. X12 asks the fleet question:
+with a sharded store and chunk-locality placement, what do cold-start
+p99, chunk-cache hit rates and cross-node traffic look like under a
+production-shaped trace (Zipf popularity over hundreds of functions,
+diurnal and bursty arrivals, millions of requests)?
 
-The study is a discrete-event pass over a synthesized fleet trace
-(:func:`repro.bench.traces.synthesize_fleet_workload`): one
-chronological sweep across C compute nodes and S storage nodes whose
-chunk placement comes from the real :class:`~repro.criu.shardstore`
-consistent-hash ring and whose latency decomposition comes from the
-calibrated :class:`~repro.sim.costmodel.CostModel` constants — the
-same clone/spawn/restore/fetch/hop prices the request-level simulator
-charges. Every counter and histogram lives in one
-:class:`~repro.obs.metrics.MetricsRegistry` with a ``node=`` label on
-each series: fleet totals are unlabelled ``value`` reads, per-node
-values filter on the label, and the fleet quantiles come from
-:func:`~repro.obs.slo.merged_histogram` over the node series. Hot
-functions/chunks come from Space-Saving sketches and the blame table
-from the exact per-request cold-start attribution of
-:mod:`repro.obs.fleet` — **no per-request sample list is ever
-retained**, which is what lets one rep stream ≥1M requests in bounded
-memory.
-
-A deterministic mid-trace storage-node outage produces the degraded
-slice of the attribution table, and one *real* platform cold start
-(2 compute nodes, 4 storage nodes, RF=2, fully observed) rides along
-as the trace exemplar: its stitched span tree — deployer provision on
-a ``node-*`` identity, shard fetches on ``store-*`` identities, one
-connected trace — is embedded in the artifact and asserted by CI.
+Each repetition replays a synthesized trace
+(:func:`repro.bench.traces.synthesize_fleet_workload`) through the
+fleet model (:mod:`repro.bench.fleet_model`): C compute nodes, S
+storage nodes, functions sharing per-runtime base layers, and a
+mid-trace storage outage that produces the degraded slice of the
+blame table. The model's one ``node=``-labelled registry gives the
+fleet totals and, through :func:`~repro.obs.slo.merged_histogram`, the
+fleet quantiles; no per-request sample list is kept, so one repetition
+streams ≥1M requests in bounded memory. One *real* platform cold start
+(2 compute, 4 storage nodes, RF=2, fully observed) rides along: its
+stitched span tree, a provision on a ``node-*`` identity with shard
+fetches on ``store-*`` identities, is embedded in the artifact and
+asserted by CI.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro import make_world
+from repro.bench.fleet_model import MIB, FleetModel
 from repro.bench.report import format_table
 from repro.bench.traces import synthesize_fleet_workload
-from repro.criu.chunkcache import LRU, HotChunkCache
-from repro.criu.shardstore import HashRing
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.functions.base import make_app
 from repro.obs.fleet import (
     NODE_LABEL,
     OUTCOME_DEGRADED,
-    OUTCOME_LOCAL_HIT,
-    OUTCOME_REMOTE_FETCH,
     ColdStartAttribution,
     SpaceSavingSketch,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import merged_histogram
-from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.rng import _derive_seed
 
-MIB = 1024 * 1024
 CHUNK_BYTES = 256 * 1024          # one pagestore window (64 pages x 4 KiB)
 CHUNKS_PER_MIB = MIB // CHUNK_BYTES
 
@@ -239,252 +221,60 @@ def _trace_exemplar(seed: int) -> List[Dict[str, object]]:
 
 
 # ---------------------------------------------------------------------------
-# The fleet simulator
+# One repetition: the image catalog, the trace, the fleet model
 # ---------------------------------------------------------------------------
 
 
-class _Fleet:
-    """One repetition's fleet state: placement, caches, pools, plane."""
-
-    def __init__(self, config: FleetStudyConfig, seed: int,
-                 costs: CostModel) -> None:
-        self.config = config
-        self.costs = costs
-        self.rng = np.random.Generator(np.random.PCG64(seed))
-        c = config
-
-        # -- image catalog ------------------------------------------------
-        # Chunk ids are dense ints; placement comes from the real
-        # consistent-hash ring over their digest-like string form.
-        setup = np.random.Generator(np.random.PCG64(
-            _derive_seed(seed, "fleet-images")))
-        base_chunks: List[np.ndarray] = []
-        next_cid = 0
-        for mib in RUNTIME_BASE_MIB:
-            count = mib * CHUNKS_PER_MIB
-            base_chunks.append(np.arange(next_cid, next_cid + count,
-                                         dtype=np.int64))
-            next_cid += count
-        self.function_names = [f"fn-{fid:03d}" for fid in range(c.functions)]
-        self.func_chunks: List[List[int]] = []
-        priv_mib = setup.integers(4, 25, size=c.functions)
-        for fid in range(c.functions):
-            count = int(priv_mib[fid]) * CHUNKS_PER_MIB
-            priv = np.arange(next_cid, next_cid + count, dtype=np.int64)
-            next_cid += count
-            base = base_chunks[fid % len(RUNTIME_BASE_MIB)]
-            self.func_chunks.append(np.concatenate([base, priv]).tolist())
-        self.image_bytes = np.array(
-            [len(chunks) * CHUNK_BYTES for chunks in self.func_chunks],
-            dtype=np.float64)
-
-        # Storage placement via the real shardstore ring.
-        ring = HashRing([f"store-{i}" for i in range(c.storage_nodes)])
-        store_index = {f"store-{i}": i for i in range(c.storage_nodes)}
-        self.chunk_homes = np.empty(
-            (next_cid, c.replication_factor), dtype=np.int8)
-        for cid in range(next_cid):
-            homes = ring.nodes_for(f"chunk-{cid:08d}", c.replication_factor)
-            for slot, name in enumerate(homes):
-                self.chunk_homes[cid, slot] = store_index[name]
-
-        # -- per-node state -----------------------------------------------
-        self.caches = [
-            HotChunkCache(capacity_bytes=c.node_cache_mib * MIB, policy=LRU)
-            for _ in range(c.compute_nodes)]
-        # Warm pools: per function, [node, busy_until, last_used].
-        self.pools: List[List[List[float]]] = [
-            [] for _ in range(c.functions)]
-        # Live replicas per compute node — the load term of placement.
-        self.node_load = np.zeros(c.compute_nodes)
-
-        # -- observability plane ------------------------------------------
-        # One registry; every series carries its node's ``node=`` label.
-        self.registry = MetricsRegistry()
-        self.attribution = ColdStartAttribution()
-        self.hot_functions = SpaceSavingSketch(capacity=64)
-        self.hot_chunks = SpaceSavingSketch(capacity=256)
-
-        # Pre-resolved per-node handles: a write is one dict update.
-        compute = [{NODE_LABEL: f"node-{i}"} for i in range(c.compute_nodes)]
-        stores = [{NODE_LABEL: f"store-{i}"} for i in range(c.storage_nodes)]
-        counter = self.registry.counter
-        self.h_requests = [counter("fleet_requests_total", n) for n in compute]
-        self.h_warm = [counter("fleet_warm_total", n) for n in compute]
-        self.h_cold = [counter("fleet_cold_total", n) for n in compute]
-        self.h_hit_bytes = [counter("chunk_cache_hit_bytes_total", n)
-                            for n in compute]
-        self.h_miss_bytes = [counter("chunk_cache_miss_bytes_total", n)
-                             for n in compute]
-        self.h_placement = [counter("deployer_cold_placement_total", n)
-                            for n in compute]
-        self.h_loc_miss = [counter("deployer_locality_miss_total", n)
-                           for n in compute]
-        self.h_served = [counter("shard_served_bytes_total", n)
-                         for n in stores]
-        self.h_hops = [counter("shard_retry_hops_total", n) for n in stores]
-        self.cold_hists = [
-            self.registry.histogram_series("fleet_cold_start_ms", n)
-            for n in compute]
-
-        self.outage_node = -1
-        self.outage_window = (c.duration_ms * c.outage_start_frac,
-                              c.duration_ms * c.outage_end_frac)
-        self.cross_node_bytes = 0
-        self.degraded_cold_starts = 0
-
-    def _storage_down(self, store: int, t: float) -> bool:
-        lo, hi = self.outage_window
-        return store == self.outage_node and lo <= t < hi
-
-    # -- the cold-start path -------------------------------------------------
-
-    def cold_start(self, t: float, fid: int) -> Tuple[int, float]:
-        """Provision one replica; returns (node, ready latency ms)."""
-        c = self.config
-        # Locality-aware, load-balanced placement: score each node by
-        # the fraction of this image its chunk cache already covers,
-        # minus a penalty for its share of live replicas (0.5 at a
-        # perfectly balanced fleet). Full local coverage beats an empty
-        # node unless the covering node already runs well over its fair
-        # share; deterministic argmax, first max wins.
-        chunks = self.func_chunks[fid]
-        total_bytes = self.image_bytes[fid]
-        coverage = np.array([
-            float(CHUNK_BYTES * sum(map(cache.contains, chunks)))
-            for cache in self.caches])
-        load_total = self.node_load.sum()
-        score = coverage / total_bytes
-        if load_total > 0.0:
-            score = score - (0.5 * c.compute_nodes / load_total) \
-                * self.node_load
-        node = int(np.argmax(score))
-        covered = coverage[node]
-        self.node_load[node] += 1.0
-        self.h_placement[node].inc()
-        if covered * 2 < total_bytes:
-            self.h_loc_miss[node].inc()
-
-        local_bytes = 0
-        remote_bytes = 0
-        hops = 0
-        cache = self.caches[node]
-        for cid in chunks:
-            # A miss is fetched from the store and admitted (LRU).
-            if cache.lookup(cid, CHUNK_BYTES):
-                local_bytes += CHUNK_BYTES
-                continue
-            homes = self.chunk_homes[cid]
-            serving = int(homes[0])
-            if self._storage_down(serving, t):
-                hops += 1
-                if len(homes) > 1:
-                    serving = int(homes[1])
-                    if self._storage_down(serving, t):
-                        hops += 1
-            remote_bytes += CHUNK_BYTES
-            self.h_served[serving].inc(float(CHUNK_BYTES))
-            self.hot_chunks.offer(f"chunk-{cid:08d}", float(CHUNK_BYTES))
-        if hops:
-            self.h_hops[int(self.chunk_homes[chunks[0]][0])].inc(float(hops))
-        self.cross_node_bytes += remote_bytes
-        self.h_hit_bytes[node].inc(float(local_bytes))
-        self.h_miss_bytes[node].inc(float(remote_bytes))
-
-        # -- latency decomposition (the engine's one-worker restore plan) -
-        costs = self.costs
-        cf = local_bytes / total_bytes if total_bytes else 0.0
-        full = costs.restore_cost(total_bytes / MIB)
-        base = min(costs.restore_base_ms, full)
-        plan = costs.plan_restore_pipeline(full - base, cached_fraction=cf)
-        restore_ms = (base + plan.total_ms
-                      + costs.shard_fetch_overhead_ms(hops))
-        # One multiplicative log-normal jitter per cold start, applied
-        # to every phase, so the phase sums reproduce the total exactly.
-        factor = math.exp(costs.noise_sigma * self.rng.standard_normal())
-        phases = {
-            "clone": costs.clone_ms * factor,
-            "spawn": costs.criu_spawn_ms * factor,
-            "restore": restore_ms * factor,
-        }
-        total_ms = 0.0
-        for value in phases.values():
-            total_ms += value
-
-        if hops:
-            outcome = OUTCOME_DEGRADED
-            self.degraded_cold_starts += 1
-        elif cf >= 0.5:
-            outcome = OUTCOME_LOCAL_HIT
-        else:
-            outcome = OUTCOME_REMOTE_FETCH
-        self.attribution.record(self.function_names[fid], f"node-{node}",
-                                outcome, phases, total_ms)
-        self.h_cold[node].inc()
-        self.cold_hists[node].observe(total_ms)
-        return node, total_ms
-
-    # -- the request loop ----------------------------------------------------
-
-    def run(self, times: np.ndarray, fids: np.ndarray) -> None:
-        c = self.config
-        costs = self.costs
-        keepalive = c.keepalive_ms
-        service_ms = costs.exec_ms
-        pools = self.pools
-        names = self.function_names
-        offer = self.hot_functions.offer
-        h_requests = self.h_requests
-        h_warm = self.h_warm
-        for t, fid in zip(times.tolist(), fids.tolist()):
-            pool = pools[fid]
-            offer(names[fid])
-            if pool:
-                live = [r for r in pool if r[2] + keepalive >= t]
-                if len(live) != len(pool):
-                    for r in pool:
-                        if r[2] + keepalive < t:
-                            self.node_load[int(r[0])] -= 1.0
-                    pool[:] = live
-            replica = None
-            for r in pool:
-                if r[1] <= t:
-                    replica = r
-                    break
-            if replica is not None:
-                replica[1] = t + service_ms
-                replica[2] = t
-                node = int(replica[0])
-                h_warm[node].inc()
-            elif len(pool) < c.max_replicas:
-                node, latency = self.cold_start(t, fid)
-                pool.append([float(node), t + latency + service_ms, t])
-            else:
-                # Pool at capacity and every replica busy: queue on the
-                # earliest-free replica (still a warm service).
-                replica = min(pool, key=lambda r: r[1])
-                replica[1] += service_ms
-                replica[2] = t
-                node = int(replica[0])
-                h_warm[node].inc()
-            h_requests[node].inc()
+def _image_catalog(functions: int, seed: int) -> List[List[int]]:
+    """Chunk ids per function: its runtime's shared base layer, then
+    4-24 MiB of private chunks. Ids are dense ints."""
+    setup = np.random.Generator(np.random.PCG64(
+        _derive_seed(seed, "fleet-images")))
+    base_chunks: List[List[int]] = []
+    next_cid = 0
+    for mib in RUNTIME_BASE_MIB:
+        count = mib * CHUNKS_PER_MIB
+        base_chunks.append(list(range(next_cid, next_cid + count)))
+        next_cid += count
+    catalog: List[List[int]] = []
+    priv_mib = setup.integers(4, 25, size=functions)
+    for fid in range(functions):
+        count = int(priv_mib[fid]) * CHUNKS_PER_MIB
+        catalog.append(base_chunks[fid % len(RUNTIME_BASE_MIB)]
+                       + list(range(next_cid, next_cid + count)))
+        next_cid += count
+    return catalog
 
 
 def _run_repetition(config: FleetStudyConfig, seed: int,
                     rep: int) -> FleetRepResult:
     rep_seed = _derive_seed(seed, f"fleet-{rep}")
-    costs = DEFAULT_COST_MODEL
-    fleet = _Fleet(config, rep_seed, costs)
-    fleet.outage_node = rep % config.storage_nodes
+    c = config
+    model = FleetModel(
+        _image_catalog(c.functions, rep_seed),
+        [CHUNK_BYTES] * c.functions,
+        compute_nodes=c.compute_nodes,
+        node_cache_bytes=c.node_cache_mib * MIB,
+        storage_nodes=c.storage_nodes,
+        replication_factor=c.replication_factor,
+        keepalive_ms=c.keepalive_ms, max_replicas=c.max_replicas,
+        service_ms=DEFAULT_COST_MODEL.exec_ms, seed=rep_seed,
+        outage=(rep % c.storage_nodes,
+                c.duration_ms * c.outage_start_frac,
+                c.duration_ms * c.outage_end_frac))
     times, fids = synthesize_fleet_workload(
-        function_count=config.functions,
-        duration_ms=config.duration_ms,
-        requests=config.requests,
+        function_count=c.functions,
+        duration_ms=c.duration_ms,
+        requests=c.requests,
         seed=_derive_seed(rep_seed, "fleet-trace"),
     )
-    fleet.run(times, fids)
+    model.run(times, fids)
+    model.close(c.duration_ms)
+    hot_functions = SpaceSavingSketch(capacity=64)
+    for fid in fids.tolist():
+        hot_functions.offer(model.names[fid])
 
-    reg = fleet.registry
+    reg = model.registry
     hit_bytes = reg.value("chunk_cache_hit_bytes_total")
     miss_bytes = reg.value("chunk_cache_miss_bytes_total")
     placements = reg.value("deployer_cold_placement_total")
@@ -494,7 +284,9 @@ def _run_repetition(config: FleetStudyConfig, seed: int,
     result = FleetRepResult(rep=rep, seed=rep_seed)
     result.requests = int(reg.value("fleet_requests_total"))
     result.cold_starts = int(reg.value("fleet_cold_total"))
-    result.degraded_cold_starts = fleet.degraded_cold_starts
+    result.degraded_cold_starts = sum(
+        cell.count for cell in model.attribution.cells()
+        if cell.outcome == OUTCOME_DEGRADED)
     if cold_hist is not None:
         result.cold_p50_ms = cold_hist.quantile(0.5)
         result.cold_p99_ms = cold_hist.quantile(0.99)
@@ -502,7 +294,7 @@ def _run_repetition(config: FleetStudyConfig, seed: int,
     result.cache_hit_rate = hit_bytes / denominator if denominator else 0.0
     result.locality_hit_rate = (
         1.0 - loc_misses / placements if placements else 0.0)
-    result.cross_node_bytes = fleet.cross_node_bytes
+    result.cross_node_bytes = int(miss_bytes)
 
     for i in range(config.compute_nodes):
         node = {NODE_LABEL: f"node-{i}"}
@@ -524,9 +316,9 @@ def _run_repetition(config: FleetStudyConfig, seed: int,
             "cold": 0,
             "served_mib": reg.value("shard_served_bytes_total", store) / MIB,
         })
-    result.hot_functions = fleet.hot_functions.top(10)
-    result.hot_chunks = fleet.hot_chunks.top(10)
-    result.attribution = fleet.attribution
+    result.hot_functions = hot_functions.top(10)
+    result.hot_chunks = model.hot_chunks.top(10)
+    result.attribution = model.attribution
     return result
 
 

@@ -1,85 +1,52 @@
 """X13 — predictive prewarming study: the keep-alive policy ladder.
 
-The paper removes cold-start *cost* (prebaking makes a cold start
-cheap); ROADMAP item 2's open remainder is removing cold-start
-*frequency*: decide ahead of demand which functions to keep or make
-warm. This study sweeps the policy ladder from
-:mod:`repro.predict` over one production-shaped trace and reports the
-two axes every policy trades between — cold starts suffered and
-wasted warm-seconds held:
+Prebaking makes a cold start cheap; X13 asks how many a forecast can
+avoid, and for how many warm-seconds held. Four rungs replay one
+trace through the fleet model (:mod:`repro.bench.fleet_model`), on
+one node with one chunk per image:
 
-* **reactive** — no keep-alive at all: the zero-waste / max-cold
-  corner;
-* **fixed** — the classic fixed idle timeout (the platform status
-  quo, and the baseline the acceptance criteria compare against);
-* **histogram** — the platform's own planner,
-  :class:`~repro.predict.policy.PrewarmController` running the
-  Serverless-in-the-Wild-style hybrid: a per-function inter-arrival
-  histogram chooses the keep-alive, an EWMA of window counts sizes
-  the warm set, and long *predictable* gaps get a just-in-time timer
-  placement instead of an unaffordable timeout;
-* **oracle** — the same controller with a policy that reads
-  next-window counts straight off the trace: the clairvoyant bound on
-  what any forecast could achieve.
+* **reactive** — no keep-alive: the zero-waste, max-cold corner;
+* **fixed** — the 60 s idle timeout, the platform's status quo;
+* **histogram** — the platform's
+  :class:`~repro.predict.policy.PrewarmController`: an inter-arrival
+  histogram picks the keep-alive, an EWMA of window counts sizes the
+  warm set, and long predictable gaps get a timer placement;
+* **oracle** — the same controller with a policy that reads the next
+  window's count off the trace: the clairvoyant bound.
 
-Reactive and fixed run without a controller, as a platform with
-``PlatformConfig(prewarm=None)`` does. The study keeps only the
-trace, the replica pools and the pricing; every prewarm decision is
-the controller's, one ``plan`` per forecast window.
+Reactive and fixed run without a controller, as
+``PlatformConfig(prewarm=None)`` does. The trace is the X12 fleet
+synthesizer plus **timer/cron functions**, periodic triggers whose
+periods dwarf any keep-alive and whose images are the largest, so
+covering them moves the cold-start tail.
 
-Every rung replays the same trace of a repetition, so the reps are
-paired seeds. The verdict "histogram beats fixed" is read from the
-per-seed differences (histogram minus fixed) of cold starts, cold p99
-and wasted warm-seconds: each axis's bootstrap CI of the median
-difference must lie below zero (waste may touch it).
-
-The trace composes the X12 fleet synthesizer (Zipf popularity,
-interrupted-Poisson bursts, diurnal thinning) with a class of
-**timer/cron functions**: strictly periodic triggers (with jitter)
-whose periods dwarf any keep-alive — the dominant cold-start class in
-production FaaS traces, and the one a histogram turns from "cold
-every single time" into "warm for a few seconds of idle cost".
-Timer functions deliberately carry the largest images, so covering
-them moves the cold-start *tail*, not just the rate.
-
-Cold-start latency uses the calibrated CostModel decomposition (the
-same clone/spawn/restore prices as X12) against the platform's
-:class:`~repro.criu.chunkcache.HotChunkCache` (LRU, one entry per
-image) that predictive policies *prefetch* into, so a
-predicted-then-realized cold start fetches from local cache instead
-of the registry.
-
-One *real* platform episode (FaaSPlatform with ``PrewarmConfig``
-installed) rides along as the exemplar: its controller stats prove
-the live wiring (forecast → autoscaler prewarm → deployer prefetch)
-fires outside the simulator too.
+Every rung replays the same trace, so the reps are paired seeds.
+"Histogram beats fixed" reads the per-seed differences of cold
+starts, cold p99 and wasted warm-seconds: each axis's bootstrap CI of
+the median difference must lie below zero (waste may touch it). One
+live platform episode with ``PrewarmConfig`` rides along as the
+exemplar: forecast, autoscaler prewarm and deployer prefetch fire
+there too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro import make_world
+from repro.bench.fleet_model import MIB, FleetModel
 from repro.bench.report import format_table
 from repro.bench.stats import bootstrap_median_ci
 from repro.bench.traces import synthesize_fleet_workload
-from repro.criu.chunkcache import LRU, HotChunkCache
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.functions.base import make_app
-from repro.predict.policy import (
-    OraclePolicy,
-    PrewarmConfig,
-    PrewarmController,
-    idle_expiry_ms,
-)
-from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.obs.fleet import OUTCOME_LOCAL_HIT
+from repro.predict.policy import OraclePolicy, PrewarmConfig, PrewarmController
 from repro.sim.rng import _derive_seed
-
-MIB = 1024 * 1024
 
 POLICY_LADDER = ("reactive", "fixed", "histogram", "oracle")
 
@@ -294,189 +261,6 @@ def _image_sizes(config: PrewarmStudyConfig, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The per-policy simulator
-# ---------------------------------------------------------------------------
-
-
-class _PolicySim:
-    """One chronological sweep of the trace under one rung.
-
-    Without a ``controller`` (reactive, fixed) every idle replica is
-    kept ``idle_timeout_ms``. With one, arrivals feed ``note_arrival``,
-    and each window tick runs the GC, ``plan``, the placements and one
-    image prefetch per action, then re-reads the keep-alives
-    (``idle_timeout_ms`` for a function the controller has not seen).
-
-    Replicas are ``[ready_ms, busy_until_ms, idle_from_ms]`` rows in
-    per-function pools. Expiry is lazy (evaluated at arrivals, window
-    ticks, and the final flush) but exact: an idle replica expires at
-    :func:`~repro.predict.policy.idle_expiry_ms` of when it went idle,
-    so wasted warm-time never depends on when the sweep notices it.
-    """
-
-    def __init__(self, name: str, config: PrewarmStudyConfig,
-                 controller: Optional[PrewarmController],
-                 idle_timeout_ms: float, image_mib: np.ndarray,
-                 costs: CostModel, seed: int) -> None:
-        self.c = config
-        self.controller = controller
-        self.idle_timeout_ms = idle_timeout_ms
-        self.costs = costs
-        self.image_mib = image_mib
-        self.rng = np.random.Generator(np.random.PCG64(seed))
-        # The service-time hint is exact in the study.
-        self.service_ms = STUDY_PREWARM.service_ms_hint
-        self.max_replicas = STUDY_PREWARM.max_warm_per_function
-        n = config.total_functions
-        self.pools: List[List[List[float]]] = [[] for _ in range(n)]
-        self.ka: List[float] = [idle_timeout_ms] * n
-        self.hold_end_ms: Callable[[int], float] = (
-            controller.hold_end_ms if controller is not None
-            else lambda fid: -math.inf)
-        self.boundary = (STUDY_PREWARM.window_ms if controller is not None
-                         else math.inf)
-        self.wasted_ms = np.zeros(n, dtype=np.float64)
-        self.cache = HotChunkCache(
-            capacity_bytes=NODE_CACHE_MIB * MIB, policy=LRU)
-        self.cold_lats: List[float] = []
-        self.outcome = PolicyOutcome(policy=name)
-
-    # -- replica lifecycle ---------------------------------------------------
-
-    def _expire(self, fid: int, t: float) -> None:
-        pool = self.pools[fid]
-        if not pool:
-            return
-        hold_end = self.hold_end_ms(fid)
-        if hold_end > t:
-            return  # idle_expiry_ms is never before the hold ends
-        # With the hold over, idle_expiry_ms(idle, ka, hold_end) <= t
-        # exactly when idle + ka <= t: only the expired pay for the call.
-        ka = self.ka[fid]
-        keep: List[List[float]] = []
-        for r in pool:
-            if r[1] <= t and r[2] + ka <= t:
-                expire_at = idle_expiry_ms(r[2], ka, hold_end)
-                self.wasted_ms[fid] += max(0.0, expire_at - r[2])
-            else:
-                keep.append(r)                # busy, provisioning or kept
-        pool[:] = keep
-
-    def _cold_latency(self, fid: int, prefetch: bool = False) -> float:
-        """Calibrated provision latency against the node image cache."""
-        costs = self.costs
-        mib = float(self.image_mib[fid])
-        hit = self.cache.lookup(str(fid), int(mib) * MIB)
-        if prefetch and not hit:
-            self.outcome.prefetch_mib += mib
-        full = costs.restore_cost(mib)
-        base = min(costs.restore_base_ms, full)
-        plan = costs.plan_restore_pipeline(
-            full - base, cached_fraction=1.0 if hit else 0.0)
-        restore_ms = base + plan.total_ms
-        factor = math.exp(costs.noise_sigma * self.rng.standard_normal())
-        return (costs.clone_ms + costs.criu_spawn_ms + restore_ms) * factor, hit
-
-    def _place(self, fid: int, t: float) -> None:
-        """Pre-provision one replica (prefetching its image first)."""
-        latency, _ = self._cold_latency(fid, prefetch=True)
-        ready = t + latency
-        self.pools[fid].append([ready, ready, ready])
-        self.outcome.prewarm_placements += 1
-
-    # -- forecast-window tick ------------------------------------------------
-
-    def _tick(self, boundary: float) -> None:
-        controller = self.controller
-        assert controller is not None
-        n = self.c.total_functions
-        for fid in range(n):
-            self._expire(fid, boundary)
-        if isinstance(controller.policy, OraclePolicy):
-            controller.policy.now_ms = boundary
-        live = {fid: len(pool) for fid, pool in enumerate(self.pools)}
-        for action in controller.plan(boundary, live):
-            fid = action.function
-            for _ in range(action.add_replicas):
-                self._place(fid, boundary)
-            self.cache.prefetch(str(fid), int(self.image_mib[fid]) * MIB)
-        self.ka = [controller.keepalive_ms(fid, self.idle_timeout_ms)
-                   for fid in range(n)]
-
-    # -- arrivals ------------------------------------------------------------
-
-    def _tick_until(self, t: float) -> None:
-        while self.boundary <= t:
-            self._tick(self.boundary)
-            self.boundary += STUDY_PREWARM.window_ms
-
-    def _arrival(self, t: float, fid: int) -> None:
-        self._tick_until(t)
-        self._expire(fid, t)
-        pool = self.pools[fid]
-        best: Optional[List[float]] = None
-        for r in pool:
-            if r[1] <= t and (best is None or r[2] > best[2]):
-                best = r                      # LIFO: most recently idle
-        if best is not None:
-            self.wasted_ms[fid] += max(0.0, t - best[2])
-            best[1] = t + self.service_ms
-            best[2] = best[1]
-            self.outcome.warm_starts += 1
-        elif len(pool) < self.max_replicas:
-            latency, cached = self._cold_latency(fid)
-            self.cold_lats.append(latency)
-            busy = t + latency + self.service_ms
-            pool.append([t, busy, busy])
-            self.outcome.cold_starts += 1
-            if cached:
-                self.outcome.cold_cache_hits += 1
-            if fid >= self.c.functions:
-                self.outcome.timer_cold_starts += 1
-        else:
-            replica = min(pool, key=lambda r: r[1])
-            replica[1] += self.service_ms
-            replica[2] = replica[1]
-            self.outcome.queued += 1
-        if self.controller is not None:
-            self.controller.note_arrival(fid, t)
-
-    # -- the sweep -----------------------------------------------------------
-
-    def run(self, times: np.ndarray, fids: np.ndarray) -> PolicyOutcome:
-        c = self.c
-        for t, fid in zip(times.tolist(), fids.tolist()):
-            self._arrival(t, fid)
-        self._tick_until(c.duration_ms)
-        self._flush(c.duration_ms)
-
-        out = self.outcome
-        out.requests = int(times.size)
-        if self.cold_lats:
-            lats = np.asarray(self.cold_lats)
-            out.cold_p50_ms = float(np.quantile(lats, 0.5))
-            out.cold_p99_ms = float(np.quantile(lats, 0.99))
-            out.cold_mean_ms = float(lats.mean())
-        out.wasted_warm_s = float(self.wasted_ms.sum()) / 1000.0
-        out.timer_wasted_warm_s = \
-            float(self.wasted_ms[c.functions:].sum()) / 1000.0
-        return out
-
-    def _flush(self, end_ms: float) -> None:
-        """Close out idle time still accruing when the trace ends."""
-        for fid, pool in enumerate(self.pools):
-            ka = self.ka[fid]
-            hold_end = self.hold_end_ms(fid)
-            for r in pool:
-                idle_from = r[2]
-                if idle_from >= end_ms:
-                    continue
-                expire_at = idle_expiry_ms(idle_from, ka, hold_end)
-                self.wasted_ms[fid] += max(
-                    0.0, min(expire_at, end_ms) - idle_from)
-
-
-# ---------------------------------------------------------------------------
 # The study
 # ---------------------------------------------------------------------------
 
@@ -517,11 +301,47 @@ def _run_repetition(config: PrewarmStudyConfig, seed: int,
     result = PrewarmRepResult(rep=rep, seed=rep_seed)
     for name in POLICY_LADDER:
         controller, idle_timeout_ms = rungs[name]
-        sim = _PolicySim(name, config, controller, idle_timeout_ms,
-                         image_mib, DEFAULT_COST_MODEL,
-                         seed=_derive_seed(rep_seed, f"latency-{name}"))
-        result.outcomes[name] = sim.run(times, fids)
+        model = FleetModel(
+            [[fid] for fid in range(config.total_functions)],
+            [int(mib) * MIB for mib in image_mib],
+            compute_nodes=1, node_cache_bytes=NODE_CACHE_MIB * MIB,
+            storage_nodes=1, replication_factor=1,
+            keepalive_ms=idle_timeout_ms,
+            max_replicas=STUDY_PREWARM.max_warm_per_function,
+            service_ms=STUDY_PREWARM.service_ms_hint,
+            seed=_derive_seed(rep_seed, f"latency-{name}"),
+            prewarm=controller)
+        model.run(times, fids)
+        model.close(config.duration_ms)
+        result.outcomes[name] = _outcome(name, config, model, int(times.size))
     return result
+
+
+def _outcome(name: str, config: PrewarmStudyConfig, model: FleetModel,
+             requests: int) -> PolicyOutcome:
+    """One rung's score, read off its model after the pass."""
+    reg = model.registry
+    cells = model.attribution.cells()
+    timers = set(model.names[config.functions:])
+    out = PolicyOutcome(policy=name, requests=requests)
+    out.cold_starts = int(reg.value("fleet_cold_total"))
+    out.warm_starts = int(reg.value("fleet_warm_total"))
+    out.queued = int(reg.value("fleet_queued_total"))
+    if model.cold_ms:
+        lats = np.asarray(model.cold_ms)
+        out.cold_p50_ms = float(np.quantile(lats, 0.5))
+        out.cold_p99_ms = float(np.quantile(lats, 0.99))
+        out.cold_mean_ms = float(lats.mean())
+    wasted = np.asarray(model.wasted_ms)
+    out.wasted_warm_s = float(wasted.sum()) / 1000.0
+    out.timer_wasted_warm_s = float(wasted[config.functions:].sum()) / 1000.0
+    out.timer_cold_starts = sum(cell.count for cell in cells
+                                if cell.function in timers)
+    out.cold_cache_hits = sum(cell.count for cell in cells
+                              if cell.outcome == OUTCOME_LOCAL_HIT)
+    out.prewarm_placements = int(reg.value("prewarm_placements_total"))
+    out.prefetch_mib = reg.value("prewarm_fetch_bytes_total") / MIB
+    return out
 
 
 def _platform_exemplar(seed: int) -> Dict[str, object]:

@@ -9,15 +9,15 @@ platform's Function Builder (the CRIU templates bake there) and ships
 the snapshot as an image layer; ``deploy`` registers the built version;
 the gateway opens each request's trace and routes it through the
 platform. Kubernetes vs Docker Swarm is whether the platform's nodes
-allow the privileged restore. ``PrometheusLite`` is the stack's
-alert/SLO layer over the world's metrics registry, whose ``/metrics``
-text is :func:`repro.obs.export.render_prometheus`.
+allow the privileged restore. The stack exposes the world's metrics
+registry, whose ``/metrics`` text is
+:func:`repro.obs.export.render_prometheus`; SLOs over it are
+:func:`repro.obs.slo.evaluate_slos`.
 """
 
 from repro.faas.openfaas.containers import ContainerImage, ImageLayer
 from repro.faas.openfaas.templates import Template, TemplateStore
 from repro.faas.openfaas.imagerepo import ImageRepository, ImageNotFound
-from repro.faas.openfaas.prometheus import AlertRule, PrometheusLite
 from repro.faas.openfaas.gateway import Gateway
 from repro.faas.openfaas.cli import FaasCli, FaasCliError
 from repro.obs.export import parse_prometheus, render_prometheus
@@ -31,8 +31,6 @@ __all__ = [
     "TemplateStore",
     "ImageRepository",
     "ImageNotFound",
-    "AlertRule",
-    "PrometheusLite",
     "Gateway",
     "FaasCli",
     "FaasCliError",

@@ -3,25 +3,31 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.faas.openfaas.cli import FaasCli
 from repro.faas.openfaas.gateway import Gateway
 from repro.faas.openfaas.imagerepo import ImageRepository
-from repro.faas.openfaas.prometheus import PrometheusLite
 from repro.faas.openfaas.templates import TemplateStore
 from repro.faas.platform import FaaSPlatform, PlatformConfig
+from repro.obs.metrics import MetricsRegistry
 from repro.osproc.kernel import Kernel
 
 
 @dataclass
 class OpenFaasStack:
-    """All the §5 components, wired over one platform."""
+    """All the §5 components, wired over one platform.
+
+    ``metrics`` is the world's registry (None without telemetry): the
+    series the platform's instrumentation writes, whose ``/metrics``
+    text is :func:`repro.obs.export.render_prometheus`.
+    """
 
     kernel: Kernel
     platform: FaaSPlatform
     templates: TemplateStore
     image_repo: ImageRepository
-    prometheus: PrometheusLite
+    metrics: Optional[MetricsRegistry]
     gateway: Gateway
     cli: FaasCli
 
@@ -50,15 +56,12 @@ def make_openfaas_stack(
             node.allow_privileged = allow_unprivileged_cr
     templates = TemplateStore()
     image_repo = ImageRepository()
-    # When the world has a telemetry hub, Prometheus rules evaluate
-    # against the same registry the obs instrumentation writes to.
-    registry = kernel.obs.metrics if kernel.obs is not None else None
     return OpenFaasStack(
         kernel=kernel,
         platform=platform,
         templates=templates,
         image_repo=image_repo,
-        prometheus=PrometheusLite(registry=registry),
+        metrics=kernel.obs.metrics if kernel.obs is not None else None,
         gateway=Gateway(platform),
         cli=FaasCli(platform, templates, image_repo,
                     buildx_installed=buildx_installed),

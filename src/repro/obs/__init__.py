@@ -8,7 +8,7 @@ them installs the hub first:
 * :mod:`repro.obs.spans` — nested lifecycle spans on simulated time
   (``deploy → bake → checkpoint → store → restore → replica.serve``);
 * :mod:`repro.obs.metrics` — counters, gauges, log-linear histograms
-  (the registry ``PrometheusLite`` alert rules evaluate against);
+  (the registry the OpenFaaS stack exposes and SLOs evaluate against);
 * :mod:`repro.obs.export` — Prometheus text format and JSONL dumps,
   summarized by ``python -m repro.obs.cli``;
 * :mod:`repro.obs.flight` — bounded ring-buffer flight recorder on

@@ -29,9 +29,8 @@ health signals (the issue's contract):
 The monitor is fed by the :func:`repro.obs.observe`/``count`` helpers
 when enabled on the hub; each :class:`AnomalyEvent` is appended to the
 monitor, recorded on the flight tape, counted in the registry
-(``anomaly_events_total``) and delivered to subscribers — the alert
-path (``PrometheusLite.attach_anomaly_monitor``) and the postmortem
-collector both subscribe.
+(``anomaly_events_total``) and delivered to subscribers, such as the
+postmortem collector.
 """
 
 from __future__ import annotations

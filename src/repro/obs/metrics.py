@@ -1,9 +1,9 @@
 """Shared metrics registry: counters, gauges, log-linear histograms.
 
 One registry per simulated world (installed next to the span tracer by
-:func:`repro.obs.install`). The OpenFaaS ``PrometheusLite`` is an
-alert-rule layer over this registry, so platform code and experiment
-harnesses read the same series.
+:func:`repro.obs.install`). The OpenFaaS stack exposes this registry
+as its ``metrics``, so platform code and experiment harnesses read the
+same series.
 
 Histograms use log-linear bucketing (HDR-histogram style): each
 power-of-two range is split into :data:`SUBBUCKETS` linear buckets,

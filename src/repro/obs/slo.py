@@ -18,8 +18,8 @@ Two SLO kinds cover the prebake stack's contract:
   ``criu_restore_total``).
 
 SLOs evaluate against any :class:`~repro.obs.metrics.MetricsRegistry`
-— live (via ``PrometheusLite.add_slo``) or reconstructed from a
-metrics JSONL dump (``repro.obs.cli alerts``), so a recorded run can
+— live (:func:`evaluate_slos` on the world's registry) or rebuilt from
+a metrics JSONL dump (``repro.obs.cli alerts``), so a recorded run can
 be audited without re-simulating it.
 """
 

@@ -72,6 +72,10 @@ class PrewarmPolicy:
     def note_gap(self, key: str, gap_ms: float) -> None:
         """Record one inter-arrival gap for ``key``."""
 
+    def observe_time(self, now_ms: float) -> None:
+        """The time of the plan about to run (the controller calls this
+        first in every plan)."""
+
     def observe_window(self, key: str, count: float) -> None:
         """Fold in one completed window's arrival count for ``key``."""
 
@@ -274,8 +278,8 @@ class OraclePolicy(PrewarmPolicy):
     """Clairvoyant upper bound: reads next-window counts off the trace.
 
     Constructed with the per-key window-count vectors the study
-    precomputes from the trace. The caller sets ``now_ms`` before each
-    plan, and the oracle reads window ``floor(now_ms / window_ms)``,
+    precomputes from the trace. The controller hands it each plan's
+    time, and the oracle reads window ``floor(now_ms / window_ms)``,
     the one that starts at the plan's boundary. Keep-alive is two
     windows while that window has arrivals and 0 otherwise: a replica
     that went idle in the current window then outlives the whole next
@@ -291,6 +295,9 @@ class OraclePolicy(PrewarmPolicy):
         self.safety = float(safety)
         self._counts = {key: list(values) for key, values in counts.items()}
         self.now_ms = 0.0
+
+    def observe_time(self, now_ms: float) -> None:
+        self.now_ms = now_ms
 
     def forecast(self, key: str) -> float:
         counts = self._counts.get(key)
@@ -486,6 +493,7 @@ class PrewarmController:
         """
         cfg = self.config
         self.stats.plans += 1
+        self.policy.observe_time(now_ms)
         budget = cfg.max_prewarm_per_tick
         actions: List[PrewarmAction] = []
         for function in sorted(self._counts):

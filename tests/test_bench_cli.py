@@ -57,6 +57,17 @@ class TestMain:
         assert "predictive beats fixed keep-alive:" in out
         assert "oracle bounds the gap:" in out
 
+    def test_capped_repetitions_warn_with_both_counts(self, capsys):
+        assert main(["fleet-study", "-r", "5", "--requests", "2000"]) == 0
+        captured = capsys.readouterr()
+        assert ("event=experiment.repetitions_capped name=fleet-study "
+                "requested=5 running=3") in captured.err
+        assert captured.out.count("\nrep ") == 3
+
+    def test_uncapped_repetitions_do_not_warn(self, capsys):
+        assert main(["prewarm", "-r", "2", "--requests", "4000"]) == 0
+        assert "repetitions_capped" not in capsys.readouterr().err
+
     def test_all_known_experiments_have_runners(self):
         for name, runner in EXPERIMENTS.items():
             assert callable(runner), name

@@ -6,43 +6,43 @@ from hypothesis import strategies as st
 
 from repro.criu.checkpoint import CheckpointEngine
 from repro.criu.imgdiff import diff_images
-from repro.faas.openfaas.prometheus import PrometheusLite
 from repro.obs.export import parse_prometheus, render_prometheus
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestExposition:
     def test_render_counter_and_gauge(self):
-        prom = PrometheusLite()
+        prom = MetricsRegistry()
         prom.inc("requests_total", 3, labels={"fn": "md"})
         prom.set_gauge("replicas", 2.5, labels={"fn": "md"})
-        text = render_prometheus(prom.registry)
+        text = render_prometheus(prom)
         assert '# TYPE requests_total counter' in text
         assert 'requests_total{fn="md"} 3' in text
         assert 'replicas{fn="md"} 2.5' in text
 
     def test_render_empty_registry(self):
-        assert render_prometheus(PrometheusLite().registry) == ""
+        assert render_prometheus(MetricsRegistry()) == ""
 
     def test_unlabelled_series(self):
-        prom = PrometheusLite()
+        prom = MetricsRegistry()
         prom.inc("up")
-        assert "up 1" in render_prometheus(prom.registry)
+        assert "up 1" in render_prometheus(prom)
 
     def test_label_escaping(self):
-        prom = PrometheusLite()
+        prom = MetricsRegistry()
         prom.inc("m", labels={"path": 'a"b\\c'})
-        text = render_prometheus(prom.registry)
+        text = render_prometheus(prom)
         assert '\\"' in text and "\\\\" in text
         parsed = parse_prometheus(text)
         labelset = next(iter(parsed["m"]))
         assert dict(labelset)["path"] == 'a"b\\c'
 
     def test_roundtrip(self):
-        prom = PrometheusLite()
+        prom = MetricsRegistry()
         prom.inc("hits", 7, labels={"fn": "a", "code": "200"})
         prom.inc("hits", 2, labels={"fn": "b", "code": "200"})
         prom.set_gauge("load", 0.75)
-        parsed = parse_prometheus(render_prometheus(prom.registry))
+        parsed = parse_prometheus(render_prometheus(prom))
         assert parsed["hits"][(("code", "200"), ("fn", "a"))] == 7
         assert parsed["load"][()] == 0.75
 
@@ -60,19 +60,19 @@ class TestExposition:
             parse_prometheus(bad)
 
     def test_deterministic_ordering(self):
-        prom = PrometheusLite()
+        prom = MetricsRegistry()
         prom.inc("b_metric")
         prom.inc("a_metric")
-        text = render_prometheus(prom.registry)
+        text = render_prometheus(prom)
         assert text.index("a_metric") < text.index("b_metric")
 
     @given(value=st.floats(min_value=0, max_value=1e9,
                            allow_nan=False, allow_infinity=False))
     @settings(max_examples=50)
     def test_values_roundtrip(self, value):
-        prom = PrometheusLite()
+        prom = MetricsRegistry()
         prom.set_gauge("g", value)
-        parsed = parse_prometheus(render_prometheus(prom.registry))
+        parsed = parse_prometheus(render_prometheus(prom))
         assert parsed["g"][()] == pytest.approx(value)
 
 

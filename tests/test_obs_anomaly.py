@@ -4,8 +4,7 @@ The detectors are deterministic, numpy-only online estimators; the
 tests pin the statistical contract (warmup, robustness to a single
 outlier, baseline protection) and the plumbing contract (metric
 helpers feed the monitor, emissions land on the flight tape and the
-``anomaly_events_total`` counter without re-entering the monitor, and
-PrometheusLite turns events into alerts).
+``anomaly_events_total`` counter without re-entering the monitor).
 """
 
 import pytest
@@ -167,21 +166,3 @@ class TestHelperWiring:
                      if w.name == LOCALITY_MISS_RATE)
         assert watch.bad_metric == "deployer_locality_miss_total"
         assert watch.total_metric == "deployer_cold_placement_total"
-
-    def test_prometheus_attach_fires_synthetic_alerts(self):
-        from repro.faas.openfaas.prometheus import PrometheusLite
-
-        monitor = AnomalyMonitor(window_ms=100.0)
-        monitor.watch_samples(
-            "router_cold_start_wait_ms",
-            EwmaMadDetector(COLD_START_LATENCY, warmup=3))
-        prometheus = PrometheusLite()
-        prometheus.attach_anomaly_monitor(monitor)
-        delivered = []
-        prometheus.subscribe(delivered.append)
-        for _ in range(4):
-            monitor.offer("router_cold_start_wait_ms", 10.0, 50.0)
-        monitor.offer("router_cold_start_wait_ms", 20.0, 500.0)
-        (alert,) = prometheus.fired
-        assert alert.rule.name == f"anomaly:{COLD_START_LATENCY}"
-        assert delivered == [alert]

@@ -143,7 +143,7 @@ class TestOpenFaasSharedRegistry:
 
         kernel = make_world(seed=13, observe=True).kernel
         stack = make_openfaas_stack(kernel)
-        assert stack.prometheus.registry is kernel.obs.metrics
+        assert stack.metrics is kernel.obs.metrics
 
         stack.cli.new("markdown", "java8-criu", MarkdownFunction)
         stack.cli.up("markdown", initial_replicas=1)

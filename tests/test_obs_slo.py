@@ -2,10 +2,11 @@
 
 Covers the satellite end to end: histogram exemplars link buckets to
 traces and survive both export formats; merged registries feed SLO
-burn-rate math; PrometheusLite fires SLO alerts next to threshold
-alerts; and the ``alerts`` CLI audits a recorded JSONL dump with a
+burn-rate math; and the ``alerts`` CLI audits a recorded JSONL dump with a
 gating exit code.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +26,6 @@ from repro.obs.slo import (
     evaluate_slos,
     merged_histogram,
 )
-from repro.faas.openfaas.prometheus import PrometheusLite
 
 
 def latency_registry(fast=99, slow=1, threshold=800.0):
@@ -81,6 +81,36 @@ class TestSloMath:
         assert status.burn_rate == pytest.approx(10.0)
         assert status.breached
 
+    def test_breach_burn_is_bad_fraction_over_budget(self):
+        status = evaluate_slos(latency_registry(fast=80, slow=20),
+                               [COLD_START_P99])[0]
+        assert status.bad_fraction == pytest.approx(0.2)
+        assert status.burn_rate == pytest.approx(20.0)  # 20% bad / 1% budget
+        assert status.breached and not status.healthy
+
+    def test_slo_labels_restrict_the_series(self):
+        registry = latency_registry(fast=80, slow=20)
+        prebake = replace(COLD_START_P99, labels={"technique": "prebake"})
+        vanilla = replace(COLD_START_P99, labels={"technique": "vanilla"})
+        fast, slow = evaluate_slos(registry, [prebake, vanilla])
+        assert fast.bad_fraction == 0.0 and fast.healthy
+        assert slow.bad_fraction == pytest.approx(1.0) and slow.breached
+
+    def test_ratio_bad_fraction_caps_at_one(self):
+        registry = MetricsRegistry()
+        registry.inc("criu_restore_total", 2.0)
+        registry.inc("criu_restore_failures_total", 5.0)
+        status = evaluate_slos(registry, [RESTORE_SUCCESS])[0]
+        assert status.bad_fraction == 1.0
+        assert status.burn_rate == pytest.approx(100.0)
+
+    def test_failures_without_a_total_are_no_data(self):
+        registry = MetricsRegistry()
+        registry.inc("criu_restore_failures_total", 3.0)
+        status = evaluate_slos(registry, [RESTORE_SUCCESS])[0]
+        assert status.bad_fraction is None and status.burn_rate is None
+        assert status.healthy
+
     def test_ratio_slo(self):
         registry = MetricsRegistry()
         registry.inc("criu_restore_total", 200.0)
@@ -101,42 +131,6 @@ class TestSloMath:
             SLO(name="bad", objective=1.0)
         with pytest.raises(ValueError):
             SLO(name="bad", objective=0.5, kind="nonsense")
-
-
-class TestPrometheusSloAlerts:
-    def test_slo_breach_fires_synthetic_alert(self):
-        prometheus = PrometheusLite(registry=latency_registry(fast=80,
-                                                              slow=20))
-        prometheus.add_slo(COLD_START_P99)
-        alerts = prometheus.evaluate(now_ms=5.0)
-        (alert,) = alerts
-        assert alert.rule.name == "slo:cold-start-p99"
-        assert alert.value == pytest.approx(20.0)  # 20% bad / 1% budget
-        assert prometheus.fired == alerts
-
-    def test_healthy_slo_stays_quiet(self):
-        prometheus = PrometheusLite(registry=latency_registry())
-        prometheus.add_slo(COLD_START_P99)
-        assert prometheus.evaluate() == []
-
-    def test_burn_threshold_raises_the_bar(self):
-        prometheus = PrometheusLite(registry=latency_registry(fast=98,
-                                                              slow=2))
-        prometheus.add_slo(COLD_START_P99, burn_threshold=3.0)
-        assert prometheus.evaluate() == []  # burn 2.0 < threshold 3.0
-
-    def test_invalid_burn_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            PrometheusLite().add_slo(COLD_START_P99, burn_threshold=0.0)
-
-    def test_slo_alert_reaches_subscribers(self):
-        prometheus = PrometheusLite(registry=latency_registry(fast=50,
-                                                              slow=50))
-        prometheus.add_slo(COLD_START_P99)
-        seen = []
-        prometheus.subscribe(seen.append)
-        prometheus.evaluate()
-        assert len(seen) == 1 and seen[0].rule.name.startswith("slo:")
 
 
 class TestExemplarsAndRoundTrips:

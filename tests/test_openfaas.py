@@ -3,13 +3,11 @@
 import pytest
 
 from repro.faas.openfaas import (
-    AlertRule,
     ContainerImage,
     FaasCliError,
     ImageLayer,
     ImageNotFound,
     ImageRepository,
-    PrometheusLite,
     Template,
     TemplateStore,
 )
@@ -17,6 +15,7 @@ from repro import faults, make_world
 from repro.faas.openfaas.stack import make_openfaas_stack
 from repro.faas.openfaas.templates import TemplateError
 from repro.faas.registry import RegistryError
+from repro.obs.metrics import MetricsError, MetricsRegistry
 from repro.faas.resources import ResourceError
 from repro.functions import MarkdownFunction, NoopFunction
 from repro.runtime.base import Request
@@ -83,8 +82,10 @@ class TestImageRepository:
 
 
 class TestPrometheus:
+    """The series the stack's ``metrics`` registry serves."""
+
     def test_counter_and_gauge(self):
-        prom = PrometheusLite()
+        prom = MetricsRegistry()
         prom.inc("hits", labels={"fn": "a"})
         prom.inc("hits", 2, labels={"fn": "a"})
         prom.set_gauge("replicas", 4, labels={"fn": "a"})
@@ -92,95 +93,42 @@ class TestPrometheus:
         assert prom.value("replicas") == 4
 
     def test_counter_cannot_decrease(self):
-        with pytest.raises(ValueError):
-            PrometheusLite().inc("x", -1)
+        with pytest.raises(MetricsError):
+            MetricsRegistry().inc("x", -1)
 
     def test_label_subset_matching(self):
-        prom = PrometheusLite()
+        prom = MetricsRegistry()
         prom.inc("hits", labels={"fn": "a", "code": "200"})
         prom.inc("hits", labels={"fn": "b", "code": "200"})
         assert prom.value("hits") == 2
         assert prom.value("hits", {"fn": "a"}) == 1
 
-    def test_alert_fires_and_delivers(self):
-        prom = PrometheusLite()
-        fired = []
-        prom.subscribe(fired.append)
-        prom.add_rule(AlertRule(name="hot", metric="load", threshold=5.0))
-        prom.set_gauge("load", 10.0)
-        alerts = prom.evaluate(now_ms=1.0)
-        assert len(alerts) == 1
-        assert fired[0].value == 10.0
+    def test_absent_metric_reads_zero(self):
+        assert MetricsRegistry().value("free") == 0.0
 
-    def test_alert_below_threshold_silent(self):
-        prom = PrometheusLite()
-        prom.add_rule(AlertRule(name="hot", metric="load", threshold=5.0))
-        prom.set_gauge("load", 5.0)
-        assert prom.evaluate() == []
-
-    def test_less_than_rule(self):
-        prom = PrometheusLite()
-        prom.add_rule(AlertRule(name="low", metric="free", threshold=2.0,
-                                comparison="<"))
-        prom.set_gauge("free", 1.0)
-        assert len(prom.evaluate()) == 1
-
-    def test_less_than_rule_fires_on_absent_metric(self):
-        # An unwritten metric sums to 0, which is below any positive
-        # threshold — "<" rules see missing data as an outage.
-        prom = PrometheusLite()
-        prom.add_rule(AlertRule(name="low", metric="free", threshold=2.0,
-                                comparison="<"))
-        (alert,) = prom.evaluate()
-        assert alert.value == 0.0
-
-    def test_rule_with_label_filter_sums_matching_series_only(self):
-        prom = PrometheusLite()
-        prom.add_rule(AlertRule(name="hot-a", metric="pending", threshold=3.0,
-                                labels={"fn": "a"}))
+    def test_label_subset_sums_matching_gauge_series_only(self):
+        prom = MetricsRegistry()
         prom.set_gauge("pending", 10.0, labels={"fn": "b"})
-        assert prom.evaluate() == []  # fn=b alone must not trip fn=a's rule
+        assert prom.value("pending", {"fn": "a"}) == 0.0
         prom.set_gauge("pending", 4.0, labels={"fn": "a"})
-        (alert,) = prom.evaluate()
-        assert alert.value == 4.0
+        assert prom.value("pending", {"fn": "a"}) == 4.0
+        assert prom.value("pending") == 14.0
 
-    def test_less_than_rule_with_label_filter(self):
-        prom = PrometheusLite()
-        prom.add_rule(AlertRule(name="starved", metric="idle", threshold=1.0,
-                                comparison="<", labels={"fn": "a"}))
-        prom.set_gauge("idle", 5.0, labels={"fn": "b"})
-        prom.set_gauge("idle", 0.0, labels={"fn": "a"})
-        (alert,) = prom.evaluate(now_ms=3.0)
-        assert alert.value == 0.0
-        assert alert.at_ms == 3.0
-
-    def test_unsupported_comparison_rejected(self):
-        rule = AlertRule(name="bad", metric="m", threshold=1.0,
-                         comparison=">=")
-        with pytest.raises(ValueError, match="unsupported comparison"):
-            rule.evaluate(2.0)
-
-    def test_exact_threshold_never_fires(self):
-        rule = AlertRule(name="edge", metric="m", threshold=5.0)
-        assert not rule.evaluate(5.0)
-        assert not AlertRule(name="edge", metric="m", threshold=5.0,
-                             comparison="<").evaluate(5.0)
-
-    def test_histogram_series_invisible_to_rules(self):
-        # Alert rules compare scalar sums; observations must not trip them.
-        prom = PrometheusLite()
-        prom.add_rule(AlertRule(name="hot", metric="lat_ms", threshold=1.0))
+    def test_histogram_series_have_no_scalar_value(self):
+        prom = MetricsRegistry()
         prom.observe("lat_ms", 100.0)
-        assert prom.evaluate() == []
+        assert prom.value("lat_ms") == 0.0
+        assert prom.histogram("lat_ms").count == 1
 
-    def test_shared_registry_is_visible_to_rules(self):
-        from repro.obs.metrics import MetricsRegistry
-        registry = MetricsRegistry()
-        prom = PrometheusLite(registry=registry)
-        prom.add_rule(AlertRule(name="hot", metric="load", threshold=5.0))
-        registry.set_gauge("load", 10.0)  # written outside PrometheusLite
-        (alert,) = prom.evaluate()
-        assert alert.value == 10.0
+    def test_stack_metrics_is_the_worlds_registry(self):
+        kernel = make_world(seed=3, observe=True).kernel
+        stack = make_openfaas_stack(kernel)
+        assert stack.metrics is kernel.obs.metrics
+        kernel.obs.metrics.set_gauge("load", 10.0)  # written by the world
+        assert stack.metrics.value("load") == 10.0
+
+    def test_stack_without_telemetry_has_no_metrics(self, stack):
+        assert stack.metrics is None
 
 
 class TestCliWorkflow:
@@ -300,9 +248,9 @@ class TestGateway:
         stack.cli.up("noop")
         for _ in range(3):
             stack.gateway.invoke("noop")
-        assert stack.prometheus.value("router_invocations_total",
+        assert stack.metrics.value("router_invocations_total",
                                       {"function": "noop"}) == 3
-        assert stack.prometheus.value("router_cold_starts_total",
+        assert stack.metrics.value("router_cold_starts_total",
                                       {"function": "noop"}) == 1
 
 

@@ -238,8 +238,8 @@ class TestPolicies:
         controller = PrewarmController(
             PrewarmConfig(window_ms=window), policy=policy)
         controller.note_arrival("f", 0.0)
-        policy.now_ms = (len(counts) - 1) * window
-        (action,) = controller.plan(policy.now_ms, {"f": 0})
+        # The controller hands the oracle the plan's time.
+        (action,) = controller.plan((len(counts) - 1) * window, {"f": 0})
         assert action.forecast == 3.0
         assert action.add_replicas >= 1
 

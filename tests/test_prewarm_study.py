@@ -1,10 +1,8 @@
 """Tests for X13 (repro.bench.prewarm_study): the prewarm policy sweep."""
 
+import hashlib
 import json
-import math
-import random
 
-import numpy as np
 import pytest
 
 from repro.bench.prewarm_study import (
@@ -13,20 +11,26 @@ from repro.bench.prewarm_study import (
     PolicyOutcome,
     PrewarmRepResult,
     PrewarmStudyConfig,
-    _PolicySim,
     _synthesize_prewarm_trace,
     _window_counts,
     paired_verdict,
     prewarm_study,
     render_prewarm_report,
 )
-from repro.predict.policy import idle_expiry_ms
-from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.rng import _derive_seed
 
 # Small but non-degenerate smoke shape: enough arrivals for the
 # forecasters to converge, seconds of wall time to run.
 SMOKE = dict(repetitions=1, seed=42, requests=8_000)
+
+
+# SHA-256 of the smoke study's artifact (sort_keys JSON, exemplar
+# included) and of its report, sealed when X13 moved onto the one
+# fleet model (bench/fleet_model.py).
+GOLDEN_ARTIFACT_SHA256 = (
+    "091d6f0c90fb91da260318b208b3df21826381b380e8be042e9900c12cb290b6")
+GOLDEN_REPORT_SHA256 = (
+    "f1159d1e8240755477cc6c9492e033fdb5962ac46acc9968fb0352e2728bfe34")
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +109,13 @@ class TestStudy:
         # the histogram policy prewarms on schedule instead.
         assert (rep.outcomes["histogram"].timer_cold_starts
                 < rep.outcomes["fixed"].timer_cold_starts)
+
+    def test_matches_sealed_golden(self, smoke):
+        artifact = json.dumps(smoke.as_dict(), sort_keys=True)
+        assert (hashlib.sha256(artifact.encode()).hexdigest()
+                == GOLDEN_ARTIFACT_SHA256)
+        assert (hashlib.sha256(smoke.render().encode()).hexdigest()
+                == GOLDEN_REPORT_SHA256)
 
     def test_study_is_deterministic(self):
         a = prewarm_study(**SMOKE)
@@ -199,40 +210,3 @@ class TestSeedDerivation:
     def test_rep_seeds_are_distinct(self):
         seeds = {_derive_seed(42, f"prewarm-{rep}") for rep in range(8)}
         assert len(seeds) == 8
-
-
-class TestExpiry:
-    @staticmethod
-    def _reference_expire(pool, ka, hold_end, t):
-        """Every idle replica judged by ``idle_expiry_ms`` one at a time."""
-        keep, wasted = [], 0.0
-        for r in pool:
-            expire_at = idle_expiry_ms(r[2], ka, hold_end)
-            if r[1] > t or expire_at > t:
-                keep.append(r)
-            else:
-                wasted += max(0.0, expire_at - r[2])
-        return keep, wasted
-
-    def test_expire_matches_the_per_replica_rule(self):
-        # Whole-millisecond times, so expiries land exactly on ``t`` and
-        # on the hold's end as often as on either side of them.
-        config = PrewarmStudyConfig(functions=1, timer_functions=0)
-        rng = random.Random(7)
-        for _ in range(500):
-            sim = _PolicySim("fixed", config, None, 1_000.0, np.ones(1),
-                             DEFAULT_COST_MODEL, seed=0)
-            t = float(rng.randint(0, 20))
-            hold_end = rng.choice([-math.inf, float(rng.randint(0, 20))])
-            sim.ka[0] = float(rng.randint(0, 10))
-            sim.hold_end_ms = lambda fid: hold_end
-            pool = []
-            for _ in range(rng.randint(0, 6)):
-                idle = float(rng.randint(0, 20))
-                busy = idle if rng.random() < 0.7 else t + rng.randint(0, 3)
-                pool.append([idle, busy, idle])
-            sim.pools[0] = list(pool)
-            keep, wasted = self._reference_expire(pool, sim.ka[0], hold_end, t)
-            sim._expire(0, t)
-            assert sim.pools[0] == keep
-            assert sim.wasted_ms[0] == wasted
