@@ -44,7 +44,6 @@ from repro.bench.stats import bootstrap_median_ci
 from repro.bench.traces import synthesize_fleet_workload
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.functions.base import make_app
-from repro.obs.fleet import OUTCOME_LOCAL_HIT
 from repro.predict.policy import OraclePolicy, PrewarmConfig, PrewarmController
 from repro.sim.rng import _derive_seed
 
@@ -104,13 +103,10 @@ class PolicyOutcome:
     queued: int = 0
     cold_p50_ms: float = 0.0
     cold_p99_ms: float = 0.0
-    cold_mean_ms: float = 0.0
     wasted_warm_s: float = 0.0
     timer_cold_starts: int = 0
-    timer_wasted_warm_s: float = 0.0
     prewarm_placements: int = 0
     prefetch_mib: float = 0.0
-    cold_cache_hits: int = 0
 
     @property
     def cold_start_rate(self) -> float:
@@ -331,14 +327,9 @@ def _outcome(name: str, config: PrewarmStudyConfig, model: FleetModel,
         lats = np.asarray(model.cold_ms)
         out.cold_p50_ms = float(np.quantile(lats, 0.5))
         out.cold_p99_ms = float(np.quantile(lats, 0.99))
-        out.cold_mean_ms = float(lats.mean())
-    wasted = np.asarray(model.wasted_ms)
-    out.wasted_warm_s = float(wasted.sum()) / 1000.0
-    out.timer_wasted_warm_s = float(wasted[config.functions:].sum()) / 1000.0
+    out.wasted_warm_s = float(np.asarray(model.wasted_ms).sum()) / 1000.0
     out.timer_cold_starts = sum(cell.count for cell in cells
                                 if cell.function in timers)
-    out.cold_cache_hits = sum(cell.count for cell in cells
-                              if cell.outcome == OUTCOME_LOCAL_HIT)
     out.prewarm_placements = int(reg.value("prewarm_placements_total"))
     out.prefetch_mib = reg.value("prewarm_fetch_bytes_total") / MIB
     return out

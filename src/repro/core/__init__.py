@@ -32,19 +32,9 @@ from repro.core.starters import (
     VanillaStarter,
 )
 from repro.core.manager import PrebakeManager
-from repro.core.persistence import (
-    DirBackend,
-    EvictingSnapshotStore,
-    SnapshotArchive,
-    VfsBackend,
-)
 from repro.core.bakery import BakeService, bake_farm_sweep
 
 __all__ = [
-    "SnapshotArchive",
-    "EvictingSnapshotStore",
-    "VfsBackend",
-    "DirBackend",
     "BakeService",
     "bake_farm_sweep",
     "SnapshotPolicy",

@@ -13,7 +13,6 @@ from repro.criu.images import CheckpointImage, ImageFile, VMADescriptor, FdDescr
 from repro.criu.checkpoint import CheckpointEngine, CheckpointError
 from repro.criu.restore import RestoreEngine, RestoreError, RestoreMode
 from repro.criu.cli import CriuCli, CriuUnavailableError
-from repro.criu.serialize import deserialize_image, serialize_image
 from repro.criu.imgdiff import ImageDiff, diff_images
 from repro.criu.pagestore import (
     CHUNK_PAGES,
@@ -30,8 +29,6 @@ from repro.criu.shardstore import (
 from repro.criu.workingset import WorkingSetRecord, WorkingSetTracker
 
 __all__ = [
-    "serialize_image",
-    "deserialize_image",
     "ImageDiff",
     "diff_images",
     "CheckpointImage",

@@ -8,7 +8,7 @@ import numpy as np
 
 
 class ImageFormatError(Exception):
-    """Raised on malformed image data or unsupported formats."""
+    """Raised on a malformed pixel array or an invalid image size."""
 
 
 class Image:

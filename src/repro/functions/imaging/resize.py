@@ -1,8 +1,8 @@
-"""Image resampling: nearest-neighbour, bilinear and box (area) filters.
+"""Image resampling: the box (area) filter, with bilinear for upscales.
 
 The paper's Image Resizer "scales [the image] down to 10 % of its
 original size" per request; box filtering is the right choice for large
-downscales and is the default here.
+downscales, and every request takes it through :func:`scale_to_fraction`.
 """
 
 from __future__ import annotations
@@ -17,15 +17,6 @@ from repro.functions.imaging.image import Image, ImageFormatError
 def _check_target(width: int, height: int) -> None:
     if width <= 0 or height <= 0:
         raise ImageFormatError(f"invalid target size {width}x{height}")
-
-
-def resize_nearest(image: Image, width: int, height: int) -> Image:
-    """Nearest-neighbour resampling."""
-    _check_target(width, height)
-    src = image.pixels
-    xs = np.minimum((np.arange(width) + 0.5) * image.width / width, image.width - 1).astype(int)
-    ys = np.minimum((np.arange(height) + 0.5) * image.height / height, image.height - 1).astype(int)
-    return Image(src[np.ix_(ys, xs)].copy())
 
 
 def resize_bilinear(image: Image, width: int, height: int) -> Image:
@@ -94,28 +85,10 @@ def resize_box(image: Image, width: int, height: int) -> Image:
     return Image(sums / areas)
 
 
-_FILTERS = {
-    "nearest": resize_nearest,
-    "bilinear": resize_bilinear,
-    "box": resize_box,
-}
-
-
-def resize(image: Image, width: int, height: int, method: str = "box") -> Image:
-    """Resize ``image`` to ``width`` x ``height`` using ``method``."""
-    try:
-        fn = _FILTERS[method]
-    except KeyError:
-        raise ImageFormatError(
-            f"unknown resize method {method!r}; choose from {sorted(_FILTERS)}"
-        ) from None
-    return fn(image, width, height)
-
-
-def scale_to_fraction(image: Image, fraction: float, method: str = "box") -> Image:
+def scale_to_fraction(image: Image, fraction: float) -> Image:
     """Scale both dimensions by ``fraction`` (the paper uses 0.10)."""
     if not 0 < fraction:
         raise ImageFormatError(f"fraction must be positive, got {fraction}")
     width = max(1, int(round(image.width * fraction)))
     height = max(1, int(round(image.height * fraction)))
-    return resize(image, width, height, method=method)
+    return resize_box(image, width, height)

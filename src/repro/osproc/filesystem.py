@@ -10,7 +10,7 @@ speed-up comes from restore leaving file pages warm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
 
 class FileSystemError(Exception):
@@ -19,17 +19,12 @@ class FileSystemError(Exception):
 
 @dataclass
 class VirtualFile:
-    """A file in the simulated VFS. Content is optional (size matters)."""
+    """A file in the simulated VFS: a path and a size, no content."""
 
     path: str
     size: int = 0
-    content: Optional[bytes] = None
     is_socket: bool = False
     is_pipe: bool = False
-
-    def __post_init__(self) -> None:
-        if self.content is not None:
-            self.size = len(self.content)
 
 
 @dataclass
@@ -48,12 +43,12 @@ class FileSystem:
     def __init__(self) -> None:
         self._files: Dict[str, VirtualFile] = {}
 
-    def create(self, path: str, size: int = 0, content: Optional[bytes] = None,
-               is_socket: bool = False, is_pipe: bool = False) -> VirtualFile:
+    def create(self, path: str, size: int = 0, is_socket: bool = False,
+               is_pipe: bool = False) -> VirtualFile:
         if path in self._files:
             raise FileSystemError(f"path already exists: {path}")
-        f = VirtualFile(path=path, size=size, content=content,
-                        is_socket=is_socket, is_pipe=is_pipe)
+        f = VirtualFile(path=path, size=size, is_socket=is_socket,
+                        is_pipe=is_pipe)
         self._files[path] = f
         return f
 
@@ -72,14 +67,6 @@ class FileSystem:
 
     def exists(self, path: str) -> bool:
         return path in self._files
-
-    def remove(self, path: str) -> None:
-        if path not in self._files:
-            raise FileSystemError(f"no such file: {path}")
-        del self._files[path]
-
-    def iter_paths(self) -> Iterator[str]:
-        return iter(sorted(self._files))
 
 
 @dataclass

@@ -1,10 +1,9 @@
 """A VMA descriptor holds its resident pages as an int64 array.
 
 Every byte a descriptor contributes (its canonical and meta-canonical
-text, the image digests, the serialized blob) and every page a tamper
-marks must be what a descriptor holding a tuple of Python ints gave.
-The reference below is written from that tuple form, independently of
-the encoder.
+text and the image digests) and every page a tamper marks must be what
+a descriptor holding a tuple of Python ints gave. The reference below
+is written from that tuple form, independently of the encoder.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.criu.images import (
     VMADescriptor,
     build_image_files,
 )
-from repro.criu.serialize import deserialize_image, serialize_image
 from repro.osproc.memory import PAGE_SIZE
 
 _tags = st.sampled_from(["", "heap", "jit", "x\x00y", "é", "text:/bin/java"])
@@ -106,24 +104,6 @@ def test_canonical_bytes_and_digests_match_the_tuple_reference(vmas):
         assert image.compute_digest() == _reference_digest(image, vmas, False)
         assert image.compute_meta_digest() == \
             _reference_digest(image, vmas, True)
-
-
-@given(_vmas)
-@settings(max_examples=40, deadline=None)
-def test_serialize_round_trip_keeps_pages_and_digest(vmas):
-    image = _image(vmas, as_array=True)
-    image.seal()
-    blob = serialize_image(image)
-    from_tuples = _image(vmas, as_array=False)
-    from_tuples.seal()
-    assert blob == serialize_image(from_tuples)
-    clone = deserialize_image(blob)
-    assert clone.vmas == image.vmas
-    for desc, (_, indices, tags) in zip(clone.vmas, vmas):
-        assert desc.resident_indices.tolist() == list(indices)
-        assert desc.content_tags == tags
-    assert clone.compute_digest() == image.digest
-    clone.verify_integrity()
 
 
 @given(_vmas, st.integers(1, 50), st.integers(0, 60))

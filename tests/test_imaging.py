@@ -1,4 +1,4 @@
-"""Tests for the imaging substrate: Image, codecs, resize, generator."""
+"""Tests for the imaging substrate: Image, resize, generator."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,8 @@ from hypothesis import strategies as st
 from repro.functions.imaging import (
     Image,
     ImageFormatError,
-    decode_bmp,
-    decode_ppm,
-    encode_bmp,
-    encode_ppm,
-    resize,
     resize_bilinear,
     resize_box,
-    resize_nearest,
     synthetic_photo,
 )
 from repro.functions.imaging.resize import scale_to_fraction
@@ -78,89 +72,16 @@ class TestImage:
         assert Image.blank(10, 10).nbytes == 300
 
 
-class TestPPM:
-    def test_p6_roundtrip(self):
-        img = checkerboard()
-        assert decode_ppm(encode_ppm(img, binary=True)) == img
-
-    def test_p3_roundtrip(self):
-        img = checkerboard(8, 6)
-        assert decode_ppm(encode_ppm(img, binary=False)) == img
-
-    def test_p3_with_comment(self):
-        data = b"P3\n# a comment\n1 1\n255\n10 20 30\n"
-        img = decode_ppm(data)
-        assert img.get(0, 0) == (10, 20, 30)
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ImageFormatError, match="magic"):
-            decode_ppm(b"JUNK")
-
-    def test_truncated_p6_rejected(self):
-        img = checkerboard()
-        data = encode_ppm(img)[:-10]
-        with pytest.raises(ImageFormatError, match="truncated"):
-            decode_ppm(data)
-
-    def test_unsupported_maxval_rejected(self):
-        with pytest.raises(ImageFormatError, match="maxval"):
-            decode_ppm(b"P6\n1 1\n65535\n\x00\x00")
-
-    @given(width=st.integers(1, 12), height=st.integers(1, 12),
-           seed=st.integers(0, 100))
-    @settings(max_examples=30, deadline=None)
-    def test_p6_roundtrip_property(self, width, height, seed):
-        rng = np.random.default_rng(seed)
-        img = Image(rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
-        assert decode_ppm(encode_ppm(img)) == img
-
-
-class TestBMP:
-    def test_roundtrip(self):
-        img = checkerboard()
-        assert decode_bmp(encode_bmp(img)) == img
-
-    def test_roundtrip_with_padding(self):
-        # Width 3 → row padding needed (9 bytes → 12).
-        img = checkerboard(3, 5, cell=1)
-        assert decode_bmp(encode_bmp(img)) == img
-
-    def test_bad_magic(self):
-        with pytest.raises(ImageFormatError, match="magic"):
-            decode_bmp(b"XX" + b"\x00" * 100)
-
-    def test_truncated(self):
-        data = encode_bmp(checkerboard())[:-20]
-        with pytest.raises(ImageFormatError, match="truncated"):
-            decode_bmp(data)
-
-    @given(width=st.integers(1, 10), height=st.integers(1, 10),
-           seed=st.integers(0, 100))
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip_property(self, width, height, seed):
-        rng = np.random.default_rng(seed)
-        img = Image(rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
-        assert decode_bmp(encode_bmp(img)) == img
-
-
 class TestResize:
     def test_target_dimensions(self):
         img = checkerboard(40, 20)
-        for method in ("nearest", "bilinear", "box"):
-            out = resize(img, 13, 7, method=method)
+        for fn in (resize_bilinear, resize_box):
+            out = fn(img, 13, 7)
             assert out.size == (13, 7)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ImageFormatError, match="unknown resize"):
-            resize(checkerboard(), 4, 4, method="bicubic")
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ImageFormatError):
             resize_box(checkerboard(), 0, 4)
-
-    def test_identity_resize_nearest(self):
-        img = checkerboard()
-        assert resize_nearest(img, img.width, img.height) == img
 
     def test_identity_resize_box(self):
         img = checkerboard()
@@ -168,7 +89,7 @@ class TestResize:
 
     def test_uniform_image_stays_uniform(self):
         img = Image.blank(32, 32, color=(37, 99, 201))
-        for fn in (resize_nearest, resize_bilinear, resize_box):
+        for fn in (resize_bilinear, resize_box):
             out = fn(img, 7, 5)
             assert np.all(out.pixels.reshape(-1, 3) == (37, 99, 201))
 
@@ -205,12 +126,64 @@ class TestResize:
         out = scale_to_fraction(checkerboard(4, 4), 0.01)
         assert out.width >= 1 and out.height >= 1
 
+    def test_identity_resize_bilinear(self):
+        img = checkerboard()
+        assert resize_bilinear(img, img.width, img.height) == img
+
+    def test_bilinear_invalid_target_rejected(self):
+        with pytest.raises(ImageFormatError):
+            resize_bilinear(checkerboard(), 4, -1)
+
+    def test_box_upscale_falls_back_to_bilinear(self):
+        img = checkerboard(8, 6, cell=2)
+        assert resize_box(img, 20, 15) == resize_bilinear(img, 20, 15)
+        # Enlarging only one axis also interpolates.
+        assert resize_box(img, 4, 9) == resize_bilinear(img, 4, 9)
+
+    def test_box_averages_each_block_exactly(self):
+        img = checkerboard(8, 8, cell=1)
+        out = resize_box(img, 4, 4)
+        # Every 2x2 block holds two white and two black pixels.
+        assert np.all(out.pixels == 128)
+
+    def test_box_keeps_cells_aligned_to_its_boxes(self):
+        img = checkerboard(16, 12, cell=4)
+        assert resize_box(img, 4, 3) == checkerboard(4, 3, cell=1)
+
+    def test_box_edges_never_empty_for_odd_ratios(self):
+        rng = np.random.default_rng(3)
+        img = Image(rng.integers(0, 256, (17, 23, 3), dtype=np.uint8))
+        out = resize_box(img, 11, 9)
+        assert out.size == (11, 9)
+        lo, hi = img.pixels.min(), img.pixels.max()
+        assert lo <= out.pixels.min() and out.pixels.max() <= hi
+
+    def test_resize_leaves_the_source_untouched(self):
+        img = checkerboard(20, 20)
+        before = img.copy()
+        for fn in (resize_bilinear, resize_box):
+            fn(img, 7, 7)
+            fn(img, 30, 30)
+        assert img == before
+
+    def test_scale_to_fraction_is_the_box_filter(self):
+        img = synthetic_photo(120, 50, seed=4)
+        assert scale_to_fraction(img, 0.10) == resize_box(img, 12, 5)
+
+    def test_scale_to_fraction_rounds_dimensions(self):
+        out = scale_to_fraction(checkerboard(25, 15), 0.5)
+        assert out.size == (12, 8)
+
+    def test_scale_to_fraction_above_one_enlarges(self):
+        out = scale_to_fraction(checkerboard(8, 4), 2.0)
+        assert out.size == (16, 8)
+
     @given(width=st.integers(2, 50), height=st.integers(2, 50),
            tw=st.integers(1, 30), th=st.integers(1, 30))
     @settings(max_examples=40, deadline=None)
     def test_resize_dims_property(self, width, height, tw, th):
         img = Image.blank(width, height, color=(100, 100, 100))
-        for fn in (resize_nearest, resize_bilinear, resize_box):
+        for fn in (resize_bilinear, resize_box):
             out = fn(img, tw, th)
             assert out.size == (tw, th)
             assert np.all(out.pixels == 100)

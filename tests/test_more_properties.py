@@ -6,9 +6,6 @@ from hypothesis import strategies as st
 
 from repro import make_world
 from repro.bench.stats import ecdf
-from repro.core.persistence import EvictingSnapshotStore
-from repro.core.store import SnapshotKey
-from repro.criu.checkpoint import CheckpointEngine
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.engine import Simulation
 
@@ -78,28 +75,7 @@ class TestEngineProperties:
         assert result == pytest.approx(sum(delays))
 
 
-class TestEvictingStoreProperties:
-    @given(sizes=st.lists(st.floats(min_value=0.5, max_value=4.0),
-                          min_size=1, max_size=12),
-           capacity=st.floats(min_value=5.0, max_value=20.0))
-    @settings(max_examples=25, deadline=None)
-    def test_capacity_never_exceeded(self, sizes, capacity):
-        world = make_world(seed=0)
-        kernel = world.kernel
-        store = EvictingSnapshotStore(capacity_mib=capacity)
-        engine = CheckpointEngine(kernel)
-        for index, mib in enumerate(sizes):
-            proc = kernel.clone(kernel.init_process)
-            proc.address_space.grow_anon("heap", mib)
-            image = engine.dump(proc, leave_running=False)
-            key = SnapshotKey(f"fn-{index}", "jvm", "after-ready")
-            if image.total_mib > capacity:
-                with pytest.raises(ValueError):
-                    store.put(key, image)
-                continue
-            store.put(key, image)
-            assert store.total_mib <= capacity + 1e-9
-
+class TestSnapshotStoreProperties:
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
     def test_snapshot_restore_count_monotone(self, seed):

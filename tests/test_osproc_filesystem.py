@@ -10,6 +10,7 @@ class TestFileSystem:
         fs = FileSystem()
         fs.create("/a/b", size=100)
         assert fs.lookup("/a/b").size == 100
+        assert fs.exists("/a/b") and not fs.exists("/a")
 
     def test_create_duplicate_rejected(self):
         fs = FileSystem()
@@ -28,24 +29,20 @@ class TestFileSystem:
         assert first is second
         assert second.size == 10  # existing file untouched
 
-    def test_content_sets_size(self):
+    def test_ensure_creates_a_missing_file(self):
         fs = FileSystem()
-        f = fs.create("/data", content=b"hello")
-        assert f.size == 5
+        f = fs.ensure("/new", size=42)
+        assert fs.lookup("/new") is f
+        assert f.size == 42
 
-    def test_remove(self):
+    def test_socket_and_pipe_flags(self):
         fs = FileSystem()
-        fs.create("/gone")
-        fs.remove("/gone")
-        assert not fs.exists("/gone")
-        with pytest.raises(FileSystemError):
-            fs.remove("/gone")
-
-    def test_iter_paths_sorted(self):
-        fs = FileSystem()
-        for path in ("/c", "/a", "/b"):
-            fs.create(path)
-        assert list(fs.iter_paths()) == ["/a", "/b", "/c"]
+        sock = fs.create("/run/sock", is_socket=True)
+        pipe = fs.create("/run/pipe", is_pipe=True)
+        plain = fs.create("/run/file")
+        assert (sock.is_socket, sock.is_pipe) == (True, False)
+        assert (pipe.is_socket, pipe.is_pipe) == (False, True)
+        assert (plain.is_socket, plain.is_pipe) == (False, False)
 
 
 class TestPageCache:
@@ -92,6 +89,23 @@ class TestPageCache:
             cache.warm(f)
         cache.drop_all()
         assert all(cache.warmth(f) == 0.0 for f in files)
+
+    def test_partial_page_counts_as_a_page(self):
+        cache = PageCache()
+        f = VirtualFile("/f", size=4096 + 1)
+        cache.warm(f, fraction=0.5)
+        assert cache.warmth(f) == pytest.approx(0.5)
+
+    def test_evict_unknown_file_is_noop(self):
+        cache = PageCache()
+        f = VirtualFile("/never-read", size=4096)
+        cache.evict(f)
+        assert cache.warmth(f) == 0.0
+
+    def test_entries_are_keyed_by_path(self):
+        cache = PageCache()
+        cache.warm(VirtualFile("/lib.jar", size=8 * 4096))
+        assert cache.warmth(VirtualFile("/lib.jar", size=8 * 4096)) == 1.0
 
     def test_empty_file_has_one_page_slot(self):
         cache = PageCache()

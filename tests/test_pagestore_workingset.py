@@ -8,11 +8,6 @@ from repro import make_world
 from repro.core.bake import Prebaker
 from repro.core.bakery import registry_growth_curve
 from repro.core.manager import PrebakeManager
-from repro.core.persistence import (
-    EvictingSnapshotStore,
-    SnapshotArchive,
-    VfsBackend,
-)
 from repro.core.policy import AfterReady, AfterWarmup
 from repro.core.store import SnapshotKey, SnapshotStore
 from repro.criu.checkpoint import CheckpointEngine
@@ -27,7 +22,6 @@ from repro.criu.pagestore import (
     rebuild_vma_pages,
 )
 from repro.criu.restore import RestoreMode
-from repro.criu.serialize import deserialize_image, serialize_image
 from repro.functions import make_app
 from repro.osproc.memory import PAGE_SIZE, VMAKind, page_content_key
 from repro.runtime.base import Request
@@ -199,21 +193,6 @@ class TestSnapshotStoreDedup:
         report = prebaker.bake(make_app("noop"), policy=AfterReady())
         assert store.repair(report.key) == 0
 
-    def test_eviction_releases_chunks(self, kernel):
-        archive = SnapshotArchive(VfsBackend(kernel.fs))
-        store = EvictingSnapshotStore(capacity_mib=4.0, archive=archive)
-        a = SnapshotKey("a", "jvm", "after-ready")
-        b = SnapshotKey("b", "jvm", "after-ready")
-        store.put(a, dump_process(kernel, 2.0, tag="a"))
-        store.put(b, dump_process(kernel, 2.5, tag="b"))  # evicts a
-        assert store.evictions == 1
-        store.delete(b)
-        assert store.physical_bytes == 0  # a's chunks went with eviction
-        # Faulting a back from the archive re-registers its chunks.
-        assert store.get(a).resident_pages > 0
-        assert store.layered(a) is not None
-        assert store.physical_bytes > 0
-
     def test_registry_growth_is_sublinear(self):
         curve = registry_growth_curve(["noop", "markdown"], seed=7)
         assert len(curve) == 2
@@ -241,31 +220,6 @@ class TestSnapshotStoreDedup:
         key = SnapshotKey("prop", "jvm", "after-ready")
         store.put(key, image)
         assert vma_pages(store.materialize(key)) == vma_pages(image)
-
-
-class TestSerializeDigest:
-    def test_v2_roundtrip_carries_digest(self, kernel):
-        prebaker = Prebaker(kernel)
-        report = prebaker.bake(make_app("noop"), policy=AfterReady())
-        assert report.image.digest  # sealed at bake time
-        clone = deserialize_image(serialize_image(report.image))
-        assert clone.digest == report.image.digest
-        clone.verify_integrity()
-
-    def test_v1_blob_still_decodes(self, kernel):
-        import json
-        import struct
-        image = dump_process(kernel, 1.0)
-        blob = serialize_image(image)
-        header_len = struct.unpack(">I", blob[10:14])[0]
-        header = json.loads(blob[14:14 + header_len])
-        header.pop("digest", None)  # v1 headers had no digest
-        payload = json.dumps(header, separators=(",", ":")).encode()
-        v1 = (blob[:8] + struct.pack(">H", 1)
-              + struct.pack(">I", len(payload)) + payload)
-        clone = deserialize_image(v1)
-        assert clone.digest is None
-        assert clone.resident_pages == image.resident_pages
 
 
 class TestWorkingSetRestore:

@@ -26,9 +26,11 @@ SMOKE = dict(repetitions=1, seed=42, requests=8_000)
 
 # SHA-256 of the smoke study's artifact (sort_keys JSON, exemplar
 # included) and of its report, sealed when X13 moved onto the one
-# fleet model (bench/fleet_model.py).
+# fleet model (bench/fleet_model.py). The artifact was re-sealed when
+# the unread outcome fields (cold mean, cold cache hits, timer wasted
+# warm-seconds) were dropped; the report did not change.
 GOLDEN_ARTIFACT_SHA256 = (
-    "091d6f0c90fb91da260318b208b3df21826381b380e8be042e9900c12cb290b6")
+    "33e83ae40d92b5437ea446cb7c9e86dee4cdad8660345b79846175fa5bf59e83")
 GOLDEN_REPORT_SHA256 = (
     "f1159d1e8240755477cc6c9492e033fdb5962ac46acc9968fb0352e2728bfe34")
 

@@ -1,0 +1,265 @@
+"""A registry pull: ``SnapshotStore.materialize`` rebuilds a stored image
+from its content-addressed chunks alone, and the store's inventory.
+
+``materialize`` is the oracle that dedup is lossless: what comes back
+must carry the original's identity, pages and runtime state, verify
+against the sealed digest, and restore into a replica that serves.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import make_world
+from repro.core.bake import Prebaker
+from repro.core.policy import AfterReady, AfterWarmup
+from repro.core.starters import PrebakeStarter
+from repro.core.store import (
+    RepairStats,
+    SnapshotKey,
+    SnapshotNotFound,
+    SnapshotStore,
+)
+from repro.criu.checkpoint import CheckpointEngine
+from repro.criu.restore import RestoreEngine
+from repro.functions import make_app
+from repro.osproc.memory import PAGE_SIZE, VMAKind
+from repro.runtime.base import Request
+
+KEY = SnapshotKey("fn", "jvm", "after-ready")
+
+
+def dump_process(kernel, mib=1.0, tag="h", warm=False):
+    proc = kernel.clone(kernel.init_process, comm="subject")
+    proc.address_space.grow_anon("heap", mib, content_tag=tag)
+    return CheckpointEngine(kernel).dump(proc, leave_running=False, warm=warm)
+
+
+def vma_pages(image):
+    return [(v.resident_indices.tolist(), tuple(v.content_tags))
+            for v in image.vmas]
+
+
+def stored(kernel, mib=1.0, tag="h", warm=False):
+    store = SnapshotStore()
+    image = dump_process(kernel, mib, tag=tag, warm=warm)
+    store.put(KEY, image)
+    return store, image
+
+
+class TestMaterialize:
+    def test_keeps_the_identity_fields(self, kernel):
+        store, image = stored(kernel, 2.0, warm=True)
+        pulled = store.materialize(KEY)
+        assert pulled.image_id == image.image_id
+        assert pulled.pid == image.pid
+        assert pulled.comm == image.comm
+        assert pulled.argv == image.argv
+        assert pulled.created_at_ms == image.created_at_ms
+        assert pulled.namespace_ids == image.namespace_ids
+        assert pulled.parent_image_id == image.parent_image_id
+        assert pulled.warm is True
+        assert pulled.digest == image.digest
+        assert pulled.meta_digest == image.meta_digest
+
+    def test_keeps_sizes_and_vma_layout(self, kernel):
+        store, image = stored(kernel, 2.0)
+        pulled = store.materialize(KEY)
+        assert pulled.resident_pages == image.resident_pages
+        assert pulled.total_bytes == image.total_bytes
+        assert [v.label for v in pulled.vmas] == [v.label for v in image.vmas]
+        assert [v.kind for v in pulled.vmas] == [v.kind for v in image.vmas]
+
+    def test_preserves_page_tags(self, kernel):
+        store, image = stored(kernel, 0.5)
+        assert vma_pages(store.materialize(KEY)) == vma_pages(image)
+
+    def test_verifies_against_the_sealed_digest(self, kernel):
+        store, image = stored(kernel, 1.0)
+        pulled = store.materialize(KEY)
+        assert pulled.compute_digest() == image.digest
+        pulled.verify_integrity()
+
+    def test_keeps_the_runtime_state(self, kernel):
+        store = SnapshotStore()
+        report = Prebaker(kernel, store).bake(make_app("synthetic-small"),
+                                              policy=AfterWarmup(1))
+        state = store.materialize(report.key).runtime_state
+        assert state["kind"] == "jvm"
+        assert state["ready"] is True
+        assert state["app"].name == "synthetic-small"
+        assert len(state["extra"]["loaded_class_names"]) == 374
+
+    def test_pulled_image_restores_and_serves(self, kernel):
+        store = SnapshotStore()
+        report = Prebaker(kernel, store).bake(make_app("markdown"),
+                                              policy=AfterWarmup(1))
+        pulled = store.materialize(report.key)
+        proc = RestoreEngine(kernel).restore(pulled)
+        runtime = proc.payload["runtime"]
+        assert runtime.ready
+        response = runtime.handle(Request(body="# pulled"))
+        assert "<h1>pulled</h1>" in response.body
+
+    def test_warm_delta_image_rebuilds_exactly(self, kernel):
+        store = SnapshotStore()
+        prebaker = Prebaker(kernel, store)
+        app = make_app("markdown")
+        prebaker.bake(app, policy=AfterReady())
+        warm = prebaker.bake(app, policy=AfterWarmup(1))
+        pulled = store.materialize(warm.key)
+        assert vma_pages(pulled) == vma_pages(warm.image)
+        pulled.verify_integrity()
+
+    def test_returns_a_fresh_image(self, kernel):
+        store, image = stored(kernel, 1.0)
+        pulled = store.materialize(KEY)
+        assert pulled is not image
+        pulled.vmas.clear()
+        assert store.peek(KEY) is image
+        assert vma_pages(store.materialize(KEY)) == vma_pages(image)
+
+    def test_does_not_count_a_restore(self, kernel):
+        store, _ = stored(kernel, 1.0)
+        store.materialize(KEY)
+        assert store.restore_count(KEY) == 0
+
+    def test_after_replace_pulls_the_new_image(self, kernel):
+        store, _ = stored(kernel, 1.0, tag="v1")
+        newer = dump_process(kernel, 2.0, tag="v2")
+        store.put(KEY, newer)
+        pulled = store.materialize(KEY)
+        assert pulled.image_id == newer.image_id
+        assert vma_pages(pulled) == vma_pages(newer)
+
+    def test_recovers_pages_a_tamper_changed(self, kernel):
+        store = SnapshotStore()
+        report = Prebaker(kernel, store).bake(make_app("noop"),
+                                              policy=AfterReady())
+        clean = vma_pages(report.image)
+        store.peek(report.key).tamper(pages=3)
+        assert vma_pages(store.peek(report.key)) != clean
+        pulled = store.materialize(report.key)
+        assert vma_pages(pulled) == clean
+        pulled.verify_integrity()
+
+    def test_missing_key_raises(self):
+        with pytest.raises(SnapshotNotFound):
+            SnapshotStore().materialize(KEY)
+
+    def test_deleted_key_raises(self, kernel):
+        store, _ = stored(kernel, 1.0)
+        store.delete(KEY)
+        with pytest.raises(SnapshotNotFound):
+            store.materialize(KEY)
+
+    def test_quarantined_key_raises(self, kernel):
+        store, _ = stored(kernel, 1.0)
+        store.quarantine(KEY)
+        with pytest.raises(SnapshotNotFound):
+            store.materialize(KEY)
+
+    def test_uniform_pages_share_chunks(self, kernel):
+        """A 50 MiB heap of one tag is stored as a few chunks, not per page."""
+        store, image = stored(kernel, 50.0)
+        assert image.resident_pages >= 50 * 256
+        assert store.physical_bytes * 100 < store.logical_bytes
+        assert vma_pages(store.materialize(KEY)) == vma_pages(image)
+
+    @given(layouts=st.lists(st.lists(
+        st.tuples(st.integers(1, 32), st.integers(0, 32)),
+        min_size=1, max_size=4,
+    ), min_size=2, max_size=3), seed=st.integers(0, 1000))
+    @settings(max_examples=30, deadline=None)
+    def test_shared_chunks_never_mix_images(self, layouts, seed):
+        """Images whose pages share tags share chunks, yet each pulls
+        back exactly the VMAs that were put in."""
+        kernel = make_world(seed=seed).kernel
+        store = SnapshotStore()
+        images = {}
+        for n, layout in enumerate(layouts):
+            proc = kernel.clone(kernel.init_process)
+            for i, (pages, resident) in enumerate(layout):
+                vma = proc.address_space.mmap(pages * PAGE_SIZE, VMAKind.ANON,
+                                              label=f"v{i}")
+                vma.touch_range(0, min(resident, pages),
+                                content_tag=f"t{i % 3}")
+            key = SnapshotKey(f"fn{n}", "jvm", "after-ready")
+            images[key] = CheckpointEngine(kernel).dump(proc,
+                                                        leave_running=False)
+            store.put(key, images[key])
+        for key, image in images.items():
+            pulled = store.materialize(key)
+            assert pulled.resident_pages == image.resident_pages
+            assert pulled.vmas == image.vmas
+
+
+class TestInventory:
+    def test_contains_follows_put_and_delete(self, kernel):
+        store = SnapshotStore()
+        assert not store.contains(KEY)
+        store.put(KEY, dump_process(kernel))
+        assert store.contains(KEY)
+        store.delete(KEY)
+        assert not store.contains(KEY)
+
+    def test_delete_missing_raises(self):
+        with pytest.raises(SnapshotNotFound):
+            SnapshotStore().delete(KEY)
+
+    def test_delete_drops_layers_and_merkle(self, kernel):
+        store, _ = stored(kernel, 1.0)
+        assert store.layered(KEY) is not None
+        assert store.merkle(KEY) is not None
+        store.delete(KEY)
+        assert store.layered(KEY) is None
+        assert store.merkle(KEY) is None
+
+    def test_quarantine_missing_key_is_tolerated(self):
+        store = SnapshotStore()
+        assert store.quarantine(KEY) is False
+        assert store.quarantined_count == 0
+
+    def test_restore_count_of_a_missing_key_is_zero(self):
+        assert SnapshotStore().restore_count(KEY) == 0
+
+    def test_total_mib_is_total_bytes_in_mib(self, kernel):
+        store, image = stored(kernel, 2.0)
+        assert store.total_mib == pytest.approx(image.total_bytes / 2 ** 20)
+
+    def test_empty_store_dedup_ratio_is_one(self):
+        store = SnapshotStore()
+        assert store.physical_bytes == store.logical_bytes == 0
+        assert store.dedup_ratio == 1.0
+
+    def test_logical_bytes_count_every_copy(self, kernel):
+        store = SnapshotStore()
+        store.put(KEY, dump_process(kernel, 1.0, tag="same"))
+        once = store.physical_bytes
+        other = SnapshotKey("other", "jvm", "after-ready")
+        store.put(other, dump_process(kernel, 1.0, tag="same"))
+        assert store.physical_bytes == once
+        assert store.logical_bytes == 2 * store.peek(KEY).pages_bytes
+        assert store.dedup_ratio == pytest.approx(
+            store.logical_bytes / store.physical_bytes)
+
+    def test_repair_missing_key_returns_zero(self, kernel):
+        store = SnapshotStore()
+        store.last_repair_stats = RepairStats(repaired_chunks=9)
+        assert store.repair(KEY) == 0
+        assert store.last_repair_stats == RepairStats()
+
+    def test_prebake_starter_restores_from_the_store(self, kernel):
+        store = SnapshotStore()
+        app = make_app("noop")
+        report = Prebaker(kernel, store).bake(app)
+        handle = PrebakeStarter(kernel, store).start(app)
+        assert handle.runtime.ready
+        assert store.restore_count(report.key) == 1
+
+    def test_the_manager_builds_one_snapshot_store(self, manager):
+        app = make_app("noop")
+        report = manager.deploy(app)
+        assert type(manager.store) is SnapshotStore
+        assert manager.prebaker.store is manager.store
+        assert manager.store.keys() == [report.key]
