@@ -13,7 +13,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -126,6 +126,76 @@ def _encode_items(items, depth: int, out) -> None:
     out("]")
 
 
+# Resident indices at or past this are encoded item by item, so one
+# sparse page at a high index cannot grow the shared decimal text. The
+# largest VMA the perfbench workloads map is 160 MiB (40,960 pages),
+# so every index they can dump is below it; the largest dumped is 17,432.
+_DECIMAL_LIMIT = 1 << 16
+
+
+class _DecimalText:
+    """The JSON list items of 0, 1, 2, ...: ``b"0, 1, 2, "`` and on.
+
+    A pure function of the integers, grown to the largest index yet
+    asked of it and only ever appended to, like the generated class
+    names of :mod:`repro.runtime.classes`. ``offsets[i]`` is where the
+    item of ``i`` starts, so a run of consecutive indices is one slice.
+    """
+
+    __slots__ = ("text", "offsets")
+
+    def __init__(self) -> None:
+        self.text = bytearray()
+        self.offsets = np.zeros(1, dtype=np.int64)
+
+    def runs(self, firsts: np.ndarray, lasts: np.ndarray) -> List[bytearray]:
+        """The text of each run ``firsts[i] .. lasts[i]`` (ascending, < limit)."""
+        count = len(self.offsets) - 1
+        top = int(lasts[-1]) + 1
+        if top > count:
+            items = [f"{i}, " for i in range(count, top)]
+            self.text += "".join(items).encode("ascii")
+            lengths = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
+            self.offsets = np.concatenate(
+                (self.offsets, self.offsets[-1] + np.cumsum(lengths)))
+        text, offsets = self.text, self.offsets
+        return [text[lo:hi] for lo, hi in zip(offsets[firsts].tolist(),
+                                              (offsets[lasts + 1] - 2).tolist())]
+
+
+_DECIMALS = _DecimalText()
+
+
+def _runs(values: np.ndarray) -> List[Tuple[int, int]]:
+    """``(lo, hi)`` bounds of each run of equal neighbours in ``values``."""
+    if not len(values):
+        return []
+    bounds = [0, *(np.flatnonzero(np.diff(values)) + 1).tolist(), len(values)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _index_text(indices: np.ndarray,
+                runs: Optional[Tuple[np.ndarray, np.ndarray]]) -> bytes:
+    """``_dumps(indices.tolist())``, one slice per run of consecutive indices.
+
+    ``runs`` is :attr:`VMADescriptor.index_runs`. Indices that are
+    empty, negative, not ascending or past the decimal limit take
+    ``_dumps``.
+    """
+    if runs is None or indices[0] < 0 or indices[-1] >= _DECIMAL_LIMIT:
+        return _dumps(indices.tolist()).encode("utf-8")
+    return b"".join((b"[", b", ".join(_DECIMALS.runs(*runs)), b"]"))
+
+
+def _tags_text(tags: Tuple[str, ...], runs: List[Tuple[int, int]]) -> bytes:
+    """``_dumps(tags)``, each tag encoded once per run (:attr:`VMADescriptor.tag_runs`)."""
+    if not tags:
+        return b"[]"
+    text = b"".join([(_encode_str(tags[lo]) + ", ").encode("ascii") * (hi - lo)
+                     for lo, hi in runs])
+    return b"".join((b"[", memoryview(text)[:-2], b"]"))
+
+
 @dataclass(frozen=True, eq=False)
 class VMADescriptor:
     """Serialized form of one VMA.
@@ -175,16 +245,22 @@ class VMADescriptor:
         """This VMA's JSON as :meth:`CheckpointImage.compute_digest` hashes it.
 
         The JSON list of :attr:`meta_canonical` with the content tags
-        appended, so the resident indices are encoded once.
+        appended, so the resident indices are encoded once. The tags
+        are encoded once per run of :attr:`tag_runs`.
         """
         return b"".join((self.meta_canonical[:-1], b", ",
-                         _dumps(self.content_tags).encode("utf-8"), b"]"))
+                         _tags_text(self.content_tags, self.tag_runs), b"]"))
 
     @functools.cached_property
     def meta_canonical(self) -> bytes:
-        """:attr:`canonical` without the page content tags (the meta digest's view)."""
-        return _dumps(self._fields()
-                      + [self.resident_indices.tolist()]).encode("utf-8")
+        """:attr:`canonical` without the page content tags (the meta digest's view).
+
+        Each run of consecutive resident indices is one slice of the
+        shared decimal text (see :func:`_index_text`).
+        """
+        fields = _dumps(self._fields()).encode("utf-8")
+        return b"".join((fields[:-1], b", ",
+                         _index_text(self.resident_indices, self.index_runs), b"]"))
 
     @functools.cached_property
     def tag_ids(self) -> np.ndarray:
@@ -195,6 +271,26 @@ class VMADescriptor:
         ids = TAGS.intern_many(self.content_tags)
         ids.setflags(write=False)
         return ids
+
+    @functools.cached_property
+    def tag_runs(self) -> List[Tuple[int, int]]:
+        """``(lo, hi)`` position bounds of each run of equal :attr:`tag_ids`."""
+        return _runs(self.tag_ids)
+
+    @functools.cached_property
+    def index_runs(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """First and last index of each run of consecutive resident indices.
+
+        None unless the indices strictly ascend (every step is 1 except
+        at a cut, so they do unless a cut's step does not).
+        """
+        indices = self.resident_indices
+        steps = np.diff(indices)
+        cuts = np.flatnonzero(steps != 1)
+        if not len(indices) or (cuts.size and steps[cuts].min() <= 0):
+            return None
+        return (indices[np.concatenate(([0], cuts + 1))],
+                indices[np.append(cuts, len(indices) - 1)])
 
     def _fields(self) -> list:
         return [self.start, self.length, self.kind, self.prot, self.label,
@@ -209,12 +305,18 @@ class VMADescriptor:
         ``tag_ids`` (int32 :data:`TAGS` ids) seeds :attr:`tag_ids`, which
         is exactly what the content tags would derive: the bake reuses
         the dump's arrays instead of rebuilding them. Both arrays are
-        made read-only.
+        made read-only. The content tags repeat one interned tag per
+        run of equal ids.
         """
+        tags, runs = TAGS.tag, _runs(tag_ids)
+        content_tags: List[str] = []
+        for lo, hi in runs:
+            content_tags += [tags(tag_ids[lo])] * (hi - lo)
         desc = cls(resident_indices=index_array,
-                   content_tags=tuple(TAGS.tags_of(tag_ids)), **fields)
+                   content_tags=tuple(content_tags), **fields)
         tag_ids.setflags(write=False)
         desc.__dict__["tag_ids"] = tag_ids
+        desc.__dict__["tag_runs"] = runs
         return desc
 
 
@@ -304,7 +406,7 @@ class CheckpointImage:
         file sizes — any bit rot in those shows up as a mismatch
         against the sealed :attr:`digest`.
         """
-        return self._digest(meta=False)
+        return self._finish_digest(self._prefix_hash(), meta=False)
 
     def compute_meta_digest(self) -> str:
         """SHA-256 over everything a restore consumes *except* pages.
@@ -315,16 +417,16 @@ class CheckpointImage:
         re-hashing any page content — the incremental verification the
         targeted repair path relies on.
         """
-        return self._digest(meta=True)
+        return self._finish_digest(self._prefix_hash(), meta=True)
 
-    def _digest(self, meta: bool) -> str:
-        """Hash the canonical JSON of the image's restore-relevant fields.
+    # Both digests hash the canonical JSON of one object with sorted
+    # keys, streamed in key order: the small mutable header and the
+    # runtime state (the prefix the two share), each VMA's cached
+    # canonical fragment, then ``warm``. Every byte is hashed on every
+    # call; only immutable values' encodings are reused.
 
-        The bytes are those of one JSON object with sorted keys, streamed
-        in key order: the small mutable header, the runtime state, each
-        VMA's cached canonical fragment, then ``warm``. Every byte is
-        hashed on every call; only immutable values' encodings are reused.
-        """
+    def _prefix_hash(self) -> "hashlib._Hash":
+        """The hash state after the header, the runtime state and ``"vmas": [``."""
         header = json.dumps({
             "argv": self.argv,
             "comm": self.comm,
@@ -338,6 +440,10 @@ class CheckpointImage:
         sha.update(b', "runtime_state": ')
         sha.update(canonical_json(self.runtime_state).encode("utf-8"))
         sha.update(b', "vmas": [')
+        return sha
+
+    def _finish_digest(self, sha: "hashlib._Hash", meta: bool) -> str:
+        """Hash the VMAs (with or without their tags) and ``warm`` into ``sha``."""
         for i, vma in enumerate(self.vmas):
             if i:
                 sha.update(b", ")
@@ -346,9 +452,14 @@ class CheckpointImage:
         return sha.hexdigest()
 
     def seal(self) -> str:
-        """Record the content digests (done once, at dump time)."""
-        self.digest = self.compute_digest()
-        self.meta_digest = self.compute_meta_digest()
+        """Record the content digests (done once, at dump time).
+
+        The two digests share their prefix, which is hashed once.
+        """
+        sha = self._prefix_hash()
+        meta = sha.copy()
+        self.digest = self._finish_digest(sha, meta=False)
+        self.meta_digest = self._finish_digest(meta, meta=True)
         return self.digest
 
     def verify_integrity(self) -> None:

@@ -323,7 +323,8 @@ def image_windows(
     heap window, or the runtime text every function maps, is formatted
     and hashed once per store. The key is exact: a chunk id is a pure
     function of the prefix, the relative indices and the tags, and an
-    interned tag id never changes meaning.
+    interned tag id never changes meaning. A run of full windows that
+    all hold one tag shares one key, so it is looked up once per run.
     """
     generation = getattr(image, "generation", 0)
     cached = image.__dict__.get("_window_cache")
@@ -338,26 +339,47 @@ def image_windows(
         if count == 0:
             continue
         ids = vma.tag_ids
-        starts = (indices // chunk_pages) * chunk_pages
-        rel = indices - starts
-        # Window boundaries: positions where the chunk-aligned start
-        # changes (resident indices are ascending within a descriptor).
-        bounds = (np.nonzero(np.diff(starts))[0] + 1).tolist()
-        bounds.append(count)
-        starts_list = starts.tolist()
+        # A window ends wherever the chunk changes.
+        his = np.append(np.flatnonzero(np.diff(indices // chunk_pages)) + 1, count)
+        los = np.concatenate(([0], his[:-1]))
+        heads = _distinct_windows(vma, los, his, chunk_pages)
+        window_starts = ((indices[los] // chunk_pages) * chunk_pages).tolist()
+        los_list, his_list = los.tolist(), his.tolist()
         prefix = f"{vma.kind}|{vma.prot}"
-        lo = 0
-        for hi in bounds:
-            key = (prefix, rel[lo:hi].tobytes(), ids[lo:hi].tobytes())
+        for first, end in zip(heads, heads[1:]):
+            lo, hi = los_list[first], his_list[first]
+            rel = indices[lo:hi] - window_starts[first]
+            key = (prefix, rel.tobytes(), ids[lo:hi].tobytes())
             content = memo.get(key)
             if content is None:
-                content = memo[key] = _window_content(
-                    prefix, rel[lo:hi], ids[lo:hi])
-            out.append((vma_index, starts_list[lo]) + content)
-            lo = hi
+                content = memo[key] = _window_content(prefix, rel, ids[lo:hi])
+            pairs, cid = content
+            out.extend(zip(itertools.repeat(vma_index), window_starts[first:end],
+                           itertools.repeat(pairs), itertools.repeat(cid)))
     result = tuple(out)
     image.__dict__["_window_cache"] = ((generation, chunk_pages), result)
     return result
+
+
+def _distinct_windows(vma: VMADescriptor, los: np.ndarray, his: np.ndarray,
+                      chunk_pages: int) -> List[int]:
+    """Window numbers that start a run of equal windows, then the window count.
+
+    A window equals its predecessor when both are full (pages 0 ..
+    ``chunk_pages - 1``, given ascending indices) and lie in one run
+    of equal tag ids; any other window starts a new run.
+    """
+    count = len(los)
+    if vma.index_runs is None or count == 1:
+        return list(range(count + 1))
+    full = his - los == chunk_pages
+    repeats = full[1:] & full[:-1]
+    tag_runs = vma.tag_runs
+    if len(tag_runs) > 1:
+        tag_los = np.array([lo for lo, _ in tag_runs])
+        repeats &= (np.searchsorted(tag_los, los[:-1], side="right")
+                    == np.searchsorted(tag_los, his[1:] - 1, side="right"))
+    return [0, *(np.flatnonzero(~repeats) + 1).tolist(), count]
 
 
 def _window_content(prefix: str, rel: np.ndarray,

@@ -23,8 +23,7 @@ class VirtualFile:
 
     path: str
     size: int = 0
-    is_socket: bool = False
-    is_pipe: bool = False
+    is_socket: bool = False  # a runtime's listening socket; restore re-marks it
 
 
 @dataclass
@@ -43,12 +42,10 @@ class FileSystem:
     def __init__(self) -> None:
         self._files: Dict[str, VirtualFile] = {}
 
-    def create(self, path: str, size: int = 0, is_socket: bool = False,
-               is_pipe: bool = False) -> VirtualFile:
+    def create(self, path: str, size: int = 0) -> VirtualFile:
         if path in self._files:
             raise FileSystemError(f"path already exists: {path}")
-        f = VirtualFile(path=path, size=size, is_socket=is_socket,
-                        is_pipe=is_pipe)
+        f = VirtualFile(path=path, size=size)
         self._files[path] = f
         return f
 

@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro import make_world
+from repro.core.bake import Prebaker
+from repro.core.policy import AfterReady
+from repro.criu.restore import RestoreEngine
+from repro.functions import make_app
 from repro.osproc.filesystem import FileSystem, FileSystemError, PageCache, VirtualFile
 
 
@@ -35,14 +40,19 @@ class TestFileSystem:
         assert fs.lookup("/new") is f
         assert f.size == 42
 
-    def test_socket_and_pipe_flags(self):
-        fs = FileSystem()
-        sock = fs.create("/run/sock", is_socket=True)
-        pipe = fs.create("/run/pipe", is_pipe=True)
-        plain = fs.create("/run/file")
-        assert (sock.is_socket, sock.is_pipe) == (True, False)
-        assert (pipe.is_socket, pipe.is_pipe) == (False, True)
-        assert (plain.is_socket, plain.is_pipe) == (False, False)
+    def test_baked_image_holds_one_socket_and_restore_reopens_it(self):
+        # The runtime marks its listening socket; the image records the
+        # flag and a restore in a world without that file marks it again.
+        world = make_world(seed=1)
+        image = Prebaker(world.kernel).bake(make_app("noop"), policy=AfterReady()).image
+        sockets = [f for f in image.fds if f.is_socket]
+        assert len(sockets) == 1
+        fresh = make_world(seed=2)
+        assert not fresh.kernel.fs.exists(sockets[0].path)
+        proc = RestoreEngine(fresh.kernel).restore(image)
+        reopened = {d.file.path: d.file.is_socket for d in proc.open_files()}
+        assert reopened == {f.path: f.is_socket for f in image.fds}
+        assert fresh.kernel.fs.lookup(sockets[0].path).is_socket
 
 
 class TestPageCache:
