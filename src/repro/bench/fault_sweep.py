@@ -73,7 +73,6 @@ COUNTERS = {
     "reaped": ("deployer_reaped_total", "pool_reaped_total"),
     "degraded": ("restore_degraded_total",),
     "hops": ("shard_fetch_retry_hops_total",),
-    "read-repair": ("shard_read_repair_total",),
     "breaker": ("shard_breaker_open_total",),
 }
 
@@ -360,7 +359,7 @@ def _chaos_body(result: SweepResult) -> str:
 
 
 def _shard_chaos_body(result: SweepResult) -> str:
-    counters = ["degraded", "fallback", "hops", "read-repair", "breaker"]
+    counters = ["degraded", "fallback", "hops", "breaker"]
 
     def clean_p99(rf: int) -> float:  # the RF's lowest-pressure cell
         return min((r for r in result.cells

@@ -12,11 +12,7 @@ from typing import Callable, Optional
 
 from repro import faults, obs
 from repro.obs.log import get_logger
-from repro.obs.profile import (
-    RESTORE_BACKOFF,
-    RESTORE_REPAIR,
-    RESTORE_SUBTREE_VERIFY,
-)
+from repro.obs.profile import RESTORE_BACKOFF, RESTORE_REPAIR
 from repro.core.policy import AfterReady, SnapshotPolicy
 from repro.core.store import SnapshotKey, SnapshotNotFound, SnapshotStore
 from repro.criu.images import CheckpointImage
@@ -300,33 +296,13 @@ class PrebakeStarter(Starter):
         image = self.store.peek(key)
         if image is None:
             return False
-        stats = self.store.last_repair_stats
-        if stats.targeted and stats.verified_ok is not None:
-            # Incremental verification: the repaired leaves were folded
-            # back into the sealed Merkle tree and the root + meta
-            # digest re-checked — no full-image re-hash needed. The
-            # charge is zero-duration (registry-side work is free on
-            # the simulated clock) but keeps the subtree verify and
-            # its hash-op count on the critical-path ledger.
-            kernel.probes.charge(RESTORE_SUBTREE_VERIFY, None,
-                                 kernel.clock.now, 0.0,
-                                 chunks=stats.checked_chunks,
-                                 hash_ops=stats.hash_ops,
-                                 function=key.function)
-            obs.count(kernel, "snapshot_subtree_verify_total", labels=labels)
-            if not stats.verified_ok:
-                # The subtree folded back to a different root: the
-                # damage exceeds what the chunk store can reproduce;
-                # fall through to quarantine + rebake.
-                return False
-        else:
-            try:
-                image.verify_integrity()
-            except SnapshotCorrupted:
-                # The chunk store could not reproduce the sealed content
-                # (e.g. corruption predating the manifest); fall through
-                # to quarantine + rebake.
-                return False
+        try:
+            image.verify_integrity()
+        except SnapshotCorrupted:
+            # The chunk store could not reproduce the sealed content
+            # (e.g. corruption predating the manifest); fall through
+            # to quarantine + rebake.
+            return False
         obs.record(kernel, obs.flight.SNAPSHOT_REPAIRED,
                    function=key.function, chunks=repaired_chunks)
         obs.count(kernel, "prebake_snapshot_repaired_total", labels=labels)

@@ -12,21 +12,21 @@ so the registry's *physical* footprint grows sublinearly in function
 count when functions share a runtime base — ``logical_bytes`` is what
 monolithic storage would hold, ``physical_bytes`` what the chunk store
 actually holds, and ``dedup_ratio`` their quotient. The chunk payloads
-double as parity data: :meth:`repair` rewrites corrupted pages of an
-active image from the store instead of forcing a full rebake.
+double as parity data: :meth:`repair` compares every window of an
+active image with its chunks and rewrites corrupted pages from the
+store instead of forcing a full rebake; the caller then re-checks the
+image's one sealed digest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.criu.images import CheckpointImage, build_image_files
-from repro.criu.merkle import ImageMerkle
 from repro.criu.pagestore import (
     LayeredImage,
     PageStore,
-    chunk_id as compute_chunk_id,
     layer_image,
     rebuild_vma_pages,
 )
@@ -57,26 +57,6 @@ class StoredSnapshot:
     restore_count: int = 0
 
 
-@dataclass
-class RepairStats:
-    """Accounting of one :meth:`SnapshotStore.repair` run.
-
-    ``targeted`` is True when the Merkle-guided path ran (only the
-    damaged subtrees were checked and re-verified); ``verified_ok``
-    reports the incremental verification outcome — sealed Merkle root
-    plus meta digest both matching — or ``None`` when the full-scan
-    fallback ran and the caller must re-verify the whole image.
-    ``hash_ops`` counts the Merkle combines spent, the currency the
-    sublinear-repair property is asserted in.
-    """
-
-    repaired_chunks: int = 0
-    checked_chunks: int = 0
-    hash_ops: int = 0
-    targeted: bool = False
-    verified_ok: Optional[bool] = None
-
-
 class SnapshotStore:
     """In-memory snapshot registry with content-addressed accounting."""
 
@@ -85,21 +65,14 @@ class SnapshotStore:
         self._quarantined: List[StoredSnapshot] = []
         self.pages = page_store if page_store is not None else PageStore()
         self._layered: Dict[SnapshotKey, LayeredImage] = {}
-        self._merkle: Dict[SnapshotKey, ImageMerkle] = {}
-        self.last_repair_stats = RepairStats()
 
     def put(self, key: SnapshotKey, image: CheckpointImage, now_ms: float = 0.0) -> None:
         """Store (or replace — new function version) a snapshot."""
         image.validate()
         self._release_layers(key)
         self._snapshots[key] = StoredSnapshot(key=key, image=image, stored_at_ms=now_ms)
-        layered = layer_image(image, self.pages,
-                              base=self._delta_base(key, image))
-        self._layered[key] = layered
-        # Seal the layer manifest in a Merkle tree at the moment the
-        # registry trusts the content; repairs re-verify against it
-        # without re-hashing undamaged chunks.
-        self._merkle[key] = ImageMerkle.from_layered(layered)
+        self._layered[key] = layer_image(image, self.pages,
+                                         base=self._delta_base(key, image))
 
     def get(self, key: SnapshotKey) -> CheckpointImage:
         entry = self._snapshots.get(key)
@@ -167,10 +140,6 @@ class SnapshotStore:
         """The layer manifest of an active snapshot (None if absent)."""
         return self._layered.get(key)
 
-    def merkle(self, key: SnapshotKey) -> Optional[ImageMerkle]:
-        """The sealed Merkle trees of an active snapshot (None if absent)."""
-        return self._merkle.get(key)
-
     @property
     def logical_bytes(self) -> int:
         """Page bytes as monolithic storage would hold them."""
@@ -220,7 +189,6 @@ class SnapshotStore:
             parent_image_id=source.parent_image_id,
             warm=source.warm,
             digest=source.digest,
-            meta_digest=source.meta_digest,
         )
         build_image_files(image)
         return image
@@ -233,100 +201,15 @@ class SnapshotStore:
         chunk window whose current page content drifted from the store
         is rewritten in place. Returns the number of chunks repaired —
         0 means nothing differed (the corruption lies outside the page
-        data and only quarantine + rebake can recover).
-
-        When the image carries damage hints (``dirty_pages`` from
-        fault injection) and a sealed Merkle tree exists, only the
-        damaged chunk windows are checked and re-verified — repaired
-        leaf digests fold back into the tree along their ancestor
-        paths and the new root is compared against the sealed one, so
-        the cost is O(damage × tree depth) hash operations instead of
-        a full-image re-hash. :attr:`last_repair_stats` records which
-        path ran and whether incremental verification already proved
-        the repair (callers can then skip the flat digest pass).
+        data and only quarantine + rebake can recover). Every window of
+        the manifest is compared, so no record of where the damage
+        landed is needed; the caller re-verifies the sealed digest.
         """
         entry = self._snapshots.get(key)
         layered = self._layered.get(key)
         if entry is None or layered is None:
-            self.last_repair_stats = RepairStats()
             return 0
         image = entry.image
-        merkle = self._merkle.get(key)
-        if merkle is not None and image.dirty_pages and not image.dirty_meta:
-            stats = self._repair_targeted(image, layered, merkle)
-            if stats is not None:
-                self.last_repair_stats = stats
-                return stats.repaired_chunks
-        repaired_chunks = self._repair_full_scan(image, layered)
-        self.last_repair_stats = RepairStats(
-            repaired_chunks=repaired_chunks,
-            checked_chunks=len(layered.chunk_refs),
-            targeted=False,
-        )
-        return repaired_chunks
-
-    def _repair_targeted(self, image: CheckpointImage, layered: LayeredImage,
-                         merkle: ImageMerkle) -> Optional[RepairStats]:
-        """Merkle-guided repair of just the damaged chunk windows.
-
-        Returns None when any damage hint falls outside the sealed
-        manifest (e.g. pages resident only after the dump) — the
-        caller falls back to the full scan.
-        """
-        chunk_pages = self.pages.chunk_pages
-        damaged: Dict[Tuple[int, int], object] = {}
-        for vma_index, page_index in sorted(image.dirty_pages):
-            window_start = (page_index // chunk_pages) * chunk_pages
-            ref = layered.ref_at(vma_index, window_start)
-            if ref is None:
-                return None
-            damaged[(vma_index, window_start)] = ref
-        repaired_chunks = 0
-        hash_ops = 0
-        for (vma_index, window_start), ref in damaged.items():
-            chunk = self.pages.chunk(ref.chunk_id)
-            vma = image.vmas[vma_index]
-            pages = dict(zip(vma.resident_indices.tolist(), vma.content_tags))
-            if all(pages.get(window_start + rel) == tag
-                   for rel, tag in chunk.pairs):
-                continue
-            repaired_chunks += 1
-            for rel, tag in chunk.pairs:
-                pages[window_start + rel] = tag
-            ordered = sorted(pages.items())
-            image.vmas[vma_index] = replace(
-                vma,
-                resident_indices=tuple(i for i, _ in ordered),
-                content_tags=tuple(t for _, t in ordered),
-            )
-            # Fold the repaired window back into the tree: the digest
-            # is recomputed from the *rewritten image pages* (not the
-            # store chunk), so a botched rewrite cannot verify.
-            window_pairs = [
-                (i - window_start, t) for i, t in ordered
-                if window_start <= i < window_start + chunk_pages
-            ]
-            digest = compute_chunk_id(vma.kind, vma.prot, window_pairs)
-            hash_ops += merkle.reverify_subtree(vma_index, window_start, digest)
-        if repaired_chunks == 0:
-            return RepairStats(checked_chunks=len(damaged), targeted=True)
-        image.generation += 1
-        verified_ok = merkle.root_matches_seal() and (
-            image.meta_digest is None
-            or image.compute_meta_digest() == image.meta_digest)
-        if verified_ok:
-            image.dirty_pages.clear()
-        return RepairStats(
-            repaired_chunks=repaired_chunks,
-            checked_chunks=len(damaged),
-            hash_ops=hash_ops,
-            targeted=True,
-            verified_ok=verified_ok,
-        )
-
-    def _repair_full_scan(self, image: CheckpointImage,
-                          layered: LayeredImage) -> int:
-        """Legacy manifest-wide repair (no damage hints available)."""
         current: Dict[int, Dict[int, str]] = {
             i: dict(zip(vma.resident_indices.tolist(), vma.content_tags))
             for i, vma in enumerate(image.vmas)
@@ -348,13 +231,11 @@ class SnapshotStore:
                 image.vmas[i] = replace(vma, resident_indices=indices,
                                         content_tags=tags)
         image.generation += 1
-        image.dirty_pages.clear()
         return repaired_chunks
 
     # -- internals ---------------------------------------------------------------
 
     def _release_layers(self, key: SnapshotKey) -> None:
-        self._merkle.pop(key, None)
         layered = self._layered.pop(key, None)
         if layered is None:
             return

@@ -244,23 +244,15 @@ class VMADescriptor:
     def canonical(self) -> bytes:
         """This VMA's JSON as :meth:`CheckpointImage.compute_digest` hashes it.
 
-        The JSON list of :attr:`meta_canonical` with the content tags
-        appended, so the resident indices are encoded once. The tags
-        are encoded once per run of :attr:`tag_runs`.
-        """
-        return b"".join((self.meta_canonical[:-1], b", ",
-                         _tags_text(self.content_tags, self.tag_runs), b"]"))
-
-    @functools.cached_property
-    def meta_canonical(self) -> bytes:
-        """:attr:`canonical` without the page content tags (the meta digest's view).
-
         Each run of consecutive resident indices is one slice of the
-        shared decimal text (see :func:`_index_text`).
+        shared decimal text (see :func:`_index_text`), and the content
+        tags are encoded once per run of :attr:`tag_runs`.
         """
         fields = _dumps(self._fields()).encode("utf-8")
         return b"".join((fields[:-1], b", ",
-                         _index_text(self.resident_indices, self.index_runs), b"]"))
+                         _index_text(self.resident_indices, self.index_runs),
+                         b", ", _tags_text(self.content_tags, self.tag_runs),
+                         b"]"))
 
     @functools.cached_property
     def tag_ids(self) -> np.ndarray:
@@ -358,17 +350,9 @@ class CheckpointImage:
     parent_image_id: Optional[str] = None  # set for incremental pre-dumps
     warm: bool = False  # snapshot taken after >= 1 request (prebake-warmup)
     digest: Optional[str] = None  # content digest sealed at dump time
-    meta_digest: Optional[str] = None  # digest of the non-page fields (sealed)
     # Mutation bookkeeping: bumped on any in-place content change so
     # memoized derived data (chunk indexes) invalidates itself.
     generation: int = 0
-    # Damage hints recorded by tamper(): (vma_index, absolute page
-    # index) per corrupted page, plus whether non-page metadata was
-    # hit. A Merkle-verified repair re-checks only these subtrees; an
-    # empty set with a drifted digest means "location unknown" and
-    # callers fall back to a full scan.
-    dirty_pages: set = field(default_factory=set)
-    dirty_meta: bool = False
 
     # -- size accounting ----------------------------------------------------------
 
@@ -405,28 +389,13 @@ class CheckpointImage:
         content tags), the fd table, the runtime state and the image
         file sizes — any bit rot in those shows up as a mismatch
         against the sealed :attr:`digest`.
+
+        The digest hashes the canonical JSON of one object with sorted
+        keys, streamed in key order: the small mutable header, the
+        runtime state, each VMA's cached canonical fragment, then
+        ``warm``. Every byte is hashed on every call; only immutable
+        values' encodings are reused.
         """
-        return self._finish_digest(self._prefix_hash(), meta=False)
-
-    def compute_meta_digest(self) -> str:
-        """SHA-256 over everything a restore consumes *except* pages.
-
-        The complement of the per-chunk Merkle leaves: identity, VMA
-        geometry, fd table, runtime state and file sizes. Together
-        with a matching Merkle root this proves integrity without
-        re-hashing any page content — the incremental verification the
-        targeted repair path relies on.
-        """
-        return self._finish_digest(self._prefix_hash(), meta=True)
-
-    # Both digests hash the canonical JSON of one object with sorted
-    # keys, streamed in key order: the small mutable header and the
-    # runtime state (the prefix the two share), each VMA's cached
-    # canonical fragment, then ``warm``. Every byte is hashed on every
-    # call; only immutable values' encodings are reused.
-
-    def _prefix_hash(self) -> "hashlib._Hash":
-        """The hash state after the header, the runtime state and ``"vmas": [``."""
         header = json.dumps({
             "argv": self.argv,
             "comm": self.comm,
@@ -440,26 +409,16 @@ class CheckpointImage:
         sha.update(b', "runtime_state": ')
         sha.update(canonical_json(self.runtime_state).encode("utf-8"))
         sha.update(b', "vmas": [')
-        return sha
-
-    def _finish_digest(self, sha: "hashlib._Hash", meta: bool) -> str:
-        """Hash the VMAs (with or without their tags) and ``warm`` into ``sha``."""
         for i, vma in enumerate(self.vmas):
             if i:
                 sha.update(b", ")
-            sha.update(vma.meta_canonical if meta else vma.canonical)
+            sha.update(vma.canonical)
         sha.update(f'], "warm": {json.dumps(self.warm)}}}'.encode("utf-8"))
         return sha.hexdigest()
 
     def seal(self) -> str:
-        """Record the content digests (done once, at dump time).
-
-        The two digests share their prefix, which is hashed once.
-        """
-        sha = self._prefix_hash()
-        meta = sha.copy()
-        self.digest = self._finish_digest(sha, meta=False)
-        self.meta_digest = self._finish_digest(meta, meta=True)
+        """Record the content digest (done once, at dump time)."""
+        self.digest = self.compute_digest()
         return self.digest
 
     def verify_integrity(self) -> None:
@@ -496,14 +455,9 @@ class CheckpointImage:
                 start = min(first_page, len(tags) - 1)
                 for offset in range(start, min(start + pages, len(tags))):
                     tags[offset] = tags[offset] + "\x00corrupt"
-                    # Record *where* the damage landed (absolute page
-                    # index) so repair can verify just that subtree.
-                    self.dirty_pages.add(
-                        (index, int(vma.resident_indices[offset])))
                 self.vmas[index] = replace(vma, content_tags=tuple(tags))
                 return
         self.comm = self.comm + "\x00corrupt"
-        self.dirty_meta = True
 
     def validate(self) -> None:
         """Internal consistency checks a restore relies on."""

@@ -172,26 +172,12 @@ class LayeredImage:
     def chunk_refs(self) -> List[ChunkRef]:
         return [ref for layer in self.layers for ref in layer.chunk_refs]
 
-    def ref_at(self, vma_index: int, window_start: int) -> Optional[ChunkRef]:
-        """O(1) lookup of the ref covering one chunk window.
-
-        The index is built lazily on first use and reused after — the
-        targeted repair path resolves each dirty page to its chunk
-        window without scanning the manifest.
-        """
-        index = self.__dict__.get("_ref_index")
-        if index is None:
-            index = {(ref.vma_index, ref.window_start): ref
-                     for ref in self.chunk_refs}
-            self.__dict__["_ref_index"] = index
-        return index.get((vma_index, window_start))
-
     @functools.cached_property
     def chunk_runs(self) -> Tuple[ChunkRun, ...]:
         """:func:`chunk_runs` of :attr:`chunk_refs`, computed once.
 
         A layered image is never changed after :func:`layer_image`
-        builds it (the index behind :meth:`ref_at` relies on that too).
+        builds it.
         """
         return chunk_runs((ref.chunk_id, ref.size_bytes)
                           for ref in self.chunk_refs)

@@ -14,11 +14,9 @@ use to keep restores alive through that weather:
   and takes the first success; every failed hop (down node, injected
   partition) is counted and priced through
   :meth:`CostModel.shard_fetch_overhead_ms`;
-* **hinted handoff** — a write whose home node is down lands on the
-  next live ring successor with a hint naming the real home; hints are
-  delivered when the home recovers;
-* **read-repair** — a fetch that observes an up-but-missing replica
-  re-replicates the window on the spot;
+* **direct writes** — a bake writes each window into every home's
+  holdings, up or down: a crash keeps the node's disk, so a home that
+  was down at the write holds the window once it recovers;
 * **circuit breakers** — per-node, open after K consecutive failures,
   half-open probe after a sim-clock cooldown, so a dead node stops
   costing a retry hop on every single window once the breaker learns.
@@ -111,16 +109,14 @@ class StorageNode:
 
     A crash (``store.node_down``) keeps the on-disk chunks — the model
     is a process/VM outage, not disk loss — it just makes them
-    unreachable until ``down_until_ms``. Writes that arrive while the
-    node is down are hinted elsewhere and delivered on recovery.
+    unreachable until ``down_until_ms``. A write that arrives while the
+    node is down lands on that disk too and is served once it is up.
     """
 
     name: str
     up: bool = True
     down_until_ms: float = 0.0
     holdings: Dict[str, int] = field(default_factory=dict)  # cid -> bytes
-    # hints this node carries for down homes: cid -> (home name, bytes)
-    hints: Dict[str, Tuple[str, int]] = field(default_factory=dict)
 
     @property
     def stored_bytes(self) -> int:
@@ -189,7 +185,6 @@ class FetchResult:
     slow_ms: float = 0.0
     available_replicas: int = 0
     degraded: bool = False      # fewer than RF replicas answered healthy
-    read_repaired: int = 0
 
 
 @dataclass
@@ -207,7 +202,6 @@ class DegradedRestoreReport:
     retry_hops: int = 0
     slow_ms: float = 0.0
     extra_ms: float = 0.0           # priced by CostModel (engine fills in)
-    read_repairs: int = 0
     nodes_down: List[str] = field(default_factory=list)
     breakers_open: List[str] = field(default_factory=list)
 
@@ -226,7 +220,6 @@ class DegradedRestoreReport:
             "failed_chunks": len(self.failed_chunks),
             "retry_hops": self.retry_hops,
             "slow_ms": round(self.slow_ms, 3),
-            "read_repairs": self.read_repairs,
             "nodes_down": ",".join(self.nodes_down) or None,
         }
 
@@ -270,11 +263,7 @@ class ShardedSnapshotStore:
             for name in self.nodes
         }
         self._placements: Dict[str, Tuple[str, ...]] = {}
-        self._sizes: Dict[str, int] = {}
         self._image_ids: Set[str] = set()
-        self.handoffs = 0
-        self.handoffs_delivered = 0
-        self.read_repairs = 0
         self._export_node_gauges()
 
     # -- placement / writes ----------------------------------------------------
@@ -292,48 +281,15 @@ class ShardedSnapshotStore:
     def register_image(self, layered: LayeredImage) -> None:
         """Place every window of ``layered`` on its home replica set.
 
-        A down home gets a hinted handoff: the window lands on the
-        next live ring successor outside the home set, tagged with the
-        real home, and moves there on recovery. Registering the same
-        image again (rebake) re-asserts placement idempotently.
+        A down home is written like an up one: the crash keeps its
+        disk, so it serves the window once it recovers. Registering the
+        same image again (rebake) re-asserts placement idempotently.
         """
-        self._refresh()
+        self._refresh()  # a node whose outage is over is up from here on
         for ref in layered.chunk_refs:
-            cid = ref.chunk_id
-            self._sizes[cid] = ref.size_bytes
-            homes = self.placement(cid)
-            for home in homes:
-                node = self.nodes[home]
-                if node.up:
-                    node.holdings[cid] = ref.size_bytes
-                else:
-                    self._handoff(cid, ref.size_bytes, home, homes)
+            for home in self.placement(ref.chunk_id):
+                self.nodes[home].holdings[ref.chunk_id] = ref.size_bytes
         self._image_ids.add(layered.image_id)
-
-    def _handoff(self, cid: str, size_bytes: int, home: str,
-                 homes: Tuple[str, ...]) -> None:
-        """Park one write for a down home on a live ring successor."""
-        for name in self.ring.walk(cid):
-            if name in homes:
-                continue
-            node = self.nodes[name]
-            if not node.up or cid in node.hints:
-                continue
-            node.hints[cid] = (home, size_bytes)
-            self.handoffs += 1
-            # A zero-duration stitched span: the hinted write is a hop
-            # onto the carrier node, attributed to the active trace
-            # (register_image under a deploy/bake span) if any.
-            with obs.span(self.kernel, "shard.handoff",
-                          node_id=name, home=home, chunk=cid[:12]):
-                pass
-            obs.count(self.kernel, "shard_hinted_handoff_total",
-                      labels={"node": home})
-            obs.record(self.kernel, obs.flight.SHARD_HANDOFF,
-                       home=home, carrier=name, chunk=cid[:12], node=name)
-            return
-        # No live node can carry the hint; the write stays
-        # under-replicated.
 
     # -- liveness --------------------------------------------------------------
 
@@ -354,27 +310,13 @@ class ShardedSnapshotStore:
         self._export_node_gauges()
 
     def recover_node(self, name: str) -> None:
-        """Bring ``name`` back and deliver any hints parked for it."""
+        """Bring ``name`` back; it serves what its disk holds."""
         node = self.nodes[name]
         if node.up:
             return
         node.up = True
         node.down_until_ms = 0.0
-        delivered = 0
-        for carrier in self.nodes.values():
-            if not carrier.hints:
-                continue
-            for cid in [c for c, (home, _) in carrier.hints.items()
-                        if home == name]:
-                _, size_bytes = carrier.hints.pop(cid)
-                node.holdings[cid] = size_bytes
-                delivered += 1
-        self.handoffs_delivered += delivered
-        if delivered:
-            obs.count(self.kernel, "shard_handoff_delivered_total",
-                      value=float(delivered), labels={"node": name})
-        obs.record(self.kernel, obs.flight.SHARD_NODE_UP, node=name,
-                   hints_delivered=delivered)
+        obs.record(self.kernel, obs.flight.SHARD_NODE_UP, node=name)
         self._export_node_gauges()
 
     def _refresh(self) -> None:
@@ -417,21 +359,20 @@ class ShardedSnapshotStore:
 
     # -- reads -----------------------------------------------------------------
 
-    def fetch_window(self, cid: str, size_bytes: int) -> FetchResult:
+    def fetch_window(self, cid: str) -> FetchResult:
         """First-success quorum fetch of one chunk window.
 
         Walks the home replica set in ring order; a down node or an
         injected ``store.partition`` costs a retry hop and a breaker
         failure, an open breaker is skipped for free (that is its
         job), ``store.slow_shard`` adds straggler latency to a hop
-        that does answer. An up-but-missing replica observed along the
-        way is read-repaired from the serving node.
+        that does answer. A reachable node without the window (an
+        unregistered chunk) costs a retry hop too.
         """
         kernel = self.kernel
         now = kernel.clock.now
         homes = self.placement(cid)
         result = FetchResult(chunk_id=cid, found=False)
-        missing_up: List[str] = []
         for name in homes:
             node = self.nodes[name]
             breaker = self.breakers[name]
@@ -451,11 +392,7 @@ class ShardedSnapshotStore:
             if breaker.record_success():
                 self._breaker_event(name, breaker)
             if cid not in node.holdings:
-                # Reachable but missing the window (handed-off write,
-                # never-delivered hint): a wasted round-trip, and a
-                # read-repair candidate once a copy is found.
                 result.retry_hops += 1
-                missing_up.append(name)
                 continue
             if faults.should_fire(kernel, faults.STORE_SLOW_SHARD,
                                   detail=f"{name}:{cid[:12]}"):
@@ -464,17 +401,6 @@ class ShardedSnapshotStore:
             result.found = True
             result.served_by = name
             break
-        if result.found:
-            for name in missing_up:
-                self.nodes[name].holdings[cid] = size_bytes
-                result.read_repaired += 1
-            if result.read_repaired:
-                self.read_repairs += result.read_repaired
-                obs.count(kernel, "shard_read_repair_total",
-                          value=float(result.read_repaired))
-                obs.record(kernel, obs.flight.SHARD_READ_REPAIR,
-                           chunk=cid[:12], copies=result.read_repaired,
-                           source=result.served_by)
         result.available_replicas = sum(
             1 for name in homes
             if self.nodes[name].up and cid in self.nodes[name].holdings)
@@ -551,14 +477,13 @@ class ShardedSnapshotStore:
         """Quorum-fetch one window the node cache missed, into ``report``."""
         with obs.span(self.kernel, "shard.fetch",
                       chunk=cid[:12]) as fetch_span:
-            fetched = self.fetch_window(cid, size_bytes)
+            fetched = self.fetch_window(cid)
             fetch_span.set(
                 node_id=fetched.served_by or "unavailable",
                 hop=fetched.retry_hops,
                 degraded=fetched.degraded)
         report.retry_hops += fetched.retry_hops
         report.slow_ms += fetched.slow_ms
-        report.read_repairs += fetched.read_repaired
         if fetched.found:
             report.shard_chunks += 1
             if fetched.degraded:

@@ -126,8 +126,8 @@ class FaaSPlatform:
 
         ``version`` defaults to one past the registered version. On
         sharded clusters a freshly baked snapshot is placed onto the
-        storage nodes right away (the write side of the protocol: a
-        down home shard gets a hinted handoff).
+        storage nodes right away: every home shard gets the windows,
+        a down one too, since a crash keeps its disk.
         """
         if start_technique not in ("vanilla", "prebake"):
             raise ValueError(f"unknown start technique {start_technique!r}")

@@ -67,8 +67,6 @@ METRIC_SAMPLE = "metric.sample"              # optional raw metric sample
 RESTORE_DEGRADED = "restore.degraded"        # quorum lost; survivors served
 SHARD_NODE_DOWN = "shard.node-down"          # a storage node crashed
 SHARD_NODE_UP = "shard.node-up"              # a storage node recovered
-SHARD_HANDOFF = "shard.handoff"              # hinted handoff (write or delivery)
-SHARD_READ_REPAIR = "shard.read-repair"      # under-replicated window re-replicated
 SHARD_BREAKER = "shard.breaker"              # circuit breaker state change
 PREWARM_PREFETCH = "prewarm.prefetch"        # predictive chunk prefetch summary
 
@@ -79,7 +77,7 @@ EVENT_KINDS = (
     RESTORE_FALLBACK, SNAPSHOT_QUARANTINED, SNAPSHOT_REPAIRED,
     CACHE_LOOKUP, FAULT_INJECTED, AUTOSCALER_ACTION, DEPLOY, ANOMALY,
     METRIC_SAMPLE, RESTORE_DEGRADED, SHARD_NODE_DOWN, SHARD_NODE_UP,
-    SHARD_HANDOFF, SHARD_READ_REPAIR, SHARD_BREAKER, PREWARM_PREFETCH,
+    SHARD_BREAKER, PREWARM_PREFETCH,
 )
 
 

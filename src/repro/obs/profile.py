@@ -57,7 +57,6 @@ RESTORE_PIPELINE_RAMP = "restore.pipeline-ramp"      # fill of the fetch pipelin
 RESTORE_CHUNK_FETCH = "restore.chunk-fetch"          # page data from the store
 RESTORE_WS_PREFETCH = "restore.working-set-prefetch" # REAP recorded-set mapping
 RESTORE_LAZY_FAULT = "restore.lazy-page-fault"       # post-resume demand faults
-RESTORE_SUBTREE_VERIFY = "restore.subtree-verify"    # Merkle re-verify of repairs
 RESTORE_REPAIR = "restore.repair"                    # chunk-level image repair
 RESTORE_BACKOFF = "restore.retry-backoff"            # wait between attempts
 RESTORE_SHARD_FETCH = "restore.shard-fetch"          # quorum hops to storage nodes
@@ -65,8 +64,8 @@ RESTORE_SHARD_FETCH = "restore.shard-fetch"          # quorum hops to storage no
 STARTUP_PHASES = (PHASE_CLONE, PHASE_EXEC, PHASE_RTS, PHASE_APPINIT)
 RESTORE_PHASES = (RESTORE_DIGEST_VERIFY, RESTORE_PIPELINE_RAMP,
                   RESTORE_CHUNK_FETCH, RESTORE_WS_PREFETCH,
-                  RESTORE_LAZY_FAULT, RESTORE_SUBTREE_VERIFY,
-                  RESTORE_REPAIR, RESTORE_BACKOFF, RESTORE_SHARD_FETCH)
+                  RESTORE_LAZY_FAULT, RESTORE_REPAIR, RESTORE_BACKOFF,
+                  RESTORE_SHARD_FETCH)
 
 
 # Probe points whose events carry phase charges, as (direction, probe):
@@ -78,8 +77,7 @@ PHASE_PROBES = (
     ("enter", "runtime.main"), ("enter", "runtime.ready"),
     ("enter", "criu.restore"),
     ("enter", RESTORE_CHUNK_FETCH), ("enter", RESTORE_LAZY_FAULT),
-    ("enter", RESTORE_SUBTREE_VERIFY), ("enter", RESTORE_REPAIR),
-    ("enter", RESTORE_BACKOFF),
+    ("enter", RESTORE_REPAIR), ("enter", RESTORE_BACKOFF),
 )
 
 

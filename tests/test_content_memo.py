@@ -94,10 +94,6 @@ def test_vma_canonical_equals_the_direct_encoding(pages, label, file_path):
         resident_indices=tuple(i for i, _ in pages),
         content_tags=tuple(t for _, t in pages))
     assert vma.canonical == _old_canonical(vma)
-    assert vma.meta_canonical == _dumps(
-        [vma.start, vma.length, vma.kind, vma.prot, vma.label, vma.file_path,
-         vma.file_offset, vma.file_size,
-         list(i for i, _ in pages)]).encode("utf-8")
 
 
 # -- (c) tag interning --------------------------------------------------------
@@ -140,7 +136,7 @@ def bakes():
 
 def _fresh(image):
     """A copy of the image with no windows cached on it (tamper-safe)."""
-    return replace(image, vmas=list(image.vmas), dirty_pages=set())
+    return replace(image, vmas=list(image.vmas))
 
 
 @pytest.mark.parametrize("chunk_pages", [1, 16, CHUNK_PAGES])

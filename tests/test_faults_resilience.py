@@ -143,6 +143,24 @@ class TestQuarantineAndRebake:
         assert metrics.value("prebake_rebake_total") == 0
         assert metrics.value("snapshot_corruption_detected_total") == 1
 
+    def test_a_repair_that_leaves_the_digest_wrong_quarantines(self):
+        """Every repair is followed by a full re-verify: damage to the
+        pages and to the argv gets its pages rewritten, fails the check
+        and goes to quarantine + rebake."""
+        kernel, manager = observed_manager()
+        app = make_app("noop")
+        starter = deployed_prebake_starter(kernel, manager, app,
+                                           FaultPlan())
+        image = manager.store.peek(starter.snapshot_key(app))
+        image.tamper(pages=2)
+        image.argv = image.argv + ["--corrupt"]
+        handle = starter.start(app)
+        assert handle.technique == "prebake"
+        assert manager.store.quarantined_count == 1
+        metrics = kernel.obs.metrics
+        assert metrics.value("prebake_snapshot_repaired_total") == 0
+        assert metrics.value("prebake_rebake_total") == 1
+
     def test_corruption_quarantines_and_rebakes_without_repair(self):
         kernel, manager = observed_manager()
         app = make_app("noop")

@@ -2,9 +2,9 @@
 
 Covers the cost-model pipeline plan (with the hypothesis properties the
 issue pins: pipelined <= serial everywhere, exact equality at one
-worker), the hot-chunk cache policies, Merkle-tree layer verification
-and subtree-only repair, the span-leak fix on fault-injected pipelined
-restores, and the parallel bench harness's serial/parallel determinism.
+worker), the hot-chunk cache policies, the span-leak fix on
+fault-injected pipelined restores, and the parallel bench harness's
+serial/parallel determinism.
 """
 
 import pytest
@@ -12,8 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults, make_world
-from repro.core.policy import AfterReady
-from repro.core.store import SnapshotStore
 from repro.criu.checkpoint import CheckpointEngine
 from repro.criu.chunkcache import (
     FREQ_OVER_SIZE,
@@ -21,7 +19,6 @@ from repro.criu.chunkcache import (
     HotChunkCache,
     make_cache,
 )
-from repro.criu.merkle import DEFAULT_ARITY, ImageMerkle, MerkleTree
 from repro.criu.pagestore import image_chunk_runs
 from repro.criu.restore import RestoreEngine
 from repro.faults import FaultPlan
@@ -273,96 +270,6 @@ class TestHotChunkCache:
         assert make_cache(LRU).policy == LRU
         with pytest.raises(ValueError, match="policy"):
             make_cache("clock")
-
-
-# ---------------------------------------------------------------------------
-# Merkle verification
-# ---------------------------------------------------------------------------
-
-
-class TestMerkleTree:
-    def test_update_leaf_changes_and_restores_root(self):
-        leaves = [f"leaf-{i}" for i in range(100)]
-        tree = MerkleTree(leaves)
-        sealed = tree.root
-        tree.update_leaf(17, "corrupted")
-        assert tree.root != sealed
-        tree.update_leaf(17, "leaf-17")
-        assert tree.root == sealed
-
-    @given(leaf_count=st.integers(min_value=1, max_value=2_000),
-           index_seed=st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=60)
-    def test_update_touches_only_the_leaf_path(self, leaf_count, index_seed):
-        """The issue's sublinear-repair property: folding one repaired
-        leaf back in costs depth combines, not a rebuild."""
-        tree = MerkleTree([f"leaf-{i}" for i in range(leaf_count)])
-        build_ops = tree.hash_ops
-        ops = tree.update_leaf(index_seed % leaf_count, "repaired")
-        assert ops == tree.depth
-        if leaf_count > DEFAULT_ARITY:
-            assert ops < build_ops  # strictly cheaper than resealing
-
-
-class TestImageMerkleOnStore:
-    def _baked(self, kernel, name="markdown"):
-        from repro.core.bake import Prebaker
-        store = SnapshotStore()
-        report = Prebaker(kernel, store).bake(make_app(name),
-                                              policy=AfterReady())
-        return store, report
-
-    def test_store_put_builds_a_sealed_tree(self, kernel):
-        store, report = self._baked(kernel)
-        merkle = store.merkle(report.key)
-        assert merkle is not None
-        assert merkle.root_matches_seal()
-        assert merkle.leaf_count > 0
-
-    def test_targeted_repair_reverifies_only_the_damaged_subtree(self, kernel):
-        store, report = self._baked(kernel)
-        image = store.peek(report.key)
-        image.tamper(pages=3)
-        repaired = store.repair(report.key)
-        stats = store.last_repair_stats
-        assert repaired >= 1
-        assert stats.targeted
-        assert stats.verified_ok is True
-        # Sublinearity in the tested currency: repairing a handful of
-        # windows costs far fewer combines than one full reseal.
-        rebuild_ops = ImageMerkle.from_layered(
-            store.layered(report.key)).hash_ops
-        assert stats.hash_ops < rebuild_ops
-        store.peek(report.key).verify_integrity()
-        assert not image.dirty_pages
-
-    def test_meta_corruption_falls_back_to_full_scan(self, kernel):
-        store, report = self._baked(kernel)
-        image = store.peek(report.key)
-        image.tamper(pages=2)
-        image.dirty_meta = True   # identity corruption: no page hints help
-        repaired = store.repair(report.key)
-        assert repaired >= 1
-        assert not store.last_repair_stats.targeted
-        store.peek(report.key).verify_integrity()
-
-    def test_repair_parity_with_legacy_full_scan(self, kernel):
-        """Targeted repair must fix exactly what the full scan would."""
-        runs = []
-        for force_full in (False, True):
-            world = make_world(seed=31)
-            from repro.core.bake import Prebaker
-            store = SnapshotStore()
-            report = Prebaker(world.kernel, store).bake(
-                make_app("markdown"), policy=AfterReady())
-            image = store.peek(report.key)
-            image.tamper(pages=4)
-            if force_full:
-                image.dirty_pages.clear()   # drop the hints -> full scan
-            runs.append(store.repair(report.key))
-            assert store.last_repair_stats.targeted is not force_full
-            store.peek(report.key).verify_integrity()
-        assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

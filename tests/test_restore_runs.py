@@ -360,8 +360,7 @@ def _reference_restore_pass(store, image, cache):
     """The per-window sharded pass: (report fields, failed chunk ids)."""
     store.maybe_crash_node(detail=image.image_id)
     out = dict(chunks=0, total_bytes=0, cached_chunks=0, cached_bytes=0,
-               shard_chunks=0, degraded_chunks=0, retry_hops=0, slow_ms=0.0,
-               read_repairs=0)
+               shard_chunks=0, degraded_chunks=0, retry_hops=0, slow_ms=0.0)
     failed = []
     for cid, size in windows_of(image):
         out["chunks"] += 1
@@ -371,10 +370,9 @@ def _reference_restore_pass(store, image, cache):
             out["cached_chunks"] += 1
             out["cached_bytes"] += size
             continue
-        fetched = store.fetch_window(cid, size)
+        fetched = store.fetch_window(cid)
         out["retry_hops"] += fetched.retry_hops
         out["slow_ms"] += fetched.slow_ms
-        out["read_repairs"] += fetched.read_repaired
         if fetched.found:
             out["shard_chunks"] += 1
             if fetched.degraded:
@@ -388,7 +386,6 @@ def _reference_restore_pass(store, image, cache):
 
 def _store_state(store):
     return ({name: dict(node.holdings) for name, node in store.nodes.items()},
-            store.read_repairs,
             {name: (b.state, b.consecutive_failures, b.opens)
              for name, b in store.breakers.items()})
 
@@ -414,9 +411,8 @@ def test_shard_restore_pass_equals_per_window_fetches(capacity):
         return None if capacity is None else HotChunkCache(capacity)
     runs_cache, windows_cache = make(), make()
     fields = ("chunks", "total_bytes", "cached_chunks", "cached_bytes",
-              "shard_chunks", "degraded_chunks", "retry_hops", "slow_ms",
-              "read_repairs")
-    repaired = hops = 0
+              "shard_chunks", "degraded_chunks", "retry_hops", "slow_ms")
+    hops = 0
     for name in names + names[::-1]:
         report = runs.shard_store.restore_pass(_image(runs, name),
                                                cache=runs_cache)
@@ -428,6 +424,5 @@ def test_shard_restore_pass_equals_per_window_fetches(capacity):
             _store_state(windows.shard_store)
         if capacity is not None:
             assert cache_state(runs_cache) == cache_state(windows_cache)
-        repaired += report.read_repairs
         hops += report.retry_hops
-    assert repaired > 0 and hops > 0
+    assert hops > 0

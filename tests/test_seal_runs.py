@@ -1,6 +1,6 @@
 """The bake encodes and windows each dumped VMA per run of pages.
 
-A descriptor's canonical texts are built from runs of consecutive
+A descriptor's canonical text is built from runs of consecutive
 resident indices (slices of one shared decimal text) and runs of equal
 content tags; ``from_dump`` builds its tag tuple per tag run; and
 ``image_windows`` looks up one window key per run of equal full
@@ -84,19 +84,10 @@ def _fields(label="heap", file_path=None):
                 file_offset=0, file_size=0)
 
 
-def _reference_meta(desc: VMADescriptor) -> bytes:
-    return json.dumps(desc._fields()
-                      + [desc.resident_indices.tolist()]).encode("utf-8")
-
-
-def _reference_canonical(desc: VMADescriptor) -> bytes:
-    return b"".join((_reference_meta(desc)[:-1], b", ",
-                     json.dumps(list(desc.content_tags)).encode("utf-8"), b"]"))
-
-
 def _check_texts(desc: VMADescriptor) -> None:
-    assert desc.meta_canonical == _reference_meta(desc)
-    assert desc.canonical == _reference_canonical(desc)
+    assert desc.canonical == json.dumps(
+        desc._fields() + [desc.resident_indices.tolist(),
+                          list(desc.content_tags)]).encode("utf-8")
 
 
 def _dumped(indices, tags) -> VMADescriptor:
@@ -272,31 +263,26 @@ def _resealed(image: CheckpointImage, pages: bool = True) -> CheckpointImage:
         vma, resident_indices=(), content_tags=()) for vma in image.vmas]
     copy = dataclasses.replace(image, argv=list(image.argv),
                                fds=list(image.fds), vmas=vmas,
-                               runtime_state=dict(image.runtime_state),
-                               dirty_pages=set())
+                               runtime_state=dict(image.runtime_state))
     copy.seal()
     return copy
 
 
-def test_seal_equals_the_two_digests_computed_apart(baked):
+def test_seal_equals_the_digest_computed_apart(baked):
     image = _resealed(baked)
-    assert (image.digest, image.meta_digest) == (baked.digest, baked.meta_digest)
-    assert (image.digest, image.meta_digest) == \
-        (image.compute_digest(), image.compute_meta_digest())
+    assert image.digest == baked.digest == image.compute_digest()
     bare = _resealed(baked, pages=False)
-    assert (bare.digest, bare.meta_digest) == \
-        (bare.compute_digest(), bare.compute_meta_digest())
-    assert bare.meta_digest != image.meta_digest
+    assert bare.digest == bare.compute_digest()
+    assert bare.digest != image.digest
 
 
 def _tamper_pages(image):
     image.tamper(pages=1)
-    assert image.dirty_pages
 
 
 def _tamper_meta(image):
     image.tamper()  # no page carries a tag, so the metadata is hit
-    assert image.dirty_meta
+    assert image.comm.endswith("\x00corrupt")
 
 
 def _edit_runtime_state(image):

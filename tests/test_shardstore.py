@@ -1,7 +1,8 @@
 """Tests for the sharded, replicated snapshot store (ISSUE 7).
 
-Covers the hash ring, the circuit breaker, the quorum / hinted-handoff
-/ read-repair protocol, the degraded-mode restore ladder through the
+Covers the hash ring, the circuit breaker, quorum fetches and direct
+writes (a home that is down at the write serves the window once it is
+back), the degraded-mode restore ladder through the
 platform, the RF=1 byte-identity guarantee, the X10
 shard-chaos experiment, and the satellite items (eviction counter
 export, ghost-history promotion, ``FaultPlan.of`` typo rejection).
@@ -104,7 +105,7 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# Placement, quorum fetch, handoff, read-repair
+# Placement, quorum fetch, writes during an outage
 # ---------------------------------------------------------------------------
 
 
@@ -153,7 +154,7 @@ class TestShardedSnapshotStore:
         ref = layered.chunk_refs[0]
         homes = store.placement(ref.chunk_id)
         store.fail_node(homes[0], down_for_ms=60_000.0)
-        result = store.fetch_window(ref.chunk_id, ref.size_bytes)
+        result = store.fetch_window(ref.chunk_id)
         assert result.found
         assert result.served_by == homes[1]
         assert result.retry_hops == 1
@@ -167,7 +168,7 @@ class TestShardedSnapshotStore:
         ref = layered.chunk_refs[0]
         (home,) = store.placement(ref.chunk_id)
         store.fail_node(home, down_for_ms=60_000.0)
-        result = store.fetch_window(ref.chunk_id, ref.size_bytes)
+        result = store.fetch_window(ref.chunk_id)
         assert not result.found
         assert result.retry_hops == 1
 
@@ -182,51 +183,93 @@ class TestShardedSnapshotStore:
         (home,) = store.placement(ref.chunk_id)
         store.fail_node(home, down_for_ms=600_000.0)
         for _ in range(3):                     # three hops open the breaker
-            assert store.fetch_window(ref.chunk_id, ref.size_bytes).retry_hops == 1
+            assert store.fetch_window(ref.chunk_id).retry_hops == 1
         assert store.breakers[home].state == BREAKER_OPEN
         assert home in store.open_breakers()
         # An open breaker is skipped for free: no more retry hops.
-        assert store.fetch_window(ref.chunk_id, ref.size_bytes).retry_hops == 0
+        assert store.fetch_window(ref.chunk_id).retry_hops == 0
         # After the cooldown a half-open probe pays one hop and re-opens.
         kernel.clock.advance(2_500.0)
-        assert store.fetch_window(ref.chunk_id, ref.size_bytes).retry_hops == 1
+        assert store.fetch_window(ref.chunk_id).retry_hops == 1
         assert store.breakers[home].state == BREAKER_OPEN
 
-    def test_hinted_handoff_delivers_on_recovery(self, kernel):
+    @pytest.mark.parametrize("rf", [1, 2])
+    def test_a_write_during_an_outage_is_served_once_the_home_is_back(
+            self, kernel, rf):
         layered = _baked_layered(kernel)
-        probe = ShardedSnapshotStore(kernel, node_count=4,
-                                     replication_factor=1)
+        store = ShardedSnapshotStore(kernel, node_count=4,
+                                     replication_factor=rf)
         ref = layered.chunk_refs[0]
-        (home,) = probe.placement(ref.chunk_id)
+        homes = store.placement(ref.chunk_id)
+        store.fail_node(homes[0], down_for_ms=60_000.0)
+        store.register_image(layered)          # the bake writes while down
+        during = store.fetch_window(ref.chunk_id)
+        assert during.retry_hops == 1
+        if rf == 1:
+            assert not during.found
+        else:
+            assert during.found and during.served_by == homes[1]
+            assert during.degraded
+        kernel.clock.advance(60_000.0)
+        store._refresh()
+        assert store.nodes[homes[0]].up
+        after = store.fetch_window(ref.chunk_id)
+        assert after.found and after.served_by == homes[0]
+        assert after.retry_hops == 0 and not after.degraded
+
+
+    def test_register_writes_every_home_even_one_that_is_down(self, kernel):
+        layered = _baked_layered(kernel)
+        store = ShardedSnapshotStore(kernel, node_count=5,
+                                     replication_factor=3)
+        down = store.placement(layered.chunk_refs[0].chunk_id)[0]
+        store.fail_node(down, down_for_ms=60_000.0)
+        store.register_image(layered)
+        assert not store.nodes[down].up
+        for ref in layered.chunk_refs:
+            homes = store.placement(ref.chunk_id)
+            for home in homes:
+                assert ref.chunk_id in store.nodes[home].holdings
+            # Only reachable copies count while ``down`` is out.
+            assert store.replica_count(ref.chunk_id) == 3 - (down in homes)
+
+    def test_a_recovered_node_serves_what_its_disk_held(self, kernel):
+        layered = _baked_layered(kernel)
         store = ShardedSnapshotStore(kernel, node_count=4,
                                      replication_factor=1)
+        store.register_image(layered)
+        ref = layered.chunk_refs[0]
+        (home,) = store.placement(ref.chunk_id)
+        held = dict(store.nodes[home].holdings)
         store.fail_node(home, down_for_ms=60_000.0)
-        store.register_image(layered)          # write lands as hints
-        assert store.handoffs > 0
-        assert ref.chunk_id not in store.nodes[home].holdings
-        carriers = [n for n in store.nodes.values()
-                    if ref.chunk_id in n.hints]
-        assert len(carriers) == 1
-        assert carriers[0].hints[ref.chunk_id][0] == home
+        assert not store.fetch_window(ref.chunk_id).found
         store.recover_node(home)
-        assert store.handoffs_delivered > 0
-        assert ref.chunk_id in store.nodes[home].holdings
-        assert not any(ref.chunk_id in n.hints for n in store.nodes.values())
-        assert store.fetch_window(ref.chunk_id, ref.size_bytes).found
+        assert store.nodes[home].holdings == held
+        result = store.fetch_window(ref.chunk_id)
+        assert result.found and result.served_by == home
+        assert result.retry_hops == 0
 
-    def test_read_repair_refills_an_up_but_missing_replica(self, kernel):
+    def test_an_unregistered_window_costs_a_hop_at_each_home(self, kernel):
+        """A reachable home that lacks the window answers: a hop, but no
+        breaker failure, and nothing is written back."""
+        store = ShardedSnapshotStore(kernel, node_count=5,
+                                     replication_factor=2)
+        cid = "0" * 64
+        result = store.fetch_window(cid)
+        assert not result.found
+        assert result.retry_hops == 2
+        assert not store.open_breakers()
+        assert store.replica_count(cid) == 0
+
+    def test_registering_an_image_again_changes_no_holding(self, kernel):
         layered = _baked_layered(kernel)
         store = ShardedSnapshotStore(kernel, node_count=5,
                                      replication_factor=2)
         store.register_image(layered)
-        ref = layered.chunk_refs[0]
-        homes = store.placement(ref.chunk_id)
-        del store.nodes[homes[0]].holdings[ref.chunk_id]
-        result = store.fetch_window(ref.chunk_id, ref.size_bytes)
-        assert result.found
-        assert result.read_repaired == 1
-        assert ref.chunk_id in store.nodes[homes[0]].holdings
-        assert store.replica_count(ref.chunk_id) == 2
+        before = {n: dict(node.holdings) for n, node in store.nodes.items()}
+        store.register_image(layered)
+        assert {n: dict(node.holdings)
+                for n, node in store.nodes.items()} == before
 
 
 # ---------------------------------------------------------------------------

@@ -66,35 +66,27 @@ for name, policy, seed in json.loads(sys.argv[1]):
         make_app(name),
         policy=AfterReady() if policy == "ready" else AfterWarmup(1)).image
     assert image.compute_digest() == image.digest
-    assert image.compute_meta_digest() == image.meta_digest
-    out["/".join(map(str, (name, policy, seed)))] = [image.digest, image.meta_digest]
+    out["/".join(map(str, (name, policy, seed)))] = image.digest
 print(json.dumps(out))
 """
 
-# function/policy/world seed -> [digest, meta_digest], as sealed before
+# function/policy/world seed -> digest, as sealed before
 # restores cached any canonical encoding.
 GOLDEN = {
-    "noop/ready/1": [
+    "noop/ready/1":
         "c6be7255a3eff8b19d487f0d23f99498faee6f2451c36e4e7022887578c63104",
-        "a8aa6dc4002c15ad3a03581a2ce92a1e7599afb40957c4fca577a34eb04f7d0a"],
-    "markdown/warm/1": [
+    "markdown/warm/1":
         "b288d65c006e45e5a1be3e325e4902e3b06aec71e6c518c159a433f99c3ff7da",
-        "5eaf7586f8104649d1ea37b4a7328165777ec3bb83ead2860085f3b5b8d1ff3b"],
-    "image-resizer/warm/1": [
+    "image-resizer/warm/1":
         "d4790943d5e8bc4b9bb55fb3b0b490c1629b7ddb4789b8c0ae513e15a64736a4",
-        "365dca55fd35f42ab7de1d66c393e3cbe5e3d1093c6d731161dc337cf8bf5e3d"],
-    "synthetic-small/warm/42": [
+    "synthetic-small/warm/42":
         "f16c96adfe3abf3ef50a9d28cd2d54fa0debf60cff896ced72ff0e4aee4f5a9b",
-        "e0101b295ac9d329f233ed85652bf3c55d84e090a0f723315c20e92f9c170f45"],
-    "synthetic-big/ready/42": [
+    "synthetic-big/ready/42":
         "85a41f7f386e200efa56dee36fdf10da3db359130d0297d18b82b6a029621d0c",
-        "0396582d731184b21cd66c03ac055f0e88543a9a1b3e35f9e43119037cb2f6f7"],
-    "py-markdown/warm/42": [
+    "py-markdown/warm/42":
         "b3c781d54fd28d86739f2137ed6c2c00f5bbb630ef42ba588fb62dc0f1952d86",
-        "4ccbf5024ad7f26221962e9761f6af267ddae9084eb8b87e286d7435432138ce"],
-    "node-markdown/warm/1": [
+    "node-markdown/warm/1":
         "241cfc5ab9a404cfdad9d14b1747f2095d97918b83c9f122157622308e7950bc",
-        "b1b08e77077f4f445a06557ad326c71d450bd0212a00d84513ac58eed5ca6e4f"],
 }
 
 
@@ -230,7 +222,6 @@ def test_keys_colliding_under_str_are_all_digested():
     a = _image_with_state({"extra": {1: "shadowed", "1": "kept"}})
     b = _image_with_state({"extra": {1: "drifted", "1": "kept"}})
     assert a.digest != b.digest
-    assert a.meta_digest != b.meta_digest
 
 
 def test_colliding_keys_order_by_str_then_type_name():
@@ -272,7 +263,6 @@ def test_descriptor_arrays_are_read_only_and_follow_replace():
     assert retagged.resident_indices is desc.resident_indices
     assert set(TAGS.tags_of(retagged.tag_ids)) == {"other"}
     assert retagged.canonical != desc.canonical
-    assert retagged.meta_canonical == desc.meta_canonical
 
 
 # -- verify still catches drift with warm caches ------------------------------

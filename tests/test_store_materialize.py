@@ -3,8 +3,11 @@ from its content-addressed chunks alone, and the store's inventory.
 
 ``materialize`` is the oracle that dedup is lossless: what comes back
 must carry the original's identity, pages and runtime state, verify
-against the sealed digest, and restore into a replica that serves.
+against the sealed digest, and restore into a replica that serves. It
+is also the oracle of ``repair``: a repaired image holds its pages.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +17,11 @@ from repro import make_world
 from repro.core.bake import Prebaker
 from repro.core.policy import AfterReady, AfterWarmup
 from repro.core.starters import PrebakeStarter
-from repro.core.store import (
-    RepairStats,
-    SnapshotKey,
-    SnapshotNotFound,
-    SnapshotStore,
-)
+from repro.core.store import SnapshotKey, SnapshotNotFound, SnapshotStore
 from repro.criu.checkpoint import CheckpointEngine
+from repro.criu.pagestore import WARM_DELTA_LAYER
 from repro.criu.restore import RestoreEngine
+from repro.faults.errors import SnapshotCorrupted
 from repro.functions import make_app
 from repro.osproc.memory import PAGE_SIZE, VMAKind
 from repro.runtime.base import Request
@@ -60,7 +60,6 @@ class TestMaterialize:
         assert pulled.parent_image_id == image.parent_image_id
         assert pulled.warm is True
         assert pulled.digest == image.digest
-        assert pulled.meta_digest == image.meta_digest
 
     def test_keeps_sizes_and_vma_layout(self, kernel):
         store, image = stored(kernel, 2.0)
@@ -207,13 +206,11 @@ class TestInventory:
         with pytest.raises(SnapshotNotFound):
             SnapshotStore().delete(KEY)
 
-    def test_delete_drops_layers_and_merkle(self, kernel):
+    def test_delete_drops_layers(self, kernel):
         store, _ = stored(kernel, 1.0)
         assert store.layered(KEY) is not None
-        assert store.merkle(KEY) is not None
         store.delete(KEY)
         assert store.layered(KEY) is None
-        assert store.merkle(KEY) is None
 
     def test_quarantine_missing_key_is_tolerated(self):
         store = SnapshotStore()
@@ -244,10 +241,7 @@ class TestInventory:
             store.logical_bytes / store.physical_bytes)
 
     def test_repair_missing_key_returns_zero(self, kernel):
-        store = SnapshotStore()
-        store.last_repair_stats = RepairStats(repaired_chunks=9)
-        assert store.repair(KEY) == 0
-        assert store.last_repair_stats == RepairStats()
+        assert SnapshotStore().repair(KEY) == 0
 
     def test_prebake_starter_restores_from_the_store(self, kernel):
         store = SnapshotStore()
@@ -263,3 +257,76 @@ class TestInventory:
         assert type(manager.store) is SnapshotStore
         assert manager.prebaker.store is manager.store
         assert manager.store.keys() == [report.key]
+
+
+@pytest.fixture(scope="module")
+def ready_and_warm():
+    """A ready and a warm markdown bake of one world."""
+    prebaker = Prebaker(make_world(seed=5).kernel)
+    app = make_app("markdown")
+    return (prebaker.bake(app, policy=AfterReady()),
+            prebaker.bake(app, policy=AfterWarmup(1)))
+
+
+class TestRepair:
+    @given(warm=st.booleans(), pages=st.integers(1, 300),
+           first_page=st.integers(0, 5000))
+    @settings(max_examples=30, deadline=None)
+    def test_repair_restores_what_a_tamper_changed(self, ready_and_warm,
+                                                   warm, pages, first_page):
+        """On a ready image, and on a warm one stored with its delta
+        layer, a repair finds damaged windows, the image verifies and
+        its pages are the store's."""
+        store = SnapshotStore()
+        for report in ready_and_warm:
+            store.put(report.key, replace(report.image,
+                                          vmas=list(report.image.vmas)))
+        key = ready_and_warm[warm].key
+        if warm:
+            assert store.layered(key).layer(WARM_DELTA_LAYER).chunk_refs
+        image = store.peek(key)
+        image.tamper(pages=pages, first_page=first_page)
+        assert store.repair(key) > 0
+        image.verify_integrity()
+        assert vma_pages(image) == vma_pages(store.materialize(key))
+
+    def test_repair_of_an_intact_image_returns_zero(self, ready_and_warm):
+        store = SnapshotStore()
+        report = ready_and_warm[0]
+        store.put(report.key, replace(report.image,
+                                      vmas=list(report.image.vmas)))
+        image = store.peek(report.key)
+        generation = image.generation
+        assert store.repair(report.key) == 0
+        assert image.generation == generation
+        image.verify_integrity()
+
+    def test_repair_counts_each_damaged_window_once(self, kernel):
+        """Every page of the first VMA damaged: one repaired chunk per
+        window of that VMA, and nothing else is touched."""
+        store, image = stored(kernel, 2.0)
+        first = next(i for i, v in enumerate(image.vmas) if v.content_tags)
+        untouched = vma_pages(image)[first + 1:]
+        windows = sum(1 for ref in store.layered(KEY).chunk_refs
+                      if ref.vma_index == first)
+        image.tamper(pages=len(image.vmas[first].content_tags))
+        assert store.repair(KEY) == windows > 1
+        assert vma_pages(image)[first + 1:] == untouched
+        image.verify_integrity()
+
+    def test_a_second_repair_finds_nothing(self, kernel):
+        store, image = stored(kernel, 1.0)
+        image.tamper(pages=5, first_page=3)
+        assert store.repair(KEY) > 0
+        generation = image.generation
+        assert store.repair(KEY) == 0
+        assert image.generation == generation
+
+    def test_damage_outside_the_pages_is_not_repaired(self, kernel):
+        """Corruption outside the page data leaves nothing for the chunk
+        store to rewrite: 0 chunks, and the image still fails."""
+        store, image = stored(kernel, 1.0)
+        image.argv = image.argv + ["--corrupt"]
+        assert store.repair(KEY) == 0
+        with pytest.raises(SnapshotCorrupted):
+            image.verify_integrity()
