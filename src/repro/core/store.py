@@ -20,7 +20,7 @@ image's one sealed digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.criu.images import CheckpointImage, build_image_files
@@ -170,12 +170,8 @@ class SnapshotStore:
             raise SnapshotNotFound(str(key))
         source = entry.image
         rebuilt_pages = rebuild_vma_pages(source, layered, self.pages)
-        vmas = [
-            replace(vma,
-                    resident_indices=rebuilt_pages[i][0],
-                    content_tags=rebuilt_pages[i][1])
-            for i, vma in enumerate(source.vmas)
-        ]
+        vmas = [vma.with_pages(*rebuilt_pages[i])
+                for i, vma in enumerate(source.vmas)]
         image = CheckpointImage(
             image_id=source.image_id,
             pid=source.pid,
@@ -225,11 +221,9 @@ class SnapshotStore:
             return 0
         rebuilt_pages = rebuild_vma_pages(image, layered, self.pages)
         for i, vma in enumerate(image.vmas):
-            indices, tags = rebuilt_pages[i]
-            if (tuple(vma.resident_indices.tolist()),
-                    tuple(vma.content_tags)) != (indices, tags):
-                image.vmas[i] = replace(vma, resident_indices=indices,
-                                        content_tags=tags)
+            rebuilt = vma.with_pages(*rebuilt_pages[i])
+            if rebuilt != vma:
+                image.vmas[i] = rebuilt
         image.generation += 1
         return repaired_chunks
 

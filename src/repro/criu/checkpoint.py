@@ -24,7 +24,7 @@ from repro.criu.images import (
     build_image_files,
 )
 from repro.osproc.kernel import Kernel
-from repro.osproc.memory import VMAKind
+from repro.osproc.memory import VMAKind, page_runs
 from repro.osproc.process import Capability, Process, ProcessState
 
 class CheckpointError(Exception):
@@ -114,10 +114,9 @@ class CheckpointEngine:
         for vma in target.address_space.vmas:
             if vma.kind is VMAKind.PARASITE:
                 continue  # the parasite never lands in the image
-            indices, tag_ids = vma.dump_arrays(incremental=incremental)
             vma_descriptors.append(
-                VMADescriptor.from_dump(
-                    indices, tag_ids,
+                VMADescriptor(
+                    runs=page_runs(*vma.dump_arrays(incremental=incremental)),
                     start=vma.start,
                     length=vma.length,
                     kind=vma.kind.value,

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.faults.errors import SnapshotCorrupted
-from repro.osproc.memory import PAGE_SIZE, TAGS
+from repro.osproc.memory import PAGE_SIZE, TAGS, page_runs
 from repro.runtime.classes import ClassNames, ClassTable
 
 
@@ -30,6 +31,7 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 _CLASS_KEY = "__class__"
 _encode_str = json.encoder.encode_basestring_ascii
 _dumps = json.JSONEncoder().encode
+_dumps_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 def canonical_json(obj: Any) -> str:
@@ -132,6 +134,9 @@ def _encode_items(items, depth: int, out) -> None:
 # so every index they can dump is below it; the largest dumped is 17,432.
 _DECIMAL_LIMIT = 1 << 16
 
+# A run's repeated tag text is hashed in blocks of at most this many bytes.
+_TAG_BLOCK = 1 << 14
+
 
 class _DecimalText:
     """The JSON list items of 0, 1, 2, ...: ``b"0, 1, 2, "`` and on.
@@ -145,65 +150,57 @@ class _DecimalText:
     __slots__ = ("text", "offsets")
 
     def __init__(self) -> None:
-        self.text = bytearray()
+        self.text = b""
         self.offsets = np.zeros(1, dtype=np.int64)
 
-    def runs(self, firsts: np.ndarray, lasts: np.ndarray) -> List[bytearray]:
-        """The text of each run ``firsts[i] .. lasts[i]`` (ascending, < limit)."""
+    def grow(self, top: int) -> None:
+        """Hold the items of every integer below ``top``."""
         count = len(self.offsets) - 1
-        top = int(lasts[-1]) + 1
         if top > count:
             items = [f"{i}, " for i in range(count, top)]
             self.text += "".join(items).encode("ascii")
             lengths = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
             self.offsets = np.concatenate(
                 (self.offsets, self.offsets[-1] + np.cumsum(lengths)))
-        text, offsets = self.text, self.offsets
-        return [text[lo:hi] for lo, hi in zip(offsets[firsts].tolist(),
-                                              (offsets[lasts + 1] - 2).tolist())]
 
 
 _DECIMALS = _DecimalText()
 
 
-def _runs(values: np.ndarray) -> List[Tuple[int, int]]:
-    """``(lo, hi)`` bounds of each run of equal neighbours in ``values``."""
-    if not len(values):
-        return []
-    bounds = [0, *(np.flatnonzero(np.diff(values)) + 1).tolist(), len(values)]
-    return list(zip(bounds, bounds[1:]))
+@functools.lru_cache(maxsize=64)
+def _tag_block(tag_id: int) -> Tuple[bytes, int]:
+    """The JSON list item ``"<tag>", `` of a :data:`TAGS` id, and its length.
 
-
-def _index_text(indices: np.ndarray,
-                runs: Optional[Tuple[np.ndarray, np.ndarray]]) -> bytes:
-    """``_dumps(indices.tolist())``, one slice per run of consecutive indices.
-
-    ``runs`` is :attr:`VMADescriptor.index_runs`. Indices that are
-    empty, negative, not ascending or past the decimal limit take
-    ``_dumps``.
+    The item comes repeated as often as fits in :data:`_TAG_BLOCK`
+    bytes (at least once), so a run of pages with this tag is hashed
+    as whole blocks and one zero-copy slice of a block. Tag ids never
+    change meaning, so a block is shared by every descriptor.
     """
-    if runs is None or indices[0] < 0 or indices[-1] >= _DECIMAL_LIMIT:
-        return _dumps(indices.tolist()).encode("utf-8")
-    return b"".join((b"[", b", ".join(_DECIMALS.runs(*runs)), b"]"))
+    item = (_encode_str(TAGS.tag(tag_id)) + ", ").encode("ascii")
+    return item * (_TAG_BLOCK // len(item) or 1), len(item)
 
 
-def _tags_text(tags: Tuple[str, ...], runs: List[Tuple[int, int]]) -> bytes:
-    """``_dumps(tags)``, each tag encoded once per run (:attr:`VMADescriptor.tag_runs`)."""
-    if not tags:
-        return b"[]"
-    text = b"".join([(_encode_str(tags[lo]) + ", ").encode("ascii") * (hi - lo)
-                     for lo, hi in runs])
-    return b"".join((b"[", memoryview(text)[:-2], b"]"))
+def _runs_of_pages(label: Optional[str], resident_indices: Sequence[int],
+                   content_tags: Sequence[str]) -> np.ndarray:
+    """:func:`page_runs` of pages listed one by one, ints and tags."""
+    if len(resident_indices) != len(content_tags):
+        raise ValueError(f"VMA {label!r}: resident indices and tags out of sync")
+    return page_runs(np.asarray(resident_indices, dtype=np.int64),
+                     TAGS.intern_many(content_tags))
 
 
 @dataclass(frozen=True, eq=False)
 class VMADescriptor:
     """Serialized form of one VMA.
 
-    The resident pages are held as arrays, not one Python int per page:
-    ``resident_indices`` is a read-only, ascending int64 array. The
-    constructor accepts any sequence of ints; an int64 array is adopted
-    as is (and made read-only), anything else is copied into one.
+    The resident pages are held as runs, not page by page: ``runs`` is
+    a read-only int64 array of ``(first index, page count, tag id)``
+    rows, one per maximal stretch of pages whose indices step by one
+    and whose :data:`~repro.osproc.memory.TAGS` ids are equal
+    (:func:`~repro.osproc.memory.page_runs`). A dumped VMA is a few
+    runs, whatever its size. The per-page forms
+    (:attr:`resident_indices`, :attr:`tag_ids`, :attr:`content_tags`)
+    are built on each access and never kept.
     """
 
     start: int
@@ -214,102 +211,109 @@ class VMADescriptor:
     file_path: Optional[str]
     file_offset: int
     file_size: int
-    resident_indices: np.ndarray
-    content_tags: tuple  # parallel to resident_indices
+    runs: np.ndarray
 
     def __post_init__(self) -> None:
-        indices = self.resident_indices
-        if type(indices) is not np.ndarray or indices.dtype != np.int64:
-            indices = np.array(indices, dtype=np.int64)
-            object.__setattr__(self, "resident_indices", indices)
-        indices.setflags(write=False)
+        self.runs.setflags(write=False)
+
+    @classmethod
+    def from_pages(cls, resident_indices: Sequence[int],
+                   content_tags: Sequence[str], **fields) -> "VMADescriptor":
+        """A descriptor of pages listed one by one: any ints, one tag each.
+
+        Raises :class:`ValueError` when the two lists differ in length.
+        """
+        return cls(runs=_runs_of_pages(fields.get("label"), resident_indices,
+                                       content_tags), **fields)
+
+    def with_pages(self, resident_indices: Sequence[int],
+                   content_tags: Sequence[str]) -> "VMADescriptor":
+        """This descriptor holding the pages listed (see :meth:`from_pages`)."""
+        return replace(self, runs=_runs_of_pages(self.label, resident_indices,
+                                                 content_tags))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not VMADescriptor:
             return NotImplemented
         return (self._fields() == other._fields()
-                and self.content_tags == other.content_tags
-                and np.array_equal(self.resident_indices,
-                                   other.resident_indices))
+                and np.array_equal(self.runs, other.runs))
+
+    @functools.cached_property
+    def resident_pages(self) -> int:
+        return int(self.runs[:, 1].sum())
 
     @property
-    def resident_pages(self) -> int:
-        return len(self.resident_indices)
+    def resident_indices(self) -> np.ndarray:
+        """Resident page indices in dump order (a fresh int64 array)."""
+        counts = self.runs[:, 1]
+        run_starts = np.cumsum(counts) - counts
+        return (np.repeat(self.runs[:, 0] - run_starts, counts)
+                + np.arange(self.resident_pages))
 
-    # Derived forms, computed on first use. A descriptor is frozen and
-    # every change builds a new one (``dataclasses.replace``), so none
-    # of these can go stale.
-
-    @functools.cached_property
-    def canonical(self) -> bytes:
-        """This VMA's JSON as :meth:`CheckpointImage.compute_digest` hashes it.
-
-        Each run of consecutive resident indices is one slice of the
-        shared decimal text (see :func:`_index_text`), and the content
-        tags are encoded once per run of :attr:`tag_runs`.
-        """
-        fields = _dumps(self._fields()).encode("utf-8")
-        return b"".join((fields[:-1], b", ",
-                         _index_text(self.resident_indices, self.index_runs),
-                         b", ", _tags_text(self.content_tags, self.tag_runs),
-                         b"]"))
-
-    @functools.cached_property
+    @property
     def tag_ids(self) -> np.ndarray:
-        """Content tags interned in :data:`~repro.osproc.memory.TAGS` (read-only int32).
+        """Each resident page's :data:`TAGS` id (a fresh int32 array)."""
+        return np.repeat(self.runs[:, 2].astype(np.int32), self.runs[:, 1])
 
-        The interning table is append-only, so an id never changes meaning.
-        """
-        ids = TAGS.intern_many(self.content_tags)
-        ids.setflags(write=False)
-        return ids
-
-    @functools.cached_property
-    def tag_runs(self) -> List[Tuple[int, int]]:
-        """``(lo, hi)`` position bounds of each run of equal :attr:`tag_ids`."""
-        return _runs(self.tag_ids)
-
-    @functools.cached_property
-    def index_runs(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """First and last index of each run of consecutive resident indices.
-
-        None unless the indices strictly ascend (every step is 1 except
-        at a cut, so they do unless a cut's step does not).
-        """
-        indices = self.resident_indices
-        steps = np.diff(indices)
-        cuts = np.flatnonzero(steps != 1)
-        if not len(indices) or (cuts.size and steps[cuts].min() <= 0):
-            return None
-        return (indices[np.concatenate(([0], cuts + 1))],
-                indices[np.append(cuts, len(indices) - 1)])
+    @property
+    def content_tags(self) -> Tuple[str, ...]:
+        """Each resident page's content tag, parallel to :attr:`resident_indices`."""
+        tag = TAGS.tag
+        return tuple(itertools.chain.from_iterable(
+            itertools.repeat(tag(tid), count)
+            for _first, count, tid in self.runs.tolist()))
 
     def _fields(self) -> list:
         return [self.start, self.length, self.kind, self.prot, self.label,
                 self.file_path, self.file_offset, self.file_size]
 
-    @classmethod
-    def from_dump(cls, index_array: np.ndarray, tag_ids: np.ndarray,
-                  **fields) -> "VMADescriptor":
-        """A descriptor of dumped pages, given as the dump's arrays.
+    @functools.cached_property
+    def _header(self) -> bytes:
+        """``json.dumps`` of :meth:`_fields`, without the closing bracket.
 
-        ``index_array`` (int64) becomes :attr:`resident_indices` and
-        ``tag_ids`` (int32 :data:`TAGS` ids) seeds :attr:`tag_ids`, which
-        is exactly what the content tags would derive: the bake reuses
-        the dump's arrays instead of rebuilding them. Both arrays are
-        made read-only. The content tags repeat one interned tag per
-        run of equal ids.
+        Kept: it is a few dozen bytes whatever the VMA's size, and
+        ``json`` takes longer to encode it than the hash takes to read
+        it. A descriptor is frozen, so it cannot go stale.
         """
-        tags, runs = TAGS.tag, _runs(tag_ids)
-        content_tags: List[str] = []
-        for lo, hi in runs:
-            content_tags += [tags(tag_ids[lo])] * (hi - lo)
-        desc = cls(resident_indices=index_array,
-                   content_tags=tuple(content_tags), **fields)
-        tag_ids.setflags(write=False)
-        desc.__dict__["tag_ids"] = tag_ids
-        desc.__dict__["tag_runs"] = runs
-        return desc
+        return _dumps(self._fields())[:-1].encode("utf-8")
+
+    def stream(self, out: Callable[[Any], Any]) -> None:
+        """Feed this VMA's canonical JSON to ``out``, piece by piece.
+
+        The text is ``json.dumps`` of the eight fields followed by the
+        resident index list and the content tag list, and it is never
+        built whole: each run of indices is one zero-copy slice of the
+        shared decimal text (a run with an index that is negative or
+        past :data:`_DECIMAL_LIMIT` is formatted item by item), and each
+        run's tags are whole blocks and one slice of its tag's shared
+        block (:func:`_tag_block`). :meth:`CheckpointImage.compute_digest`
+        passes its hash's ``update``.
+        """
+        runs = self.runs.tolist()
+        if not runs:
+            out(self._header + b", [], []]")
+            return
+        out(self._header + b", [")
+        decimals, last = _DECIMALS, len(runs) - 1
+        for i, (first, count, _) in enumerate(runs):
+            end = first + count
+            if first >= 0 and end <= _DECIMAL_LIMIT:
+                if end >= len(decimals.offsets):
+                    decimals.grow(end)
+                offsets = decimals.offsets
+                items = memoryview(decimals.text)[offsets[first]:offsets[end]]
+            else:
+                items = "".join(f"{j}, " for j in range(first, end)).encode("ascii")
+            out(items[:-2] if i == last else items)
+        out(b"], [")
+        for i, (_, count, tag_id) in enumerate(runs):
+            block, width = _tag_block(tag_id)
+            size = count * width - (2 if i == last else 0)
+            while size > len(block):
+                out(block)
+                size -= len(block)
+            out(memoryview(block)[:size])
+        out(b"]]")
 
 
 @dataclass(frozen=True)
@@ -392,11 +396,11 @@ class CheckpointImage:
 
         The digest hashes the canonical JSON of one object with sorted
         keys, streamed in key order: the small mutable header, the
-        runtime state, each VMA's cached canonical fragment, then
-        ``warm``. Every byte is hashed on every call; only immutable
+        runtime state, each VMA's fragment (:meth:`VMADescriptor.stream`),
+        then ``warm``. Every byte is hashed on every call; only immutable
         values' encodings are reused.
         """
-        header = json.dumps({
+        header = _dumps_sorted({
             "argv": self.argv,
             "comm": self.comm,
             "fds": [[f.fd, f.path, f.offset, f.flags, f.is_socket, f.file_size]
@@ -404,7 +408,7 @@ class CheckpointImage:
             "files": {name: f.size_bytes for name, f in self.files.items()},
             "namespaces": self.namespace_ids,
             "pid": self.pid,
-        }, sort_keys=True)
+        })
         sha = hashlib.sha256(header[:-1].encode("utf-8"))
         sha.update(b', "runtime_state": ')
         sha.update(canonical_json(self.runtime_state).encode("utf-8"))
@@ -412,8 +416,8 @@ class CheckpointImage:
         for i, vma in enumerate(self.vmas):
             if i:
                 sha.update(b", ")
-            sha.update(vma.canonical)
-        sha.update(f'], "warm": {json.dumps(self.warm)}}}'.encode("utf-8"))
+            vma.stream(sha.update)
+        sha.update(f'], "warm": {_dumps(self.warm)}}}'.encode("utf-8"))
         return sha.hexdigest()
 
     def seal(self) -> str:
@@ -450,12 +454,12 @@ class CheckpointImage:
         """
         self.generation += 1
         for index, vma in enumerate(self.vmas):
-            if vma.content_tags:
+            if vma.resident_pages:
                 tags = list(vma.content_tags)
                 start = min(first_page, len(tags) - 1)
                 for offset in range(start, min(start + pages, len(tags))):
                     tags[offset] = tags[offset] + "\x00corrupt"
-                self.vmas[index] = replace(vma, content_tags=tuple(tags))
+                self.vmas[index] = vma.with_pages(vma.resident_indices, tags)
                 return
         self.comm = self.comm + "\x00corrupt"
 
@@ -472,10 +476,6 @@ class CheckpointImage:
                 f"{self.pages_bytes}"
             )
         for vma in self.vmas:
-            if len(vma.resident_indices) != len(vma.content_tags):
-                raise ValueError(
-                    f"VMA {vma.label!r}: resident indices and tags out of sync"
-                )
             if vma.resident_pages * PAGE_SIZE > vma.length:
                 raise ValueError(
                     f"VMA {vma.label!r}: more resident pages than the mapping holds"

@@ -223,21 +223,23 @@ class PageStore:
 
     def add(self, kind: str, prot: str,
             pairs: Sequence[Tuple[int, str]],
-            cid: Optional[str] = None) -> str:
-        """Store (or reference) one chunk window; returns its id.
+            cid: Optional[str] = None, count: int = 1) -> str:
+        """Store (or reference) ``count`` equal chunk windows; returns their id.
 
         ``cid`` lets callers that already hold the window's identity
         (the memoized :func:`image_windows` walk) skip re-hashing it.
+        One call with ``count=n`` leaves the store as ``n`` calls would.
         """
         pairs = tuple(pairs)
         if cid is None:
             cid = chunk_id(kind, prot, pairs)
         if cid in self._chunks:
-            self.dedup_hits += 1
+            self.dedup_hits += count
         else:
             self._chunks[cid] = PageChunk(chunk_id=cid, kind=kind,
                                           prot=prot, pairs=pairs)
-        self._refs[cid] = self._refs.get(cid, 0) + 1
+            self.dedup_hits += count - 1
+        self._refs[cid] = self._refs.get(cid, 0) + count
         return cid
 
     def release(self, cid: str) -> None:
@@ -297,7 +299,8 @@ def image_windows(
 
     Returns ``(vma_index, window_start, pairs, chunk_id)`` per window.
     The window split is one vectorized pass over each descriptor's
-    resident indices (no per-page Python walk), and the result is
+    resident indices, expanded from its runs for the walk and dropped
+    after it (no per-page Python walk), and the result is
     cached on the image instance keyed by its mutation ``generation``
     (bumped by :meth:`CheckpointImage.tamper` and repairs) — so
     layering, restore planning and the hot-chunk cache all share one
@@ -320,15 +323,14 @@ def image_windows(
         memo = {}
     out: List[Tuple[int, int, Pairs, str]] = []
     for vma_index, vma in enumerate(image.vmas):
-        indices = vma.resident_indices
-        count = len(indices)
+        count = vma.resident_pages
         if count == 0:
             continue
-        ids = vma.tag_ids
+        indices, ids = vma.resident_indices, vma.tag_ids
         # A window ends wherever the chunk changes.
         his = np.append(np.flatnonzero(np.diff(indices // chunk_pages)) + 1, count)
         los = np.concatenate(([0], his[:-1]))
-        heads = _distinct_windows(vma, los, his, chunk_pages)
+        heads = _distinct_windows(vma.runs, los, his, chunk_pages)
         window_starts = ((indices[los] // chunk_pages) * chunk_pages).tolist()
         los_list, his_list = los.tolist(), his.tolist()
         prefix = f"{vma.kind}|{vma.prot}"
@@ -347,22 +349,26 @@ def image_windows(
     return result
 
 
-def _distinct_windows(vma: VMADescriptor, los: np.ndarray, his: np.ndarray,
+def _distinct_windows(runs: np.ndarray, los: np.ndarray, his: np.ndarray,
                       chunk_pages: int) -> List[int]:
     """Window numbers that start a run of equal windows, then the window count.
 
-    A window equals its predecessor when both are full (pages 0 ..
-    ``chunk_pages - 1``, given ascending indices) and lie in one run
-    of equal tag ids; any other window starts a new run.
+    ``runs`` are the descriptor's page runs. A window equals its
+    predecessor when both are full (pages 0 .. ``chunk_pages - 1``,
+    given ascending indices) and lie in one stretch of equal tag ids;
+    any other window starts a new run.
     """
     count = len(los)
-    if vma.index_runs is None or count == 1:
+    ends = runs[:-1, 0] + runs[:-1, 1]
+    if count == 1 or (runs[1:, 0] < ends).any():  # not ascending
         return list(range(count + 1))
     full = his - los == chunk_pages
     repeats = full[1:] & full[:-1]
-    tag_runs = vma.tag_runs
-    if len(tag_runs) > 1:
-        tag_los = np.array([lo for lo, _ in tag_runs])
+    retagged = runs[1:, 2] != runs[:-1, 2]
+    if retagged.any():
+        # Positions where a new tag id starts.
+        run_starts = np.cumsum(runs[:, 1]) - runs[:, 1]
+        tag_los = run_starts[np.concatenate(([True], retagged))]
         repeats &= (np.searchsorted(tag_los, los[:-1], side="right")
                     == np.searchsorted(tag_los, his[1:] - 1, side="right"))
     return [0, *(np.flatnonzero(~repeats) + 1).tolist(), count]
@@ -450,16 +456,18 @@ def layer_image(image: CheckpointImage, store: PageStore,
         WARM_DELTA_LAYER: [],
     }
     layer_names = [_vma_layer(vma, warm_labels) for vma in image.vmas]
-    for vma_index, window_start, pairs, cid in image_windows(
-            image, store.chunk_pages, store.window_memo):
+    windows = image_windows(image, store.chunk_pages, store.window_memo)
+    # Consecutive windows of one VMA holding one chunk register at once.
+    for (vma_index, cid), group in itertools.groupby(
+            windows, key=lambda window: (window[0], window[3])):
+        group = list(group)
+        pairs = group[0][2]
         vma = image.vmas[vma_index]
-        store.add(vma.kind, vma.prot, pairs, cid=cid)
-        refs[layer_names[vma_index]].append(ChunkRef(
-            vma_index=vma_index,
-            window_start=window_start,
-            chunk_id=cid,
-            page_count=len(pairs),
-        ))
+        store.add(vma.kind, vma.prot, pairs, cid=cid, count=len(group))
+        refs[layer_names[vma_index]].extend(
+            ChunkRef(vma_index=vma_index, window_start=window_start,
+                     chunk_id=cid, page_count=len(pairs))
+            for _, window_start, _, _ in group)
     return LayeredImage(
         image_id=image.image_id,
         layers=[SnapshotLayer(name, tuple(chunk_refs))

@@ -501,7 +501,7 @@ class RestoreEngine:
                 file_offset=desc.file_offset,
                 label=desc.label,
             )
-            vma.restore_pages(desc.resident_indices, desc.tag_ids)
+            vma.restore_pages(desc.runs)
             if desc.file_path is not None:
                 # Mapping the file's dumped pages leaves them warm — the
                 # mechanism behind the paper's cheaper post-restore

@@ -118,10 +118,6 @@ class StorageNode:
     down_until_ms: float = 0.0
     holdings: Dict[str, int] = field(default_factory=dict)  # cid -> bytes
 
-    @property
-    def stored_bytes(self) -> int:
-        return sum(self.holdings.values())
-
 
 class CircuitBreaker:
     """Per-node failure gate on the simulated clock.
@@ -503,14 +499,3 @@ class ShardedSnapshotStore:
             obs.gauge(kernel, "shard_node_up",
                       1.0 if node.up else 0.0, labels={"node": node.name})
         obs.gauge(kernel, "shard_nodes_up", float(up))
-
-    def balance(self) -> Dict[str, int]:
-        """Stored bytes per node (placement-balance inspection)."""
-        return {name: node.stored_bytes
-                for name, node in self.nodes.items()}
-
-    def replica_count(self, cid: str) -> int:
-        """Live, reachable copies of one window right now."""
-        return sum(1 for h in self.placement(cid)
-                   if self.nodes[h].up
-                   and cid in self.nodes[h].holdings)

@@ -322,19 +322,23 @@ class VMA(_VMABase):
             self._tag_ids[idx[overwrite]] = ids[overwrite]
         self._soft[idx] = True
 
-    def restore_pages(self, indices: np.ndarray, tag_ids: np.ndarray) -> None:
+    def restore_pages(self, runs: np.ndarray) -> None:
         """:meth:`populate_pages` with ``dirty=False`` on a fresh mapping.
 
         The restore transmute's write: the mapping has no resident page
-        yet, and ``indices`` are unique and ascending (a dump's
-        descriptor order), so the resident set, tags and soft-dirty bits
-        are written once, with no residency read-back or overwrite mask.
+        yet, and ``runs`` are a dump's :func:`page_runs` (disjoint), so
+        each run's resident, tag and soft-dirty bits are written as one
+        slice, with no residency read-back or overwrite mask.
         """
-        _check_fresh_restore(self, indices)
-        self._resident[indices] = True
-        self._tag_ids[indices] = tag_ids
-        self._soft[indices] = True
-        self._resident_count = len(indices)
+        runs = runs.tolist()
+        _check_fresh_restore(self, runs)
+        resident, tag_ids, soft = self._resident, self._tag_ids, self._soft
+        for first, count, tid in runs:
+            pages = slice(first, first + count)
+            resident[pages] = True
+            tag_ids[pages] = tid
+            soft[pages] = True
+        self._resident_count = sum(count for _, count, _ in runs)
 
     # -- bulk views ----------------------------------------------------------
 
@@ -452,12 +456,14 @@ class SlowVMA(_VMABase):
                               np.asarray(tag_ids).tolist()):
             self.touch(index, content_tag=TAGS.tag(tid), dirty=dirty)
 
-    def restore_pages(self, indices: np.ndarray, tag_ids: np.ndarray) -> None:
-        _check_fresh_restore(self, indices)
+    def restore_pages(self, runs: np.ndarray) -> None:
+        runs = runs.tolist()
+        _check_fresh_restore(self, runs)
         tag = TAGS.tag
         self._pages = {
             index: Page(index=index, content_tag=tag(tid), soft_dirty=True)
-            for index, tid in zip(indices.tolist(), tag_ids.tolist())
+            for first, count, tid in runs
+            for index in range(first, first + count)
         }
 
     @property
@@ -501,16 +507,37 @@ class SlowVMA(_VMABase):
         return self._pages
 
 
-def _check_fresh_restore(vma: _VMABase, indices: np.ndarray) -> None:
-    """``restore_pages``' preconditions that cost O(1) to check."""
+def _check_fresh_restore(vma: _VMABase, runs: List[List[int]]) -> None:
+    """``restore_pages``' preconditions that cost O(runs) to check."""
     if vma.resident_pages:
         raise MemoryError_(
             f"restore_pages needs a fresh mapping; {vma.label!r} already "
             f"has {vma.resident_pages} resident pages")
-    if len(indices) and (int(indices[0]) < 0
-                         or int(indices[-1]) >= vma.page_count):
+    if runs and (min(first for first, _, _ in runs) < 0 or max(
+            first + count for first, count, _ in runs) > vma.page_count):
         raise MemoryError_(
             f"page index out of range for VMA of {vma.page_count} pages")
+
+
+def page_runs(indices: np.ndarray, tag_ids: np.ndarray) -> np.ndarray:
+    """Run-length form of parallel page-index and :data:`TAGS`-id arrays.
+
+    One ``(first index, page count, tag id)`` row per maximal stretch of
+    pages whose indices step by one and whose tag ids are equal, in
+    position order: a read-only int64 array of shape ``(runs, 3)``.
+    Expanding the rows gives back both arrays exactly, whatever the
+    order of the indices, and equal pages always give equal runs.
+    """
+    count = len(indices)
+    cuts = np.flatnonzero((np.diff(indices) != 1)
+                          | (np.diff(tag_ids) != 0)) + 1
+    firsts = np.concatenate(([0], cuts)) if count else cuts
+    runs = np.empty((len(firsts), 3), dtype=np.int64)
+    runs[:, 0] = indices[firsts]
+    runs[:, 1] = np.diff(np.append(firsts, count))
+    runs[:, 2] = tag_ids[firsts]
+    runs.setflags(write=False)
+    return runs
 
 
 # -- backend selection -------------------------------------------------------

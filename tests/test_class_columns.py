@@ -214,10 +214,10 @@ def _image(app, loaded_names):
     state = {"kind": "jvm", "booted": True, "ready": True, "requests_served": 1,
              "app": app, "extra": {"jar_path": app.artifact_path(),
                                    "loaded_class_names": loaded_names}}
-    vma = VMADescriptor(
+    vma = VMADescriptor.from_pages(
+        (0, 1), ("heap", "heap"),
         start=0x7f00_0000_0000, length=4 * PAGE_SIZE, kind="anon", prot="rw-",
-        label="java-heap", file_path=None, file_offset=0, file_size=0,
-        resident_indices=(0, 1), content_tags=("heap", "heap"))
+        label="java-heap", file_path=None, file_offset=0, file_size=0)
     image = CheckpointImage(
         image_id="columns", pid=7, comm="java", argv=["java"],
         created_at_ms=0.0, namespace_ids={"pid": 1}, vmas=[vma], fds=[],

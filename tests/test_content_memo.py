@@ -1,7 +1,7 @@
 """The bake path does its work once per distinct content, exactly.
 
 A class table's canonical text is written directly, a VMA's canonical
-bytes reuse its meta text, tags are interned once per distinct tag, and
+bytes are streamed from its page runs, tags are interned once per distinct tag, and
 a page store memoizes each chunk window's pairs and id on its content.
 Each shortcut is checked here against the generic computation it
 replaces, so digests and chunk ids cannot drift.
@@ -88,12 +88,13 @@ def _old_canonical(vma):
 @settings(max_examples=150, deadline=None)
 def test_vma_canonical_equals_the_direct_encoding(pages, label, file_path):
     pages.sort()
-    vma = VMADescriptor(
+    vma = VMADescriptor.from_pages(
+        tuple(i for i, _ in pages), tuple(t for _, t in pages),
         start=0x7f00_0000, length=4096 * PAGE_SIZE, kind="anon", prot="rw-",
-        label=label, file_path=file_path, file_offset=0, file_size=0,
-        resident_indices=tuple(i for i, _ in pages),
-        content_tags=tuple(t for _, t in pages))
-    assert vma.canonical == _old_canonical(vma)
+        label=label, file_path=file_path, file_offset=0, file_size=0)
+    streamed = []
+    vma.stream(lambda piece: streamed.append(bytes(piece)))
+    assert b"".join(streamed) == _old_canonical(vma)
 
 
 # -- (c) tag interning --------------------------------------------------------

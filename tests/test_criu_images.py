@@ -13,7 +13,9 @@ from repro.osproc.memory import PAGE_SIZE
 
 
 def make_vma(resident=4, length_pages=8, label="heap", file_path=None):
-    return VMADescriptor(
+    return VMADescriptor.from_pages(
+        tuple(range(resident)),
+        tuple("t" for _ in range(resident)),
         start=0x1000_0000,
         length=length_pages * PAGE_SIZE,
         kind="anon" if file_path is None else "file",
@@ -22,8 +24,6 @@ def make_vma(resident=4, length_pages=8, label="heap", file_path=None):
         file_path=file_path,
         file_offset=0,
         file_size=0 if file_path is None else length_pages * PAGE_SIZE,
-        resident_indices=tuple(range(resident)),
-        content_tags=tuple("t" for _ in range(resident)),
     )
 
 
@@ -90,20 +90,20 @@ class TestImageValidation:
             image.validate()
 
     def test_tag_index_desync_rejected(self):
-        bad = VMADescriptor(
-            start=0, length=4 * PAGE_SIZE, kind="anon", prot="rw-", label="x",
-            file_path=None, file_offset=0, file_size=0,
-            resident_indices=(0, 1), content_tags=("a",),
-        )
-        image = make_image(vmas=[bad])
+        # Runs cannot fall out of sync, so pages listed one by one are
+        # refused when the descriptor is built from them.
+        fields = dict(start=0, length=4 * PAGE_SIZE, kind="anon", prot="rw-",
+                      label="x", file_path=None, file_offset=0, file_size=0)
         with pytest.raises(ValueError, match="out of sync"):
-            image.validate()
+            VMADescriptor.from_pages((0, 1), ("a",), **fields)
+        with pytest.raises(ValueError, match="out of sync"):
+            make_vma(resident=2).with_pages((0,), ("a", "b"))
 
     def test_overfull_vma_rejected(self):
-        bad = VMADescriptor(
+        bad = VMADescriptor.from_pages(
+            (0, 1), ("a", "b"),
             start=0, length=PAGE_SIZE, kind="anon", prot="rw-", label="x",
             file_path=None, file_offset=0, file_size=0,
-            resident_indices=(0, 1), content_tags=("a", "b"),
         )
         image = make_image(vmas=[bad])
         with pytest.raises(ValueError, match="more resident pages"):

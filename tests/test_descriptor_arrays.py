@@ -1,8 +1,8 @@
-"""A VMA descriptor holds its resident pages as an int64 array.
+"""A VMA descriptor holds its resident pages as runs.
 
-Every byte a descriptor contributes (its canonical text and the image
-digest) and every page a tamper changes must be what a descriptor
-holding a tuple of Python ints gave. The reference below
+Every byte a descriptor contributes (its streamed canonical text and
+the image digest) and every page a tamper changes must be what a
+descriptor holding a tuple of Python ints gave. The reference below
 is written from that tuple form, independently of the encoder.
 """
 
@@ -49,8 +49,8 @@ def _image(vmas, as_array):
     descs = []
     for i, (page_count, indices, tags) in enumerate(vmas):
         pages = np.array(indices, dtype=np.int64) if as_array else indices
-        descs.append(VMADescriptor(resident_indices=pages, content_tags=tags,
-                                   **_fields(i, page_count)))
+        descs.append(VMADescriptor.from_pages(pages, tags,
+                                              **_fields(i, page_count)))
     image = CheckpointImage(
         image_id="img-ref", pid=4242, comm="java",
         argv=["java", "-jar", "fn.jar"], created_at_ms=12.5,
@@ -96,8 +96,10 @@ def test_canonical_bytes_and_digest_match_the_tuple_reference(vmas):
         image = _image(vmas, as_array)
         for i, (desc, vma) in enumerate(zip(image.vmas, vmas)):
             assert desc.resident_indices.dtype == np.int64
-            assert not desc.resident_indices.flags.writeable
-            assert desc.canonical == json.dumps(
+            assert not desc.runs.flags.writeable
+            streamed = []
+            desc.stream(lambda piece: streamed.append(bytes(piece)))
+            assert b"".join(streamed) == json.dumps(
                 _reference_row(i, *vma)).encode("utf-8")
         assert image.compute_digest() == _reference_digest(image, vmas)
 

@@ -25,6 +25,7 @@ from repro.osproc.memory import (
     TAGS,
     VMA,
     VMAKind,
+    page_runs,
     pagemap_backend,
     set_slow_pagemap,
     slow_pagemap_enabled,
@@ -115,7 +116,7 @@ class TestBackendEquivalence:
         for backend in (VMA, SlowVMA):
             fresh = backend(start=0, length=PAGES * PAGE_SIZE,
                             kind=VMAKind.ANON)
-            fresh.restore_pages(indices, tag_ids)
+            fresh.restore_pages(page_runs(indices, tag_ids))
             restored.append(_observe(fresh))
         populated = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
         populated.populate_pages(indices, tag_ids, dirty=False)
@@ -123,16 +124,16 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("backend", [VMA, SlowVMA])
     def test_restore_pages_refuses_a_used_or_too_small_mapping(self, backend):
-        indices = np.array([0, 5, PAGES - 1], dtype=np.int64)
-        tag_ids = TAGS.intern_many(["a", "b", "c"])
+        runs = page_runs(np.array([0, 5, PAGES - 1], dtype=np.int64),
+                         TAGS.intern_many(["a", "b", "c"]))
         used = backend(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
         used.touch(3, content_tag="x")
         with pytest.raises(MemoryError_, match="fresh mapping"):
-            used.restore_pages(indices, tag_ids)
+            used.restore_pages(runs)
         small = backend(start=0, length=(PAGES - 1) * PAGE_SIZE,
                         kind=VMAKind.ANON)
         with pytest.raises(MemoryError_, match="out of range"):
-            small.restore_pages(indices, tag_ids)
+            small.restore_pages(runs)
         assert small.resident_pages == 0
 
     @given(ops=st.lists(_ops, max_size=20), incremental=st.booleans())

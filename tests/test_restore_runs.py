@@ -19,7 +19,17 @@ from repro import make_world
 from repro.core.policy import AfterWarmup
 from repro.criu import chunkcache
 from repro.criu.chunkcache import FREQ_OVER_SIZE, LRU, HotChunkCache
-from repro.criu.pagestore import chunk_runs, image_chunk_runs, image_windows
+from repro.criu import pagestore
+from repro.criu.pagestore import (
+    ChunkRef,
+    LayeredImage,
+    PageStore,
+    SnapshotLayer,
+    chunk_runs,
+    image_chunk_runs,
+    image_windows,
+    layer_image,
+)
 from repro.criu.restore import RestoreEngine
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.functions import make_app
@@ -174,6 +184,56 @@ def test_runs_expand_to_the_manifests(fleet):
         assert len(layered.chunk_runs) < len(layered.chunk_refs)
         image = _image(platform, name)
         assert expand(image_chunk_runs(image)) == windows_of(image)
+
+
+def _reference_layer(image, store):
+    """``layer_image`` as it was: one ``PageStore.add`` per window."""
+    refs = {name: [] for name in (pagestore.RUNTIME_BASE_LAYER,
+                                  pagestore.FUNCTION_CODE_LAYER,
+                                  pagestore.WARM_DELTA_LAYER)}
+    for vma_index, window_start, pairs, cid in image_windows(
+            image, store.chunk_pages, store.window_memo):
+        vma = image.vmas[vma_index]
+        store.add(vma.kind, vma.prot, pairs, cid=cid)
+        refs[pagestore._vma_layer(vma, frozenset())].append(ChunkRef(
+            vma_index=vma_index, window_start=window_start, chunk_id=cid,
+            page_count=len(pairs)))
+    return LayeredImage(image_id=image.image_id, layers=[
+        SnapshotLayer(name, tuple(chunk_refs))
+        for name, chunk_refs in refs.items()])
+
+
+def _page_store_state(store):
+    return ({cid: (chunk.kind, chunk.prot, chunk.pairs)
+             for cid, chunk in store._chunks.items()},
+            dict(store._refs), store.dedup_hits)
+
+
+@pytest.mark.parametrize("chunk_pages", [64, 8])
+def test_layering_registers_runs_as_the_per_window_walk_did(fleet, chunk_pages):
+    _, platform, names = fleet
+    images = [_image(platform, name) for name in names]
+    # A copy with one retagged page inside a run of equal heap windows.
+    tampered = dataclasses.replace(images[-1], vmas=list(images[-1].vmas))
+    tampered.tamper(pages=1, first_page=3 * chunk_pages + 1)
+    by_runs, by_windows = PageStore(chunk_pages), PageStore(chunk_pages)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        add = PageStore.add
+        patch.setattr(PageStore, "add", lambda store, *args, **kwargs: (
+            calls.append(store is by_runs) or add(store, *args, **kwargs)))
+        # The second time round every window dedups.
+        for image in images + [tampered] + images:
+            assert layer_image(image, by_runs) == \
+                _reference_layer(image, by_windows)
+            assert _page_store_state(by_runs) == _page_store_state(by_windows)
+    assert by_runs.dedup_hits > 0
+    # One add per run of equal windows, not one per window.
+    assert 0 < calls.count(True) < calls.count(False)
+    for cid in list(by_runs._refs):
+        for _ in range(by_runs.refcount(cid)):
+            by_runs.release(cid)
+    assert by_runs.chunk_count == 0
 
 
 # -- the deployer's four walks ------------------------------------------------

@@ -1,11 +1,11 @@
-"""The bake encodes and windows each dumped VMA per run of pages.
+"""A descriptor holds, encodes and windows each dumped VMA per run of pages.
 
-A descriptor's canonical text is built from runs of consecutive
-resident indices (slices of one shared decimal text) and runs of equal
-content tags; ``from_dump`` builds its tag tuple per tag run; and
-``image_windows`` looks up one window key per run of equal full
-windows. Each must give, byte for byte, what the per-page forms give:
-``json.dumps`` of the index list and of the tag tuple, ``tags_of`` of
+A descriptor keeps its pages as ``(first index, count, tag id)`` runs
+and streams its canonical text from them (slices of one shared decimal
+text and blocks of each run's repeated tag); ``image_windows`` looks
+up one window key per run of equal full windows. Each must give, byte
+for byte, what the per-page forms give: the index list and tag tuple
+the descriptor was built from, ``json.dumps`` of them, ``tags_of`` of
 the dump's ids, and a walk that formats and hashes every window. The
 sealed digests and the integrity check must not change either.
 """
@@ -34,7 +34,7 @@ from repro.criu.images import (
 from repro.criu.pagestore import chunk_id, image_windows
 from repro.faults.errors import SnapshotCorrupted
 from repro.functions import make_app
-from repro.osproc.memory import TAGS
+from repro.osproc.memory import TAGS, page_runs
 
 # Tags JSON must escape: quotes, backslashes, control and non-ASCII.
 _tags = st.one_of(
@@ -84,16 +84,29 @@ def _fields(label="heap", file_path=None):
                 file_offset=0, file_size=0)
 
 
-def _check_texts(desc: VMADescriptor) -> None:
-    assert desc.canonical == json.dumps(
-        desc._fields() + [desc.resident_indices.tolist(),
-                          list(desc.content_tags)]).encode("utf-8")
+def _streamed(desc: VMADescriptor) -> bytes:
+    pieces = []
+    desc.stream(lambda piece: pieces.append(bytes(piece)))
+    return b"".join(pieces)
+
+
+def _check_texts(desc: VMADescriptor, indices=None, tags=None) -> None:
+    """``desc`` holds ``indices`` and ``tags`` (its own per-page forms by
+    default) and streams exactly their ``json.dumps``."""
+    if indices is None:
+        indices, tags = desc.resident_indices.tolist(), desc.content_tags
+    assert desc.resident_indices.tolist() == list(indices)
+    assert desc.content_tags == tuple(tags)
+    assert TAGS.tags_of(desc.tag_ids) == list(tags)
+    assert desc.resident_pages == len(indices)
+    assert _streamed(desc) == json.dumps(
+        desc._fields() + [list(indices), list(tags)]).encode("utf-8")
 
 
 def _dumped(indices, tags) -> VMADescriptor:
-    """A descriptor built as a dump builds it: from the two arrays."""
-    return VMADescriptor.from_dump(np.array(indices, dtype=np.int64),
-                                   TAGS.intern_many(tags), **_fields())
+    """A descriptor built as a dump builds it: runs of the two arrays."""
+    return VMADescriptor(runs=page_runs(np.array(indices, dtype=np.int64),
+                                        TAGS.intern_many(tags)), **_fields())
 
 
 # -- (a) index and tag texts --------------------------------------------------
@@ -105,14 +118,15 @@ def _dumped(indices, tags) -> VMADescriptor:
 @example(([7], ['"\\\x00é']), True)
 @example((list(range(64)) + list(range(100, 164)), ["x"] * 64 + ["y"] * 64), True)
 @example(([0, 2, 4, 6], ["a", "b", "a", "b"]), False)
+@example((list(range(3000)), ["long-tag-" * 5] * 2999 + ["z"]), True)
 def test_run_texts_equal_the_per_page_json(pages, as_dump):
     indices, tags = pages
     if as_dump:
         desc = _dumped(indices, tags)
     else:
-        desc = VMADescriptor(resident_indices=tuple(indices),
-                             content_tags=tuple(tags), **_fields())
-    _check_texts(desc)
+        desc = VMADescriptor.from_pages(tuple(indices), tuple(tags),
+                                        **_fields())
+    _check_texts(desc, indices, tags)
 
 
 @given(st.lists(st.integers(-5, 3000), max_size=40), _tags)
@@ -123,10 +137,10 @@ def test_run_texts_equal_the_per_page_json(pages, as_dump):
 @example([0, 1, 1 << 30], "t")
 def test_lists_in_any_order_encode_as_the_per_page_json(indices, tag):
     # Descriptors built by hand from lists: negative, repeated and
-    # unsorted indices take the per-page encoding, the rest runs.
-    desc = VMADescriptor(resident_indices=indices,
-                         content_tags=(tag,) * len(indices), **_fields())
-    _check_texts(desc)
+    # unsorted indices still make runs, in list order.
+    desc = VMADescriptor.from_pages(indices, (tag,) * len(indices),
+                                    **_fields())
+    _check_texts(desc, indices, (tag,) * len(indices))
 
 
 def test_indices_past_the_decimal_text_grow_it_exactly():
@@ -135,9 +149,9 @@ def test_indices_past_the_decimal_text_grow_it_exactly():
     for first in (grown, grown + 1, grown + 9_000, limit - 20, limit - 8):
         first = min(first, limit - 8)
         indices = list(range(first, first + 5)) + [first + 7]
-        desc = VMADescriptor(resident_indices=indices,
-                             content_tags=("p",) * len(indices), **_fields())
-        _check_texts(desc)
+        desc = VMADescriptor.from_pages(indices, ("p",) * len(indices),
+                                        **_fields())
+        _check_texts(desc, indices, ("p",) * len(indices))
     # Grown to the largest index asked (limit - 1), and no further.
     assert len(images._DECIMALS.offsets) - 1 == limit
     # The text is the items of 0, 1, 2, ... and nothing else.
@@ -150,9 +164,8 @@ def test_indices_past_the_limit_are_encoded_item_by_item():
     limit = images._DECIMAL_LIMIT
     before = len(images._DECIMALS.offsets)
     indices = [0, 1, limit - 1, limit, limit + 1]
-    desc = VMADescriptor(resident_indices=indices, content_tags=("z",) * 5,
-                         **_fields())
-    _check_texts(desc)
+    desc = VMADescriptor.from_pages(indices, ("z",) * 5, **_fields())
+    _check_texts(desc, indices, ("z",) * 5)
     assert len(images._DECIMALS.offsets) == before
 
 
@@ -162,23 +175,69 @@ def test_tampered_descriptors_encode_as_the_per_page_json(pages, count, first):
     indices, tags = pages
     image = _image([_dumped(indices, tags)])
     image.tamper(pages=count, first_page=first)
-    _check_texts(image.vmas[0])
+    tampered = list(tags)
+    if tags:
+        start = min(first, len(tags) - 1)
+        for offset in range(start, min(start + count, len(tags))):
+            tampered[offset] += "\x00corrupt"
+    _check_texts(image.vmas[0], indices, tampered)
 
 
-# -- (b) the dump's tag tuple -------------------------------------------------
+# -- (b) the runs -------------------------------------------------------------
 
 @given(_runs_of(_tags, max_runs=8, max_length=300))
 @settings(max_examples=150, deadline=None)
-def test_from_dump_tags_equal_tags_of_the_ids(tags):
+def test_dump_runs_give_the_tags_of_the_ids(tags):
     ids = TAGS.intern_many(tags)
-    desc = VMADescriptor.from_dump(np.arange(len(ids), dtype=np.int64), ids,
-                                   **_fields())
+    desc = VMADescriptor(runs=page_runs(np.arange(len(ids), dtype=np.int64),
+                                        ids), **_fields())
     assert desc.content_tags == tuple(TAGS.tags_of(ids))
-    assert desc.tag_ids is ids and not ids.flags.writeable
-    by_hand = VMADescriptor(resident_indices=list(range(len(tags))),
-                            content_tags=tuple(tags), **_fields())
+    assert np.array_equal(desc.tag_ids, ids)
+    assert not desc.runs.flags.writeable
+    by_hand = VMADescriptor.from_pages(list(range(len(tags))), tuple(tags),
+                                       **_fields())
     assert desc == by_hand
-    assert desc.canonical == by_hand.canonical
+    assert _streamed(desc) == _streamed(by_hand)
+
+
+@given(st.lists(st.tuples(st.integers(-3, 60), st.sampled_from("abc")),
+                max_size=80))
+@settings(max_examples=150, deadline=None)
+def test_runs_are_maximal_and_expand_to_the_pages(pages):
+    indices = np.array([i for i, _ in pages], dtype=np.int64)
+    ids = TAGS.intern_many([t for _, t in pages])
+    runs = page_runs(indices, ids)
+    assert runs.dtype == np.int64 and runs.shape == (len(runs), 3)
+    assert (runs[:, 1] > 0).all() and runs[:, 1].sum() == len(pages)
+    # No two neighbouring runs could be one.
+    joinable = ((runs[1:, 0] == runs[:-1, 0] + runs[:-1, 1])
+                & (runs[1:, 2] == runs[:-1, 2]))
+    assert not joinable.any()
+    desc = VMADescriptor(runs=runs, **_fields())
+    assert np.array_equal(desc.resident_indices, indices)
+    assert np.array_equal(desc.tag_ids, ids)
+
+
+def test_streaming_builds_no_text_of_the_pages():
+    # A dumped VMA of many pages in one run: the index text is a view
+    # of the shared decimal text, the tags come in bounded blocks that
+    # every stream of the tag shares.
+    count = 40_000
+    desc = _dumped(list(range(count)), ["heap:" + "x" * 20] * count)
+    pieces, again = [], []
+    desc.stream(pieces.append)
+    desc.stream(again.append)
+    texts = [p.obj if isinstance(p, memoryview) else p for p in pieces]
+    for text in texts:
+        if text is not images._DECIMALS.text:
+            assert len(text) <= images._TAG_BLOCK
+    blocks = [t for t in texts if len(t) > images._TAG_BLOCK // 2
+              and t is not images._DECIMALS.text]
+    assert blocks
+    assert all(t is u.obj if isinstance(u, memoryview) else t is u
+               for t, u in zip(texts, again) if t in blocks)
+    del pieces, again, texts, blocks
+    _check_texts(desc, list(range(count)), ["heap:" + "x" * 20] * count)
 
 
 # -- (c) windows by runs ------------------------------------------------------
@@ -231,8 +290,8 @@ def test_windows_equal_the_per_window_walk(vmas, chunk_pages):
                 max_size=60), st.sampled_from([1, 4, 64]))
 @settings(max_examples=100, deadline=None)
 def test_windows_of_unordered_hand_built_lists(pages, chunk_pages):
-    desc = VMADescriptor(resident_indices=[i for i, _ in pages],
-                         content_tags=tuple(t for _, t in pages), **_fields())
+    desc = VMADescriptor.from_pages([i for i, _ in pages],
+                                    tuple(t for _, t in pages), **_fields())
     image = _image([desc])
     assert image_windows(image, chunk_pages) == \
         _reference_windows(image, chunk_pages)
@@ -259,8 +318,7 @@ def _resealed(image: CheckpointImage, pages: bool = True) -> CheckpointImage:
 
     Without ``pages`` every VMA keeps its geometry but no resident page.
     """
-    vmas = [vma if pages else dataclasses.replace(
-        vma, resident_indices=(), content_tags=()) for vma in image.vmas]
+    vmas = [vma if pages else vma.with_pages((), ()) for vma in image.vmas]
     copy = dataclasses.replace(image, argv=list(image.argv),
                                fds=list(image.fds), vmas=vmas,
                                runtime_state=dict(image.runtime_state))

@@ -34,6 +34,18 @@ from repro.faults.model import (
 from repro.functions import make_app
 
 
+def _replicas(store, cid):
+    """Live, reachable copies of one window right now."""
+    return sum(1 for home in store.placement(cid)
+               if store.nodes[home].up and cid in store.nodes[home].holdings)
+
+
+def _stored_bytes(store):
+    """Bytes each node's disk holds."""
+    return {name: sum(node.holdings.values())
+            for name, node in store.nodes.items()}
+
+
 # ---------------------------------------------------------------------------
 # Hash ring
 # ---------------------------------------------------------------------------
@@ -129,14 +141,14 @@ class TestShardedSnapshotStore:
         store.register_image(layered)
         assert store.has_image(layered.image_id)
         for ref in layered.chunk_refs:
-            assert store.replica_count(ref.chunk_id) == 2
+            assert _replicas(store, ref.chunk_id) == 2
 
     def test_placement_spreads_over_all_nodes(self, kernel):
         layered = _baked_layered(kernel)
         store = ShardedSnapshotStore(kernel, node_count=5,
                                      replication_factor=1)
         store.register_image(layered)
-        balance = store.balance()
+        balance = _stored_bytes(store)
         assert len(balance) == 5
         # Snapshot windows dedup to a modest set of distinct digests,
         # so demand a spread, not perfection: most nodes own data and
@@ -231,7 +243,7 @@ class TestShardedSnapshotStore:
             for home in homes:
                 assert ref.chunk_id in store.nodes[home].holdings
             # Only reachable copies count while ``down`` is out.
-            assert store.replica_count(ref.chunk_id) == 3 - (down in homes)
+            assert _replicas(store, ref.chunk_id) == 3 - (down in homes)
 
     def test_a_recovered_node_serves_what_its_disk_held(self, kernel):
         layered = _baked_layered(kernel)
@@ -259,7 +271,7 @@ class TestShardedSnapshotStore:
         assert not result.found
         assert result.retry_hops == 2
         assert not store.open_breakers()
-        assert store.replica_count(cid) == 0
+        assert _replicas(store, cid) == 0
 
     def test_registering_an_image_again_changes_no_holding(self, kernel):
         layered = _baked_layered(kernel)
@@ -307,7 +319,7 @@ class TestDegradedRestores:
         platform.deployer.terminate_all("markdown")
         # Kill the node holding the most of this image; with RF=1 its
         # windows are unobtainable, so prebake must fall back.
-        balance = platform.shard_store.balance()
+        balance = _stored_bytes(platform.shard_store)
         victim = max(balance, key=balance.get)
         platform.shard_store.fail_node(victim, down_for_ms=600_000.0)
         response = platform.invoke("markdown")

@@ -255,20 +255,29 @@ def test_class_tables_are_memoized_and_never_copied():
 def test_descriptor_arrays_are_read_only_and_follow_replace():
     _, image = _bake("synthetic-small", AfterWarmup(1), 3)
     desc = max(image.vmas, key=lambda v: v.resident_pages)
-    assert not desc.resident_indices.flags.writeable
+    assert not desc.runs.flags.writeable
     assert desc.resident_indices.dtype == np.int64
-    assert not desc.tag_ids.flags.writeable
+    # The per-page forms are built on each access and never kept.
+    assert desc.resident_indices is not desc.resident_indices
     assert TAGS.tags_of(desc.tag_ids) == list(desc.content_tags)
-    retagged = replace(desc, content_tags=("other",) * desc.resident_pages)
-    assert retagged.resident_indices is desc.resident_indices
+    retagged = desc.with_pages(desc.resident_indices,
+                               ("other",) * desc.resident_pages)
+    assert np.array_equal(retagged.resident_indices, desc.resident_indices)
     assert set(TAGS.tags_of(retagged.tag_ids)) == {"other"}
-    assert retagged.canonical != desc.canonical
+    assert retagged != desc
+
+    def text(vma):
+        pieces = []
+        vma.stream(lambda piece: pieces.append(bytes(piece)))
+        return b"".join(pieces)
+
+    assert text(retagged) != text(desc)
 
 
 # -- verify still catches drift with warm caches ------------------------------
 
 def _strip_pages(image):
-    image.vmas = [replace(v, resident_indices=(), content_tags=()) for v in image.vmas]
+    image.vmas = [v.with_pages((), ()) for v in image.vmas]
     image.seal()
     image.verify_integrity()
     image.tamper()  # no page left to flip: corrupts the metadata instead
