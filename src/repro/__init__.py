@@ -63,14 +63,14 @@ class World:
         return self.kernel.clock.now
 
 
-def make_world(seed: int = 0, costs: CostModel = DEFAULT_COST_MODEL,
-               observe: bool = False) -> World:
-    """Create a fresh simulated world (kernel + clock + seeded RNG).
+def make_world(seed: int = 0, observe: bool = False) -> World:
+    """Create a fresh simulated world (kernel + clock + seeded RNG) on
+    the calibrated cost model.
 
     ``observe=True`` installs a :class:`repro.obs.Observability` hub so
     the world records lifecycle spans and metrics from the start.
     """
-    kernel = Kernel(clock=SimClock(), costs=costs, streams=RandomStreams(seed=seed))
+    kernel = Kernel(RandomStreams(seed=seed))
     if observe:
         from repro import obs
         obs.install(kernel)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, List
+from typing import List
 
 
 def _rng(seed: int) -> random.Random:
@@ -107,11 +107,3 @@ def diurnal_arrivals(
             arrivals.append(t)
         t += rng.expovariate(1.0 / mean_gap_ms)
     return arrivals
-
-
-def inter_arrival_gaps(arrivals: List[float]) -> Iterator[float]:
-    """Successive gaps of a trace (first gap is from t=0)."""
-    prev = 0.0
-    for t in arrivals:
-        yield t - prev
-        prev = t

@@ -517,4 +517,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

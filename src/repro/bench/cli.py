@@ -16,6 +16,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from typing import Callable, Dict, List
 
@@ -422,4 +423,4 @@ def main(argv: List[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -470,9 +470,7 @@ def run(experiment: str, postmortem_dir: Optional[pathlib.Path] = None,
                  postmortem_dir=postmortem_dir, collect=preset.collect)
 
 
-def replay_recipe(recipe: Dict[str, Any],
-                  postmortem_dir: Optional[pathlib.Path] = None
-                  ) -> CellResult:
+def replay_recipe(recipe: Dict[str, Any]) -> CellResult:
     """Re-run the one world a bundle's recipe names (its preset,
     parameters, world and repetition; provenance keys such as
     ``fault_schedule_digest`` are ignored) and return that world alone,
@@ -489,4 +487,4 @@ def replay_recipe(recipe: Dict[str, Any],
         raise ValueError(f"no {experiment} cell runs world "
                          f"{recipe['world']!r}")
     return sweep(str(experiment), params, cells, [rep],
-                 postmortem_dir=postmortem_dir, collect=True).cells[0]
+                 collect=True).cells[0]

@@ -19,8 +19,8 @@ the live :class:`~repro.faas.platform.FaaSPlatform`'s:
 * **Placement**: the fraction of the image a node's cache covers,
   minus a penalty for its share of live replicas; first best wins.
 * **Price**: clone + spawn + restore, restore being the engine's
-  ``restore_base_ms`` + one-worker ``plan_restore_pipeline`` at the
-  cached byte fraction + ``shard_fetch_overhead_ms(hops)``. One
+  :meth:`~repro.sim.costmodel.CostModel.restore_price` for one worker
+  at the cached byte fraction + ``shard_fetch_overhead_ms(hops)``. One
   log-normal factor scales every phase and the phases sum to the
   total, so :class:`~repro.obs.fleet.ColdStartAttribution` is exact.
 * **Prewarming** (optional, as ``PlatformConfig(prewarm=...)``): a
@@ -286,10 +286,8 @@ class FleetModel:
         restore_ms = self._restore_memo.get(key)
         if restore_ms is None:
             costs = DEFAULT_COST_MODEL
-            full = costs.restore_cost(image / MIB)
-            base = min(costs.restore_base_ms, full)
-            plan = costs.plan_restore_pipeline(
-                full - base, cached_fraction=local / image)
+            base, plan, _ = costs.restore_price(
+                image / MIB, cached_fraction=local / image)
             restore_ms = (base + plan.total_ms
                           + costs.shard_fetch_overhead_ms(hops))
             self._restore_memo[key] = restore_ms

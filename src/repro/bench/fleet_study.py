@@ -324,14 +324,12 @@ def _run_repetition(config: FleetStudyConfig, seed: int,
 
 def fleet_study(repetitions: int = 1, seed: int = 42,
                 requests: int = 1_000_000, functions: int = 200,
-                compute_nodes: int = 8, storage_nodes: int = 6,
-                replication_factor: int = 2,
-                duration_ms: float = 7_200_000.0) -> FleetStudyResult:
+                compute_nodes: int = 8,
+                storage_nodes: int = 6) -> FleetStudyResult:
     """Run X12: ``repetitions`` independent fleet passes + the exemplar."""
     config = FleetStudyConfig(
-        functions=functions, requests=requests, duration_ms=duration_ms,
-        compute_nodes=compute_nodes, storage_nodes=storage_nodes,
-        replication_factor=replication_factor)
+        functions=functions, requests=requests,
+        compute_nodes=compute_nodes, storage_nodes=storage_nodes)
     result = FleetStudyResult(config=config, seed=seed)
     for rep in range(repetitions):
         result.reps.append(_run_repetition(config, seed, rep))

@@ -29,7 +29,6 @@ from repro.core.policy import AfterReady, SnapshotPolicy
 from repro.criu.restore import RestoreMode
 from repro.functions.base import FunctionApp, make_app
 from repro.obs.profile import STARTUP_PHASES, fold
-from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.rng import _derive_seed
 
 AppFactory = Callable[[], FunctionApp]
@@ -70,8 +69,8 @@ class StartupSummary:
     def median_ms(self) -> float:
         return median(self.values)
 
-    def ci(self, confidence: float = 0.95, seed: int = 0) -> ConfidenceInterval:
-        return bootstrap_median_ci(self.values, confidence=confidence, seed=seed)
+    def ci(self) -> ConfidenceInterval:
+        return bootstrap_median_ci(self.values)
 
     def phase_medians(self) -> Dict[str, float]:
         """Median CLONE/EXEC/RTS/APPINIT over the traced repetitions."""
@@ -90,7 +89,6 @@ def _startup_repetition(
     seed: int,
     resolved_metric: str,
     trace_phases: bool,
-    costs: CostModel,
     restore_mode: RestoreMode,
     in_memory: bool,
     trace_sink: Optional[List[Dict[str, object]]] = None,
@@ -103,7 +101,7 @@ def _startup_repetition(
     process executed it.
     """
     factory = _resolve_factory(function)
-    world = make_world(seed=_derive_seed(seed, f"rep-{rep}"), costs=costs,
+    world = make_world(seed=_derive_seed(seed, f"rep-{rep}"),
                        observe=trace_sink is not None)
     kernel = world.kernel
     if flight_sink is not None:
@@ -204,7 +202,6 @@ def run_startup_experiment(
     seed: int = 42,
     metric: Optional[str] = None,
     trace_phases: bool = False,
-    costs: CostModel = DEFAULT_COST_MODEL,
     restore_mode: RestoreMode = RestoreMode.EAGER,
     in_memory: bool = False,
     trace_sink: Optional[List[Dict[str, object]]] = None,
@@ -248,7 +245,7 @@ def run_startup_experiment(
     )
     packed = [
         (rep, function, technique, policy, seed, resolved_metric,
-         trace_phases, costs, restore_mode, in_memory)
+         trace_phases, restore_mode, in_memory)
         for rep in range(repetitions)
     ]
     if workers > 1 and repetitions > 1 and _parallelizable(function, trace_sink,
@@ -287,27 +284,17 @@ def run_service_experiment(
     technique: str,
     policy: SnapshotPolicy = AfterReady(),
     requests: int = 200,
-    interval_ms: float = 10.0,
     seed: int = 42,
-    costs: CostModel = DEFAULT_COST_MODEL,
-    workers: int = 1,
 ) -> ServiceSummary:
     """Measure ``requests`` sequential service times after one start-up.
 
     Reproduces Figure 7's setup: "the empirical cumulative distribution
     function (ECDF) of the service time for 200 requests applied to
     [the] functions after being initialized by the prebaking and
-    vanilla technique."
-
-    ``workers`` is accepted for interface symmetry with
-    :func:`run_startup_experiment`: this treatment drives one replica
-    inside a single world, whose requests are causally ordered, so any
-    worker count yields the identical serial execution.
+    vanilla technique." Requests arrive every 10 ms.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     factory = _resolve_factory(function)
-    world = make_world(seed=_derive_seed(seed, f"service-{technique}"), costs=costs)
+    world = make_world(seed=_derive_seed(seed, f"service-{technique}"))
     kernel = world.kernel
     manager = PrebakeManager(kernel)
     app = factory()
@@ -318,7 +305,7 @@ def run_service_experiment(
     else:
         starter = manager.starter(technique)
     generator = LoadGenerator(kernel)
-    result = generator.run(starter, app, requests=requests, interval_ms=interval_ms)
+    result = generator.run(starter, app, requests=requests, interval_ms=10.0)
     return ServiceSummary(
         function=app.name,
         technique=technique,

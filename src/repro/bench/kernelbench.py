@@ -9,8 +9,8 @@ vectorized pagemap backend and with the per-page reference backend
 
 The workload is deterministic: start-up episodes (deploy → prebake
 restore → vanilla boot, exercising checkpoint/restore and the CRIU
-chunk paths), a direct pagemap stress (touch_range / incremental dump
-/ bulk populate over multi-MiB VMAs), and an event storm on the
+chunk paths), a direct pagemap stress (touch_range / full dump / bulk
+populate over multi-MiB VMAs), and an event storm on the
 discrete-event engine (bulk scheduling, coroutine sleeps, signal
 waits, cancellations). Simulated work — and therefore the event count
 — is byte-identical under both backends, so
@@ -95,11 +95,11 @@ def _startup_episode(seed: int, index: int) -> int:
 def _pagemap_stress(seed: int, index: int) -> int:
     """Direct VMA stress on whichever backend is active.
 
-    Mirrors a checkpoint/diff/restore cycle at the pagemap layer: cold
-    population in windows, a full dump, soft-dirty clear, sparse
-    re-dirtying, an incremental dump, working-set floor, and a bulk
-    restore-style populate into a fresh VMA. Page counts are exact
-    functions of ``index`` — no RNG, no backend dependence.
+    Mirrors a checkpoint/restore cycle at the pagemap layer: 64 rounds
+    of population in windows, each followed by a working-set floor read
+    and a soft-dirty clear; then one full dump and a bulk restore-style
+    populate into a fresh VMA. Page counts are exact functions of
+    ``index`` — no RNG, no backend dependence.
     """
     del seed  # sized by index only; kept for signature symmetry
     backend = pagemap_backend()
@@ -107,7 +107,8 @@ def _pagemap_stress(seed: int, index: int) -> int:
     window = 2_048
     rounds = 64
     vma = backend(start=PAGE_SIZE, length=pages * PAGE_SIZE,
-                  kind=VMAKind.ANON, prot="rw-", label="bench-heap")
+                  kind=VMAKind.ANON, prot="rw-", file_path=None,
+                  file_offset=0, label="bench-heap")
     processed = 0
     for rnd in range(rounds):
         for lo in range(0, pages, window):
@@ -119,7 +120,8 @@ def _pagemap_stress(seed: int, index: int) -> int:
     full_indices, full_tags = vma.dump_pages()
     processed += len(full_indices)
     target = backend(start=PAGE_SIZE, length=pages * PAGE_SIZE,
-                     kind=VMAKind.ANON, prot="rw-", label="bench-restore")
+                     kind=VMAKind.ANON, prot="rw-", file_path=None,
+                     file_offset=0, label="bench-restore")
     target.populate_pages(full_indices, TAGS.intern_many(full_tags))
     processed += len(full_indices)
     if target.resident_bytes != vma.resident_bytes:

@@ -15,11 +15,11 @@ trade-off space:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro import make_world
 from repro.bench.stats import quantile
-from repro.core.policy import AfterWarmup, SnapshotPolicy
+from repro.core.policy import AfterWarmup
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.autoscaler import AutoscalerConfig
 from repro.faas.pool import WarmPool
@@ -27,6 +27,8 @@ from repro.functions.base import FunctionApp, make_app
 from repro.runtime.base import Request
 from repro.sim.rng import _derive_seed
 
+# Every strategy replays its trace in worlds derived from one seed.
+SEED = 42
 
 @dataclass
 class StudyResult:
@@ -60,19 +62,17 @@ def run_platform_study(
     technique: str,
     arrivals: List[float],
     idle_timeout_ms: float = 60_000.0,
-    policy: Optional[SnapshotPolicy] = None,
-    seed: int = 42,
 ) -> StudyResult:
     """Replay ``arrivals`` against a platform using ``technique``."""
     factory = _resolve(function)
-    world = make_world(seed=_derive_seed(seed, f"study-{technique}"))
+    world = make_world(seed=_derive_seed(SEED, f"study-{technique}"))
     platform = FaaSPlatform(world.kernel, PlatformConfig(
         autoscaler=AutoscalerConfig(idle_timeout_ms=idle_timeout_ms),
     ))
     platform.register_function(
         factory,
         start_technique=technique,
-        snapshot_policy=policy or AfterWarmup(requests=1),
+        snapshot_policy=AfterWarmup(requests=1),
         idle_timeout_ms=idle_timeout_ms,
     )
     name = factory().name
@@ -108,11 +108,10 @@ def run_pool_study(
     function,
     arrivals: List[float],
     pool_size: int = 1,
-    seed: int = 42,
 ) -> StudyResult:
     """Replay ``arrivals`` against a warm pool of vanilla instances."""
     factory = _resolve(function)
-    world = make_world(seed=_derive_seed(seed, "study-pool"))
+    world = make_world(seed=_derive_seed(SEED, "study-pool"))
     from repro.core.starters import VanillaStarter
     pool = WarmPool(world.kernel, VanillaStarter(world.kernel), factory,
                     size=pool_size)
@@ -145,15 +144,14 @@ def compare_strategies(
     arrivals: List[float],
     idle_timeout_ms: float = 60_000.0,
     pool_size: int = 1,
-    seed: int = 42,
 ) -> List[StudyResult]:
     """Run vanilla, prebake and warm-pool over the same trace."""
     return [
         run_platform_study(function, "vanilla", arrivals,
-                           idle_timeout_ms=idle_timeout_ms, seed=seed),
+                           idle_timeout_ms=idle_timeout_ms),
         run_platform_study(function, "prebake", arrivals,
-                           idle_timeout_ms=idle_timeout_ms, seed=seed),
-        run_pool_study(function, arrivals, pool_size=pool_size, seed=seed),
+                           idle_timeout_ms=idle_timeout_ms),
+        run_pool_study(function, arrivals, pool_size=pool_size),
     ]
 
 

@@ -370,13 +370,9 @@ def _platform_exemplar(seed: int) -> Dict[str, object]:
 
 
 def prewarm_study(repetitions: int = 1, seed: int = 42,
-                  requests: int = 200_000,
-                  functions: int = 36, timer_functions: int = 12,
-                  duration_ms: float = 7_200_000.0) -> PrewarmStudyResult:
+                  requests: int = 200_000) -> PrewarmStudyResult:
     """Run X13: the policy ladder over ``repetitions`` fleet traces."""
-    config = PrewarmStudyConfig(
-        functions=functions, timer_functions=timer_functions,
-        requests=requests, duration_ms=duration_ms)
+    config = PrewarmStudyConfig(requests=requests)
     result = PrewarmStudyResult(config=config, seed=seed)
     for rep in range(repetitions):
         result.reps.append(_run_repetition(config, seed, rep))

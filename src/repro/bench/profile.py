@@ -23,15 +23,13 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro import make_world
 from repro.bench.report import format_table
 from repro.bench.stats import median
 from repro.core.manager import PrebakeManager
-from repro.core.policy import AfterReady, SnapshotPolicy
 from repro.core.starters import ReplicaHandle
-from repro.criu.restore import RestoreMode
 from repro.functions.base import make_app
 from repro.obs import profile as prof
 from repro.obs.profile import PhaseSample
@@ -207,12 +205,10 @@ def run_profile_experiment(
     function: str = "image-resizer",
     repetitions: int = 5,
     seed: int = 42,
-    techniques: Sequence[str] = ("vanilla", "prebake"),
-    policy: SnapshotPolicy = AfterReady(),
-    restore_mode: RestoreMode = RestoreMode.EAGER,
     metrics_sink=None,
 ) -> ProfileResult:
-    """Profile ``repetitions`` fresh-world start-ups per technique.
+    """Profile ``repetitions`` fresh-world start-ups per technique
+    (vanilla, then prebake from an eager restore of a ready snapshot).
 
     Every episode runs in its own world (harness protocol); the
     profiler is installed after deploy so the sample window equals the
@@ -224,7 +220,7 @@ def run_profile_experiment(
     """
     result = ProfileResult(function=function, repetitions=repetitions,
                            seed=seed)
-    for technique in techniques:
+    for technique in ("vanilla", "prebake"):
         for rep in range(repetitions):
             world = make_world(
                 seed=_derive_seed(seed, f"profile-{technique}-{rep}"),
@@ -234,11 +230,9 @@ def run_profile_experiment(
             manager = PrebakeManager(kernel)
             app = make_app(function)
             if technique == "prebake":
-                manager.deploy(app, policy=policy)
+                manager.deploy(app)
                 starter = manager.starter(
-                    technique, policy=policy, restore_mode=restore_mode,
-                    version=manager.current_version(app.name),
-                )
+                    technique, version=manager.current_version(app.name))
             else:
                 starter = manager.starter(technique)
             _, run = profiled_start(kernel, starter, app, technique, rep)

@@ -297,7 +297,6 @@ def restore_pipeline_sweep(
     seed: int = 42,
     workers_grid=DEFAULT_WORKERS_GRID,
     cache_policies=DEFAULT_CACHE_POLICIES,
-    functions=REAL_FUNCTIONS,
 ) -> RestorePipelineResult:
     """Sweep the restore-pipeline knobs over the paper's function set.
 
@@ -307,7 +306,7 @@ def restore_pipeline_sweep(
     landing on one node.
     """
     result = RestorePipelineResult()
-    for name in functions:
+    for name in REAL_FUNCTIONS:
         baseline_p50 = None
         for workers in workers_grid:
             for policy in cache_policies:

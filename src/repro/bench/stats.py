@@ -21,6 +21,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+# Every bootstrap CI here: a 95 % percentile interval over 2000 resamples.
+CONFIDENCE = 0.95
+RESAMPLES = 2000
+
 
 def median(values: Sequence[float]) -> float:
     """Sample median (average of middle pair for even n)."""
@@ -79,25 +83,24 @@ class ConfidenceInterval:
 
 def bootstrap_median_ci(
     values: Sequence[float],
-    confidence: float = 0.95,
-    resamples: int = 2000,
     seed: int = 0,
 ) -> ConfidenceInterval:
-    """Percentile-bootstrap CI for the median [6]."""
+    """Percentile-bootstrap :data:`CONFIDENCE` CI for the median [6],
+    over :data:`RESAMPLES` resamples."""
     if len(values) < 2:
         raise ValueError("bootstrap needs at least 2 observations")
     rng = random.Random(seed)
     data = list(values)
     n = len(data)
     medians = []
-    for _ in range(resamples):
+    for _ in range(RESAMPLES):
         sample = [data[rng.randrange(n)] for _ in range(n)]
         medians.append(median(sample))
-    alpha = (1.0 - confidence) / 2.0
+    alpha = (1.0 - CONFIDENCE) / 2.0
     return ConfidenceInterval(
         low=quantile(medians, alpha),
         high=quantile(medians, 1.0 - alpha),
-        confidence=confidence,
+        confidence=CONFIDENCE,
         point=median(data),
     )
 
@@ -105,26 +108,25 @@ def bootstrap_median_ci(
 def median_difference_ci(
     a: Sequence[float],
     b: Sequence[float],
-    confidence: float = 0.95,
-    resamples: int = 2000,
     seed: int = 0,
 ) -> ConfidenceInterval:
-    """Bootstrap CI for ``median(a) - median(b)`` (independent samples)."""
+    """Bootstrap CI for ``median(a) - median(b)`` (independent samples),
+    like :func:`bootstrap_median_ci`."""
     if len(a) < 2 or len(b) < 2:
         raise ValueError("bootstrap needs at least 2 observations per sample")
     rng = random.Random(seed)
     la, lb = list(a), list(b)
     na, nb = len(la), len(lb)
     diffs = []
-    for _ in range(resamples):
+    for _ in range(RESAMPLES):
         ma = median([la[rng.randrange(na)] for _ in range(na)])
         mb = median([lb[rng.randrange(nb)] for _ in range(nb)])
         diffs.append(ma - mb)
-    alpha = (1.0 - confidence) / 2.0
+    alpha = (1.0 - CONFIDENCE) / 2.0
     return ConfidenceInterval(
         low=quantile(diffs, alpha),
         high=quantile(diffs, 1.0 - alpha),
-        confidence=confidence,
+        confidence=CONFIDENCE,
         point=median(la) - median(lb),
     )
 
@@ -175,9 +177,6 @@ class TestResult:
 
     statistic: float
     p_value: float
-
-    def rejects_at(self, alpha: float = 0.05) -> bool:
-        return self.p_value < alpha
 
 
 def shapiro_wilk(values: Sequence[float]) -> TestResult:

@@ -12,6 +12,14 @@ from typing import List, Tuple
 
 import numpy as np
 
+# Trace shape: Zipf popularity exponent, the diurnal cycle's period and
+# its trough as a fraction of the peak rate, and the head-room the
+# per-function rates get over the requested count.
+ZIPF_S = 1.2
+DIURNAL_PERIOD_MS = 3_600_000.0
+DIURNAL_FLOOR = 0.1
+MARGIN = 1.08
+
 
 class TraceFormatError(Exception):
     """Unreadable trace data."""
@@ -21,13 +29,9 @@ def synthesize_fleet_workload(
     function_count: int,
     duration_ms: float,
     requests: int,
-    zipf_s: float = 1.2,
     bursty_fraction: float = 0.3,
-    diurnal_period_ms: float = 3_600_000.0,
-    diurnal_floor: float = 0.1,
     mean_on_ms: float = 2_000.0,
     mean_off_ms: float = 20_000.0,
-    margin: float = 1.08,
     seed: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fleet-scale trace: Zipf popularity × (diurnal ∘ bursty) arrivals.
@@ -37,13 +41,14 @@ def synthesize_fleet_workload(
     stream a ≥1M-request trace without materializing a million Python
     objects.
 
-    Shape: function popularity is Zipf(``zipf_s``); a deterministic
+    Shape: function popularity is Zipf(:data:`ZIPF_S`); a deterministic
     ``bursty_fraction`` of functions arrive as interrupted-Poisson
     bursts (exponential ON/OFF periods), the rest as homogeneous
     Poisson; every arrival is then thinned against a sinusoidal
-    diurnal rate curve, composing the daily cycle onto both shapes.
+    diurnal rate curve (period :data:`DIURNAL_PERIOD_MS`, floor
+    :data:`DIURNAL_FLOOR`), composing the daily cycle onto both shapes.
     Per-function rates are pre-scaled by the expected thinning/duty
-    losses plus ``margin``, and a deterministic top-up on the hottest
+    losses plus :data:`MARGIN`, and a deterministic top-up on the hottest
     function makes ``len(times) >= requests`` a hard guarantee rather
     than an expectation.
     """
@@ -56,14 +61,14 @@ def synthesize_fleet_workload(
             f"bursty_fraction must be in [0, 1], got {bursty_fraction}")
     rng = np.random.Generator(np.random.PCG64(seed))
     ranks = np.arange(1, function_count + 1, dtype=np.float64)
-    weights = ranks ** -zipf_s
+    weights = ranks ** -ZIPF_S
     weights /= weights.sum()
     # Expected survival of the diurnal thinning below, and the ON-duty
     # fraction of the bursty processes: both divide the raw rate so
     # the post-thinning count lands on target * margin.
-    diurnal_keep = diurnal_floor + (1.0 - diurnal_floor) / 2.0
+    diurnal_keep = DIURNAL_FLOOR + (1.0 - DIURNAL_FLOOR) / 2.0
     duty = mean_on_ms / (mean_on_ms + mean_off_ms)
-    targets = requests * margin * weights / diurnal_keep
+    targets = requests * MARGIN * weights / diurnal_keep
     is_bursty = rng.random(function_count) < bursty_fraction
 
     time_parts: List[np.ndarray] = []
@@ -100,8 +105,8 @@ def synthesize_fleet_workload(
     fids = (np.concatenate(fid_parts) if fid_parts
             else np.empty(0, dtype=np.int32))
     # Diurnal composition by thinning (same curve as diurnal_arrivals).
-    phase = np.sin(2 * np.pi * times / diurnal_period_ms - np.pi / 2)
-    keep_fraction = diurnal_floor + (1 - diurnal_floor) * (phase + 1) / 2
+    phase = np.sin(2 * np.pi * times / DIURNAL_PERIOD_MS - np.pi / 2)
+    keep_fraction = DIURNAL_FLOOR + (1 - DIURNAL_FLOOR) * (phase + 1) / 2
     kept = rng.random(times.size) < keep_fraction
     times, fids = times[kept], fids[kept]
     shortfall = requests - times.size

@@ -25,12 +25,12 @@ from repro.sim.engine import Simulation
 from repro.sim.rng import _derive_seed
 
 
-def measure_bake_duration(function, policy: SnapshotPolicy = AfterReady(),
-                          seed: int = 42) -> float:
+def measure_bake_duration(function,
+                          policy: SnapshotPolicy = AfterReady()) -> float:
     """Measure one bake's duration (ms) in a scratch world."""
     from repro import make_world  # local import: avoids a package cycle
     factory = function if callable(function) else (lambda: make_app(function))
-    world = make_world(seed=_derive_seed(seed, "bake-oracle"))
+    world = make_world(seed=_derive_seed(42, "bake-oracle"))
     prebaker = Prebaker(world.kernel)
     report = prebaker.bake(factory(), policy=policy)
     return report.bake_duration_ms
@@ -50,10 +50,6 @@ class BakeJob:
     @property
     def queue_wait_ms(self) -> float:
         return self.started_ms - self.submitted_ms
-
-    @property
-    def turnaround_ms(self) -> float:
-        return self.finished_ms - self.submitted_ms
 
     @property
     def done(self) -> bool:
@@ -143,7 +139,6 @@ class BakeService:
 
 def registry_growth_curve(
     functions: List[str],
-    policy: SnapshotPolicy = AfterReady(),
     seed: int = 42,
 ) -> List[Dict[str, float]]:
     """Registry footprint as functions accumulate in one shared store.
@@ -160,7 +155,7 @@ def registry_growth_curve(
     manager = PrebakeManager(world.kernel)
     points: List[Dict[str, float]] = []
     for count, name in enumerate(functions, start=1):
-        manager.deploy(make_app(name), policy=policy)
+        manager.deploy(make_app(name))
         store = manager.store
         points.append({
             "functions": float(count),
@@ -175,14 +170,13 @@ def bake_farm_sweep(
     functions: List[str],
     submissions: int,
     worker_counts: List[int],
-    seed: int = 42,
 ) -> Dict[int, BakeServiceMetrics]:
     """Sweep builder concurrency for a burst of bake requests.
 
     ``submissions`` requests (cycling through ``functions``) all arrive
     at t=0; returns metrics per worker count.
     """
-    durations = {name: measure_bake_duration(name, seed=seed)
+    durations = {name: measure_bake_duration(name)
                  for name in functions}
     results: Dict[int, BakeServiceMetrics] = {}
     for workers in worker_counts:

@@ -20,7 +20,6 @@ from repro.core.starters import (
 )
 from repro.core.store import SnapshotKey, SnapshotStore
 from repro.criu.restore import RestoreMode
-from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.functions.base import FunctionApp
 from repro.osproc.kernel import Kernel
 
@@ -86,9 +85,6 @@ class PrebakeManager:
         restore_mode: RestoreMode = RestoreMode.EAGER,
         in_memory: bool = False,
         version: int = 1,
-        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-        fallback: bool = True,
-        repair: bool = True,
         pipeline_workers: int = 1,
         chunk_cache=None,
         shard_store=None,
@@ -104,10 +100,7 @@ class PrebakeManager:
                 restore_mode=restore_mode,
                 in_memory=in_memory,
                 version=version,
-                retry_policy=retry_policy,
-                fallback=fallback,
                 rebake=lambda app: self.rebake(app, policy, version),
-                repair=repair,
                 pipeline_workers=pipeline_workers,
                 chunk_cache=chunk_cache,
                 shard_store=shard_store,

@@ -76,19 +76,3 @@ class AfterWarmup(SnapshotPolicy):
     @property
     def key(self) -> str:
         return f"after-warmup-{self.requests}"
-
-
-def policy_from_key(key: str) -> SnapshotPolicy:
-    """Inverse of :attr:`SnapshotPolicy.key` (used when a snapshot key
-    travels inside a container image and the policy must be rebuilt)."""
-    if key == "after-ready":
-        return AfterReady()
-    if key == "after-runtime-boot":
-        return AfterRuntimeBoot()
-    if key.startswith("after-warmup-"):
-        suffix = key[len("after-warmup-"):]
-        try:
-            return AfterWarmup(requests=int(suffix))
-        except ValueError:
-            pass
-    raise ValueError(f"unparseable snapshot policy key {key!r}")

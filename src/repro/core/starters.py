@@ -18,7 +18,7 @@ from repro.core.store import SnapshotKey, SnapshotNotFound, SnapshotStore
 from repro.criu.images import CheckpointImage
 from repro.criu.restore import RestoreEngine, RestoreMode
 from repro.faults.errors import PlatformError, RestoreFailed, SnapshotCorrupted
-from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.faults.retry import DEFAULT_RETRY_POLICY
 from repro.functions.base import FunctionApp
 from repro.osproc.kernel import Kernel
 from repro.osproc.process import Process
@@ -158,10 +158,7 @@ class PrebakeStarter(Starter):
         restore_mode: RestoreMode = RestoreMode.EAGER,
         in_memory: bool = False,
         version: int = 1,
-        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-        fallback: bool = True,
         rebake: Optional[Callable[[FunctionApp], object]] = None,
-        repair: bool = True,
         pipeline_workers: int = 1,
         chunk_cache=None,
         shard_store=None,
@@ -172,13 +169,7 @@ class PrebakeStarter(Starter):
         self.restore_mode = restore_mode
         self.in_memory = in_memory
         self.version = version
-        self.retry_policy = retry_policy
-        self.fallback = fallback
         self.rebake = rebake
-        # Chunk-level repair from the content-addressed page store —
-        # cheaper than quarantine + rebake when the corruption sits in
-        # the page data; disable to force the legacy rebake-only path.
-        self.repair = repair
         # Pipelined restore + node-local hot-chunk cache + sharded
         # store knobs travel straight into the engine (defaults: one
         # worker, no cache, flat registry).
@@ -200,7 +191,7 @@ class PrebakeStarter(Starter):
         labels = {"function": app.name}
         started_at = kernel.clock.now
         failure: Optional[PlatformError] = None
-        for attempt in range(1, self.retry_policy.max_attempts + 1):
+        for attempt in range(1, DEFAULT_RETRY_POLICY.max_attempts + 1):
             try:
                 image = self.store.get(key)
                 faults.corrupt_image(kernel, image)
@@ -214,7 +205,7 @@ class PrebakeStarter(Starter):
                 # Corrupted page data can usually be rewritten from the
                 # content-addressed chunk store — far cheaper than a
                 # rebake and the key stays in circulation.
-                if self.repair and self._repair_snapshot(key, labels):
+                if self._repair_snapshot(key, labels):
                     obs.count(kernel, "prebake_restore_failures_total",
                               labels={**labels,
                                       "reason": type(failure).__name__})
@@ -242,8 +233,8 @@ class PrebakeStarter(Starter):
                 continue  # retry immediately; the registry miss cost nothing
             obs.count(kernel, "prebake_restore_failures_total",
                       labels={**labels, "reason": type(failure).__name__})
-            if attempt < self.retry_policy.max_attempts:
-                backoff = self.retry_policy.backoff_ms(attempt)
+            if attempt < DEFAULT_RETRY_POLICY.max_attempts:
+                backoff = DEFAULT_RETRY_POLICY.backoff_ms(attempt)
                 # Inside the start span: CLIs that bound a trace
                 # provider get this line stamped with trace_id=.
                 _log.warning("restore.retry", function=app.name,
@@ -263,16 +254,14 @@ class PrebakeStarter(Starter):
         if failure is None:
             failure = StartError(
                 f"prebake start of {app.name!r} exhausted "
-                f"{self.retry_policy.max_attempts} attempts"
+                f"{DEFAULT_RETRY_POLICY.max_attempts} attempts"
             )
-        if not self.fallback:
-            raise failure
         _log.warning("restore.fallback", function=app.name,
                      reason=type(failure).__name__,
-                     attempts=self.retry_policy.max_attempts)
+                     attempts=DEFAULT_RETRY_POLICY.max_attempts)
         obs.record(kernel, obs.flight.RESTORE_FALLBACK, function=app.name,
                    reason=type(failure).__name__,
-                   attempts=self.retry_policy.max_attempts)
+                   attempts=DEFAULT_RETRY_POLICY.max_attempts)
         obs.count(kernel, "prebake_fallback_total", labels=labels)
         with obs.span(kernel, "prebake.fallback", function=app.name,
                       reason=type(failure).__name__):

@@ -60,10 +60,10 @@ class StoredSnapshot:
 class SnapshotStore:
     """In-memory snapshot registry with content-addressed accounting."""
 
-    def __init__(self, page_store: Optional[PageStore] = None) -> None:
+    def __init__(self) -> None:
         self._snapshots: Dict[SnapshotKey, StoredSnapshot] = {}
         self._quarantined: List[StoredSnapshot] = []
-        self.pages = page_store if page_store is not None else PageStore()
+        self.pages = PageStore()
         self._layered: Dict[SnapshotKey, LayeredImage] = {}
 
     def put(self, key: SnapshotKey, image: CheckpointImage, now_ms: float = 0.0) -> None:
@@ -90,12 +90,6 @@ class SnapshotStore:
     def contains(self, key: SnapshotKey) -> bool:
         return key in self._snapshots
 
-    def delete(self, key: SnapshotKey) -> None:
-        if key not in self._snapshots:
-            raise SnapshotNotFound(str(key))
-        self._release_layers(key)
-        del self._snapshots[key]
-
     def quarantine(self, key: SnapshotKey) -> bool:
         """Pull a (corrupted) snapshot out of circulation.
 
@@ -111,10 +105,6 @@ class SnapshotStore:
         self._release_layers(key)
         self._quarantined.append(entry)
         return True
-
-    @property
-    def quarantined_count(self) -> int:
-        return len(self._quarantined)
 
     def restore_count(self, key: SnapshotKey) -> int:
         entry = self._snapshots.get(key)
@@ -182,7 +172,6 @@ class SnapshotStore:
             vmas=vmas,
             fds=list(source.fds),
             runtime_state=source.runtime_state,
-            parent_image_id=source.parent_image_id,
             warm=source.warm,
             digest=source.digest,
         )

@@ -14,8 +14,6 @@ time from the calibrated cost model.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro import obs
 from repro.criu.images import (
     CheckpointImage,
@@ -34,12 +32,10 @@ class CheckpointError(Exception):
 class CheckpointEngine:
     """Dumps simulated processes into :class:`CheckpointImage` sets."""
 
-    def __init__(self, kernel: Kernel, criu_process: Optional[Process] = None) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        if criu_process is None:
-            criu_process = kernel.clone(kernel.init_process, comm="criu")
-            criu_process.capabilities.add(Capability.CHECKPOINT_RESTORE)
-        self.criu_process = criu_process
+        self.criu_process = kernel.clone(kernel.init_process, comm="criu")
+        self.criu_process.capabilities.add(Capability.CHECKPOINT_RESTORE)
 
     # -- protocol --------------------------------------------------------------------
 
@@ -48,15 +44,12 @@ class CheckpointEngine:
         target: Process,
         leave_running: bool = True,
         warm: bool = False,
-        parent_image: Optional[CheckpointImage] = None,
     ) -> CheckpointImage:
         """Checkpoint ``target`` and return the image set.
 
         ``leave_running`` mirrors criu's ``--leave-running`` flag (the
         build pipeline uses it so the baked process can be discarded
-        explicitly). ``parent_image`` makes this an incremental dump:
-        only pages whose soft-dirty bit is set since the parent dump
-        are written.
+        explicitly).
         """
         kernel = self.kernel
         if not target.alive:
@@ -66,9 +59,11 @@ class CheckpointEngine:
                 f"target pid {target.pid} must be running, is {target.state.value}"
             )
 
+        # Every dump is a full one; ``incremental=False`` stays so that
+        # recorded traces (the X12 golden artifact) keep their bytes.
         with obs.span(kernel, "criu.checkpoint", pid=target.pid,
                       comm=target.comm, warm=warm,
-                      incremental=parent_image is not None) as dump_span:
+                      incremental=False) as dump_span:
             # 1. Freeze every thread in the group.
             kernel.freeze(target)
             try:
@@ -76,8 +71,7 @@ class CheckpointEngine:
                 kernel.ptrace_seize(self.criu_process, target)
                 kernel.ptrace_inject_parasite(self.criu_process, target)
                 try:
-                    image = self._collect(target, warm=warm,
-                                          parent_image=parent_image)
+                    image = self._collect(target, warm=warm)
                 finally:
                     # 5. Cure: remove the parasite, detach.
                     kernel.ptrace_remove_parasite(self.criu_process, target)
@@ -93,30 +87,18 @@ class CheckpointEngine:
         obs.observe(kernel, "criu_dump_image_mib", image.total_mib)
         return image
 
-    def pre_dump(self, target: Process) -> CheckpointImage:
-        """Iterative pre-dump: dump now, clear soft-dirty for the next pass."""
-        image = self.dump(target, leave_running=True)
-        self.kernel.clear_refs(target.pid)
-        return image
-
     # -- internals ---------------------------------------------------------------------
 
-    def _collect(
-        self,
-        target: Process,
-        warm: bool,
-        parent_image: Optional[CheckpointImage],
-    ) -> CheckpointImage:
+    def _collect(self, target: Process, warm: bool) -> CheckpointImage:
         kernel = self.kernel
         # 3. Walk /proc/<pid>/pagemap to find what must be dumped.
         vma_descriptors = []
-        incremental = parent_image is not None
         for vma in target.address_space.vmas:
             if vma.kind is VMAKind.PARASITE:
                 continue  # the parasite never lands in the image
             vma_descriptors.append(
                 VMADescriptor(
-                    runs=page_runs(*vma.dump_arrays(incremental=incremental)),
+                    runs=page_runs(*vma.dump_arrays()),
                     start=vma.start,
                     length=vma.length,
                     kind=vma.kind.value,
@@ -156,7 +138,6 @@ class CheckpointEngine:
             vmas=vma_descriptors,
             fds=fd_descriptors,
             runtime_state=runtime_state,
-            parent_image_id=parent_image.image_id if parent_image else None,
             warm=warm,
         )
         build_image_files(image)

@@ -239,10 +239,8 @@ class HotChunkCache:
             del self._freq[cid]
 
 
-def make_cache(policy: Optional[str],
-               capacity_bytes: int = DEFAULT_CAPACITY_BYTES
-               ) -> Optional[HotChunkCache]:
+def make_cache(policy: Optional[str]) -> Optional[HotChunkCache]:
     """Build a cache from a knob value (:data:`CACHE_OFF` -> no cache)."""
     if policy in CACHE_OFF:
         return None
-    return HotChunkCache(capacity_bytes=capacity_bytes, policy=policy)
+    return HotChunkCache(policy=policy)

@@ -351,7 +351,6 @@ class CheckpointImage:
     fds: List[FdDescriptor]
     runtime_state: Optional[Dict[str, Any]]
     files: Dict[str, ImageFile] = field(default_factory=dict)
-    parent_image_id: Optional[str] = None  # set for incremental pre-dumps
     warm: bool = False  # snapshot taken after >= 1 request (prebake-warmup)
     digest: Optional[str] = None  # content digest sealed at dump time
     # Mutation bookkeeping: bumped on any in-place content change so
@@ -442,22 +441,21 @@ class CheckpointImage:
                 image_id=self.image_id,
             )
 
-    def tamper(self, pages: int = 1, first_page: int = 0) -> None:
+    def tamper(self, pages: int = 1) -> None:
         """Corrupt the dumped page contents in place (fault injection).
 
-        Flips the content tags of ``pages`` resident pages starting at
-        resident offset ``first_page`` in the first VMA that has any —
-        the smallest change that keeps :meth:`validate`'s structural
-        checks passing while the content digest no longer matches,
-        exactly like flipped bits in ``pages-1.img``. ``pages`` sized
-        to a page-store chunk models losing one registry chunk.
+        Flips the content tags of the first ``pages`` resident pages of
+        the first VMA that has any — the smallest change that keeps
+        :meth:`validate`'s structural checks passing while the content
+        digest no longer matches, exactly like flipped bits in
+        ``pages-1.img``. ``pages`` sized to a page-store chunk models
+        losing one registry chunk.
         """
         self.generation += 1
         for index, vma in enumerate(self.vmas):
             if vma.resident_pages:
                 tags = list(vma.content_tags)
-                start = min(first_page, len(tags) - 1)
-                for offset in range(start, min(start + pages, len(tags))):
+                for offset in range(min(pages, len(tags))):
                     tags[offset] = tags[offset] + "\x00corrupt"
                 self.vmas[index] = vma.with_pages(vma.resident_indices, tags)
                 return

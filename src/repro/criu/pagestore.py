@@ -382,10 +382,7 @@ def _window_content(prefix: str, rel: np.ndarray,
             _chunk_id_from_keys(prefix, rel_list, TAGS.keys_of(ids)))
 
 
-def image_chunk_runs(
-    image: CheckpointImage,
-    chunk_pages: int = CHUNK_PAGES,
-) -> Tuple[ChunkRun, ...]:
+def image_chunk_runs(image: CheckpointImage) -> Tuple[ChunkRun, ...]:
     """``(chunk id, size bytes, count)`` runs of ``image``'s chunk windows.
 
     :func:`chunk_runs` over :func:`image_windows`, memoized on the image
@@ -395,17 +392,16 @@ def image_chunk_runs(
     """
     generation = getattr(image, "generation", 0)
     cached = image.__dict__.get("_chunk_runs_cache")
-    if cached is not None and cached[0] == (generation, chunk_pages):
+    if cached is not None and cached[0] == generation:
         return cached[1]
     runs = chunk_runs((cid, len(pairs) * PAGE_SIZE) for _vma_index,
                       _window_start, pairs, cid
-                      in image_windows(image, chunk_pages))
-    image.__dict__["_chunk_runs_cache"] = ((generation, chunk_pages), runs)
+                      in image_windows(image, CHUNK_PAGES))
+    image.__dict__["_chunk_runs_cache"] = (generation, runs)
     return runs
 
 
-def image_chunk_count(image: CheckpointImage,
-                      chunk_pages: int = CHUNK_PAGES) -> int:
+def image_chunk_count(image: CheckpointImage) -> int:
     """Number of content-addressed chunk windows ``image`` spans.
 
     The unit the restore profiler reports chunk-fetch work in: an
@@ -415,7 +411,7 @@ def image_chunk_count(image: CheckpointImage,
     time, no RNG.
     """
     return sum(count for _cid, _size, count
-               in image_chunk_runs(image, chunk_pages))
+               in image_chunk_runs(image))
 
 
 def _vma_layer(vma: VMADescriptor, warm_labels: frozenset) -> str:

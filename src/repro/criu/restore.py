@@ -34,7 +34,7 @@ from repro.obs.profile import (
 from repro.osproc.kernel import Kernel
 from repro.osproc.memory import VMAKind
 from repro.osproc.probes import PhaseCharge
-from repro.osproc.process import Capability, Process, ProcessState
+from repro.osproc.process import Process, ProcessState
 from repro.sim.costmodel import PipelinePlan
 
 
@@ -99,18 +99,15 @@ class RestoreEngine:
     def restore(
         self,
         image: CheckpointImage,
-        parent: Optional[Process] = None,
         mode: RestoreMode = RestoreMode.EAGER,
         in_memory: bool = False,
         duration_override_ms: Optional[float] = None,
-        preserve_pid: bool = False,
     ) -> Process:
-        """Bring the checkpointed process back to life.
+        """Bring the checkpointed process back to life under a new pid.
 
         ``duration_override_ms`` substitutes a per-function calibrated
         restore duration (excluding the criu process spawn) for the
-        generic size-based formula. ``preserve_pid`` restores under the
-        original pid, as real criu does inside a pid namespace.
+        generic size-based formula.
         """
         kernel = self.kernel
         image.validate()
@@ -121,23 +118,9 @@ class RestoreEngine:
         except SnapshotCorrupted:
             obs.count(kernel, "snapshot_corruption_detected_total")
             raise
-        parent = parent or kernel.init_process
 
         # Spawn the criu process that will transmute into the target.
-        spawn_parent = parent
-        if not (parent.has_capability(Capability.SYS_ADMIN)
-                or parent.has_capability(Capability.CHECKPOINT_RESTORE)):
-            raise RestoreError(
-                f"pid {parent.pid} lacks the capability to restore "
-                "(CAP_SYS_ADMIN or CAP_CHECKPOINT_RESTORE)"
-            )
-        target_pid = image.pid if preserve_pid else None
-        if target_pid is not None and target_pid in kernel.processes \
-                and kernel.processes[target_pid].alive:
-            raise RestoreError(
-                f"cannot preserve pid {target_pid}: already alive in this kernel"
-            )
-        proc = kernel.clone(spawn_parent, comm="criu", target_pid=target_pid)
+        proc = kernel.clone(kernel.init_process, comm="criu")
         kernel.execve(proc, CRIU_BINARY, argv=["criu", "restore", "--shell-job"])
         proc.state = ProcessState.RESTORING
 
@@ -183,7 +166,7 @@ class RestoreEngine:
                     # Charge the restore work (page reads + remapping).
                     base, plan, serial_duration = self._restore_duration(
                         image, mode, in_memory, duration_override_ms,
-                        ws_record=ws_record, cached_fraction=cached_fraction)
+                        ws_record, cached_fraction)
                     duration = base + plan.total_ms
                     if shard_report is not None:
                         # Degraded fetches pay for their retry hops and
@@ -385,36 +368,26 @@ class RestoreEngine:
         mode: RestoreMode,
         in_memory: bool,
         override_ms: Optional[float],
-        ws_record: Optional[WorkingSetRecord] = None,
-        cached_fraction: float = 0.0,
+        ws_record: Optional[WorkingSetRecord],
+        cached_fraction: float,
     ) -> Tuple[float, PipelinePlan, float]:
-        """(base, pipeline plan, serial duration).
+        """(base, pipeline plan, serial duration): the mode's
+        :meth:`CostModel.restore_price`.
 
-        The charged duration is ``base + plan.total_ms``. The serial
-        duration is what one worker with no cache hits would charge —
-        the quantity LAZY paging debt is sized against.
+        The serial duration is the quantity LAZY paging debt is sized
+        against.
         """
-        costs = self.kernel.costs
-        full = costs.restore_cost(image.total_mib, override_ms)
-        # A calibrated override below the generic base means the whole
-        # restore is that fast; never inflate it back up to the base.
-        base = min(costs.restore_base_ms, full)
-        pages_part = full - base
-        if in_memory:
-            # No disk reads: the image is already resident [26].
-            pages_part *= costs.restore_in_memory_factor
+        page_fraction = 1.0
         if mode is RestoreMode.LAZY:
-            pages_part *= LAZY_EAGER_FRACTION
+            page_fraction = LAZY_EAGER_FRACTION
         elif mode is RestoreMode.WORKING_SET and ws_record is not None:
             # Prefetch only the recorded working set; everything else
             # is left to demand faults (charged per miss at first
             # response — zero when the record is accurate).
-            pages_part *= ws_record.fraction
-        plan = costs.plan_restore_pipeline(
-            pages_part, workers=self.pipeline_workers,
-            chunk_count=image_chunk_count(image),
-            cached_fraction=cached_fraction)
-        return base, plan, base + pages_part
+            page_fraction = ws_record.fraction
+        return self.kernel.costs.restore_price(
+            image.total_mib, override_ms, in_memory, page_fraction,
+            self.pipeline_workers, image_chunk_count(image), cached_fraction)
 
     def _restore_charges(
         self,

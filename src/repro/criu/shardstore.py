@@ -42,13 +42,13 @@ from repro.criu.pagestore import LayeredImage
 # Virtual nodes per physical storage node. 64 keeps the per-node load
 # spread within a few percent of uniform for small clusters without
 # making ring construction noticeable.
-DEFAULT_VIRTUAL_NODES = 64
+VIRTUAL_NODES = 64
 
-# Circuit breaker defaults: open after 3 consecutive failures, probe
+# Circuit breakers open after 3 consecutive failures and probe
 # again 2 simulated seconds later (comfortably shorter than the default
 # store.node_down outage, so recovery is observed via a probe).
-DEFAULT_BREAKER_THRESHOLD = 3
-DEFAULT_BREAKER_RESET_MS = 2_000.0
+BREAKER_THRESHOLD = 3
+BREAKER_RESET_MS = 2_000.0
 
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
@@ -64,17 +64,12 @@ def _ring_point(token: str) -> int:
 class HashRing:
     """Consistent hashing over chunk digests with virtual nodes."""
 
-    def __init__(self, node_names: List[str],
-                 virtual_nodes: int = DEFAULT_VIRTUAL_NODES) -> None:
+    def __init__(self, node_names: List[str]) -> None:
         if not node_names:
             raise ValueError("hash ring needs at least one node")
-        if virtual_nodes < 1:
-            raise ValueError(
-                f"virtual_nodes must be >= 1, got {virtual_nodes}")
-        self.virtual_nodes = virtual_nodes
         points: List[Tuple[int, str]] = []
         for name in node_names:
-            for replica in range(virtual_nodes):
+            for replica in range(VIRTUAL_NODES):
                 points.append((_ring_point(f"{name}#{replica}"), name))
         points.sort()
         self._points = [p for p, _ in points]
@@ -122,20 +117,14 @@ class StorageNode:
 class CircuitBreaker:
     """Per-node failure gate on the simulated clock.
 
-    CLOSED counts consecutive failures; at ``threshold`` it OPENs and
-    :meth:`allow` refuses (no retry hop is paid) until ``reset_ms``
-    has elapsed, when it HALF-OPENs and admits one probe: a success
-    closes it, a failure re-opens it for another cooldown.
+    CLOSED counts consecutive failures; at :data:`BREAKER_THRESHOLD` it
+    OPENs and :meth:`allow` refuses (no retry hop is paid) until
+    :data:`BREAKER_RESET_MS` has elapsed, when it HALF-OPENs and admits
+    one probe: a success closes it, a failure re-opens it for another
+    cooldown.
     """
 
-    def __init__(self, threshold: int = DEFAULT_BREAKER_THRESHOLD,
-                 reset_ms: float = DEFAULT_BREAKER_RESET_MS) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        if reset_ms <= 0:
-            raise ValueError(f"reset_ms must be > 0, got {reset_ms}")
-        self.threshold = threshold
-        self.reset_ms = reset_ms
+    def __init__(self) -> None:
         self.state = BREAKER_CLOSED
         self.consecutive_failures = 0
         self.opened_at_ms = 0.0
@@ -145,7 +134,7 @@ class CircuitBreaker:
         """May a fetch try this node right now?"""
         if self.state == BREAKER_CLOSED:
             return True
-        if now_ms - self.opened_at_ms >= self.reset_ms:
+        if now_ms - self.opened_at_ms >= BREAKER_RESET_MS:
             self.state = BREAKER_HALF_OPEN
             return True
         return self.state == BREAKER_HALF_OPEN
@@ -162,7 +151,7 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if self.state == BREAKER_HALF_OPEN \
                 or (self.state == BREAKER_CLOSED
-                    and self.consecutive_failures >= self.threshold):
+                    and self.consecutive_failures >= BREAKER_THRESHOLD):
             self.state = BREAKER_OPEN
             self.opened_at_ms = now_ms
             self.opens += 1
@@ -236,10 +225,7 @@ class ShardedSnapshotStore:
     """
 
     def __init__(self, kernel, node_count: int,
-                 replication_factor: int = 1,
-                 virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-                 breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-                 breaker_reset_ms: float = DEFAULT_BREAKER_RESET_MS) -> None:
+                 replication_factor: int = 1) -> None:
         if node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {node_count}")
         if not 1 <= replication_factor <= node_count:
@@ -252,12 +238,9 @@ class ShardedSnapshotStore:
             f"store-{i}": StorageNode(name=f"store-{i}")
             for i in range(node_count)
         }
-        self.ring = HashRing(list(self.nodes), virtual_nodes=virtual_nodes)
+        self.ring = HashRing(list(self.nodes))
         self.breakers: Dict[str, CircuitBreaker] = {
-            name: CircuitBreaker(threshold=breaker_threshold,
-                                 reset_ms=breaker_reset_ms)
-            for name in self.nodes
-        }
+            name: CircuitBreaker() for name in self.nodes}
         self._placements: Dict[str, Tuple[str, ...]] = {}
         self._image_ids: Set[str] = set()
         self._export_node_gauges()

@@ -299,9 +299,9 @@ class FunctionDeployer:
         self._evictions_exported[node_name] = evictions
 
     def prefetch_function(self, function: str,
-                          node_name: Optional[str] = None,
                           budget_bytes: Optional[int] = None) -> int:
-        """Push a function's hot working-set chunks into a node cache.
+        """Push a function's hot working-set chunks into the cache of the
+        node placement would pick.
 
         The predictive prewarm path: when the forecaster expects a
         burst, pre-placing the image's chunks means even a mispredicted
@@ -331,8 +331,7 @@ class FunctionDeployer:
         runs = layered.chunk_runs
         if not runs:
             return 0
-        if node_name is None:
-            node_name = self._locality_hint(metadata)
+        node_name = self._locality_hint(metadata)
         if node_name is None:
             if not self.resources.nodes:
                 return 0
@@ -421,7 +420,3 @@ class FunctionDeployer:
         scale-down and a service removal all retire through here."""
         for replica in replicas:
             replica.retire()
-
-    def terminate_all(self, function: Optional[str] = None) -> None:
-        for name in [function] if function else list(self._replicas):
-            self.retire(self.replicas(name))

@@ -50,12 +50,10 @@ class FaasCli:
         platform: FaaSPlatform,
         templates: TemplateStore,
         image_repo: ImageRepository,
-        buildx_installed: bool = True,
     ) -> None:
         self.platform = platform
         self.templates = templates
         self.image_repo = image_repo
-        self.buildx_installed = buildx_installed
         self._projects: Dict[str, FunctionProject] = {}
 
     # -- operations ---------------------------------------------------------------
@@ -96,11 +94,6 @@ class FaasCli:
         """
         project = self._require_project(name)
         template = project.template
-        if template.criu_enabled and not self.buildx_installed:
-            raise FaasCliError(
-                "usual docker build does not allow privileged operations; "
-                "install the Docker Buildx CLI plugin to build CRIU templates"
-            )
         result = self.platform.build(
             project.app_factory,
             start_technique=template.start_technique,
@@ -204,11 +197,3 @@ class FaasCli:
                 f"no project {name!r}; create it with `faas-cli new` first"
             )
         return project
-
-    def bump_version(self, name: str) -> int:
-        """Start a new version of the project (next build re-bakes)."""
-        project = self._require_project(name)
-        project.version += 1
-        project.image = None
-        project.metadata = None
-        return project.version

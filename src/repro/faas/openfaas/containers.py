@@ -52,9 +52,3 @@ class ContainerImage:
         """The restore is a privileged operation (§5.2)."""
         return self.has_snapshot
 
-    def snapshot_layer(self) -> Optional[ImageLayer]:
-        for layer in self.layers:
-            if layer.name == "criu-snapshot":
-                return layer
-        return None
-

@@ -17,11 +17,10 @@ class ImageNotFound(KeyError):
 
 
 class ImageRepository:
-    """A name:tag → image store that counts pulls."""
+    """A name:tag → image store."""
 
     def __init__(self) -> None:
         self._images: Dict[str, ContainerImage] = {}
-        self._pulls: Dict[str, int] = {}
 
     def push(self, image: ContainerImage) -> None:
         """Store an image under its reference (replacing any older one)."""
@@ -34,14 +33,10 @@ class ImageRepository:
             raise ImageNotFound(
                 f"no image {reference!r}; repository holds {sorted(self._images)}"
             )
-        self._pulls[reference] = self._pulls.get(reference, 0) + 1
         return image
 
     def contains(self, reference: str) -> bool:
         return reference in self._images
-
-    def pull_count(self, reference: str) -> int:
-        return self._pulls.get(reference, 0)
 
     def references(self) -> List[str]:
         return sorted(self._images)

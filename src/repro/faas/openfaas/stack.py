@@ -35,9 +35,6 @@ class OpenFaasStack:
 def make_openfaas_stack(
     kernel: Kernel,
     provider_name: str = "kubernetes",
-    buildx_installed: bool = True,
-    nodes: int = 2,
-    node_memory_mib: float = 8192.0,
     allow_unprivileged_cr: bool = False,
 ) -> OpenFaasStack:
     """Build a complete OpenFaaS deployment on top of ``kernel``.
@@ -50,7 +47,7 @@ def make_openfaas_stack(
     if provider_name not in ("kubernetes", "dockerswarm"):
         raise ValueError(f"unknown provider {provider_name!r}")
     platform = FaaSPlatform(kernel, PlatformConfig(
-        nodes=nodes, node_memory_mib=node_memory_mib))
+        nodes=2, node_memory_mib=8192.0))
     if provider_name == "dockerswarm":
         for node in platform.resources.nodes:
             node.allow_privileged = allow_unprivileged_cr
@@ -63,6 +60,5 @@ def make_openfaas_stack(
         image_repo=image_repo,
         metrics=kernel.obs.metrics if kernel.obs is not None else None,
         gateway=Gateway(platform),
-        cli=FaasCli(platform, templates, image_repo,
-                    buildx_installed=buildx_installed),
+        cli=FaasCli(platform, templates, image_repo),
     )

@@ -11,7 +11,7 @@ CRIU-version template for each language that we wanted to support."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.policy import AfterReady, AfterWarmup, SnapshotPolicy
 
@@ -64,9 +64,9 @@ _BUILTIN = [
 class TemplateStore:
     """The template repository ``faas-cli new`` copies from."""
 
-    def __init__(self, templates: Optional[List[Template]] = None) -> None:
+    def __init__(self) -> None:
         self._templates: Dict[str, Template] = {}
-        for template in templates if templates is not None else _BUILTIN:
+        for template in _BUILTIN:
             self.add(template)
 
     def add(self, template: Template) -> None:
@@ -85,5 +85,3 @@ class TemplateStore:
     def names(self) -> List[str]:
         return sorted(self._templates)
 
-    def criu_templates(self) -> List[Template]:
-        return [t for t in self._templates.values() if t.criu_enabled]

@@ -120,6 +120,3 @@ class ResourceManager:
         best = max(candidates, key=lambda n: n.free_mib)
         return best.allocate(function, memory_mib, privileged=privileged)
 
-    @property
-    def total_free_mib(self) -> float:
-        return sum(n.free_mib for n in self.nodes)

@@ -42,10 +42,6 @@ class RouterStats:
     cold_starts: int = 0
     records: List[InvocationRecord] = field(default_factory=list)
 
-    @property
-    def cold_start_fraction(self) -> float:
-        return self.cold_starts / self.invocations if self.invocations else 0.0
-
     def cold_start_latencies(self) -> List[float]:
         return [r.queued_ms for r in self.records if r.cold_start]
 

@@ -103,22 +103,20 @@ def extra_delay_ms(kernel, site: str) -> float:
     return injector.delay_ms(site)
 
 
-def corrupt_image(kernel, image, chunk_pages: int = 0) -> bool:
+def corrupt_image(kernel, image) -> bool:
     """Fire the ``image.corrupt`` site against ``image``.
 
     When it fires the *stored* image object is tampered in place — the
     model of registry bit rot — so every later fetch also sees the
     corruption until the snapshot is repaired from the chunk store (or
-    quarantined and rebaked). The blast radius is one page-store chunk:
-    ``chunk_pages`` consecutive pages (default: the page store's chunk
-    size), matching the granularity at which a content-addressed
-    registry loses data. Returns whether corruption was injected.
+    quarantined and rebaked). The blast radius is one page-store chunk
+    of consecutive pages, matching the granularity at which a
+    content-addressed registry loses data. Returns whether corruption
+    was injected.
     """
     if should_fire(kernel, IMAGE_CORRUPT, detail=image.image_id):
-        if chunk_pages <= 0:
-            from repro.criu.pagestore import CHUNK_PAGES
-            chunk_pages = CHUNK_PAGES
-        image.tamper(pages=chunk_pages)
+        from repro.criu.pagestore import CHUNK_PAGES
+        image.tamper(pages=CHUNK_PAGES)
         return True
     return False
 

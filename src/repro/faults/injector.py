@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro import obs
 from repro.faults.model import FaultPlan
@@ -91,9 +91,7 @@ class FaultInjector:
 
     # -- schedule inspection -------------------------------------------------------
 
-    def fired_count(self, site: Optional[str] = None) -> int:
-        if site is not None:
-            return self.fired.get(site, 0)
+    def fired_count(self) -> int:
         return sum(self.fired.values())
 
     def schedule_lines(self) -> List[str]:

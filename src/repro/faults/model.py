@@ -146,10 +146,6 @@ class FaultPlan:
     def spec(self, site: str) -> Optional[FaultSpec]:
         return self.specs.get(site)
 
-    def active_sites(self) -> Tuple[str, ...]:
-        return tuple(sorted(s for s, spec in self.specs.items()
-                            if spec.probability > 0.0))
-
     def describe(self) -> str:
         if not self.specs:
             return "faults: none"

@@ -6,9 +6,7 @@ size." It is the paper's best case for prebaking (71 % improvement)
 because its APPINIT is I/O heavy and its snapshot is large (99.2 MB).
 
 The simulated replica keeps a reduced-resolution working copy in memory
-(timing comes from the calibrated profile, not from pixel arithmetic),
-while :meth:`ImageResizerFunction.full_scale_resize` runs the genuine
-3440x1440 box-filter downscale for the real-compute examples and tests.
+(timing comes from the calibrated profile, not from pixel arithmetic).
 """
 
 from __future__ import annotations
@@ -68,14 +66,6 @@ class ImageResizerFunction(FunctionApp):
         thumb = scale_to_fraction(self._working_image, SCALE_FRACTION)
         return {"width": thumb.width, "height": thumb.height,
                 "bytes": thumb.nbytes}, 200
-
-    # -- real compute (examples / tests) ---------------------------------------------
-
-    @staticmethod
-    def full_scale_resize(seed: int = 2020) -> Image:
-        """Run the paper's actual workload: 3440x1440 → 10 % box downscale."""
-        photo = synthetic_photo(seed=seed)
-        return scale_to_fraction(photo, SCALE_FRACTION)
 
 
 register_app("image-resizer", ImageResizerFunction)

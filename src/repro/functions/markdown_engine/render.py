@@ -25,13 +25,13 @@ def render(text: str) -> str:
     return _render_children(parse_blocks(text).children)
 
 
-def render_document(text: str, title: str = "Rendered Markdown") -> str:
+def render_document(text: str) -> str:
     """Render markdown to a complete HTML page (what the paper's
     Markdown Render function returns for each request)."""
     body = render(text)
     return (
         "<!DOCTYPE html>\n<html>\n<head>\n"
-        f"<meta charset=\"utf-8\" />\n<title>{escape_html(title)}</title>\n"
+        "<meta charset=\"utf-8\" />\n<title>Rendered Markdown</title>\n"
         "</head>\n<body>\n"
         f"{body}"
         "</body>\n</html>\n"

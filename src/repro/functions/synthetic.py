@@ -28,11 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class SyntheticFunction(FunctionApp):
     """Loads its class set on first invocation, then acks requests."""
 
-    def __init__(self, profile: FunctionCosts, seed: int = 7) -> None:
+    def __init__(self, profile: FunctionCosts) -> None:
         super().__init__(profile)
         if profile.classes <= 0:
             raise ValueError(f"profile {profile.name!r} declares no classes")
-        self.classes = generate_classes(profile.classes, profile.class_kib, seed=seed)
+        self.classes = generate_classes(profile.classes, profile.class_kib, seed=7)
 
     def execute(self, runtime: "ManagedRuntime", request: "Request") -> Tuple[Any, int]:
         loaded = getattr(runtime, "loaded_classes", None)

@@ -28,9 +28,8 @@ in hand; when no hub is installed they cost a single attribute load
 and do nothing, so un-observed worlds (the default) stay exactly as
 fast as before. Every metric write (:func:`count`, :func:`gauge`,
 :func:`observe`) lands in the registry and then fans out through one
-path, in a fixed order: time series, the tape's ``metric.sample``
-events (when sampling is on), anomaly monitor. Telemetry only
-watches: no platform decision reads it, so an observed world runs
+path, in a fixed order: time series, then anomaly monitor. Telemetry
+only watches: no platform decision reads it, so an observed world runs
 bit-identically to an unobserved one under the same seed.
 
     from repro import make_world, obs
@@ -90,8 +89,8 @@ def uninstall(kernel) -> None:
     kernel.obs = None
 
 
-def install_flight(kernel, capacity: int = flight.DEFAULT_CAPACITY,
-                   sample_metrics: bool = False) -> "flight.FlightRecorder":
+def install_flight(kernel, capacity: int = flight.DEFAULT_CAPACITY
+                   ) -> "flight.FlightRecorder":
     """Install (or fetch) the flight recorder on the hub, installing
     the hub if needed.
 
@@ -102,7 +101,7 @@ def install_flight(kernel, capacity: int = flight.DEFAULT_CAPACITY,
     if hub.flight is None:
         hub.flight = flight.FlightRecorder(
             kernel.clock, tracer=hub.tracer, capacity=capacity,
-            sample_metrics=sample_metrics, metrics=hub.metrics)
+            metrics=hub.metrics)
     return hub.flight
 
 
@@ -112,8 +111,7 @@ def uninstall_flight(kernel) -> None:
         kernel.obs.flight = None
 
 
-def enable_timeseries(kernel, window_ms: float = 1_000.0,
-                      capacity: int = _timeseries.DEFAULT_CAPACITY
+def enable_timeseries(kernel, window_ms: float = 1_000.0
                       ) -> "_timeseries.TimeseriesTable":
     """Enable windowed rollups on the hub (installing the hub if needed).
 
@@ -122,26 +120,20 @@ def enable_timeseries(kernel, window_ms: float = 1_000.0,
     """
     hub = install(kernel)
     if hub.timeseries is None:
-        hub.timeseries = _timeseries.TimeseriesTable(
-            window_ms=window_ms, capacity=capacity)
+        hub.timeseries = _timeseries.TimeseriesTable(window_ms=window_ms)
     return hub.timeseries
 
 
-def enable_anomaly(kernel, monitor=None, **monitor_kwargs):
-    """Enable online anomaly detection on the hub.
-
-    ``monitor`` installs a pre-configured
-    :class:`~repro.obs.anomaly.AnomalyMonitor`; otherwise
-    :func:`~repro.obs.anomaly.default_monitor` is built with
+def enable_anomaly(kernel, **monitor_kwargs):
+    """Enable online anomaly detection on the hub: a
+    :func:`~repro.obs.anomaly.default_monitor` built with
     ``monitor_kwargs`` (window_ms, z_threshold, …).
     """
     from repro.obs import anomaly as _anomaly
 
     hub = install(kernel)
     if hub.anomaly is None:
-        if monitor is None:
-            monitor = _anomaly.default_monitor(kernel, **monitor_kwargs)
-        hub.anomaly = monitor
+        hub.anomaly = _anomaly.default_monitor(kernel, **monitor_kwargs)
     return hub.anomaly
 
 
@@ -182,14 +174,10 @@ def record(kernel, kind: str, **attrs: object) -> None:
 def _fan_out(kernel, hub: Observability, name: str, value: float,
              kind: str, trace_id: Optional[str] = None) -> None:
     """Feed one metric write to the hub's optional layers, in order:
-    time series, the tape's ``metric.sample`` events, anomaly monitor."""
+    time series, then anomaly monitor."""
     now = kernel.clock.now
     if hub.timeseries is not None:
         hub.timeseries.record(name, now, value, kind=kind)
-    recorder = hub.flight
-    if recorder is not None and recorder.sample_metrics:
-        recorder.record(flight.METRIC_SAMPLE, metric=name,
-                        value=value, sample_kind=kind)
     if hub.anomaly is not None:
         if kind == _timeseries.COUNTER_SAMPLE:
             hub.anomaly.offer_count(name, now, value)

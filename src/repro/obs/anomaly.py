@@ -45,6 +45,14 @@ from repro.obs import flight as flight_mod
 # Consistency constant: MAD of a normal distribution * 1.4826 == sigma.
 MAD_SIGMA = 1.4826
 
+# Detector tuning every watch shares: the EWMA weight of a new sample,
+# the samples the MAD is taken over, and the two floors of the
+# dispersion (relative to the baseline, and absolute).
+EWMA_ALPHA = 0.25
+MAD_HISTORY = 64
+REL_FLOOR = 0.02
+MIN_SIGMA = 1e-9
+
 ABOVE = "above"
 BELOW = "below"
 BOTH = "both"
@@ -128,18 +136,14 @@ class EwmaMadDetector:
     """EWMA baseline + MAD dispersion robust z-score, one value stream.
 
     ``warmup`` accepted samples must be seen before anything can flag;
-    ``rel_floor`` and ``min_delta`` bound the denominator and the raw
-    deviation so float dust (or an all-identical baseline, MAD = 0)
+    :data:`REL_FLOOR` and ``min_delta`` bound the denominator and the
+    raw deviation so float dust (or an all-identical baseline, MAD = 0)
     cannot manufacture infinite scores out of negligible deltas.
     """
 
-    def __init__(self, name: str, alpha: float = 0.25,
-                 z_threshold: float = 6.0, warmup: int = 8,
-                 history: int = 64, direction: str = ABOVE,
-                 rel_floor: float = 0.02, min_delta: float = 0.0,
-                 min_sigma: float = 1e-9) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    def __init__(self, name: str, z_threshold: float = 6.0,
+                 warmup: int = 8, direction: str = ABOVE,
+                 min_delta: float = 0.0) -> None:
         if z_threshold <= 0:
             raise ValueError(f"z_threshold must be positive, got {z_threshold}")
         if warmup < 1:
@@ -147,23 +151,20 @@ class EwmaMadDetector:
         if direction not in (ABOVE, BELOW, BOTH):
             raise ValueError(f"unknown direction {direction!r}")
         self.name = name
-        self.alpha = alpha
         self.z_threshold = z_threshold
         self.warmup = warmup
         self.direction = direction
-        self.rel_floor = rel_floor
         self.min_delta = min_delta
-        self.min_sigma = min_sigma
         self.ewma: Optional[float] = None
         self.accepted = 0
-        self._history: Deque[float] = deque(maxlen=history)
+        self._history: Deque[float] = deque(maxlen=MAD_HISTORY)
 
     def _sigma(self) -> float:
         values = np.array(self._history)
         mad = float(np.median(np.abs(values - np.median(values))))
         sigma = MAD_SIGMA * mad
         baseline = abs(self.ewma) if self.ewma is not None else 0.0
-        return max(sigma, self.rel_floor * baseline, self.min_sigma)
+        return max(sigma, REL_FLOOR * baseline, MIN_SIGMA)
 
     def update(self, value: float) -> Optional[Dict[str, float]]:
         """Feed one sample; a dict of scores when it is anomalous.
@@ -184,7 +185,7 @@ class EwmaMadDetector:
         if self.ewma is None:
             self.ewma = float(value)
         else:
-            self.ewma += self.alpha * (value - self.ewma)
+            self.ewma += EWMA_ALPHA * (value - self.ewma)
         self.accepted += 1
         self._history.append(float(value))
         return None

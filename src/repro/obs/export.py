@@ -57,12 +57,11 @@ def _scalar_lines(name: str, series: Dict[LabelSet, object]) -> List[str]:
     )
 
 
-def _summary_lines(name: str, series: Dict[LabelSet, object],
-                   quantiles: Iterable[float]) -> List[str]:
+def _summary_lines(name: str, series: Dict[LabelSet, object]) -> List[str]:
     lines: List[str] = []
     for labels, histogram in series.items():
         assert isinstance(histogram, Histogram)
-        for q in quantiles:
+        for q in MetricsRegistry.DEFAULT_QUANTILES:
             quantile_labels = labels + (("quantile", _format_value(q)),)
             lines.append(
                 f"{name}{_format_labels(tuple(sorted(quantile_labels)))} "
@@ -92,10 +91,7 @@ def _exemplar_lines(name: str, series: Dict[LabelSet, object]) -> List[str]:
     return sorted(lines)
 
 
-def render_prometheus(
-    registry: MetricsRegistry,
-    quantiles: Iterable[float] = MetricsRegistry.DEFAULT_QUANTILES,
-) -> str:
+def render_prometheus(registry: MetricsRegistry) -> str:
     """Render every series: counters, gauges, then histogram summaries.
 
     Deterministic: metric families sort by name within each kind group,
@@ -111,7 +107,7 @@ def render_prometheus(
     for family in sorted((f for f in families if f.kind == HISTOGRAM),
                          key=lambda f: f.name):
         sections.append(f"# TYPE {family.name} summary")
-        sections.extend(_summary_lines(family.name, family.series, quantiles))
+        sections.extend(_summary_lines(family.name, family.series))
         sections.extend(_exemplar_lines(family.name, family.series))
     return "\n".join(sections) + ("\n" if sections else "")
 

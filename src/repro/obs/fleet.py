@@ -234,11 +234,12 @@ class ColdStartAttribution:
                       key=lambda c: (-c.total_ms, c.function, c.node,
                                      c.outcome))
 
-    def blame_table(self, top: int = 12) -> str:
-        """The fleet blame table: who is burning the cold-start time."""
+    def blame_table(self) -> str:
+        """The fleet blame table: who is burning the cold-start time
+        (the 12 costliest cells)."""
         fleet_total = self.total_ms or 1.0
         rows = []
-        for cell in self.cells()[:max(0, top)]:
+        for cell in self.cells()[:12]:
             rows.append([
                 cell.function, cell.node, cell.outcome, str(cell.count),
                 f"{cell.total_ms:.1f}", f"{cell.mean_ms:.2f}",

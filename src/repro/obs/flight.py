@@ -63,7 +63,6 @@ FAULT_INJECTED = "fault.injected"            # injector fired a site
 AUTOSCALER_ACTION = "autoscaler.action"      # scale-up/gc/reap/heal/prewarm
 DEPLOY = "deploy"                            # function (re)deployed/baked
 ANOMALY = "anomaly.detected"                 # online detector flagged
-METRIC_SAMPLE = "metric.sample"              # optional raw metric sample
 RESTORE_DEGRADED = "restore.degraded"        # quorum lost; survivors served
 SHARD_NODE_DOWN = "shard.node-down"          # a storage node crashed
 SHARD_NODE_UP = "shard.node-up"              # a storage node recovered
@@ -76,7 +75,7 @@ EVENT_KINDS = (
     RESTORE_STARTED, RESTORE_FINISHED, RESTORE_FAILED, RESTORE_RETRY,
     RESTORE_FALLBACK, SNAPSHOT_QUARANTINED, SNAPSHOT_REPAIRED,
     CACHE_LOOKUP, FAULT_INJECTED, AUTOSCALER_ACTION, DEPLOY, ANOMALY,
-    METRIC_SAMPLE, RESTORE_DEGRADED, SHARD_NODE_DOWN, SHARD_NODE_UP,
+    RESTORE_DEGRADED, SHARD_NODE_DOWN, SHARD_NODE_UP,
     SHARD_BREAKER, PREWARM_PREFETCH,
 )
 
@@ -167,22 +166,17 @@ class FlightRecorder:
 
     ``clock`` is anything with a ``now`` property on simulated
     milliseconds; ``tracer`` (optional) supplies trace/span correlation
-    for events recorded while a span is open. ``sample_metrics`` opts
-    the tape into raw :data:`METRIC_SAMPLE` events from the metrics
-    helpers — off by default so lifecycle events are not evicted by
-    high-rate samples.
+    for events recorded while a span is open.
     """
 
     def __init__(self, clock, tracer=None,
                  capacity: int = DEFAULT_CAPACITY,
-                 sample_metrics: bool = False,
                  metrics=None) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.clock = clock
         self.tracer = tracer
         self.capacity = capacity
-        self.sample_metrics = sample_metrics
         # Optional MetricsRegistry: evictions increment
         # flight_dropped_total there, so truncated evidence is visible
         # in scrapes and fleet reports, not only on the ring object.
@@ -232,11 +226,9 @@ class FlightRecorder:
         """Events evicted from the ring so far."""
         return self.total - len(self._ring)
 
-    def events(self, kind: Optional[str] = None) -> List[FlightEvent]:
-        """Buffered events oldest-first (optionally one kind)."""
-        if kind is None:
-            return list(self._ring)
-        return [e for e in self._ring if e.kind == kind]
+    def events(self) -> List[FlightEvent]:
+        """Buffered events oldest-first."""
+        return list(self._ring)
 
     def last(self, n: int) -> List[FlightEvent]:
         """The newest ``n`` events, oldest-first."""
@@ -272,24 +264,3 @@ def write_flight_jsonl(path: Union[str, pathlib.Path],
     path = pathlib.Path(path)
     path.write_text(events_to_jsonl(events), encoding="utf-8")
     return path
-
-
-def read_flight_jsonl(source: Union[str, pathlib.Path]) -> List[FlightEvent]:
-    """Load flight events from a JSONL file path or raw JSONL text."""
-    if isinstance(source, pathlib.Path):
-        text = source.read_text(encoding="utf-8")
-    else:
-        text = str(source)
-        if "\n" not in text and not text.lstrip().startswith("{"):
-            text = pathlib.Path(text).read_text(encoding="utf-8")
-    events = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FlightError(f"bad flight line {lineno}: {exc}") from None
-        events.append(FlightEvent.from_dict(record))
-    return events

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import sys
-from typing import Callable, Dict, Iterator, Optional, TextIO
+from typing import Callable, Dict, Iterator, Optional
 
 LEVELS = ("debug", "info", "warning", "error")
 
@@ -65,18 +65,16 @@ def _format_field(value: object) -> str:
 class StructuredLogger:
     """Key=value line logger bound to one component name.
 
-    ``stream`` defaults to *current* ``sys.stderr`` at emit time so
-    pytest's capture fixtures (and shell redirections) see the lines.
+    Lines go to the *current* ``sys.stderr`` at emit time so pytest's
+    capture fixtures (and shell redirections) see them.
     """
 
-    def __init__(self, component: str, stream: Optional[TextIO] = None) -> None:
+    def __init__(self, component: str) -> None:
         self.component = component
-        self._stream = stream
 
     def log(self, level: str, event: str, **fields: object) -> None:
         if level not in LEVELS:
             raise ValueError(f"unknown log level {level!r}")
-        stream = self._stream if self._stream is not None else sys.stderr
         parts = [f"level={level}", f"component={self.component}",
                  f"event={event}"]
         if "trace_id" not in fields and _trace_provider is not None:
@@ -85,7 +83,7 @@ class StructuredLogger:
                 parts.append(f"trace_id={_format_field(trace_id)}")
         parts.extend(f"{key}={_format_field(value)}"
                      for key, value in fields.items())
-        print(" ".join(parts), file=stream)
+        print(" ".join(parts), file=sys.stderr)
 
     def debug(self, event: str, **fields: object) -> None:
         self.log("debug", event, **fields)

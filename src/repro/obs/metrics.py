@@ -15,7 +15,7 @@ to multi-second JVM boots.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,9 +132,6 @@ class Histogram:
                 mid = bucket_midpoint(index)
                 return min(max(mid, self.min_value), self.max_value)
         return self.max_value  # pragma: no cover - rank <= count always hits
-
-    def percentiles(self, points: Iterable[float] = (0.5, 0.95, 0.99)) -> Dict[float, float]:
-        return {p: self.quantile(p) for p in points}
 
     def fraction_above(self, threshold: float) -> float:
         """Fraction of observations strictly above ``threshold``.
@@ -277,10 +274,6 @@ class MetricsRegistry:
 
     def families(self) -> List[Metric]:
         return list(self._metrics.values())
-
-    def kind_of(self, name: str) -> Optional[str]:
-        metric = self._metrics.get(name)
-        return metric.kind if metric else None
 
     # -- write paths ----------------------------------------------------------------
 

@@ -39,6 +39,9 @@ from repro.obs.log import get_logger
 
 BUNDLE_SCHEMA = 1
 
+# Flight events a bundle keeps: the newest of the recorder's ring.
+FLIGHT_TAIL = 256
+
 # Incident kinds.
 ANOMALY = "anomaly"
 ERROR = "error"
@@ -93,12 +96,6 @@ class PostmortemBundle:
     @property
     def replay(self) -> Dict[str, object]:
         return dict(self.payload.get("replay") or {})  # type: ignore[arg-type]
-
-    @property
-    def fault_digest(self) -> Optional[str]:
-        faults = self.payload.get("faults") or {}
-        digest = faults.get("schedule_digest")  # type: ignore[union-attr]
-        return None if digest is None else str(digest)
 
     @property
     def anomalies(self) -> List[AnomalyEvent]:
@@ -231,7 +228,6 @@ class PostmortemCollector:
                  label: str = "incident",
                  recipe: Optional[Dict[str, object]] = None,
                  out_dir: Optional[Union[str, pathlib.Path]] = None,
-                 flight_tail: int = 256,
                  max_bundles: int = 8) -> None:
         if max_bundles < 1:
             raise ValueError(f"max_bundles must be >= 1, got {max_bundles}")
@@ -240,7 +236,6 @@ class PostmortemCollector:
         self.label = _slug(label)
         self.recipe = dict(recipe or {})
         self.out_dir = None if out_dir is None else pathlib.Path(out_dir)
-        self.flight_tail = flight_tail
         self.max_bundles = max_bundles
         self.bundles: List[PostmortemBundle] = []
         self.paths: List[pathlib.Path] = []
@@ -297,7 +292,7 @@ class PostmortemCollector:
         # Flight tape tail.
         flight = hub.flight if hub is not None else None
         if flight is not None:
-            tail = flight.last(self.flight_tail)
+            tail = flight.last(FLIGHT_TAIL)
             payload["flight"] = {
                 "total": flight.total,
                 "dropped": flight.dropped,
@@ -357,17 +352,6 @@ class PostmortemCollector:
                   sealed_at_ms=round(kernel.clock.now, 3),
                   detail=detail or None)
         return bundle
-
-    def write_all(self, out_dir: Union[str, pathlib.Path]) -> List[pathlib.Path]:
-        """Write every sealed bundle into ``out_dir`` (late binding for
-        collectors constructed without one)."""
-        out = pathlib.Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for index, bundle in enumerate(self.bundles, start=1):
-            name = f"postmortem-{self.label}-{index:03d}.json"
-            paths.append(bundle.write(out / name))
-        return paths
 
 
 def load_bundles(directory: Union[str, pathlib.Path]) -> List[PostmortemBundle]:

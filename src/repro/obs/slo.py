@@ -160,11 +160,10 @@ CHUNK_CACHE_HIT_RATE = SLO(
 DEFAULT_SLOS = (COLD_START_P99, RESTORE_SUCCESS, CHUNK_CACHE_HIT_RATE)
 
 
-def evaluate_slos(registry: MetricsRegistry,
-                  slos: Optional[List[SLO]] = None) -> List[SLOStatus]:
-    """Evaluate SLOs (default: the stack's contract) against a registry."""
+def evaluate_slos(registry: MetricsRegistry) -> List[SLOStatus]:
+    """Evaluate the stack's SLO contract against a registry."""
     out = []
-    for slo in (slos if slos is not None else list(DEFAULT_SLOS)):
+    for slo in DEFAULT_SLOS:
         out.append(SLOStatus(
             slo=slo,
             bad_fraction=slo.bad_fraction(registry),

@@ -196,10 +196,6 @@ class Tracer:
 
     # -- inspection ----------------------------------------------------------------
 
-    @property
-    def active_depth(self) -> int:
-        return len(self._stack)
-
     def open_spans(self) -> List[Span]:
         """Active (unfinished) spans, outermost first.
 

@@ -23,7 +23,7 @@ reproduced from a replay.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,10 +96,10 @@ class WindowedSeries:
     def samples(self) -> List[Tuple[float, float]]:
         return list(self._samples)
 
-    def windows(self, window_ms: float, t0: float = 0.0) -> List[WindowStat]:
+    def windows(self, window_ms: float) -> List[WindowStat]:
         """Roll the buffered samples into fixed windows of ``window_ms``.
 
-        Windows are aligned to ``t0`` (``[t0 + k*w, t0 + (k+1)*w)``).
+        Windows are aligned to time 0 (``[k*w, (k+1)*w)``).
         Empty leading/trailing windows are skipped; empty windows
         *between* populated ones are kept, so gaps stay visible as
         zero-count entries in the curve.
@@ -110,11 +110,11 @@ class WindowedSeries:
             return []
         times = np.array([t for t, _ in self._samples])
         values = np.array([v for _, v in self._samples])
-        first = int(np.floor((times.min() - t0) / window_ms))
-        last = int(np.floor((times.max() - t0) / window_ms))
+        first = int(np.floor(times.min() / window_ms))
+        last = int(np.floor(times.max() / window_ms))
         out: List[WindowStat] = []
         for k in range(first, last + 1):
-            lo = t0 + k * window_ms
+            lo = k * window_ms
             hi = lo + window_ms
             mask = (times >= lo) & (times < hi)
             out.append(WindowStat(lo, hi, values[mask]))
@@ -130,12 +130,10 @@ class TimeseriesTable:
     label fan-out belongs to the registry.
     """
 
-    def __init__(self, window_ms: float = 1_000.0,
-                 capacity: int = DEFAULT_CAPACITY) -> None:
+    def __init__(self, window_ms: float = 1_000.0) -> None:
         if window_ms <= 0:
             raise ValueError(f"window_ms must be positive, got {window_ms}")
         self.window_ms = window_ms
-        self.capacity = capacity
         self._series: Dict[str, WindowedSeries] = {}
 
     # -- write path ------------------------------------------------------------
@@ -144,7 +142,7 @@ class TimeseriesTable:
                kind: str = VALUE_SAMPLE) -> None:
         series = self._series.get(name)
         if series is None:
-            series = WindowedSeries(name, kind=kind, capacity=self.capacity)
+            series = WindowedSeries(name, kind=kind)
             self._series[name] = series
         series.record(at_ms, value)
 
@@ -156,47 +154,17 @@ class TimeseriesTable:
     def names(self) -> List[str]:
         return sorted(self._series)
 
-    def windows(self, name: str,
-                window_ms: Optional[float] = None) -> List[WindowStat]:
+    def windows(self, name: str) -> List[WindowStat]:
         series = self._series.get(name)
         if series is None:
             return []
-        return series.windows(window_ms or self.window_ms)
+        return series.windows(self.window_ms)
 
-    def rollup(self, names: Optional[Iterable[str]] = None,
-               window_ms: Optional[float] = None
-               ) -> Dict[str, List[Dict[str, object]]]:
+    def rollup(self) -> Dict[str, List[Dict[str, object]]]:
         """JSON-ready per-metric window rollups (postmortem payload)."""
-        picked = sorted(names) if names is not None else self.names()
         out: Dict[str, List[Dict[str, object]]] = {}
-        for name in picked:
-            stats = self.windows(name, window_ms)
+        for name in self.names():
+            stats = self.windows(name)
             if stats:
                 out[name] = [s.as_dict() for s in stats]
         return out
-
-
-def replay_events(events, window_ms: float = 1_000.0,
-                  capacity: int = DEFAULT_CAPACITY) -> TimeseriesTable:
-    """Rebuild a :class:`TimeseriesTable` from recorded flight events.
-
-    Consumes :data:`repro.obs.flight.METRIC_SAMPLE` events (attrs:
-    ``metric``, ``value``, optional ``sample_kind``) in tape order.
-    Because both the live table and the tape are driven by the same
-    deterministic sample stream, replaying a tape reconstructs window
-    rollups identical to the live run's — the property the flight
-    tests pin down.
-    """
-    from repro.obs.flight import METRIC_SAMPLE
-
-    table = TimeseriesTable(window_ms=window_ms, capacity=capacity)
-    for event in events:
-        if event.kind != METRIC_SAMPLE:
-            continue
-        table.record(
-            str(event.attrs["metric"]),
-            event.at_ms,
-            float(event.attrs["value"]),  # type: ignore[arg-type]
-            kind=str(event.attrs.get("sample_kind", VALUE_SAMPLE)),
-        )
-    return table

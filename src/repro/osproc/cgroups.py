@@ -130,9 +130,3 @@ class CgroupManager:
 
     def names(self) -> List[str]:
         return sorted(self._groups)
-
-    def enforce_all(self) -> List[OomEvent]:
-        events: List[OomEvent] = []
-        for group in self._groups.values():
-            events.extend(group.enforce())
-        return events

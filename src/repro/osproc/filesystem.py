@@ -103,11 +103,6 @@ class PageCache:
         if entry is not None:
             entry.resident_pages = 0
 
-    def drop_all(self) -> None:
-        """Model ``echo 3 > /proc/sys/vm/drop_caches``."""
-        for entry in self._entries.values():
-            entry.resident_pages = 0
-
     def warmth(self, file: VirtualFile) -> float:
         entry = self._entries.get(file.path)
         if entry is None or entry.total_pages == 0:

@@ -8,12 +8,11 @@ profiler observes the same boundaries the paper measured with bpftrace.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.profile import PHASE_CLONE, PHASE_EXEC
 from repro.osproc.filesystem import FileSystem, PageCache
 from repro.osproc.memory import PAGE_SIZE, Page, VMA, VMAKind
-from repro.osproc.namespaces import NamespaceKind
 from repro.osproc.probes import ProbeRegistry
 from repro.osproc.process import Capability, Process, ProcessState, ThreadState
 from repro.sim.clock import SimClock
@@ -42,15 +41,10 @@ class Kernel:
 
     INIT_PID = 1
 
-    def __init__(
-        self,
-        clock: Optional[SimClock] = None,
-        costs: CostModel = DEFAULT_COST_MODEL,
-        streams: Optional[RandomStreams] = None,
-    ) -> None:
-        self.clock = clock or SimClock()
-        self.costs = costs
-        self.streams = streams or RandomStreams(seed=0)
+    def __init__(self, streams: RandomStreams) -> None:
+        self.clock = SimClock()
+        self.costs: CostModel = DEFAULT_COST_MODEL
+        self.streams = streams
         self.fs = FileSystem()
         self.page_cache = PageCache()
         self.probes = ProbeRegistry()
@@ -114,53 +108,25 @@ class Kernel:
     def init_process(self) -> Process:
         return self.processes[self.INIT_PID]
 
-    def live_processes(self) -> List[Process]:
-        return [p for p in self.processes.values() if p.alive]
-
     # -- process lifecycle -------------------------------------------------------
 
-    def clone(
-        self,
-        parent: Process,
-        comm: Optional[str] = None,
-        new_namespaces: Iterable[NamespaceKind] = (),
-        target_pid: Optional[int] = None,
-        inherit_capabilities: bool = True,
-    ) -> Process:
-        """``clone(2)``: create a child of ``parent``.
-
-        ``target_pid`` requests a specific pid (what CRIU does on
-        restore via ``/proc/sys/kernel/ns_last_pid``); it requires
-        ``CAP_SYS_ADMIN`` or ``CAP_CHECKPOINT_RESTORE`` [Linux 2020].
-        """
+    def clone(self, parent: Process, comm: Optional[str] = None) -> Process:
+        """``clone(2)``: create a child of ``parent`` in its namespaces."""
         if not parent.alive:
             raise KernelError(f"parent pid {parent.pid} is not alive")
-        if target_pid is not None:
-            if not (parent.has_capability(Capability.SYS_ADMIN)
-                    or parent.has_capability(Capability.CHECKPOINT_RESTORE)):
-                raise PermissionDenied(
-                    "selecting a clone pid requires CAP_SYS_ADMIN or CAP_CHECKPOINT_RESTORE"
-                )
-            if target_pid in self.processes and self.processes[target_pid].alive:
-                raise KernelError(f"pid {target_pid} already in use")
-            pid = target_pid
-            self._next_pid = max(self._next_pid, pid + 1)
-        else:
-            pid = self._alloc_pid()
+        pid = self._alloc_pid()
         self._charge("clone", parent.pid, self.costs.clone_ms,
                      detail=comm or "", phase=PHASE_CLONE, comm=comm or "")
-        namespaces = parent.namespaces.clone_with_new(*new_namespaces)
         child = Process(
             pid=pid,
             ppid=parent.pid,
             comm=comm or parent.comm,
             argv=list(parent.argv),
-            namespaces=namespaces,
-            capabilities=set(parent.capabilities) if inherit_capabilities else set(),
+            namespaces=parent.namespaces.clone_with_new(),
+            capabilities=set(parent.capabilities),
         )
         child.start_time = self.clock.now
         self.processes[pid] = child
-        self._reaped.discard(pid)
         parent.children.append(pid)
         return child
 
@@ -189,13 +155,13 @@ class Kernel:
                    populate=True, content_tag="stack")
         self.page_cache.warm(binary, fraction=1.0)
 
-    def exit(self, proc: Process, code: int = 0) -> None:
+    def exit(self, proc: Process) -> None:
         """``exit_group(2)``."""
         if proc.state is ProcessState.DEAD:
             return
         self._charge("exit_group", proc.pid, 0.05)
         proc.state = ProcessState.ZOMBIE
-        proc.exit_code = code
+        proc.exit_code = 0
         for thread in proc.threads:
             thread.state = ThreadState.STOPPED
         parent = self.processes.get(proc.ppid)
@@ -313,15 +279,8 @@ class Kernel:
         self._charge("ptrace", tracer.pid, 0.05, detail="DETACH")
         del self._tracees[target.pid]
 
-    def tracer_of(self, pid: int) -> Optional[int]:
-        return self._tracees.get(pid)
-
     # -- procfs ------------------------------------------------------------------------
 
     def pagemap(self, pid: int) -> Iterator[Tuple[VMA, Page]]:
         """``/proc/<pid>/pagemap``: every resident page, address order."""
         return self.get(pid).address_space.iter_resident()
-
-    def clear_refs(self, pid: int) -> None:
-        """``/proc/<pid>/clear_refs`` = 4: reset soft-dirty (pre-dump)."""
-        self.get(pid).address_space.clear_soft_dirty()

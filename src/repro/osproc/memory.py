@@ -221,13 +221,13 @@ class VMA(_VMABase):
 
     def __init__(
         self,
-        start: int = 0,
-        length: int = PAGE_SIZE,
-        kind: VMAKind = VMAKind.ANON,
-        prot: str = "rw-",
-        file_path: Optional[str] = None,
-        file_offset: int = 0,
-        label: str = "",
+        start: int,
+        length: int,
+        kind: VMAKind,
+        prot: str,
+        file_path: Optional[str],
+        file_offset: int,
+        label: str,
     ) -> None:
         self._init_common(start, length, kind, prot, file_path, file_offset, label)
         n = length // PAGE_SIZE
@@ -288,9 +288,8 @@ class VMA(_VMABase):
         self._soft[window] = True
         self._resident_count += newly
 
-    def populate_pages(self, indices: Sequence[int], tag_ids: np.ndarray,
-                       dirty: bool = False) -> None:
-        """Bulk-equivalent of ``touch(i, TAGS.tag(t), dirty)`` per (index, tag id).
+    def populate_pages(self, indices: Sequence[int], tag_ids: np.ndarray) -> None:
+        """Bulk-equivalent of ``touch(i, TAGS.tag(t), dirty=False)`` per (index, tag id).
 
         ``indices`` must be unique (descriptor order from a dump is);
         ``tag_ids`` are :data:`TAGS` ids (``TAGS.intern_many(tags)``).
@@ -310,8 +309,6 @@ class VMA(_VMABase):
         was_resident = self._resident[idx]
         self._resident[idx] = True
         self._resident_count += count - int(was_resident.sum())
-        if dirty:
-            self._dirty[idx] = True
         # A non-empty tag always lands; an empty tag only initializes
         # newly resident pages (which hold id 0 already) — matching the
         # per-page touch semantics exactly.
@@ -323,7 +320,7 @@ class VMA(_VMABase):
         self._soft[idx] = True
 
     def restore_pages(self, runs: np.ndarray) -> None:
-        """:meth:`populate_pages` with ``dirty=False`` on a fresh mapping.
+        """:meth:`populate_pages` on a fresh mapping.
 
         The restore transmute's write: the mapping has no resident page
         yet, and ``runs`` are a dump's :func:`page_runs` (disjoint), so
@@ -347,19 +344,14 @@ class VMA(_VMABase):
         """Resident page indices, ascending (int64 array)."""
         return np.nonzero(self._resident)[0]
 
-    def dump_pages(self, incremental: bool = False) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
-        """(indices, content tags) of pages a dump would copy out.
-
-        ``incremental=True`` restricts to soft-dirty pages — what a
-        second pre-dump pass copies after ``clear_refs``.
-        """
-        idx, ids = self.dump_arrays(incremental)
+    def dump_pages(self) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
+        """(indices, content tags) of the pages a dump copies out."""
+        idx, ids = self.dump_arrays()
         return tuple(idx.tolist()), tuple(TAGS.tags_of(ids))
 
-    def dump_arrays(self, incremental: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    def dump_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`dump_pages` as fresh arrays: int64 indices, int32 :data:`TAGS` ids."""
-        mask = self._resident & self._soft if incremental else self._resident
-        idx = np.nonzero(mask)[0].astype(np.int64, copy=False)
+        idx = np.nonzero(self._resident)[0].astype(np.int64, copy=False)
         return idx, self._tag_ids[idx]
 
     def touched_indices(self, floor: bool = False) -> np.ndarray:
@@ -408,13 +400,13 @@ class SlowVMA(_VMABase):
 
     def __init__(
         self,
-        start: int = 0,
-        length: int = PAGE_SIZE,
-        kind: VMAKind = VMAKind.ANON,
-        prot: str = "rw-",
-        file_path: Optional[str] = None,
-        file_offset: int = 0,
-        label: str = "",
+        start: int,
+        length: int,
+        kind: VMAKind,
+        prot: str,
+        file_path: Optional[str],
+        file_offset: int,
+        label: str,
     ) -> None:
         self._init_common(start, length, kind, prot, file_path, file_offset, label)
         self._pages: Dict[int, Page] = {}
@@ -450,11 +442,10 @@ class SlowVMA(_VMABase):
         for i in range(first, first + count):
             self.touch(i, content_tag=content_tag)
 
-    def populate_pages(self, indices: Sequence[int], tag_ids: np.ndarray,
-                       dirty: bool = False) -> None:
+    def populate_pages(self, indices: Sequence[int], tag_ids: np.ndarray) -> None:
         for index, tid in zip(np.asarray(indices).tolist(),
                               np.asarray(tag_ids).tolist()):
-            self.touch(index, content_tag=TAGS.tag(tid), dirty=dirty)
+            self.touch(index, content_tag=TAGS.tag(tid), dirty=False)
 
     def restore_pages(self, runs: np.ndarray) -> None:
         runs = runs.tolist()
@@ -471,19 +462,13 @@ class SlowVMA(_VMABase):
         return np.fromiter(sorted(self._pages), dtype=np.int64,
                            count=len(self._pages))
 
-    def dump_pages(self, incremental: bool = False) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
-        indices = []
-        tags = []
-        for index in sorted(self._pages):
-            page = self._pages[index]
-            if incremental and not page.soft_dirty:
-                continue
-            indices.append(index)
-            tags.append(page.content_tag)
-        return tuple(indices), tuple(tags)
+    def dump_pages(self) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
+        indices = sorted(self._pages)
+        return (tuple(indices),
+                tuple(self._pages[index].content_tag for index in indices))
 
-    def dump_arrays(self, incremental: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-        indices, tags = self.dump_pages(incremental)
+    def dump_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        indices, tags = self.dump_pages()
         return (np.fromiter(indices, dtype=np.int64, count=len(indices)),
                 TAGS.intern_many(tags))
 
@@ -650,10 +635,6 @@ class AddressSpace:
     def rss_mib(self) -> float:
         return self.rss_bytes / (1024 * 1024)
 
-    @property
-    def mapped_bytes(self) -> int:
-        return sum(v.length for v in self._vmas)
-
     def iter_resident(self) -> Iterator[Tuple[_VMABase, Page]]:
         """Yield (vma, page) for every resident page, address order.
 
@@ -664,17 +645,17 @@ class AddressSpace:
                 yield vma, page
 
     def clear_soft_dirty(self) -> None:
-        """Model writing ``4`` to ``/proc/<pid>/clear_refs`` (pre-dump)."""
+        """Model writing ``4`` to ``/proc/<pid>/clear_refs``."""
         for vma in self._vmas:
             vma.clear_soft_dirty()
 
-    def grow_anon(self, label: str, mib: float, kind: VMAKind = VMAKind.ANON,
+    def grow_anon(self, label: str, mib: float,
                   content_tag: str = "") -> _VMABase:
         """Convenience: map and populate ``mib`` MiB of anonymous memory."""
         pages = max(1, int(round(mib * PAGES_PER_MIB)))
         return self.mmap(
             length=pages * PAGE_SIZE,
-            kind=kind,
+            kind=VMAKind.ANON,
             label=label,
             populate=True,
             content_tag=content_tag,

@@ -118,7 +118,7 @@ class HistogramEwmaPolicy(PrewarmPolicy):
       :meth:`prewarm_schedule`;
     * a broad ON/OFF mixture (burst gaps milliseconds, off gaps
       minutes) → no single affordable window is also covering, so fall
-      back to ``default_keepalive_ms``, the platform's status quo.
+      back to :attr:`DEFAULT_KEEPALIVE_MS`, the platform's status quo.
     """
 
     #: Gap-distribution spread (tail quantile / median, in log2-bucket
@@ -139,16 +139,18 @@ class HistogramEwmaPolicy(PrewarmPolicy):
     MIN_FORECAST = 0.5
     SAFETY = 2.5
 
+    #: The platform's fixed keep-alive, the fallback for gap
+    #: distributions no single window covers.
+    DEFAULT_KEEPALIVE_MS = 60_000.0
+
     def __init__(self, window_ms: float = DEFAULT_WINDOW_MS,
                  service_ms: float = 150.0,
                  keepalive_floor_ms: float = DEFAULT_KEEPALIVE_FLOOR_MS,
-                 keepalive_cap_ms: float = DEFAULT_KEEPALIVE_CAP_MS,
-                 default_keepalive_ms: float = 60_000.0) -> None:
+                 keepalive_cap_ms: float = DEFAULT_KEEPALIVE_CAP_MS) -> None:
         self.window_ms = float(window_ms)
         self.service_ms = float(service_ms)
         self.keepalive_floor_ms = float(keepalive_floor_ms)
         self.keepalive_cap_ms = float(keepalive_cap_ms)
-        self.default_keepalive_ms = float(default_keepalive_ms)
         self._hists: Dict[str, InterArrivalHistogram] = {}
         self._ewmas: Dict[str, EwmaForecaster] = {}
         # key -> (gaps noted, histogram keep-alive, floor applies): the
@@ -201,7 +203,7 @@ class HistogramEwmaPolicy(PrewarmPolicy):
         # keep-alive on a busy function saves milliseconds of idle but
         # churns the standing depth that arrival clumps reuse.
         if floor_applies and self.target_warm(key) > 0:
-            return self._clamp(self.default_keepalive_ms)
+            return self._clamp(self.DEFAULT_KEEPALIVE_MS)
         return value
 
     def _histogram_keepalive(self, hist: InterArrivalHistogram
@@ -210,7 +212,7 @@ class HistogramEwmaPolicy(PrewarmPolicy):
         if hist.total == 0:
             # No gap data yet: keep the status-quo timeout until the
             # histogram earns the right to shrink it.
-            return self._clamp(self.default_keepalive_ms), False
+            return self._clamp(self.DEFAULT_KEEPALIVE_MS), False
         # Scale-to-zero fast path: when even a tenth of the observed
         # gaps outlast the cap, no affordable keep-alive covers this
         # function (timer/cron-style long periods) — idling a replica
@@ -231,19 +233,19 @@ class HistogramEwmaPolicy(PrewarmPolicy):
         tail = hist.quantile(self.HIST_QUANTILE)
         if median is not None and tail is not None \
                 and tail > self.BROAD_RATIO * median:
-            return self._clamp(self.default_keepalive_ms), False
+            return self._clamp(self.DEFAULT_KEEPALIVE_MS), False
         value = hist.keepalive_ms(
             self.HIST_QUANTILE, self.keepalive_floor_ms,
             self.keepalive_cap_ms)
-        if value > self.default_keepalive_ms:
+        if value > self.DEFAULT_KEEPALIVE_MS:
             # Cost-aware extension: a keep-alive beyond the status quo
             # pays ~one mean gap of idle per avoided cold, so sparse
             # functions stay at the default instead of the tail edge.
             rate = hist.rate_per_ms()
             mean_gap = (1.0 / rate) if rate else None
             if mean_gap is None or mean_gap > self.EXTEND_MEAN_GAP_MS:
-                return self._clamp(self.default_keepalive_ms), False
-        return value, value < self.default_keepalive_ms
+                return self._clamp(self.DEFAULT_KEEPALIVE_MS), False
+        return value, value < self.DEFAULT_KEEPALIVE_MS
 
     def target_warm(self, key: str) -> int:
         return _concurrency(self.forecast(key), self.window_ms,

@@ -123,4 +123,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

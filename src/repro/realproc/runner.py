@@ -30,13 +30,9 @@ class VanillaProcessRunner:
 
     technique = "vanilla"
 
-    def __init__(self, python: Optional[str] = None) -> None:
-        self.python = python or sys.executable
-
-    def start_once(self, function: str, invoke: bool = True,
-                   timeout_s: float = 60.0) -> RealStartupSample:
-        """Spawn a worker, wait for READY (and one response), kill it."""
-        argv = [self.python, "-m", "repro.realproc.child", "--function", function]
+    def start_once(self, function: str) -> RealStartupSample:
+        """Spawn a worker, wait for READY and one response, kill it."""
+        argv = [sys.executable, "-m", "repro.realproc.child", "--function", function]
         t0 = time.monotonic_ns()
         proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -51,16 +47,14 @@ class VanillaProcessRunner:
                 )
             parse_ready_line(ready_line)  # validates the protocol
             startup_ms = (time.monotonic_ns() - t0) / 1e6
-            first_service_ms = None
-            if invoke:
-                proc.stdin.write("\n")
-                proc.stdin.flush()
-                reply = proc.stdout.readline()
-                service_ns, _digest = parse_ok_line(reply)
-                first_service_ms = service_ns / 1e6
+            proc.stdin.write("\n")
+            proc.stdin.flush()
+            reply = proc.stdout.readline()
+            service_ns, _digest = parse_ok_line(reply)
+            first_service_ms = service_ns / 1e6
             proc.stdin.write("QUIT\n")
             proc.stdin.flush()
-            proc.wait(timeout=timeout_s)
+            proc.wait(timeout=60.0)
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -72,7 +66,6 @@ class VanillaProcessRunner:
             first_service_ms=first_service_ms,
         )
 
-    def measure(self, function: str, repetitions: int = 20,
-                invoke: bool = True) -> List[RealStartupSample]:
-        return [self.start_once(function, invoke=invoke)
-                for _ in range(repetitions)]
+    def measure(self, function: str,
+                repetitions: int = 20) -> List[RealStartupSample]:
+        return [self.start_once(function) for _ in range(repetitions)]

@@ -45,14 +45,13 @@ class StartupComparison:
         )
 
 
-def compare_startup(function: str, repetitions: int = 15,
-                    invoke: bool = True) -> StartupComparison:
+def compare_startup(function: str, repetitions: int = 15) -> StartupComparison:
     """Measure vanilla vs zygote start-up for ``function`` on this host."""
     vanilla_samples = VanillaProcessRunner().measure(
-        function, repetitions=repetitions, invoke=invoke
+        function, repetitions=repetitions
     )
     with ZygoteRunner(function) as zygote:
-        zygote_samples = zygote.measure(repetitions=repetitions, invoke=invoke)
+        zygote_samples = zygote.measure(repetitions=repetitions)
     return StartupComparison(
         function=function,
         vanilla_ms=[s.startup_ms for s in vanilla_samples],

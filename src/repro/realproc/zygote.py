@@ -18,13 +18,13 @@ import sys
 import tempfile
 import time
 import uuid
-from typing import List, Optional
+from typing import List
 
 from repro.realproc.child import parse_ok_line, parse_ready_line
 from repro.realproc.runner import RealProcessError, RealStartupSample
 
 
-def zygote_main(argv=None) -> int:
+def zygote_main(argv: List[str]) -> int:
     """Entry point of the zygote master process."""
     import argparse
 
@@ -70,15 +70,13 @@ class ZygoteRunner:
 
     technique = "zygote"
 
-    def __init__(self, function: str, python: Optional[str] = None,
-                 timeout_s: float = 60.0) -> None:
+    def __init__(self, function: str) -> None:
         if not hasattr(os, "fork"):
             raise RealProcessError("zygote runner requires a POSIX host")
         self.function = function
-        self.timeout_s = timeout_s
         self._tmpdir = tempfile.mkdtemp(prefix="repro-zygote-")
         self.proc = subprocess.Popen(
-            [python or sys.executable, "-c",
+            [sys.executable, "-c",
              "from repro.realproc.zygote import zygote_main; "
              f"raise SystemExit(zygote_main(['--function', '{function}']))"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -90,8 +88,8 @@ class ZygoteRunner:
                 f"zygote for {function!r} failed to start: {banner!r}"
             )
 
-    def start_once(self, invoke: bool = True) -> RealStartupSample:
-        """Fork one worker, wait for READY (and one response)."""
+    def start_once(self) -> RealStartupSample:
+        """Fork one worker, wait for READY and one response."""
         token = uuid.uuid4().hex[:10]
         in_fifo = os.path.join(self._tmpdir, f"in-{token}")
         out_fifo = os.path.join(self._tmpdir, f"out-{token}")
@@ -110,12 +108,10 @@ class ZygoteRunner:
                         raise RealProcessError("zygote worker died before READY")
                     parse_ready_line(ready_line)
                     startup_ms = (time.monotonic_ns() - t0) / 1e6
-                    first_service_ms = None
-                    if invoke:
-                        inp.write("\n")
-                        inp.flush()
-                        service_ns, _digest = parse_ok_line(out.readline())
-                        first_service_ms = service_ns / 1e6
+                    inp.write("\n")
+                    inp.flush()
+                    service_ns, _digest = parse_ok_line(out.readline())
+                    first_service_ms = service_ns / 1e6
                     inp.write("QUIT\n")
                     inp.flush()
         finally:
@@ -131,8 +127,8 @@ class ZygoteRunner:
             first_service_ms=first_service_ms,
         )
 
-    def measure(self, repetitions: int = 20, invoke: bool = True) -> List[RealStartupSample]:
-        return [self.start_once(invoke=invoke) for _ in range(repetitions)]
+    def measure(self, repetitions: int = 20) -> List[RealStartupSample]:
+        return [self.start_once() for _ in range(repetitions)]
 
     def close(self) -> None:
         if self.proc.poll() is None:

@@ -147,10 +147,9 @@ class JVMRuntime(ManagedRuntime):
 
     kind = "jvm"
 
-    def __init__(self, kernel: Kernel, process: Process,
-                 config: JVMConfig = JVMConfig()) -> None:
+    def __init__(self, kernel: Kernel, process: Process) -> None:
         super().__init__(kernel, process)
-        self.config = config
+        self.config = JVMConfig()
         self.rts_ms = kernel.costs.jvm_rts_ms
         self.classloader = ClassLoader(self)
         self._metaspace_vma = None

@@ -37,11 +37,10 @@ class NodeJSRuntime(ManagedRuntime):
 
     kind = "nodejs"
 
-    def __init__(self, kernel: Kernel, process: Process,
-                 config: NodeJSConfig = NodeJSConfig()) -> None:
+    def __init__(self, kernel: Kernel, process: Process) -> None:
         super().__init__(kernel, process)
-        self.config = config
-        self.rts_ms = config.rts_ms
+        self.config = NodeJSConfig()
+        self.rts_ms = self.config.rts_ms
         self.required_modules = 0
         self.bundle_path = ""
 

@@ -39,11 +39,10 @@ class CPythonRuntime(ManagedRuntime):
 
     kind = "python"
 
-    def __init__(self, kernel: Kernel, process: Process,
-                 config: CPythonConfig = CPythonConfig()) -> None:
+    def __init__(self, kernel: Kernel, process: Process) -> None:
         super().__init__(kernel, process)
-        self.config = config
-        self.rts_ms = config.rts_ms
+        self.config = CPythonConfig()
+        self.rts_ms = self.config.rts_ms
         self.imported_modules = 0
         self.source_path = ""
 

@@ -29,8 +29,8 @@ All durations are milliseconds; sizes are MiB unless suffixed ``_kib``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.sim.rng import RandomStreams
 
@@ -170,6 +170,38 @@ class CostModel:
             + image_mib * self.dump_per_mib_ms
         )
 
+    def restore_price(
+        self,
+        image_mib: float,
+        override_ms: Optional[float] = None,
+        in_memory: bool = False,
+        page_fraction: float = 1.0,
+        workers: int = 1,
+        chunk_count: int = 1,
+        cached_fraction: float = 0.0,
+    ) -> Tuple[float, "PipelinePlan", float]:
+        """One restore's charge: ``(base, pipeline plan, serial duration)``.
+
+        The charged duration is ``base + plan.total_ms``. The page stage
+        is the restore cost above the base, cut by the in-memory factor
+        and then by ``page_fraction``, the share paid up front (a LAZY
+        restore's eager slice, a working-set restore's recorded set).
+        The serial duration, ``base`` plus that stage, is what one
+        worker with no cache hits would charge.
+        """
+        full = self.restore_cost(image_mib, override_ms)
+        # A calibrated override below the generic base means the whole
+        # restore is that fast; never inflate it back up to the base.
+        base = min(self.restore_base_ms, full)
+        pages_ms = full - base
+        if in_memory:
+            # No disk reads: the image is already resident [26].
+            pages_ms *= self.restore_in_memory_factor
+        pages_ms *= page_fraction
+        plan = self.plan_restore_pipeline(pages_ms, workers, chunk_count,
+                                          cached_fraction)
+        return base, plan, base + pages_ms
+
     def plan_restore_pipeline(
         self,
         pages_ms: float,
@@ -237,9 +269,6 @@ class CostModel:
         """Apply seeded log-normal jitter to a median duration."""
         return streams.lognormal_jitter(stream_name, median, self.noise_sigma)
 
-    def with_noise_sigma(self, sigma: float) -> "CostModel":
-        """Return a copy with a different noise level (0 = deterministic)."""
-        return replace(self, noise_sigma=sigma)
 
 
 @dataclass(frozen=True)

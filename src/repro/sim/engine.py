@@ -21,7 +21,7 @@ fresh closure per yielded delay.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Tuple
 
 from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventQueue, Signal
@@ -81,8 +81,8 @@ class SimProcess:
 class Simulation:
     """Owns the clock and event queue and drives processes to completion."""
 
-    def __init__(self, clock: Optional[SimClock] = None) -> None:
-        self.clock = clock or SimClock()
+    def __init__(self) -> None:
+        self.clock = SimClock()
         self.queue = EventQueue()
         self.events_dispatched = 0
         self._trace: List[str] = []
@@ -151,17 +151,6 @@ class Simulation:
         finally:
             self.events_dispatched += dispatched
         raise RuntimeError(f"simulation exceeded {max_events} events; likely a livelock")
-
-    def run_process(self, gen: SimGenerator, name: str = "") -> Any:
-        """Spawn ``gen``, run the simulation until it finishes, return its result."""
-        process = self.spawn(gen, name=name)
-        while not process.finished:
-            if not self.step():
-                raise RuntimeError(
-                    f"simulation drained before process {process.name!r} finished; "
-                    "it is waiting on a signal nobody fires"
-                )
-        return process.result
 
     @property
     def now(self) -> float:

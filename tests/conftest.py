@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import make_world
@@ -24,7 +26,9 @@ def kernel(world) -> Kernel:
 @pytest.fixture
 def quiet_world():
     """A world with zero timing noise (deterministic durations)."""
-    return make_world(seed=1234, costs=DEFAULT_COST_MODEL.with_noise_sigma(0.0))
+    world = make_world(seed=1234)
+    world.kernel.costs = replace(DEFAULT_COST_MODEL, noise_sigma=0.0)
+    return world
 
 
 @pytest.fixture

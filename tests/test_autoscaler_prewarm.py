@@ -53,7 +53,8 @@ class TestActionRecord:
             platform.invoke("markdown")
             kernel.clock.advance(40.0)
             platform.gc_tick()
-        taped = tape.events(obs.flight.AUTOSCALER_ACTION)
+        taped = [e for e in tape.events()
+                 if e.kind == obs.flight.AUTOSCALER_ACTION]
         assert tape.dropped == 0
         for action in ("scale-up", "gc", "reap", "heal", "prewarm"):
             on_tape = [e for e in taped if e.attrs["action"] == action]
@@ -206,7 +207,7 @@ class TestPrefetchResidentImage:
         cache = HotChunkCache(capacity_bytes=sum(sizes.values()),
                               policy="freq-over-size")
         deployer._node_chunk_cache[node] = cache
-        assert deployer.prefetch_function("markdown", node) > 0
+        assert deployer.prefetch_function("markdown") > 0
         assert all(cache.contains(cid) for cid in sizes)
         return world, deployer, key, node, cache, sizes
 
@@ -227,13 +228,13 @@ class TestPrefetchResidentImage:
         before = self._state(cache)
         ranked = self._count_ranking(deployer)
         for _ in range(3):
-            assert deployer.prefetch_function("markdown", node) == 0
+            assert deployer.prefetch_function("markdown") == 0
         assert self._state(cache) == before
         assert ranked == []
 
     def test_an_eviction_of_one_chunk_is_admitted_again(self):
         _, deployer, _, node, cache, sizes = self._setup()
-        assert deployer.prefetch_function("markdown", node) == 0  # memoised
+        assert deployer.prefetch_function("markdown") == 0  # memoised
         # Make one chunk the coldest (every other one is read again),
         # then a foreign chunk of its size displaces it.
         coldest = sorted(cid for cid, size in sizes.items()
@@ -246,7 +247,7 @@ class TestPrefetchResidentImage:
         assert cache.stats.evictions == evictions + 1
         assert not cache.contains(coldest)
         ranked = self._count_ranking(deployer)
-        assert deployer.prefetch_function("markdown", node) \
+        assert deployer.prefetch_function("markdown") \
             == sizes[coldest]
         assert ranked == [1]
         assert all(cache.contains(cid) for cid in sizes)
@@ -254,7 +255,7 @@ class TestPrefetchResidentImage:
 
     def test_a_rebake_with_a_new_image_ranks_again(self):
         world, deployer, key, node, cache, sizes = self._setup()
-        assert deployer.prefetch_function("markdown", node) == 0  # memoised
+        assert deployer.prefetch_function("markdown") == 0  # memoised
         warm = Prebaker(world.kernel).bake(make_app("markdown"),
                                            policy=AfterWarmup(1)).image
         store = deployer.prebake_manager.store
@@ -262,7 +263,7 @@ class TestPrefetchResidentImage:
         fresh = {ref.chunk_id for ref in store.layered(key).chunk_refs}
         assert fresh - set(sizes)              # some chunks are new
         ranked = self._count_ranking(deployer)
-        assert deployer.prefetch_function("markdown", node) > 0
+        assert deployer.prefetch_function("markdown") > 0
         assert ranked == [1]
 
 

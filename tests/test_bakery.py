@@ -26,7 +26,7 @@ class TestBakeService:
         metrics = service.run()
         job = metrics.jobs[0]
         assert job.queue_wait_ms == 0.0
-        assert job.turnaround_ms == pytest.approx(100.0)
+        assert job.finished_ms - job.submitted_ms == pytest.approx(100.0)
 
     def test_parallel_jobs_no_queueing(self):
         sim, service = make_service(workers=2)
@@ -85,14 +85,14 @@ class TestBakeService:
 class TestBakeOracle:
     def test_bake_duration_scales_with_function_size(self):
         small = measure_bake_duration("synthetic-small",
-                                      policy=AfterWarmup(1), seed=1)
+                                      policy=AfterWarmup(1))
         big = measure_bake_duration("synthetic-big",
-                                    policy=AfterWarmup(1), seed=1)
+                                    policy=AfterWarmup(1))
         assert big > 1.5 * small
 
     def test_deterministic(self):
-        a = measure_bake_duration("noop", seed=2)
-        b = measure_bake_duration("noop", seed=2)
+        a = measure_bake_duration("noop")
+        b = measure_bake_duration("noop")
         assert a == b
 
 
@@ -100,13 +100,13 @@ class TestFarmSweep:
     def test_more_workers_shorter_makespan(self):
         results = bake_farm_sweep(
             ["noop", "markdown"], submissions=8,
-            worker_counts=[1, 4], seed=3,
+            worker_counts=[1, 4],
         )
         assert results[4].makespan_ms < 0.5 * results[1].makespan_ms
         assert results[4].wait_quantile(0.9) < results[1].wait_quantile(0.9)
 
     def test_all_jobs_complete(self):
         results = bake_farm_sweep(["noop"], submissions=5,
-                                  worker_counts=[2], seed=4)
+                                  worker_counts=[2])
         assert all(j.done for j in results[2].jobs)
         assert len(results[2].jobs) == 5

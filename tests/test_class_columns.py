@@ -175,7 +175,9 @@ def reference_load_all(runtime, classes):
 
 
 def _app(count, total_kib, seed, name="columns"):
-    return SyntheticFunction(synthetic_costs(name, count, total_kib), seed=seed)
+    app = SyntheticFunction(synthetic_costs(name, count, total_kib))
+    app.classes = generate_classes(count, total_kib, seed=seed)
+    return app
 
 
 def _runtime(app):

@@ -20,9 +20,9 @@ class TestBake:
 
     def test_bake_kills_donor_process(self, kernel):
         prebaker = Prebaker(kernel)
-        before = {p.pid for p in kernel.live_processes()}
+        before = {p.pid for p in kernel.processes.values() if p.alive}
         prebaker.bake(make_app("noop"))
-        after = {p.pid for p in kernel.live_processes()}
+        after = {p.pid for p in kernel.processes.values() if p.alive}
         # No java process survives the bake.
         survivors = [kernel.get(pid).comm for pid in after - before]
         assert "java" not in survivors

@@ -6,7 +6,6 @@ from repro.core.policy import (
     AfterReady,
     AfterRuntimeBoot,
     AfterWarmup,
-    policy_from_key,
 )
 
 
@@ -37,15 +36,3 @@ class TestPolicies:
         assert AfterWarmup(1) != AfterWarmup(2)
         assert len({AfterReady(), AfterReady(), AfterWarmup(1)}) == 2
 
-
-class TestPolicyFromKey:
-    @pytest.mark.parametrize("policy", [
-        AfterReady(), AfterRuntimeBoot(), AfterWarmup(1), AfterWarmup(7),
-    ])
-    def test_roundtrip(self, policy):
-        assert policy_from_key(policy.key) == policy
-
-    @pytest.mark.parametrize("bad", ["", "nonsense", "after-warmup-", "after-warmup-x"])
-    def test_invalid_keys_rejected(self, bad):
-        with pytest.raises(ValueError):
-            policy_from_key(bad)

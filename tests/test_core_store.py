@@ -63,14 +63,6 @@ class TestSnapshotStore:
         store.put(v2, image)
         assert len(store) == 2
 
-    def test_delete(self, image):
-        store = SnapshotStore()
-        store.put(KEY, image)
-        store.delete(KEY)
-        assert not store.contains(KEY)
-        with pytest.raises(SnapshotNotFound):
-            store.delete(KEY)
-
     def test_total_bytes(self, image):
         store = SnapshotStore()
         store.put(KEY, image)

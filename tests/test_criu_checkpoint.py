@@ -97,28 +97,3 @@ class TestDumpProtocol:
         a = engine.dump(target)
         b = engine.dump(target)
         assert a.image_id != b.image_id
-
-
-class TestIncrementalDump:
-    def test_pre_dump_clears_soft_dirty(self, engine, target, kernel):
-        engine.pre_dump(target)
-        assert not any(
-            page.soft_dirty
-            for vma in target.address_space.vmas
-            for page in vma.pages.values()
-        )
-
-    def test_incremental_dump_only_dirty_pages(self, engine, target, kernel):
-        parent = engine.pre_dump(target)
-        # Touch 3 pages after the pre-dump.
-        vma = target.address_space.find_by_label("heap")
-        for index in (0, 1, 2):
-            vma.touch(index)
-        child = engine.dump(target, parent_image=parent)
-        assert child.parent_image_id == parent.image_id
-        assert child.resident_pages == 3
-
-    def test_incremental_without_writes_is_empty(self, engine, target):
-        parent = engine.pre_dump(target)
-        child = engine.dump(target, parent_image=parent)
-        assert child.resident_pages == 0

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.criu.checkpoint import CheckpointEngine
-from repro.criu.restore import RestoreEngine, RestoreError, RestoreMode
-from repro.osproc.process import Capability, ProcessState
+from repro.criu.pagestore import image_chunk_count
+from repro.criu.restore import LAZY_EAGER_FRACTION, RestoreEngine, RestoreMode
+from repro.osproc.process import ProcessState
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 
 
@@ -62,18 +63,13 @@ class TestRestoreProtocol:
         proc = restore.restore(image)
         assert proc.pid != original_pid
 
-    def test_preserve_pid(self, engines, donor):
+    def test_restore_beside_a_live_donor(self, engines, donor):
         dump, restore = engines
-        original_pid = donor.pid
-        image = dump.dump(donor, leave_running=False)
-        proc = restore.restore(image, preserve_pid=True)
-        assert proc.pid == original_pid
-
-    def test_preserve_pid_conflict_rejected(self, engines, donor):
-        dump, restore = engines
-        image = dump.dump(donor, leave_running=True)  # donor still alive
-        with pytest.raises(RestoreError, match="already alive"):
-            restore.restore(image, preserve_pid=True)
+        image = dump.dump(donor, leave_running=True)
+        proc = restore.restore(image)
+        assert donor.state is ProcessState.RUNNING
+        assert proc.state is ProcessState.RUNNING
+        assert proc.pid != donor.pid
 
     def test_restore_gets_fresh_namespaces(self, engines, donor):
         dump, restore = engines
@@ -81,27 +77,11 @@ class TestRestoreProtocol:
         proc = restore.restore(image)
         assert proc.namespaces.ids() != image.namespace_ids
 
-    def test_unprivileged_parent_rejected(self, engines, donor, kernel):
-        dump, restore = engines
-        image = dump.dump(donor, leave_running=False)
-        unprivileged = kernel.clone(kernel.init_process, inherit_capabilities=False)
-        with pytest.raises(RestoreError, match="capability"):
-            restore.restore(image, parent=unprivileged)
-
-    def test_cap_checkpoint_restore_suffices(self, engines, donor, kernel):
-        """The Linux 5.9 capability [11] relaxes the privilege need."""
-        dump, restore = engines
-        image = dump.dump(donor, leave_running=False)
-        parent = kernel.clone(kernel.init_process, inherit_capabilities=False)
-        parent.capabilities.add(Capability.CHECKPOINT_RESTORE)
-        proc = restore.restore(image, parent=parent)
-        assert proc.state is ProcessState.RUNNING
-
     def test_restore_warms_file_backed_pages(self, engines, donor, kernel):
         dump, restore = engines
         libjvm = kernel.fs.lookup("/bin/java")
         image = dump.dump(donor, leave_running=False)
-        kernel.page_cache.drop_all()
+        kernel.page_cache.evict(libjvm)
         restore.restore(image)
         assert kernel.page_cache.warmth(libjvm) == 1.0
 
@@ -171,3 +151,39 @@ class TestRestoreCosts:
         assert debt > 0
         assert lazy_ms + debt == pytest.approx(eager_ms, rel=0.02)
         assert "lazy_restore_debt_ms" not in eager_proc.payload
+
+
+def term_by_term_price(costs, image_mib, override_ms, in_memory,
+                       page_fraction, workers, chunk_count, cached_fraction):
+    """The restore charge built up one term at a time, in the order the
+    engine has always applied them."""
+    full = costs.restore_cost(image_mib, override_ms)
+    base = min(costs.restore_base_ms, full)
+    pages_ms = full - base
+    if in_memory:
+        pages_ms *= costs.restore_in_memory_factor
+    pages_ms *= page_fraction
+    plan = costs.plan_restore_pipeline(pages_ms, workers, chunk_count,
+                                       cached_fraction)
+    return base, plan, base + pages_ms
+
+
+class TestRestorePrice:
+    """The engine charges exactly ``CostModel.restore_price``."""
+
+    @pytest.mark.parametrize("mode,in_memory,override_ms,page_fraction", [
+        (RestoreMode.EAGER, False, None, 1.0),
+        (RestoreMode.EAGER, True, None, 1.0),
+        (RestoreMode.EAGER, False, 55.0, 1.0),
+        (RestoreMode.LAZY, False, None, LAZY_EAGER_FRACTION),
+        (RestoreMode.WORKING_SET, False, None, 1.0),  # no record: all pages
+    ])
+    def test_duration_matches_the_term_by_term_charge(
+            self, kernel, donor, mode, in_memory, override_ms, page_fraction):
+        image = CheckpointEngine(kernel).dump(donor, leave_running=False)
+        engine = RestoreEngine(kernel, pipeline_workers=2)
+        got = engine._restore_duration(image, mode, in_memory, override_ms,
+                                       None, 0.3)
+        assert got == term_by_term_price(
+            kernel.costs, image.total_mib, override_ms, in_memory,
+            page_fraction, 2, image_chunk_count(image), 0.3)

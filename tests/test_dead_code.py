@@ -1,13 +1,24 @@
-"""Dead-code guard: every definition in ``src/repro`` must be referenced.
+"""Reachability guard: ``src/repro`` holds only code a real entry point reaches.
 
-Every ``def`` and ``class`` under ``src/repro`` (methods and nested
-definitions included, dunders skipped) must have its name appear as an
-identifier somewhere other than its own definition line: in ``src/``,
-``tests/``, ``perfbench/``, ``examples/``, ``benchmarks/`` or the CI
-workflows. The match is textual, so a name reached only through a
-string (``getattr``, a patch table) counts as referenced. A definition
-nothing mentions is dead: delete it, or add it to ``ALLOWED`` with a
-one-line reason.
+Callers count only in the program's own trees: ``src/``, ``perfbench/``,
+``benchmarks/`` and ``examples/``, minus every ``tests`` directory
+below them. Tests do not make code live. Two rules:
+
+* **Definitions.** Every ``def`` and ``class`` under ``src/repro``
+  (methods and nested definitions included, dunders skipped) must have
+  its name appear as an identifier in a caller file, other than on its
+  own definition line. The match is textual, so a name reached only
+  through a string (``getattr``, a dispatch table) counts.
+* **Parameters.** Every parameter with a default must be passed by some
+  caller, by keyword or by position. Calls are matched by callee name
+  (``f(...)`` or ``x.f(...)``); a class's ``__init__`` matches calls of
+  the class name, ``cls(...)`` inside it and ``super().__init__`` in a
+  direct subclass. A call with ``*args`` or ``**kwargs`` passes every
+  parameter.
+
+A hit is deleted, wired up, or listed in ``ALLOWED`` with one of the
+fixed ``REASONS``. An ``ALLOWED`` entry that no longer names an
+unreached definition or parameter fails too, so the list cannot rot.
 """
 
 from __future__ import annotations
@@ -16,72 +27,444 @@ import ast
 import collections
 import pathlib
 import re
-from typing import Dict, List
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "repro"
-CORPUS_DIRS = ("src", "tests", "perfbench", "examples", "benchmarks")
-WORKFLOWS = ROOT / ".github" / "workflows"
+CALLER_DIRS = ("src", "perfbench", "benchmarks", "examples")
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Qualified name -> why it stays although nothing references it.
-ALLOWED: Dict[str, str] = {}
+ORACLE = "reference oracle that tests compare against"
+REAL_BINARY = "real-binary driver"
+SEAM_CLOCK = "test seam: a clock"
+SEAM_STREAM = "test seam: a stream"
+SEAM_INTERPRETER = "test seam: an interpreter path"
+SEAM_SIZE = "test seam: a size that tests shrink"
+REASONS = frozenset({ORACLE, REAL_BINARY, SEAM_CLOCK, SEAM_STREAM,
+                     SEAM_INTERPRETER, SEAM_SIZE})
+
+# ``module.Qual.name`` or ``module.Qual.name(param)`` -> one of REASONS.
+ALLOWED: Dict[str, str] = {
+    # Rebuilds an image from chunks alone: dedup-is-lossless checks.
+    "repro.core.store.SnapshotStore.materialize": ORACLE,
+    # The calibrated closed forms the JVM's per-class loader must match.
+    "repro.sim.costmodel.CostModel.cold_load_cost": ORACLE,
+    "repro.sim.costmodel.CostModel.restored_load_cost": ORACLE,
+    # The X12 golden artifact is sealed on a 20-function, 4+4-node fleet.
+    "repro.bench.fleet_study.fleet_study(functions)": SEAM_SIZE,
+    "repro.bench.fleet_study.fleet_study(compute_nodes)": SEAM_SIZE,
+    "repro.bench.fleet_study.fleet_study(storage_nodes)": SEAM_SIZE,
+    # Window-boundary properties run on 1-, 8- and 16-page chunks.
+    "repro.criu.pagestore.PageStore.__init__(chunk_pages)": SEAM_SIZE,
+    # Ring-eviction tests fill rings of a few entries.
+    "repro.obs.__init__.install_flight(capacity)": SEAM_SIZE,
+    "repro.obs.timeseries.WindowedSeries.__init__(capacity)": SEAM_SIZE,
+}
 
 
-def _definitions() -> Dict[str, List[str]]:
-    """Definition name -> qualified names of every definition using it."""
-    found: Dict[str, List[str]] = collections.defaultdict(list)
+class Definition(NamedTuple):
+    qualname: str
+    name: str
+    # Parameters with a default, as (position or None if keyword-only, name).
+    defaults: Tuple[Tuple[Optional[int], str], ...]
+    # Names a call must use to reach it: the function name, or for
+    # ``__init__`` the class name.
+    callees: Tuple[str, ...]
 
-    def walk(node: ast.AST, prefix: str) -> None:
+
+class Call(NamedTuple):
+    positional: int
+    keywords: frozenset
+    starred: bool
+
+
+def _defaults(fn: ast.FunctionDef,
+              bound: bool) -> Iterator[Tuple[Optional[int], str]]:
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    skip = 1 if bound else 0
+    for index in range(first, len(positional)):
+        yield index - skip, positional[index].arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _is_static(fn: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod"
+               for d in fn.decorator_list)
+
+
+def definitions(package: pathlib.Path) -> List[Definition]:
+    """Every non-dunder definition under ``package``, plus each ``__init__``."""
+    found: List[Definition] = []
+
+    def walk(node: ast.AST, prefix: str, cls: str = "") -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
+            if isinstance(child, ast.ClassDef):
+                found.append(Definition(prefix + child.name, child.name, (), ()))
+                walk(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = child.name
-                if not (name.startswith("__") and name.endswith("__")):
-                    found[name].append(prefix + name)
+                dunder = name.startswith("__") and name.endswith("__")
+                bound = bool(cls) and not _is_static(child)
+                if name == "__init__" and cls:
+                    found.append(Definition(prefix + name, name,
+                                            tuple(_defaults(child, bound)),
+                                            (cls,)))
+                elif not dunder:
+                    found.append(Definition(prefix + name, name,
+                                            tuple(_defaults(child, bound)),
+                                            (name,)))
                 walk(child, f"{prefix}{name}.")
             else:
-                walk(child, prefix)
+                walk(child, prefix, cls)
 
-    for path in sorted(PACKAGE.rglob("*.py")):
-        module = ".".join(path.relative_to(PACKAGE.parent)
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package.parent)
                           .with_suffix("").parts)
         walk(ast.parse(path.read_text(encoding="utf-8")), f"{module}.")
     return found
 
 
-def _corpus() -> List[pathlib.Path]:
-    files = [path for directory in CORPUS_DIRS
-             for path in sorted((ROOT / directory).rglob("*.py"))]
-    files += sorted(WORKFLOWS.glob("*.yml"))
-    this = pathlib.Path(__file__).resolve()
-    return [path for path in files if path.resolve() != this]
+def caller_files(root: pathlib.Path) -> List[pathlib.Path]:
+    """Python files of the program itself: no ``tests`` directory."""
+    return [path for directory in CALLER_DIRS
+            for path in sorted((root / directory).rglob("*.py"))
+            if "tests" not in path.relative_to(root).parts]
 
 
-def unreferenced() -> List[str]:
-    """Qualified names of definitions no other line mentions."""
-    definitions = _definitions()
+def _callee(func: ast.expr) -> str:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return ""
+
+
+def calls(files: List[pathlib.Path]) -> Dict[str, List[Call]]:
+    """Callee name -> every call of that name in ``files``."""
+    found: Dict[str, List[Call]] = collections.defaultdict(list)
+
+    def record(names: List[str], node: ast.Call) -> None:
+        starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                   or any(k.arg is None for k in node.keywords))
+        call = Call(len(node.args),
+                    frozenset(k.arg for k in node.keywords if k.arg), starred)
+        for name in names:
+            found[name].append(call)
+
+    def walk(node: ast.AST, cls: str, bases: List[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, child.name,
+                     [_callee(b) for b in child.bases if _callee(b)])
+                continue
+            if isinstance(child, ast.Call):
+                name = _callee(child.func)
+                names = [name]
+                if name == "cls" and cls:
+                    names.append(cls)
+                if (name == "__init__" and isinstance(child.func, ast.Attribute)
+                        and isinstance(child.func.value, ast.Call)
+                        and _callee(child.func.value.func) == "super"):
+                    names = bases
+                record(names, child)
+            walk(child, cls, bases)
+
+    for path in files:
+        walk(ast.parse(path.read_text(encoding="utf-8")), "", [])
+    return found
+
+
+def _passes(call: Call, position: Optional[int], param: str) -> bool:
+    if call.starred or param in call.keywords:
+        return True
+    return position is not None and position < call.positional
+
+
+def unreached(root: pathlib.Path) -> Tuple[List[str], List[str]]:
+    """(definitions, ``definition(param)``s) no caller file reaches."""
+    defs = definitions(root / "src" / "repro")
+    files = caller_files(root)
     uses: collections.Counter = collections.Counter()
-    for path in _corpus():
+    names = {d.name for d in defs if d.name != "__init__"}
+    for path in files:
         for token in IDENTIFIER.findall(path.read_text(encoding="utf-8")):
-            if token in definitions:
+            if token in names:
                 uses[token] += 1
-    dead = []
-    for name, qualnames in definitions.items():
-        # Each definition's own ``def name`` / ``class name`` is one use.
-        if uses[name] <= len(qualnames):
-            dead.extend(qualnames)
-    return sorted(dead)
+    # Each definition's own ``def name`` / ``class name`` is one use.
+    own = collections.Counter(d.name for d in defs)
+    dead = sorted(d.qualname for d in defs
+                  if d.name != "__init__" and uses[d.name] <= own[d.name])
+    skip = set(dead)  # their parameters go with them
+    by_callee = calls(files)
+    params = []
+    for d in defs:
+        if d.qualname in skip:
+            continue
+        made = [c for callee in d.callees for c in by_callee.get(callee, ())]
+        for position, param in d.defaults:
+            if not any(_passes(c, position, param) for c in made):
+                params.append(f"{d.qualname}({param})")
+    return dead, sorted(params)
+
+
+def problems(root: pathlib.Path, allowed: Dict[str, str]) -> List[str]:
+    """Every unreached name not allowed, bad reason and stale entry."""
+    dead, params = unreached(root)
+    hits = set(dead) | set(params)
+    out = [f"unreached: {name}" for name in dead + params
+           if name not in allowed]
+    for name, reason in sorted(allowed.items()):
+        if reason not in REASONS:
+            out.append(f"reason not in REASONS: {name}: {reason!r}")
+        if name not in hits:
+            out.append(f"stale allow-list entry (gone or reached): {name}")
+    return out
 
 
 def test_scan_sees_the_package():
-    definitions = _definitions()
-    assert "FaaSPlatform" in definitions
-    assert "repro.faas.platform.FaaSPlatform.invoke" in definitions["invoke"]
+    qualnames = {d.qualname for d in definitions(ROOT / "src" / "repro")}
+    assert "repro.faas.platform.FaaSPlatform" in qualnames
+    assert "repro.faas.platform.FaaSPlatform.invoke" in qualnames
+    assert "repro.faas.platform.FaaSPlatform.__init__" in qualnames
 
 
-def test_every_definition_is_referenced():
-    dead = [name for name in unreferenced() if name not in ALLOWED]
-    assert not dead, (
-        f"{len(dead)} definition(s) nothing references; delete them or "
-        "allow-list them with a reason:\n  " + "\n  ".join(dead))
+def test_every_definition_and_parameter_is_reached():
+    found = problems(ROOT, ALLOWED)
+    assert not found, (
+        f"{len(found)} reachability problem(s); delete, wire up, or "
+        "allow-list with a reason from REASONS:\n  " + "\n  ".join(found))
+
+
+# -- the checker on a synthetic tree ----------------------------------------
+
+def _tree(tmp_path: pathlib.Path, files: Dict[str, str]) -> pathlib.Path:
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+LIB = '''
+def used(a, flag=False, *, mode="x"):
+    return a
+
+def only_tested():
+    return 1
+
+class Thing:
+    def __init__(self, size=1, clock=None):
+        self.size = size
+'''
+
+
+def test_checker_flags_a_definition_only_tests_call(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB,
+        "src/repro/main.py": "from repro.lib import used, Thing\n"
+                             "used(1, True, mode='y')\nThing(2, clock=3)\n",
+        "tests/test_lib.py": "from repro.lib import only_tested\n"
+                             "only_tested()\n",
+        "perfbench/tests/test_more.py": "only_tested()\n",
+    })
+    dead, params = unreached(root)
+    assert dead == ["repro.lib.only_tested"]
+    assert params == []
+
+
+def test_checker_flags_a_keyword_only_tests_pass(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB,
+        "examples/demo.py": "used(1)\nThing()\n",
+        "tests/test_lib.py": "used(1, flag=True, mode='z')\n"
+                             "Thing(size=2, clock=1)\nonly_tested()\n",
+    })
+    _, params = unreached(root)
+    assert params == ["repro.lib.Thing.__init__(clock)",
+                      "repro.lib.Thing.__init__(size)",
+                      "repro.lib.used(flag)", "repro.lib.used(mode)"]
+
+
+def test_checker_counts_a_positional_pass(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB,
+        "benchmarks/bench.py": "used(1, True)\nThing(4)\nonly_tested()\n",
+    })
+    _, params = unreached(root)
+    # ``self`` is not a position: ``Thing(4)`` passes ``size``.
+    assert params == ["repro.lib.Thing.__init__(clock)",
+                      "repro.lib.used(mode)"]
+
+
+def test_checker_counts_star_args_as_passing_everything(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB + '''
+class Sub(Thing):
+    def __init__(self, **kw):
+        super().__init__(**kw)
+''',
+        "perfbench/run.py": "opts = {}\nused(*opts)\nSub()\nonly_tested()\n",
+    })
+    _, params = unreached(root)
+    assert params == []
+
+
+def test_checker_rejects_a_reason_outside_the_fixed_set(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB,
+        "src/repro/main.py": "used(1, True, mode='y')\nThing(2, clock=3)\n",
+    })
+    assert problems(root, {"repro.lib.only_tested": ORACLE}) == []
+    assert problems(root, {"repro.lib.only_tested": "handy in tests"}) == [
+        "reason not in REASONS: repro.lib.only_tested: 'handy in tests'"]
+
+
+def test_checker_rejects_a_stale_allow_list_entry(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB,
+        "src/repro/main.py": "used(1, True, mode='y')\nThing(2, clock=3)\n"
+                             "only_tested()\n",
+    })
+    assert problems(root, {
+        "repro.lib.only_tested": ORACLE,
+        "repro.lib.gone": SEAM_CLOCK,
+        "repro.lib.Thing.__init__(clock)": SEAM_CLOCK,
+    }) == [
+        "stale allow-list entry (gone or reached): "
+        "repro.lib.Thing.__init__(clock)",
+        "stale allow-list entry (gone or reached): repro.lib.gone",
+        "stale allow-list entry (gone or reached): repro.lib.only_tested",
+    ]
+
+
+def test_checker_does_not_count_a_definitions_own_line(tmp_path):
+    root = _tree(tmp_path, {"src/repro/lib.py": LIB})
+    dead, _ = unreached(root)
+    assert dead == ["repro.lib.Thing", "repro.lib.only_tested",
+                    "repro.lib.used"]
+
+
+def test_checker_counts_a_name_reached_only_through_a_string(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB,
+        "src/repro/main.py": "import repro.lib as lib\n"
+                             "used(1, True, mode='y')\nThing(2, clock=3)\n"
+                             "getattr(lib, 'only_tested')()\n",
+    })
+    dead, params = unreached(root)
+    assert dead == []
+    assert params == []
+
+
+@pytest.mark.parametrize("caller", [
+    "tests/test_lib.py",
+    "src/repro/tests/test_lib.py",
+    "examples/tests/test_lib.py",
+    "scripts/run.py",
+])
+def test_checker_ignores_files_outside_the_program(tmp_path, caller):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB,
+        "src/repro/main.py": "used(1, True, mode='y')\nThing(2, clock=3)\n",
+        caller: "only_tested()\nused(1, flag=True)\n",
+    })
+    dead, _ = unreached(root)
+    assert dead == ["repro.lib.only_tested"]
+
+
+def test_checker_does_not_count_a_position_for_a_keyword_only(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB,
+        "src/repro/main.py": "used(1, True, 'y')\nThing(2, 3)\n"
+                             "only_tested()\n",
+    })
+    _, params = unreached(root)
+    assert params == ["repro.lib.used(mode)"]
+
+
+def test_checker_counts_cls_calls_inside_the_class(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB + '''
+class Made:
+    def __init__(self, size=1):
+        self.size = size
+
+    @classmethod
+    def big(cls):
+        return cls(size=100)
+''',
+        "src/repro/main.py": "used(1, True, mode='y')\nThing(2, clock=3)\n"
+                             "only_tested()\nMade.big()\n",
+    })
+    _, params = unreached(root)
+    assert params == []
+
+
+def test_checker_counts_super_init_in_a_direct_subclass(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB + '''
+class Sub(Thing):
+    def __init__(self):
+        super().__init__(3, clock=None)
+''',
+        "src/repro/main.py": "used(1, True, mode='y')\nSub()\n"
+                             "only_tested()\n",
+    })
+    dead, params = unreached(root)
+    assert dead == []
+    assert params == []
+
+
+def test_checker_shifts_positions_past_self_but_not_for_staticmethods(
+        tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": '''
+class Box:
+    @staticmethod
+    def pick(a, b=2):
+        return a + b
+
+    def go(self, b=2):
+        return b
+
+    def stay(self, b=2):
+        return b
+''',
+        "src/repro/main.py": "Box.pick(1, 5)\nBox().go(5)\nBox().stay()\n",
+    })
+    dead, params = unreached(root)
+    assert dead == []
+    assert params == ["repro.lib.Box.stay(b)"]
+
+
+def test_checker_names_nested_definitions_and_skips_dunders(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": '''
+def outer():
+    def inner(x=1):
+        return x
+    return 0
+
+class Shown:
+    def __repr__(self, depth=0):
+        return "Shown"
+''',
+        "src/repro/main.py": "outer()\nrepr(Shown())\n",
+    })
+    dead, params = unreached(root)
+    assert dead == ["repro.lib.outer.inner"]
+    assert params == []
+
+
+def test_checker_drops_the_parameters_of_a_dead_definition(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": "def lonely(x=1, *, y=2):\n    return x\n",
+    })
+    dead, params = unreached(root)
+    assert dead == ["repro.lib.lonely"]
+    assert params == []

@@ -47,7 +47,8 @@ class TestFaultPlan:
 
     def test_uniform_covers_all_sites(self):
         plan = FaultPlan.uniform(0.2)
-        assert plan.active_sites() == tuple(sorted(SITES))
+        assert sorted(site for site, spec in plan.specs.items()
+                      if spec.probability > 0.0) == sorted(SITES)
 
     def test_scaled_caps_at_one(self):
         plan = FaultPlan.of(restore_fail=0.6).scaled(10.0)
@@ -97,7 +98,7 @@ class TestInjectorLifecycle:
         injector = faults.install(kernel, plan)
         fires = [faults.should_fire(kernel, RESTORE_FAIL) for _ in range(5)]
         assert fires == [True, True, False, False, False]
-        assert injector.fired_count(RESTORE_FAIL) == 2
+        assert injector.fired[RESTORE_FAIL] == 2
         # Capped crossings are not even recorded as decisions.
         assert len(injector.records) == 2
 

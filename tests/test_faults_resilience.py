@@ -7,11 +7,15 @@ of the time, a prebake start degrades to vanilla speed plus exactly
 the configured retry budget.
 """
 
+from dataclasses import replace
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults, make_world, obs
+from repro.core import starters
 from repro.core.manager import PrebakeManager
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.replica import ReplicaState
@@ -31,7 +35,13 @@ from repro.faults import (
 from repro.functions import make_app
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 
-QUIET = DEFAULT_COST_MODEL.with_noise_sigma(0.0)
+QUIET = replace(DEFAULT_COST_MODEL, noise_sigma=0.0)
+
+
+def quiet_world(seed):
+    world = make_world(seed=seed)
+    world.kernel.costs = QUIET
+    return world
 
 
 def observed_manager(seed=77):
@@ -60,15 +70,6 @@ class TestRetryAndFallback:
         assert metrics.value("prebake_restore_retries_total") == 2
         assert metrics.value("prebake_restore_failures_total",
                              labels={"reason": "RestoreFailed"}) == 3
-
-    def test_fallback_disabled_raises_typed_error(self):
-        kernel, manager = observed_manager()
-        app = make_app("noop")
-        starter = deployed_prebake_starter(
-            kernel, manager, app, FaultPlan.of(restore_fail=1.0),
-            fallback=False)
-        with pytest.raises(RestoreFailed):
-            starter.start(app)
 
     def test_transient_failure_recovers_within_budget(self):
         kernel, manager = observed_manager()
@@ -109,7 +110,7 @@ class TestRetryAndFallback:
 
     def test_io_slow_inflates_restore_latency_only(self):
         def startup(plan):
-            world = make_world(seed=5, costs=QUIET)
+            world = quiet_world(5)
             manager = PrebakeManager(world.kernel)
             app = make_app("noop")
             manager.deploy(app)
@@ -136,7 +137,7 @@ class TestQuarantineAndRebake:
         # Page-level corruption is repaired in place from the
         # content-addressed chunk store — no quarantine, no rebake.
         assert handle.technique == "prebake"
-        assert manager.store.quarantined_count == 0
+        assert manager.store._quarantined == []
         metrics = kernel.obs.metrics
         assert metrics.value("prebake_snapshot_repaired_total") == 1
         assert metrics.value("snapshot_chunks_repaired_total") >= 1
@@ -156,27 +157,10 @@ class TestQuarantineAndRebake:
         image.argv = image.argv + ["--corrupt"]
         handle = starter.start(app)
         assert handle.technique == "prebake"
-        assert manager.store.quarantined_count == 1
+        assert len(manager.store._quarantined) == 1
         metrics = kernel.obs.metrics
         assert metrics.value("prebake_snapshot_repaired_total") == 0
         assert metrics.value("prebake_rebake_total") == 1
-
-    def test_corruption_quarantines_and_rebakes_without_repair(self):
-        kernel, manager = observed_manager()
-        app = make_app("noop")
-        plan = FaultPlan(specs={IMAGE_CORRUPT: FaultSpec(
-            IMAGE_CORRUPT, 1.0, max_fires=1)})
-        starter = deployed_prebake_starter(kernel, manager, app, plan,
-                                           repair=False)
-        handle = starter.start(app)
-        # With repair disabled the poisoned snapshot goes to
-        # quarantine, a fresh bake replaces it, and the retry restores.
-        assert handle.technique == "prebake"
-        assert manager.store.quarantined_count == 1
-        metrics = kernel.obs.metrics
-        assert metrics.value("prebake_snapshot_quarantined_total") == 1
-        assert metrics.value("prebake_rebake_total") == 1
-        assert metrics.value("snapshot_corruption_detected_total") == 1
 
 
 class TestRouterResilience:
@@ -290,7 +274,7 @@ class TestConvergenceProperty:
 
     @staticmethod
     def _startup(max_attempts, technique="prebake", seed=1234):
-        world = make_world(seed=seed, costs=QUIET)
+        world = quiet_world(seed)
         kernel = world.kernel
         manager = PrebakeManager(kernel)
         app = make_app("noop")
@@ -299,9 +283,12 @@ class TestConvergenceProperty:
         manager.deploy(app)
         faults.install(kernel, FaultPlan.of(restore_fail=1.0))
         starter = manager.starter(
-            "prebake", version=manager.current_version(app.name),
-            retry_policy=RetryPolicy(max_attempts=max_attempts))
-        return starter.start(app).startup_ms("ready")
+            "prebake", version=manager.current_version(app.name))
+        # The starter retries by the platform's one policy; swap it for
+        # this many attempts.
+        with mock.patch.object(starters, "DEFAULT_RETRY_POLICY",
+                               RetryPolicy(max_attempts=max_attempts)):
+            return starter.start(app).startup_ms("ready")
 
     @settings(max_examples=10, deadline=None)
     @given(max_attempts=st.integers(min_value=1, max_value=6))

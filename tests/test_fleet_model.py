@@ -26,7 +26,7 @@ from repro.predict.policy import (
     PrewarmController,
     idle_expiry_ms,
 )
-from repro.sim.costmodel import NOOP_COSTS
+from repro.sim.costmodel import DEFAULT_COST_MODEL, NOOP_COSTS
 
 
 def make_model(functions=1, compute_nodes=1, keepalive_ms=1_000.0,
@@ -188,6 +188,26 @@ class TestPlacementAndPrice:
         assert second < first
         assert model.registry.value("chunk_cache_hit_bytes_total") == 2 * MIB
 
+
+    @pytest.mark.parametrize("image,local,hops", [
+        (2 * MIB, 0, 0),
+        (2 * MIB, MIB, 0),
+        (2 * MIB, 2 * MIB, 1),
+        (14 * MIB, 3 * MIB, 3),
+    ])
+    def test_restore_price_is_the_engines_one_worker_charge(
+            self, image, local, hops):
+        costs = DEFAULT_COST_MODEL
+        full = costs.restore_cost(image / MIB)
+        base = min(costs.restore_base_ms, full)
+        plan = costs.plan_restore_pipeline(full - base,
+                                           cached_fraction=local / image)
+        expected = (base + plan.total_ms
+                    + costs.shard_fetch_overhead_ms(hops))
+        model = make_model()
+        assert model._restore_ms(image, local, hops) == expected
+        # Memoized: the second ask is the same float.
+        assert model._restore_ms(image, local, hops) == expected
 
     def test_at_the_cap_requests_queue_on_the_earliest_free_replica(self):
         model = make_model(max_replicas=1, service_ms=10.0)

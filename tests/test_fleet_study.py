@@ -16,7 +16,7 @@ from repro.bench.fleet_study import (
 from repro.bench.traces import TraceFormatError, synthesize_fleet_workload
 
 SMALL = dict(requests=5_000, functions=20, compute_nodes=4,
-             storage_nodes=4, replication_factor=2)
+             storage_nodes=4)
 
 # SHA-256 of the SMALL study's artifact (seed 7, sort_keys JSON,
 # exemplar spans included) and of its report, sealed from the study

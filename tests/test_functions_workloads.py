@@ -13,7 +13,9 @@ from repro.functions import (
     registered_names,
 )
 from repro.functions.base import FunctionApp, register_app
-from repro.functions.image_resizer import SOURCE_IMAGE_PATH
+from repro.functions.image_resizer import SCALE_FRACTION, SOURCE_IMAGE_PATH
+from repro.functions.imaging.generate import synthetic_photo
+from repro.functions.imaging.resize import scale_to_fraction
 from repro.runtime.base import Request
 
 
@@ -100,7 +102,7 @@ class TestImageResizer:
 
     @pytest.mark.slow
     def test_full_scale_resize_matches_paper_geometry(self):
-        thumb = ImageResizerFunction.full_scale_resize()
+        thumb = scale_to_fraction(synthetic_photo(), SCALE_FRACTION)
         assert (thumb.width, thumb.height) == (344, 144)
 
 

@@ -160,7 +160,7 @@ class TestResize:
         assert img == before
 
     def test_scale_to_fraction_is_the_box_filter(self):
-        img = synthetic_photo(120, 50, seed=4)
+        img = synthetic_photo(120, 50)
         assert scale_to_fraction(img, 0.10) == resize_box(img, 12, 5)
 
     def test_scale_to_fraction_rounds_dimensions(self):
@@ -188,10 +188,7 @@ class TestSyntheticPhoto:
         assert img.size == (344, 144)
 
     def test_deterministic(self):
-        assert synthetic_photo(64, 32, seed=5) == synthetic_photo(64, 32, seed=5)
-
-    def test_seed_changes_content(self):
-        assert synthetic_photo(64, 32, seed=5) != synthetic_photo(64, 32, seed=6)
+        assert synthetic_photo(64, 32) == synthetic_photo(64, 32)
 
     def test_has_texture_not_flat(self):
         img = synthetic_photo(128, 64)

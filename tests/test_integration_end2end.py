@@ -102,25 +102,6 @@ class TestPlatformAutoscaleStory:
 
 
 class TestOpenFaasEndToEnd:
-    def test_version_bump_rebakes_and_redeploys(self):
-        world = make_world(seed=90)
-        stack = make_openfaas_stack(world.kernel)
-        stack.cli.new("markdown", "java8-criu", MarkdownFunction)
-        stack.cli.up("markdown")
-        first = stack.gateway.invoke("markdown")
-        assert first.ok
-        (old,) = stack.platform.deployer.replicas("markdown")
-
-        stack.cli.bump_version("markdown")
-        stack.cli.up("markdown")
-        # The v1 replica is gone with its process, not left running
-        # beside a released allocation.
-        assert not old.handle.process.alive
-        second = stack.gateway.invoke("markdown", Request(body="# v2"))
-        assert "<h1>v2</h1>" in second.body
-        assert stack.platform.router.stats.cold_starts == 2
-        # One snapshot per version.
-        assert len(stack.platform.prebake_manager.store) == 2
 
     def test_snapshot_reused_across_replicas(self):
         world = make_world(seed=91)

@@ -216,13 +216,10 @@ class TestInline:
 
 class TestDocument:
     def test_full_page_structure(self):
-        page = render_document("# Hi", title="T")
+        page = render_document("# Hi")
         assert page.startswith("<!DOCTYPE html>")
-        assert "<title>T</title>" in page
+        assert "<title>Rendered Markdown</title>" in page
         assert "<h1>Hi</h1>" in page
-
-    def test_title_escaped(self):
-        assert "&lt;x&gt;" in render_document("a", title="<x>")
 
     def test_empty_input(self):
         assert render("") == ""

@@ -71,8 +71,9 @@ class TestEngineProperties:
                 yield delay
             return sim.now
 
-        result = sim.run_process(proc())
-        assert result == pytest.approx(sum(delays))
+        process = sim.spawn(proc())
+        sim.run()
+        assert process.result == pytest.approx(sum(delays))
 
 
 class TestSnapshotStoreProperties:

@@ -1,6 +1,6 @@
 """One telemetry switch: every layer lives on the hub, and none steers.
 
-Three claims are pinned here:
+Two claims are pinned here:
 
 * the flight tape and the phase profile are hub layers — the kernel
   has no other telemetry attribute, and installing either layer
@@ -9,23 +9,14 @@ Three claims are pinned here:
 * installing every layer at once (hub, tape, profiler, time series,
   anomaly monitor) leaves a platform run that combines sharding, node
   caches, prewarming and restore faults bit-identical to the same run
-  unobserved;
-* an unbounded tape with metric sampling, replayed offline through
-  :func:`replay_events` and a fresh anomaly monitor, reproduces the
-  live time-series rollups and anomaly events exactly — the metric
-  helpers fan out one sample stream to every layer.
+  unobserved.
 """
 
 from repro import make_world, obs
 from repro.faas import FaaSPlatform
-from repro.faas.autoscaler import AutoscalerConfig
 from repro.faas.platform import PlatformConfig
 from repro.faults import FaultPlan, FaultSpec, RESTORE_FAIL
-from repro.faults.errors import PlatformError
 from repro.functions import make_app
-from repro.obs.anomaly import default_monitor
-from repro.obs.flight import METRIC_SAMPLE
-from repro.obs.timeseries import COUNTER_SAMPLE, replay_events
 from repro.osproc.kernel import Kernel
 from repro.predict.policy import PrewarmConfig
 
@@ -73,7 +64,7 @@ def _combined_run(observed: bool):
     kernel = make_world(seed=5).kernel
     if observed:
         obs.install(kernel)
-        obs.install_flight(kernel, sample_metrics=True)
+        obs.install_flight(kernel)
         obs.profile.install(kernel)
         obs.enable_timeseries(kernel)
         obs.enable_anomaly(kernel)
@@ -119,58 +110,11 @@ class TestBehaviourNeutral:
         hub = kernel.obs
         assert hub.metrics.value("criu_restore_total") >= 30
         # The telemetry really was live: restores were retried, the
-        # profiler attributed the backoff, the tape sampled metrics.
+        # profiler attributed the backoff, the tape recorded them.
         assert hub.metrics.value("prebake_restore_retries_total") > 0
         assert obs.profile.fold(hub.profile.samples).get(
             "restore.retry-backoff", 0.0) > 0
-        assert hub.flight.events(kind=METRIC_SAMPLE)
+        assert any(e.kind == obs.flight.RESTORE_RETRY
+                   for e in hub.flight.events())
         assert hub.timeseries.names()
 
-
-class TestTapeReplayMatchesLiveFolds:
-    def test_replayed_tape_reproduces_rollups_and_anomalies(self):
-        kernel = make_world(seed=42, observe=True).kernel
-        tape = obs.install_flight(kernel, capacity=10**6, sample_metrics=True)
-        table = obs.enable_timeseries(kernel, window_ms=500.0)
-        live = obs.enable_anomaly(kernel, window_ms=500.0)
-        platform = FaaSPlatform(kernel, PlatformConfig(
-            nodes=2, storage_nodes=4, replication_factor=2,
-            autoscaler=AutoscalerConfig(idle_timeout_ms=50.0)))
-        platform.register_function(lambda: make_app("markdown"),
-                                   start_technique="prebake")
-        injector = platform.install_faults(FaultPlan())
-        for index in range(400):
-            if index == 200:
-                injector.plan = _fault_plan(0.6)
-            try:
-                platform.invoke("markdown")
-            except PlatformError:
-                pass
-            kernel.clock.advance(100.0)
-            platform.gc_tick()
-        end = kernel.clock.now
-        live.flush(end)
-        assert tape.dropped == 0
-
-        events = tape.events()
-        assert replay_events(events, window_ms=500.0).rollup() == \
-            table.rollup()
-
-        replayed = default_monitor(window_ms=500.0)
-        for event in events:
-            if event.kind != METRIC_SAMPLE:
-                continue
-            name = str(event.attrs["metric"])
-            value = float(event.attrs["value"])
-            if event.attrs["sample_kind"] == COUNTER_SAMPLE:
-                replayed.offer_count(name, event.at_ms, value)
-            else:
-                replayed.offer(name, event.at_ms, value)
-        replayed.flush(end)
-
-        def folded(monitor):
-            return [(e.at_ms, e.detector, e.metric, e.value, e.score)
-                    for e in monitor.events]
-
-        assert live.events
-        assert folded(replayed) == folded(live)

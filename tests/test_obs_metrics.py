@@ -85,11 +85,6 @@ class TestHistogram:
         with pytest.raises(MetricsError, match=r"\[0, 1\]"):
             Histogram().quantile(1.5)
 
-    def test_percentiles_shape(self):
-        h = Histogram()
-        h.observe(4.0)
-        assert set(h.percentiles()) == {0.5, 0.95, 0.99}
-
 
 class TestRegistry:
     def test_counter_accumulates(self):
@@ -142,7 +137,7 @@ class TestRegistry:
         reg.observe("lat_ms", 7.0)
         assert reg.quantile("lat_ms", 1.0) == 7.0
 
-    def test_families_and_kind_of(self):
+    def test_families(self):
         reg = MetricsRegistry()
         reg.inc("c")
         reg.set_gauge("g", 1.0)
@@ -150,8 +145,6 @@ class TestRegistry:
         assert {f.name: f.kind for f in reg.families()} == {
             "c": "counter", "g": "gauge", "h": "histogram",
         }
-        assert reg.kind_of("c") == "counter"
-        assert reg.kind_of("ghost") is None
 
 
 class TestBatchedObserve:

@@ -49,7 +49,8 @@ class TestSealing:
         assert any(s["slo"] == "cold-start-p99" for s in payload["slo"])
         # The live schedule digest was stamped into the replay recipe.
         assert bundle.replay["fault_schedule_digest"] == \
-            bundle.fault_digest == kernel.faults.schedule_digest()
+            bundle.payload["faults"]["schedule_digest"] == \
+            kernel.faults.schedule_digest()
         assert bundle.replay["seed"] == 13
 
     def test_on_anomaly_bundle_carries_the_event(self):
@@ -89,11 +90,11 @@ class TestPersistence:
 
     def test_load_bundles_directory_order(self, tmp_path):
         kernel, trace_id = _incident_world()
-        collector = PostmortemCollector(kernel, label="unit")
+        collector = PostmortemCollector(kernel, label="unit",
+                                        out_dir=tmp_path)
         collector.on_error(PlatformError("one"), trace_id=trace_id)
         collector.on_error(PlatformError("two"), trace_id=trace_id)
-        paths = collector.write_all(tmp_path)
-        assert len(paths) == 2
+        assert len(collector.paths) == 2
         loaded = load_bundles(tmp_path)
         assert [b.payload["bundle_seq"] for b in loaded] == [1, 2]
         empty = tmp_path / "empty-subdir"

@@ -94,8 +94,8 @@ class TestExperimentAccounting:
         monkeypatch.setattr(bench_profile, "make_world", faulted_world)
         summary = harness.run_startup_experiment(
             "markdown", "prebake", repetitions=1, trace_phases=True)
-        (run,) = run_profile_experiment("markdown", repetitions=1,
-                                        techniques=("prebake",)).runs
+        (run,) = run_profile_experiment(
+            "markdown", repetitions=1).technique_runs("prebake")
         phases = _top_level(summary.samples[0].phases)
         assert phases == pytest.approx(_top_level(prof.fold(run.samples)),
                                        abs=1e-6)
@@ -127,12 +127,15 @@ class TestExperimentAccounting:
                                            abs=1e-9)
 
     def test_working_set_restore_accounts_prefetch(self):
-        result = run_profile_experiment(
-            "markdown", repetitions=1, seed=21,
-            restore_mode=RestoreMode.WORKING_SET)
-        result.verify()
-        prebake = result.technique_runs("prebake")[0]
-        phases = {s.phase for s in prebake.samples}
+        kernel = make_world(seed=21, observe=True).kernel
+        manager = PrebakeManager(kernel)
+        app = make_app("markdown")
+        manager.deploy(app)
+        starter = manager.starter("prebake",
+                                  restore_mode=RestoreMode.WORKING_SET)
+        _, run = bench_profile.profiled_start(kernel, starter, app,
+                                              "prebake", 0)
+        phases = {s.phase for s in run.samples}
         assert prof.RESTORE_WS_PREFETCH in phases or \
             prof.RESTORE_CHUNK_FETCH in phases
 

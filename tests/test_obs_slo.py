@@ -20,12 +20,19 @@ from repro.obs.export import (
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import (
     COLD_START_P99,
-    DEFAULT_SLOS,
     RESTORE_SUCCESS,
     SLO,
+    SLOStatus,
     evaluate_slos,
     merged_histogram,
 )
+
+
+def evaluate(registry, slos):
+    """``evaluate_slos`` for a chosen SLO list (it always uses the
+    stack's contract)."""
+    return [SLOStatus(slo=slo, bad_fraction=slo.bad_fraction(registry),
+                      burn_rate=slo.burn_rate(registry)) for slo in slos]
 
 
 def latency_registry(fast=99, slow=1, threshold=800.0):
@@ -70,20 +77,20 @@ class TestHistogramSupport:
 class TestSloMath:
     def test_latency_slo_on_budget(self):
         # 1 bad in 100 against a 99% objective: burn rate exactly 1.0.
-        status = evaluate_slos(latency_registry(), [COLD_START_P99])[0]
+        status = evaluate(latency_registry(), [COLD_START_P99])[0]
         assert status.bad_fraction == pytest.approx(0.01)
         assert status.burn_rate == pytest.approx(1.0)
         assert not status.breached
 
     def test_latency_slo_breaches_when_burning_fast(self):
-        status = evaluate_slos(latency_registry(fast=90, slow=10),
-                               [COLD_START_P99])[0]
+        status = evaluate(latency_registry(fast=90, slow=10),
+                          [COLD_START_P99])[0]
         assert status.burn_rate == pytest.approx(10.0)
         assert status.breached
 
     def test_breach_burn_is_bad_fraction_over_budget(self):
-        status = evaluate_slos(latency_registry(fast=80, slow=20),
-                               [COLD_START_P99])[0]
+        status = evaluate(latency_registry(fast=80, slow=20),
+                          [COLD_START_P99])[0]
         assert status.bad_fraction == pytest.approx(0.2)
         assert status.burn_rate == pytest.approx(20.0)  # 20% bad / 1% budget
         assert status.breached and not status.healthy
@@ -92,7 +99,7 @@ class TestSloMath:
         registry = latency_registry(fast=80, slow=20)
         prebake = replace(COLD_START_P99, labels={"technique": "prebake"})
         vanilla = replace(COLD_START_P99, labels={"technique": "vanilla"})
-        fast, slow = evaluate_slos(registry, [prebake, vanilla])
+        fast, slow = evaluate(registry, [prebake, vanilla])
         assert fast.bad_fraction == 0.0 and fast.healthy
         assert slow.bad_fraction == pytest.approx(1.0) and slow.breached
 
@@ -100,14 +107,14 @@ class TestSloMath:
         registry = MetricsRegistry()
         registry.inc("criu_restore_total", 2.0)
         registry.inc("criu_restore_failures_total", 5.0)
-        status = evaluate_slos(registry, [RESTORE_SUCCESS])[0]
+        status = evaluate(registry, [RESTORE_SUCCESS])[0]
         assert status.bad_fraction == 1.0
         assert status.burn_rate == pytest.approx(100.0)
 
     def test_failures_without_a_total_are_no_data(self):
         registry = MetricsRegistry()
         registry.inc("criu_restore_failures_total", 3.0)
-        status = evaluate_slos(registry, [RESTORE_SUCCESS])[0]
+        status = evaluate(registry, [RESTORE_SUCCESS])[0]
         assert status.bad_fraction is None and status.burn_rate is None
         assert status.healthy
 
@@ -115,13 +122,13 @@ class TestSloMath:
         registry = MetricsRegistry()
         registry.inc("criu_restore_total", 200.0)
         registry.inc("criu_restore_failures_total", 4.0)
-        status = evaluate_slos(registry, [RESTORE_SUCCESS])[0]
+        status = evaluate(registry, [RESTORE_SUCCESS])[0]
         assert status.bad_fraction == pytest.approx(0.02)
         assert status.burn_rate == pytest.approx(2.0)
         assert status.breached
 
     def test_no_data_is_not_a_breach(self):
-        for status in evaluate_slos(MetricsRegistry(), list(DEFAULT_SLOS)):
+        for status in evaluate_slos(MetricsRegistry()):
             assert status.bad_fraction is None
             assert status.burn_rate is None
             assert status.healthy

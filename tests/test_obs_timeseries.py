@@ -1,25 +1,14 @@
-"""Windowed time-series rollups, including the tape-replay invariant.
-
-The hypothesis property here is the load-bearing one: for *any*
-deterministic sample stream, replaying the flight tape's METRIC_SAMPLE
-events through :func:`repro.obs.timeseries.replay_events` reconstructs
-window rollups identical to the live table's — which is what makes a
-postmortem bundle's metric windows reproducible from its recipe.
-"""
+"""Windowed time-series rollups."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import make_world, obs
-from repro.obs.flight import FlightRecorder, METRIC_SAMPLE
 from repro.obs.timeseries import (
     COUNTER_SAMPLE,
     TimeseriesTable,
     VALUE_SAMPLE,
     WindowedSeries,
-    replay_events,
 )
 
 
@@ -80,48 +69,3 @@ class TestTimeseriesTable:
         assert set(window) == {"start_ms", "end_ms", "count", "sum", "mean",
                                "min", "max", "p50", "p99"}
 
-
-SAMPLE_STREAMS = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=10_000.0,
-                  allow_nan=False, allow_infinity=False),
-        st.floats(min_value=-1e6, max_value=1e6,
-                  allow_nan=False, allow_infinity=False),
-        st.sampled_from(["latency_ms", "restores_total", "hits_total"]),
-    ),
-    min_size=0, max_size=60,
-)
-
-
-class TestTapeReplayProperty:
-    @settings(max_examples=60, deadline=None)
-    @given(stream=SAMPLE_STREAMS, window_ms=st.sampled_from([50.0, 500.0]))
-    def test_replaying_tape_reconstructs_identical_rollups(
-            self, stream, window_ms):
-        """Live table and tape replay agree window-for-window."""
-        clock = make_world(seed=1).kernel.clock
-        recorder = FlightRecorder(clock, capacity=len(stream) + 1)
-        live = TimeseriesTable(window_ms=window_ms)
-        elapsed = 0.0
-        for at_ms, value, metric in stream:
-            if at_ms > elapsed:       # sim clocks only move forward
-                clock.advance(at_ms - elapsed)
-                elapsed = at_ms
-            kind = (COUNTER_SAMPLE if metric.endswith("_total")
-                    else VALUE_SAMPLE)
-            live.record(metric, clock.now, value, kind=kind)
-            recorder.record(METRIC_SAMPLE, metric=metric, value=value,
-                            sample_kind=kind)
-        replayed = replay_events(recorder.events(), window_ms=window_ms)
-        assert replayed.names() == live.names()
-        assert replayed.rollup() == live.rollup()
-        for name in live.names():
-            assert replayed.series(name).kind == live.series(name).kind
-
-    def test_replay_ignores_non_metric_events(self):
-        clock = make_world(seed=1).kernel.clock
-        recorder = FlightRecorder(clock)
-        recorder.record("request.admitted", request_id=1)
-        recorder.record(METRIC_SAMPLE, metric="latency_ms", value=3.0)
-        table = replay_events(recorder.events())
-        assert table.names() == ["latency_ms"]

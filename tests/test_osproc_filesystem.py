@@ -92,14 +92,6 @@ class TestPageCache:
         cache.evict(f)
         assert cache.warmth(f) == 0.0
 
-    def test_drop_all(self):
-        cache = PageCache()
-        files = [VirtualFile(f"/f{i}", size=4096) for i in range(3)]
-        for f in files:
-            cache.warm(f)
-        cache.drop_all()
-        assert all(cache.warmth(f) == 0.0 for f in files)
-
     def test_partial_page_counts_as_a_page(self):
         cache = PageCache()
         f = VirtualFile("/f", size=4096 + 1)

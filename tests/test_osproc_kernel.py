@@ -1,19 +1,20 @@
 """Tests for the simulated kernel: syscalls, freezer, ptrace, procfs."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.osproc.kernel import Kernel, KernelError, PermissionDenied
-from repro.osproc.namespaces import NamespaceKind
 from repro.osproc.process import Capability, ProcessState
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 
 
 @pytest.fixture
 def quiet():
-    from repro.sim.clock import SimClock
     from repro.sim.rng import RandomStreams
-    return Kernel(clock=SimClock(), costs=DEFAULT_COST_MODEL.with_noise_sigma(0.0),
-                  streams=RandomStreams(seed=0))
+    kernel = Kernel(RandomStreams(seed=0))
+    kernel.costs = replace(DEFAULT_COST_MODEL, noise_sigma=0.0)
+    return kernel
 
 
 class TestClone:
@@ -35,35 +36,35 @@ class TestClone:
         kernel.clone(kernel.init_process)
         assert seen == [("in", 1), ("out", 1)]
 
-    def test_clone_with_new_namespaces(self, kernel):
-        child = kernel.clone(kernel.init_process,
-                             new_namespaces=(NamespaceKind.PID, NamespaceKind.NET))
-        parent_ns = kernel.init_process.namespaces
-        assert child.namespaces.get(NamespaceKind.PID) != parent_ns.get(NamespaceKind.PID)
-        assert child.namespaces.get(NamespaceKind.MNT) == parent_ns.get(NamespaceKind.MNT)
+    def test_clone_shares_every_parent_namespace(self, kernel):
+        parent = kernel.clone(kernel.init_process)
+        child = kernel.clone(parent)
+        assert child.namespaces.ids() == parent.namespaces.ids()
+        assert child.namespaces is not parent.namespaces
+
+    def test_clone_copies_the_capability_set(self, kernel):
+        parent = kernel.clone(kernel.init_process)
+        parent.capabilities.add(Capability.CHECKPOINT_RESTORE)
+        child = kernel.clone(parent)
+        assert child.capabilities == parent.capabilities
+        child.capabilities.clear()
+        assert Capability.CHECKPOINT_RESTORE in parent.capabilities
+
+    def test_clone_pids_are_fresh_and_increasing(self, kernel):
+        pids = [kernel.clone(kernel.init_process).pid for _ in range(3)]
+        assert pids == sorted(set(pids))
+        assert kernel.init_process.pid not in pids
+
+    def test_clone_comm_defaults_to_the_parents(self, kernel):
+        parent = kernel.clone(kernel.init_process, comm="java")
+        assert kernel.clone(parent).comm == "java"
+        assert kernel.clone(parent, comm="criu").comm == "criu"
 
     def test_clone_dead_parent_rejected(self, kernel):
         child = kernel.clone(kernel.init_process)
         kernel.kill(child.pid)
         with pytest.raises(KernelError):
             kernel.clone(child)
-
-    def test_target_pid_requires_capability(self, kernel):
-        unprivileged = kernel.clone(kernel.init_process, inherit_capabilities=False)
-        with pytest.raises(PermissionDenied):
-            kernel.clone(unprivileged, target_pid=9999)
-
-    def test_target_pid_with_capability(self, kernel):
-        child = kernel.clone(kernel.init_process, target_pid=5000)
-        assert child.pid == 5000
-        # Next auto pid must not collide.
-        nxt = kernel.clone(kernel.init_process)
-        assert nxt.pid > 5000
-
-    def test_target_pid_in_use_rejected(self, kernel):
-        kernel.clone(kernel.init_process, target_pid=777)
-        with pytest.raises(KernelError, match="already in use"):
-            kernel.clone(kernel.init_process, target_pid=777)
 
 
 class TestExec:
@@ -95,15 +96,15 @@ class TestExec:
 class TestExitWaitKill:
     def test_exit_makes_zombie(self, kernel):
         child = kernel.clone(kernel.init_process)
-        kernel.exit(child, code=3)
+        kernel.exit(child)
         assert child.state is ProcessState.ZOMBIE
-        assert child.exit_code == 3
+        assert child.exit_code == 0
 
     def test_wait_reaps_and_returns_code(self, kernel):
         child = kernel.clone(kernel.init_process)
-        kernel.exit(child, code=7)
+        kernel.exit(child)
         code = kernel.wait(kernel.init_process, child.pid)
-        assert code == 7
+        assert code == 0
         assert child.state is ProcessState.DEAD
         assert child.pid not in kernel.init_process.children
 
@@ -165,7 +166,8 @@ class TestPtrace:
         return tracer
 
     def test_seize_requires_capability(self, kernel):
-        tracer = kernel.clone(kernel.init_process, inherit_capabilities=False)
+        tracer = kernel.clone(kernel.init_process)
+        tracer.capabilities.clear()
         target = kernel.clone(kernel.init_process)
         with pytest.raises(PermissionDenied):
             kernel.ptrace_seize(tracer, target)
@@ -174,14 +176,14 @@ class TestPtrace:
         tracer = self._privileged(kernel)
         target = kernel.clone(kernel.init_process)
         kernel.ptrace_seize(tracer, target)
-        assert kernel.tracer_of(target.pid) == tracer.pid
+        assert kernel._tracees[target.pid] == tracer.pid
         vma = kernel.ptrace_inject_parasite(tracer, target)
         assert vma.label == "criu-parasite"
         assert target.address_space.find_by_label("criu-parasite") is vma
         kernel.ptrace_remove_parasite(tracer, target)
         assert target.address_space.find_by_label("criu-parasite") is None
         kernel.ptrace_detach(tracer, target)
-        assert kernel.tracer_of(target.pid) is None
+        assert target.pid not in kernel._tracees
 
     def test_double_seize_rejected(self, kernel):
         tracer = self._privileged(kernel)
@@ -217,16 +219,9 @@ class TestProcfs:
         child = kernel.clone(kernel.init_process)
         vma = child.address_space.grow_anon("heap", 0.01)
         assert all(p.soft_dirty for p in vma.pages.values())
-        kernel.clear_refs(child.pid)
+        child.address_space.clear_soft_dirty()
         assert not any(p.soft_dirty for p in vma.pages.values())
 
     def test_get_unknown_pid(self, kernel):
         with pytest.raises(KernelError, match="ESRCH"):
             kernel.get(31337)
-
-    def test_live_processes(self, kernel):
-        a = kernel.clone(kernel.init_process)
-        b = kernel.clone(kernel.init_process)
-        kernel.kill(a.pid)
-        live = kernel.live_processes()
-        assert b in live and a not in live

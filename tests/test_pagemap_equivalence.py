@@ -32,6 +32,8 @@ from repro.osproc.memory import (
 )
 
 PAGES = 64
+# An anonymous mapping's remaining fields.
+NO_FILE = dict(prot="rw-", file_path=None, file_offset=0, label="")
 
 # One mutation step against a 64-page VMA. Indices/counts are kept in
 # range: error behaviour is pinned separately, the property is about
@@ -73,7 +75,6 @@ def _observe(vma):
             for index, page in vma.pages.items()
         },
         "dump_full": vma.dump_pages(),
-        "dump_incremental": vma.dump_pages(incremental=True),
         "touched": vma.touched_indices().tolist(),
         "touched_floor": vma.touched_indices(floor=True).tolist(),
     }
@@ -83,76 +84,75 @@ class TestBackendEquivalence:
     @given(ops=st.lists(_ops, max_size=40))
     @settings(max_examples=80, deadline=None)
     def test_any_op_sequence_observes_identically(self, ops):
-        fast = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
-        slow = SlowVMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
+        fast = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
+        slow = SlowVMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         for op in ops:
             _apply(fast, op)
             _apply(slow, op)
         assert _observe(fast) == _observe(slow)
 
-    @given(ops=st.lists(_ops, min_size=1, max_size=20),
-           dirty=st.booleans())
+    @given(ops=st.lists(_ops, min_size=1, max_size=20))
     @settings(max_examples=40, deadline=None)
-    def test_populate_pages_equivalence(self, ops, dirty):
-        source = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
+    def test_populate_pages_equivalence(self, ops):
+        source = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         for op in ops:
             _apply(source, op)
         indices, tags = source.dump_pages()
-        fast = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
-        slow = SlowVMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
+        fast = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
+        slow = SlowVMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         tag_ids = TAGS.intern_many(tags)
-        fast.populate_pages(indices, tag_ids, dirty=dirty)
-        slow.populate_pages(indices, tag_ids, dirty=dirty)
+        fast.populate_pages(indices, tag_ids)
+        slow.populate_pages(indices, tag_ids)
         assert _observe(fast) == _observe(slow)
 
     @given(ops=st.lists(_ops, max_size=20))
     @settings(max_examples=40, deadline=None)
     def test_restore_pages_equivalence(self, ops):
-        source = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
+        source = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         for op in ops:
             _apply(source, op)
         indices, tag_ids = source.dump_arrays()
         restored = []
         for backend in (VMA, SlowVMA):
             fresh = backend(start=0, length=PAGES * PAGE_SIZE,
-                            kind=VMAKind.ANON)
+                            kind=VMAKind.ANON, **NO_FILE)
             fresh.restore_pages(page_runs(indices, tag_ids))
             restored.append(_observe(fresh))
-        populated = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
-        populated.populate_pages(indices, tag_ids, dirty=False)
+        populated = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
+        populated.populate_pages(indices, tag_ids)
         assert restored[0] == restored[1] == _observe(populated)
 
     @pytest.mark.parametrize("backend", [VMA, SlowVMA])
     def test_restore_pages_refuses_a_used_or_too_small_mapping(self, backend):
         runs = page_runs(np.array([0, 5, PAGES - 1], dtype=np.int64),
                          TAGS.intern_many(["a", "b", "c"]))
-        used = backend(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON)
+        used = backend(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         used.touch(3, content_tag="x")
         with pytest.raises(MemoryError_, match="fresh mapping"):
             used.restore_pages(runs)
         small = backend(start=0, length=(PAGES - 1) * PAGE_SIZE,
-                        kind=VMAKind.ANON)
+                        kind=VMAKind.ANON, **NO_FILE)
         with pytest.raises(MemoryError_, match="out of range"):
             small.restore_pages(runs)
         assert small.resident_pages == 0
 
-    @given(ops=st.lists(_ops, max_size=20), incremental=st.booleans())
+    @given(ops=st.lists(_ops, max_size=20))
     @settings(max_examples=40, deadline=None)
-    def test_dump_arrays_equal_dump_pages(self, ops, incremental):
+    def test_dump_arrays_equal_dump_pages(self, ops):
         for backend in (VMA, SlowVMA):
             vma = backend(start=0, length=PAGES * PAGE_SIZE,
-                          kind=VMAKind.ANON)
+                          kind=VMAKind.ANON, **NO_FILE)
             for op in ops:
                 _apply(vma, op)
-            indices, tag_ids = vma.dump_arrays(incremental)
+            indices, tag_ids = vma.dump_arrays()
             assert indices.dtype == np.int64 and tag_ids.dtype == np.int32
             assert (tuple(indices.tolist()), tuple(TAGS.tags_of(tag_ids))) \
-                == vma.dump_pages(incremental)
+                == vma.dump_pages()
 
     def test_iter_pages_orders_by_index(self):
         for backend in (VMA, SlowVMA):
             vma = backend(start=0, length=PAGES * PAGE_SIZE,
-                          kind=VMAKind.ANON)
+                          kind=VMAKind.ANON, **NO_FILE)
             for index in (9, 3, 41, 0):
                 vma.touch(index, content_tag=f"p{index}")
             assert [p.index for p in vma.iter_pages()] == [0, 3, 9, 41]

@@ -35,14 +35,14 @@ class TestIdleAccounting:
         # enough that the replica is held the whole time.
         trace = [0.0, 120_000.0]
         result = run_platform_study("noop", "prebake", trace,
-                                    idle_timeout_ms=300_000.0, seed=3)
+                                    idle_timeout_ms=300_000.0)
         # ~13 MiB held for ~120 s → ≈ 1.56e6 MiB·ms.
         assert result.idle_mib_ms == pytest.approx(13.0 * 120_000.0, rel=0.15)
 
     def test_no_idle_cost_with_instant_gc(self):
         trace = poisson_arrivals(0.05, 100_000, seed=4)
         result = run_platform_study("noop", "prebake", trace,
-                                    idle_timeout_ms=1.0, seed=4)
+                                    idle_timeout_ms=1.0)
         # Replicas die almost immediately; held memory is negligible
         # relative to the held-for-the-whole-trace alternative.
         assert result.idle_mib_ms < 13.0 * 100_000.0 * 0.05
@@ -50,7 +50,7 @@ class TestIdleAccounting:
     def test_every_request_recorded(self):
         trace = poisson_arrivals(1.0, 30_000, seed=5)
         result = run_platform_study("noop", "vanilla", trace,
-                                    idle_timeout_ms=10_000.0, seed=5)
+                                    idle_timeout_ms=10_000.0)
         assert result.requests == len(trace)
         assert len(result.queued_ms) == len(trace)
         assert 1 <= result.cold_starts <= len(trace)

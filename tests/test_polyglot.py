@@ -42,12 +42,14 @@ class TestVanillaStart:
 
     def test_runtime_boot_ordering(self, quiet_kernel):
         """CPython boots fastest, Node in between, JVM slowest."""
+        from dataclasses import replace
+
         from repro import make_world
         from repro.sim.costmodel import DEFAULT_COST_MODEL
         startups = {}
         for name in ("py-noop", "node-noop", "noop"):
-            world = make_world(seed=3,
-                               costs=DEFAULT_COST_MODEL.with_noise_sigma(0.0))
+            world = make_world(seed=3)
+            world.kernel.costs = replace(DEFAULT_COST_MODEL, noise_sigma=0.0)
             handle = VanillaStarter(world.kernel).start(make_app(name))
             startups[name] = handle.startup_ms("ready")
         assert startups["py-noop"] < startups["node-noop"] < startups["noop"]

@@ -120,7 +120,7 @@ class TestEwmaForecaster:
 def _keepalive_formula(policy, key):
     """The keep-alive decision, recomputed in full on every call."""
     hist = policy._hist(key)
-    default = policy._clamp(policy.default_keepalive_ms)
+    default = policy._clamp(policy.DEFAULT_KEEPALIVE_MS)
     if hist.total == 0:
         return default
     shortest = hist.quantile(0.1)
@@ -133,19 +133,18 @@ def _keepalive_formula(policy, key):
     value = hist.keepalive_ms(policy.HIST_QUANTILE,
                               policy.keepalive_floor_ms,
                               policy.keepalive_cap_ms)
-    if value > policy.default_keepalive_ms:
+    if value > policy.DEFAULT_KEEPALIVE_MS:
         rate = hist.rate_per_ms()
         if not rate or 1.0 / rate > policy.EXTEND_MEAN_GAP_MS:
             return default
-    if value < policy.default_keepalive_ms and policy.target_warm(key) > 0:
+    if value < policy.DEFAULT_KEEPALIVE_MS and policy.target_warm(key) > 0:
         return default
     return value
 
 
 class TestPolicies:
     def test_histogram_policy_defaults_to_status_quo_without_data(self):
-        policy = HistogramEwmaPolicy(default_keepalive_ms=60_000.0,
-                                     keepalive_cap_ms=120_000.0)
+        policy = HistogramEwmaPolicy(keepalive_cap_ms=120_000.0)
         assert policy.keepalive_ms("new-fn") == 60_000.0
 
     def test_timer_function_scales_to_zero_and_gets_a_schedule(self):
@@ -160,8 +159,7 @@ class TestPolicies:
         assert hold > 0
 
     def test_bursty_mixture_falls_back_to_the_default_keepalive(self):
-        policy = HistogramEwmaPolicy(default_keepalive_ms=60_000.0,
-                                     keepalive_cap_ms=120_000.0)
+        policy = HistogramEwmaPolicy(keepalive_cap_ms=120_000.0)
         # 97% intra-burst ~40ms gaps, 3% off gaps ~3 minutes: a broad
         # ON/OFF mixture the tail quantile can't serve.
         for _ in range(97):
@@ -204,12 +202,12 @@ class TestPolicies:
                                      keepalive_cap_ms=120_000.0)
         for _ in range(20):
             policy.note_gap("f", 40.0)
-        assert policy.keepalive_ms("f") < policy.default_keepalive_ms
+        assert policy.keepalive_ms("f") < policy.DEFAULT_KEEPALIVE_MS
         policy.observe_window("f", 10.0)
-        assert policy.keepalive_ms("f") == policy.default_keepalive_ms
+        assert policy.keepalive_ms("f") == policy.DEFAULT_KEEPALIVE_MS
         for _ in range(30):
             policy.observe_window("f", 0.0)
-        assert policy.keepalive_ms("f") < policy.default_keepalive_ms
+        assert policy.keepalive_ms("f") < policy.DEFAULT_KEEPALIVE_MS
 
     def test_oracle_reads_the_next_window_off_the_trace(self):
         policy = OraclePolicy({"f": [4.0, 0.0, 2.0]}, window_ms=1_000.0,

@@ -97,7 +97,7 @@ class TestRealProcesses:
 
     def test_zygote_serves_correct_results(self):
         with ZygoteRunner("markdown") as zygote:
-            sample = zygote.start_once(invoke=True)
+            sample = zygote.start_once()
         assert sample.first_service_ms is not None
 
     def test_zygote_multiple_spawns(self):

@@ -7,6 +7,8 @@ fault-injected pipelined restores, and the parallel bench harness's
 serial/parallel determinism.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,9 +142,8 @@ class TestRestoreEnginePipeline:
             RestoreEngine(kernel, pipeline_workers=0)
 
     def test_profiler_records_pipeline_ramp(self):
-        world = make_world(
-            seed=5, costs=DEFAULT_COST_MODEL.with_noise_sigma(0.0))
-        kernel = world.kernel
+        kernel = make_world(seed=5).kernel
+        kernel.costs = replace(DEFAULT_COST_MODEL, noise_sigma=0.0)
         profiler = install_profiler(kernel)
         image = _big_image(kernel)
         profiler.reset()   # drop the dump's samples; measure the restore
@@ -302,9 +303,10 @@ class TestMemoization:
 
 class TestChunkCacheSLO:
     def test_no_data_is_healthy(self):
-        statuses = evaluate_slos(MetricsRegistry(), [CHUNK_CACHE_HIT_RATE])
-        assert statuses[0].healthy
-        assert statuses[0].burn_rate is None
+        (status,) = [s for s in evaluate_slos(MetricsRegistry())
+                     if s.slo is CHUNK_CACHE_HIT_RATE]
+        assert status.healthy
+        assert status.burn_rate is None
 
     def test_cache_hits_feed_the_slo(self):
         world = make_world(seed=13, observe=True)
@@ -316,7 +318,8 @@ class TestChunkCacheSLO:
         engine.restore(image)
         registry = kernel.obs.metrics
         assert registry.value("chunk_cache_lookups_total") > 0
-        status = evaluate_slos(registry, [CHUNK_CACHE_HIT_RATE])[0]
+        (status,) = [s for s in evaluate_slos(registry)
+                     if s.slo is CHUNK_CACHE_HIT_RATE]
         assert status.burn_rate is not None
 
 
@@ -336,14 +339,9 @@ class TestHarnessWorkers:
         assert [s.repetition for s in fanned.samples] == [0, 1, 2, 3]
 
     def test_workers_must_be_positive(self):
-        from repro.bench.harness import (
-            run_service_experiment,
-            run_startup_experiment,
-        )
+        from repro.bench.harness import run_startup_experiment
         with pytest.raises(ValueError, match="workers"):
             run_startup_experiment("noop", "vanilla", repetitions=1, workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            run_service_experiment("noop", "vanilla", requests=1, workers=0)
 
     def test_callable_function_falls_back_to_serial(self):
         from repro.bench.harness import run_startup_experiment
@@ -367,8 +365,7 @@ class TestRestorePipelineSweep:
         result = restore_pipeline_sweep(
             repetitions=6, seed=42,
             workers_grid=(1, 4),
-            cache_policies=("none", "freq-over-size"),
-            functions=("image-resizer",))
+            cache_policies=("none", "freq-over-size"))
         cell = result.cell("image-resizer", 4, "freq-over-size")
         assert cell.improvement_pct >= 25.0
         assert cell.hit_ratio > 0.5

@@ -209,13 +209,27 @@ def _page_store_state(store):
             dict(store._refs), store.dedup_hits)
 
 
+def tamper_at(image, first, pages):
+    """``image.tamper(pages)``, starting ``first`` resident pages into
+    the first VMA that has any (clamped to its last page)."""
+    image.generation += 1
+    for index, vma in enumerate(image.vmas):
+        if vma.resident_pages:
+            tags = list(vma.content_tags)
+            start = min(first, len(tags) - 1)
+            for offset in range(start, min(start + pages, len(tags))):
+                tags[offset] += "\x00corrupt"
+            image.vmas[index] = vma.with_pages(vma.resident_indices, tags)
+            return
+
+
 @pytest.mark.parametrize("chunk_pages", [64, 8])
 def test_layering_registers_runs_as_the_per_window_walk_did(fleet, chunk_pages):
     _, platform, names = fleet
     images = [_image(platform, name) for name in names]
     # A copy with one retagged page inside a run of equal heap windows.
     tampered = dataclasses.replace(images[-1], vmas=list(images[-1].vmas))
-    tampered.tamper(pages=1, first_page=3 * chunk_pages + 1)
+    tamper_at(tampered, 3 * chunk_pages + 1, 1)
     by_runs, by_windows = PageStore(chunk_pages), PageStore(chunk_pages)
     calls = []
     with pytest.MonkeyPatch.context() as patch:
@@ -374,10 +388,19 @@ def _reference_prefetch(platform, name, node, budget):
 def test_prefetch_equals_the_per_window_walk(capacity, budget, storage_nodes):
     _, runs, names = _platform(storage_nodes, capacity)
     _, windows, _ = _platform(storage_nodes, capacity)
+    for platform in (runs, windows):
+        # Start from empty node caches, so the prefetches admit.
+        platform.deployer._resident_images.clear()
+        for node in platform.resources.nodes:
+            platform.deployer._node_chunk_cache[node.name] = HotChunkCache(
+                capacity_bytes=capacity or chunkcache.DEFAULT_CAPACITY_BYTES)
     admitted = []
-    for node in ("node-1", "node-0"):
+    for _ in range(2):
         for name in names:
-            got = runs.deployer.prefetch_function(name, node, budget)
+            # The node the deployer prefetches onto: its placement hint.
+            node = (runs.deployer._locality_hint(_metadata(runs, name))
+                    or runs.resources.nodes[0].name)
+            got = runs.deployer.prefetch_function(name, budget)
             want = _reference_prefetch(windows, name, node, budget)
             assert got == want
             admitted.append(got)

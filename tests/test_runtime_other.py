@@ -102,8 +102,8 @@ class TestNodeJSRuntime:
 
         # Fresh cold run for comparison.
         from repro import make_world
-        from repro.sim.costmodel import DEFAULT_COST_MODEL
-        world = make_world(seed=5, costs=DEFAULT_COST_MODEL.with_noise_sigma(0.0))
+        world = make_world(seed=5)
+        world.kernel.costs = quiet_kernel.costs
         app2 = NodeApp(modules=100, kib=2000.0)
         runtime2 = launch(world.kernel, NodeJSRuntime, app2, "/usr/bin/node")
         t0 = world.kernel.clock.now

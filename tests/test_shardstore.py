@@ -58,7 +58,7 @@ class TestHashRing:
         assert sorted(walked) == [f"store-{i}" for i in range(5)]
 
     def test_nodes_for_returns_distinct_prefix(self):
-        ring = HashRing(["a", "b", "c"], virtual_nodes=16)
+        ring = HashRing(["a", "b", "c"])
         homes = ring.nodes_for("digest", 2)
         assert len(homes) == 2
         assert len(set(homes)) == 2
@@ -70,11 +70,9 @@ class TestHashRing:
         for digest in ("aa", "bb", "cc", "dd", "ee"):
             assert first.nodes_for(digest, 2) == second.nodes_for(digest, 2)
 
-    def test_rejects_empty_ring_and_bad_virtual_nodes(self):
+    def test_rejects_empty_ring(self):
         with pytest.raises(ValueError, match="at least one node"):
             HashRing([])
-        with pytest.raises(ValueError, match="virtual_nodes"):
-            HashRing(["a"], virtual_nodes=0)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +82,7 @@ class TestHashRing:
 
 class TestCircuitBreaker:
     def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(threshold=3, reset_ms=1_000.0)
+        breaker = CircuitBreaker()          # threshold 3, 2 s cooldown
         assert not breaker.record_failure(0.0)
         assert not breaker.record_failure(0.0)
         assert breaker.record_failure(0.0)      # third failure opens
@@ -92,26 +90,29 @@ class TestCircuitBreaker:
         assert not breaker.allow(500.0)         # still cooling down
 
     def test_half_open_probe_then_close_on_success(self):
-        breaker = CircuitBreaker(threshold=1, reset_ms=1_000.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(1_000.0)           # cooldown elapsed: probe
+        breaker = CircuitBreaker()
+        for _ in range(3):
+            breaker.record_failure(0.0)
+        assert breaker.allow(2_000.0)           # cooldown elapsed: probe
         assert breaker.state == BREAKER_HALF_OPEN
         assert breaker.record_success()         # probe worked: closed
         assert breaker.state == BREAKER_CLOSED
 
     def test_half_open_probe_failure_reopens(self):
-        breaker = CircuitBreaker(threshold=2, reset_ms=1_000.0)
-        breaker.record_failure(0.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(1_500.0)
-        assert breaker.record_failure(1_500.0)  # one strike in half-open
+        breaker = CircuitBreaker()
+        for _ in range(3):
+            breaker.record_failure(0.0)
+        assert breaker.allow(2_500.0)
+        assert breaker.record_failure(2_500.0)  # one strike in half-open
         assert breaker.state == BREAKER_OPEN
-        assert not breaker.allow(2_000.0)       # new cooldown from 1500
+        assert not breaker.allow(4_000.0)       # new cooldown from 2500
 
     def test_success_resets_failure_streak(self):
-        breaker = CircuitBreaker(threshold=2, reset_ms=1_000.0)
+        breaker = CircuitBreaker()
+        breaker.record_failure(0.0)
         breaker.record_failure(0.0)
         breaker.record_success()
+        breaker.record_failure(0.0)
         assert not breaker.record_failure(0.0)  # streak restarted
         assert breaker.state == BREAKER_CLOSED
 
@@ -187,9 +188,7 @@ class TestShardedSnapshotStore:
     def test_breaker_stops_charging_hops_for_a_dead_node(self, kernel):
         layered = _baked_layered(kernel)
         store = ShardedSnapshotStore(kernel, node_count=3,
-                                     replication_factor=1,
-                                     breaker_threshold=3,
-                                     breaker_reset_ms=2_000.0)
+                                     replication_factor=1)
         store.register_image(layered)
         ref = layered.chunk_refs[0]
         (home,) = store.placement(ref.chunk_id)
@@ -303,7 +302,7 @@ class TestDegradedRestores:
         world, platform = _sharded_platform(rf=2)
         kernel = world.kernel
         assert platform.invoke("markdown").status == 200
-        platform.deployer.terminate_all("markdown")
+        platform.deployer.retire(platform.deployer.replicas("markdown"))
         platform.shard_store.fail_node("store-0", down_for_ms=600_000.0)
         response = platform.invoke("markdown")
         assert response.status == 200
@@ -316,7 +315,7 @@ class TestDegradedRestores:
         world, platform = _sharded_platform(rf=1)
         kernel = world.kernel
         assert platform.invoke("markdown").status == 200
-        platform.deployer.terminate_all("markdown")
+        platform.deployer.retire(platform.deployer.replicas("markdown"))
         # Kill the node holding the most of this image; with RF=1 its
         # windows are unobtainable, so prebake must fall back.
         balance = _stored_bytes(platform.shard_store)
@@ -418,7 +417,7 @@ class TestNodeCacheEvictionCounter:
                 capacity_bytes=256 * 1024, policy=LRU)
         platform.invoke("markdown")
         first = kernel.obs.metrics.value("deployer_node_cache_eviction_total")
-        platform.deployer.terminate_all("markdown")
+        platform.deployer.retire(platform.deployer.replicas("markdown"))
         platform.invoke("markdown")
         second = kernel.obs.metrics.value("deployer_node_cache_eviction_total")
         caches = platform.deployer._node_chunk_cache.values()

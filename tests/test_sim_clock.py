@@ -9,9 +9,6 @@ class TestSimClock:
     def test_starts_at_zero_by_default(self):
         assert SimClock().now == 0.0
 
-    def test_starts_at_given_time(self):
-        assert SimClock(start=12.5).now == 12.5
-
     def test_advance_returns_new_time(self):
         clock = SimClock()
         assert clock.advance(3.25) == 3.25
@@ -25,7 +22,8 @@ class TestSimClock:
         assert clock.now == pytest.approx(3.5)
 
     def test_advance_by_zero_is_allowed(self):
-        clock = SimClock(start=5.0)
+        clock = SimClock()
+        clock.advance(5.0)
         clock.advance(0.0)
         assert clock.now == 5.0
 
@@ -40,11 +38,13 @@ class TestSimClock:
         assert clock.now == 10.0
 
     def test_set_time_to_current_is_noop(self):
-        clock = SimClock(start=4.0)
+        clock = SimClock()
+        clock.advance(4.0)
         clock.set_time(4.0)
         assert clock.now == 4.0
 
     def test_set_time_backwards_rejected(self):
-        clock = SimClock(start=10.0)
+        clock = SimClock()
+        clock.advance(10.0)
         with pytest.raises(ClockError):
             clock.set_time(9.999)

@@ -1,10 +1,11 @@
 """Tests for the calibrated cost model (the DESIGN.md §4 fits)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim.costmodel import (
     BUILTIN_PROFILES,
-    CostModel,
     DEFAULT_COST_MODEL,
     IMAGE_RESIZER_COSTS,
     MARKDOWN_COSTS,
@@ -80,16 +81,91 @@ class TestCostModelMechanics:
         assert m.dump_cost(100.0) > m.dump_cost(10.0)
 
     def test_jitter_zero_sigma_is_identity(self):
-        m = DEFAULT_COST_MODEL.with_noise_sigma(0.0)
+        m = replace(DEFAULT_COST_MODEL, noise_sigma=0.0)
         streams = RandomStreams(seed=0)
         assert m.jitter(42.0, streams, "x") == pytest.approx(42.0)
 
-    def test_with_noise_sigma_does_not_mutate(self):
-        m = CostModel()
-        m2 = m.with_noise_sigma(0.5)
-        assert m.noise_sigma != 0.5
-        assert m2.noise_sigma == 0.5
-        assert m2.clone_ms == m.clone_ms
+
+class TestRestorePrice:
+    """``restore_price``: the one restore charge the engine and the
+    fleet model both pay, as (base, pipeline plan, serial duration)."""
+
+    @pytest.mark.parametrize("image_mib", [0.5, 10.0, 58.0, 300.0])
+    def test_one_worker_no_cache_charges_the_restore_cost(self, image_mib):
+        m = DEFAULT_COST_MODEL
+        base, plan, serial = m.restore_price(image_mib)
+        assert base == m.restore_base_ms
+        assert not plan.pipelined
+        assert plan.total_ms == plan.serial_ms
+        assert serial == base + plan.total_ms
+        assert serial == pytest.approx(m.restore_cost(image_mib))
+
+    def test_an_override_below_the_base_is_the_whole_restore(self):
+        m = DEFAULT_COST_MODEL
+        fast = m.restore_base_ms / 4
+        base, plan, serial = m.restore_price(100.0, override_ms=fast)
+        assert base == fast
+        assert plan.total_ms == 0.0
+        assert serial == fast
+
+    def test_an_override_above_the_base_keeps_the_base(self):
+        m = DEFAULT_COST_MODEL
+        slow = m.restore_base_ms + 30.0
+        base, plan, serial = m.restore_price(1.0, override_ms=slow)
+        assert base == m.restore_base_ms
+        assert plan.total_ms == pytest.approx(30.0)
+        assert serial == pytest.approx(slow)
+
+    def test_in_memory_scales_only_the_page_stage(self):
+        m = DEFAULT_COST_MODEL
+        disk_base, disk_plan, _ = m.restore_price(58.0)
+        base, plan, _ = m.restore_price(58.0, in_memory=True)
+        assert base == disk_base
+        assert plan.total_ms == pytest.approx(
+            disk_plan.total_ms * m.restore_in_memory_factor)
+
+    @pytest.mark.parametrize("page_fraction", [0.0, 0.3, 1.0])
+    def test_page_fraction_scales_the_serial_page_stage(self, page_fraction):
+        m = DEFAULT_COST_MODEL
+        full = m.restore_cost(58.0)
+        base, plan, serial = m.restore_price(58.0,
+                                             page_fraction=page_fraction)
+        assert plan.serial_ms == pytest.approx((full - base) * page_fraction)
+        assert serial == base + (full - base) * page_fraction
+
+    @pytest.mark.parametrize("cached_fraction", [0.0, 0.5, 1.0])
+    def test_cache_hits_cut_the_plan_not_the_serial_duration(
+            self, cached_fraction):
+        m = DEFAULT_COST_MODEL
+        _, cold_plan, cold_serial = m.restore_price(58.0)
+        base, plan, serial = m.restore_price(58.0,
+                                             cached_fraction=cached_fraction)
+        assert serial == cold_serial
+        assert plan.cached_fraction == cached_fraction
+        assert plan.map_ms == cold_plan.map_ms
+        hit_saving = 1.0 - m.restore_cache_hit_factor
+        assert plan.total_ms == pytest.approx(
+            cold_plan.total_ms - cold_plan.fetch_ms * cached_fraction
+            * hit_saving)
+
+    @pytest.mark.parametrize("workers", [2, 4, 16])
+    def test_workers_never_charge_more_than_serial(self, workers):
+        m = DEFAULT_COST_MODEL
+        base, plan, serial = m.restore_price(58.0, workers=workers,
+                                             chunk_count=64)
+        assert plan.pipelined
+        assert base + plan.total_ms < serial
+
+    def test_the_plan_is_the_pipeline_of_the_page_stage(self):
+        m = DEFAULT_COST_MODEL
+        full = m.restore_cost(58.0)
+        pages_ms = (full - m.restore_base_ms) * m.restore_in_memory_factor
+        pages_ms *= 0.4
+        _, plan, _ = m.restore_price(58.0, in_memory=True, page_fraction=0.4,
+                                     workers=3, chunk_count=12,
+                                     cached_fraction=0.25)
+        # Bit-identical: the float operations run in the same order.
+        assert plan == m.plan_restore_pipeline(pages_ms, 3, 12, 0.25)
 
 
 class TestProfiles:

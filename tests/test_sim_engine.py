@@ -50,15 +50,6 @@ class TestProcesses:
         sim.run()
         assert trace == [0.0, 3.0, 5.0]
 
-    def test_run_process_returns_value(self):
-        sim = Simulation()
-
-        def proc():
-            yield 1.0
-            return "done"
-
-        assert sim.run_process(proc()) == "done"
-
     def test_process_waits_on_signal(self):
         sim = Simulation()
         gate = Signal("gate")
@@ -140,16 +131,6 @@ class TestProcesses:
         sim.run()
         assert results == [42]
         assert process.finished and process.result == 42
-
-    def test_run_process_detects_starved_process(self):
-        sim = Simulation()
-        never = Signal("never")
-
-        def proc():
-            yield never
-
-        with pytest.raises(RuntimeError, match="waiting on a signal"):
-            sim.run_process(proc())
 
 
 class TestBulkScheduling:

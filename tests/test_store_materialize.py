@@ -57,7 +57,6 @@ class TestMaterialize:
         assert pulled.argv == image.argv
         assert pulled.created_at_ms == image.created_at_ms
         assert pulled.namespace_ids == image.namespace_ids
-        assert pulled.parent_image_id == image.parent_image_id
         assert pulled.warm is True
         assert pulled.digest == image.digest
 
@@ -146,12 +145,6 @@ class TestMaterialize:
         with pytest.raises(SnapshotNotFound):
             SnapshotStore().materialize(KEY)
 
-    def test_deleted_key_raises(self, kernel):
-        store, _ = stored(kernel, 1.0)
-        store.delete(KEY)
-        with pytest.raises(SnapshotNotFound):
-            store.materialize(KEY)
-
     def test_quarantined_key_raises(self, kernel):
         store, _ = stored(kernel, 1.0)
         store.quarantine(KEY)
@@ -194,28 +187,25 @@ class TestMaterialize:
 
 
 class TestInventory:
-    def test_contains_follows_put_and_delete(self, kernel):
+
+    def test_contains_follows_put_and_quarantine(self, kernel):
         store = SnapshotStore()
         assert not store.contains(KEY)
         store.put(KEY, dump_process(kernel))
         assert store.contains(KEY)
-        store.delete(KEY)
+        assert store.quarantine(KEY)
         assert not store.contains(KEY)
 
-    def test_delete_missing_raises(self):
-        with pytest.raises(SnapshotNotFound):
-            SnapshotStore().delete(KEY)
-
-    def test_delete_drops_layers(self, kernel):
+    def test_quarantine_drops_layers(self, kernel):
         store, _ = stored(kernel, 1.0)
         assert store.layered(KEY) is not None
-        store.delete(KEY)
+        store.quarantine(KEY)
         assert store.layered(KEY) is None
 
     def test_quarantine_missing_key_is_tolerated(self):
         store = SnapshotStore()
         assert store.quarantine(KEY) is False
-        assert store.quarantined_count == 0
+        assert store._quarantined == []
 
     def test_restore_count_of_a_missing_key_is_zero(self):
         assert SnapshotStore().restore_count(KEY) == 0
@@ -259,6 +249,20 @@ class TestInventory:
         assert manager.store.keys() == [report.key]
 
 
+def tamper_at(image, first, pages):
+    """``image.tamper(pages)``, starting ``first`` resident pages into
+    the first VMA that has any (clamped to its last page)."""
+    image.generation += 1
+    for index, vma in enumerate(image.vmas):
+        if vma.resident_pages:
+            tags = list(vma.content_tags)
+            start = min(first, len(tags) - 1)
+            for offset in range(start, min(start + pages, len(tags))):
+                tags[offset] += "\x00corrupt"
+            image.vmas[index] = vma.with_pages(vma.resident_indices, tags)
+            return
+
+
 @pytest.fixture(scope="module")
 def ready_and_warm():
     """A ready and a warm markdown bake of one world."""
@@ -285,7 +289,7 @@ class TestRepair:
         if warm:
             assert store.layered(key).layer(WARM_DELTA_LAYER).chunk_refs
         image = store.peek(key)
-        image.tamper(pages=pages, first_page=first_page)
+        tamper_at(image, first_page, pages)
         assert store.repair(key) > 0
         image.verify_integrity()
         assert vma_pages(image) == vma_pages(store.materialize(key))
@@ -316,7 +320,7 @@ class TestRepair:
 
     def test_a_second_repair_finds_nothing(self, kernel):
         store, image = stored(kernel, 1.0)
-        image.tamper(pages=5, first_page=3)
+        image.tamper(pages=5)
         assert store.repair(KEY) > 0
         generation = image.generation
         assert store.repair(KEY) == 0
