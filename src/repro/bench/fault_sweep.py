@@ -26,9 +26,9 @@ from repro.bench.stats import quantile
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faults import FaultPlan, FaultSpec, PlatformError
 from repro.functions.base import make_app
-from repro.obs.anomaly import AnomalyEvent
 from repro.obs.log import bound_trace_provider, get_logger
 from repro.obs.postmortem import PostmortemBundle, PostmortemCollector
+from repro.obs.slo import SLOBreach
 from repro.sim.rng import _derive_seed
 
 _log = get_logger("bench")
@@ -105,7 +105,7 @@ class Cell:
     """One treatment (fault plan x RF x technique). ``world`` is the
     seed label of each repetition's world, ``{rep}`` standing for the
     repetition; ``rate`` is the sweep point the plans were built from;
-    ``anomaly_window_ms`` runs the online detectors."""
+    ``slo_window_ms`` runs the per-window SLO burn check."""
 
     function: str
     technique: str
@@ -117,8 +117,7 @@ class Cell:
     replication_factor: int = 1
     idle_timeout_ms: float = 60_000.0
     think_ms: float = 100.0
-    anomaly_window_ms: Optional[float] = None
-    z_threshold: float = 6.0
+    slo_window_ms: Optional[float] = None
 
 
 @dataclass
@@ -134,7 +133,7 @@ class CellResult:
         default_factory=lambda: dict.fromkeys(COUNTERS, 0))
     schedule_digests: List[str] = field(default_factory=list)
     phase_bounds_ms: List[Tuple[float, float]] = field(default_factory=list)
-    anomalies: List[AnomalyEvent] = field(default_factory=list)
+    breaches: List[SLOBreach] = field(default_factory=list)
     bundles: List[PostmortemBundle] = field(default_factory=list)
     bundle_paths: List[pathlib.Path] = field(default_factory=list)
     flight_events: List[Dict[str, object]] = field(default_factory=list)
@@ -198,19 +197,18 @@ def _run_world(out: CellResult, rep: int, seed: int,
     cell = out.cell
     label = cell.world.format(rep=rep)
     kernel = make_world(seed=_derive_seed(seed, label), observe=True).kernel
-    collector = monitor = None
+    collector = burn = None
     if recipe is not None:
         obs.install_flight(kernel)
         collector = PostmortemCollector(
             kernel, seed=seed, label=label,
             recipe={**recipe, "world": label, "rep": rep},
             out_dir=postmortem_dir, max_bundles=MAX_BUNDLES_PER_WORLD)
-    if cell.anomaly_window_ms is not None:
-        obs.enable_timeseries(kernel, window_ms=cell.anomaly_window_ms)
-        monitor = obs.enable_anomaly(kernel, window_ms=cell.anomaly_window_ms,
-                                     z_threshold=cell.z_threshold)
+    if cell.slo_window_ms is not None:
+        obs.enable_timeseries(kernel, window_ms=cell.slo_window_ms)
+        burn = obs.enable_burn_check(kernel, window_ms=cell.slo_window_ms)
         if collector is not None:
-            monitor.subscribe(collector.on_anomaly)
+            burn.subscribe(collector.on_breach)
     platform = FaaSPlatform(kernel, PlatformConfig(
         nodes=cell.nodes, storage_nodes=cell.storage_nodes,
         replication_factor=cell.replication_factor))
@@ -246,8 +244,8 @@ def _run_world(out: CellResult, rep: int, seed: int,
                     platform.gc_tick()
                 out.phase_bounds_ms.append((start_ms, kernel.clock.now))
         finally:
-            if monitor is not None:
-                monitor.flush(kernel.clock.now)
+            if burn is not None:
+                burn.flush()
             faults.uninstall(kernel)
     # Tracer self-check: every request — including those whose error
     # unwound through the fault machinery — must leave no span open.
@@ -261,8 +259,8 @@ def _run_world(out: CellResult, rep: int, seed: int,
     for column, names in COUNTERS.items():
         out.counts[column] += int(sum(metrics.value(n) for n in names))
     out.schedule_digests.append(injector.schedule_digest())
-    if monitor is not None:
-        out.anomalies.extend(monitor.events)
+    if burn is not None:
+        out.breaches.extend(burn.breaches)
     if collector is not None:
         out.bundles.extend(collector.bundles)
         out.bundle_paths.extend(collector.paths)
@@ -332,8 +330,7 @@ def _shard_chaos_cells(function, replication_factors, fault_rates,
 
 def _incident_cells(function, technique, warmup_requests, fault_requests,
                     cooldown_requests, fault_site, fault_rate, think_ms,
-                    idle_timeout_ms, window_ms, z_threshold,
-                    **_) -> List[Cell]:
+                    idle_timeout_ms, window_ms, **_) -> List[Cell]:
     clean = FaultPlan()
     armed = knob_plan(fault_rate, {fault_site: 1.0})
     return [Cell(function, technique, fault_rate, world="incident",
@@ -341,7 +338,7 @@ def _incident_cells(function, technique, warmup_requests, fault_requests,
                          Phase(fault_requests, armed),
                          Phase(cooldown_requests, clean)),
                  idle_timeout_ms=idle_timeout_ms, think_ms=think_ms,
-                 anomaly_window_ms=window_ms, z_threshold=z_threshold)]
+                 slo_window_ms=window_ms)]
 
 
 def _success(r: CellResult) -> str:
@@ -388,15 +385,14 @@ def _incident_body(result: SweepResult) -> str:
     lines = [f"requests={run.requests} errors={run.failed} "
              f"faults_fired={run.faults_fired} "
              f"fault_window=[{start:.1f}, {end:.1f}) ms"]
-    if run.anomalies:
+    if run.breaches:
         lines.append(format_table(
-            ["detector", "at ms", "value", "z", "window", "trace"],
-            [[e.detector, f"{e.at_ms:.1f}", f"{e.value:.3f}",
-              f"{e.score:.1f}",
-              f"[{e.window_start_ms:.0f}, {e.window_end_ms:.0f})",
-              e.trace_id or "-"] for e in run.anomalies]))
+            ["slo breached", "window", "bad fraction", "burn"],
+            [[b.slo, f"[{b.window_start_ms:.0f}, {b.window_end_ms:.0f})",
+              f"{b.bad_fraction:.3f}", f"{b.burn_rate:.2f}"]
+             for b in run.breaches]))
     else:
-        lines.append("no anomalies flagged")
+        lines.append("no SLO breached")
     lines.append(f"postmortem bundles sealed: {len(run.bundles)}")
     lines.append(f"fault schedule digest: {run.schedule_digests[0]}")
     return "\n".join(lines)
@@ -438,8 +434,7 @@ PRESETS: Dict[str, Preset] = {
              warmup_requests=12, fault_requests=4,
              cooldown_requests=2, fault_site=faults.RESTORE_FAIL,
              fault_rate=1.0, think_ms=100.0,
-             idle_timeout_ms=50.0, window_ms=500.0,
-             z_threshold=6.0),
+             idle_timeout_ms=50.0, window_ms=500.0),
         _incident_cells,
         "Incident run — {function} ({technique}), seed {seed}: "
         "{warmup_requests} warmup + {fault_requests} faulted "
@@ -474,7 +469,7 @@ def replay_recipe(recipe: Dict[str, Any]) -> CellResult:
     """Re-run the one world a bundle's recipe names (its preset,
     parameters, world and repetition; provenance keys such as
     ``fault_schedule_digest`` are ignored) and return that world alone,
-    not a sweep report. Determinism makes the rerun's digest, anomalies
+    not a sweep report. Determinism makes the rerun's digest, breaches
     and bundles the original world's."""
     experiment = recipe.get("experiment")
     preset = _preset(experiment)

@@ -262,9 +262,6 @@ class PageStore:
     def contains(self, cid: str) -> bool:
         return cid in self._chunks
 
-    def refcount(self, cid: str) -> int:
-        return self._refs.get(cid, 0)
-
     # -- accounting --------------------------------------------------------------
 
     @property

@@ -281,7 +281,7 @@ class RestoreEngine:
         one they come through quorum fetches and ``report`` is the
         store's :class:`~repro.criu.shardstore.DegradedRestoreReport`.
         Both paths leave the same cache-effectiveness record, so SLOs
-        and anomaly watches read identically either way.
+        read identically either way.
         """
         cache = self.chunk_cache
         report = None

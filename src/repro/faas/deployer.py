@@ -236,7 +236,7 @@ class FunctionDeployer:
         on a node whose cache holds a minority (<50%) of the image's
         manifest bytes is a locality miss — the hint either lost to
         capacity pressure or had nothing warm to offer. Feeds the
-        ``locality-miss-rate`` anomaly watch and the fleet report.
+        fleet report.
         Sharded prebake clusters only; legacy worlds emit nothing.
         """
         if self.shard_store is None or metadata.start_technique != "prebake":

@@ -7,7 +7,7 @@ under its ``name:tag`` reference and a pull fetches it back.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.faas.openfaas.containers import ContainerImage
 
@@ -37,9 +37,6 @@ class ImageRepository:
 
     def contains(self, reference: str) -> bool:
         return reference in self._images
-
-    def references(self) -> List[str]:
-        return sorted(self._images)
 
     @property
     def total_bytes(self) -> int:

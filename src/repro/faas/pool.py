@@ -176,13 +176,6 @@ class WarmPool:
             self.release(handle)
         return response
 
-    def drain(self) -> int:
-        """Kill every idle replica (e.g. platform scale-to-zero)."""
-        count = len(self._idle)
-        while self._idle:
-            self._pop_idle().kill()
-        return count
-
     # -- cost accounting -----------------------------------------------------------
 
     @property

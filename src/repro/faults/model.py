@@ -128,12 +128,6 @@ class FaultPlan:
         return cls(specs={s: FaultSpec(site=s, probability=probability)
                           for s in sites})
 
-    def with_spec(self, spec: FaultSpec) -> "FaultPlan":
-        """A copy of this plan with ``spec`` added or replaced."""
-        specs = dict(self.specs)
-        specs[spec.site] = spec
-        return FaultPlan(specs=specs)
-
     def scaled(self, factor: float) -> "FaultPlan":
         """A copy with every probability multiplied by ``factor`` (capped at 1)."""
         return FaultPlan(specs={

@@ -9,6 +9,9 @@ them installs the hub first:
   (``deploy → bake → checkpoint → store → restore → replica.serve``);
 * :mod:`repro.obs.metrics` — counters, gauges, log-linear histograms
   (the registry the OpenFaaS stack exposes and SLOs evaluate against);
+* :mod:`repro.obs.slo` — the SLO contract and its burn rate, offline
+  over a registry and online per window on ``hub.burn``
+  (:func:`enable_burn_check`);
 * :mod:`repro.obs.export` — Prometheus text format and JSONL dumps,
   summarized by ``python -m repro.obs.cli``;
 * :mod:`repro.obs.flight` — bounded ring-buffer flight recorder on
@@ -18,17 +21,15 @@ them installs the hub first:
   charges the ``kernel.probes`` events carry;
 * :mod:`repro.obs.timeseries` — windowed ``(sim_time, value)`` rollups
   on ``hub.timeseries`` (:func:`enable_timeseries`);
-* :mod:`repro.obs.anomaly` — online EWMA+MAD detectors on
-  ``hub.anomaly`` (:func:`enable_anomaly`);
 * :mod:`repro.obs.postmortem` — seals flight tail + span tree + metric
-  windows + SLO burn + replay recipe into incident bundles.
+  windows + SLO burn and breaches + replay recipe into incident bundles.
 
 Instrumentation calls the module-level helpers below with the kernel
 in hand; when no hub is installed they cost a single attribute load
 and do nothing, so un-observed worlds (the default) stay exactly as
 fast as before. Every metric write (:func:`count`, :func:`gauge`,
 :func:`observe`) lands in the registry and then fans out through one
-path, in a fixed order: time series, then anomaly monitor. Telemetry
+path, in a fixed order: time series, then SLO burn check. Telemetry
 only watches: no platform decision reads it, so an observed world runs
 bit-identically to an unobserved one under the same seed.
 
@@ -48,6 +49,7 @@ from repro.obs import export  # re-exported for `obs.export.*` call sites
 from repro.obs import fleet   # re-exported for `obs.fleet.*` call sites
 from repro.obs import flight  # re-exported for `obs.flight.*` call sites
 from repro.obs import profile  # re-exported for `obs.profile.*` call sites
+from repro.obs import slo as _slo
 from repro.obs import timeseries as _timeseries
 from repro.obs.context import TraceContext
 from repro.obs.log import StructuredLogger, get_logger
@@ -63,7 +65,7 @@ from repro.obs.spans import NULL_SPAN, NullSpan, Span, SpanError, Tracer
 
 class Observability:
     """Per-world telemetry hub: tracer + metrics, with optional flight
-    tape, phase profile, time-series and anomaly layers (None until
+    tape, phase profile, time-series and SLO burn layers (None until
     installed)."""
 
     def __init__(self, clock) -> None:
@@ -72,7 +74,7 @@ class Observability:
         self.flight = None       # FlightRecorder via install_flight
         self.profile = None      # PhaseProfiler via profile.install
         self.timeseries = None   # TimeseriesTable via enable_timeseries
-        self.anomaly = None      # AnomalyMonitor via enable_anomaly
+        self.burn = None         # slo.BurnCheck via enable_burn_check
 
 
 def install(kernel) -> Observability:
@@ -105,12 +107,6 @@ def install_flight(kernel, capacity: int = flight.DEFAULT_CAPACITY
     return hub.flight
 
 
-def uninstall_flight(kernel) -> None:
-    """Detach the flight recorder; :func:`record` reverts to a no-op."""
-    if kernel.obs is not None:
-        kernel.obs.flight = None
-
-
 def enable_timeseries(kernel, window_ms: float = 1_000.0
                       ) -> "_timeseries.TimeseriesTable":
     """Enable windowed rollups on the hub (installing the hub if needed).
@@ -124,17 +120,15 @@ def enable_timeseries(kernel, window_ms: float = 1_000.0
     return hub.timeseries
 
 
-def enable_anomaly(kernel, **monitor_kwargs):
-    """Enable online anomaly detection on the hub: a
-    :func:`~repro.obs.anomaly.default_monitor` built with
-    ``monitor_kwargs`` (window_ms, z_threshold, …).
+def enable_burn_check(kernel, window_ms: float) -> "_slo.BurnCheck":
+    """Enable the per-window SLO burn check on the hub (installing the
+    hub if needed): each ``window_ms`` window of metric writes that
+    breaches an SLO becomes one :class:`~repro.obs.slo.SLOBreach`.
     """
-    from repro.obs import anomaly as _anomaly
-
     hub = install(kernel)
-    if hub.anomaly is None:
-        hub.anomaly = _anomaly.default_monitor(kernel, **monitor_kwargs)
-    return hub.anomaly
+    if hub.burn is None:
+        hub.burn = _slo.BurnCheck(hub, window_ms)
+    return hub.burn
 
 
 # -- zero-cost instrumentation helpers ---------------------------------------
@@ -172,17 +166,14 @@ def record(kernel, kind: str, **attrs: object) -> None:
 
 
 def _fan_out(kernel, hub: Observability, name: str, value: float,
-             kind: str, trace_id: Optional[str] = None) -> None:
+             kind: str) -> None:
     """Feed one metric write to the hub's optional layers, in order:
-    time series, then anomaly monitor."""
+    time series, then SLO burn check."""
     now = kernel.clock.now
     if hub.timeseries is not None:
         hub.timeseries.record(name, now, value, kind=kind)
-    if hub.anomaly is not None:
-        if kind == _timeseries.COUNTER_SAMPLE:
-            hub.anomaly.offer_count(name, now, value)
-        else:
-            hub.anomaly.offer(name, now, value, trace_id=trace_id)
+    if hub.burn is not None:
+        hub.burn.offer(name, now, value)
 
 
 def count(kernel, name: str, value: float = 1.0,
@@ -206,15 +197,13 @@ def observe(kernel, name: str, value: float,
             exemplar: Optional[str] = None) -> None:
     """Record a histogram observation; the exemplar defaults to the
     trace id of the innermost active span, linking the latency bucket
-    back to the causal span tree. The exemplar also rides into the
-    anomaly monitor, so a flagged observation can name its request."""
+    back to the causal span tree."""
     hub = kernel.obs
     if hub is not None:
         if exemplar is None:
             exemplar = hub.tracer.current_trace_id()
         hub.metrics.observe(name, value, labels, exemplar=exemplar)
-        _fan_out(kernel, hub, name, value, _timeseries.VALUE_SAMPLE,
-                 trace_id=exemplar)
+        _fan_out(kernel, hub, name, value, _timeseries.VALUE_SAMPLE)
 
 
 __all__ = [
@@ -222,9 +211,8 @@ __all__ = [
     "install",
     "uninstall",
     "install_flight",
-    "uninstall_flight",
     "enable_timeseries",
-    "enable_anomaly",
+    "enable_burn_check",
     "span",
     "count",
     "gauge",

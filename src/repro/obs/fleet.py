@@ -24,10 +24,7 @@ single-node runs stay byte-identical to the committed baselines.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Dict, Iterable, List, Sequence, Tuple
-
-from repro.obs.metrics import SUBBUCKETS
 
 NODE_LABEL = "node"
 
@@ -41,19 +38,6 @@ OUTCOMES = (OUTCOME_LOCAL_HIT, OUTCOME_REMOTE_FETCH, OUTCOME_DEGRADED)
 
 class FleetError(Exception):
     """Fleet aggregate misuse (bad sketch weights, bad phases)."""
-
-
-def bucket_width(value: float) -> float:
-    """Width of the log-linear bucket holding ``value``.
-
-    The quantile error bound of one merged-histogram read: a fleet
-    p99 from merged node buckets sits within one bucket width of the
-    p99 over the concatenated samples.
-    """
-    if value <= 0.0:
-        return 0.0
-    _mantissa, exponent = math.frexp(value)
-    return math.ldexp(1.0, exponent - 1) / SUBBUCKETS
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +296,6 @@ __all__ = [
     "OUTCOME_DEGRADED",
     "OUTCOMES",
     "FleetError",
-    "bucket_width",
     "SpaceSavingSketch",
     "ColdStartAttribution",
     "AttributionCell",

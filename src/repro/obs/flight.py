@@ -62,7 +62,7 @@ CACHE_LOOKUP = "cache.lookup"                # chunk-cache pass summary
 FAULT_INJECTED = "fault.injected"            # injector fired a site
 AUTOSCALER_ACTION = "autoscaler.action"      # scale-up/gc/reap/heal/prewarm
 DEPLOY = "deploy"                            # function (re)deployed/baked
-ANOMALY = "anomaly.detected"                 # online detector flagged
+SLO_BREACH = "slo.breach"                    # a window burned an SLO
 RESTORE_DEGRADED = "restore.degraded"        # quorum lost; survivors served
 SHARD_NODE_DOWN = "shard.node-down"          # a storage node crashed
 SHARD_NODE_UP = "shard.node-up"              # a storage node recovered
@@ -74,7 +74,7 @@ EVENT_KINDS = (
     REQUEST_CRASH_RETRY, REPLICA_PROVISIONED, REPLICA_REAPED,
     RESTORE_STARTED, RESTORE_FINISHED, RESTORE_FAILED, RESTORE_RETRY,
     RESTORE_FALLBACK, SNAPSHOT_QUARANTINED, SNAPSHOT_REPAIRED,
-    CACHE_LOOKUP, FAULT_INJECTED, AUTOSCALER_ACTION, DEPLOY, ANOMALY,
+    CACHE_LOOKUP, FAULT_INJECTED, AUTOSCALER_ACTION, DEPLOY, SLO_BREACH,
     RESTORE_DEGRADED, SHARD_NODE_DOWN, SHARD_NODE_UP,
     SHARD_BREAKER, PREWARM_PREFETCH,
 )

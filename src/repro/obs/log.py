@@ -7,8 +7,8 @@ errors) goes through here as ``key=value`` lines on stderr:
     level=info component=bench event=experiment.done name=fig4 wall_s=2.1
 
 Log lines can be correlated with the active trace: a bench CLI binds
-the world tracer via :func:`set_trace_provider` (or the scoped
-:func:`bound_trace_provider`), and every line emitted while a span is
+the world tracer via :func:`bound_trace_provider`, and every line
+emitted while a span is
 open then carries ``trace_id=…`` — the same id the span tree, flight
 tape, and postmortem bundle use for that request.
 """
@@ -28,20 +28,12 @@ LEVELS = ("debug", "info", "warning", "error")
 _trace_provider: Optional[Callable[[], Optional[str]]] = None
 
 
-def set_trace_provider(
-        provider: Optional[Callable[[], Optional[str]]]) -> None:
-    """Install (or clear, with None) the active-trace-id hook.
-
-    Typically ``tracer.current_trace_id`` of the world under test.
-    """
-    global _trace_provider
-    _trace_provider = provider
-
-
 @contextlib.contextmanager
 def bound_trace_provider(
         provider: Optional[Callable[[], Optional[str]]]) -> Iterator[None]:
-    """Scoped :func:`set_trace_provider` (restores the previous hook)."""
+    """Install ``provider`` as the active-trace-id hook (typically the
+    world tracer's ``current_trace_id``) for the block, then restore
+    the previous one."""
     global _trace_provider
     previous = _trace_provider
     _trace_provider = provider

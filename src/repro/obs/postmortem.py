@@ -1,6 +1,6 @@
 """Deterministic postmortem bundles.
 
-When an incident is declared — an online detector flags an anomaly, or
+When an incident is declared — a window of the run breaches an SLO, or
 a request dies with an unrecovered ``PlatformError`` — the
 :class:`PostmortemCollector` seals everything an investigation needs
 into one JSON bundle:
@@ -12,12 +12,12 @@ into one JSON bundle:
   end-of-run scalars);
 * SLO burn at seal time;
 * the fault schedule digest, fired counts, and schedule tail;
-* every anomaly flagged so far; and
+* every SLO breach flagged so far; and
 * a **replay recipe** — the seed plus the experiment parameters that
   produced the run. Because the whole stack is deterministic, feeding
   the recipe back (``repro.bench.fault_sweep.replay_recipe``, which
   re-runs the one world the recipe names) reproduces the identical
-  incident: same schedule digest, same flagged windows.
+  incident: same schedule digest, same breached windows.
 
 Bundles are sealed from *live* state (reading the tracer, registry,
 flight ring and injector mutates nothing and advances no clock), so
@@ -34,16 +34,15 @@ import re
 from typing import Dict, List, Optional, Union
 
 from repro.obs import slo as slo_mod
-from repro.obs.anomaly import AnomalyEvent
 from repro.obs.log import get_logger
 
-BUNDLE_SCHEMA = 1
+BUNDLE_SCHEMA = 2
 
 # Flight events a bundle keeps: the newest of the recorder's ring.
 FLIGHT_TAIL = 256
 
 # Incident kinds.
-ANOMALY = "anomaly"
+SLO_BREACH = "slo-breach"
 ERROR = "error"
 MANUAL = "manual"
 
@@ -98,9 +97,9 @@ class PostmortemBundle:
         return dict(self.payload.get("replay") or {})  # type: ignore[arg-type]
 
     @property
-    def anomalies(self) -> List[AnomalyEvent]:
-        records = self.payload.get("anomalies") or []
-        return [AnomalyEvent.from_dict(r) for r in records]  # type: ignore[union-attr]
+    def breaches(self) -> List["slo_mod.SLOBreach"]:
+        records = self.payload.get("breaches") or []
+        return [slo_mod.SLOBreach.from_dict(r) for r in records]  # type: ignore[union-attr]
 
     # -- (de)serialization -------------------------------------------------------
 
@@ -142,12 +141,12 @@ class PostmortemBundle:
             lines.append("REPLAY RECIPE")
             for key in sorted(replay):
                 lines.append(f"  {key} = {replay[key]}")
-        anomalies = p.get("anomalies") or []
-        if anomalies:
+        breaches = self.breaches
+        if breaches:
             lines.append("")
-            lines.append(f"ANOMALIES ({len(anomalies)})")
-            for record in anomalies:
-                lines.append("  " + AnomalyEvent.from_dict(record).line())
+            lines.append(f"SLO BREACHES ({len(breaches)})")
+            for breach in breaches:
+                lines.append("  " + breach.line())
         statuses = p.get("slo") or []
         if statuses:
             lines.append("")
@@ -210,10 +209,10 @@ def _render_span_tree(spans: List[Dict[str, object]]) -> List[str]:
 
 
 class PostmortemCollector:
-    """Seals bundles from live world state on anomaly or error.
+    """Seals bundles from live world state on an SLO breach or error.
 
-    One collector per world. Subscribe :meth:`on_anomaly` to the
-    anomaly monitor and call :meth:`on_error` from the request loop's
+    One collector per world. Subscribe :meth:`on_breach` to the hub's
+    SLO burn check and call :meth:`on_error` from the request loop's
     ``PlatformError`` handler; both funnel into :meth:`seal`.
 
     ``recipe`` is the experiment's replay recipe (seed + parameters);
@@ -243,14 +242,10 @@ class PostmortemCollector:
 
     # -- incident hooks ----------------------------------------------------------
 
-    def on_anomaly(self, event: AnomalyEvent) -> Optional[PostmortemBundle]:
-        """Anomaly-monitor subscriber: seal on the first flag(s)."""
-        return self.seal(
-            ANOMALY,
-            detail=(f"{event.detector}: value={event.value:.3f} "
-                    f"z={event.score:.1f}"),
-            trace_id=event.trace_id,
-        )
+    def on_breach(self, breach: "slo_mod.SLOBreach"
+                  ) -> Optional[PostmortemBundle]:
+        """Burn-check subscriber: seal on the first breach(es)."""
+        return self.seal(SLO_BREACH, detail=breach.line())
 
     def on_error(self, error: BaseException,
                  trace_id: Optional[str] = None) -> Optional[PostmortemBundle]:
@@ -319,9 +314,9 @@ class PostmortemCollector:
                 _slo_status_dict(s)
                 for s in slo_mod.evaluate_slos(hub.metrics)
             ]
-            if hub.anomaly is not None:
-                payload["anomalies"] = [
-                    e.as_dict() for e in hub.anomaly.events]
+            if hub.burn is not None:
+                payload["breaches"] = [
+                    b.as_dict() for b in hub.burn.breaches]
 
         # Fault schedule provenance + replay recipe.
         recipe = dict(self.recipe)

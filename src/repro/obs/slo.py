@@ -5,29 +5,31 @@ objective); the complement is the error budget. The **burn rate** is
 the observed bad fraction divided by the budget — burn rate 1.0 means
 the service is spending its budget exactly as fast as allowed, >1
 means the objective will be violated if the window's behaviour
-persists. Both SRE-style multi-window alerting and our single-window
-offline evaluation reduce to this one ratio.
+persists.
 
 Two SLO kinds cover the prebake stack's contract:
 
 * ``latency`` — a histogram metric plus a threshold; an observation is
   bad when it lands above the threshold (e.g. cold-start p99 under
-  500 ms means at most 1% of cold starts may exceed 500 ms).
-* ``ratio`` — a failure counter over a total counter (e.g. restore
-  success rate: ``criu_restore_failures_total`` over
-  ``criu_restore_total``).
+  800 ms means at most 1% of cold starts may exceed 800 ms).
+* ``ratio`` — a good counter and a bad counter; the bad fraction is
+  bad / (good + bad) (e.g. restore success rate: failed restores over
+  every attempt, ``criu_restore_total`` counting the successes).
 
 SLOs evaluate against any :class:`~repro.obs.metrics.MetricsRegistry`
 — live (:func:`evaluate_slos` on the world's registry) or rebuilt from
 a metrics JSONL dump (``repro.obs.cli alerts``), so a recorded run can
-be audited without re-simulating it.
+be audited without re-simulating it. :class:`BurnCheck` applies the
+same rule online, one window of simulated time at a time: the one
+definition of unhealthy that incident runs alert on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional
 
+from repro.obs import flight
 from repro.obs.metrics import (
     HISTOGRAM,
     Histogram,
@@ -63,9 +65,9 @@ class SLO:
     name: str
     objective: float                    # good fraction required, e.g. 0.99
     kind: str = LATENCY                 # LATENCY or RATIO
-    metric: str = ""                    # histogram (latency) / total counter (ratio)
+    metric: str = ""                    # histogram (latency) / good counter (ratio)
     threshold_ms: float = 0.0           # latency: bad when above this
-    bad_metric: str = ""                # ratio: the failures counter
+    bad_metric: str = ""                # ratio: the bad counter
     labels: Dict[str, str] = field(default_factory=dict)
     description: str = ""
 
@@ -87,11 +89,11 @@ class SLO:
             if histogram is None or histogram.count == 0:
                 return None
             return histogram.fraction_above(self.threshold_ms)
-        total = registry.value(self.metric, self.labels)
+        bad = registry.value(self.bad_metric, self.labels)
+        total = registry.value(self.metric, self.labels) + bad
         if total <= 0:
             return None
-        bad = registry.value(self.bad_metric, self.labels)
-        return min(1.0, bad / total)
+        return bad / total
 
     def burn_rate(self, registry: MetricsRegistry) -> Optional[float]:
         """Bad fraction over error budget (1.0 = spending exactly on
@@ -133,7 +135,8 @@ COLD_START_P99 = SLO(
     description="99% of cold starts complete within 800 ms",
 )
 
-# Restores: at least 99% of criu restore attempts succeed.
+# Restores: at least 99% of criu restore attempts succeed
+# (``criu_restore_total`` counts the successful ones).
 RESTORE_SUCCESS = SLO(
     name="restore-success-rate",
     objective=0.99,
@@ -152,7 +155,7 @@ CHUNK_CACHE_HIT_RATE = SLO(
     name="chunk-cache-hit-rate",
     objective=0.50,
     kind=RATIO,
-    metric="chunk_cache_lookups_total",
+    metric="chunk_cache_hits_total",
     bad_metric="chunk_cache_misses_total",
     description="at least 50% of restore chunk lookups hit the node cache",
 )
@@ -170,3 +173,98 @@ def evaluate_slos(registry: MetricsRegistry) -> List[SLOStatus]:
             burn_rate=slo.burn_rate(registry),
         ))
     return out
+
+
+# -- online: the same rule per window ------------------------------------------
+
+
+@dataclass(frozen=True)
+class SLOBreach:
+    """One window of simulated time in which an SLO burned over budget."""
+
+    slo: str
+    window_start_ms: float
+    window_end_ms: float
+    bad_fraction: float
+    burn_rate: float
+
+    def as_dict(self) -> Dict[str, object]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, record: Dict[str, object]) -> "SLOBreach":
+        return cls(**record)  # type: ignore[arg-type]
+
+    def line(self) -> str:
+        return (f"{self.slo} window=[{self.window_start_ms:.0f}, "
+                f"{self.window_end_ms:.0f}) bad={self.bad_fraction:.3f} "
+                f"burn={self.burn_rate:.2f}")
+
+
+class BurnCheck:
+    """:func:`evaluate_slos` over each ``window_ms`` window of writes.
+
+    Installed on the telemetry hub (``obs.enable_burn_check``), the
+    metric helpers offer it every write. Writes of the SLOs' metrics
+    land in a registry that holds the current window alone; the first
+    write past the window closes it, and :meth:`flush` closes the last
+    one at end of run. Each SLO breached in a closed window (burn > 1)
+    becomes one :class:`SLOBreach`: kept in ``breaches``, recorded on
+    the flight tape, counted in ``slo_breach_windows_total`` and handed
+    to the subscribers.
+    """
+
+    def __init__(self, hub, window_ms: float) -> None:
+        self.hub = hub
+        self.window_ms = window_ms
+        self.breaches: List[SLOBreach] = []
+        self._subscribers: List[Callable[[SLOBreach], None]] = []
+        self._histograms = {slo.metric for slo in DEFAULT_SLOS
+                            if slo.kind == LATENCY}
+        self._counters = {name for slo in DEFAULT_SLOS if slo.kind == RATIO
+                          for name in (slo.metric, slo.bad_metric)}
+        self._window: Optional[int] = None
+        self._registry = MetricsRegistry()
+
+    def subscribe(self, callback: Callable[[SLOBreach], None]) -> None:
+        self._subscribers.append(callback)
+
+    def offer(self, name: str, at_ms: float, value: float) -> None:
+        """One metric write from the helpers, at simulated ``at_ms``."""
+        index = int(at_ms // self.window_ms)
+        if index != self._window:
+            self.flush()
+            self._window = index
+        if name in self._histograms:
+            self._registry.observe(name, value)
+        elif name in self._counters:
+            self._registry.inc(name, value)
+
+    def flush(self) -> None:
+        """Close the current window, if one is open."""
+        if self._window is None:
+            return
+        start = self._window * self.window_ms
+        for status in evaluate_slos(self._registry):
+            if status.breached:
+                self._emit(SLOBreach(
+                    status.slo.name, start, start + self.window_ms,
+                    status.bad_fraction, status.burn_rate))
+        self._window = None
+        self._registry = MetricsRegistry()
+
+    def _emit(self, breach: SLOBreach) -> None:
+        self.breaches.append(breach)
+        hub = self.hub
+        # Straight to the recorder and registry (not via the obs
+        # helpers), so emitting never re-enters this check.
+        if hub.flight is not None:
+            hub.flight.record(
+                flight.SLO_BREACH, slo=breach.slo,
+                bad_fraction=round(breach.bad_fraction, 6),
+                burn_rate=round(breach.burn_rate, 3),
+                window_start_ms=breach.window_start_ms)
+        hub.metrics.inc("slo_breach_windows_total",
+                        labels={"slo": breach.slo})
+        for subscriber in self._subscribers:
+            subscriber(breach)

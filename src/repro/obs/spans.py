@@ -216,9 +216,6 @@ class Tracer:
             return None
         return self._stack[-1].trace_id
 
-    def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id is None]
-
     def children(self, span: Span) -> List[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 
@@ -227,9 +224,3 @@ class Tracer:
 
     def by_trace(self, trace_id: str) -> List[Span]:
         return [s for s in self.spans if s.trace_id == trace_id]
-
-    def drain(self) -> List[Span]:
-        """Return all finished spans and clear the buffer (active spans
-        survive — the trace continues into the next drain window)."""
-        drained, self.spans = self.spans, []
-        return drained

@@ -125,7 +125,7 @@ class TimeseriesTable:
     """Per-metric :class:`WindowedSeries`, fed by the obs helpers.
 
     ``window_ms`` is the table's default rollup width (postmortems and
-    anomaly watches share it so their windows line up). Series are
+    the SLO burn check share it so their windows line up). Series are
     keyed by metric name only — rollups are platform-level curves, and
     label fan-out belongs to the registry.
     """

@@ -98,11 +98,6 @@ class PageCache:
         target = int(round(entry.total_pages * max(0.0, min(1.0, fraction))))
         entry.resident_pages = max(entry.resident_pages, target)
 
-    def evict(self, file: VirtualFile) -> None:
-        entry = self._entries.get(file.path)
-        if entry is not None:
-            entry.resident_pages = 0
-
     def warmth(self, file: VirtualFile) -> float:
         entry = self._entries.get(file.path)
         if entry is None or entry.total_pages == 0:

@@ -50,7 +50,7 @@ class Kernel:
         self.probes = ProbeRegistry()
         # Telemetry hub (repro.obs.Observability) or None — the only
         # telemetry switch: spans, metrics, flight tape, phase profile,
-        # time series and anomaly monitor all live on it. Instrumented
+        # time series and SLO burn check all live on it. Instrumented
         # code treats None as "telemetry off" and pays nothing.
         self.obs = None
         # Fault injector (repro.faults.FaultInjector) or None; site
@@ -60,8 +60,8 @@ class Kernel:
         # or None; installed lazily by the first WORKING_SET restore so
         # eager-only worlds never pay for (or observe) it.
         self.working_sets = None
-        # The process table holds live processes and unreaped zombies; a
-        # reaped pid leaves it (see _reap) and is remembered in _reaped.
+        # The process table holds live processes; a killed pid leaves
+        # it (see _reap) and is remembered in _reaped.
         self.processes: Dict[int, Process] = {}
         self._reaped: Set[int] = set()
         self._next_pid = 100
@@ -155,31 +155,6 @@ class Kernel:
                    populate=True, content_tag="stack")
         self.page_cache.warm(binary, fraction=1.0)
 
-    def exit(self, proc: Process) -> None:
-        """``exit_group(2)``."""
-        if proc.state is ProcessState.DEAD:
-            return
-        self._charge("exit_group", proc.pid, 0.05)
-        proc.state = ProcessState.ZOMBIE
-        proc.exit_code = 0
-        for thread in proc.threads:
-            thread.state = ThreadState.STOPPED
-        parent = self.processes.get(proc.ppid)
-        if parent is None or not parent.alive:
-            self._reap(proc)
-
-    def wait(self, parent: Process, pid: int) -> int:
-        """``waitpid(2)``: reap a zombie child, returning its exit code."""
-        child = self.get(pid)
-        if child.ppid != parent.pid:
-            raise KernelError(f"pid {pid} is not a child of {parent.pid}")
-        if child.state is not ProcessState.ZOMBIE:
-            raise KernelError(f"pid {pid} has not exited")
-        code = child.exit_code or 0
-        self._reap(child)
-        parent.children.remove(pid)
-        return code
-
     def kill(self, pid: int) -> None:
         """``SIGKILL``: terminate and reap immediately (platform GC path).
 
@@ -188,7 +163,6 @@ class Kernel:
         if pid in self._reaped:
             return
         proc = self.get(pid)
-        proc.exit_code = -9
         self._reap(proc)
         parent = self.processes.get(proc.ppid)
         if parent and pid in parent.children:

@@ -70,9 +70,6 @@ class NamespaceSet:
         """Serializable view, used by checkpoint images."""
         return {kind.value: ns.ns_id for kind, ns in self._namespaces.items()}
 
-    def matches(self, ids: Dict[str, int]) -> bool:
-        return self.ids() == ids
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NamespaceSet):
             return NotImplemented

@@ -22,7 +22,6 @@ class ProcessState(Enum):
     RUNNING = "running"
     FROZEN = "frozen"          # cgroup freezer engaged (checkpoint prep)
     TRACED = "traced"          # under ptrace seize
-    ZOMBIE = "zombie"
     DEAD = "dead"
     RESTORING = "restoring"    # morphing from a checkpoint image
 
@@ -31,7 +30,6 @@ class ThreadState(Enum):
     RUNNING = "running"
     SLEEPING = "sleeping"
     FROZEN = "frozen"
-    STOPPED = "stopped"
 
 
 class Capability(Enum):
@@ -72,7 +70,6 @@ class Process:
         self.comm = comm
         self.argv = list(argv or [comm])
         self.state = ProcessState.RUNNING
-        self.exit_code: Optional[int] = None
         self.address_space = AddressSpace()
         self.namespaces = namespaces or NamespaceSet()
         self.capabilities: Set[Capability] = set(capabilities or ())

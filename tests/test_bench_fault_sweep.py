@@ -1,7 +1,8 @@
 """The fault sweep: X9 incident acceptance, postmortems and replay.
 
 * a seeded incident run with injected ``restore.fail`` seals >= 1
-  postmortem bundle and the detector flags the injected-fault window;
+  postmortem bundle, and the SLO burn check flags restore success in
+  the injected-fault window and nothing else;
 * a clean run (fault rate 0) flags nothing and seals nothing;
 * a bundle's recipe replays exactly the world it came from — for every
   preset — reproducing its fault-schedule digest, and in the process
@@ -36,16 +37,15 @@ def _fault_window(run):
     return run.phase_bounds_ms[1]
 
 
-def _anomalies_within(run, start_ms, end_ms):
+def _breaches_within(run, start_ms, end_ms):
     """Flags whose window overlaps ``[start_ms, end_ms)``."""
-    return [e for e in run.anomalies
-            if e.window_end_ms > start_ms and e.window_start_ms < end_ms]
+    return [b for b in run.breaches
+            if b.window_end_ms > start_ms and b.window_start_ms < end_ms]
 
 
-def _anomaly_signature(run):
+def _breach_signature(run):
     """Order-stable fingerprint of a run's flags."""
-    return [(e.detector, e.metric, round(e.at_ms, 6), round(e.value, 9),
-             round(e.score, 6)) for e in run.anomalies]
+    return [b.as_dict() for b in run.breaches]
 
 
 class TestInjectedFaultRun:
@@ -57,15 +57,17 @@ class TestInjectedFaultRun:
             assert bundle.replay["fault_site"] == "restore.fail"
             assert bundle.replay["seed"] == 42
 
-    def test_detector_flags_the_fault_window(self, tmp_path_factory):
+    def test_burn_check_flags_the_fault_window(self, tmp_path_factory):
         run = _run(tmp_path_factory).cells[0]
-        flagged = _anomalies_within(run, *_fault_window(run))
-        assert flagged
-        detectors = {e.detector for e in flagged}
-        assert "cold-start-latency" in detectors
-        assert "restore-failure-rate" in detectors
+        flagged = _breaches_within(run, *_fault_window(run))
         # Warmup stayed quiet: every flag overlaps the fault interval.
-        assert len(flagged) == len(run.anomalies)
+        assert flagged == run.breaches
+        assert [(b.slo, b.window_start_ms, b.window_end_ms)
+                for b in flagged] == [
+            ("restore-success-rate", 2500.0, 3000.0),
+            ("restore-success-rate", 3000.0, 3500.0)]
+        # Fallback cold starts take ~135 ms, inside the 800 ms bound.
+        assert max(run.cold_waits_ms) < 800.0
 
     def test_fallback_absorbs_the_faults(self, tmp_path_factory):
         run = _run(tmp_path_factory).cells[0]
@@ -77,13 +79,13 @@ class TestInjectedFaultRun:
         kinds = [e["kind"] for e in run.flight_events]
         assert "fault.injected" in kinds
         assert "restore.failed" in kinds
-        assert "anomaly.detected" in kinds
+        assert "slo.breach" in kinds
 
-    def test_replay_reproduces_digest_and_anomalies(self, tmp_path_factory):
+    def test_replay_reproduces_digest_and_breaches(self, tmp_path_factory):
         run = _run(tmp_path_factory).cells[0]
         replayed = fault_sweep.replay_recipe(run.bundles[0].replay)
         assert replayed.schedule_digests == run.schedule_digests
-        assert _anomaly_signature(replayed) == _anomaly_signature(run)
+        assert _breach_signature(replayed) == _breach_signature(run)
         assert len(replayed.bundles) == len(run.bundles)
 
 
@@ -92,17 +94,24 @@ class TestCleanRun:
         run = fault_sweep.run("incident", seed=42, fault_rate=0.0,
                               fault_requests=2,
                               cooldown_requests=0).cells[0]
-        assert run.anomalies == []
+        assert run.breaches == []
         assert run.bundles == []
         assert run.failed == 0
         assert run.faults_fired == 0
+
+    def test_clean_report_says_no_slo_breached(self):
+        text = fault_sweep.run("incident", seed=42, fault_rate=0.0,
+                               fault_requests=2,
+                               cooldown_requests=0).render()
+        assert "no SLO breached" in text
+        assert "postmortem bundles sealed: 0" in text
 
 
 class TestRenderAndCli:
     def test_render_mentions_the_flags(self, tmp_path_factory):
         result = _run(tmp_path_factory)
         text = result.render()
-        assert "cold-start-latency" in text
+        assert "restore-success-rate" in text
         assert "fault schedule digest" in text
         assert (f"postmortem bundles sealed: {len(result.cells[0].bundles)}"
                 in text)
@@ -132,6 +141,11 @@ class TestRenderAndCli:
     def test_run_rejects_parameters_of_another_preset(self):
         with pytest.raises(TypeError, match="node_down_ms"):
             fault_sweep.run("chaos", node_down_ms=1.0)
+
+    def test_incident_takes_no_z_threshold(self):
+        # The SLO objective is the only threshold.
+        with pytest.raises(TypeError, match="z_threshold"):
+            fault_sweep.run("incident", z_threshold=6.0)
 
     def test_incident_takes_no_repetitions(self):
         # One long-lived world: repeating it would re-run the same world.
@@ -205,7 +219,7 @@ class TestReplayRecipe:
         replayed = fault_sweep.replay_recipe(recipe)
         assert replayed.schedule_digests == run.schedule_digests
         assert replayed.phase_bounds_ms == run.phase_bounds_ms
-        assert _anomaly_signature(replayed) == _anomaly_signature(run)
+        assert _breach_signature(replayed) == _breach_signature(run)
 
     def test_replay_in_the_sealing_process_is_byte_identical(
             self, tmp_path_factory):

@@ -5,10 +5,12 @@ Callers count only in the program's own trees: ``src/``, ``perfbench/``,
 below them. Tests do not make code live. Two rules:
 
 * **Definitions.** Every ``def`` and ``class`` under ``src/repro``
-  (methods and nested definitions included, dunders skipped) must have
-  its name appear as an identifier in a caller file, other than on its
-  own definition line. The match is textual, so a name reached only
-  through a string (``getattr``, a dispatch table) counts.
+  (methods and nested definitions included, dunders skipped) must be
+  referenced in a caller file's syntax tree: as a name, an attribute,
+  an import, a keyword, or a word of a string constant, so a name
+  reached through ``getattr``, a dispatch table or generated code
+  counts. Docstrings and other bare strings, comments and ``__all__``
+  are prose, not references.
 * **Parameters.** Every parameter with a default must be passed by some
   caller, by keyword or by position. Calls are matched by callee name
   (``f(...)`` or ``x.f(...)``); a class's ``__init__`` matches calls of
@@ -48,6 +50,10 @@ REASONS = frozenset({ORACLE, REAL_BINARY, SEAM_CLOCK, SEAM_STREAM,
 ALLOWED: Dict[str, str] = {
     # Rebuilds an image from chunks alone: dedup-is-lossless checks.
     "repro.core.store.SnapshotStore.materialize": ORACLE,
+    # X9's replay claim: a bundle's recipe re-runs to the same digest.
+    "repro.bench.fault_sweep.replay_recipe": ORACLE,
+    # Page-by-page construction the run-length seal must equal.
+    "repro.criu.images.VMADescriptor.from_pages": ORACLE,
     # The calibrated closed forms the JVM's per-class loader must match.
     "repro.sim.costmodel.CostModel.cold_load_cost": ORACLE,
     "repro.sim.costmodel.CostModel.restored_load_cost": ORACLE,
@@ -185,20 +191,48 @@ def _passes(call: Call, position: Optional[int], param: str) -> bool:
     return position is not None and position < call.positional
 
 
+def _is_prose(node: ast.AST) -> bool:
+    """A bare string statement (docstring) or an ``__all__`` listing."""
+    if isinstance(node, ast.Expr):
+        return (isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str))
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AugAssign,
+                                                       ast.AnnAssign))
+               else [])
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def references(node: ast.AST) -> Iterator[str]:
+    """Every identifier ``node``'s code refers to, prose left out."""
+    for child in ast.iter_child_nodes(node):
+        if _is_prose(child):
+            continue
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield from IDENTIFIER.findall(f"{child.name} {child.asname}")
+        elif isinstance(child, ast.ImportFrom):
+            yield from IDENTIFIER.findall(child.module or "")
+        elif isinstance(child, ast.keyword) and child.arg:
+            yield child.arg
+        elif (isinstance(child, ast.Constant)
+              and isinstance(child.value, str)):
+            yield from IDENTIFIER.findall(child.value)
+        yield from references(child)
+
+
 def unreached(root: pathlib.Path) -> Tuple[List[str], List[str]]:
     """(definitions, ``definition(param)``s) no caller file reaches."""
     defs = definitions(root / "src" / "repro")
     files = caller_files(root)
-    uses: collections.Counter = collections.Counter()
-    names = {d.name for d in defs if d.name != "__init__"}
+    used = set()
     for path in files:
-        for token in IDENTIFIER.findall(path.read_text(encoding="utf-8")):
-            if token in names:
-                uses[token] += 1
-    # Each definition's own ``def name`` / ``class name`` is one use.
-    own = collections.Counter(d.name for d in defs)
+        used.update(references(ast.parse(path.read_text(encoding="utf-8"))))
     dead = sorted(d.qualname for d in defs
-                  if d.name != "__init__" and uses[d.name] <= own[d.name])
+                  if d.name != "__init__" and d.name not in used)
     skip = set(dead)  # their parameters go with them
     by_callee = calls(files)
     params = []
@@ -359,6 +393,41 @@ def test_checker_counts_a_name_reached_only_through_a_string(tmp_path):
     dead, params = unreached(root)
     assert dead == []
     assert params == []
+
+
+LIVE = "used(1, True, mode='y')\nThing(2, clock=3)\n"
+
+
+@pytest.mark.parametrize("prose", [
+    '"""Calls only_tested() in its docstring."""\n',
+    'def main():\n    """only_tested() again."""\n\n\nmain()\n',
+    '# only_tested()\n',
+    '__all__ = ["only_tested"]\n',
+    '__all__: list = []\n__all__ += ["only_tested"]\n',
+], ids=["module-docstring", "function-docstring", "comment", "all",
+        "all-extended"])
+def test_checker_flags_a_name_found_only_in_prose(tmp_path, prose):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB,
+        "src/repro/main.py": prose + LIVE,
+    })
+    dead, _ = unreached(root)
+    assert dead == ["repro.lib.only_tested"]
+
+
+@pytest.mark.parametrize("code", [
+    "import repro.lib as lib\nlib.only_tested()\n",
+    "from repro.lib import only_tested as run\nrun()\n",
+    "print(f\"{only_tested()!r:>8}\")\n",
+    "dict(only_tested=1)\n",
+], ids=["attribute", "import", "f-string", "keyword"])
+def test_checker_counts_each_kind_of_code_reference(tmp_path, code):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB,
+        "src/repro/main.py": code + LIVE,
+    })
+    dead, _ = unreached(root)
+    assert dead == []
 
 
 @pytest.mark.parametrize("caller", [

@@ -15,10 +15,16 @@ from repro.obs.fleet import (
     ColdStartAttribution,
     FleetError,
     SpaceSavingSketch,
-    bucket_width,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import SUBBUCKETS, Histogram, MetricsRegistry
 from repro.obs.slo import merged_histogram
+
+
+def bucket_width(value: float) -> float:
+    """Width of the log-linear bucket holding ``value``: the quantile
+    error bound of one merged-histogram read."""
+    _mantissa, exponent = math.frexp(value)
+    return math.ldexp(1.0, exponent - 1) / SUBBUCKETS
 
 
 class TestSpaceSavingSketch:
@@ -288,12 +294,3 @@ class TestColdStartAttribution:
         assert clone.as_dict() == attribution.as_dict()
         assert clone.total_ms == attribution.total_ms
 
-
-class TestBucketWidth:
-    def test_nonpositive_is_zero(self):
-        assert bucket_width(0.0) == 0.0
-        assert bucket_width(-1.0) == 0.0
-
-    def test_scales_with_magnitude(self):
-        assert bucket_width(100.0) == pytest.approx(64.0 / 32)
-        assert bucket_width(1.0) < bucket_width(1000.0)

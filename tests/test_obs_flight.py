@@ -87,7 +87,7 @@ class TestEventRoundTrip:
         # Postmortems and dashboards key on these strings.
         assert "restore.failed" in EVENT_KINDS
         assert "fault.injected" in EVENT_KINDS
-        assert "anomaly.detected" in EVENT_KINDS
+        assert "slo.breach" in EVENT_KINDS
 
 
 class TestRingEviction:

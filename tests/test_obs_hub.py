@@ -7,7 +7,7 @@ Two claims are pinned here:
   installs the hub, so a tape installed "first" still correlates
   events and counts its drops;
 * installing every layer at once (hub, tape, profiler, time series,
-  anomaly monitor) leaves a platform run that combines sharding, node
+  SLO burn check) leaves a platform run that combines sharding, node
   caches, prewarming and restore faults bit-identical to the same run
   unobserved.
 """
@@ -22,8 +22,8 @@ from repro.predict.policy import PrewarmConfig
 
 
 def _fault_plan(probability: float) -> FaultPlan:
-    return FaultPlan().with_spec(
-        FaultSpec(site=RESTORE_FAIL, probability=probability))
+    return FaultPlan(specs={
+        RESTORE_FAIL: FaultSpec(site=RESTORE_FAIL, probability=probability)})
 
 
 class TestSingleSwitch:
@@ -67,7 +67,7 @@ def _combined_run(observed: bool):
         obs.install_flight(kernel)
         obs.profile.install(kernel)
         obs.enable_timeseries(kernel)
-        obs.enable_anomaly(kernel)
+        obs.enable_burn_check(kernel, window_ms=500.0)
     platform = FaaSPlatform(kernel, PlatformConfig(
         nodes=2, storage_nodes=4, replication_factor=2,
         prewarm=PrewarmConfig(policy="histogram")))
@@ -117,4 +117,5 @@ class TestBehaviourNeutral:
         assert any(e.kind == obs.flight.RESTORE_RETRY
                    for e in hub.flight.events())
         assert hub.timeseries.names()
+        assert hub.burn.breaches
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro import faults, make_world, obs
 from repro.faults.errors import PlatformError
 from repro.faults.model import FaultPlan
@@ -18,7 +20,7 @@ def _incident_world(seed=13):
     kernel = make_world(seed=seed, observe=True).kernel
     obs.install_flight(kernel)
     obs.enable_timeseries(kernel, window_ms=100.0)
-    obs.enable_anomaly(kernel, window_ms=100.0, latency_warmup=3)
+    obs.enable_burn_check(kernel, window_ms=100.0)
     faults.install(kernel, FaultPlan())
     with obs.span(kernel, "router.route", function="markdown") as span:
         obs.record(kernel, "request.admitted", function="markdown",
@@ -53,19 +55,33 @@ class TestSealing:
             kernel.faults.schedule_digest()
         assert bundle.replay["seed"] == 13
 
-    def test_on_anomaly_bundle_carries_the_event(self):
+    def test_on_breach_bundle_carries_the_breach(self):
         kernel, _ = _incident_world()
-        monitor = kernel.obs.anomaly
         collector = PostmortemCollector(kernel, seed=13, label="unit")
-        monitor.subscribe(collector.on_anomaly)
-        for _ in range(3):
-            obs.observe(kernel, "router_cold_start_wait_ms", 50.0)
-        obs.observe(kernel, "router_cold_start_wait_ms", 500.0)
+        kernel.obs.burn.subscribe(collector.on_breach)
+        obs.observe(kernel, "router_cold_start_wait_ms", 50.0)
+        obs.observe(kernel, "router_cold_start_wait_ms", 5_000.0)
+        assert collector.bundles == []  # the window is still open
+        kernel.clock.advance(100.0)
+        obs.count(kernel, "criu_restore_total")  # closes it
         (bundle,) = collector.bundles
-        assert bundle.kind == "anomaly"
-        (anomaly,) = bundle.anomalies
-        assert anomaly.detector == "cold-start-latency"
-        assert anomaly.value == 500.0
+        assert bundle.kind == "slo-breach"
+        (breach,) = bundle.breaches
+        assert breach.slo == "cold-start-p99"
+        assert breach.bad_fraction == 0.5
+        assert breach.burn_rate == pytest.approx(50.0)
+        assert breach.window_end_ms - breach.window_start_ms == 100.0
+        assert "cold-start-p99" in bundle.reason["detail"]
+        assert "SLO BREACHES (1)" in bundle.render()
+
+    def test_bundle_of_a_world_without_the_burn_check_has_no_breaches(self):
+        kernel = make_world(seed=13, observe=True).kernel
+        obs.install_flight(kernel)
+        bundle = PostmortemCollector(kernel, label="unit").on_error(
+            PlatformError("boom"))
+        assert "breaches" not in bundle.payload
+        assert bundle.breaches == []
+        assert "SLO BREACHES" not in bundle.render()
 
     def test_max_bundles_suppresses_but_counts(self):
         kernel, trace_id = _incident_world()
@@ -87,6 +103,14 @@ class TestPersistence:
         loaded = PostmortemBundle.load(path)
         assert loaded.payload == collector.bundles[0].payload
         assert json.loads(loaded.to_json()) == loaded.payload
+
+    def test_load_refuses_another_schema(self):
+        kernel, trace_id = _incident_world()
+        bundle = PostmortemCollector(kernel, label="unit").on_error(
+            PlatformError("boom"), trace_id=trace_id)
+        payload = dict(bundle.payload, schema=1)  # an older format
+        with pytest.raises(ValueError, match="unsupported postmortem schema"):
+            PostmortemBundle.load(json.dumps(payload))
 
     def test_load_bundles_directory_order(self, tmp_path):
         kernel, trace_id = _incident_world()

@@ -85,24 +85,15 @@ class TestPageCache:
         cache.warm(f, fraction=5.0)
         assert cache.warmth(f) == 1.0
 
-    def test_evict(self):
-        cache = PageCache()
-        f = VirtualFile("/f", size=4096)
-        cache.warm(f)
-        cache.evict(f)
-        assert cache.warmth(f) == 0.0
-
     def test_partial_page_counts_as_a_page(self):
         cache = PageCache()
         f = VirtualFile("/f", size=4096 + 1)
         cache.warm(f, fraction=0.5)
         assert cache.warmth(f) == pytest.approx(0.5)
 
-    def test_evict_unknown_file_is_noop(self):
+    def test_unread_file_is_cold(self):
         cache = PageCache()
-        f = VirtualFile("/never-read", size=4096)
-        cache.evict(f)
-        assert cache.warmth(f) == 0.0
+        assert cache.warmth(VirtualFile("/never-read", size=4096)) == 0.0
 
     def test_entries_are_keyed_by_path(self):
         cache = PageCache()

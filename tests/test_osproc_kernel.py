@@ -93,33 +93,7 @@ class TestExec:
         assert kernel.page_cache.warmth(binary) == 1.0
 
 
-class TestExitWaitKill:
-    def test_exit_makes_zombie(self, kernel):
-        child = kernel.clone(kernel.init_process)
-        kernel.exit(child)
-        assert child.state is ProcessState.ZOMBIE
-        assert child.exit_code == 0
-
-    def test_wait_reaps_and_returns_code(self, kernel):
-        child = kernel.clone(kernel.init_process)
-        kernel.exit(child)
-        code = kernel.wait(kernel.init_process, child.pid)
-        assert code == 0
-        assert child.state is ProcessState.DEAD
-        assert child.pid not in kernel.init_process.children
-
-    def test_wait_on_running_child_rejected(self, kernel):
-        child = kernel.clone(kernel.init_process)
-        with pytest.raises(KernelError, match="has not exited"):
-            kernel.wait(kernel.init_process, child.pid)
-
-    def test_wait_on_non_child_rejected(self, kernel):
-        a = kernel.clone(kernel.init_process)
-        b = kernel.clone(a)
-        kernel.exit(b)
-        with pytest.raises(KernelError, match="not a child"):
-            kernel.wait(kernel.init_process, b.pid)
-
+class TestKill:
     def test_kill_releases_memory(self, kernel):
         child = kernel.clone(kernel.init_process)
         child.address_space.grow_anon("heap", 4.0)

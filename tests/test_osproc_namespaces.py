@@ -32,8 +32,8 @@ class TestNamespaceSet:
         ns = NamespaceSet()
         ids = ns.ids()
         assert set(ids) == {k.value for k in NamespaceKind}
-        assert ns.matches(ids)
-        assert not ns.matches({**ids, "pid": -1})
+        assert ids == NamespaceSet(
+            {k: ns.get(k) for k in NamespaceKind}).ids()
 
     def test_equality_and_hash(self):
         ns = NamespaceSet()

@@ -30,7 +30,6 @@ class TestProcess:
         (ProcessState.FROZEN, True),
         (ProcessState.TRACED, True),
         (ProcessState.RESTORING, True),
-        (ProcessState.ZOMBIE, False),
         (ProcessState.DEAD, False),
     ])
     def test_alive_by_state(self, state, alive):

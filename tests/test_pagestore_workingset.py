@@ -65,13 +65,13 @@ class TestPageStore:
         cid = a.chunk_ids[0]
         # A uniform heap dedups within one image too: every 64-page
         # window references the same stored chunk.
-        rc_one = store.refcount(cid)
+        rc_one = store._refs.get(cid, 0)
         assert rc_one >= 1
         b = layer_image(dump_process(kernel, 1.0), store)
-        assert store.refcount(cid) == 2 * rc_one
+        assert store._refs.get(cid, 0) == 2 * rc_one
         for ref in b.chunk_refs:
             store.release(ref.chunk_id)
-        assert store.refcount(cid) == rc_one
+        assert store._refs.get(cid, 0) == rc_one
         for ref in a.chunk_refs:
             store.release(ref.chunk_id)
         assert not store.contains(cid)

@@ -65,11 +65,6 @@ class TestWarmPool:
         # 2 idle replicas x ~13 MiB x 1000 ms.
         assert cost == pytest.approx(2 * 13.0 * 1000.0, rel=0.1)
 
-    def test_drain_kills_idle(self, pool):
-        pool.refill()
-        assert pool.drain() == 2
-        assert pool.idle_count == 0
-
     def test_zero_size_pool_always_misses(self, kernel):
         pool = WarmPool(kernel, VanillaStarter(kernel), NoopFunction, size=0)
         pool.refill()

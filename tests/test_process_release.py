@@ -22,7 +22,6 @@ from repro.faas.autoscaler import AutoscalerConfig
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.functions.base import make_app
 from repro.osproc.memory import VMA, SlowVMA
-from repro.osproc.process import ProcessState
 from repro.runtime.base import Request
 
 APPS = ["noop", "py-noop", "node-noop"]  # jvm, python, nodejs
@@ -70,24 +69,6 @@ def test_killed_process_frees_runtime_loader_and_mappings(
     assert _alive(refs) == []
     assert pid not in kernel.processes
     kernel.kill(pid)  # a reaped pid stays a no-op
-
-
-@pytest.mark.parametrize("name", APPS)
-def test_waited_zombie_frees_on_wait_not_before(no_cyclic_gc, name):
-    kernel = make_world(seed=3).kernel
-    pid, refs = _start(kernel, name, "prebake")
-    proc = kernel.processes[pid]
-    init = kernel.init_process
-    assert proc.ppid == init.pid
-    kernel.exit(proc)
-    assert proc.state is ProcessState.ZOMBIE
-    assert kernel.processes[pid] is proc
-    assert len(_alive(refs)) == len(refs)
-    assert proc.address_space.vmas
-    assert kernel.wait(init, pid) == 0
-    assert proc.state is ProcessState.DEAD
-    assert pid not in kernel.processes
-    assert _alive(refs) == []
 
 
 def _churn(kernel, requests=300, seed=1):

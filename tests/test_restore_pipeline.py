@@ -321,6 +321,11 @@ class TestChunkCacheSLO:
         (status,) = [s for s in evaluate_slos(registry)
                      if s.slo is CHUNK_CACHE_HIT_RATE]
         assert status.burn_rate is not None
+        # Hits over hits + misses is the lookups' miss share, unchanged.
+        assert status.bad_fraction == (
+            registry.value("chunk_cache_misses_total")
+            / registry.value("chunk_cache_lookups_total"))
+        assert 0.0 < status.bad_fraction < 1.0
 
 
 # ---------------------------------------------------------------------------

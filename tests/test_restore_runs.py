@@ -245,7 +245,7 @@ def test_layering_registers_runs_as_the_per_window_walk_did(fleet, chunk_pages):
     # One add per run of equal windows, not one per window.
     assert 0 < calls.count(True) < calls.count(False)
     for cid in list(by_runs._refs):
-        for _ in range(by_runs.refcount(cid)):
+        for _ in range(by_runs._refs[cid]):
             by_runs.release(cid)
     assert by_runs.chunk_count == 0
 
