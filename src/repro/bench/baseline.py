@@ -1,4 +1,4 @@
-"""Continuous-performance gate: recorded baselines + noise-aware compare.
+"""Continuous-performance gate: recorded baselines + an exact compare.
 
 The paper's reproduced numbers (fig3 start-up medians, restore-sweep
 latencies, chaos recovery percentiles) are this repo's contract; the
@@ -6,18 +6,17 @@ gate turns them into a ratchet. ``record`` runs a smoke-sized bench
 and writes a ``BENCH_<name>.json`` baseline — p50/p99/mean plus a
 bootstrap CI per metric, together with the seed and repetition count
 that produced them. ``compare`` re-runs the bench *at the baseline's
-recorded seed and size* and flags any metric that moved beyond a
-noise-aware threshold, exiting nonzero so CI fails the build.
+recorded seed and size* and fails unless every recorded field of
+every metric matches bit for bit, with no metric missing or new.
 
-Everything here is deterministic: an identical-seed re-run reproduces
-the baseline bit-for-bit, so the tolerance only absorbs *intentional*
-model drift (cost-model recalibration) — silent regressions of 20% or
-more always trip.
+Every gated value is a pure function of the seed, so any delta, in
+either direction, is a change to the model. Accepting one is a
+re-seal: an explicit ``record`` plus a CHANGES.md line.
 
     PYTHONPATH=src python -m repro.bench.baseline record            # all benches
     PYTHONPATH=src python -m repro.bench.baseline compare fig3      # gate one
 
-Exit codes: 0 clean, 2 regression detected, 3 usage/missing baseline.
+Exit codes: 0 identical, 2 any difference, 3 usage/missing baseline.
 """
 
 from __future__ import annotations
@@ -35,17 +34,12 @@ from repro.bench.stats import bootstrap_median_ci, quantile
 SCHEMA_VERSION = 1
 DEFAULT_DIR = "benchmarks/baselines"
 
-# Relative drift allowed before a metric counts as regressed. The
-# effective threshold per metric is max(tolerance, the baseline's own
-# relative CI half-width) capped at TOLERANCE_CAP — so noisy metrics
-# get headroom proportional to their measured noise, while nothing can
-# drift 20% without tripping the gate.
-DEFAULT_TOLERANCE = 0.10
-TOLERANCE_CAP = 0.15
-P99_TOLERANCE_FACTOR = 2.0  # tails are noisier than medians
-
+# Which way a metric improves. The gate fails on a change either way;
+# the direction only labels a delta "better" or "worse".
 LOWER = "lower"    # smaller is better (latencies)
 HIGHER = "higher"  # bigger is better (success rates, dedup ratios)
+
+FIELDS = ("p50", "p99", "mean", "n", "ci_low", "ci_high")  # all gated
 
 
 @dataclass
@@ -180,19 +174,19 @@ def collect_kernel_throughput(repetitions: int, seed: int) -> Metrics:
     """Kernel events/sec: vectorized backend vs per-page reference (X11).
 
     Both passes run back to back on the same machine, so the *ratio*
-    travels across machines while raw events/sec does not. Two things
-    are gated:
+    travels across machines while raw events/sec does not. Two values
+    are recorded, and the gate holds both exactly:
 
     * ``kernel/events_total`` — the deterministic event count of one
       workload pass; identical on every machine and every backend, so
-      any drift means the simulated workload itself changed.
+      any change means the simulated workload itself changed.
     * ``kernel/speedup_vs_floor`` — best-of-N speedup clamped at the
-      hard floor (``min(speedup / SPEEDUP_HARD_FLOOR, 1.0)``). Records
-      1.0 while the vectorized kernel clears the floor with margin;
-      only an actual drop toward/below ~4x moves the metric, so normal
-      wall-clock noise (the raw ratio swings +/-20% run to run) cannot
-      trip the gate. The unclamped ratio lands in the profile artifact
-      the CI job uploads, not in the baseline.
+      hard floor (``min(speedup / SPEEDUP_HARD_FLOOR, 1.0)``). It is
+      exactly 1.0 while the vectorized kernel clears the floor, so
+      exact equality with the sealed 1.0 *is* the floor check, and
+      wall-clock noise above the floor (the raw ratio swings +/-20%
+      run to run) never reaches the gate. The unclamped ratio lands
+      in the profile artifact the CI job uploads, not in the baseline.
     """
     from repro.bench.kernelbench import SPEEDUP_HARD_FLOOR, kernel_bench
     best_speedup = 0.0
@@ -214,8 +208,8 @@ def collect_fleet(repetitions: int, seed: int) -> Metrics:
 
     Everything recorded here is a deterministic function of the seed
     (numpy PCG64 streams, no wall clocks), so a same-seed re-run
-    reproduces every value exactly; tolerance only absorbs legitimate
-    model recalibration. ``fleet/requests_total`` and
+    reproduces every value exactly and the gate fails on any delta.
+    ``fleet/requests_total`` and
     ``fleet/stitched_nodes`` double as structural guards: the request
     count pins the synthesized trace and the stitched-node count pins
     the cross-node span tree of the embedded exemplar.
@@ -296,10 +290,13 @@ class Bench:
     collect: Callable[[int, int], Metrics]
     default_repetitions: int
     default_seed: int = 42
+    min_repetitions: int = 1
 
 
 BENCHES: Dict[str, Bench] = {
-    "fig3": Bench("fig3", collect_fig3, default_repetitions=20),
+    # Figure 3 runs a Shapiro-Wilk test (n >= 3) on each sample.
+    "fig3": Bench("fig3", collect_fig3, default_repetitions=20,
+                  min_repetitions=3),
     "restore-sweep": Bench("restore-sweep", collect_restore_sweep,
                            default_repetitions=20),
     "restore-pipeline": Bench("restore-pipeline", collect_restore_pipeline,
@@ -357,72 +354,49 @@ def load_baseline(path: pathlib.Path) -> Tuple[Dict[str, object], Metrics]:
 
 
 @dataclass
-class Regression:
-    """One metric that moved beyond its allowed envelope."""
+class Mismatch:
+    """One recorded field of a metric that the re-run did not reproduce."""
 
     metric: str
-    statistic: str          # "p50" or "p99"
-    baseline: float
-    current: float
-    change_pct: float       # signed, positive = worse
-    allowed_pct: float
+    field: str                  # one of FIELDS
+    baseline: Optional[float]
+    current: Optional[float]
+    direction: str
 
+    @property
+    def delta(self) -> Optional[float]:
+        """Signed current - baseline (None when a CI bound came or went)."""
+        if self.baseline is None or self.current is None:
+            return None
+        return self.current - self.baseline
 
-def _allowed_fraction(base: MetricBaseline, tolerance: float) -> float:
-    rel_ci = 0.0
-    if base.ci_low is not None and base.ci_high is not None and base.p50 > 0:
-        rel_ci = (base.ci_high - base.ci_low) / 2.0 / base.p50
-    return min(TOLERANCE_CAP, max(tolerance, rel_ci))
-
-
-def _check(metric: str, statistic: str, direction: str, base_value: float,
-           cur_value: float, allowed: float) -> Optional[Regression]:
-    if base_value <= 0:
-        return None  # no meaningful relative comparison
-    change = (cur_value - base_value) / base_value
-    worse = change if direction == LOWER else -change
-    if worse > allowed:
-        return Regression(
-            metric=metric, statistic=statistic,
-            baseline=base_value, current=cur_value,
-            change_pct=100.0 * worse, allowed_pct=100.0 * allowed,
-        )
-    return None
+    @property
+    def verdict(self) -> str:
+        """The delta read by the metric's direction; any verdict fails."""
+        if self.delta is None:
+            return "changed"
+        return "better" if (self.delta < 0) == (self.direction == LOWER) \
+            else "worse"
 
 
 def compare_metrics(baseline: Metrics, current: Metrics,
-                    tolerance: float = DEFAULT_TOLERANCE,
-                    ) -> Tuple[List[Regression], List[str]]:
-    """Regressions plus baseline metrics missing from the current run.
-
-    Metrics new in ``current`` are ignored (a growing bench is not a
-    regression); metrics that *disappeared* are reported as missing —
-    a gate must never pass because the measurement vanished.
+                    ) -> Tuple[List[Mismatch], List[str], List[str]]:
+    """Fields that differ, metrics missing from the current run, and
+    metrics new to it. Any of the three fails the gate: a gate must not
+    pass because a measurement vanished, and ``record`` seals a new one.
     """
-    regressions: List[Regression] = []
-    missing: List[str] = []
-    for key in sorted(baseline):
-        base = baseline[key]
-        cur = current.get(key)
-        if cur is None:
-            missing.append(key)
-            continue
-        allowed = _allowed_fraction(base, tolerance)
-        hit = _check(key, "p50", base.direction, base.p50, cur.p50, allowed)
-        if hit:
-            regressions.append(hit)
-        if base.n > 1:
-            hit = _check(key, "p99", base.direction, base.p99, cur.p99,
-                         min(TOLERANCE_CAP * P99_TOLERANCE_FACTOR,
-                             allowed * P99_TOLERANCE_FACTOR))
-            if hit:
-                regressions.append(hit)
-    return regressions, missing
+    mismatches = [
+        Mismatch(key, field, getattr(baseline[key], field),
+                 getattr(current[key], field), baseline[key].direction)
+        for key in sorted(baseline.keys() & current.keys())
+        for field in FIELDS
+        if getattr(baseline[key], field) != getattr(current[key], field)]
+    return (mismatches, sorted(baseline.keys() - current.keys()),
+            sorted(current.keys() - baseline.keys()))
 
 
 def compare(name: str, directory: str = DEFAULT_DIR,
-            tolerance: float = DEFAULT_TOLERANCE,
-            ) -> Tuple[List[Regression], List[str], Metrics]:
+            ) -> Tuple[List[Mismatch], List[str], List[str]]:
     """Re-run one bench at its baseline's seed/size and diff."""
     path = baseline_path(directory, name)
     if not path.exists():
@@ -433,23 +407,24 @@ def compare(name: str, directory: str = DEFAULT_DIR,
     payload, baseline = load_baseline(path)
     bench = BENCHES[name]
     current = bench.collect(int(payload["repetitions"]), int(payload["seed"]))
-    regressions, missing = compare_metrics(baseline, current, tolerance)
-    return regressions, missing, current
+    return compare_metrics(baseline, current)
 
 
-def render_regressions(name: str, regressions: List[Regression],
-                       missing: List[str]) -> str:
+def render_mismatches(name: str, mismatches: List[Mismatch],
+                      missing: List[str], new: List[str]) -> str:
     lines = []
-    if regressions:
-        lines.append(f"{name}: {len(regressions)} regression(s)")
+    if mismatches:
+        lines.append(f"{name}: {len(mismatches)} field(s) differ")
         lines.append(format_table(
-            ["metric", "stat", "baseline", "current", "worse by", "allowed"],
-            [[r.metric, r.statistic, f"{r.baseline:.3f}", f"{r.current:.3f}",
-              f"{r.change_pct:+.1f}%", f"{r.allowed_pct:.1f}%"]
-             for r in regressions],
+            ["metric", "field", "baseline", "current", "delta", "verdict"],
+            [[m.metric, m.field, repr(m.baseline), repr(m.current),
+              "-" if m.delta is None else f"{m.delta:+.6g}", m.verdict]
+             for m in mismatches],
         ))
     for key in missing:
         lines.append(f"{name}: metric {key!r} missing from current run")
+    for key in new:
+        lines.append(f"{name}: metric {key!r} has no baseline")
     if not lines:
         lines.append(f"{name}: OK")
     return "\n".join(lines)
@@ -474,9 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override repetitions when recording")
     parser.add_argument("--seed", "-s", type=int, default=None,
                         help="override seed when recording")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        help="relative drift allowed before failing "
-                             f"(default {DEFAULT_TOLERANCE})")
     return parser
 
 
@@ -498,6 +470,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 3
     if args.mode == "record":
         for name in names:
+            least = BENCHES[name].min_repetitions
+            if args.repetitions is not None and args.repetitions < least:
+                print(f"--repetitions must be at least {least} for {name}, "
+                      f"got {args.repetitions}", file=sys.stderr)
+                return 2
+        for name in names:
             path = record(name, directory=args.dir,
                           repetitions=args.repetitions, seed=args.seed)
             print(f"recorded {name} -> {path}")
@@ -505,13 +483,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     failed = False
     for name in names:
         try:
-            regressions, missing, _ = compare(
-                name, directory=args.dir, tolerance=args.tolerance)
+            mismatches, missing, new = compare(name, directory=args.dir)
         except (FileNotFoundError, ValueError) as exc:
             print(str(exc), file=sys.stderr)
             return 3
-        print(render_regressions(name, regressions, missing))
-        if regressions or missing:
+        print(render_mismatches(name, mismatches, missing, new))
+        if mismatches or missing or new:
             failed = True
     return 2 if failed else 0
 

@@ -304,6 +304,20 @@ EXPERIMENTS: Dict[str, Callable] = {
 }
 
 
+# Fewest repetitions an experiment accepts (1 if unlisted): fig3 runs
+# Shapiro-Wilk (n >= 3); fig5/fig6/table1 bootstrap each median (n >= 2).
+MIN_REPETITIONS = {"fig3": 3, "fig5": 2, "fig6": 2, "table1": 2}
+
+
+def _selected(experiment: str) -> List[str]:
+    """The experiments one invocation runs (none for an unknown id)."""
+    if experiment == "all":
+        # fig6 covers table1; fleet-report only re-renders an existing
+        # artifact (requires --fleet-in), so neither runs under "all".
+        return [n for n in EXPERIMENTS if n not in ("table1", "fleet-report")]
+    return [experiment] if experiment in EXPERIMENTS else []
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prebake-bench",
@@ -372,6 +386,11 @@ def validate_args(args) -> str | None:
     if args.repetitions < 1:
         return (f"--repetitions must be a positive integer, "
                 f"got {args.repetitions}")
+    for name in _selected(args.experiment):
+        least = MIN_REPETITIONS.get(name, 1)
+        if args.repetitions < least:
+            return (f"--repetitions must be at least {least} for {name}, "
+                    f"got {args.repetitions}")
     if args.seed < 1:
         return f"--seed must be a positive integer, got {args.seed}"
     if args.workers < 1:
@@ -398,14 +417,8 @@ def main(argv: List[str] | None = None) -> int:
         for name in EXPERIMENTS:
             print(name)
         return 0
-    if args.experiment == "all":
-        # fig6 covers table1; fleet-report only re-renders an existing
-        # artifact (requires --fleet-in), so neither runs under "all".
-        names = [n for n in EXPERIMENTS
-                 if n not in ("table1", "fleet-report")]
-    elif args.experiment in EXPERIMENTS:
-        names = [args.experiment]
-    else:
+    names = _selected(args.experiment)
+    if not names:
         log.error("cli.bad_experiment",
                   message=f"unknown experiment {args.experiment!r}; use --list")
         return 2

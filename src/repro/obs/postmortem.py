@@ -245,7 +245,8 @@ class PostmortemCollector:
     def on_breach(self, breach: "slo_mod.SLOBreach"
                   ) -> Optional[PostmortemBundle]:
         """Burn-check subscriber: seal on the first breach(es)."""
-        return self.seal(SLO_BREACH, detail=breach.line())
+        return self.seal(SLO_BREACH, detail=breach.line(),
+                         trace_id=breach.trace_id)
 
     def on_error(self, error: BaseException,
                  trace_id: Optional[str] = None) -> Optional[PostmortemBundle]:
@@ -297,8 +298,6 @@ class PostmortemCollector:
         # Incident span tree: finished + still-open spans of the trace.
         if hub is not None:
             tracer = hub.tracer
-            if trace_id is None:
-                trace_id = tracer.current_trace_id()
             if trace_id is not None:
                 spans = [s.as_dict() for s in tracer.by_trace(trace_id)]
                 spans += [s.as_dict() for s in tracer.open_spans()

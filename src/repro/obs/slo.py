@@ -187,6 +187,7 @@ class SLOBreach:
     window_end_ms: float
     bad_fraction: float
     burn_rate: float
+    trace_id: Optional[str] = None      # trace of the window's last bad write
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -211,7 +212,8 @@ class BurnCheck:
     one at end of run. Each SLO breached in a closed window (burn > 1)
     becomes one :class:`SLOBreach`: kept in ``breaches``, recorded on
     the flight tape, counted in ``slo_breach_windows_total`` and handed
-    to the subscribers.
+    to the subscribers. A breach names the trace open at the window's
+    last bad write of its SLO, so a bundle shows a request that breached.
     """
 
     def __init__(self, hub, window_ms: float) -> None:
@@ -225,6 +227,7 @@ class BurnCheck:
                           for name in (slo.metric, slo.bad_metric)}
         self._window: Optional[int] = None
         self._registry = MetricsRegistry()
+        self._bad_trace: Dict[str, Optional[str]] = {}
 
     def subscribe(self, callback: Callable[[SLOBreach], None]) -> None:
         self._subscribers.append(callback)
@@ -239,6 +242,11 @@ class BurnCheck:
             self._registry.observe(name, value)
         elif name in self._counters:
             self._registry.inc(name, value)
+        for slo in DEFAULT_SLOS:
+            # A latency over the threshold, or any bad count (ratio: 0).
+            if name == (slo.bad_metric or slo.metric) \
+                    and value > slo.threshold_ms:
+                self._bad_trace[slo.name] = self.hub.tracer.current_trace_id()
 
     def flush(self) -> None:
         """Close the current window, if one is open."""
@@ -249,9 +257,11 @@ class BurnCheck:
             if status.breached:
                 self._emit(SLOBreach(
                     status.slo.name, start, start + self.window_ms,
-                    status.bad_fraction, status.burn_rate))
+                    status.bad_fraction, status.burn_rate,
+                    self._bad_trace.get(status.slo.name)))
         self._window = None
         self._registry = MetricsRegistry()
+        self._bad_trace = {}
 
     def _emit(self, breach: SLOBreach) -> None:
         self.breaches.append(breach)

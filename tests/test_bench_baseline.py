@@ -1,13 +1,15 @@
 """The continuous-performance gate: record, compare, exit codes.
 
-The issue's acceptance bar: ``compare`` exits nonzero on a synthetic
->=20% p50 regression and zero on an identical-seed re-run. The heavy
-collectors (fig3 / restore-sweep / chaos) are exercised elsewhere; the
-gate mechanics are tested here against a registered in-memory bench so
-the full CLI path runs in milliseconds.
+Every gated value is a pure function of the seed, so ``compare`` is
+exact: a one-ulp change of any recorded field, in either direction,
+fails it, and so does a metric that vanished or has no baseline. The
+heavy collectors (fig3 / restore-sweep / chaos) are exercised
+elsewhere; the gate mechanics are tested here against a registered
+in-memory bench so the full CLI path runs in milliseconds.
 """
 
 import json
+import math
 
 import pytest
 
@@ -16,7 +18,6 @@ from repro.bench.baseline import (
     BENCHES,
     Bench,
     MetricBaseline,
-    TOLERANCE_CAP,
     baseline_path,
     compare_metrics,
     load_baseline,
@@ -60,6 +61,10 @@ class TestMetricSummaries:
         assert MetricBaseline.from_dict(metric.to_dict()) == metric
 
 
+def _ulp(value, upward):
+    return math.nextafter(value, math.inf if upward else -math.inf)
+
+
 class TestCompareMetrics:
     def base(self, p50=100.0, direction=baseline.LOWER, n=10):
         return {"m": MetricBaseline(p50=p50, p99=p50 * 1.1, mean=p50,
@@ -67,46 +72,47 @@ class TestCompareMetrics:
                                     ci_low=p50 * 0.99, ci_high=p50 * 1.01)}
 
     def test_identical_metrics_pass(self):
-        regressions, missing = compare_metrics(self.base(), self.base())
-        assert regressions == [] and missing == []
+        assert compare_metrics(self.base(), self.base()) == ([], [], [])
 
-    def test_twenty_five_percent_p50_regression_trips(self):
-        current = self.base(p50=125.0)
-        regressions, _ = compare_metrics(self.base(), current)
-        assert any(r.statistic == "p50" for r in regressions)
+    @pytest.mark.parametrize("upward", [True, False])
+    @pytest.mark.parametrize("field",
+                             ["p50", "p99", "mean", "ci_low", "ci_high"])
+    def test_one_ulp_in_either_direction_trips(self, field, upward):
+        current = self.base()
+        was = getattr(current["m"], field)
+        setattr(current["m"], field, _ulp(was, upward))
+        (mismatch,), missing, new = compare_metrics(self.base(), current)
+        assert (mismatch.metric, mismatch.field) == ("m", field)
+        assert (mismatch.baseline, missing, new) == (was, [], [])
+        assert (mismatch.delta > 0) == upward
 
-    def test_twenty_percent_always_exceeds_the_cap(self):
-        # Even a huge recorded CI cannot stretch tolerance past the cap.
-        wide = self.base()
-        wide["m"].ci_low, wide["m"].ci_high = 10.0, 190.0
-        regressions, _ = compare_metrics(wide, self.base(p50=121.0))
-        assert regressions, "cap must keep >=20% drift detectable"
-        assert regressions[0].allowed_pct == pytest.approx(
-            100.0 * TOLERANCE_CAP)
+    def test_sample_count_change_trips(self):
+        (mismatch,), _, _ = compare_metrics(self.base(), self.base(n=11))
+        assert (mismatch.field, mismatch.delta) == ("n", 1)
 
-    def test_improvement_never_trips_lower_direction(self):
-        regressions, _ = compare_metrics(self.base(), self.base(p50=50.0))
-        assert regressions == []
+    def test_improvement_trips_and_reads_better(self):
+        mismatches, _, _ = compare_metrics(self.base(), self.base(p50=50.0))
+        assert {m.field for m in mismatches} == {
+            "p50", "p99", "mean", "ci_low", "ci_high"}
+        assert {m.verdict for m in mismatches} == {"better"}
 
-    def test_higher_direction_flags_drops(self):
+    def test_higher_direction_reads_a_drop_as_worse(self):
         base = self.base(p50=1.0, direction=baseline.HIGHER, n=1)
-        regressions, _ = compare_metrics(base, self.base(
+        mismatches, _, _ = compare_metrics(base, self.base(
             p50=0.7, direction=baseline.HIGHER, n=1))
-        assert regressions and regressions[0].statistic == "p50"
+        assert mismatches and {m.verdict for m in mismatches} == {"worse"}
 
-    def test_within_tolerance_drift_passes(self):
-        regressions, _ = compare_metrics(self.base(), self.base(p50=105.0))
-        assert regressions == []
+    def test_a_ci_that_appears_trips_without_a_sign(self):
+        current = self.base()
+        base = self.base()
+        base["m"].ci_low = base["m"].ci_high = None
+        mismatches, _, _ = compare_metrics(base, current)
+        assert [(m.field, m.delta, m.verdict) for m in mismatches] == [
+            ("ci_low", None, "changed"), ("ci_high", None, "changed")]
 
-    def test_missing_metric_is_reported(self):
-        regressions, missing = compare_metrics(self.base(), {})
-        assert regressions == [] and missing == ["m"]
-
-    def test_noisy_baseline_widens_tolerance(self):
-        noisy = self.base()
-        noisy["m"].ci_low, noisy["m"].ci_high = 88.0, 112.0  # ±12%
-        regressions, _ = compare_metrics(noisy, self.base(p50=111.0))
-        assert regressions == []  # 11% drift inside the 12% CI half-width
+    def test_missing_and_new_metrics_are_reported(self):
+        current = {"n2": self.base()["m"]}
+        assert compare_metrics(self.base(), current) == ([], ["m"], ["n2"])
 
 
 class TestRecordAndCompareCli:
@@ -116,38 +122,53 @@ class TestRecordAndCompareCli:
         assert baseline.main(["compare", fake_bench,
                               "--dir", str(tmp_path)]) == 0
 
-    def test_synthetic_regression_exits_nonzero(self, fake_bench, tmp_path,
-                                                capsys):
+    def test_one_ulp_edited_baseline_exits_two(self, fake_bench, tmp_path,
+                                               capsys):
         record(fake_bench, directory=str(tmp_path))
         path = baseline_path(str(tmp_path), fake_bench)
         payload = json.loads(path.read_text())
-        # Shrink the recorded p50 by 25% so the (unchanged) current run
-        # reads as a >=20% regression.
         entry = payload["metrics"]["startup_ms"]
-        for key in ("p50", "p99", "mean", "ci_low", "ci_high"):
-            entry[key] *= 0.75
+        was = entry["p50"]
+        entry["p50"] = _ulp(was, upward=False)
         path.write_text(json.dumps(payload))
-        exit_code = baseline.main(["compare", fake_bench,
-                                   "--dir", str(tmp_path)])
-        assert exit_code == 2
+        assert baseline.main(["compare", fake_bench,
+                              "--dir", str(tmp_path)]) == 2
         out = capsys.readouterr().out
-        assert "regression" in out and "startup_ms" in out
+        delta = was - entry["p50"]
+        assert "startup_ms" in out and "p50" in out
+        assert repr(was) in out and f"{delta:+.6g}" in out
+        assert "worse" in out
+
+    def test_metric_without_a_baseline_exits_two(self, fake_bench, tmp_path,
+                                                 capsys):
+        record(fake_bench, directory=str(tmp_path))
+        path = baseline_path(str(tmp_path), fake_bench)
+        payload = json.loads(path.read_text())
+        del payload["metrics"]["success_rate"]
+        path.write_text(json.dumps(payload))
+        assert baseline.main(["compare", fake_bench,
+                              "--dir", str(tmp_path)]) == 2
+        assert "'success_rate' has no baseline" in capsys.readouterr().out
 
     def test_missing_baseline_exits_three(self, fake_bench, tmp_path):
         assert baseline.main(["compare", fake_bench,
                               "--dir", str(tmp_path)]) == 3
 
-    @pytest.mark.parametrize("argv,flag", [
-        (["record", "--repetitions", "0"], "--repetitions"),
-        (["record", "-r", "-3"], "--repetitions"),
-        (["record", "--seed", "0"], "--seed"),
-        (["record", "-s", "-1"], "--seed"),
+    @pytest.mark.parametrize("argv,message", [
+        (["record", "--repetitions", "0"],
+         "--repetitions must be a positive integer"),
+        (["record", "-r", "-3"], "--repetitions must be a positive integer"),
+        (["record", "--seed", "0"], "--seed must be a positive integer"),
+        (["record", "-s", "-1"], "--seed must be a positive integer"),
+        (["record", "fig3", "-r", "2"],
+         "--repetitions must be at least 3 for fig3, got 2"),
+        (["record", "-r", "1"],
+         "--repetitions must be at least 3 for fig3, got 1"),
     ])
-    def test_non_positive_overrides_exit_two(self, capsys, argv, flag,
-                                             tmp_path):
+    def test_bad_overrides_exit_two(self, capsys, argv, message, tmp_path):
         assert baseline.main(argv + ["--dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert flag in err and "positive" in err
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # nothing recorded
 
     def test_unknown_bench_exits_three(self, tmp_path):
         assert baseline.main(["record", "no-such-bench",
@@ -192,5 +213,4 @@ class TestCommittedBaselines:
 
     @pytest.mark.slow
     def test_fig3_identical_seed_rerun_is_clean(self):
-        regressions, missing, _ = baseline.compare("fig3")
-        assert regressions == [] and missing == []
+        assert baseline.compare("fig3") == ([], [], [])

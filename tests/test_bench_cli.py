@@ -74,31 +74,43 @@ class TestMain:
 
 
 class TestArgumentValidation:
-    @pytest.mark.parametrize("argv,flag", [
-        (["fig3", "-r", "0"], "--repetitions"),
-        (["fig3", "-r", "-5"], "--repetitions"),
-        (["fig3", "-s", "0"], "--seed"),
-        (["fig3", "-s", "-1"], "--seed"),
-        (["fig3", "-w", "0"], "--workers"),
-        (["fig3", "-w", "-2"], "--workers"),
-        (["fleet-study", "-r", "0"], "--repetitions"),
-        (["fleet-study", "-s", "-1"], "--seed"),
-        (["fleet-study", "-w", "0"], "--workers"),
-        (["fleet-study", "--requests", "0"], "--requests"),
-        (["fleet-study", "--requests", "-3"], "--requests"),
-        (["prewarm", "-r", "0"], "--repetitions"),
-        (["prewarm", "-r", "-2"], "--repetitions"),
-        (["prewarm", "-s", "0"], "--seed"),
-        (["prewarm", "-s", "-7"], "--seed"),
-        (["prewarm", "--requests", "0"], "--requests"),
-        (["prewarm", "--requests", "-1"], "--requests"),
+    @pytest.mark.parametrize("argv,message", [
+        (["fig3", "-r", "0"], "--repetitions must be a positive integer"),
+        (["fig3", "-r", "-5"], "--repetitions must be a positive integer"),
+        (["fig3", "-s", "0"], "--seed must be a positive integer"),
+        (["fig3", "-s", "-1"], "--seed must be a positive integer"),
+        (["fig3", "-w", "0"], "--workers must be a positive integer"),
+        (["fig3", "-w", "-2"], "--workers must be a positive integer"),
+        (["fleet-study", "-r", "0"],
+         "--repetitions must be a positive integer"),
+        (["fleet-study", "-s", "-1"], "--seed must be a positive integer"),
+        (["fleet-study", "-w", "0"], "--workers must be a positive integer"),
+        (["fleet-study", "--requests", "0"],
+         "--requests must be a positive integer"),
+        (["fleet-study", "--requests", "-3"],
+         "--requests must be a positive integer"),
+        (["prewarm", "-r", "0"], "--repetitions must be a positive integer"),
+        (["prewarm", "-r", "-2"], "--repetitions must be a positive integer"),
+        (["prewarm", "-s", "0"], "--seed must be a positive integer"),
+        (["prewarm", "-s", "-7"], "--seed must be a positive integer"),
+        (["prewarm", "--requests", "0"],
+         "--requests must be a positive integer"),
+        (["prewarm", "--requests", "-1"],
+         "--requests must be a positive integer"),
+        (["fig3", "-r", "2"], "--repetitions must be at least 3 for fig3"),
+        (["fig3", "-r", "1"], "--repetitions must be at least 3 for fig3"),
+        (["fig5", "-r", "1"], "--repetitions must be at least 2 for fig5"),
+        (["fig6", "-r", "1"], "--repetitions must be at least 2 for fig6"),
+        (["table1", "-r", "1"],
+         "--repetitions must be at least 2 for table1"),
+        (["all", "-r", "2"], "--repetitions must be at least 3 for fig3"),
     ])
-    def test_non_positive_knobs_exit_2_with_a_clear_message(
-            self, capsys, argv, flag):
+    def test_bad_knobs_exit_2_with_a_clear_message(self, capsys, argv,
+                                                   message):
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert flag in err
-        assert "positive" in err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_fleet_report_requires_an_artifact(self, capsys):
         assert main(["fleet-report"]) == 2

@@ -69,6 +69,18 @@ class TestInjectedFaultRun:
         # Fallback cold starts take ~135 ms, inside the 800 ms bound.
         assert max(run.cold_waits_ms) < 800.0
 
+    def test_each_breach_bundle_shows_a_failed_restore(self,
+                                                       tmp_path_factory):
+        run = _run(tmp_path_factory).cells[0]
+        bundles = [b for b in run.bundles if b.kind == "slo-breach"]
+        assert bundles
+        for bundle, breach in zip(bundles, run.breaches):
+            assert bundle.trace_id == breach.trace_id is not None
+            spans = bundle.payload["trace"]["spans"]
+            assert {s["trace"] for s in spans} == {bundle.trace_id}
+            assert any(s["name"] == "criu.restore" and s["status"] == "error"
+                       for s in spans)
+
     def test_fallback_absorbs_the_faults(self, tmp_path_factory):
         run = _run(tmp_path_factory).cells[0]
         assert run.faults_fired > 0

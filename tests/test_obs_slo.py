@@ -278,7 +278,7 @@ def _offline_breaches(writes):
                 out.append({"slo": slo.name, "window_start_ms": start,
                             "window_end_ms": start + WINDOW_MS,
                             "bad_fraction": slo.bad_fraction(registry),
-                            "burn_rate": burn})
+                            "burn_rate": burn, "trace_id": None})
     return out
 
 
@@ -301,6 +301,23 @@ class TestBurnCheck:
         assert kernel.obs.metrics.value(
             "slo_breach_windows_total",
             labels={"slo": "restore-success-rate"}) == 1.0
+
+    def test_breach_names_the_trace_of_the_last_bad_write(self):
+        kernel, burn = _checked_world()
+        traces = {}
+        for name, write in (("failed", "restore-failed"),
+                            ("slow", "cold-wait"),
+                            ("last-failed", "restore-failed"),
+                            ("ok", "restore-ok"),
+                            ("fast", "cold-wait")):
+            with obs.span(kernel, name) as request:
+                traces[name] = request.trace_id
+                WRITES[write](kernel, 5_000.0 if name == "slow" else 1.0)
+        burn.flush()
+        assert len(set(traces.values())) == len(traces)
+        assert {b.slo: b.trace_id for b in burn.breaches} == {
+            "cold-start-p99": traces["slow"],
+            "restore-success-rate": traces["last-failed"]}
 
     def test_a_window_on_budget_is_not_flagged(self):
         kernel, burn = _checked_world()
