@@ -48,6 +48,9 @@ def main() -> None:
     key = store.keys()[0]
     print(f"replicas: {stack.gateway.replica_count('markdown')}, "
           f"snapshot {key} restored {store.restore_count(key)} times")
+    stack.gateway.scale("markdown", 1)
+    print(f"scaled back down: {stack.gateway.replica_count('markdown')} "
+          "replica (the others retired)")
 
     print("\n== Docker Swarm cannot run the privileged restore ==")
     swarm_world = make_world(seed=12)

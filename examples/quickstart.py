@@ -41,7 +41,9 @@ def main() -> None:
     print(f"improvement: {improvement:.0%} (paper reports 47% for this function)")
 
     # Restored replicas serve real responses — render some markdown.
-    response = prebaked.invoke(Request(body="# Hello\n\nPrebaking *works*."))
+    response = prebaked.invoke(Request(
+        body="# Hello\n\nPrebaking *works*, see <https://example.org>.  \n"
+             "Stars stay literal when escaped: \\*not emphasis\\*."))
     print("\nfirst response from the restored replica:")
     print(response.body)
 

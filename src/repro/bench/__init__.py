@@ -12,7 +12,6 @@
 
 from repro.bench.stats import (
     bootstrap_median_ci,
-    ecdf,
     ks_distance,
     mann_whitney_u,
     median,
@@ -29,7 +28,6 @@ from repro.bench.harness import (
 
 __all__ = [
     "bootstrap_median_ci",
-    "ecdf",
     "ks_distance",
     "mann_whitney_u",
     "median",

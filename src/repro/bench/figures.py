@@ -33,11 +33,6 @@ SYNTHETIC_FUNCTIONS = ("synthetic-small", "synthetic-medium", "synthetic-big")
 
 # Published values (for EXPERIMENTS.md comparisons).
 PAPER_FIG3_IMPROVEMENT = {"noop": 40.0, "markdown": 47.0, "image-resizer": 71.0}
-PAPER_FIG3_MEDIANS = {
-    "noop": {"vanilla": 103.0, "prebake": 62.0},
-    "markdown": {"vanilla": 100.0, "prebake": 53.0},
-    "image-resizer": {"vanilla": 310.0, "prebake": 87.0},
-}
 PAPER_TABLE1 = {
     "synthetic-small": {"vanilla": (219.25, 220.32), "nowarmup": (172.12, 172.80),
                         "warmup": (54.06, 54.75)},
@@ -50,7 +45,6 @@ PAPER_FIG6_RATIOS = {
     "synthetic-small": {"nowarmup": 127.45, "warmup": 403.96},
     "synthetic-big": {"nowarmup": 121.07, "warmup": 1932.49},
 }
-PAPER_SNAPSHOT_MIB = {"noop": 13.0, "markdown": 14.0, "image-resizer": 99.2}
 
 
 # ---------------------------------------------------------------------------

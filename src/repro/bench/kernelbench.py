@@ -140,7 +140,7 @@ def _event_storm(seed: int, index: int) -> int:
     storm = 500
     sim.schedule_many(
         ((float(i % 97), noop) for i in range(storm)), label="storm")
-    # Cancellations drive the tombstone-compaction path.
+    # Cancellations leave tombstones for the pop to skip.
     doomed = [sim.schedule_in(1_000.0 + i, noop, label="doomed")
               for i in range(64)]
     for event in doomed[::2]:

@@ -165,10 +165,6 @@ class PrewarmStudyResult:
     reps: List[PrewarmRepResult] = field(default_factory=list)
     exemplar: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def headline(self) -> PrewarmRepResult:
-        return self.reps[0]
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "experiment": "prewarm-study",

@@ -88,10 +88,6 @@ class ProfileResult:
     seed: int
     runs: List[ProfileRun] = field(default_factory=list)
 
-    def verify(self) -> None:
-        for run in self.runs:
-            run.verify()
-
     def technique_runs(self, technique: str) -> List[ProfileRun]:
         return [r for r in self.runs if r.technique == technique]
 

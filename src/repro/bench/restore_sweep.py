@@ -229,14 +229,6 @@ class PipelineCell:
 class RestorePipelineResult:
     rows: List[PipelineCell] = field(default_factory=list)
 
-    def cell(self, function: str, workers: int,
-             cache_policy: str) -> PipelineCell:
-        for row in self.rows:
-            if (row.function == function and row.workers == workers
-                    and row.cache_policy == cache_policy):
-                return row
-        raise KeyError((function, workers, cache_policy))
-
     def render(self) -> str:
         table_rows = [
             [

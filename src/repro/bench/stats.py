@@ -70,15 +70,8 @@ class ConfidenceInterval:
     confidence: float
     point: float
 
-    def contains(self, value: float) -> bool:
-        return self.low <= value <= self.high
-
     def overlaps(self, other: "ConfidenceInterval") -> bool:
         return self.low <= other.high and other.low <= self.high
-
-    @property
-    def width(self) -> float:
-        return self.high - self.low
 
 
 def bootstrap_median_ci(
@@ -294,15 +287,6 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> TestResult:
 # ---------------------------------------------------------------------------
 # ECDF / Kolmogorov-Smirnov
 # ---------------------------------------------------------------------------
-
-def ecdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:
-    """Empirical CDF as (sorted xs, cumulative probabilities)."""
-    if not values:
-        raise ValueError("ecdf of empty sample")
-    xs = sorted(values)
-    n = len(xs)
-    ps = [(i + 1) / n for i in range(n)]
-    return xs, ps
 
 
 def ecdf_at(values: Sequence[float], x: float) -> float:

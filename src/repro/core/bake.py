@@ -53,8 +53,6 @@ class Prebaker:
 
     def __init__(self, kernel: Kernel, store: Optional[SnapshotStore] = None) -> None:
         self.kernel = kernel
-        # `store or ...` would discard an *empty* store (it is falsy
-        # because SnapshotStore defines __len__), so test identity.
         self.store = store if store is not None else SnapshotStore()
         self.checkpoint_engine = CheckpointEngine(kernel)
 

@@ -23,17 +23,13 @@ from typing import Any, Optional
 
 @dataclass(frozen=True)
 class SnapshotPolicy:
-    """Base policy; concrete subclasses pick the snapshot point."""
+    """Base policy; concrete subclasses pick the snapshot point and
+    name it as ``key``, the snapshot-store key part."""
 
     @property
     def warm(self) -> bool:
         """Whether the snapshot contains a warmed (JIT-compiled) runtime."""
         return False
-
-    @property
-    def key(self) -> str:
-        """Stable identifier used in snapshot-store keys."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)

@@ -86,15 +86,12 @@ class ReplicaHandle:
 
 
 class Starter:
-    """Common interface for replica start methods."""
+    """Common interface for replica start methods: ``start(app)``."""
 
     technique = "abstract"
 
     def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-
-    def start(self, app: FunctionApp) -> ReplicaHandle:
-        raise NotImplementedError
 
 
 def launch_vanilla(kernel: Kernel, app: FunctionApp) -> ReplicaHandle:

@@ -69,7 +69,7 @@ class SnapshotStore:
     def put(self, key: SnapshotKey, image: CheckpointImage, now_ms: float = 0.0) -> None:
         """Store (or replace — new function version) a snapshot."""
         image.validate()
-        self._release_layers(key)
+        self._layered.pop(key, None)
         self._snapshots[key] = StoredSnapshot(key=key, image=image, stored_at_ms=now_ms)
         self._layered[key] = layer_image(image, self.pages,
                                          base=self._delta_base(key, image))
@@ -94,15 +94,14 @@ class SnapshotStore:
         """Pull a (corrupted) snapshot out of circulation.
 
         The entry is kept on a quarantine list for forensics rather
-        than deleted (its chunk references are released — quarantined
-        bytes should not count as registry content); returns whether
+        than deleted, and its layer manifest is dropped; returns whether
         anything was stored under the key. Missing keys are tolerated —
         two replicas may race to quarantine the same poisoned image.
         """
         entry = self._snapshots.pop(key, None)
         if entry is None:
             return False
-        self._release_layers(key)
+        self._layered.pop(key, None)
         self._quarantined.append(entry)
         return True
 
@@ -112,17 +111,6 @@ class SnapshotStore:
 
     def keys(self) -> List[SnapshotKey]:
         return sorted(self._snapshots)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(e.image.total_bytes for e in self._snapshots.values())
-
-    @property
-    def total_mib(self) -> float:
-        return self.total_bytes / (1024 * 1024)
-
-    def __len__(self) -> int:
-        return len(self._snapshots)
 
     # -- content-addressed layering ----------------------------------------------
 
@@ -217,13 +205,6 @@ class SnapshotStore:
         return repaired_chunks
 
     # -- internals ---------------------------------------------------------------
-
-    def _release_layers(self, key: SnapshotKey) -> None:
-        layered = self._layered.pop(key, None)
-        if layered is None:
-            return
-        for cid in layered.chunk_ids:
-            self.pages.release(cid)
 
     def _delta_base(self, key: SnapshotKey,
                     image: CheckpointImage) -> Optional[CheckpointImage]:

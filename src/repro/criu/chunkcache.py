@@ -31,8 +31,6 @@ from typing import Dict, Optional, Tuple
 FREQ_OVER_SIZE = "freq-over-size"
 LRU = "lru"
 POLICIES = (FREQ_OVER_SIZE, LRU)
-# Knob values that mean "no node cache".
-CACHE_OFF = (None, "none", "off", "")
 
 # Default node cache: 256 MiB holds the paper's whole function set
 # (largest snapshot 99.2 MiB) with room for churn; sweeps shrink it to
@@ -61,11 +59,6 @@ class CacheStats:
     @property
     def hit_ratio(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
-    def byte_hit_ratio(self) -> float:
-        total = self.hit_bytes + self.miss_bytes
-        return self.hit_bytes / total if total else 0.0
 
 
 class HotChunkCache:
@@ -240,7 +233,7 @@ class HotChunkCache:
 
 
 def make_cache(policy: Optional[str]) -> Optional[HotChunkCache]:
-    """Build a cache from a knob value (:data:`CACHE_OFF` -> no cache)."""
-    if policy in CACHE_OFF:
+    """Build a cache from a knob value (``None`` -> no cache)."""
+    if policy is None:
         return None
     return HotChunkCache(policy=policy)

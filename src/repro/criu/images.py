@@ -371,18 +371,6 @@ class CheckpointImage:
     def total_mib(self) -> float:
         return self.total_bytes / (1024 * 1024)
 
-    @property
-    def resident_pages(self) -> int:
-        return sum(v.resident_pages for v in self.vmas)
-
-    def file(self, name: str) -> ImageFile:
-        try:
-            return self.files[name]
-        except KeyError:
-            raise KeyError(
-                f"image {self.image_id!r} has no file {name!r}; has {sorted(self.files)}"
-            ) from None
-
     # -- integrity ---------------------------------------------------------------
 
     def compute_digest(self) -> str:

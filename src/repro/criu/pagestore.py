@@ -146,14 +146,6 @@ class SnapshotLayer:
     name: str
     chunk_refs: Tuple[ChunkRef, ...] = ()
 
-    @property
-    def page_count(self) -> int:
-        return sum(ref.page_count for ref in self.chunk_refs)
-
-    @property
-    def logical_bytes(self) -> int:
-        return self.page_count * PAGE_SIZE
-
 
 @dataclass
 class LayeredImage:
@@ -161,12 +153,6 @@ class LayeredImage:
 
     image_id: str
     layers: List[SnapshotLayer] = field(default_factory=list)
-
-    def layer(self, name: str) -> Optional[SnapshotLayer]:
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        return None
 
     @property
     def chunk_refs(self) -> List[ChunkRef]:
@@ -182,29 +168,12 @@ class LayeredImage:
         return chunk_runs((ref.chunk_id, ref.size_bytes)
                           for ref in self.chunk_refs)
 
-    @property
-    def chunk_ids(self) -> List[str]:
-        return [ref.chunk_id for ref in self.chunk_refs]
-
-    @property
-    def logical_bytes(self) -> int:
-        return sum(layer.logical_bytes for layer in self.layers)
-
-    def summary(self) -> str:
-        parts = [
-            f"{layer.name}={layer.logical_bytes / (1024 * 1024):.1f}MiB"
-            for layer in self.layers if layer.chunk_refs
-        ]
-        return f"{self.image_id}: " + " ".join(parts)
-
 
 class PageStore:
-    """Refcounted content-addressed chunk storage.
+    """Content-addressed chunk storage.
 
-    ``physical_bytes`` counts every distinct chunk once;
-    ``logical_bytes`` counts each reference, i.e. what monolithic
-    storage would hold. ``dedup_ratio`` is logical/physical — above 1.0
-    whenever snapshots share content.
+    ``physical_bytes`` counts every distinct chunk once; a chunk stays
+    for the store's lifetime, as registry layers do until a GC runs.
     """
 
     def __init__(self, chunk_pages: int = CHUNK_PAGES) -> None:
@@ -212,7 +181,6 @@ class PageStore:
             raise ValueError(f"chunk_pages must be >= 1, got {chunk_pages}")
         self.chunk_pages = chunk_pages
         self._chunks: Dict[str, PageChunk] = {}
-        self._refs: Dict[str, int] = {}
         self.dedup_hits = 0  # add() calls resolved by an existing chunk
         # (pairs, chunk id) per distinct window content registered here
         # (see image_windows). Owned by the store, so it lives exactly
@@ -239,28 +207,13 @@ class PageStore:
             self._chunks[cid] = PageChunk(chunk_id=cid, kind=kind,
                                           prot=prot, pairs=pairs)
             self.dedup_hits += count - 1
-        self._refs[cid] = self._refs.get(cid, 0) + count
         return cid
-
-    def release(self, cid: str) -> None:
-        """Drop one reference; the chunk is freed at refcount zero."""
-        refs = self._refs.get(cid)
-        if refs is None:
-            raise KeyError(f"release of unreferenced chunk {cid[:12]}...")
-        if refs <= 1:
-            del self._refs[cid]
-            del self._chunks[cid]
-        else:
-            self._refs[cid] = refs - 1
 
     def chunk(self, cid: str) -> PageChunk:
         chunk = self._chunks.get(cid)
         if chunk is None:
             raise KeyError(f"no chunk {cid[:12]}... in page store")
         return chunk
-
-    def contains(self, cid: str) -> bool:
-        return cid in self._chunks
 
     # -- accounting --------------------------------------------------------------
 
@@ -271,16 +224,6 @@ class PageStore:
     @property
     def physical_bytes(self) -> int:
         return sum(c.size_bytes for c in self._chunks.values())
-
-    @property
-    def logical_bytes(self) -> int:
-        return sum(self._chunks[cid].size_bytes * refs
-                   for cid, refs in self._refs.items())
-
-    @property
-    def dedup_ratio(self) -> float:
-        physical = self.physical_bytes
-        return self.logical_bytes / physical if physical else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,8 @@ class Autoscaler:
             try:
                 metadata = self.registry.lookup(action.function)
             except RegistryError:
-                continue                     # unregistered since it saw traffic
+                # An invoke of an unknown name still counts as an arrival.
+                continue
             limit = min(self.config.max_replicas, metadata.max_replicas)
             for _ in range(action.add_replicas):
                 if len(self.deployer.replicas(action.function)) >= limit:

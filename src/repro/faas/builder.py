@@ -27,10 +27,6 @@ class BuildResult:
     build_duration_ms: float
     bake_report: Optional[BakeReport] = None
 
-    @property
-    def prebaked(self) -> bool:
-        return self.bake_report is not None
-
 
 class FunctionBuilder:
     """Builds artifacts and (for prebaked functions) snapshots."""

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.core.manager import PrebakeManager
 from repro.core.store import SnapshotKey
-from repro.criu.chunkcache import CACHE_OFF, HotChunkCache
+from repro.criu.chunkcache import HotChunkCache
 from repro.criu.pagestore import LayeredImage
 from repro.faas.registry import FunctionMetadata, FunctionRegistry
 from repro.faas.replica import FunctionReplica, ReplicaState
@@ -168,7 +168,7 @@ class FunctionDeployer:
         first opt-in on a node fixes the node's policy.
         """
         if metadata.start_technique != "prebake" \
-                or metadata.cache_policy in CACHE_OFF:
+                or metadata.cache_policy is None:
             return None
         cache = self._node_chunk_cache.get(node_name)
         if cache is None:

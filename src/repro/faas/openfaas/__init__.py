@@ -10,9 +10,7 @@ the snapshot as an image layer; ``deploy`` registers the built version;
 the gateway opens each request's trace and routes it through the
 platform. Kubernetes vs Docker Swarm is whether the platform's nodes
 allow the privileged restore. The stack exposes the world's metrics
-registry, whose ``/metrics`` text is
-:func:`repro.obs.export.render_prometheus`; SLOs over it are
-:func:`repro.obs.slo.evaluate_slos`.
+registry; SLOs over it are :func:`repro.obs.slo.evaluate_slos`.
 """
 
 from repro.faas.openfaas.containers import ContainerImage, ImageLayer
@@ -20,11 +18,8 @@ from repro.faas.openfaas.templates import Template, TemplateStore
 from repro.faas.openfaas.imagerepo import ImageRepository, ImageNotFound
 from repro.faas.openfaas.gateway import Gateway
 from repro.faas.openfaas.cli import FaasCli, FaasCliError
-from repro.obs.export import parse_prometheus, render_prometheus
 
 __all__ = [
-    "render_prometheus",
-    "parse_prometheus",
     "ContainerImage",
     "ImageLayer",
     "Template",

@@ -13,7 +13,7 @@ necessary to install the Docker Buildx CLI plugin". ``build`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.faas.openfaas.containers import ContainerImage, ImageLayer
 from repro.faas.openfaas.imagerepo import ImageRepository
@@ -152,41 +152,6 @@ class FaasCli:
         self.build(name)
         self.push(name)
         return self.deploy(name, **deploy_kwargs)
-
-    def list(self) -> List[Dict[str, object]]:
-        """``faas-cli list``: deployed services with replica counts."""
-        rows = []
-        for service in self.platform.registry.names():
-            metadata = self.platform.registry.lookup(service)
-            rows.append({
-                "name": service,
-                "image": f"registry.local/{service}:{metadata.version}",
-                "replicas": self.platform.replica_count(service),
-                "prebaked": metadata.start_technique == "prebake",
-            })
-        return rows
-
-    def describe(self, name: str) -> Dict[str, object]:
-        """``faas-cli describe``: one project's full lifecycle state."""
-        project = self._require_project(name)
-        deployed = self.platform.registry.contains(name)
-        info: Dict[str, object] = {
-            "name": name,
-            "template": project.template.name,
-            "version": project.version,
-            "built": project.image is not None,
-            "pushed": bool(project.image and self.image_repo.contains(
-                project.image.reference)),
-            "deployed": deployed,
-        }
-        if project.image is not None:
-            info["image"] = project.image.reference
-            info["image_bytes"] = project.image.total_bytes
-            info["snapshot_key"] = (str(project.image.snapshot_key)
-                                    if project.image.snapshot_key else None)
-        if deployed:
-            info["replicas"] = self.platform.replica_count(name)
-        return info
 
     # -- helpers ---------------------------------------------------------------------
 

@@ -11,7 +11,7 @@ and deployer.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro import obs
 from repro.faas.platform import FaaSPlatform
@@ -45,14 +45,5 @@ class Gateway:
         deployer.retire(deployer.replicas(service)[replicas:])
         return added
 
-    def remove(self, service: str) -> None:
-        """Retire every replica and unregister the function."""
-        self.platform.registry.unregister(service)
-        deployer = self.platform.deployer
-        deployer.retire(deployer.replicas(service))
-
     def replica_count(self, service: str) -> int:
         return self.platform.replica_count(service)
-
-    def services(self) -> List[str]:
-        return self.platform.registry.names()

@@ -37,8 +37,3 @@ class ImageRepository:
 
     def contains(self, reference: str) -> bool:
         return reference in self._images
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes of every stored image, its layers counted per image."""
-        return sum(i.total_bytes for i in self._images.values())

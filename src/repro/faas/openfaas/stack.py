@@ -19,8 +19,7 @@ class OpenFaasStack:
     """All the §5 components, wired over one platform.
 
     ``metrics`` is the world's registry (None without telemetry): the
-    series the platform's instrumentation writes, whose ``/metrics``
-    text is :func:`repro.obs.export.render_prometheus`.
+    series the platform's instrumentation writes.
     """
 
     kernel: Kernel

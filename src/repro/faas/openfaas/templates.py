@@ -11,7 +11,7 @@ CRIU-version template for each language that we wanted to support."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.policy import AfterReady, AfterWarmup, SnapshotPolicy
 
@@ -81,7 +81,3 @@ class TemplateStore:
                 f"no template {name!r}; available: {sorted(self._templates)}"
             )
         return template
-
-    def names(self) -> List[str]:
-        return sorted(self._templates)
-

@@ -13,7 +13,7 @@ from typing import Callable, List, Optional
 
 from repro.core.manager import PrebakeManager
 from repro.core.policy import AfterReady, SnapshotPolicy
-from repro.criu.chunkcache import CACHE_OFF, POLICIES
+from repro.criu.chunkcache import POLICIES
 from repro.criu.restore import RestoreMode
 from repro.faas.autoscaler import Autoscaler, AutoscalerConfig
 from repro.faas.builder import BuildResult, FunctionBuilder
@@ -131,7 +131,7 @@ class FaaSPlatform:
         """
         if start_technique not in ("vanilla", "prebake"):
             raise ValueError(f"unknown start technique {start_technique!r}")
-        if cache_policy not in CACHE_OFF + POLICIES:
+        if cache_policy is not None and cache_policy not in POLICIES:
             raise ValueError(f"unknown cache policy {cache_policy!r}; "
                              f"known: {POLICIES}")
         if max_replicas < 1:
@@ -192,10 +192,6 @@ class FaaSPlatform:
     def gc_tick(self) -> None:
         """Run one autoscaler reconciliation pass (reap → heal → GC)."""
         self.autoscaler.tick()
-
-    def health_check(self) -> int:
-        """Reap every crashed replica across all functions; return count."""
-        return len(self.deployer.health_check())
 
     def install_faults(self, plan) -> "object":
         """Arm a :class:`repro.faults.FaultPlan` on this platform's world."""

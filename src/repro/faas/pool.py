@@ -103,31 +103,6 @@ class WarmPool:
         self.stats.wasted_warm_ms += idle_ms
         obs.count(self.kernel, "pool_wasted_warm_ms_total", idle_ms)
 
-    def health_check(self, refill: bool = False) -> int:
-        """Drop idle replicas whose process died; optionally refill.
-
-        Idle-time memory accounting for a dead replica stops at the
-        moment of the check (the platform only learns of the death
-        here). Returns how many dead replicas were reaped.
-        """
-        now = self.kernel.clock.now
-        alive: List[Tuple[ReplicaHandle, float]] = []
-        reaped = 0
-        for handle, since in self._idle:
-            if handle.process.alive:
-                alive.append((handle, since))
-            else:
-                self.stats.idle_mib_ms += (now - since) * handle.process.rss_mib
-                self._accrue_wasted(now - since)
-                reaped += 1
-        self._idle = alive
-        if reaped:
-            obs.count(self.kernel, "pool_reaped_total", reaped)
-            obs.gauge(self.kernel, "pool_idle_replicas", len(self._idle))
-        if refill and reaped:
-            self.refill()
-        return reaped
-
     def take(self) -> ReplicaHandle:
         """Pop a warm replica, or cold-start on a miss.
 

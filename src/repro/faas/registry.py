@@ -69,8 +69,3 @@ class FunctionRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._functions)
-
-    def unregister(self, name: str) -> None:
-        if name not in self._functions:
-            raise RegistryError(f"function {name!r} is not registered")
-        del self._functions[name]

@@ -42,9 +42,6 @@ class RouterStats:
     cold_starts: int = 0
     records: List[InvocationRecord] = field(default_factory=list)
 
-    def cold_start_latencies(self) -> List[float]:
-        return [r.queued_ms for r in self.records if r.cold_start]
-
 
 class FunctionRouter:
     """Synchronous request router (one request at a time per replica).

@@ -23,7 +23,8 @@ Usage::
     from repro import faults, make_world
 
     world = make_world(seed=42)
-    plan = faults.FaultPlan.of(restore_fail=1.0)
+    plan = faults.FaultPlan(specs={
+        faults.RESTORE_FAIL: faults.FaultSpec(faults.RESTORE_FAIL, 1.0)})
     faults.install(world.kernel, plan)
     ...   # every restore now fails; prebake starts fall back to vanilla
 
@@ -75,11 +76,6 @@ def install(kernel, plan: FaultPlan) -> FaultInjector:
 def uninstall(kernel) -> None:
     """Detach the injector; all sites revert to never-fire."""
     kernel.faults = None
-
-
-def active(kernel) -> Optional[FaultInjector]:
-    """The kernel's injector, or None when fault injection is off."""
-    return kernel.faults
 
 
 # -- zero-cost site helpers ---------------------------------------------------
@@ -141,7 +137,6 @@ __all__ = [
     "STORE_SLOW_SHARD",
     "install",
     "uninstall",
-    "active",
     "should_fire",
     "extra_delay_ms",
     "corrupt_image",

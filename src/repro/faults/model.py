@@ -3,15 +3,14 @@
 A :class:`FaultPlan` declares, per named site, the probability that
 the fault fires when execution crosses that site, plus site-specific
 knobs (extra latency for hangs/slow I/O, a cap on total fires). Sites
-are string names so new instrumentation points need no central enum
-change, but the canonical set the platform instruments is listed in
-:data:`SITES`.
+are string names; a spec may only name one of :data:`SITES`, the set the
+platform instruments, since a misspelt site would arm nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 # Canonical injection sites wired through the stack.
 RESTORE_FAIL = "restore.fail"      # restore dies before the process resumes
@@ -44,14 +43,6 @@ DEFAULT_DELAY_MS: Dict[str, float] = {
     STORE_SLOW_SHARD: 25.0,       # straggler penalty on one shard fetch
 }
 
-# keyword spelling (underscored) -> canonical site name. Site names may
-# themselves contain underscores ("store.node_down"), so the keyword
-# form is derived from the site, never the other way around.
-_SITE_BY_KEYWORD: Dict[str, str] = {
-    site.replace(".", "_"): site for site in SITES
-}
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """How one site misbehaves.
@@ -68,6 +59,9 @@ class FaultSpec:
     max_fires: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.site not in SITES:
+            raise ValueError(
+                f"unknown fault site {self.site!r}; known: {SITES}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(
                 f"fault probability must be in [0, 1], got {self.probability}"
@@ -96,44 +90,6 @@ class FaultPlan:
                 raise ValueError(
                     f"spec for site {site!r} carries site name {spec.site!r}"
                 )
-
-    # -- construction helpers ---------------------------------------------------
-
-    @classmethod
-    def of(cls, **rates_by_underscored_site: float) -> "FaultPlan":
-        """Build a plan from ``site_name=probability`` keywords, with
-        underscores standing in for the dots in site names::
-
-            FaultPlan.of(restore_fail=0.5, replica_crash=0.1)
-
-        Only the canonical :data:`SITES` are accepted — a typo'd
-        keyword raises instead of silently arming a site nothing
-        instruments (custom sites go through :meth:`with_spec`).
-        """
-        specs = {}
-        for key, probability in rates_by_underscored_site.items():
-            site = _SITE_BY_KEYWORD.get(key)
-            if site is None:
-                raise ValueError(
-                    f"unknown fault site keyword {key!r}; known: "
-                    f"{sorted(_SITE_BY_KEYWORD)}"
-                )
-            specs[site] = FaultSpec(site=site, probability=probability)
-        return cls(specs=specs)
-
-    @classmethod
-    def uniform(cls, probability: float,
-                sites: Iterable[str] = SITES) -> "FaultPlan":
-        """The same fire probability at every listed site."""
-        return cls(specs={s: FaultSpec(site=s, probability=probability)
-                          for s in sites})
-
-    def scaled(self, factor: float) -> "FaultPlan":
-        """A copy with every probability multiplied by ``factor`` (capped at 1)."""
-        return FaultPlan(specs={
-            site: replace(spec, probability=min(1.0, spec.probability * factor))
-            for site, spec in self.specs.items()
-        })
 
     # -- queries ---------------------------------------------------------------
 

@@ -5,7 +5,7 @@ function registry: ``noop``, ``markdown``, ``image-resizer``,
 ``synthetic-small``, ``synthetic-medium`` and ``synthetic-big``.
 """
 
-from repro.functions.base import FunctionApp, make_app, register_app, registered_names
+from repro.functions.base import FunctionApp, make_app, register_app
 from repro.functions.noop import NoopFunction
 from repro.functions.markdown import MarkdownFunction, SAMPLE_DOCUMENT
 from repro.functions.image_resizer import ImageResizerFunction
@@ -18,16 +18,13 @@ from repro.functions.synthetic import (
 )
 from repro.functions.polyglot import (
     NodeMarkdownFunction,
-    NodeNoopFunction,
     PythonMarkdownFunction,
-    PythonNoopFunction,
 )
 
 __all__ = [
     "FunctionApp",
     "make_app",
     "register_app",
-    "registered_names",
     "NoopFunction",
     "MarkdownFunction",
     "SAMPLE_DOCUMENT",
@@ -38,7 +35,5 @@ __all__ = [
     "big_function",
     "custom_function",
     "PythonMarkdownFunction",
-    "PythonNoopFunction",
     "NodeMarkdownFunction",
-    "NodeNoopFunction",
 ]

@@ -11,18 +11,22 @@ hosted by simulated runtimes and drives the real compute substrates
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, TYPE_CHECKING
 
 from repro.osproc.kernel import Kernel
 from repro.runtime.classes import ClassTable, total_size_kib
 from repro.sim.costmodel import FunctionCosts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.base import ManagedRuntime, Request
+    from repro.runtime.base import ManagedRuntime
 
 
 class FunctionApp:
-    """Base class for deployable functions."""
+    """Base class for deployable functions.
+
+    Each function defines ``execute(runtime, request)``, which returns
+    ``(body, http_status)``.
+    """
 
     runtime_kind = "jvm"
 
@@ -57,10 +61,6 @@ class FunctionApp:
     def init(self, runtime: "ManagedRuntime") -> None:
         """APPINIT-time work (open files, preload data)."""
 
-    def execute(self, runtime: "ManagedRuntime", request: "Request") -> Tuple[Any, int]:
-        """Produce (body, http_status) for a request."""
-        raise NotImplementedError
-
 
 _REGISTRY: Dict[str, Callable[[], FunctionApp]] = {}
 
@@ -79,7 +79,3 @@ def make_app(name: str) -> FunctionApp:
             f"unknown function {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
     return factory()
-
-
-def registered_names() -> List[str]:
-    return sorted(_REGISTRY)

@@ -11,13 +11,12 @@ memory, so there is no file format to decode.
 """
 
 from repro.functions.imaging.image import Image, ImageFormatError
-from repro.functions.imaging.resize import resize_box, resize_bilinear
+from repro.functions.imaging.resize import resize_box
 from repro.functions.imaging.generate import synthetic_photo
 
 __all__ = [
     "Image",
     "ImageFormatError",
     "resize_box",
-    "resize_bilinear",
     "synthetic_photo",
 ]

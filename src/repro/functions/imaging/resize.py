@@ -1,4 +1,4 @@
-"""Image resampling: the box (area) filter, with bilinear for upscales.
+"""Image resampling: the box (area) filter, a downscale filter.
 
 The paper's Image Resizer "scales [the image] down to 10 % of its
 original size" per request; box filtering is the right choice for large
@@ -17,23 +17,6 @@ from repro.functions.imaging.image import Image, ImageFormatError
 def _check_target(width: int, height: int) -> None:
     if width <= 0 or height <= 0:
         raise ImageFormatError(f"invalid target size {width}x{height}")
-
-
-def resize_bilinear(image: Image, width: int, height: int) -> Image:
-    """Bilinear interpolation (edge-clamped, center-aligned)."""
-    _check_target(width, height)
-    src = image.pixels.astype(np.float64)
-    fx = (np.arange(width) + 0.5) * image.width / width - 0.5
-    fy = (np.arange(height) + 0.5) * image.height / height - 0.5
-    x0 = np.clip(np.floor(fx).astype(int), 0, image.width - 1)
-    y0 = np.clip(np.floor(fy).astype(int), 0, image.height - 1)
-    x1 = np.minimum(x0 + 1, image.width - 1)
-    y1 = np.minimum(y0 + 1, image.height - 1)
-    wx = np.clip(fx - x0, 0.0, 1.0)[None, :, None]
-    wy = np.clip(fy - y0, 0.0, 1.0)[:, None, None]
-    top = src[np.ix_(y0, x0)] * (1 - wx) + src[np.ix_(y0, x1)] * wx
-    bottom = src[np.ix_(y1, x0)] * (1 - wx) + src[np.ix_(y1, x1)] * wx
-    return Image(top * (1 - wy) + bottom * wy)
 
 
 def _box_edges(size: int, count: int) -> List[int]:
@@ -67,9 +50,10 @@ def resize_box(image: Image, width: int, height: int) -> Image:
     """
     _check_target(width, height)
     if width > image.width or height > image.height:
-        # Box (area) filtering is a pure *downscale* filter: enlarging
-        # an axis produces empty source boxes. Interpolate instead.
-        return resize_bilinear(image, width, height)
+        # Enlarging an axis would leave source boxes empty.
+        raise ImageFormatError(
+            f"box filter only downscales: {image.width}x{image.height} "
+            f"to {width}x{height}")
     xi = _box_edges(image.width, width)
     yi = _box_edges(image.height, height)
     px = image.pixels
@@ -87,8 +71,8 @@ def resize_box(image: Image, width: int, height: int) -> Image:
 
 def scale_to_fraction(image: Image, fraction: float) -> Image:
     """Scale both dimensions by ``fraction`` (the paper uses 0.10)."""
-    if not 0 < fraction:
-        raise ImageFormatError(f"fraction must be positive, got {fraction}")
+    if not 0 < fraction <= 1:
+        raise ImageFormatError(f"fraction must be in (0, 1], got {fraction}")
     width = max(1, int(round(image.width * fraction)))
     height = max(1, int(round(image.height * fraction)))
     return resize_box(image, width, height)

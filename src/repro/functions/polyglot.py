@@ -76,43 +76,5 @@ class NodeMarkdownFunction(FunctionApp):
         return render_document(source), 200
 
 
-class PythonNoopFunction(FunctionApp):
-    """NOOP on the CPython runtime model."""
-
-    runtime_kind = "python"
-
-    def __init__(self) -> None:
-        profile = synthetic_costs("py-noop", classes=1, class_kib=4.0,
-                                  base_rss_mib=7.0, service_ms=0.7)
-        super().__init__(profile)
-
-    def artifact_path(self) -> str:
-        return f"/srv/functions/{self.name}/handler.py"
-
-    def execute(self, runtime: "ManagedRuntime",
-                request: "Request") -> Tuple[Any, int]:
-        return "", 200
-
-
-class NodeNoopFunction(FunctionApp):
-    """NOOP on the Node.js runtime model."""
-
-    runtime_kind = "nodejs"
-
-    def __init__(self) -> None:
-        profile = synthetic_costs("node-noop", classes=1, class_kib=4.0,
-                                  base_rss_mib=10.0, service_ms=0.6)
-        super().__init__(profile)
-
-    def artifact_path(self) -> str:
-        return f"/srv/functions/{self.name}/handler.js"
-
-    def execute(self, runtime: "ManagedRuntime",
-                request: "Request") -> Tuple[Any, int]:
-        return "", 200
-
-
 register_app("py-markdown", PythonMarkdownFunction)
 register_app("node-markdown", NodeMarkdownFunction)
-register_app("py-noop", PythonNoopFunction)
-register_app("node-noop", NodeNoopFunction)

@@ -12,8 +12,8 @@ them installs the hub first:
 * :mod:`repro.obs.slo` — the SLO contract and its burn rate, offline
   over a registry and online per window on ``hub.burn``
   (:func:`enable_burn_check`);
-* :mod:`repro.obs.export` — Prometheus text format and JSONL dumps,
-  summarized by ``python -m repro.obs.cli``;
+* :mod:`repro.obs.export` — JSONL trace and metric dumps, summarized
+  by ``python -m repro.obs.cli``;
 * :mod:`repro.obs.flight` — bounded ring-buffer flight recorder on
   ``hub.flight`` (:func:`install_flight`), fed via :func:`record`;
 * :mod:`repro.obs.profile` — phase profiler on ``hub.profile``
@@ -38,7 +38,7 @@ bit-identically to an unobserved one under the same seed.
     world = make_world(seed=42)
     hub = obs.install(world.kernel)
     ...  # run a scenario
-    print(obs.export.render_prometheus(hub.metrics))
+    print(obs.export.metrics_to_jsonl(hub.metrics))
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from repro.obs.context import TraceContext
 from repro.obs.log import StructuredLogger, get_logger
 from repro.obs.metrics import (
     CounterHandle,
-    GaugeHandle,
     Histogram,
     MetricsError,
     MetricsRegistry,
@@ -82,13 +81,6 @@ def install(kernel) -> Observability:
     if kernel.obs is None:
         kernel.obs = Observability(kernel.clock)
     return kernel.obs
-
-
-def uninstall(kernel) -> None:
-    """Detach the hub (and its profiler's probe subscriptions);
-    instrumentation reverts to zero-cost no-ops."""
-    profile.uninstall(kernel)
-    kernel.obs = None
 
 
 def install_flight(kernel, capacity: int = flight.DEFAULT_CAPACITY
@@ -209,7 +201,6 @@ def observe(kernel, name: str, value: float,
 __all__ = [
     "Observability",
     "install",
-    "uninstall",
     "install_flight",
     "enable_timeseries",
     "enable_burn_check",
@@ -218,7 +209,6 @@ __all__ = [
     "gauge",
     "observe",
     "CounterHandle",
-    "GaugeHandle",
     "record",
     "current_context",
     "fleet",

@@ -115,16 +115,6 @@ class SpaceSavingSketch:
         return [(key, count, self._errors[key])
                 for key, count in ranked[:max(0, k)]]
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "capacity": self.capacity,
-            "total": self.total,
-            "entries": [
-                {"key": key, "count": count, "error": error}
-                for key, count, error in self.top(self.capacity)
-            ],
-        }
-
 
 # ---------------------------------------------------------------------------
 # Cold-start attribution

@@ -32,8 +32,6 @@ import pathlib
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Union
 
-FLIGHT_SCHEMA = 1
-
 # Default ring capacity: enough to cover the tail of a burst (a cold
 # start emits ~a dozen events) without holding a whole run.
 DEFAULT_CAPACITY = 2048
@@ -68,16 +66,6 @@ SHARD_NODE_DOWN = "shard.node-down"          # a storage node crashed
 SHARD_NODE_UP = "shard.node-up"              # a storage node recovered
 SHARD_BREAKER = "shard.breaker"              # circuit breaker state change
 PREWARM_PREFETCH = "prewarm.prefetch"        # predictive chunk prefetch summary
-
-EVENT_KINDS = (
-    REQUEST_ADMITTED, REQUEST_ROUTED, REQUEST_REQUEUED, REQUEST_TIMEOUT,
-    REQUEST_CRASH_RETRY, REPLICA_PROVISIONED, REPLICA_REAPED,
-    RESTORE_STARTED, RESTORE_FINISHED, RESTORE_FAILED, RESTORE_RETRY,
-    RESTORE_FALLBACK, SNAPSHOT_QUARANTINED, SNAPSHOT_REPAIRED,
-    CACHE_LOOKUP, FAULT_INJECTED, AUTOSCALER_ACTION, DEPLOY, SLO_BREACH,
-    RESTORE_DEGRADED, SHARD_NODE_DOWN, SHARD_NODE_UP,
-    SHARD_BREAKER, PREWARM_PREFETCH,
-)
 
 
 class FlightError(Exception):
@@ -235,9 +223,6 @@ class FlightRecorder:
         if n <= 0:
             return []
         return list(self._ring)[-n:]
-
-    def clear(self) -> None:
-        self._ring.clear()
 
 
 # -- tape (de)serialization ---------------------------------------------------

@@ -77,9 +77,6 @@ class StructuredLogger:
                      for key, value in fields.items())
         print(" ".join(parts), file=sys.stderr)
 
-    def debug(self, event: str, **fields: object) -> None:
-        self.log("debug", event, **fields)
-
     def info(self, event: str, **fields: object) -> None:
         self.log("info", event, **fields)
 

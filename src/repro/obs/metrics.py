@@ -108,10 +108,6 @@ class Histogram:
         if exemplar is not None:
             self.exemplars[index] = (exemplar, value)
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def quantile(self, q: float) -> float:
         """Approximate ``q``-quantile (exact min/max at the extremes)."""
         if not 0.0 <= q <= 1.0:
@@ -229,27 +225,6 @@ class CounterHandle:
         series = self.series
         series[self.key] = series.get(self.key, 0.0) + value  # type: ignore[operator]
 
-    @property
-    def value(self) -> float:
-        return self.series.get(self.key, 0.0)  # type: ignore[return-value]
-
-
-class GaugeHandle:
-    """Pre-resolved write path for one gauge series."""
-
-    __slots__ = ("series", "key")
-
-    def __init__(self, series: Dict[LabelSet, object], key: LabelSet) -> None:
-        self.series = series
-        self.key = key
-
-    def set(self, value: float) -> None:
-        self.series[self.key] = float(value)
-
-    @property
-    def value(self) -> float:
-        return self.series.get(self.key, 0.0)  # type: ignore[return-value]
-
 
 class MetricsRegistry:
     """Counters, gauges, and histograms addressed by (name, labels)."""
@@ -309,12 +284,6 @@ class MetricsRegistry:
         per-write family lookup and label canonicalization."""
         family = self._family(name, COUNTER)
         return CounterHandle(family.series, label_set(labels))
-
-    def gauge(self, name: str,
-              labels: Optional[Dict[str, str]] = None) -> GaugeHandle:
-        """Bind a gauge series once (see :meth:`counter`)."""
-        family = self._family(name, GAUGE)
-        return GaugeHandle(family.series, label_set(labels))
 
     def histogram_series(self, name: str,
                          labels: Optional[Dict[str, str]] = None) -> Histogram:

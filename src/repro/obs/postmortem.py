@@ -44,7 +44,6 @@ FLIGHT_TAIL = 256
 # Incident kinds.
 SLO_BREACH = "slo-breach"
 ERROR = "error"
-MANUAL = "manual"
 
 _log = get_logger("postmortem")
 
@@ -78,10 +77,6 @@ class PostmortemBundle:
     @property
     def reason(self) -> Dict[str, object]:
         return self.payload["reason"]  # type: ignore[return-value]
-
-    @property
-    def kind(self) -> str:
-        return str(self.reason.get("kind", ""))
 
     @property
     def sealed_at_ms(self) -> float:

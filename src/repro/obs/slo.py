@@ -116,10 +116,6 @@ class SLOStatus:
     def breached(self) -> bool:
         return self.burn_rate is not None and self.burn_rate > 1.0
 
-    @property
-    def healthy(self) -> bool:
-        return not self.breached
-
 
 # -- the stack's default contract --------------------------------------------
 

@@ -116,10 +116,6 @@ class NullSpan:
         return self
 
     @property
-    def finished(self) -> bool:
-        return True
-
-    @property
     def context(self) -> None:
         return None
 
@@ -215,12 +211,6 @@ class Tracer:
         if not self._stack:
             return None
         return self._stack[-1].trace_id
-
-    def children(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def find(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
 
     def by_trace(self, trace_id: str) -> List[Span]:
         return [s for s in self.spans if s.trace_id == trace_id]

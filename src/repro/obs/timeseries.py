@@ -23,7 +23,7 @@ reproduced from a replay.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 import numpy as np
 
@@ -93,9 +93,6 @@ class WindowedSeries:
     def __len__(self) -> int:
         return len(self._samples)
 
-    def samples(self) -> List[Tuple[float, float]]:
-        return list(self._samples)
-
     def windows(self, window_ms: float) -> List[WindowStat]:
         """Roll the buffered samples into fixed windows of ``window_ms``.
 
@@ -147,9 +144,6 @@ class TimeseriesTable:
         series.record(at_ms, value)
 
     # -- read paths ------------------------------------------------------------
-
-    def series(self, name: str) -> Optional[WindowedSeries]:
-        return self._series.get(name)
 
     def names(self) -> List[str]:
         return sorted(self._series)

@@ -114,19 +114,3 @@ class CgroupManager:
         group = MemoryCgroup(self.kernel, name, limit_mib=limit_mib)
         self._groups[name] = group
         return group
-
-    def get(self, name: str) -> MemoryCgroup:
-        group = self._groups.get(name)
-        if group is None:
-            raise CgroupError(f"no cgroup {name!r}")
-        return group
-
-    def remove(self, name: str) -> None:
-        group = self._groups.pop(name, None)
-        if group is None:
-            raise CgroupError(f"no cgroup {name!r}")
-        if group.members():
-            raise CgroupError(f"cgroup {name!r} still has members")
-
-    def names(self) -> List[str]:
-        return sorted(self._groups)

@@ -8,11 +8,11 @@ profiler observes the same boundaries the paper measured with bpftrace.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.obs.profile import PHASE_CLONE, PHASE_EXEC
 from repro.osproc.filesystem import FileSystem, PageCache
-from repro.osproc.memory import PAGE_SIZE, Page, VMA, VMAKind
+from repro.osproc.memory import PAGE_SIZE, VMA, VMAKind
 from repro.osproc.probes import ProbeRegistry
 from repro.osproc.process import Capability, Process, ProcessState, ThreadState
 from repro.sim.clock import SimClock
@@ -252,9 +252,3 @@ class Kernel:
             raise KernelError(f"pid {tracer.pid} does not trace pid {target.pid}")
         self._charge("ptrace", tracer.pid, 0.05, detail="DETACH")
         del self._tracees[target.pid]
-
-    # -- procfs ------------------------------------------------------------------------
-
-    def pagemap(self, pid: int) -> Iterator[Tuple[VMA, Page]]:
-        """``/proc/<pid>/pagemap``: every resident page, address order."""
-        return self.get(pid).address_space.iter_resident()

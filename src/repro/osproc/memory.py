@@ -4,13 +4,13 @@ This is the data CRIU walks during a dump: the checkpoint engine reads
 ``/proc/<pid>/pagemap`` to find resident pages and copies them out of
 the target address space. The model keeps enough structure for that
 protocol to be exercised faithfully (per-VMA kind/protection, resident
-page sets, dirty/soft-dirty bits, file-backed vs anonymous mappings)
+page sets, soft-dirty bits, file-backed vs anonymous mappings)
 without storing real page contents — a page stores a small content tag
 so snapshot/restore round-trips are verifiable.
 
 Data layout (DESIGN.md §15): the default :class:`VMA` keeps residency
 as an array-of-struct pagemap — parallel numpy arrays for the
-resident/dirty/soft-dirty bits plus an ``int32`` array of content-tag
+resident and soft-dirty bits plus an ``int32`` array of content-tag
 ids interned in the process-wide :data:`TAGS` table — so the hot
 operations (``touch_range``, dump walks, restore transmute, soft-dirty
 clears) are single vectorized passes instead of a Python loop
@@ -18,8 +18,7 @@ allocating a ``Page`` object per page. The original dict-of-``Page``
 implementation survives as :class:`SlowVMA`, selected with
 ``REPRO_SLOW_PAGEMAP=1`` (or :func:`set_slow_pagemap` at runtime) as
 the reference the equivalence suite and the kernel-bench speedup gate
-measure against. ``Page`` objects returned by either backend are
-snapshots: mutating one never writes back to the pagemap.
+measure against.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -102,10 +101,6 @@ class _TagTable:
     def tag(self, tid: int) -> str:
         return self._tags[tid]
 
-    def key(self, tid: int) -> str:
-        """Cached :func:`page_content_key` of the interned tag."""
-        return self._keys[tid]
-
     def tags_of(self, ids: np.ndarray) -> List[str]:
         tags = self._tags
         return [tags[i] for i in ids.tolist()]
@@ -135,11 +130,10 @@ class VMAKind(Enum):
 
 @dataclass
 class Page:
-    """A resident 4 KiB page (a read-only snapshot in the fast backend)."""
+    """A resident 4 KiB page of the reference backend."""
 
     index: int                 # page index within its VMA
     content_tag: str = ""      # opaque identity used to verify round-trips
-    dirty: bool = False
     soft_dirty: bool = False
 
 
@@ -216,7 +210,7 @@ class VMA(_VMABase):
     """
 
     __slots__ = ("start", "length", "kind", "prot", "file_path",
-                 "file_offset", "label", "_resident", "_dirty", "_soft",
+                 "file_offset", "label", "_resident", "_soft",
                  "_tag_ids", "_resident_count")
 
     def __init__(
@@ -232,7 +226,6 @@ class VMA(_VMABase):
         self._init_common(start, length, kind, prot, file_path, file_offset, label)
         n = length // PAGE_SIZE
         self._resident = np.zeros(n, dtype=bool)
-        self._dirty = np.zeros(n, dtype=bool)
         self._soft = np.zeros(n, dtype=bool)
         self._tag_ids = np.zeros(n, dtype=np.int32)
         self._resident_count = 0
@@ -242,30 +235,6 @@ class VMA(_VMABase):
     @property
     def resident_pages(self) -> int:
         return self._resident_count
-
-    def touch(self, page_index: int, content_tag: str = "", dirty: bool = True) -> Page:
-        """Fault a page in (make it resident); returns a snapshot."""
-        if not 0 <= page_index < self.page_count:
-            raise MemoryError_(
-                f"page index {page_index} out of range for VMA of {self.page_count} pages"
-            )
-        if self._resident[page_index]:
-            if dirty:
-                self._dirty[page_index] = True
-            if content_tag:
-                self._tag_ids[page_index] = TAGS.intern(content_tag)
-        else:
-            self._resident[page_index] = True
-            self._dirty[page_index] = dirty
-            self._tag_ids[page_index] = TAGS.intern(content_tag)
-            self._resident_count += 1
-        self._soft[page_index] = True
-        return Page(
-            index=page_index,
-            content_tag=TAGS.tag(int(self._tag_ids[page_index])),
-            dirty=bool(self._dirty[page_index]),
-            soft_dirty=True,
-        )
 
     def touch_range(self, first: int, count: int, content_tag: str = "") -> None:
         """Fault ``count`` pages starting at ``first`` in one pass."""
@@ -284,12 +253,11 @@ class VMA(_VMABase):
         # Empty tag: new pages keep tag id 0 (already zeroed), existing
         # pages keep their tag — nothing to write either way.
         self._resident[window] = True
-        self._dirty[window] = True
         self._soft[window] = True
         self._resident_count += newly
 
     def populate_pages(self, indices: Sequence[int], tag_ids: np.ndarray) -> None:
-        """Bulk-equivalent of ``touch(i, TAGS.tag(t), dirty=False)`` per (index, tag id).
+        """Bulk-equivalent of ``touch_range(i, 1, TAGS.tag(t))`` per (index, tag id).
 
         ``indices`` must be unique (descriptor order from a dump is);
         ``tag_ids`` are :data:`TAGS` ids (``TAGS.intern_many(tags)``).
@@ -339,11 +307,6 @@ class VMA(_VMABase):
 
     # -- bulk views ----------------------------------------------------------
 
-    @property
-    def resident_indices(self) -> np.ndarray:
-        """Resident page indices, ascending (int64 array)."""
-        return np.nonzero(self._resident)[0]
-
     def dump_pages(self) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
         """(indices, content tags) of the pages a dump copies out."""
         idx, ids = self.dump_arrays()
@@ -365,26 +328,6 @@ class VMA(_VMABase):
 
     def clear_soft_dirty(self) -> None:
         self._soft[:] = False
-
-    def iter_pages(self) -> Iterator[Page]:
-        """Yield resident pages in index order (snapshots)."""
-        idx = np.nonzero(self._resident)[0]
-        ids = self._tag_ids[idx].tolist()
-        dirt = self._dirty[idx].tolist()
-        soft = self._soft[idx].tolist()
-        tag = TAGS.tag
-        for i, t, d, s in zip(idx.tolist(), ids, dirt, soft):
-            yield Page(index=i, content_tag=tag(t), dirty=d, soft_dirty=s)
-
-    @property
-    def pages(self) -> Dict[int, Page]:
-        """Materialized {index: Page} snapshot (compatibility view).
-
-        Kept for inspection and tests; hot paths should use the bulk
-        APIs. Mutating the returned pages does not write back.
-        """
-        return {page.index: page for page in self.iter_pages()}
-
 
 class SlowVMA(_VMABase):
     """Reference dict-of-``Page`` pagemap (the pre-vectorization path).
@@ -415,21 +358,13 @@ class SlowVMA(_VMABase):
     def resident_pages(self) -> int:
         return len(self._pages)
 
-    def touch(self, page_index: int, content_tag: str = "", dirty: bool = True) -> Page:
-        if not 0 <= page_index < self.page_count:
-            raise MemoryError_(
-                f"page index {page_index} out of range for VMA of {self.page_count} pages"
-            )
+    def _touch(self, page_index: int, content_tag: str) -> None:
         page = self._pages.get(page_index)
         if page is None:
-            page = Page(index=page_index, content_tag=content_tag, dirty=dirty)
-            self._pages[page_index] = page
-        else:
-            page.dirty = page.dirty or dirty
-            if content_tag:
-                page.content_tag = content_tag
+            page = self._pages[page_index] = Page(page_index, content_tag)
+        elif content_tag:
+            page.content_tag = content_tag
         page.soft_dirty = True
-        return page
 
     def touch_range(self, first: int, count: int, content_tag: str = "") -> None:
         if count <= 0:
@@ -440,12 +375,15 @@ class SlowVMA(_VMABase):
                 f"for VMA of {self.page_count} pages"
             )
         for i in range(first, first + count):
-            self.touch(i, content_tag=content_tag)
+            self._touch(i, content_tag)
 
     def populate_pages(self, indices: Sequence[int], tag_ids: np.ndarray) -> None:
         for index, tid in zip(np.asarray(indices).tolist(),
                               np.asarray(tag_ids).tolist()):
-            self.touch(index, content_tag=TAGS.tag(tid), dirty=False)
+            if not 0 <= index < self.page_count:
+                raise MemoryError_(
+                    f"page index out of range for VMA of {self.page_count} pages")
+            self._touch(index, TAGS.tag(tid))
 
     def restore_pages(self, runs: np.ndarray) -> None:
         runs = runs.tolist()
@@ -456,11 +394,6 @@ class SlowVMA(_VMABase):
             for first, count, tid in runs
             for index in range(first, first + count)
         }
-
-    @property
-    def resident_indices(self) -> np.ndarray:
-        return np.fromiter(sorted(self._pages), dtype=np.int64,
-                           count=len(self._pages))
 
     def dump_pages(self) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
         indices = sorted(self._pages)
@@ -482,15 +415,6 @@ class SlowVMA(_VMABase):
     def clear_soft_dirty(self) -> None:
         for page in self._pages.values():
             page.soft_dirty = False
-
-    def iter_pages(self) -> Iterator[Page]:
-        for index in sorted(self._pages):
-            yield self._pages[index]
-
-    @property
-    def pages(self) -> Dict[int, Page]:
-        return self._pages
-
 
 def _check_fresh_restore(vma: _VMABase, runs: List[List[int]]) -> None:
     """``restore_pages``' preconditions that cost O(runs) to check."""
@@ -615,12 +539,6 @@ class AddressSpace:
     def vmas(self) -> Tuple[_VMABase, ...]:
         return tuple(self._vmas)
 
-    def find(self, addr: int) -> Optional[_VMABase]:
-        for vma in self._vmas:
-            if vma.start <= addr < vma.end:
-                return vma
-        return None
-
     def find_by_label(self, label: str) -> Optional[_VMABase]:
         for vma in self._vmas:
             if vma.label == label:
@@ -634,15 +552,6 @@ class AddressSpace:
     @property
     def rss_mib(self) -> float:
         return self.rss_bytes / (1024 * 1024)
-
-    def iter_resident(self) -> Iterator[Tuple[_VMABase, Page]]:
-        """Yield (vma, page) for every resident page, address order.
-
-        This is exactly the view ``/proc/<pid>/pagemap`` gives CRIU.
-        """
-        for vma in self._vmas:
-            for page in vma.iter_pages():
-                yield vma, page
 
     def clear_soft_dirty(self) -> None:
         """Model writing ``4`` to ``/proc/<pid>/clear_refs``."""

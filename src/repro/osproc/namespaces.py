@@ -53,9 +53,6 @@ class NamespaceSet:
             raise ValueError(f"namespace set missing kinds: {sorted(k.value for k in missing)}")
         self._namespaces = dict(namespaces)
 
-    def get(self, kind: NamespaceKind) -> Namespace:
-        return self._namespaces[kind]
-
     def clone_with_new(self, *kinds: NamespaceKind) -> "NamespaceSet":
         """Share all namespaces except ``kinds``, which get fresh ones.
 

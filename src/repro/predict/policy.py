@@ -67,7 +67,11 @@ def _concurrency(forecast: float, window_ms: float, service_ms: float,
 
 
 class PrewarmPolicy:
-    """Interface :class:`PrewarmController` plans through."""
+    """Interface :class:`PrewarmController` plans through.
+
+    Each policy defines ``forecast(key)`` (arrivals expected in the
+    next window), ``keepalive_ms(key)`` and ``target_warm(key)``.
+    """
 
     def note_gap(self, key: str, gap_ms: float) -> None:
         """Record one inter-arrival gap for ``key``."""
@@ -78,16 +82,6 @@ class PrewarmPolicy:
 
     def observe_window(self, key: str, count: float) -> None:
         """Fold in one completed window's arrival count for ``key``."""
-
-    def forecast(self, key: str) -> float:
-        """Arrivals expected in the next window."""
-        raise NotImplementedError
-
-    def keepalive_ms(self, key: str) -> float:
-        raise NotImplementedError
-
-    def target_warm(self, key: str) -> int:
-        raise NotImplementedError
 
     def prewarm_schedule(self, key: str) -> Optional[Tuple[float, float]]:
         """Timer-style prewarm schedule, or None.

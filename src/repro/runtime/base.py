@@ -88,7 +88,13 @@ class Response:
 
 
 class ManagedRuntime:
-    """Base class for all runtime models."""
+    """Base class for all runtime models.
+
+    Each runtime defines the hooks: ``_map_base_memory()``,
+    ``_app_init(app)``, ``_before_request(request)``, and
+    ``_extra_state()`` / ``_apply_extra_state(extra)`` for what its
+    snapshots carry beyond the common state.
+    """
 
     kind = "abstract"
     rts_ms = 0.0  # native bootstrap duration before main()
@@ -240,21 +246,3 @@ class ManagedRuntime:
         runtime.app = copy.deepcopy(state["app"])
         runtime._apply_extra_state(state.get("extra", {}))
         return runtime
-
-    def _extra_state(self) -> Dict[str, Any]:
-        """Runtime-specific state to include in snapshots."""
-        return {}
-
-    def _apply_extra_state(self, extra: Dict[str, Any]) -> None:
-        """Re-apply runtime-specific snapshot state after restore."""
-
-    # -- hooks ------------------------------------------------------------------
-
-    def _map_base_memory(self) -> None:
-        raise NotImplementedError
-
-    def _app_init(self, app: "FunctionApp") -> None:
-        raise NotImplementedError
-
-    def _before_request(self, request: Request) -> None:
-        """Lazy work a request can trigger (class loading, JIT)."""

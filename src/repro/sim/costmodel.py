@@ -58,9 +58,6 @@ class FunctionCosts:
     class_kib: float = 0.0
     startup_metric: str = "ready"  # "ready" | "first_response"
 
-    def snapshot_mib(self, warm: bool) -> float:
-        return self.snapshot_warm_mib if warm else self.snapshot_ready_mib
-
     def restore_override_ms(self, warm: bool) -> Optional[float]:
         return self.restore_warm_ms if warm else self.restore_ready_ms
 
@@ -384,15 +381,3 @@ def synthetic_costs(name: str, classes: int, class_kib: float,
 SYNTHETIC_SMALL = synthetic_costs("synthetic-small", classes=374, class_kib=2.8 * 1024)
 SYNTHETIC_MEDIUM = synthetic_costs("synthetic-medium", classes=574, class_kib=9.2 * 1024)
 SYNTHETIC_BIG = synthetic_costs("synthetic-big", classes=1574, class_kib=41.0 * 1024)
-
-BUILTIN_PROFILES = {
-    p.name: p
-    for p in (
-        NOOP_COSTS,
-        MARKDOWN_COSTS,
-        IMAGE_RESIZER_COSTS,
-        SYNTHETIC_SMALL,
-        SYNTHETIC_MEDIUM,
-        SYNTHETIC_BIG,
-    )
-}

@@ -125,16 +125,6 @@ class Simulation:
 
     # -- execution -----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Dispatch the next event. Returns False when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
-            return False
-        self.clock.set_time(event.time)
-        self.events_dispatched += 1
-        event.callback()
-        return True
-
     def run(self, max_events: int = 10_000_000) -> None:
         """Run until no events remain (bounded to catch runaway loops)."""
         pop = self.queue.pop

@@ -3,11 +3,9 @@
 Hot-path layout notes (DESIGN.md §15): ``Event`` and ``Signal`` are
 slotted so a fig3-scale world allocating hundreds of thousands of
 events avoids per-instance ``__dict__`` churn, and ``EventQueue`` keeps
-O(1) live/cancelled counters so ``len(queue)`` never scans the heap.
-Cancelled events stay in the heap as tombstones until they either
-bubble to the top or outnumber the live events, at which point the
-queue compacts (filter + re-heapify) so long-lived worlds with many
-cancelled timers do not leak heap slots.
+an O(1) live counter so ``len(queue)`` never scans the heap.
+Cancelled events stay in the heap as tombstones until they bubble to
+the top, where ``pop`` drops them.
 """
 
 from __future__ import annotations
@@ -49,17 +47,14 @@ class Event:
 class EventQueue:
     """A deterministic min-heap of :class:`Event` objects.
 
-    ``__len__`` is O(1): the queue tracks live and cancelled counts on
-    push/pop/cancel instead of scanning the heap. When cancelled
-    tombstones exceed the live population the heap is compacted in one
-    O(n) filter + heapify pass.
+    ``__len__`` is O(1): the queue counts live events on
+    push/pop/cancel instead of scanning the heap.
     """
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
         self._seq = 0
         self._live = 0
-        self._cancelled = 0
 
     def __len__(self) -> int:
         return self._live
@@ -107,21 +102,11 @@ class EventQueue:
                 event._queue = None
                 self._live -= 1
                 return event
-            self._cancelled -= 1
         return None
 
     def _note_cancel(self) -> None:
-        """Account a cancellation; compact when tombstones dominate."""
+        """Account a cancellation: the event stays as a tombstone."""
         self._live -= 1
-        self._cancelled += 1
-        if self._cancelled > self._live:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Purge cancelled tombstones and re-heapify the survivors."""
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
 
 
 class Signal:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, Sequence
+from typing import Dict
 
 
 def _derive_seed(master_seed: int, name: str) -> int:
@@ -44,14 +44,6 @@ class RandomStreams:
             self._streams[name] = stream
         return stream
 
-    def fork(self, name: str) -> "RandomStreams":
-        """Return a new family whose master seed derives from ``name``.
-
-        Used to give each experiment repetition its own independent
-        sub-family while staying reproducible.
-        """
-        return RandomStreams(_derive_seed(self.seed, name))
-
     # -- distribution helpers ------------------------------------------------
 
     def lognormal_jitter(self, name: str, median: float, sigma: float) -> float:
@@ -65,11 +57,3 @@ class RandomStreams:
             return 0.0
         stream = self.get(name)
         return median * math.exp(stream.gauss(0.0, sigma))
-
-    def triangular(self, name: str, low: float, high: float, mode: float) -> float:
-        """Draw from a triangular distribution (used for outlier tails)."""
-        return self.get(name).triangular(low, high, mode)
-
-    def choice(self, name: str, options: Sequence):
-        """Uniformly pick one element of ``options``."""
-        return self.get(name).choice(list(options))

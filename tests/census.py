@@ -1,0 +1,259 @@
+"""Execution census: every ``def`` under ``src/repro`` runs from an entry point.
+
+    PYTHONPATH=src python tests/census.py
+
+``tests/test_dead_code.py`` checks that the program *names* each
+definition; this script checks that one of its entry points *enters*
+it. It runs every entry point at smoke size in this one process, under
+``sys.setprofile`` and ``threading.setprofile``, and matches each
+definition that ``test_dead_code.definitions`` lists to the code
+objects that ran, by ``(file, co_qualname)``. A definition never
+entered fails unless ``test_dead_code.EXECUTION_ALLOWED`` lists it with
+one of the fixed ``REASONS``; an entry that names a definition that
+ran, or one that is gone, fails too.
+
+The entry points: every ``prebake-bench`` experiment with each output
+flag, ``baseline record`` and ``compare``, the obs CLI on each kind of
+artifact, the three perfbench workloads traced and untraced, the six
+examples and the ``benchmarks/`` suite. What they write goes to a
+temporary directory, so the checkout is left as it was found.
+Processes they start (``-w`` workers, real-process children) are not
+followed. Needs Python 3.11+ for ``co_qualname``; pytest does not
+collect this file, and it needs no coverage package.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import pathlib
+import runpy
+import sys
+import tempfile
+import threading
+import time
+from typing import Callable, Iterable, List, Set, Tuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+if not __package__:  # run as a script
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+
+from tests.test_dead_code import EXECUTION_ALLOWED, definitions, judge  # noqa: E402
+
+PACKAGE = ROOT / "src" / "repro"
+Ran = Set[Tuple[str, str]]
+
+
+def entered(run: Callable[[], object]) -> Tuple[Ran, object]:
+    """``run``'s result, and the ``(file, qualname)`` of every code
+    object entered while it ran; ``<locals>`` is dropped from nested
+    names so they read as ``definitions`` spells them."""
+    codes = set()
+
+    def probe(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    threading.setprofile(probe)
+    sys.setprofile(probe)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return ({(os.path.realpath(code.co_filename),
+              code.co_qualname.replace("<locals>.", ""))
+             for code in codes}, result)
+
+
+def never_entered(package: pathlib.Path, ran: Ran) -> List[str]:
+    """Every definition under ``package`` whose code never ran."""
+    modules = {".".join(path.relative_to(package.parent)
+                        .with_suffix("").parts): os.path.realpath(path)
+               for path in package.rglob("*.py")}
+    out = []
+    for d in definitions(package):
+        if d.kind != "def":  # a class body runs at import; a constant
+            continue          # is no code object
+        parts = d.qualname.split(".")
+        for cut in range(len(parts) - 1, 0, -1):
+            path = modules.get(".".join(parts[:cut]))
+            if path is not None:
+                if (path, ".".join(parts[cut:])) not in ran:
+                    out.append(d.qualname)
+                break
+    return sorted(out)
+
+
+# -- the entry points -------------------------------------------------------
+
+class _BenchResultsTo:
+    """pytest plugin: point ``benchmarks/conftest.py``'s results at ``dir``."""
+
+    def __init__(self, directory: pathlib.Path) -> None:
+        self.directory = directory
+
+    def pytest_plugin_registered(self, plugin, manager):
+        path = getattr(plugin, "__file__", None) or ""
+        if pathlib.Path(path).resolve() == ROOT / "benchmarks" / "conftest.py":
+            plugin.RESULTS_DIR = self.directory
+
+
+def _example(name: str, *argv: str) -> Callable[[], int]:
+    def run() -> int:
+        saved = sys.argv
+        sys.argv = [name, *argv]
+        try:
+            runpy.run_path(str(ROOT / "examples" / name), run_name="__main__")
+        finally:
+            sys.argv = saved
+        return 0
+    return run
+
+
+def _benchmarks(out: pathlib.Path) -> int:
+    import pytest
+    os.environ["REPRO_BENCH_REPS"] = "20"
+    os.environ["REPRO_REAL_REPS"] = "3"
+    out.mkdir()
+    return int(pytest.main([str(ROOT / "benchmarks"), "-q",
+                            "-p", "no:cacheprovider"],
+                           plugins=[_BenchResultsTo(out)]))
+
+
+def entry_points(tmp: pathlib.Path) -> List[Tuple[str, Callable[[], object]]]:
+    """(label, call returning an exit code) for every entry point, in an
+    order where each artifact is written before it is read."""
+    from repro.bench import baseline, cli
+    from repro.obs import cli as obs_cli
+    sys.path.insert(0, str(ROOT))
+    from perfbench import run as perfbench
+    perfbench.OUT = tmp / "perfbench"
+
+    def t(name: str) -> str:
+        return str(tmp / name)
+
+    def bench(*argv: str) -> Tuple[str, Callable[[], object]]:
+        return "prebake-bench " + " ".join(argv), lambda: cli.main(list(argv))
+
+    def obs(*argv: str) -> Tuple[str, Callable[[], object]]:
+        return "obs.cli " + " ".join(argv), lambda: obs_cli.main(list(argv))
+
+    runs = [bench("--list")]
+    for name in ("fig3", "fig5", "fig6", "table1", "fig7", "sec5",
+                 "ablation-restore", "ablation-snapshot",
+                 "ablation-bake-timing", "ext-runtimes", "ext-pool",
+                 "restore-sweep", "restore-pipeline"):
+        runs.append(bench(name, "-r", "3"))
+    runs += [
+        bench("fig3", "-r", "3", "-w", "2"),
+        bench("fig4", "-r", "2", "--trace-out", t("fig4.jsonl")),
+        bench("trace", "-r", "1", "--trace-out", t("trace.jsonl"),
+              "--flight-out", t("trace-tape.jsonl")),
+        bench("chaos", "-r", "2", "--postmortem-dir", t("chaos")),
+        bench("shard-chaos", "-r", "2", "--postmortem-dir", t("shard")),
+        bench("incident", "-r", "2", "--postmortem-dir", t("bundles"),
+              "--flight-out", t("tape.jsonl")),
+        bench("profile", "-r", "3", "--flame-out", t("flame.folded"),
+              "--profile-out", t("profile.json"),
+              "--metrics-out", t("metrics.jsonl")),
+        bench("kernel-bench", "--events", "2000",
+              "--profile-out", t("kernel.json")),
+        bench("fleet-study", "-r", "1", "--requests", "3000",
+              "--fleet-out", t("fleet.json"), "--flame-out", t("fleet.folded")),
+        bench("fleet-report", "--fleet-in", t("fleet.json"),
+              "--flame-out", t("fleet-b.folded")),
+        bench("prewarm", "-r", "2", "--requests", "3000",
+              "--prewarm-out", t("prewarm.json")),
+        obs(t("trace.jsonl")),
+        obs(t("trace.jsonl"), "--tree"),
+        obs(t("fig4.jsonl"), "--tree", "--trace",
+            "prebake/markdown/rep0/t-0001"),
+        obs("alerts", t("metrics.jsonl")),
+        obs("profile", t("profile.json")),
+        obs("profile", t("profile.json"), "--flame"),
+        obs("postmortem", t("bundles")),
+        obs("postmortem", t("bundles"), "--replay"),
+        ("baseline record", lambda: baseline.main(
+            ["record", "--dir", t("baselines"), "-r", "3"])),
+        ("baseline compare", lambda: baseline.main(
+            ["compare", "restore-sweep", "--dir", t("baselines")])),
+    ]
+    for workload in ("warm-paper", "cold-fleet", "prewarm-fleet"):
+        for trace in ("0", "1"):
+            argv = ["--workload", workload, "--seed", "1", "--seconds", "1",
+                    "--trace", trace]
+            runs.append(("perfbench " + " ".join(argv),
+                         lambda argv=argv: perfbench.main(argv)))
+    runs += [
+        ("examples/quickstart.py", _example("quickstart.py")),
+        ("examples/bake_farm_demo.py", _example("bake_farm_demo.py")),
+        ("examples/openfaas_demo.py", _example("openfaas_demo.py")),
+        ("examples/workload_study.py", _example("workload_study.py")),
+        ("examples/warmup_study.py", _example("warmup_study.py", "3")),
+        ("examples/real_process_demo.py",
+         _example("real_process_demo.py", "2")),
+        ("benchmarks/", lambda: _benchmarks(tmp / "results")),
+    ]
+    return runs
+
+
+def _exit_status(run: Callable[[], object]) -> object:
+    """``run``'s return value, or the code it passed to ``sys.exit``."""
+    try:
+        return run()
+    except SystemExit as exc:
+        return exc.code
+
+
+def census(runs: Iterable[Tuple[str, Callable[[], object]]],
+           log: pathlib.Path) -> Tuple[Ran, List[str]]:
+    """Everything the runs entered, and the labels of runs that failed.
+    Their output goes to ``log``."""
+    ran: Ran = set()
+    failed = []
+    with open(log, "w", encoding="utf-8") as sink, \
+            contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        for label, run in runs:
+            started = time.perf_counter()
+            try:
+                codes, status = entered(lambda: _exit_status(run))
+            except Exception as exc:  # the run is reported as failed
+                codes, status = set(), repr(exc)
+            ran |= codes
+            if status not in (0, None):
+                failed.append(f"{label}: exit {status}")
+            print(f"census: {label}: {time.perf_counter() - started:.1f} s",
+                  file=sys.__stderr__, flush=True)
+    return ran, failed
+
+
+def main() -> int:
+    if sys.version_info < (3, 11):
+        print("census: needs Python 3.11+ (co_qualname)", file=sys.stderr)
+        return 2
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="census-") as tmp:
+        tmp_path = pathlib.Path(tmp)
+        # Import-time calls (registries, tables) count: profile the imports.
+        imported, runs = entered(lambda: entry_points(tmp_path))
+        ran, failed = census(runs, tmp_path / "output.log")
+        ran |= imported
+        if failed:
+            print((tmp_path / "output.log").read_text()[-4000:],
+                  file=sys.stderr)
+    found = [f"entry point failed: {f}" for f in failed]
+    found += judge(never_entered(PACKAGE, ran), EXECUTION_ALLOWED,
+                   "never entered")
+    print(f"census: {len(ran)} code objects entered in "
+          f"{time.perf_counter() - started:.0f} s", file=sys.stderr)
+    if found:
+        print(f"{len(found)} census problem(s); delete, wire up, or "
+              "allow-list in EXECUTION_ALLOWED with a reason from REASONS:\n  "
+              + "\n  ".join(found), file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -150,15 +150,20 @@ class TestPrewarmPass:
         assert platform.prewarm.stats.prefetch_requests > 0
         assert _actions(world.kernel, "prewarm") == 0
 
-    def test_function_unregistered_after_traffic_is_skipped(self):
+    def test_traffic_to_an_unknown_name_is_skipped(self):
         world, platform = self._warm_platform(seed=15)
-        platform.registry.unregister("markdown")
+        for _ in range(10):
+            with pytest.raises(RegistryError):
+                platform.invoke("ghost")
+            world.kernel.clock.advance(40.0)
+            platform.gc_tick()
         stats = platform.prewarm.stats
         planned = stats.prefetch_requests
         for _ in range(20):
             world.kernel.clock.advance(40.0)
             platform.gc_tick()
         assert stats.prefetch_requests > planned   # still forecast, skipped
+        assert platform.replica_count("ghost") == 0
 
     def test_prewarm_plans_request_prefetch(self):
         _, platform = self._warm_platform(seed=10)

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.bench import fault_sweep
-from repro.faults.model import FaultPlan
+from repro.bench.fault_sweep import knob_plan
 
 # One seeded run shared by the acceptance assertions (the experiment
 # drives ~18 requests through the full platform; re-running it per
@@ -72,7 +72,7 @@ class TestInjectedFaultRun:
     def test_each_breach_bundle_shows_a_failed_restore(self,
                                                        tmp_path_factory):
         run = _run(tmp_path_factory).cells[0]
-        bundles = [b for b in run.bundles if b.kind == "slo-breach"]
+        bundles = [b for b in run.bundles if b.reason["kind"] == "slo-breach"]
         assert bundles
         for bundle, breach in zip(bundles, run.breaches):
             assert bundle.trace_id == breach.trace_id is not None
@@ -169,7 +169,7 @@ def _crash_cell():
     """Every request dies unrecovered: replica.crash fires on each try."""
     return fault_sweep.Cell(
         "markdown", "vanilla", 1.0, world="crash-{rep}",
-        phases=(fault_sweep.Phase(4, FaultPlan.of(replica_crash=1.0)),))
+        phases=(fault_sweep.Phase(4, knob_plan(1.0, {"replica.crash": 1.0})),))
 
 
 class TestChaosPostmortemPath:

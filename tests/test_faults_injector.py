@@ -6,6 +6,7 @@ from repro import faults, make_world
 from repro.core.bake import Prebaker
 from repro.core.policy import AfterReady
 from repro.faults import (
+    DEFAULT_DELAY_MS,
     REPLICA_CRASH,
     RESTORE_FAIL,
     RESTORE_HANG,
@@ -15,6 +16,7 @@ from repro.faults import (
     SnapshotCorrupted,
 )
 from repro.functions import make_app
+from repro.bench.fault_sweep import knob_plan
 
 
 class TestFaultSpec:
@@ -37,23 +39,27 @@ class TestFaultSpec:
         assert FaultSpec(RESTORE_FAIL, 1.0).effective_delay_ms == 0.0
         assert FaultSpec(RESTORE_HANG, 1.0, delay_ms=5.0).effective_delay_ms == 5.0
 
+    def test_unknown_site_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultSpec("bogus.site", 0.5)
+
+    def test_typo_of_a_real_site_is_rejected(self):
+        # A misspelt site used to build a plan that armed nothing.
+        with pytest.raises(ValueError, match="unknown fault site"):
+            knob_plan(1.0, {"store.node_downn": 1.0})
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_knob_plan_arms_each_site(self, site):
+        plan = knob_plan(0.4, {site: 0.5})
+        assert plan.spec(site).probability == pytest.approx(0.2)
+        assert plan.spec(site).effective_delay_ms == DEFAULT_DELAY_MS.get(
+            site, 0.0)
+        # rate x scale is capped at 1, and a zero scale arms nothing.
+        assert knob_plan(0.4, {site: 5.0}).spec(site).probability == 1.0
+        assert knob_plan(0.4, {site: 0.0}).specs == {}
+
 
 class TestFaultPlan:
-    def test_of_maps_underscores_to_dots(self):
-        plan = FaultPlan.of(restore_fail=0.5, replica_crash=0.1)
-        assert plan.spec(RESTORE_FAIL).probability == 0.5
-        assert plan.spec(REPLICA_CRASH).probability == 0.1
-        assert plan.spec(RESTORE_HANG) is None
-
-    def test_uniform_covers_all_sites(self):
-        plan = FaultPlan.uniform(0.2)
-        assert sorted(site for site, spec in plan.specs.items()
-                      if spec.probability > 0.0) == sorted(SITES)
-
-    def test_scaled_caps_at_one(self):
-        plan = FaultPlan.of(restore_fail=0.6).scaled(10.0)
-        assert plan.spec(RESTORE_FAIL).probability == 1.0
-
     def test_mismatched_spec_site_rejected(self):
         with pytest.raises(ValueError):
             FaultPlan(specs={RESTORE_FAIL: FaultSpec(RESTORE_HANG, 0.5)})
@@ -74,21 +80,22 @@ class TestInjectorLifecycle:
         assert f"fault.{RESTORE_FAIL}" not in kernel.streams._streams
 
     def test_install_and_uninstall(self, kernel):
-        injector = faults.install(kernel, FaultPlan.of(restore_fail=1.0))
-        assert faults.active(kernel) is injector
+        injector = faults.install(kernel, knob_plan(1.0, {"restore.fail": 1.0}))
+        assert kernel.faults is injector
         assert faults.should_fire(kernel, RESTORE_FAIL) is True
         faults.uninstall(kernel)
         assert kernel.faults is None
         assert faults.should_fire(kernel, RESTORE_FAIL) is False
 
     def test_unarmed_site_consumes_no_randomness(self, kernel):
-        injector = faults.install(kernel, FaultPlan.of(restore_fail=1.0))
+        injector = faults.install(kernel, knob_plan(1.0, {"restore.fail": 1.0}))
         assert faults.should_fire(kernel, REPLICA_CRASH) is False
         assert injector.records == []
         assert f"fault.{REPLICA_CRASH}" not in kernel.streams._streams
 
     def test_zero_probability_site_consumes_no_randomness(self, kernel):
-        injector = faults.install(kernel, FaultPlan.of(restore_fail=0.0))
+        injector = faults.install(kernel, FaultPlan(specs={
+            RESTORE_FAIL: FaultSpec(RESTORE_FAIL, 0.0)}))
         assert faults.should_fire(kernel, RESTORE_FAIL) is False
         assert injector.records == []
 
@@ -104,7 +111,7 @@ class TestInjectorLifecycle:
 
     def test_fired_decisions_are_counted_in_metrics(self):
         world = make_world(seed=9, observe=True)
-        faults.install(world.kernel, FaultPlan.of(restore_fail=1.0))
+        faults.install(world.kernel, knob_plan(1.0, {"restore.fail": 1.0}))
         faults.should_fire(world.kernel, RESTORE_FAIL)
         assert world.kernel.obs.metrics.value(
             "fault_injected_total", labels={"site": RESTORE_FAIL}) == 1
@@ -114,7 +121,8 @@ class TestDeterminism:
     @staticmethod
     def _schedule(seed: int) -> str:
         world = make_world(seed=seed)
-        injector = faults.install(world.kernel, FaultPlan.uniform(0.5))
+        injector = faults.install(
+            world.kernel, knob_plan(0.5, {site: 1.0 for site in SITES}))
         for i in range(50):
             site = SITES[i % len(SITES)]
             faults.should_fire(world.kernel, site, detail=f"x{i}")
@@ -138,12 +146,13 @@ class TestDeterminism:
             return [r.draw for r in injector.records
                     if r.site == RESTORE_FAIL]
 
-        baseline = draws(FaultPlan.of(restore_fail=0.5))
-        widened = draws(FaultPlan.of(restore_fail=0.5, replica_crash=0.5))
+        baseline = draws(knob_plan(1.0, {"restore.fail": 0.5}))
+        widened = draws(knob_plan(1.0, {"restore.fail": 0.5,
+                                        "replica.crash": 0.5}))
         assert baseline == widened
 
     def test_schedule_lines_render(self, kernel):
-        injector = faults.install(kernel, FaultPlan.of(restore_fail=1.0))
+        injector = faults.install(kernel, knob_plan(1.0, {"restore.fail": 1.0}))
         faults.should_fire(kernel, RESTORE_FAIL, detail="img-1")
         (line,) = injector.schedule_lines()
         assert "restore.fail" in line and "FIRE" in line and "img-1" in line
@@ -155,7 +164,7 @@ class TestCorruptImage:
         report = prebaker.bake(make_app("noop"), policy=AfterReady())
         image = report.image
         image.verify_integrity()
-        faults.install(kernel, FaultPlan.of(image_corrupt=1.0))
+        faults.install(kernel, knob_plan(1.0, {"image.corrupt": 1.0}))
         assert faults.corrupt_image(kernel, image) is True
         with pytest.raises(SnapshotCorrupted):
             image.verify_integrity()

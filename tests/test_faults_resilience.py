@@ -34,6 +34,7 @@ from repro.faults import (
 )
 from repro.functions import make_app
 from repro.sim.costmodel import DEFAULT_COST_MODEL
+from repro.bench.fault_sweep import knob_plan
 
 QUIET = replace(DEFAULT_COST_MODEL, noise_sigma=0.0)
 
@@ -62,7 +63,7 @@ class TestRetryAndFallback:
         kernel, manager = observed_manager()
         app = make_app("noop")
         starter = deployed_prebake_starter(
-            kernel, manager, app, FaultPlan.of(restore_fail=1.0))
+            kernel, manager, app, knob_plan(1.0, {"restore.fail": 1.0}))
         handle = starter.start(app)
         assert handle.technique == "vanilla"
         metrics = kernel.obs.metrics
@@ -187,7 +188,7 @@ class TestRouterResilience:
     def test_unrecoverable_crash_storm_raises_typed_error(self):
         from repro.faults import ReplicaCrashed
         kernel, platform = self._platform(max_crash_retries=1)
-        platform.install_faults(FaultPlan.of(replica_crash=1.0))
+        platform.install_faults(knob_plan(1.0, {"replica.crash": 1.0}))
         with pytest.raises(ReplicaCrashed):
             platform.invoke("noop")
 
@@ -234,7 +235,7 @@ class TestRouterResilience:
         (replica,) = platform.deployer.replicas("noop")
         kernel.kill(replica.handle.process.pid)
         assert not replica.healthy
-        assert platform.health_check() == 1
+        assert len(platform.deployer.health_check()) == 1
         assert platform.replica_count("noop") == 0
         assert kernel.obs.metrics.value("deployer_reaped_total") == 1
 
@@ -262,7 +263,8 @@ class TestSpanErrorTagging:
         with pytest.raises(RestoreFailed):
             with obs.span(world.kernel, "doomed"):
                 raise RestoreFailed("nope")
-        (span,) = world.kernel.obs.tracer.find("doomed")
+        (span,) = [s for s in world.kernel.obs.tracer.spans
+                   if s.name == "doomed"]
         assert span.status == "error"
         assert span.attributes["error_type"] == "RestoreFailed"
         assert "nope" in span.attributes["error"]
@@ -281,7 +283,7 @@ class TestConvergenceProperty:
         if technique == "vanilla":
             return manager.starter("vanilla").start(app).startup_ms("ready")
         manager.deploy(app)
-        faults.install(kernel, FaultPlan.of(restore_fail=1.0))
+        faults.install(kernel, knob_plan(1.0, {"restore.fail": 1.0}))
         starter = manager.starter(
             "prebake", version=manager.current_version(app.name))
         # The starter retries by the platform's one policy; swap it for

@@ -10,7 +10,6 @@ from repro.functions import (
     SAMPLE_DOCUMENT,
     custom_function,
     make_app,
-    registered_names,
 )
 from repro.functions.base import FunctionApp, register_app
 from repro.functions.image_resizer import SCALE_FRACTION, SOURCE_IMAGE_PATH
@@ -21,10 +20,9 @@ from repro.runtime.base import Request
 
 class TestRegistry:
     def test_paper_workloads_registered(self):
-        names = registered_names()
         for expected in ("noop", "markdown", "image-resizer",
                          "synthetic-small", "synthetic-medium", "synthetic-big"):
-            assert expected in names
+            assert make_app(expected).name == expected
 
     def test_make_app_returns_fresh_instances(self):
         assert make_app("noop") is not make_app("noop")

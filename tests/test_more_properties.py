@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import make_world
-from repro.bench.stats import ecdf
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.engine import Simulation
 
@@ -33,18 +32,6 @@ class TestCostModelProperties:
         m = DEFAULT_COST_MODEL
         assert m.dump_cost(mib) > 0
         assert m.dump_cost(mib + 1.0) > m.dump_cost(mib)
-
-
-class TestEcdfProperties:
-    @given(data=st.lists(st.floats(min_value=-1e6, max_value=1e6),
-                         min_size=1, max_size=200))
-    @settings(max_examples=60)
-    def test_ecdf_monotone_and_bounded(self, data):
-        xs, ps = ecdf(data)
-        assert xs == sorted(xs)
-        assert all(0.0 < p <= 1.0 for p in ps)
-        assert all(a <= b for a, b in zip(ps, ps[1:]))
-        assert ps[-1] == 1.0
 
 
 class TestEngineProperties:

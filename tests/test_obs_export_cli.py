@@ -1,4 +1,4 @@
-"""Tests for the exporters (Prometheus text, JSONL) and the trace CLI."""
+"""Tests for the JSONL exporters and the trace CLI."""
 
 import json
 
@@ -8,9 +8,7 @@ from repro.obs.cli import main as cli_main
 from repro.obs.cli import render_tree, summarize
 from repro.obs.export import (
     metrics_to_jsonl,
-    parse_prometheus,
     read_trace_jsonl,
-    render_prometheus,
     spans_to_jsonl,
     write_trace_jsonl,
 )
@@ -32,65 +30,6 @@ def _loaded_registry() -> MetricsRegistry:
     for v in (1.5, 2.5, 40.0, 41.0, 300.0):
         reg.observe("latency_ms", v, labels={"fn": "a"})
     return reg
-
-
-class TestPrometheusRoundTrip:
-    def test_counters_and_gauges_round_trip(self):
-        reg = _loaded_registry()
-        parsed = parse_prometheus(render_prometheus(reg))
-        assert parsed["requests_total"][(("fn", "a"),)] == 3.0
-        assert parsed["requests_total"][(("fn", "b"),)] == 1.0
-        assert parsed["replicas"][(("fn", "a"),)] == 2.0
-        assert parsed["load"][()] == 0.75
-
-    def test_histogram_summary_round_trips_quantiles(self):
-        reg = _loaded_registry()
-        parsed = parse_prometheus(render_prometheus(reg))
-        for q in (0.5, 0.95, 0.99):
-            key = tuple(sorted((("fn", "a"), ("quantile", str(q)))))
-            assert parsed["latency_ms"][key] == reg.quantile(
-                "latency_ms", q, {"fn": "a"})
-        assert parsed["latency_ms_count"][(("fn", "a"),)] == 5.0
-        assert parsed["latency_ms_sum"][(("fn", "a"),)] == pytest.approx(385.0)
-
-    def test_kind_grouping_and_type_lines(self):
-        text = render_prometheus(_loaded_registry())
-        type_lines = [l for l in text.splitlines() if l.startswith("# TYPE")]
-        assert type_lines == [
-            "# TYPE requests_total counter",
-            "# TYPE load gauge",
-            "# TYPE replicas gauge",
-            "# TYPE latency_ms summary",
-        ]
-
-    def test_rendering_is_deterministic(self):
-        assert render_prometheus(_loaded_registry()) == \
-            render_prometheus(_loaded_registry())
-
-    def test_label_value_escaping_round_trips(self):
-        reg = MetricsRegistry()
-        tricky = 'quo"te\\slash\nnewline'
-        reg.inc("odd", labels={"k": tricky})
-        parsed = parse_prometheus(render_prometheus(reg))
-        assert parsed["odd"][(("k", tricky),)] == 1.0
-
-    def test_empty_registry_renders_empty(self):
-        assert render_prometheus(MetricsRegistry()) == ""
-        assert parse_prometheus("") == {}
-
-    def test_parse_skips_comments_and_blanks(self):
-        parsed = parse_prometheus("# HELP x\n\nx 1\n")
-        assert parsed == {"x": {(): 1.0}}
-
-    @pytest.mark.parametrize("line", [
-        "lonetoken",
-        'metric{unclosed="1" 2',
-        "metric{k=unquoted} 1",
-        "metric notanumber",
-    ])
-    def test_parse_rejects_malformed_lines(self, line):
-        with pytest.raises(ValueError):
-            parse_prometheus(line)
 
 
 def _sample_trace():

@@ -104,13 +104,12 @@ class TestSpaceSavingSketch:
                 (k, counts[k], errors[k])
                 for k in sorted(counts, key=lambda k: (-counts[k], k))]
 
-    def test_as_dict_sorted(self):
+    def test_top_sorted(self):
         sketch = SpaceSavingSketch(capacity=4)
         sketch.offer("x", 2.0)
         sketch.offer("y", 7.0)
-        blob = sketch.as_dict()
-        assert [e["key"] for e in blob["entries"]] == ["y", "x"]
-        assert blob["total"] == 9.0
+        assert [key for key, _, _ in sketch.top(4)] == ["y", "x"]
+        assert sketch.total == 9.0
 
 
 class TestNodeLabelledMerge:

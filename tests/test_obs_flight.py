@@ -20,8 +20,6 @@ from repro.core.manager import PrebakeManager
 from repro.faas import FaaSPlatform
 from repro.functions import make_app
 from repro.obs.flight import (
-    EVENT_KINDS,
-    FLIGHT_SCHEMA,
     FlightEvent,
     FlightRecorder,
     write_flight_jsonl,
@@ -76,18 +74,11 @@ class TestEventRoundTrip:
     def test_from_dict_rejects_garbage(self):
         from repro.obs.flight import FlightError
 
-        assert FLIGHT_SCHEMA == 1
         with pytest.raises(FlightError):
             FlightEvent.from_dict({"not": "an event"})
         with pytest.raises(FlightError):
             FlightEvent.from_dict({"kind": "deploy", "seq": "x",
                                    "at_ms": 0.0})
-
-    def test_kind_catalogue_is_stable(self):
-        # Postmortems and dashboards key on these strings.
-        assert "restore.failed" in EVENT_KINDS
-        assert "fault.injected" in EVENT_KINDS
-        assert "slo.breach" in EVENT_KINDS
 
 
 class TestRingEviction:
@@ -140,7 +131,7 @@ class TestTraceCorrelation:
         with obs.span(kernel, "unit.work"):
             obs.record(kernel, "deploy", function="noop")
         (event,) = kernel.obs.flight.events()
-        (span,) = kernel.obs.tracer.find("unit.work")
+        (span,) = [s for s in kernel.obs.tracer.spans if s.name == "unit.work"]
         assert event.trace_id == span.trace_id
         assert event.span_id == span.span_id
 

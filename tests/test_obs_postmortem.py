@@ -38,7 +38,7 @@ class TestSealing:
                                         recipe={"experiment": "unit"})
         bundle = collector.on_error(PlatformError("restore exhausted"),
                                     trace_id=trace_id)
-        assert bundle.kind == "error"
+        assert bundle.reason["kind"] == "error"
         assert bundle.trace_id == trace_id
         assert bundle.sealed_at_ms == kernel.clock.now
         assert bundle.reason["error_type"] == "PlatformError"
@@ -65,7 +65,7 @@ class TestSealing:
         kernel.clock.advance(100.0)
         obs.count(kernel, "criu_restore_total")  # closes it
         (bundle,) = collector.bundles
-        assert bundle.kind == "slo-breach"
+        assert bundle.reason["kind"] == "slo-breach"
         (breach,) = bundle.breaches
         assert breach.slo == "cold-start-p99"
         assert breach.bad_fraction == 0.5

@@ -24,12 +24,13 @@ from repro.faults import FaultPlan
 from repro.functions import make_app
 from repro.obs import profile as prof
 from repro.obs.profile import PhaseSample
+from repro.bench.fault_sweep import knob_plan
 
 FAULT_PLANS = {
     "none": FaultPlan(),
-    "restore_fail": FaultPlan.of(restore_fail=0.5),
-    "io_slow": FaultPlan.of(io_slow=1.0),
-    "image_corrupt": FaultPlan.of(image_corrupt=1.0),  # vanilla fallback
+    "restore_fail": knob_plan(1.0, {"restore.fail": 0.5}),
+    "io_slow": knob_plan(1.0, {"io.slow": 1.0}),
+    "image_corrupt": knob_plan(1.0, {"image.corrupt": 1.0}),  # vanilla fallback
 }
 
 
@@ -69,7 +70,8 @@ class TestTaxonomy:
 class TestExperimentAccounting:
     def test_phase_sums_equal_startup_both_techniques(self):
         result = run_profile_experiment("markdown", repetitions=2, seed=42)
-        result.verify()  # raises on any accounting mismatch
+        for run in result.runs:
+            run.verify()  # raises on any accounting mismatch
         for technique in ("vanilla", "prebake"):
             runs = result.technique_runs(technique)
             assert len(runs) == 2
@@ -120,7 +122,8 @@ class TestExperimentAccounting:
         manager.deploy(app)
         profiler = prof.install(kernel)
         manager.start_replica(app, technique="prebake")
-        (restore_span,) = kernel.obs.tracer.find("criu.restore")
+        (restore_span,) = [s for s in kernel.obs.tracer.spans
+                           if s.name == "criu.restore"]
         restore_ms = sum(s.duration_ms for s in profiler.samples
                          if s.phase.startswith("restore."))
         assert restore_ms == pytest.approx(restore_span.duration_ms,
@@ -191,7 +194,8 @@ class TestSerialization:
         result = run_profile_experiment("noop", repetitions=1, seed=5)
         rebuilt = result_from_dict(result.as_dict())
         assert rebuilt.as_dict() == result.as_dict()
-        rebuilt.verify()
+        for run in rebuilt.runs:
+            run.verify()
 
     def test_schema_version_is_checked(self):
         result = run_profile_experiment("noop", repetitions=1, seed=5)

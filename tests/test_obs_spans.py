@@ -34,8 +34,8 @@ class TestTracer:
                 clock.advance(2.0)
         assert child.parent_id == root.span_id
         assert child.trace_id == root.trace_id
-        assert tracer.children(root) == [child]
-        assert tracer.children(child) == []
+        assert [s for s in tracer.spans if s.parent_id == root.span_id] \
+            == [child]
 
     def test_timestamps_come_from_the_clock(self, tracer, clock):
         clock.advance(3.0)
@@ -95,14 +95,13 @@ class TestTracer:
             span.duration_ms
         assert span.as_dict()["duration_ms"] is None
 
-    def test_find_sees_finished_spans_only(self, tracer):
+    def test_spans_hold_finished_spans_only(self, tracer):
         with tracer.span("a"):
             pass
         keep_open = tracer.span("b")
-        assert [s.name for s in tracer.find("a")] == ["a"]
-        assert tracer.find("b") == []
+        assert [s.name for s in tracer.spans] == ["a"]
         tracer.finish(keep_open)
-        assert [s.name for s in tracer.find("b")] == ["b"]
+        assert [s.name for s in tracer.spans] == ["a", "b"]
 
 
 class TestKernelHelpers:
@@ -119,15 +118,12 @@ class TestKernelHelpers:
         with NULL_SPAN as span:
             assert span is NULL_SPAN
             assert span.set(x=1) is NULL_SPAN
-        assert NULL_SPAN.finished
         assert isinstance(NULL_SPAN, NullSpan)
 
     def test_install_is_idempotent(self):
         kernel = make_world(seed=1).kernel
         hub = obs.install(kernel)
         assert obs.install(kernel) is hub
-        obs.uninstall(kernel)
-        assert kernel.obs is None
 
     def test_make_world_observe_flag(self):
         kernel = make_world(seed=1, observe=True).kernel
@@ -140,7 +136,7 @@ class TestKernelHelpers:
             obs.count(kernel, "hits", labels={"fn": "a"})
             obs.gauge(kernel, "depth", 2.0)
             obs.observe(kernel, "lat_ms", 5.0)
-        (span,) = kernel.obs.tracer.find("op")
+        (span,) = [s for s in kernel.obs.tracer.spans if s.name == "op"]
         assert span.attributes == {"k": "v"}
         assert kernel.obs.metrics.value("hits") == 1.0
         assert kernel.obs.metrics.value("depth") == 2.0
@@ -151,7 +147,7 @@ class TestKernelHelpers:
         w2 = make_world(seed=2, observe=True).kernel
         with obs.span(w1, "only-in-w1"):
             pass
-        assert w1.obs.tracer.find("only-in-w1")
+        assert [s for s in w1.obs.tracer.spans if s.name == "only-in-w1"]
         assert w2.obs.tracer.spans == []
 
     def test_spans_stamp_simulated_time(self):

@@ -45,7 +45,7 @@ class TestWindowedSeries:
             series.record(float(index), float(index))
         assert len(series) == 3
         assert series.total_samples == 10
-        assert [v for _, v in series.samples()] == [7.0, 8.0, 9.0]
+        assert [v for _, v in series._samples] == [7.0, 8.0, 9.0]
 
 
 class TestTimeseriesTable:
@@ -55,8 +55,8 @@ class TestTimeseriesTable:
         kernel.clock.advance(30.0)
         obs.observe(kernel, "criu_restore_duration_ms", 52.0)
         obs.count(kernel, "criu_restore_total")
-        assert table.series("criu_restore_duration_ms").kind == VALUE_SAMPLE
-        assert table.series("criu_restore_total").kind == COUNTER_SAMPLE
+        assert table._series["criu_restore_duration_ms"].kind == VALUE_SAMPLE
+        assert table._series["criu_restore_total"].kind == COUNTER_SAMPLE
         (window,) = table.windows("criu_restore_duration_ms")
         assert window.p50 == 52.0
 

@@ -11,7 +11,7 @@ from repro.faas.openfaas import (
     Template,
     TemplateStore,
 )
-from repro import faults, make_world
+from repro import make_world
 from repro.faas.openfaas.stack import make_openfaas_stack
 from repro.faas.openfaas.templates import TemplateError
 from repro.faas.registry import RegistryError
@@ -19,6 +19,7 @@ from repro.obs.metrics import MetricsError, MetricsRegistry
 from repro.faas.resources import ResourceError
 from repro.functions import MarkdownFunction, NoopFunction
 from repro.runtime.base import Request
+from repro.bench.fault_sweep import knob_plan
 
 
 @pytest.fixture
@@ -71,12 +72,6 @@ class TestImageRepository:
     def test_pull_missing(self):
         with pytest.raises(ImageNotFound):
             ImageRepository().pull("ghost:1")
-
-    def test_total_bytes(self):
-        repo = ImageRepository()
-        repo.push(self._image("1"))
-        repo.push(self._image("2"))
-        assert repo.total_bytes == 200
 
 
 class TestPrometheus:
@@ -211,15 +206,6 @@ class TestGateway:
         with pytest.raises(RegistryError, match="not registered"):
             stack.gateway.invoke("ghost")
 
-    def test_remove_service(self, stack):
-        stack.cli.new("noop", "java8", NoopFunction)
-        stack.cli.up("noop", initial_replicas=2)
-        replicas = stack.platform.deployer.replicas("noop")
-        stack.gateway.remove("noop")
-        assert "noop" not in stack.gateway.services()
-        assert stack.gateway.replica_count("noop") == 0
-        assert not any(r.handle.process.alive for r in replicas)
-
     def test_invocations_counted_in_router_series(self):
         kernel = make_world(seed=3, observe=True).kernel
         stack = make_openfaas_stack(kernel)
@@ -291,7 +277,7 @@ class TestOnePlatform:
     def test_restore_faults_take_the_starter_retry_path(self):
         kernel = make_world(seed=4, observe=True).kernel
         stack = self._deployed(kernel)
-        stack.platform.install_faults(faults.FaultPlan.of(restore_fail=1.0))
+        stack.platform.install_faults(knob_plan(1.0, {"restore.fail": 1.0}))
         assert stack.gateway.invoke("markdown").ok
         metrics = kernel.obs.metrics
         assert metrics.value("prebake_restore_retries_total") >= 1

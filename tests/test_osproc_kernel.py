@@ -183,18 +183,12 @@ class TestPtrace:
 
 
 class TestProcfs:
-    def test_pagemap_lists_resident(self, kernel):
-        child = kernel.clone(kernel.init_process)
-        child.address_space.grow_anon("heap", 1.0)
-        pages = list(kernel.pagemap(child.pid))
-        assert len(pages) == 256  # 1 MiB of 4 KiB pages
-
     def test_clear_refs(self, kernel):
         child = kernel.clone(kernel.init_process)
         vma = child.address_space.grow_anon("heap", 0.01)
-        assert all(p.soft_dirty for p in vma.pages.values())
+        assert len(vma.touched_indices()) == vma.resident_pages
         child.address_space.clear_soft_dirty()
-        assert not any(p.soft_dirty for p in vma.pages.values())
+        assert len(vma.touched_indices()) == 0
 
     def test_get_unknown_pid(self, kernel):
         with pytest.raises(KernelError, match="ESRCH"):

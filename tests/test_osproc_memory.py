@@ -47,27 +47,27 @@ class TestVMA:
 
     def test_touch_makes_page_resident(self):
         vma = VMA(start=0, length=4 * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
-        vma.touch(2, content_tag="x")
+        vma.touch_range(2, 1, content_tag="x")
         assert vma.resident_pages == 1
-        assert vma.pages[2].content_tag == "x"
+        assert vma.dump_pages() == ((2,), ("x",))
 
     def test_touch_out_of_range_rejected(self):
         vma = VMA(start=0, length=2 * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         with pytest.raises(MemoryError_):
-            vma.touch(2)
+            vma.touch_range(2, 1)
         with pytest.raises(MemoryError_):
-            vma.touch(-1)
+            vma.touch_range(-1, 1)
 
     def test_touch_is_idempotent_for_residency(self):
         vma = VMA(start=0, length=2 * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
-        vma.touch(0)
-        vma.touch(0)
+        vma.touch_range(0, 1)
+        vma.touch_range(0, 1)
         assert vma.resident_pages == 1
 
     def test_touch_range(self):
         vma = VMA(start=0, length=8 * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
         vma.touch_range(2, 3)
-        assert sorted(vma.pages) == [2, 3, 4]
+        assert vma.dump_pages()[0] == (2, 3, 4)
 
     def test_overlaps(self):
         a = VMA(start=0, length=4 * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
@@ -115,12 +115,6 @@ class TestAddressSpace:
         with pytest.raises(MemoryError_):
             space.munmap(foreign)
 
-    def test_find_by_address(self):
-        space = AddressSpace()
-        vma = space.mmap(4 * PAGE_SIZE, VMAKind.STACK, start=0x2000_0000)
-        assert space.find(0x2000_0000 + PAGE_SIZE) is vma
-        assert space.find(0x2000_0000 + 4 * PAGE_SIZE) is None
-
     def test_find_by_label(self):
         space = AddressSpace()
         vma = space.mmap(PAGE_SIZE, VMAKind.ANON, label="heap")
@@ -148,23 +142,14 @@ class TestAddressSpace:
         assert space.rss_bytes == 0
         assert space.vmas == ()
 
-    def test_iter_resident_address_order(self):
-        space = AddressSpace()
-        high = space.mmap(2 * PAGE_SIZE, VMAKind.ANON, start=0x9000_0000)
-        low = space.mmap(2 * PAGE_SIZE, VMAKind.ANON, start=0x1000_0000)
-        high.touch(1)
-        low.touch(0)
-        order = [(vma.start, page.index) for vma, page in space.iter_resident()]
-        assert order == [(0x1000_0000, 0), (0x9000_0000, 1)]
-
     def test_clear_soft_dirty(self):
         space = AddressSpace()
         vma = space.mmap(2 * PAGE_SIZE, VMAKind.ANON, populate=True)
-        assert all(p.soft_dirty for p in vma.pages.values())
+        assert vma.touched_indices().tolist() == [0, 1]
         space.clear_soft_dirty()
-        assert not any(p.soft_dirty for p in vma.pages.values())
-        vma.touch(0)
-        assert vma.pages[0].soft_dirty
+        assert vma.touched_indices().tolist() == []
+        vma.touch_range(0, 1)
+        assert vma.touched_indices().tolist() == [0]
 
 
 class TestAddressSpaceProperties:
@@ -185,7 +170,7 @@ class TestAddressSpaceProperties:
         space = AddressSpace()
         vma = space.mmap(64 * PAGE_SIZE, VMAKind.ANON)
         for index in pages:
-            vma.touch(index)
+            vma.touch_range(index, 1)
         assert space.rss_bytes == len(set(pages)) * PAGE_SIZE
 
     @given(mib=st.floats(min_value=0.01, max_value=64.0))

@@ -8,8 +8,7 @@ from repro.osproc.namespaces import Namespace, NamespaceKind, NamespaceSet
 class TestNamespaceSet:
     def test_fresh_set_covers_all_kinds(self):
         ns = NamespaceSet()
-        for kind in NamespaceKind:
-            assert ns.get(kind).kind is kind
+        assert set(ns.ids()) == {kind.value for kind in NamespaceKind}
 
     def test_missing_kind_rejected(self):
         partial = {NamespaceKind.PID: Namespace.fresh(NamespaceKind.PID)}
@@ -19,25 +18,24 @@ class TestNamespaceSet:
     def test_clone_shares_unlisted_kinds(self):
         parent = NamespaceSet()
         child = parent.clone_with_new(NamespaceKind.PID)
-        assert child.get(NamespaceKind.PID) != parent.get(NamespaceKind.PID)
-        assert child.get(NamespaceKind.NET) == parent.get(NamespaceKind.NET)
+        assert child.ids()["pid"] != parent.ids()["pid"]
+        assert child.ids()["net"] == parent.ids()["net"]
 
     def test_clone_all_new_is_fully_distinct(self):
         parent = NamespaceSet()
         child = parent.clone_with_new(*NamespaceKind)
         for kind in NamespaceKind:
-            assert child.get(kind) != parent.get(kind)
+            assert child.ids()[kind.value] != parent.ids()[kind.value]
 
     def test_ids_serializable_roundtrip(self):
         ns = NamespaceSet()
         ids = ns.ids()
         assert set(ids) == {k.value for k in NamespaceKind}
-        assert ids == NamespaceSet(
-            {k: ns.get(k) for k in NamespaceKind}).ids()
+        assert ids == ns.clone_with_new().ids()
 
     def test_equality_and_hash(self):
         ns = NamespaceSet()
-        same = NamespaceSet({k: ns.get(k) for k in NamespaceKind})
+        same = ns.clone_with_new()
         other = NamespaceSet()
         assert ns == same
         assert hash(ns) == hash(same)

@@ -40,9 +40,6 @@ NO_FILE = dict(prot="rw-", file_path=None, file_offset=0, label="")
 # state evolution.
 _tags = st.sampled_from(["", "a", "b", "heap:x", "text:/bin/app"])
 _ops = st.one_of(
-    st.tuples(st.just("touch"),
-              st.integers(min_value=0, max_value=PAGES - 1),
-              _tags, st.booleans()),
     st.tuples(st.just("touch_range"),
               st.integers(min_value=0, max_value=PAGES - 1),
               st.integers(min_value=0, max_value=PAGES),
@@ -52,10 +49,7 @@ _ops = st.one_of(
 
 
 def _apply(vma, op):
-    if op[0] == "touch":
-        _, index, tag, dirty = op
-        vma.touch(index, content_tag=tag, dirty=dirty)
-    elif op[0] == "touch_range":
+    if op[0] == "touch_range":
         _, first, count, tag = op
         count = min(count, PAGES - first)
         if count > 0:
@@ -69,11 +63,6 @@ def _observe(vma):
     return {
         "resident_pages": vma.resident_pages,
         "resident_bytes": vma.resident_bytes,
-        "resident_indices": vma.resident_indices.tolist(),
-        "pages": {
-            index: (page.content_tag, page.dirty, page.soft_dirty)
-            for index, page in vma.pages.items()
-        },
         "dump_full": vma.dump_pages(),
         "touched": vma.touched_indices().tolist(),
         "touched_floor": vma.touched_indices(floor=True).tolist(),
@@ -127,7 +116,7 @@ class TestBackendEquivalence:
         runs = page_runs(np.array([0, 5, PAGES - 1], dtype=np.int64),
                          TAGS.intern_many(["a", "b", "c"]))
         used = backend(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON, **NO_FILE)
-        used.touch(3, content_tag="x")
+        used.touch_range(3, 1, content_tag="x")
         with pytest.raises(MemoryError_, match="fresh mapping"):
             used.restore_pages(runs)
         small = backend(start=0, length=(PAGES - 1) * PAGE_SIZE,
@@ -149,13 +138,21 @@ class TestBackendEquivalence:
             assert (tuple(indices.tolist()), tuple(TAGS.tags_of(tag_ids))) \
                 == vma.dump_pages()
 
-    def test_iter_pages_orders_by_index(self):
+    def test_dump_orders_pages_by_index(self):
         for backend in (VMA, SlowVMA):
             vma = backend(start=0, length=PAGES * PAGE_SIZE,
                           kind=VMAKind.ANON, **NO_FILE)
             for index in (9, 3, 41, 0):
-                vma.touch(index, content_tag=f"p{index}")
-            assert [p.index for p in vma.iter_pages()] == [0, 3, 9, 41]
+                vma.touch_range(index, 1, content_tag=f"p{index}")
+            assert vma.dump_pages() == ((0, 3, 9, 41),
+                                        ("p0", "p3", "p9", "p41"))
+
+    @pytest.mark.parametrize("backend", [VMA, SlowVMA])
+    def test_populate_pages_rejects_an_index_out_of_range(self, backend):
+        vma = backend(start=0, length=PAGES * PAGE_SIZE,
+                      kind=VMAKind.ANON, **NO_FILE)
+        with pytest.raises(MemoryError_, match="out of range"):
+            vma.populate_pages([PAGES], TAGS.intern_many(["a"]))
 
 
 def _restored_pagemaps(image, slow: bool):

@@ -7,9 +7,7 @@ from repro.core.policy import AfterWarmup
 from repro.core.starters import VanillaStarter
 from repro.functions import (
     NodeMarkdownFunction,
-    NodeNoopFunction,
     PythonMarkdownFunction,
-    PythonNoopFunction,
     make_app,
 )
 from repro.runtime.base import Request
@@ -21,8 +19,6 @@ class TestRegistration:
     @pytest.mark.parametrize("name,cls", [
         ("py-markdown", PythonMarkdownFunction),
         ("node-markdown", NodeMarkdownFunction),
-        ("py-noop", PythonNoopFunction),
-        ("node-noop", NodeNoopFunction),
     ])
     def test_registered(self, name, cls):
         assert isinstance(make_app(name), cls)
@@ -47,12 +43,13 @@ class TestVanillaStart:
         from repro import make_world
         from repro.sim.costmodel import DEFAULT_COST_MODEL
         startups = {}
-        for name in ("py-noop", "node-noop", "noop"):
+        for name in ("py-markdown", "node-markdown", "markdown"):
             world = make_world(seed=3)
             world.kernel.costs = replace(DEFAULT_COST_MODEL, noise_sigma=0.0)
             handle = VanillaStarter(world.kernel).start(make_app(name))
             startups[name] = handle.startup_ms("ready")
-        assert startups["py-noop"] < startups["node-noop"] < startups["noop"]
+        assert (startups["py-markdown"] < startups["node-markdown"]
+                < startups["markdown"])
 
 
 class TestPrebakeAcrossRuntimes:

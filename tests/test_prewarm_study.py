@@ -74,7 +74,7 @@ class TestTraceSynthesis:
 
 class TestStudy:
     def test_ladder_is_complete(self, smoke):
-        rep = smoke.headline
+        rep = smoke.reps[0]
         assert set(rep.outcomes) == set(POLICY_LADDER)
         for outcome in rep.outcomes.values():
             assert outcome.requests > 0
@@ -82,7 +82,7 @@ class TestStudy:
                     + outcome.queued == outcome.requests)
 
     def test_reactive_is_the_worst_and_fixed_helps(self, smoke):
-        rep = smoke.headline
+        rep = smoke.reps[0]
         reactive = rep.outcomes["reactive"]
         fixed = rep.outcomes["fixed"]
         assert reactive.cold_starts > fixed.cold_starts
@@ -90,7 +90,7 @@ class TestStudy:
         assert fixed.wasted_warm_s > 0.0
 
     def test_predictive_beats_fixed_on_the_smoke_trace(self, smoke):
-        rep = smoke.headline
+        rep = smoke.reps[0]
         assert rep.oracle_bounds_gap
         histogram = rep.outcomes["histogram"]
         fixed = rep.outcomes["fixed"]
@@ -99,14 +99,14 @@ class TestStudy:
         assert histogram.wasted_warm_s <= fixed.wasted_warm_s
 
     def test_prewarming_actually_happened(self, smoke):
-        rep = smoke.headline
+        rep = smoke.reps[0]
         assert rep.outcomes["histogram"].prewarm_placements > 0
         assert rep.outcomes["oracle"].prewarm_placements > 0
         assert rep.outcomes["fixed"].prewarm_placements == 0
         assert rep.outcomes["histogram"].prefetch_mib > 0.0
 
     def test_timer_functions_are_covered_by_scheduling(self, smoke):
-        rep = smoke.headline
+        rep = smoke.reps[0]
         # The fixed keep-alive cannot cover multi-minute timer periods;
         # the histogram policy prewarms on schedule instead.
         assert (rep.outcomes["histogram"].timer_cold_starts

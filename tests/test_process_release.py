@@ -24,7 +24,7 @@ from repro.functions.base import make_app
 from repro.osproc.memory import VMA, SlowVMA
 from repro.runtime.base import Request
 
-APPS = ["noop", "py-noop", "node-noop"]  # jvm, python, nodejs
+APPS = ["noop", "py-markdown", "node-markdown"]  # jvm, python, nodejs
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ def _churn(kernel, requests=300, seed=1):
             lambda name=name: make_app(name), start_technique="prebake",
             snapshot_policy=AfterWarmup(requests=1),
             idle_timeout_ms=5_000.0).name
-        for name in ("noop", "markdown", "py-noop", "node-noop")
+        for name in ("noop", "markdown", "py-markdown", "node-markdown")
     ]
     rng = random.Random(seed)
     for _ in range(requests):

@@ -5,7 +5,7 @@ writes (a home that is down at the write serves the window once it is
 back), the degraded-mode restore ladder through the
 platform, the RF=1 byte-identity guarantee, the X10
 shard-chaos experiment, and the satellite items (eviction counter
-export, ghost-history promotion, ``FaultPlan.of`` typo rejection).
+export, ghost-history promotion).
 """
 
 import pytest
@@ -25,12 +25,6 @@ from repro.criu.shardstore import (
     ShardedSnapshotStore,
 )
 from repro.faas.platform import FaaSPlatform, PlatformConfig
-from repro.faults.model import (
-    STORE_NODE_DOWN,
-    STORE_PARTITION,
-    STORE_SLOW_SHARD,
-    FaultPlan,
-)
 from repro.functions import make_app
 
 
@@ -386,7 +380,7 @@ class TestShardChaosExperiment:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: eviction counter, ghost promotion, FaultPlan.of typos
+# Satellites: eviction counter, ghost promotion
 # ---------------------------------------------------------------------------
 
 
@@ -462,20 +456,3 @@ class TestGhostHistoryPromotion:
         # in one admission once it finally beats the resident score.
         assert cache.contains("ghost")
         assert not cache.contains("resident")
-
-
-class TestFaultPlanOf:
-    def test_unknown_site_keyword_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault site"):
-            FaultPlan.of(bogus_site=0.5)
-
-    def test_typo_of_a_real_site_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault site"):
-            FaultPlan.of(store_node_downn=0.5)
-
-    def test_store_sites_map_through_underscore_keywords(self):
-        plan = FaultPlan.of(store_node_down=0.2, store_partition=0.1,
-                            store_slow_shard=0.3)
-        assert plan.specs[STORE_NODE_DOWN].probability == 0.2
-        assert plan.specs[STORE_PARTITION].probability == 0.1
-        assert plan.specs[STORE_SLOW_SHARD].probability == 0.3

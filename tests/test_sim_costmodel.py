@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from repro.sim.costmodel import (
-    BUILTIN_PROFILES,
     DEFAULT_COST_MODEL,
     IMAGE_RESIZER_COSTS,
     MARKDOWN_COSTS,
@@ -169,11 +168,6 @@ class TestRestorePrice:
 
 
 class TestProfiles:
-    def test_builtin_profiles_registered(self):
-        for name in ("noop", "markdown", "image-resizer",
-                     "synthetic-small", "synthetic-medium", "synthetic-big"):
-            assert name in BUILTIN_PROFILES
-
     def test_paper_snapshot_sizes(self):
         assert NOOP_COSTS.snapshot_ready_mib == 13.0
         assert MARKDOWN_COSTS.snapshot_ready_mib == 14.0
@@ -193,11 +187,6 @@ class TestProfiles:
     def test_synthetic_uses_first_response_metric(self):
         assert SYNTHETIC_SMALL.startup_metric == "first_response"
         assert NOOP_COSTS.startup_metric == "ready"
-
-    def test_snapshot_mib_selector(self):
-        p = SYNTHETIC_SMALL
-        assert p.snapshot_mib(warm=False) == p.snapshot_ready_mib
-        assert p.snapshot_mib(warm=True) == p.snapshot_warm_mib
 
     def test_restore_override_selector(self):
         assert NOOP_COSTS.restore_override_ms(warm=False) == 60.0

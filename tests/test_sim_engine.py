@@ -20,8 +20,10 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(9.0, lambda: None)
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulation().step() is False
+    def test_run_returns_on_an_empty_queue(self):
+        sim = Simulation()
+        sim.run()
+        assert sim.events_dispatched == 0
 
     def test_run_detects_livelock(self):
         sim = Simulation()

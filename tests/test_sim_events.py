@@ -82,7 +82,7 @@ class TestSignal:
 
 
 class TestQueueAccounting:
-    """O(1) live count and tombstone compaction (the __len__ fix)."""
+    """O(1) live count over tombstones (the __len__ fix)."""
 
     def test_len_is_exact_after_cancels(self):
         queue = EventQueue()
@@ -95,19 +95,7 @@ class TestQueueAccounting:
         events[0].cancel()
         assert len(queue) == 5
 
-    def test_compaction_purges_tombstones(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(100)]
-        # cancelling > half the live events triggers compaction, which
-        # bounds the heap: tombstones never outnumber live events
-        for event in events[:60]:
-            event.cancel()
-        assert len(queue) == 40
-        assert len(queue._heap) < 100
-        dead = sum(1 for e in queue._heap if e.cancelled)
-        assert dead <= len(queue)
-
-    def test_pop_order_survives_compaction(self):
+    def test_pop_skips_cancelled_events_in_order(self):
         queue = EventQueue()
         events = [queue.push(float(i), lambda i=i: i, label=str(i))
                   for i in range(20)]

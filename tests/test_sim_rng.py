@@ -39,17 +39,6 @@ class TestStreams:
         streams = RandomStreams(seed=3)
         assert streams.get("s") is streams.get("s")
 
-    def test_fork_creates_distinct_family(self):
-        base = RandomStreams(seed=5)
-        fork = base.fork("child")
-        assert fork.seed != base.seed
-        assert fork.get("x").random() != base.get("x").random()
-
-    def test_fork_reproducible(self):
-        a = RandomStreams(seed=5).fork("child").get("x").random()
-        b = RandomStreams(seed=5).fork("child").get("x").random()
-        assert a == b
-
 
 class TestDistributions:
     def test_lognormal_jitter_zero_median(self):
@@ -74,16 +63,3 @@ class TestDistributions:
     def test_lognormal_jitter_finite(self, median, sigma):
         value = RandomStreams(seed=2).lognormal_jitter("x", median, sigma)
         assert math.isfinite(value) and value > 0
-
-    def test_triangular_within_bounds(self):
-        streams = RandomStreams(seed=4)
-        for _ in range(100):
-            v = streams.triangular("t", 1.0, 5.0, 2.0)
-            assert 1.0 <= v <= 5.0
-
-    def test_choice_picks_from_options(self):
-        streams = RandomStreams(seed=6)
-        options = ["a", "b", "c"]
-        seen = {streams.choice("c", options) for _ in range(100)}
-        assert seen <= set(options)
-        assert len(seen) > 1

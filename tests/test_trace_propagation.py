@@ -17,6 +17,7 @@ from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faults import FaultPlan, FaultSpec, RESTORE_FAIL
 from repro.functions import make_app
 from repro.runtime.base import Request
+from repro.bench.fault_sweep import knob_plan
 
 
 def observed_platform(seed=11):
@@ -127,7 +128,7 @@ class TestTraceUnderFaults:
         platform.register_function(lambda: make_app("noop"),
                                    start_technique="prebake",
                                    restore_mode=restore_mode)
-        platform.install_faults(FaultPlan.of(restore_fail=1.0))
+        platform.install_faults(knob_plan(1.0, {"restore.fail": 1.0}))
         request = Request()
         response = platform.invoke("noop", request)
         assert response.status == 200
