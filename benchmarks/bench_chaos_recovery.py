@@ -11,7 +11,7 @@ speed plus the configured retry budget instead of failing.
 import pytest
 
 from repro.bench import fault_sweep
-from repro.faults.retry import DEFAULT_RETRY_POLICY
+from repro.faults import retry
 
 
 @pytest.mark.benchmark(group="chaos")
@@ -39,13 +39,12 @@ def test_chaos_recovery(benchmark, bench_reps, record_result):
     # budget and fell back to vanilla — so its p50 sits near vanilla's
     # plus the retry overhead (failed attempts, possible hang delays,
     # backoff), never unboundedly worse.
-    policy = DEFAULT_RETRY_POLICY
     worst = result.cell(rate=1.0, technique="prebake")
     vanilla = result.cell(rate=1.0, technique="vanilla")
     assert worst.counts["fallback"] > 0
     assert worst.counts["retry"] > 0
     retry_budget = (
-        policy.total_backoff_ms()
-        + policy.max_attempts * (fault_sweep.CHAOS_HANG_MS + 60.0)
+        retry.total_backoff_ms()
+        + retry.MAX_ATTEMPTS * (fault_sweep.CHAOS_HANG_MS + 60.0)
     )
     assert worst.cold_p50() <= vanilla.cold_p50() + retry_budget

@@ -18,7 +18,7 @@ def test_ext_pool_baseline(benchmark, record_result):
                             mean_on_ms=2_000, mean_off_ms=60_000, seed=42)
     results = benchmark.pedantic(
         lambda: compare_strategies("markdown", trace,
-                                   idle_timeout_ms=30_000, pool_size=1),
+                                   idle_timeout_ms=30_000),
         rounds=1, iterations=1,
     )
     record_result(

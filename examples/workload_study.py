@@ -29,7 +29,7 @@ def main() -> None:
     for timeout_ms in (10_000.0, 60_000.0):
         for label, trace in TRACES.items():
             results = compare_strategies(
-                "markdown", trace, idle_timeout_ms=timeout_ms, pool_size=1)
+                "markdown", trace, idle_timeout_ms=timeout_ms)
             title = (f"{label} — idle timeout {timeout_ms / 1000:.0f}s, "
                      f"{len(trace)} requests")
             print(render_study(results, title))

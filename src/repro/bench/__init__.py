@@ -1,7 +1,7 @@
 """Experiment harness: the paper's §4 methodology as a library.
 
-* :mod:`repro.bench.stats` — bootstrap median CIs [6], Shapiro–Wilk
-  normality [24], Wilcoxon–Mann–Whitney median comparison, ECDFs;
+* :mod:`repro.bench.stats` — bootstrap median CIs [6],
+  Wilcoxon–Mann–Whitney median comparison, ECDFs;
 * :mod:`repro.bench.profile` — bpftrace-style phase measurement
   (CLONE/EXEC/RTS/APPINIT, §4.2.1) from the kernel probes;
 * :mod:`repro.bench.workload` — the load generator (hold the first
@@ -15,8 +15,6 @@ from repro.bench.stats import (
     ks_distance,
     mann_whitney_u,
     median,
-    median_difference_ci,
-    shapiro_wilk,
 )
 from repro.bench.workload import LoadGenerator, LoadResult
 from repro.bench.harness import (
@@ -31,8 +29,6 @@ __all__ = [
     "ks_distance",
     "mann_whitney_u",
     "median",
-    "median_difference_ci",
-    "shapiro_wilk",
     "LoadGenerator",
     "LoadResult",
     "StartupSample",

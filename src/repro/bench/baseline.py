@@ -294,9 +294,9 @@ class Bench:
 
 
 BENCHES: Dict[str, Bench] = {
-    # Figure 3 runs a Shapiro-Wilk test (n >= 3) on each sample.
+    # Figure 3 bootstraps each median (n >= 2).
     "fig3": Bench("fig3", collect_fig3, default_repetitions=20,
-                  min_repetitions=3),
+                  min_repetitions=2),
     "restore-sweep": Bench("restore-sweep", collect_restore_sweep,
                            default_repetitions=20),
     "restore-pipeline": Bench("restore-pipeline", collect_restore_pipeline,

@@ -84,7 +84,7 @@ def _run_ext_pool(args) -> str:
                             mean_on_ms=2_000, mean_off_ms=60_000,
                             seed=args.seed)
     results = compare_strategies("markdown", trace,
-                                 idle_timeout_ms=30_000, pool_size=1)
+                                 idle_timeout_ms=30_000)
     return render_study(results, "Bursty trace (10 min), markdown, "
                                  "30 s idle timeout")
 
@@ -304,9 +304,9 @@ EXPERIMENTS: Dict[str, Callable] = {
 }
 
 
-# Fewest repetitions an experiment accepts (1 if unlisted): fig3 runs
-# Shapiro-Wilk (n >= 3); fig5/fig6/table1 bootstrap each median (n >= 2).
-MIN_REPETITIONS = {"fig3": 3, "fig5": 2, "fig6": 2, "table1": 2}
+# Fewest repetitions an experiment accepts (1 if unlisted): fig3, fig5,
+# fig6 and table1 bootstrap each median (n >= 2).
+MIN_REPETITIONS = {"fig3": 2, "fig5": 2, "fig6": 2, "table1": 2}
 
 
 def _selected(experiment: str) -> List[str]:

@@ -36,7 +36,7 @@ _log = get_logger("bench")
 # X5: restore-path faults get the full knob rate — they are what the
 # prebake retry/fallback machinery exists to absorb. Serve-path faults
 # run at a fraction so a request (which survives at most
-# ``max_crash_retries`` consecutive crashes) still completes at 1.0.
+# ``router.MAX_CRASH_RETRIES`` consecutive crashes) still completes at 1.0.
 CHAOS_SCALE = {
     faults.RESTORE_FAIL: 1.0,
     faults.RESTORE_HANG: 0.25,

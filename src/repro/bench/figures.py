@@ -18,12 +18,7 @@ from repro.bench.harness import (
     run_startup_experiment,
 )
 from repro.bench.report import format_interval, format_table, stacked_bar
-from repro.bench.stats import (
-    ks_distance,
-    mann_whitney_u,
-    median_difference_ci,
-    shapiro_wilk,
-)
+from repro.bench.stats import ks_distance, mann_whitney_u
 from repro.core.policy import AfterReady, AfterRuntimeBoot, AfterWarmup
 from repro.criu.restore import RestoreMode
 from repro.functions import make_app  # noqa: F401 - registers workloads
@@ -57,9 +52,7 @@ class Fig3Row:
     vanilla: StartupSummary
     prebake: StartupSummary
     improvement_pct: float
-    diff_ci: Tuple[float, float]
     mwu_p: float
-    vanilla_normal_p: float
 
 
 @dataclass
@@ -105,17 +98,13 @@ def figure3(repetitions: int = 200, seed: int = 42,
         prebake = run_startup_experiment(name, "prebake", policy=AfterReady(),
                                          repetitions=repetitions, seed=seed + 1,
                                          workers=workers)
-        diff = median_difference_ci(vanilla.values, prebake.values, seed=seed)
         test = mann_whitney_u(vanilla.values, prebake.values)
-        normal = shapiro_wilk(vanilla.values)
         result.rows.append(Fig3Row(
             function=name,
             vanilla=vanilla,
             prebake=prebake,
             improvement_pct=100.0 * (1 - prebake.median_ms / vanilla.median_ms),
-            diff_ci=(diff.low, diff.high),
             mwu_p=test.p_value,
-            vanilla_normal_p=normal.p_value,
         ))
     return result
 

@@ -54,24 +54,29 @@ RUNTIME_BASE_MIB = (6, 8, 12)
 
 @dataclass(frozen=True)
 class FleetStudyConfig:
-    """Shape of one X12 run (defaults = the sealed baseline)."""
+    """Shape of one X12 run (defaults = the sealed baseline).
+
+    The fields are what a run or a test changes; the class constants
+    below them are the same in every run.
+    """
 
     functions: int = 200
     requests: int = 1_000_000
-    duration_ms: float = 7_200_000.0      # 2 simulated hours
     compute_nodes: int = 8
     storage_nodes: int = 6
-    replication_factor: int = 2
     # Deliberately smaller than the ~425 MiB/node working set so the
     # steady state keeps churning remote fetches instead of converging
     # to an all-local fleet.
     node_cache_mib: int = 256
-    keepalive_ms: float = 60_000.0
-    max_replicas: int = 8
+
+    duration_ms = 7_200_000.0      # 2 simulated hours
+    replication_factor = 2
+    keepalive_ms = 60_000.0
+    max_replicas = 8
     # Deterministic storage outage: one store is down for the middle
     # [40%, 60%) slice of the trace, producing the degraded bucket.
-    outage_start_frac: float = 0.40
-    outage_end_frac: float = 0.60
+    outage_start_frac = 0.40
+    outage_end_frac = 0.60
 
 
 @dataclass

@@ -44,7 +44,6 @@ def _resolve_factory(function) -> AppFactory:
 class StartupSample:
     """One repetition's measurement."""
 
-    repetition: int
     startup_ms: float
     snapshot_mib: float = 0.0
     # obs.profile.fold of the start window, when phases were traced.
@@ -57,7 +56,6 @@ class StartupSummary:
 
     function: str
     technique: str
-    policy_key: str
     metric: str
     samples: List[StartupSample] = field(default_factory=list)
 
@@ -145,7 +143,6 @@ def _startup_repetition(
             # the trace also covers first-request serve.
             handle.invoke()
     sample = StartupSample(
-        repetition=rep,
         startup_ms=handle.startup_ms(resolved_metric),
         snapshot_mib=snapshot_mib,
         phases=phases,
@@ -240,7 +237,6 @@ def run_startup_experiment(
     summary = StartupSummary(
         function=probe.name,
         technique=technique,
-        policy_key=policy.key,
         metric=resolved_metric,
     )
     packed = [

@@ -22,7 +22,7 @@ from repro.bench.stats import quantile
 from repro.core.policy import AfterWarmup
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.autoscaler import AutoscalerConfig
-from repro.faas.pool import WarmPool
+from repro.faas.pool import POOL_SIZE, WarmPool
 from repro.functions.base import FunctionApp, make_app
 from repro.runtime.base import Request
 from repro.sim.rng import _derive_seed
@@ -104,17 +104,12 @@ def run_platform_study(
     )
 
 
-def run_pool_study(
-    function,
-    arrivals: List[float],
-    pool_size: int = 1,
-) -> StudyResult:
+def run_pool_study(function, arrivals: List[float]) -> StudyResult:
     """Replay ``arrivals`` against a warm pool of vanilla instances."""
     factory = _resolve(function)
     world = make_world(seed=_derive_seed(SEED, "study-pool"))
     from repro.core.starters import VanillaStarter
-    pool = WarmPool(world.kernel, VanillaStarter(world.kernel), factory,
-                    size=pool_size)
+    pool = WarmPool(world.kernel, VanillaStarter(world.kernel), factory)
     pool.refill()
     queued = []
     cold = 0
@@ -131,7 +126,7 @@ def run_pool_study(
             cold += 1
         pool.refill()
     return StudyResult(
-        strategy=f"pool-{pool_size}",
+        strategy=f"pool-{POOL_SIZE}",
         requests=len(arrivals),
         cold_starts=cold,
         queued_ms=queued,
@@ -143,7 +138,6 @@ def compare_strategies(
     function,
     arrivals: List[float],
     idle_timeout_ms: float = 60_000.0,
-    pool_size: int = 1,
 ) -> List[StudyResult]:
     """Run vanilla, prebake and warm-pool over the same trace."""
     return [
@@ -151,7 +145,7 @@ def compare_strategies(
                            idle_timeout_ms=idle_timeout_ms),
         run_platform_study(function, "prebake", arrivals,
                            idle_timeout_ms=idle_timeout_ms),
-        run_pool_study(function, arrivals, pool_size=pool_size),
+        run_pool_study(function, arrivals),
     ]
 
 

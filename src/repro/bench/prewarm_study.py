@@ -61,13 +61,12 @@ VERDICT_AXES = (("cold_starts", False), ("cold_p99_ms", False),
 
 #: The planner the histogram and oracle rungs run: the platform's
 #: :class:`PrewarmController` with X13's window, service time,
-#: keep-alive range, per-window placement budget and replica cap.
+#: keep-alive cap, per-window placement budget and replica cap.
 #: Per-function keep-alives may exceed the fixed status quo where the
 #: histogram says the coverage pays (Serverless-in-the-Wild caps at
 #: several multiples of the default for the same reason).
 STUDY_PREWARM = PrewarmConfig(
-    window_ms=10_000.0, service_ms_hint=150.0,
-    keepalive_floor_ms=1_000.0, keepalive_cap_ms=120_000.0,
+    window_ms=10_000.0, service_ms_hint=150.0, keepalive_cap_ms=120_000.0,
     max_prewarm_per_tick=16, max_warm_per_function=8)
 
 #: The fixed rung's idle timeout: the platform's status quo, and the
@@ -80,12 +79,14 @@ NODE_CACHE_MIB = 768
 
 @dataclass(frozen=True)
 class PrewarmStudyConfig:
-    """Shape of one X13 run (defaults = the sealed baseline)."""
+    """Shape of one X13 run (defaults = the sealed baseline): the
+    request count, and class constants the same in every run."""
 
-    functions: int = 36               # Zipf/bursty/Poisson population
-    timer_functions: int = 12         # periodic cron-style triggers
     requests: int = 200_000
-    duration_ms: float = 7_200_000.0  # 2 simulated hours
+
+    functions = 36               # Zipf/bursty/Poisson population
+    timer_functions = 12         # periodic cron-style triggers
+    duration_ms = 7_200_000.0    # 2 simulated hours
 
     @property
     def total_functions(self) -> int:
@@ -275,13 +276,7 @@ def _run_repetition(config: PrewarmStudyConfig, seed: int,
     rep_seed = _derive_seed(seed, f"prewarm-{rep}")
     times, fids = _synthesize_prewarm_trace(config, rep_seed)
     image_mib = _image_sizes(config, rep_seed)
-    # The clairvoyant bound staffs generously: it knows the next
-    # window's exact count and never pays for a wrong forecast, so a
-    # wide overlap margin only tightens the bound.
-    oracle = OraclePolicy(_window_counts(config, times, fids),
-                          window_ms=STUDY_PREWARM.window_ms,
-                          service_ms=STUDY_PREWARM.service_ms_hint,
-                          safety=4.0)
+    oracle = OraclePolicy(_window_counts(config, times, fids), STUDY_PREWARM)
     # Each rung's planner (None: no prewarm layer) and idle timeout.
     rungs = {
         "reactive": (None, 0.0),

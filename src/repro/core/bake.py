@@ -77,8 +77,7 @@ class Prebaker:
                     donor = handle.process
                     if isinstance(policy, AfterWarmup):
                         for _ in range(policy.requests):
-                            response = handle.invoke(
-                                Request(body=policy.warmup_body))
+                            response = handle.invoke(Request())
                             if not response.ok:
                                 raise BakeError(
                                     f"warm-up request failed with status "
@@ -113,7 +112,7 @@ class Prebaker:
                               labels={"function": app.name})
             with obs.span(kernel, "snapshot.store", function=app.name,
                           image=image.image_id):
-                self.store.put(key, image, now_ms=kernel.clock.now)
+                self.store.put(key, image)
             # Registry-level dedup accounting after the put: logical is
             # what monolithic storage would hold, physical what the
             # content-addressed chunk store holds. Summing the logical

@@ -13,7 +13,6 @@ at once, and how does worker count trade against queue wait?
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
@@ -40,7 +39,6 @@ def measure_bake_duration(function,
 class BakeJob:
     """One queued snapshot-generation request."""
 
-    job_id: int
     function: str
     duration_ms: float
     submitted_ms: float
@@ -84,7 +82,6 @@ class BakeService:
         self.metrics = BakeServiceMetrics()
         self._queue: Deque[BakeJob] = deque()
         self._busy_workers = 0
-        self._job_ids = itertools.count(1)
         self._durations: Dict[str, float] = {}
 
     def register_function(self, name: str, bake_duration_ms: float) -> None:
@@ -113,7 +110,6 @@ class BakeService:
 
     def _enqueue(self, function: str, duration: float) -> None:
         job = BakeJob(
-            job_id=next(self._job_ids),
             function=function,
             duration_ms=duration,
             submitted_ms=self.sim.now,

@@ -18,7 +18,6 @@ the design discussion motivates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class AfterWarmup(SnapshotPolicy):
     """
 
     requests: int = 1
-    warmup_body: Optional[Any] = None
 
     def __post_init__(self) -> None:
         if self.requests < 1:

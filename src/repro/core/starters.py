@@ -18,7 +18,7 @@ from repro.core.store import SnapshotKey, SnapshotNotFound, SnapshotStore
 from repro.criu.images import CheckpointImage
 from repro.criu.restore import RestoreEngine, RestoreMode
 from repro.faults.errors import PlatformError, RestoreFailed, SnapshotCorrupted
-from repro.faults.retry import DEFAULT_RETRY_POLICY
+from repro.faults import retry
 from repro.functions.base import FunctionApp
 from repro.osproc.kernel import Kernel
 from repro.osproc.process import Process
@@ -54,7 +54,6 @@ class ReplicaHandle:
         """Send one request to the replica."""
         kernel = self.runtime.kernel
         request = admit(kernel, request)
-        request.arrival_ms = kernel.clock.now
         first = self.first_response_at_ms is None
         with obs.span(kernel, "replica.serve", context=request.trace,
                       technique=self.technique,
@@ -188,7 +187,7 @@ class PrebakeStarter(Starter):
         labels = {"function": app.name}
         started_at = kernel.clock.now
         failure: Optional[PlatformError] = None
-        for attempt in range(1, DEFAULT_RETRY_POLICY.max_attempts + 1):
+        for attempt in range(1, retry.MAX_ATTEMPTS + 1):
             try:
                 image = self.store.get(key)
                 faults.corrupt_image(kernel, image)
@@ -230,8 +229,8 @@ class PrebakeStarter(Starter):
                 continue  # retry immediately; the registry miss cost nothing
             obs.count(kernel, "prebake_restore_failures_total",
                       labels={**labels, "reason": type(failure).__name__})
-            if attempt < DEFAULT_RETRY_POLICY.max_attempts:
-                backoff = DEFAULT_RETRY_POLICY.backoff_ms(attempt)
+            if attempt < retry.MAX_ATTEMPTS:
+                backoff = retry.backoff_ms(attempt)
                 # Inside the start span: CLIs that bound a trace
                 # provider get this line stamped with trace_id=.
                 _log.warning("restore.retry", function=app.name,
@@ -251,14 +250,14 @@ class PrebakeStarter(Starter):
         if failure is None:
             failure = StartError(
                 f"prebake start of {app.name!r} exhausted "
-                f"{DEFAULT_RETRY_POLICY.max_attempts} attempts"
+                f"{retry.MAX_ATTEMPTS} attempts"
             )
         _log.warning("restore.fallback", function=app.name,
                      reason=type(failure).__name__,
-                     attempts=DEFAULT_RETRY_POLICY.max_attempts)
+                     attempts=retry.MAX_ATTEMPTS)
         obs.record(kernel, obs.flight.RESTORE_FALLBACK, function=app.name,
                    reason=type(failure).__name__,
-                   attempts=DEFAULT_RETRY_POLICY.max_attempts)
+                   attempts=retry.MAX_ATTEMPTS)
         obs.count(kernel, "prebake_fallback_total", labels=labels)
         with obs.span(kernel, "prebake.fallback", function=app.name,
                       reason=type(failure).__name__):

@@ -53,7 +53,6 @@ class SnapshotKey:
 class StoredSnapshot:
     key: SnapshotKey
     image: CheckpointImage
-    stored_at_ms: float
     restore_count: int = 0
 
 
@@ -66,11 +65,11 @@ class SnapshotStore:
         self.pages = PageStore()
         self._layered: Dict[SnapshotKey, LayeredImage] = {}
 
-    def put(self, key: SnapshotKey, image: CheckpointImage, now_ms: float = 0.0) -> None:
+    def put(self, key: SnapshotKey, image: CheckpointImage) -> None:
         """Store (or replace — new function version) a snapshot."""
         image.validate()
         self._layered.pop(key, None)
-        self._snapshots[key] = StoredSnapshot(key=key, image=image, stored_at_ms=now_ms)
+        self._snapshots[key] = StoredSnapshot(key=key, image=image)
         self._layered[key] = layer_image(image, self.pages,
                                          base=self._delta_base(key, image))
 

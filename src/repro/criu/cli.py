@@ -29,7 +29,6 @@ class CriuResult:
     returncode: int
     stdout: str = ""
     stderr: str = ""
-    executed: bool = True
 
     @property
     def ok(self) -> bool:
@@ -112,7 +111,7 @@ class CriuCli:
     def _run(self, argv: Sequence[str], timeout: float = 60.0) -> CriuResult:
         self.invocations.append(list(argv))
         if self.dry_run:
-            return CriuResult(argv=list(argv), returncode=0, executed=False)
+            return CriuResult(argv=list(argv), returncode=0)
         self.require()
         proc = subprocess.run(
             list(argv), capture_output=True, text=True, timeout=timeout, check=False

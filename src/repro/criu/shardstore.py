@@ -188,7 +188,6 @@ class DegradedRestoreReport:
     slow_ms: float = 0.0
     extra_ms: float = 0.0           # priced by CostModel (engine fills in)
     nodes_down: List[str] = field(default_factory=list)
-    breakers_open: List[str] = field(default_factory=list)
 
     @property
     def degraded(self) -> bool:
@@ -311,10 +310,6 @@ class ShardedSnapshotStore:
     def down_nodes(self) -> List[str]:
         return [n.name for n in self.nodes.values() if not n.up]
 
-    def open_breakers(self) -> List[str]:
-        return [name for name, b in self.breakers.items()
-                if b.state != BREAKER_CLOSED]
-
     # -- fault-site integration ------------------------------------------------
 
     def maybe_crash_node(self, detail: str = "") -> Optional[str]:
@@ -432,7 +427,6 @@ class ShardedSnapshotStore:
                         break
                     self._fetch_missed(cid, size_bytes, cache, report)
             report.nodes_down = self.down_nodes()
-            report.breakers_open = self.open_breakers()
             pass_span.set(chunks=report.chunks,
                           cached_chunks=report.cached_chunks,
                           shard_chunks=report.shard_chunks,

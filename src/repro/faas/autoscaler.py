@@ -7,7 +7,7 @@ policy here is deliberately simple — target concurrency with idle
 timeout — because the paper's contribution is *how fast* a scale-up
 replica starts, not the scaling policy itself.
 
-Every action (``scale-up``, ``gc``, ``reap``, ``heal``, ``prewarm``)
+Every action (``scale-up``, ``gc``, ``reap``, ``prewarm``)
 is recorded once, through the telemetry hub: an
 ``autoscaler.action`` event on the flight tape and the
 ``autoscaler_actions_total{function,action}`` counter. Every
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro import obs
-from repro.faas.deployer import FunctionDeployer
+from repro.faas.deployer import MAX_REPLICAS, FunctionDeployer
 from repro.faas.registry import FunctionRegistry, RegistryError
 from repro.faas.replica import ReplicaState
 from repro.faults.errors import CapacityExhausted
@@ -50,8 +50,6 @@ class AutoscalerConfig:
     """Tunables for the pool policy."""
 
     idle_timeout_ms: float = 60_000.0
-    min_replicas: int = 0
-    max_replicas: int = 16
 
 
 class Autoscaler:
@@ -88,16 +86,13 @@ class Autoscaler:
         """Run one reconciliation pass over every registered function.
 
         Order matters: reap crashed replicas first (freeing node
-        memory), then heal back up to ``min_replicas``, then GC idle
-        excess — so a crash storm converges to the configured floor
-        instead of oscillating. The prewarm pass runs last, against
-        the post-GC pool, so forecast targets see the capacity that
-        actually survived this tick.
+        memory), then GC idle replicas. The prewarm pass runs last,
+        against the post-GC pool, so forecast targets see the capacity
+        that actually survived this tick.
         """
         now = self.kernel.clock.now
         for name in self.registry.names():
             self._reap_crashed(name)
-            self._heal_to_min(name)
             self._gc_idle(name, now)
         if self.prewarm is not None:
             self._prewarm_pass(now)
@@ -108,20 +103,6 @@ class Autoscaler:
             remaining = len(self.deployer.replicas(function))
             self._record_event(function, "reap", remaining)
 
-    def _heal_to_min(self, function: str) -> None:
-        """Re-provision up to the configured replica floor."""
-        floor = self.config.min_replicas
-        if floor <= 0:
-            return
-        while len(self.deployer.replicas(function)) < floor:
-            try:
-                with obs.span(self.kernel, "autoscaler.heal", function=function):
-                    self.deployer.provision(function)
-            except CapacityExhausted:
-                break
-            remaining = len(self.deployer.replicas(function))
-            self._record_event(function, "heal", remaining)
-
     def _gc_idle(self, function: str, now: float) -> None:
         metadata = self.registry.lookup(function)
         timeout = min(self.config.idle_timeout_ms, metadata.idle_timeout_ms)
@@ -129,11 +110,7 @@ class Autoscaler:
         if self.prewarm is not None:
             timeout = self.prewarm.keepalive_ms(function, timeout)
             hold_end = self.prewarm.hold_end_ms(function)
-        replicas = self.deployer.replicas(function)
-        keep = max(self.config.min_replicas, 0)
-        for replica in replicas:
-            if len(self.deployer.replicas(function)) <= keep:
-                break
+        for replica in self.deployer.replicas(function):
             if replica.state is ReplicaState.IDLE and now >= idle_expiry_ms(
                     replica.last_active_ms, timeout, hold_end):
                 idle_ms = replica.idle_for_ms(now)
@@ -155,13 +132,12 @@ class Autoscaler:
         actions = self.prewarm.plan(now, current_warm)
         for action in actions:
             try:
-                metadata = self.registry.lookup(action.function)
+                self.registry.lookup(action.function)
             except RegistryError:
                 # An invoke of an unknown name still counts as an arrival.
                 continue
-            limit = min(self.config.max_replicas, metadata.max_replicas)
             for _ in range(action.add_replicas):
-                if len(self.deployer.replicas(action.function)) >= limit:
+                if len(self.deployer.replicas(action.function)) >= MAX_REPLICAS:
                     break
                 try:
                     with obs.span(self.kernel, "autoscaler.prewarm",
@@ -183,10 +159,9 @@ class Autoscaler:
         Returns how many replicas were added. This is the action an
         OpenFaaS Prometheus alert triggers (§5.1).
         """
-        metadata = self.registry.lookup(function)
-        limit = min(self.config.max_replicas, metadata.max_replicas)
+        self.registry.lookup(function)
         current = len(self.deployer.replicas(function))
-        wanted = min(pending_requests, limit)
+        wanted = min(pending_requests, MAX_REPLICAS)
         added = 0
         while current + added < wanted:
             with obs.span(self.kernel, "autoscaler.scale_up",

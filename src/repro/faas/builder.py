@@ -22,9 +22,7 @@ class BuildResult:
     """Outcome of one build: the built version's metadata, ready to deploy."""
 
     metadata: FunctionMetadata
-    artifact_path: str
     artifact_bytes: int
-    build_duration_ms: float
     bake_report: Optional[BakeReport] = None
 
 
@@ -42,7 +40,6 @@ class FunctionBuilder:
     def build(self, metadata: FunctionMetadata) -> BuildResult:
         """Produce the deployable artifact; bake if the function opts in."""
         kernel = self.kernel
-        started = kernel.clock.now
         app = metadata.make_app()
         artifact_path = app.ensure_artifacts(kernel)
         artifact_bytes = kernel.fs.lookup(artifact_path).size
@@ -61,12 +58,8 @@ class FunctionBuilder:
                 app, policy=metadata.snapshot_policy, version=metadata.version
             )
 
-        metadata.artifact_path = artifact_path
-        metadata.artifact_bytes = artifact_bytes
         return BuildResult(
             metadata=metadata,
-            artifact_path=artifact_path,
             artifact_bytes=artifact_bytes,
-            build_duration_ms=kernel.clock.now - started,
             bake_report=bake_report,
         )

@@ -23,6 +23,10 @@ from repro.obs.fleet import SpaceSavingSketch
 from repro.osproc.cgroups import CgroupManager
 from repro.osproc.kernel import Kernel
 
+#: Live replicas one function may hold; a provision past it raises
+#: :class:`CapacityExhausted`.
+MAX_REPLICAS = 16
+
 
 class FunctionDeployer:
     """Creates and tracks replicas per function."""
@@ -71,10 +75,10 @@ class FunctionDeployer:
         """Create one new replica of ``function`` (the cold-start path)."""
         metadata = self.registry.lookup(function)
         live = self.replicas(function)
-        if len(live) >= metadata.max_replicas:
+        if len(live) >= MAX_REPLICAS:
             raise CapacityExhausted(
-                f"function {function!r} at max_replicas={metadata.max_replicas}",
-                function=function, max_replicas=metadata.max_replicas,
+                f"function {function!r} at max_replicas={MAX_REPLICAS}",
+                function=function, max_replicas=MAX_REPLICAS,
             )
         app = metadata.make_app()
         # Reserve node memory for the container hosting the replica.
@@ -106,9 +110,7 @@ class FunctionDeployer:
                 starter = self.prebake_manager.starter(
                     metadata.start_technique,
                     policy=metadata.snapshot_policy,
-                    restore_mode=metadata.restore_mode,
                     version=metadata.version,
-                    pipeline_workers=metadata.pipeline_workers,
                     chunk_cache=self._restore_cache(allocation.node.name,
                                                     metadata),
                     shard_store=self.shard_store,

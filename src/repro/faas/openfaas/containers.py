@@ -22,7 +22,6 @@ class ImageLayer:
 
     name: str
     size_bytes: int
-    media_type: str = "application/vnd.oci.image.layer.v1.tar"
     digest: str = ""  # content digest (a snapshot layer's sealed digest)
 
 

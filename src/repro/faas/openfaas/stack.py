@@ -45,8 +45,7 @@ def make_openfaas_stack(
     """
     if provider_name not in ("kubernetes", "dockerswarm"):
         raise ValueError(f"unknown provider {provider_name!r}")
-    platform = FaaSPlatform(kernel, PlatformConfig(
-        nodes=2, node_memory_mib=8192.0))
+    platform = FaaSPlatform(kernel, PlatformConfig(nodes=2))
     if provider_name == "dockerswarm":
         for node in platform.resources.nodes:
             node.allow_privileged = allow_unprivileged_cr

@@ -28,10 +28,8 @@ class Template:
     language: str
     runtime_kind: str                # which ManagedRuntime hosts it
     criu_enabled: bool = False
-    base_image: str = "openfaas/of-watchdog:0.8"
     # CRIU templates may carry a post-processing (warm-up) script.
     warmup_requests: int = 0
-    extra_packages: tuple = ()
 
     @property
     def start_technique(self) -> str:
@@ -50,14 +48,13 @@ _BUILTIN = [
     Template(name="python3", language="python", runtime_kind="python"),
     Template(name="node12", language="javascript", runtime_kind="nodejs"),
     Template(name="java8-criu", language="java", runtime_kind="jvm",
-             criu_enabled=True, extra_packages=("criu", "iproute2")),
+             criu_enabled=True),
     Template(name="java8-criu-warm", language="java", runtime_kind="jvm",
-             criu_enabled=True, warmup_requests=1,
-             extra_packages=("criu", "iproute2")),
+             criu_enabled=True, warmup_requests=1),
     Template(name="python3-criu", language="python", runtime_kind="python",
-             criu_enabled=True, extra_packages=("criu",)),
+             criu_enabled=True),
     Template(name="node12-criu", language="javascript", runtime_kind="nodejs",
-             criu_enabled=True, extra_packages=("criu",)),
+             criu_enabled=True),
 ]
 
 

@@ -14,7 +14,6 @@ from typing import Callable, List, Optional
 from repro.core.manager import PrebakeManager
 from repro.core.policy import AfterReady, SnapshotPolicy
 from repro.criu.chunkcache import POLICIES
-from repro.criu.restore import RestoreMode
 from repro.faas.autoscaler import Autoscaler, AutoscalerConfig
 from repro.faas.builder import BuildResult, FunctionBuilder
 from repro.faas.deployer import FunctionDeployer
@@ -29,23 +28,19 @@ from repro.runtime.base import Request, Response
 
 @dataclass
 class PlatformConfig:
-    """Cluster shape + autoscaler policy + router resilience.
+    """Cluster shape + autoscaler policy.
 
-    Nine settings: the compute nodes and their memory, the autoscaler
-    config, three router-resilience knobs, the sharded store's node
-    count and replication factor, and the optional prewarm layer. The
-    store's ring size and circuit-breaker tuning are its own
-    ``DEFAULT_*`` constants in :mod:`repro.criu.shardstore`.
+    Five settings: the compute node count, the autoscaler config, the
+    sharded store's node count and replication factor, and the optional
+    prewarm layer. Node memory is :data:`repro.faas.resources.NODE_MEMORY_MIB`,
+    the router's resilience limits are constants in
+    :mod:`repro.faas.router`, and the store's ring size and
+    circuit-breaker tuning are its own ``DEFAULT_*`` constants in
+    :mod:`repro.criu.shardstore`.
     """
 
     nodes: int = 2
-    node_memory_mib: float = 8192.0
     autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
-    # Router resilience: re-queue backoff when capacity is exhausted,
-    # dispatch deadline, and how many replica crashes one request rides.
-    requeue_backoff_ms: float = 5.0
-    request_timeout_ms: float = 30_000.0
-    max_crash_retries: int = 3
     # Sharded snapshot store: 0 keeps the flat registry; N >= 1
     # spreads chunk windows over N storage nodes with
     # ``replication_factor`` copies each, quorum restores, and
@@ -67,11 +62,7 @@ class FaaSPlatform:
         self.config = config
         self.registry = FunctionRegistry()
         self.resources = ResourceManager(
-            nodes=[
-                ComputeNode(name=f"node-{i}", memory_mib=config.node_memory_mib)
-                for i in range(config.nodes)
-            ]
-        )
+            nodes=[ComputeNode(name=f"node-{i}") for i in range(config.nodes)])
         self.prebake_manager = PrebakeManager(kernel)
         self.builder = FunctionBuilder(kernel, self.prebake_manager.prebaker)
         self.shard_store = None
@@ -86,13 +77,7 @@ class FaaSPlatform:
             kernel, self.registry, self.resources, self.prebake_manager,
             shard_store=self.shard_store,
         )
-        self.router = FunctionRouter(
-            kernel,
-            self.deployer,
-            requeue_backoff_ms=config.requeue_backoff_ms,
-            request_timeout_ms=config.request_timeout_ms,
-            max_crash_retries=config.max_crash_retries,
-        )
+        self.router = FunctionRouter(kernel, self.deployer)
         self.prewarm = (PrewarmController(config.prewarm)
                         if config.prewarm is not None else None)
         self.autoscaler = Autoscaler(
@@ -116,8 +101,6 @@ class FaaSPlatform:
         app_factory: Callable[[], FunctionApp],
         start_technique: str = "vanilla",
         snapshot_policy: Optional[SnapshotPolicy] = None,
-        restore_mode: RestoreMode = RestoreMode.EAGER,
-        max_replicas: int = 16,
         idle_timeout_ms: float = 60_000.0,
         cache_policy: Optional[str] = None,
         version: Optional[int] = None,
@@ -134,9 +117,6 @@ class FaaSPlatform:
         if cache_policy is not None and cache_policy not in POLICIES:
             raise ValueError(f"unknown cache policy {cache_policy!r}; "
                              f"known: {POLICIES}")
-        if max_replicas < 1:
-            raise ValueError("max_replicas must be at least 1, "
-                             f"got {max_replicas}")
         sample = app_factory()
         if version is None:
             version = 1
@@ -149,8 +129,6 @@ class FaaSPlatform:
             app_factory=app_factory,
             start_technique=start_technique,
             snapshot_policy=snapshot_policy or AfterReady(),
-            restore_mode=restore_mode,
-            max_replicas=max_replicas,
             idle_timeout_ms=idle_timeout_ms,
             cache_policy=cache_policy,
         )
@@ -190,7 +168,7 @@ class FaaSPlatform:
         return self.autoscaler.ensure_capacity(function, replicas)
 
     def gc_tick(self) -> None:
-        """Run one autoscaler reconciliation pass (reap → heal → GC)."""
+        """Run one autoscaler reconciliation pass (reap → GC → prewarm)."""
         self.autoscaler.tick()
 
     def install_faults(self, plan) -> "object":

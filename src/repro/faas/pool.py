@@ -27,6 +27,9 @@ from repro.functions.base import FunctionApp
 from repro.osproc.kernel import Kernel
 from repro.runtime.base import Request, Response, admit
 
+#: Pre-started idle replicas a pool keeps.
+POOL_SIZE = 1
+
 
 @dataclass
 class PoolStats:
@@ -40,7 +43,7 @@ class PoolStats:
 
 
 class WarmPool:
-    """Keeps up to ``size`` pre-started idle replicas of one function.
+    """Keeps up to ``POOL_SIZE`` pre-started idle replicas of one function.
 
     ``take()`` pops a warm replica (a pool *hit*: effectively zero
     start-up) or falls back to a cold start via the wrapped starter (a
@@ -55,25 +58,21 @@ class WarmPool:
         kernel: Kernel,
         starter: Starter,
         app_factory: Callable[[], FunctionApp],
-        size: int = 1,
     ) -> None:
-        if size < 0:
-            raise ValueError(f"pool size must be >= 0, got {size}")
         self.kernel = kernel
         self.starter = starter
         self.app_factory = app_factory
-        self.size = size
         self.stats = PoolStats()
         self._idle: List[Tuple[ReplicaHandle, float]] = []  # (handle, idle_since)
 
     # -- pool mechanics ---------------------------------------------------------
 
     def refill(self) -> int:
-        """Top the pool back up to ``size``; returns replicas started."""
+        """Top the pool back up to ``POOL_SIZE``; returns replicas started."""
         started = 0
         with obs.span(self.kernel, "pool.refill",
                       technique=self.starter.technique) as refill_span:
-            while len(self._idle) < self.size:
+            while len(self._idle) < POOL_SIZE:
                 handle = self.starter.start(self.app_factory())
                 self._idle.append((handle, self.kernel.clock.now))
                 started += 1
@@ -129,7 +128,7 @@ class WarmPool:
 
     def release(self, handle: ReplicaHandle) -> bool:
         """Return a replica to the pool; kills it if the pool is full."""
-        if len(self._idle) < self.size:
+        if len(self._idle) < POOL_SIZE:
             self._idle.append((handle, self.kernel.clock.now))
             return True
         handle.kill()

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.policy import AfterReady, SnapshotPolicy
-from repro.criu.restore import RestoreMode
 from repro.functions.base import FunctionApp
 
 
@@ -23,17 +22,11 @@ class FunctionMetadata:
     runtime_kind: str
     version: int
     app_factory: Callable[[], FunctionApp]
-    artifact_path: str = ""
-    artifact_bytes: int = 0
     start_technique: str = "vanilla"          # "vanilla" | "prebake"
     snapshot_policy: SnapshotPolicy = field(default_factory=AfterReady)
-    restore_mode: RestoreMode = RestoreMode.EAGER
-    max_replicas: int = 16
     idle_timeout_ms: float = 60_000.0
-    # Restore-pipeline knobs (PR 5): fetch-pipeline width and the
-    # node-local hot-chunk cache policy ("freq-over-size" | "lru" |
-    # None). The defaults keep the serial single-worker restore path.
-    pipeline_workers: int = 1
+    # The node-local hot-chunk cache policy ("freq-over-size" | "lru" |
+    # None); None restores without a node cache.
     cache_policy: Optional[str] = None
 
     def make_app(self) -> FunctionApp:

@@ -21,6 +21,9 @@ class ResourceError(Exception):
 
 _allocation_ids = itertools.count(1)
 
+#: Memory of every worker node.
+NODE_MEMORY_MIB = 8192.0
+
 
 @dataclass
 class Allocation:
@@ -30,7 +33,6 @@ class Allocation:
     node: "ComputeNode"
     function: str
     memory_mib: float
-    privileged: bool = False
     released: bool = False
 
     def release(self) -> None:
@@ -42,12 +44,16 @@ class Allocation:
 
 @dataclass
 class ComputeNode:
-    """A worker node with finite memory."""
+    """A worker node with ``NODE_MEMORY_MIB`` of memory.
+
+    ``allow_privileged`` is cleared after construction by a provider
+    that cannot run privileged containers (the OpenFaaS stack on
+    Docker Swarm).
+    """
 
     name: str
-    memory_mib: float = 8192.0
-    allow_privileged: bool = True
-    _allocations: List[Allocation] = field(default_factory=list)
+    allow_privileged: bool = field(default=True, init=False)
+    _allocations: List[Allocation] = field(default_factory=list, init=False)
 
     @property
     def used_mib(self) -> float:
@@ -55,7 +61,7 @@ class ComputeNode:
 
     @property
     def free_mib(self) -> float:
-        return self.memory_mib - self.used_mib
+        return NODE_MEMORY_MIB - self.used_mib
 
     def allocate(self, function: str, memory_mib: float,
                  privileged: bool = False) -> Allocation:
@@ -73,7 +79,6 @@ class ComputeNode:
             node=self,
             function=function,
             memory_mib=memory_mib,
-            privileged=privileged,
         )
         self._allocations.append(allocation)
         return allocation

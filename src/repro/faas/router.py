@@ -18,6 +18,12 @@ from repro.faults.errors import CapacityExhausted, ReplicaCrashed, RequestTimeou
 from repro.osproc.kernel import Kernel
 from repro.runtime.base import Request, Response, admit
 
+#: Re-queue backoff while capacity is exhausted, the dispatch deadline,
+#: and how many replica crashes one request rides before it fails.
+REQUEUE_BACKOFF_MS = 5.0
+REQUEST_TIMEOUT_MS = 30_000.0
+MAX_CRASH_RETRIES = 3
+
 
 @dataclass
 class InvocationRecord:
@@ -30,8 +36,6 @@ class InvocationRecord:
     total_ms: float
     technique: str
     replica_id: int
-    requeues: int = 0         # capacity-exhausted waits before dispatch
-    crash_retries: int = 0    # re-dispatches after a replica crash
 
 
 @dataclass
@@ -50,30 +54,20 @@ class FunctionRouter:
     *re-queued* (a simulated-time backoff, then another dispatch try)
     instead of crashing the router; a replica that dies mid-request is
     reaped and the request re-dispatched to a fresh replica; a request
-    that cannot be dispatched before ``request_timeout_ms`` of waiting
+    that cannot be dispatched before ``REQUEST_TIMEOUT_MS`` of waiting
     fails with a typed :class:`RequestTimeout`.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        deployer: FunctionDeployer,
-        requeue_backoff_ms: float = 5.0,
-        request_timeout_ms: float = 30_000.0,
-        max_crash_retries: int = 3,
-    ) -> None:
+    def __init__(self, kernel: Kernel, deployer: FunctionDeployer) -> None:
         self.kernel = kernel
         self.deployer = deployer
-        self.requeue_backoff_ms = requeue_backoff_ms
-        self.request_timeout_ms = request_timeout_ms
-        self.max_crash_retries = max_crash_retries
         self.stats = RouterStats()
 
     def route(self, function: str, request: Optional[Request] = None) -> Response:
         """Deliver one request, provisioning a replica if none is idle."""
         request = admit(self.kernel, request)
         arrived = self.kernel.clock.now
-        deadline = arrived + self.request_timeout_ms
+        deadline = arrived + REQUEST_TIMEOUT_MS
         cold = False
         requeues = 0
         crash_retries = 0
@@ -99,7 +93,7 @@ class FunctionRouter:
                               labels={"function": function})
                     obs.record(self.kernel, obs.flight.REQUEST_REQUEUED,
                                function=function, requeues=requeues)
-                    if self.kernel.clock.now + self.requeue_backoff_ms > deadline:
+                    if self.kernel.clock.now + REQUEUE_BACKOFF_MS > deadline:
                         waited = self.kernel.clock.now - arrived
                         obs.count(self.kernel, "router_timeouts_total",
                                   labels={"function": function})
@@ -111,7 +105,7 @@ class FunctionRouter:
                             f"timed out after {waited:.1f} ms in queue",
                             function=function, waited_ms=waited,
                         )
-                    self.kernel.clock.advance(self.requeue_backoff_ms)
+                    self.kernel.clock.advance(REQUEUE_BACKOFF_MS)
                     continue
                 cold = cold or replica.provisioned_cold
                 dispatched = self.kernel.clock.now
@@ -126,7 +120,7 @@ class FunctionRouter:
                                function=function,
                                replica_id=replica.replica_id,
                                crash_retries=crash_retries)
-                    if crash_retries > self.max_crash_retries:
+                    if crash_retries > MAX_CRASH_RETRIES:
                         raise
             route_span.set(cold_start=cold, replica_id=replica.replica_id,
                            technique=replica.technique, requeues=requeues,
@@ -143,8 +137,6 @@ class FunctionRouter:
             total_ms=response.finished_ms - arrived,
             technique=replica.technique,
             replica_id=replica.replica_id,
-            requeues=requeues,
-            crash_retries=crash_retries,
         )
         self.stats.invocations += 1
         if cold:

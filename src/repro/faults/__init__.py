@@ -36,8 +36,6 @@ builds.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.faults.errors import (
     CapacityExhausted,
     PlatformError,
@@ -63,7 +61,6 @@ from repro.faults.model import (
     FaultPlan,
     FaultSpec,
 )
-from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 
 def install(kernel, plan: FaultPlan) -> FaultInjector:
@@ -122,8 +119,6 @@ __all__ = [
     "FaultRecord",
     "FaultPlan",
     "FaultSpec",
-    "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
     "DEFAULT_DELAY_MS",
     "SITES",
     "RESTORE_FAIL",

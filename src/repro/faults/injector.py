@@ -63,8 +63,6 @@ class FaultInjector:
         spec = self.plan.spec(site)
         if spec is None or spec.probability <= 0.0:
             return False
-        if spec.max_fires is not None and self.fired.get(site, 0) >= spec.max_fires:
-            return False
         draw = self.kernel.streams.get(f"fault.{site}").random()
         fires = draw < spec.probability
         self._seq += 1

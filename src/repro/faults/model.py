@@ -1,8 +1,8 @@
 """The failure model: named injection sites and per-site specs.
 
 A :class:`FaultPlan` declares, per named site, the probability that
-the fault fires when execution crosses that site, plus site-specific
-knobs (extra latency for hangs/slow I/O, a cap on total fires). Sites
+the fault fires when execution crosses that site, plus the extra
+latency of a latency-type site (hangs, slow I/O). Sites
 are string names; a spec may only name one of :data:`SITES`, the set the
 platform instruments, since a misspelt site would arm nothing.
 """
@@ -48,15 +48,13 @@ class FaultSpec:
     """How one site misbehaves.
 
     ``probability`` is evaluated independently at every crossing of the
-    site; ``max_fires`` (if set) stops injection after that many fires,
-    which is how tests model transient faults; ``delay_ms`` is the
-    extra simulated latency for latency-type sites.
+    site; ``delay_ms`` is the extra simulated latency for latency-type
+    sites.
     """
 
     site: str
     probability: float
     delay_ms: Optional[float] = None
-    max_fires: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.site not in SITES:
@@ -66,8 +64,6 @@ class FaultSpec:
             raise ValueError(
                 f"fault probability must be in [0, 1], got {self.probability}"
             )
-        if self.max_fires is not None and self.max_fires < 0:
-            raise ValueError(f"max_fires must be >= 0, got {self.max_fires}")
         if self.delay_ms is not None and self.delay_ms < 0:
             raise ValueError(f"delay_ms must be >= 0, got {self.delay_ms}")
 
@@ -99,11 +95,6 @@ class FaultPlan:
     def describe(self) -> str:
         if not self.specs:
             return "faults: none"
-        parts = []
-        for site in sorted(self.specs):
-            spec = self.specs[site]
-            text = f"{site}={spec.probability:g}"
-            if spec.max_fires is not None:
-                text += f"(max {spec.max_fires})"
-            parts.append(text)
-        return "faults: " + ", ".join(parts)
+        return "faults: " + ", ".join(
+            f"{site}={self.specs[site].probability:g}"
+            for site in sorted(self.specs))

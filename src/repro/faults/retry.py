@@ -1,59 +1,33 @@
-"""Retry policy: capped exponential backoff on simulated time.
+"""Restore retries: capped exponential backoff on simulated time.
 
-Used by the prebake starter to bound how long a request-path cold
-start keeps retrying failed restores before it gives up and falls back
-to the vanilla fork/exec path. All sleeps are *virtual* — they advance
-the world clock, never the wall clock — so chaos experiments stay fast
-and deterministic.
+The prebake starter restores up to ``MAX_ATTEMPTS`` times, sleeping
+:func:`backoff_ms` after each failed attempt but the last, then falls
+back to the vanilla fork/exec path. All sleeps are *virtual* — they
+advance the world clock, never the wall clock — so chaos experiments
+stay fast and deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+#: Restore *tries* (not retries) before the vanilla fallback.
+MAX_ATTEMPTS = 3
+
+#: Backoff after failed attempt ``i``: ``BASE_MS * MULTIPLIER ** (i - 1)``,
+#: at most ``CAP_MS`` — 10 ms, then 20 ms.
+BACKOFF_BASE_MS = 10.0
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_CAP_MS = 1_000.0
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff between restore attempts.
-
-    ``max_attempts`` counts restore *tries* (not retries): 3 means the
-    starter restores up to three times, sleeping ``backoff_ms(i)``
-    after failed attempt ``i`` for ``i < max_attempts``, then falls
-    back. ``max_attempts=0`` disables the prebake path outright.
-    """
-
-    max_attempts: int = 3
-    backoff_base_ms: float = 10.0
-    backoff_multiplier: float = 2.0
-    backoff_cap_ms: float = 1_000.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 0:
-            raise ValueError(f"max_attempts must be >= 0, got {self.max_attempts}")
-        if self.backoff_base_ms < 0:
-            raise ValueError(
-                f"backoff_base_ms must be >= 0, got {self.backoff_base_ms}"
-            )
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
-
-    def backoff_ms(self, attempt: int) -> float:
-        """Backoff after failed attempt ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ValueError(f"attempt is 1-based, got {attempt}")
-        raw = self.backoff_base_ms * self.backoff_multiplier ** (attempt - 1)
-        return min(self.backoff_cap_ms, raw)
-
-    def total_backoff_ms(self) -> float:
-        """Total virtual time spent sleeping if every attempt fails.
-
-        ``max_attempts`` tries imply ``max_attempts - 1`` sleeps (no
-        sleep before the vanilla fallback).
-        """
-        return sum(self.backoff_ms(i) for i in range(1, self.max_attempts))
+def backoff_ms(attempt: int) -> float:
+    """Backoff after failed attempt ``attempt`` (1-based)."""
+    if attempt < 1:
+        raise ValueError(f"attempt is 1-based, got {attempt}")
+    return min(BACKOFF_CAP_MS,
+               BACKOFF_BASE_MS * BACKOFF_MULTIPLIER ** (attempt - 1))
 
 
-#: The platform default: three tries, 10 ms → 20 ms backoff.
-DEFAULT_RETRY_POLICY = RetryPolicy()
+def total_backoff_ms() -> float:
+    """Total virtual time spent sleeping if every attempt fails: no
+    sleep follows the last attempt."""
+    return sum(backoff_ms(i) for i in range(1, MAX_ATTEMPTS))

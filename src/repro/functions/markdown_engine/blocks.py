@@ -77,7 +77,7 @@ def _parse_lines(lines: List[str]) -> List[Node]:
                 body.append(lines[i])
                 i += 1
             i += 1  # skip the closing fence (or run off the end)
-            nodes.append(CodeBlock(code="\n".join(body), language=language, fenced=True))
+            nodes.append(CodeBlock(code="\n".join(body), language=language))
             continue
 
         if kind == "thematic":
@@ -119,7 +119,7 @@ def _parse_lines(lines: List[str]) -> List[Node]:
                 i += 1
             while body and not body[-1].strip():
                 body.pop()
-            nodes.append(CodeBlock(code="\n".join(body), fenced=False))
+            nodes.append(CodeBlock(code="\n".join(body)))
             continue
 
         # Raw HTML block.

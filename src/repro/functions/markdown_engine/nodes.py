@@ -31,7 +31,6 @@ class Paragraph(Node):
 class CodeBlock(Node):
     code: str
     language: str = ""
-    fenced: bool = False
 
 
 @dataclass

@@ -83,8 +83,7 @@ def install(kernel) -> Observability:
     return kernel.obs
 
 
-def install_flight(kernel, capacity: int = flight.DEFAULT_CAPACITY
-                   ) -> "flight.FlightRecorder":
+def install_flight(kernel) -> "flight.FlightRecorder":
     """Install (or fetch) the flight recorder on the hub, installing
     the hub if needed.
 
@@ -94,8 +93,7 @@ def install_flight(kernel, capacity: int = flight.DEFAULT_CAPACITY
     hub = install(kernel)
     if hub.flight is None:
         hub.flight = flight.FlightRecorder(
-            kernel.clock, tracer=hub.tracer, capacity=capacity,
-            metrics=hub.metrics)
+            kernel.clock, tracer=hub.tracer, metrics=hub.metrics)
     return hub.flight
 
 

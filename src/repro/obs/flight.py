@@ -17,7 +17,7 @@ Design constraints, in order:
 * **No interference with the simulation.** Recording reads the clock
   and never advances it, and draws no randomness, so a recorded world
   replays bit-identically to an unrecorded one under the same seed.
-* **Bounded.** The ring holds ``capacity`` events; older events are
+* **Bounded.** The ring holds ``CAPACITY`` events; older events are
   evicted oldest-first and only counted (``dropped``), never resized.
 
 Events carry the active trace/span ids when the hub's tracer has a
@@ -32,9 +32,9 @@ import pathlib
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Union
 
-# Default ring capacity: enough to cover the tail of a burst (a cold
-# start emits ~a dozen events) without holding a whole run.
-DEFAULT_CAPACITY = 2048
+# Ring capacity: enough to cover the tail of a burst (a cold start
+# emits ~a dozen events) without holding a whole run.
+CAPACITY = 2048
 
 # -- canonical event kinds ----------------------------------------------------
 #
@@ -157,19 +157,14 @@ class FlightRecorder:
     for events recorded while a span is open.
     """
 
-    def __init__(self, clock, tracer=None,
-                 capacity: int = DEFAULT_CAPACITY,
-                 metrics=None) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, clock, tracer=None, metrics=None) -> None:
         self.clock = clock
         self.tracer = tracer
-        self.capacity = capacity
         # Optional MetricsRegistry: evictions increment
         # flight_dropped_total there, so truncated evidence is visible
         # in scrapes and fleet reports, not only on the ring object.
         self.metrics = metrics
-        self._ring: Deque[FlightEvent] = deque(maxlen=capacity)
+        self._ring: Deque[FlightEvent] = deque(maxlen=CAPACITY)
         self.total = 0          # events ever recorded
         self._next_seq = 1
 
@@ -198,7 +193,7 @@ class FlightRecorder:
         )
         self._next_seq += 1
         self.total += 1
-        evicting = len(self._ring) == self.capacity
+        evicting = len(self._ring) == self._ring.maxlen
         self._ring.append(event)
         if evicting and self.metrics is not None:
             self.metrics.inc("flight_dropped_total")

@@ -69,7 +69,6 @@ class SLO:
     threshold_ms: float = 0.0           # latency: bad when above this
     bad_metric: str = ""                # ratio: the bad counter
     labels: Dict[str, str] = field(default_factory=dict)
-    description: str = ""
 
     def __post_init__(self) -> None:
         if not 0.0 < self.objective < 1.0:
@@ -128,7 +127,6 @@ COLD_START_P99 = SLO(
     kind=LATENCY,
     metric="router_cold_start_wait_ms",
     threshold_ms=800.0,
-    description="99% of cold starts complete within 800 ms",
 )
 
 # Restores: at least 99% of criu restore attempts succeed
@@ -139,7 +137,6 @@ RESTORE_SUCCESS = SLO(
     kind=RATIO,
     metric="criu_restore_total",
     bad_metric="criu_restore_failures_total",
-    description="at least 99% of snapshot restores succeed",
 )
 
 # Hot-chunk cache: once nodes are warm, at least half the restore-time
@@ -153,7 +150,6 @@ CHUNK_CACHE_HIT_RATE = SLO(
     kind=RATIO,
     metric="chunk_cache_hits_total",
     bad_metric="chunk_cache_misses_total",
-    description="at least 50% of restore chunk lookups hit the node cache",
 )
 
 DEFAULT_SLOS = (COLD_START_P99, RESTORE_SUCCESS, CHUNK_CACHE_HIT_RATE)

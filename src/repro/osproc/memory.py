@@ -130,9 +130,9 @@ class VMAKind(Enum):
 
 @dataclass
 class Page:
-    """A resident 4 KiB page of the reference backend."""
+    """A resident 4 KiB page of the reference backend (its index is
+    its key in the VMA's page map)."""
 
-    index: int                 # page index within its VMA
     content_tag: str = ""      # opaque identity used to verify round-trips
     soft_dirty: bool = False
 
@@ -361,7 +361,7 @@ class SlowVMA(_VMABase):
     def _touch(self, page_index: int, content_tag: str) -> None:
         page = self._pages.get(page_index)
         if page is None:
-            page = self._pages[page_index] = Page(page_index, content_tag)
+            page = self._pages[page_index] = Page(content_tag)
         elif content_tag:
             page.content_tag = content_tag
         page.soft_dirty = True
@@ -390,7 +390,7 @@ class SlowVMA(_VMABase):
         _check_fresh_restore(self, runs)
         tag = TAGS.tag
         self._pages = {
-            index: Page(index=index, content_tag=tag(tid), soft_dirty=True)
+            index: Page(content_tag=tag(tid), soft_dirty=True)
             for first, count, tid in runs
             for index in range(first, first + count)
         }

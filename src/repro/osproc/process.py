@@ -8,7 +8,6 @@ restoring → running) follow the real tool's protocol.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set
@@ -39,18 +38,10 @@ class Capability(Enum):
     CHECKPOINT_RESTORE = "CAP_CHECKPOINT_RESTORE"
 
 
-_tids = itertools.count(1)
-
-
 @dataclass
 class Thread:
-    tid: int
-    name: str = ""
+    name: str
     state: ThreadState = ThreadState.RUNNING
-
-    @classmethod
-    def fresh(cls, name: str = "") -> "Thread":
-        return cls(tid=next(_tids), name=name)
 
 
 class Process:
@@ -73,7 +64,7 @@ class Process:
         self.address_space = AddressSpace()
         self.namespaces = namespaces or NamespaceSet()
         self.capabilities: Set[Capability] = set(capabilities or ())
-        self.threads: List[Thread] = [Thread.fresh(name=comm)]
+        self.threads: List[Thread] = [Thread(name=comm)]
         self.fds: Dict[int, FileDescriptor] = {}
         self._next_fd = 3  # 0/1/2 reserved for stdio
         self.children: List[int] = []

@@ -7,8 +7,8 @@ Two deterministic estimators:
   Serverless-in-the-Wild hybrid policy does: keep a replica warm for
   the gap length that covers the q-th fraction of observed gaps.
 * :class:`EwmaForecaster` — exponentially weighted moving average of
-  per-window arrival counts; the rate estimate the histogram policy
-  pre-provisions against.
+  per-window arrival counts, smoothed by ``ALPHA``; the rate estimate
+  the histogram policy pre-provisions against.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from typing import Deque, Optional
 #: bucket 0 additionally absorbs sub-millisecond gaps.  2**48 ms is
 #: ~9000 years — an open upper bound in practice.
 _GAP_BUCKETS = 48
+
+#: EWMA smoothing of per-window arrival counts.
+ALPHA = 0.25
 
 
 class InterArrivalHistogram:
@@ -122,15 +125,12 @@ class EwmaForecaster:
     ``observe(count)`` folds in one completed window; ``forecast()``
     predicts the next window's count.  On a stationary Poisson stream
     the estimate converges to the true per-window rate (steady-state
-    standard error ``sqrt(alpha / (2 - alpha)) * sqrt(rate)``).
+    standard error ``sqrt(ALPHA / (2 - ALPHA)) * sqrt(rate)``).
     """
 
-    __slots__ = ("alpha", "_value", "_seen")
+    __slots__ = ("_value", "_seen")
 
-    def __init__(self, alpha: float = 0.25) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
+    def __init__(self) -> None:
         self._value = 0.0
         self._seen = 0
 
@@ -140,7 +140,7 @@ class EwmaForecaster:
         if self._seen == 0:
             self._value = float(count)
         else:
-            self._value += self.alpha * (float(count) - self._value)
+            self._value += ALPHA * (float(count) - self._value)
         self._seen += 1
 
     def forecast(self) -> float:

@@ -35,8 +35,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.predict.forecast import EwmaForecaster, InterArrivalHistogram
 
 DEFAULT_WINDOW_MS = 10_000.0
-DEFAULT_KEEPALIVE_FLOOR_MS = 1_000.0
 DEFAULT_KEEPALIVE_CAP_MS = 30_000.0
+
+#: The shortest keep-alive a policy picks (the scale-to-zero floor).
+KEEPALIVE_FLOOR_MS = 1_000.0
 
 #: The most completed windows one controller plan feeds to the policy
 #: (a long idle stretch costs O(HORIZON), not O(gap); the EWMA has
@@ -126,10 +128,9 @@ class HistogramEwmaPolicy(PrewarmPolicy):
     #: the extension only pays on functions that arrive often enough.
     EXTEND_MEAN_GAP_MS = 20_000.0
 
-    #: Gap coverage of the keep-alive, EWMA smoothing of window counts,
-    #: the forecast noise floor, and the staffing safety factor.
+    #: Gap coverage of the keep-alive, the forecast noise floor, and the
+    #: staffing safety factor.
     HIST_QUANTILE = 0.99
-    EWMA_ALPHA = 0.25
     MIN_FORECAST = 0.5
     SAFETY = 2.5
 
@@ -139,11 +140,9 @@ class HistogramEwmaPolicy(PrewarmPolicy):
 
     def __init__(self, window_ms: float = DEFAULT_WINDOW_MS,
                  service_ms: float = 150.0,
-                 keepalive_floor_ms: float = DEFAULT_KEEPALIVE_FLOOR_MS,
                  keepalive_cap_ms: float = DEFAULT_KEEPALIVE_CAP_MS) -> None:
         self.window_ms = float(window_ms)
         self.service_ms = float(service_ms)
-        self.keepalive_floor_ms = float(keepalive_floor_ms)
         self.keepalive_cap_ms = float(keepalive_cap_ms)
         self._hists: Dict[str, InterArrivalHistogram] = {}
         self._ewmas: Dict[str, EwmaForecaster] = {}
@@ -161,7 +160,7 @@ class HistogramEwmaPolicy(PrewarmPolicy):
     def _ewma(self, key: str) -> EwmaForecaster:
         ewma = self._ewmas.get(key)
         if ewma is None:
-            ewma = self._ewmas[key] = EwmaForecaster(alpha=self.EWMA_ALPHA)
+            ewma = self._ewmas[key] = EwmaForecaster()
         return ewma
 
     def note_gap(self, key: str, gap_ms: float) -> None:
@@ -174,7 +173,7 @@ class HistogramEwmaPolicy(PrewarmPolicy):
         return self._ewma(key).forecast()
 
     def _clamp(self, value: float) -> float:
-        return min(max(value, self.keepalive_floor_ms), self.keepalive_cap_ms)
+        return min(max(value, KEEPALIVE_FLOOR_MS), self.keepalive_cap_ms)
 
     def keepalive_ms(self, key: str) -> float:
         """The keep-alive for ``key``.
@@ -214,7 +213,7 @@ class HistogramEwmaPolicy(PrewarmPolicy):
         # ``prewarm_schedule`` place a replica just in time instead.
         shortest = hist.quantile(0.1)
         if shortest is not None and shortest > self.keepalive_cap_ms:
-            return self.keepalive_floor_ms, False
+            return KEEPALIVE_FLOOR_MS, False
         # Uninformative-distribution fallback: a quantile of an ON/OFF
         # mixture picks the intra-burst spacing (milliseconds) and lets
         # surplus replicas die mid-burst, while the off gaps it would
@@ -229,8 +228,7 @@ class HistogramEwmaPolicy(PrewarmPolicy):
                 and tail > self.BROAD_RATIO * median:
             return self._clamp(self.DEFAULT_KEEPALIVE_MS), False
         value = hist.keepalive_ms(
-            self.HIST_QUANTILE, self.keepalive_floor_ms,
-            self.keepalive_cap_ms)
+            self.HIST_QUANTILE, KEEPALIVE_FLOOR_MS, self.keepalive_cap_ms)
         if value > self.DEFAULT_KEEPALIVE_MS:
             # Cost-aware extension: a keep-alive beyond the status quo
             # pays ~one mean gap of idle per avoided cold, so sparse
@@ -274,21 +272,25 @@ class OraclePolicy(PrewarmPolicy):
     """Clairvoyant upper bound: reads next-window counts off the trace.
 
     Constructed with the per-key window-count vectors the study
-    precomputes from the trace. The controller hands it each plan's
-    time, and the oracle reads window ``floor(now_ms / window_ms)``,
-    the one that starts at the plan's boundary. Keep-alive is two
-    windows while that window has arrivals and 0 otherwise: a replica
-    that went idle in the current window then outlives the whole next
-    one, and the oracle never holds a replica it knows won't be used.
+    precomputes from the trace, and the config of the controller it
+    plans for, whose window and service time it staffs with. The
+    controller hands it each plan's time, and the oracle reads window
+    ``floor(now_ms / window_ms)``, the one that starts at the plan's
+    boundary. Keep-alive is two windows while that window has arrivals
+    and 0 otherwise: a replica that went idle in the current window
+    then outlives the whole next one, and the oracle never holds a
+    replica it knows won't be used.
     """
 
+    #: Staffing safety factor. The bound staffs generously: it knows
+    #: the next window's exact count and never pays for a wrong
+    #: forecast, so a wide overlap margin only tightens the bound.
+    SAFETY = 4.0
+
     def __init__(self, counts: Mapping[str, Sequence[float]],
-                 window_ms: float = DEFAULT_WINDOW_MS,
-                 service_ms: float = 150.0,
-                 safety: float = 2.5) -> None:
-        self.window_ms = float(window_ms)
-        self.service_ms = float(service_ms)
-        self.safety = float(safety)
+                 config: "PrewarmConfig") -> None:
+        self.window_ms = float(config.window_ms)
+        self.service_ms = float(config.service_ms_hint)
         self._counts = {key: list(values) for key, values in counts.items()}
         self.now_ms = 0.0
 
@@ -307,7 +309,7 @@ class OraclePolicy(PrewarmPolicy):
 
     def target_warm(self, key: str) -> int:
         return _concurrency(self.forecast(key), self.window_ms,
-                            self.service_ms, 0.5, self.safety)
+                            self.service_ms, 0.5, self.SAFETY)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +323,6 @@ class PrewarmConfig:
     policy: str = "histogram"            # the only live policy
     window_ms: float = DEFAULT_WINDOW_MS
     service_ms_hint: float = 100.0       # assumed busy time per request
-    keepalive_floor_ms: float = DEFAULT_KEEPALIVE_FLOOR_MS
     keepalive_cap_ms: float = DEFAULT_KEEPALIVE_CAP_MS
     max_prewarm_per_tick: int = 4        # replica budget per planning pass
     max_warm_per_function: int = 4
@@ -333,10 +334,9 @@ class PrewarmConfig:
             raise ValueError("window_ms must be positive")
         if self.service_ms_hint <= 0:
             raise ValueError("service_ms_hint must be positive")
-        if self.keepalive_floor_ms <= 0:
-            raise ValueError("keepalive_floor_ms must be positive")
-        if self.keepalive_cap_ms < self.keepalive_floor_ms:
-            raise ValueError("keepalive_cap_ms must be >= keepalive_floor_ms")
+        if self.keepalive_cap_ms < KEEPALIVE_FLOOR_MS:
+            raise ValueError("keepalive_cap_ms must be >= "
+                             f"{KEEPALIVE_FLOOR_MS} ms")
         if self.max_prewarm_per_tick < 1:
             raise ValueError("max_prewarm_per_tick must be >= 1")
         if self.max_warm_per_function < 1:
@@ -395,7 +395,6 @@ class PrewarmController:
         self.policy = policy if policy is not None else HistogramEwmaPolicy(
             window_ms=cfg.window_ms,
             service_ms=cfg.service_ms_hint,
-            keepalive_floor_ms=cfg.keepalive_floor_ms,
             keepalive_cap_ms=cfg.keepalive_cap_ms,
         )
         self._counts: Dict[str, Counter] = {}

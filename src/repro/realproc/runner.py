@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.realproc.child import parse_ok_line, parse_ready_line
 
@@ -22,7 +22,6 @@ class RealStartupSample:
     technique: str
     function: str
     startup_ms: float
-    first_service_ms: Optional[float] = None
 
 
 class VanillaProcessRunner:
@@ -49,9 +48,7 @@ class VanillaProcessRunner:
             startup_ms = (time.monotonic_ns() - t0) / 1e6
             proc.stdin.write("\n")
             proc.stdin.flush()
-            reply = proc.stdout.readline()
-            service_ns, _digest = parse_ok_line(reply)
-            first_service_ms = service_ns / 1e6
+            parse_ok_line(proc.stdout.readline())  # the first request served
             proc.stdin.write("QUIT\n")
             proc.stdin.flush()
             proc.wait(timeout=60.0)
@@ -63,7 +60,6 @@ class VanillaProcessRunner:
             technique=self.technique,
             function=function,
             startup_ms=startup_ms,
-            first_service_ms=first_service_ms,
         )
 
     def measure(self, function: str,

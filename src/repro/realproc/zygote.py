@@ -110,8 +110,7 @@ class ZygoteRunner:
                     startup_ms = (time.monotonic_ns() - t0) / 1e6
                     inp.write("\n")
                     inp.flush()
-                    service_ns, _digest = parse_ok_line(out.readline())
-                    first_service_ms = service_ns / 1e6
+                    parse_ok_line(out.readline())  # the first request served
                     inp.write("QUIT\n")
                     inp.flush()
         finally:
@@ -124,7 +123,6 @@ class ZygoteRunner:
             technique=self.technique,
             function=self.function,
             startup_ms=startup_ms,
-            first_service_ms=first_service_ms,
         )
 
     def measure(self, repetitions: int = 20) -> List[RealStartupSample]:

@@ -45,10 +45,8 @@ class Request:
 
     body: Any = None
     path: str = "/"
-    method: str = "POST"
     # 0 until the request enters a world (see :func:`admit`).
     request_id: int = 0
-    arrival_ms: float = 0.0
     # Causal trace handle, stamped where the request enters the system
     # (gateway or router) and carried to every span it causes. None in
     # unobserved worlds and for requests injected below the router.

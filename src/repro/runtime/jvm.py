@@ -19,7 +19,6 @@ three techniques of Table 1 fall out of these mechanics.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Optional, Set, TYPE_CHECKING
 
 from repro.osproc.kernel import Kernel
@@ -32,17 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.functions.base import FunctionApp
 
 
-@dataclass(frozen=True)
 class JVMConfig:
-    """Static layout of a freshly booted JVM."""
+    """Static layout of a freshly booted JVM (constants)."""
 
-    base_rss_mib: float = 13.0        # matches the paper's NOOP snapshot size
-    text_mib: float = 4.0             # libjvm.so resident text
-    heap_initial_mib: float = 6.0
-    metaspace_initial_mib: float = 2.5
-    code_cache_initial_mib: float = 0.5
-    # JIT output per compiled class, folded into warm-snapshot growth.
-    code_cache_per_class_kib: float = 0.0
+    text_mib = 4.0             # libjvm.so resident text
+    heap_initial_mib = 6.0
+    metaspace_initial_mib = 2.5
+    code_cache_initial_mib = 0.5
 
 
 class ClassLoader:

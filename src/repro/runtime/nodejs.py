@@ -9,7 +9,6 @@ so multi-runtime experiments can run; they are not paper fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.osproc.kernel import Kernel
@@ -21,15 +20,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.functions.base import FunctionApp
 
 
-@dataclass(frozen=True)
 class NodeJSConfig:
-    """Tunables for the Node.js runtime model (projection constants)."""
+    """The Node.js runtime model's projection constants."""
 
-    base_rss_mib: float = 10.0
-    rts_ms: float = 45.0                 # V8 init + node bootstrap to main script
-    require_per_module_ms: float = 0.28
-    require_per_kib_ms: float = 0.018    # parse + baseline compile per KiB
-    require_io_per_kib_ms: float = 0.006
+    base_rss_mib = 10.0
+    rts_ms = 45.0                 # V8 init + node bootstrap to main script
+    require_per_module_ms = 0.28
+    require_per_kib_ms = 0.018    # parse + baseline compile per KiB
+    require_io_per_kib_ms = 0.006
 
 
 class NodeJSRuntime(ManagedRuntime):

@@ -11,7 +11,6 @@ and ablations can exercise a second runtime end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.osproc.kernel import Kernel
@@ -23,15 +22,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.functions.base import FunctionApp
 
 
-@dataclass(frozen=True)
 class CPythonConfig:
-    """Tunables for the CPython runtime model (projection constants)."""
+    """The CPython runtime model's projection constants."""
 
-    base_rss_mib: float = 7.0
-    rts_ms: float = 22.0                  # interpreter boot to first bytecode
-    import_per_module_ms: float = 0.35    # find + compile + exec a module
-    import_per_kib_ms: float = 0.012      # source read/parse per KiB
-    import_io_per_kib_ms: float = 0.004   # extra when source pages are cold
+    base_rss_mib = 7.0
+    rts_ms = 22.0                  # interpreter boot to first bytecode
+    import_per_module_ms = 0.35    # find + compile + exec a module
+    import_per_kib_ms = 0.012      # source read/parse per KiB
+    import_io_per_kib_ms = 0.004   # extra when source pages are cold
 
 
 class CPythonRuntime(ManagedRuntime):

@@ -228,18 +228,15 @@ class CostModel:
         if workers == 1:
             return PipelinePlan(workers=1, chunk_count=chunk_count,
                                 cached_fraction=cached_fraction,
-                                fetch_ms=fetch_ms, map_ms=map_ms,
-                                ramp_ms=0.0, serial_ms=serial_ms,
-                                total_ms=serial_ms)
+                                ramp_ms=0.0, total_ms=serial_ms)
         effective = 1.0 + (workers - 1) * self.restore_pipeline_efficiency
         ramp_ms = fetch_ms / max(1, chunk_count)
         steady_ms = max(fetch_ms / effective, map_ms)
         total_ms = min(serial_ms, ramp_ms + steady_ms)
         return PipelinePlan(workers=workers, chunk_count=chunk_count,
                             cached_fraction=cached_fraction,
-                            fetch_ms=fetch_ms, map_ms=map_ms,
                             ramp_ms=max(0.0, total_ms - steady_ms),
-                            serial_ms=serial_ms, total_ms=total_ms)
+                            total_ms=total_ms)
 
     def shard_fetch_overhead_ms(self, retry_hops: int, slow_ms: float = 0.0,
                                 workers: int = 1) -> float:
@@ -272,8 +269,9 @@ class CostModel:
 class PipelinePlan:
     """How one restore's page-population charge breaks down.
 
-    ``total_ms`` is the wall charge: ``serial_ms`` when unpipelined,
-    ``ramp_ms + max(fetch/effective_workers, map)`` when overlapped.
+    ``total_ms`` is the wall charge: the serial ``fetch + map`` when
+    unpipelined, ``ramp_ms + max(fetch/effective_workers, map)`` when
+    overlapped.
     ``ramp_ms`` is the pipeline fill (the map stage idles until the
     first chunk arrives) — the profiler's ``restore.pipeline-ramp``.
     """
@@ -281,10 +279,7 @@ class PipelinePlan:
     workers: int
     chunk_count: int
     cached_fraction: float
-    fetch_ms: float
-    map_ms: float
     ramp_ms: float
-    serial_ms: float
     total_ms: float
 
     @property

@@ -12,6 +12,15 @@ entered fails unless ``test_dead_code.EXECUTION_ALLOWED`` lists it with
 one of the fixed ``REASONS``; an entry that names a definition that
 ran, or one that is gone, fails too.
 
+The same runs feed an *option census*. For each defaulted parameter of
+the option surfaces (every ``*Config`` dataclass and the platform
+knobs ``SURFACES`` names) it records the distinct values, compared by
+``==``, that the parameter receives; a dataclass's generated
+``__init__`` is matched by code object, and a surface instance a
+module holds at top level counts too. A parameter seen at fewer than
+two values is a constant in disguise and fails, unless
+``test_dead_code.OPTION_ALLOWED`` lists it with one of ``REASONS``.
+
 The entry points: every ``prebake-bench`` experiment with each output
 flag, ``baseline record`` and ``compare``, the obs CLI on each kind of
 artifact, the three perfbench workloads traced and untraced, the six
@@ -25,6 +34,8 @@ collect this file, and it needs no coverage package.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import inspect
 import os
 import pathlib
 import runpy
@@ -32,27 +43,127 @@ import sys
 import tempfile
 import threading
 import time
-from typing import Callable, Iterable, List, Set, Tuple
+from types import CodeType, ModuleType
+from typing import Any, Callable, Dict, Iterable, List, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 if not __package__:  # run as a script
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-from tests.test_dead_code import EXECUTION_ALLOWED, definitions, judge  # noqa: E402
+from tests.test_dead_code import (  # noqa: E402
+    EXECUTION_ALLOWED, OPTION_ALLOWED, definitions, judge)
+from tests.test_doc_names import _resolve as resolve  # noqa: E402
 
 PACKAGE = ROOT / "src" / "repro"
 Ran = Set[Tuple[str, str]]
 
+#: The option surfaces besides the ``*Config`` dataclasses: a class
+#: stands for its ``__init__``.
+SURFACES = (
+    "repro.faas.registry.FunctionMetadata",
+    "repro.faas.platform.FaaSPlatform.build",
+    "repro.faas.router.FunctionRouter",
+    "repro.faas.resources.ComputeNode",
+    "repro.predict.policy.HistogramEwmaPolicy",
+    "repro.predict.policy.OraclePolicy",
+    "repro.predict.forecast.EwmaForecaster",
+    "repro.core.policy.AfterWarmup",
+    "repro.faults.model.FaultSpec",
+    "repro.faas.pool.WarmPool",
+    "repro.obs.flight.FlightRecorder",
+    "repro.obs.install_flight",
+)
 
-def entered(run: Callable[[], object]) -> Tuple[Ran, object]:
+
+def surfaces(package: pathlib.Path) -> List[Any]:
+    """Every ``*Config`` dataclass under ``package``, then ``SURFACES``."""
+    configs = [resolve(d.qualname) for d in definitions(package)
+               if d.kind == "class" and d.name.endswith("Config")]
+    return ([c for c in configs if dataclasses.is_dataclass(c)]
+            + [resolve(name) for name in SURFACES])
+
+
+def _same(a: object, b: object) -> bool:
+    try:
+        return bool(a == b)
+    except Exception:  # an ``==`` without a truth value: not the same
+        return False
+
+
+class Options:
+    """The distinct values each defaulted parameter of ``surfaces``
+    receives, keyed ``module.Qual.name(param)`` (a class by its
+    ``__init__``). Two values settle a parameter, so no more are kept."""
+
+    def __init__(self, surfaces: Iterable[Any]) -> None:
+        self.values: Dict[str, List[object]] = {}
+        # code -> (key, parameter, default factory or None) per parameter
+        self._params: Dict[CodeType, List[Tuple[str, str, Any]]] = {}
+        self._classes: Dict[type, List[Tuple[str, str, Any]]] = {}
+        for surface in surfaces:
+            fn = surface.__init__ if isinstance(surface, type) else surface
+            owner = (surface.__qualname__ + ".__init__"
+                     if isinstance(surface, type) else fn.__qualname__)
+            factories = ({f.name: f.default_factory
+                          for f in dataclasses.fields(surface)}
+                         if dataclasses.is_dataclass(surface) else {})
+            params = []
+            for name, param in inspect.signature(fn).parameters.items():
+                if param.default is inspect.Parameter.empty:
+                    continue
+                key = f"{surface.__module__}.{owner}({name})"
+                self.values[key] = []
+                params.append((key, name, factories.get(name)))
+            self._params[fn.__code__] = params
+            if dataclasses.is_dataclass(surface):
+                self._classes[surface] = params
+
+    def _see(self, key: str, value: object, factory: Any) -> None:
+        seen = self.values[key]
+        if len(seen) >= 2:
+            return
+        if value is dataclasses._HAS_DEFAULT_FACTORY:  # type: ignore
+            value = factory()
+        if not any(_same(value, old) for old in seen):
+            seen.append(value)
+
+    def note(self, frame) -> None:
+        """Record the arguments of a call entering a surface."""
+        params = self._params.get(frame.f_code)
+        if params:
+            args = frame.f_locals
+            for key, name, factory in params:
+                self._see(key, args[name], factory)
+
+    def note_instances(self, modules: Iterable[ModuleType]) -> None:
+        """Record the fields of every surface dataclass instance a
+        module holds at top level (built at import, maybe before the
+        census watched calls)."""
+        for module in modules:
+            for value in list(vars(module).values()):
+                for key, name, factory in self._classes.get(type(value), ()):
+                    self._see(key, getattr(value, name), factory)
+
+    def single(self) -> List[str]:
+        """Every parameter seen at fewer than two values."""
+        return sorted(key for key, seen in self.values.items()
+                      if len(seen) < 2)
+
+
+def entered(run: Callable[[], object],
+            options: "Options | None" = None) -> Tuple[Ran, object]:
     """``run``'s result, and the ``(file, qualname)`` of every code
     object entered while it ran; ``<locals>`` is dropped from nested
-    names so they read as ``definitions`` spells them."""
+    names so they read as ``definitions`` spells them. ``options``,
+    if given, records the surface calls."""
     codes = set()
+    note = options.note if options is not None else None
 
     def probe(frame, event, arg):
         if event == "call":
             codes.add(frame.f_code)
+            if note is not None:
+                note(frame)
 
     threading.setprofile(probe)
     sys.setprofile(probe)
@@ -207,9 +318,10 @@ def _exit_status(run: Callable[[], object]) -> object:
 
 
 def census(runs: Iterable[Tuple[str, Callable[[], object]]],
-           log: pathlib.Path) -> Tuple[Ran, List[str]]:
+           log: pathlib.Path,
+           options: "Options | None" = None) -> Tuple[Ran, List[str]]:
     """Everything the runs entered, and the labels of runs that failed.
-    Their output goes to ``log``."""
+    Their output goes to ``log``; ``options`` records surface calls."""
     ran: Ran = set()
     failed = []
     with open(log, "w", encoding="utf-8") as sink, \
@@ -217,7 +329,7 @@ def census(runs: Iterable[Tuple[str, Callable[[], object]]],
         for label, run in runs:
             started = time.perf_counter()
             try:
-                codes, status = entered(lambda: _exit_status(run))
+                codes, status = entered(lambda: _exit_status(run), options)
             except Exception as exc:  # the run is reported as failed
                 codes, status = set(), repr(exc)
             ran |= codes
@@ -236,21 +348,32 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
         tmp_path = pathlib.Path(tmp)
         # Import-time calls (registries, tables) count: profile the imports.
-        imported, runs = entered(lambda: entry_points(tmp_path))
-        ran, failed = census(runs, tmp_path / "output.log")
+        imported, (options, runs) = entered(lambda: (
+            Options(surfaces(PACKAGE)), entry_points(tmp_path)))
+        ran, failed = census(runs, tmp_path / "output.log", options)
         ran |= imported
+        options.note_instances(
+            module for name, module in list(sys.modules.items())
+            if name.split(".")[0] in ("repro", "perfbench"))
         if failed:
             print((tmp_path / "output.log").read_text()[-4000:],
                   file=sys.stderr)
     found = [f"entry point failed: {f}" for f in failed]
     found += judge(never_entered(PACKAGE, ran), EXECUTION_ALLOWED,
                    "never entered")
+    single = options.single()
+    found += judge(single, OPTION_ALLOWED, "fewer than two values")
     print(f"census: {len(ran)} code objects entered in "
-          f"{time.perf_counter() - started:.0f} s", file=sys.stderr)
+          f"{time.perf_counter() - started:.0f} s; {len(options.values)} "
+          f"option parameters, {len(single)} at fewer than two values",
+          file=sys.stderr)
     if found:
         print(f"{len(found)} census problem(s); delete, wire up, or "
-              "allow-list in EXECUTION_ALLOWED with a reason from REASONS:\n  "
-              + "\n  ".join(found), file=sys.stderr)
+              "allow-list in EXECUTION_ALLOWED or OPTION_ALLOWED with a "
+              "reason from REASONS:\n  " + "\n  ".join(found)
+              + "\nvalues seen:\n  " + "\n  ".join(
+                  f"{key}: {options.values[key]!r}" for key in single),
+              file=sys.stderr)
         return 1
     return 0
 

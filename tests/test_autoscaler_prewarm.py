@@ -9,6 +9,7 @@ from repro import make_world, obs
 from repro.core.bake import Prebaker
 from repro.core.policy import AfterWarmup
 from repro.criu.chunkcache import HotChunkCache
+from repro.faas import autoscaler
 from repro.faas.autoscaler import AutoscalerConfig
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.registry import RegistryError
@@ -37,16 +38,14 @@ class TestActionRecord:
         tape = obs.install_flight(kernel)
         platform = _platform(
             kernel,
-            autoscaler=AutoscalerConfig(min_replicas=1,
-                                        idle_timeout_ms=1_000.0),
+            autoscaler=AutoscalerConfig(idle_timeout_ms=1_000.0),
             prewarm=PrewarmConfig(policy="histogram", window_ms=200.0,
                                   service_ms_hint=500.0))
         platform.register_function(lambda: make_app("markdown"))
-        platform.gc_tick()                                  # heal
-        (replica,) = platform.deployer.replicas("markdown")
-        kernel.kill(replica.handle.process.pid)
-        platform.gc_tick()                                  # reap + heal
         platform.scale("markdown", 3)                       # scale-up
+        replica = platform.deployer.replicas("markdown")[0]
+        kernel.kill(replica.handle.process.pid)
+        platform.gc_tick()                                  # reap
         kernel.clock.advance(5_000.0)
         platform.gc_tick()                                  # gc
         for _ in range(60):                                 # prewarm
@@ -56,7 +55,7 @@ class TestActionRecord:
         taped = [e for e in tape.events()
                  if e.kind == obs.flight.AUTOSCALER_ACTION]
         assert tape.dropped == 0
-        for action in ("scale-up", "gc", "reap", "heal", "prewarm"):
+        for action in ("scale-up", "gc", "reap", "prewarm"):
             on_tape = [e for e in taped if e.attrs["action"] == action]
             assert on_tape, action
             assert all(e.attrs["function"] == "markdown" for e in on_tape)
@@ -120,11 +119,11 @@ class TestPrewarmPass:
         # Pre-placed capacity is real, live replicas.
         assert platform.replica_count("markdown") > 1
 
-    def test_prewarm_respects_max_replica_limits(self):
+    def test_prewarm_respects_max_replica_limits(self, monkeypatch):
+        monkeypatch.setattr(autoscaler, "MAX_REPLICAS", 2)
         world = make_world(seed=9, observe=True)
         platform = _platform(
             world.kernel,
-            autoscaler=AutoscalerConfig(max_replicas=2),
             prewarm=PrewarmConfig(policy="histogram", window_ms=200.0,
                                   service_ms_hint=500.0,
                                   max_warm_per_function=8))
@@ -288,8 +287,7 @@ class TestKeepAliveOverride:
     def test_policy_keepalive_replaces_fixed_timeout(self):
         world = make_world(seed=12, observe=True)
         platform = _platform(world.kernel, prewarm=PrewarmConfig(
-            policy="histogram", window_ms=200.0,
-            keepalive_floor_ms=100.0, keepalive_cap_ms=500.0))
+            policy="histogram", window_ms=200.0, keepalive_cap_ms=1_500.0))
         platform.register_function(lambda: make_app("markdown"),
                                    idle_timeout_ms=60_000.0)
         # Long, regular gaps: the histogram's scale-to-zero fast path

@@ -160,10 +160,10 @@ class TestRecordAndCompareCli:
         (["record", "-r", "-3"], "--repetitions must be a positive integer"),
         (["record", "--seed", "0"], "--seed must be a positive integer"),
         (["record", "-s", "-1"], "--seed must be a positive integer"),
-        (["record", "fig3", "-r", "2"],
-         "--repetitions must be at least 3 for fig3, got 2"),
+        (["record", "fig3", "-r", "1"],
+         "--repetitions must be at least 2 for fig3, got 1"),
         (["record", "-r", "1"],
-         "--repetitions must be at least 3 for fig3, got 1"),
+         "--repetitions must be at least 2 for fig3, got 1"),
     ])
     def test_bad_overrides_exit_two(self, capsys, argv, message, tmp_path):
         assert baseline.main(argv + ["--dir", str(tmp_path)]) == 2

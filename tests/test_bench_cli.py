@@ -97,13 +97,12 @@ class TestArgumentValidation:
          "--requests must be a positive integer"),
         (["prewarm", "--requests", "-1"],
          "--requests must be a positive integer"),
-        (["fig3", "-r", "2"], "--repetitions must be at least 3 for fig3"),
-        (["fig3", "-r", "1"], "--repetitions must be at least 3 for fig3"),
+        (["fig3", "-r", "1"], "--repetitions must be at least 2 for fig3"),
         (["fig5", "-r", "1"], "--repetitions must be at least 2 for fig5"),
         (["fig6", "-r", "1"], "--repetitions must be at least 2 for fig6"),
         (["table1", "-r", "1"],
          "--repetitions must be at least 2 for table1"),
-        (["all", "-r", "2"], "--repetitions must be at least 3 for fig3"),
+        (["all", "-r", "1"], "--repetitions must be at least 2 for fig3"),
     ])
     def test_bad_knobs_exit_2_with_a_clear_message(self, capsys, argv,
                                                    message):

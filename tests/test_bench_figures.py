@@ -47,6 +47,13 @@ class TestFigure3:
         assert "Figure 3" in text
         assert "image-resizer" in text
 
+    def test_runs_at_its_fewest_repetitions(self):
+        """Two repetitions are enough for fig3's bootstrap CIs and
+        Mann-Whitney test, as for fig5/fig6/table1."""
+        result = figure3(repetitions=2, seed=3)
+        assert len(result.rows) == 3
+        assert "Figure 3" in result.render()
+
 
 class TestFigure4:
     @pytest.fixture(scope="class")

@@ -3,10 +3,12 @@
 The census itself runs every entry point and takes minutes; these
 checks pin its matching and judging on a package small enough to build
 here: a ``def`` never entered is flagged, and the allow-list rejects a
-stale entry and a reason outside ``REASONS``. The list of entry points
-is checked without running it: it names every experiment, output flag,
-example and perfbench workload, and writes only to its temporary
-directory.
+stale entry and a reason outside ``REASONS``. The option census is
+checked the same way: a parameter seen at one value is flagged, two
+values (by ``==``) pass, a dataclass's generated ``__init__`` and a
+module-level instance count. The list of entry points is checked
+without running it: it names every experiment, output flag, example
+and perfbench workload, and writes only to its temporary directory.
 """
 
 import importlib
@@ -18,9 +20,10 @@ import pytest
 
 from perfbench.workloads import WORKLOADS
 from repro.bench.cli import EXPERIMENTS, build_parser
-from tests.census import (ROOT, _BenchResultsTo, _exit_status, census,
-                          entered, entry_points, never_entered)
-from tests.test_dead_code import ERROR_PATH, judge
+from tests.census import (PACKAGE, ROOT, Options, _BenchResultsTo,
+                          _exit_status, census, entered, entry_points,
+                          never_entered, surfaces)
+from tests.test_dead_code import ERROR_PATH, SEAM_SIZE, judge
 
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11),
                                 reason="co_qualname needs Python 3.11+")
@@ -145,6 +148,120 @@ def test_census_reports_each_failed_run_and_logs_its_output(tmp_path):
     assert "fails: said something" in log.read_text()
     assert any(qualname == "test_census_reports_each_failed_run_and_logs_"
                "its_output.fails" for _, qualname in ran)
+
+
+# -- the option census --------------------------------------------------------
+
+OPTS = '''
+from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class ToyConfig:
+    size: int = 16
+    mode: str = "a"
+    tags: list = field(default_factory=list)
+
+
+def build(name, retries=3, *, width=1.0):
+    return name
+'''
+
+PRESET = '''
+from censustoy.opts import ToyConfig
+
+PRESET = ToyConfig(mode="b")
+'''
+
+
+@pytest.fixture
+def opts(toy):
+    package, _ = toy
+    (package / "opts.py").write_text(OPTS)
+    (package / "preset.py").write_text(PRESET)
+    module = importlib.import_module("censustoy.opts")
+    yield module, Options([module.ToyConfig, module.build])
+    for name in ("censustoy.opts", "censustoy.preset"):
+        sys.modules.pop(name, None)
+
+
+def test_option_census_flags_a_parameter_seen_at_one_value(opts):
+    module, options = opts
+    entered(lambda: module.build("x", width=2.0), options)
+    assert options.values["censustoy.opts.build(retries)"] == [3]
+    assert "censustoy.opts.build(retries)" in options.single()
+    assert options.values["censustoy.opts.build(width)"] == [2.0]
+
+
+def test_option_census_passes_a_parameter_seen_at_two_values(opts):
+    module, options = opts
+    entered(lambda: (module.build("x"), module.build("y", retries=1)),
+            options)
+    assert options.values["censustoy.opts.build(retries)"] == [3, 1]
+    assert "censustoy.opts.build(retries)" not in options.single()
+
+
+def test_option_census_counts_values_equal_by_eq_as_one(opts):
+    module, options = opts
+    entered(lambda: (module.build("x", retries=16),
+                     module.build("x", retries=16.0)), options)
+    assert options.values["censustoy.opts.build(retries)"] == [16]
+    assert "censustoy.opts.build(retries)" in options.single()
+
+
+def test_option_census_matches_a_dataclass_generated_init(opts):
+    module, options = opts
+    entered(lambda: (module.ToyConfig(size=8), module.ToyConfig()), options)
+    assert options.values["censustoy.opts.ToyConfig.__init__(size)"] == [
+        8, 16]
+    # A default factory counts as the value it makes.
+    assert options.values["censustoy.opts.ToyConfig.__init__(tags)"] == [[]]
+    assert options.single() == [
+        "censustoy.opts.ToyConfig.__init__(mode)",
+        "censustoy.opts.ToyConfig.__init__(tags)",
+        "censustoy.opts.build(retries)",
+        "censustoy.opts.build(width)",
+    ]
+
+
+def test_option_census_counts_a_module_level_instance(opts):
+    module, options = opts
+    # Built at import, before the census watches any call.
+    preset = importlib.import_module("censustoy.preset")
+    entered(module.ToyConfig, options)
+    assert options.values["censustoy.opts.ToyConfig.__init__(mode)"] == ["a"]
+    options.note_instances([preset])
+    assert options.values["censustoy.opts.ToyConfig.__init__(mode)"] == [
+        "a", "b"]
+    assert "censustoy.opts.ToyConfig.__init__(mode)" not in options.single()
+
+
+def test_option_census_rejects_a_stale_allow_list_entry(opts):
+    module, options = opts
+    entered(lambda: (module.build("x"), module.build("y", retries=1)),
+            options)
+    single = options.single()
+    assert judge(single, {
+        "censustoy.opts.build(width)": SEAM_SIZE,
+        "censustoy.opts.build(retries)": SEAM_SIZE,
+    }, "fewer than two values") == [
+        "fewer than two values: censustoy.opts.ToyConfig.__init__(mode)",
+        "fewer than two values: censustoy.opts.ToyConfig.__init__(size)",
+        "fewer than two values: censustoy.opts.ToyConfig.__init__(tags)",
+        "stale allow-list entry (gone or reached): "
+        "censustoy.opts.build(retries)",
+    ]
+
+
+def test_option_surfaces_are_the_config_dataclasses_and_the_named_knobs():
+    from repro.faas.platform import FaaSPlatform, PlatformConfig
+    from repro.predict.policy import PrewarmConfig
+    from repro.runtime.jvm import JVMConfig
+    found = surfaces(PACKAGE)
+    assert PlatformConfig in found and PrewarmConfig in found
+    assert FaaSPlatform.build in found
+    # A class of constants is no dataclass: nothing to set.
+    assert JVMConfig not in found
 
 
 # -- the list of entry points -----------------------------------------------

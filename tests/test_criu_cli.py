@@ -62,7 +62,7 @@ class TestRestoreArgv:
 class TestDryRunExecution:
     def test_dry_run_records_invocations(self, cli):
         result = cli.check()
-        assert result.ok and not result.executed
+        assert result.ok and result.stdout == ""
         assert cli.invocations == [["/usr/sbin/criu", "check"]]
 
     def test_dry_run_dump_and_restore(self, cli):

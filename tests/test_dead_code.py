@@ -19,10 +19,16 @@ below them. Tests do not make code live. Two rules:
   the class name, ``cls(...)`` inside it and ``super().__init__`` in a
   direct subclass. A call with ``*args`` or ``**kwargs`` passes every
   parameter.
+* **Fields.** Every field of a ``@dataclass`` must be read by some
+  caller file: an attribute load of its name (``+=`` loads it too) or a
+  ``getattr`` with its name as a string. A store such as
+  ``meta.path = ...`` is not a read; ``asdict(self)`` inside the class
+  reads every field of it.
 
 A hit is deleted, wired up, or listed in ``ALLOWED`` with one of the
 fixed ``REASONS``. An ``ALLOWED`` entry that no longer names an
-unreached definition or parameter fails too, so the list cannot rot.
+unreached definition, parameter or field fails too, so the list cannot
+rot.
 """
 
 from __future__ import annotations
@@ -47,9 +53,10 @@ SEAM_INTERPRETER = "test seam: an interpreter path"
 SEAM_SIZE = "test seam: a size that tests shrink"
 ERROR_PATH = "error path"
 SUBPROCESS_BODY = "subprocess body"
+PERFBENCH_KEYWORD = "a keyword perfbench passes"
 REASONS = frozenset({ORACLE, REAL_BINARY, SEAM_CLOCK, SEAM_STREAM,
                      SEAM_INTERPRETER, SEAM_SIZE, ERROR_PATH,
-                     SUBPROCESS_BODY})
+                     SUBPROCESS_BODY, PERFBENCH_KEYWORD})
 
 # ``module.Qual.name`` or ``module.Qual.name(param)`` -> one of REASONS.
 ALLOWED: Dict[str, str] = {
@@ -69,7 +76,6 @@ ALLOWED: Dict[str, str] = {
     # Window-boundary properties run on 1-, 8- and 16-page chunks.
     "repro.criu.pagestore.PageStore.__init__(chunk_pages)": SEAM_SIZE,
     # Ring-eviction tests fill rings of a few entries.
-    "repro.obs.__init__.install_flight(capacity)": SEAM_SIZE,
     "repro.obs.timeseries.WindowedSeries.__init__(capacity)": SEAM_SIZE,
 }
 
@@ -129,6 +135,22 @@ EXECUTION_ALLOWED: Dict[str, str] = {
     "repro.realproc.child.serve": SUBPROCESS_BODY,
     "repro.realproc.child.serve_with_handler": SUBPROCESS_BODY,
     "repro.realproc.zygote.zygote_main": SUBPROCESS_BODY,
+}
+
+# Option parameters ``tests/census.py`` sees at fewer than two values,
+# in its ``module.Qual.__init__(param)`` form and with its REASONS.
+OPTION_ALLOWED: Dict[str, str] = {
+    # The only live prewarm policy; perfbench names it.
+    "repro.predict.policy.PrewarmConfig.__init__(policy)": PERFBENCH_KEYWORD,
+    # The X12 golden artifact is sealed on a 20-function, 4+4-node
+    # fleet, and the cache-pressure tests shrink the node cache.
+    "repro.bench.fleet_study.FleetStudyConfig.__init__(functions)": SEAM_SIZE,
+    "repro.bench.fleet_study.FleetStudyConfig.__init__(compute_nodes)":
+        SEAM_SIZE,
+    "repro.bench.fleet_study.FleetStudyConfig.__init__(storage_nodes)":
+        SEAM_SIZE,
+    "repro.bench.fleet_study.FleetStudyConfig.__init__(node_cache_mib)":
+        SEAM_SIZE,
 }
 
 
@@ -306,6 +328,75 @@ def references(node: ast.AST) -> Iterator[str]:
         yield from references(child)
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_callee(d.func if isinstance(d, ast.Call) else d)
+               == "dataclass" for d in node.decorator_list)
+
+
+def _reads_all_fields(node: ast.ClassDef) -> bool:
+    """Whether the class body calls ``asdict(self)``."""
+    return any(isinstance(call, ast.Call) and _callee(call.func) == "asdict"
+               and call.args and isinstance(call.args[0], ast.Name)
+               and call.args[0].id == "self" for call in ast.walk(node))
+
+
+def dataclass_fields(package: pathlib.Path) -> List[Tuple[str, str]]:
+    """(``module.Class.field``, field) of every ``@dataclass`` field
+    under ``package`` that ``asdict(self)`` does not read."""
+    found = []
+
+    def walk(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                qual = prefix + child.name
+                if _is_dataclass(child) and not _reads_all_fields(child):
+                    for item in child.body:
+                        if (isinstance(item, ast.AnnAssign)
+                                and isinstance(item.target, ast.Name)
+                                and "ClassVar" not in ast.unparse(
+                                    item.annotation)):
+                            found.append((f"{qual}.{item.target.id}",
+                                          item.target.id))
+                walk(child, qual + ".")
+            elif not isinstance(child, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)):
+                walk(child, prefix)
+
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package.parent)
+                          .with_suffix("").parts)
+        walk(ast.parse(path.read_text(encoding="utf-8")), f"{module}.")
+    return found
+
+
+def field_reads(files: List[pathlib.Path]) -> set:
+    """Every attribute name ``files`` load (``+=`` included), or
+    ``getattr`` by a string."""
+    read = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.AugAssign)
+                  and isinstance(node.target, ast.Attribute)):
+                read.add(node.target.attr)
+            elif (isinstance(node, ast.Call)
+                  and _callee(node.func) == "getattr"
+                  and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return read
+
+
+def unread_fields(root: pathlib.Path) -> List[str]:
+    """Every dataclass field no caller file reads."""
+    read = field_reads(caller_files(root))
+    return sorted(qualname for qualname, name
+                  in dataclass_fields(root / "src" / "repro")
+                  if name not in read)
+
+
 def unreached(root: pathlib.Path) -> Tuple[List[str], List[str]]:
     """(definitions, ``definition(param)``s) no caller file reaches."""
     defs = definitions(root / "src" / "repro")
@@ -340,9 +431,10 @@ def judge(hits: List[str], allowed: Dict[str, str], label: str) -> List[str]:
 
 
 def problems(root: pathlib.Path, allowed: Dict[str, str]) -> List[str]:
-    """Every unreached name not allowed, bad reason and stale entry."""
+    """Every unreached name or unread field not allowed, bad reason and
+    stale entry."""
     dead, params = unreached(root)
-    return judge(dead + params, allowed, "unreached")
+    return judge(dead + params + unread_fields(root), allowed, "unreached")
 
 
 def test_scan_sees_the_package():

@@ -9,7 +9,10 @@ The docs also name classes bare (`MetricsRegistry`, `Histogram.merge`).
 Every backticked CamelCase identifier that is not a dotted tail must be
 a class defined in ``src/repro``, a builtin class, or on a short list of
 units and standard-library names, so a deleted class cannot linger in
-the prose.
+the prose. A backticked ``Class.attr`` whose class is defined there must
+name a method, field (a class-body or ``self.`` assignment) or class
+attribute of that class or of a base, so a deleted knob or method
+cannot linger either.
 
 They cite files too (`bench/fleet_model.py`, `BENCH_fleet.json`,
 `sim/costmodel.py:120-140`). Every backticked ``*.py``, ``*.json`` or
@@ -36,6 +39,8 @@ NAME = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
 # Upper-case first, then at least one lower-case and one more upper-case
 # letter; not a dotted tail (`com.synthetic.ClassNNNNN` is a pattern).
 CAMEL = re.compile(r"(?<![\w.])[A-Z]\w*?[a-z]\w*?[A-Z]\w*")
+# `Class.attr` with a capitalised class that is not a dotted tail.
+MEMBER = re.compile(r"(?<![\w.])([A-Z]\w*)\.(\w+)")
 # Names that are neither repro nor builtin classes: units and the one
 # standard-library class the docs mention.
 NOT_CLASSES = {"KiB", "MiB", "GiB", "ExitStack"}
@@ -75,6 +80,64 @@ def _repro_classes() -> set:
         names.update(node.name for node in ast.walk(tree)
                      if isinstance(node, ast.ClassDef))
     return names
+
+
+def _class_members(root: pathlib.Path) -> Dict[str, list]:
+    """Class name -> one (bases, members) per class of that name under
+    ``root``: the base names, and every method, class-body name and
+    ``self.`` attribute its body assigns."""
+    found: Dict[str, list] = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            members = set()
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    members.add(child.name)
+                targets = (child.targets if isinstance(child, ast.Assign)
+                           else [child.target]
+                           if isinstance(child, ast.AnnAssign) else [])
+                members.update(t.id for t in targets
+                               if isinstance(t, ast.Name))
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    members.add(sub.attr)
+            bases = [b.id if isinstance(b, ast.Name) else b.attr
+                     for b in node.bases
+                     if isinstance(b, (ast.Name, ast.Attribute))]
+            found.setdefault(node.name, []).append((bases, members))
+    return found
+
+
+def _has_member(classes: Dict[str, list], name: str, attr: str,
+                seen: frozenset = frozenset()) -> bool:
+    """Whether any class called ``name`` (or a base of one) has
+    ``attr``; a base outside ``classes`` is looked up as a builtin."""
+    if name in seen:
+        return False
+    if name not in classes:
+        base = getattr(builtins, name, object)
+        return hasattr(base if isinstance(base, type) else object, attr)
+    return any(attr in members
+               or any(_has_member(classes, base, attr, seen | {name})
+                      for base in bases or ["object"])
+               for bases, members in classes[name])
+
+
+def _member_problems(root: pathlib.Path,
+                     names: Dict[Tuple[str, str], Tuple[str, int]]) -> list:
+    """``doc:line `Class.attr``` for each name whose class is under
+    ``root`` but has no such member."""
+    classes = _class_members(root)
+    return [f"{doc}:{line} `{cls}.{attr}`"
+            for (cls, attr), (doc, line) in sorted(names.items())
+            if cls in classes and not _has_member(classes, cls, attr)]
 
 
 def _resolve(name: str) -> object:
@@ -123,6 +186,7 @@ def _citation_problem(path: str, first: int, last: int) -> Optional[str]:
 
 NAMES = _doc_names(NAME)
 CLASS_NAMES = _doc_names(CAMEL)
+MEMBER_NAMES = _doc_names(MEMBER)
 
 
 def test_the_docs_name_something():
@@ -152,6 +216,66 @@ def test_doc_class_names_resolve():
                if name not in known]
     assert not unknown, ("backticked class names that name no class: "
                          + ", ".join(unknown))
+
+
+def test_the_docs_name_class_members():
+    assert len(MEMBER_NAMES) >= 20
+
+
+def test_doc_class_members_resolve():
+    unknown = _member_problems(ROOT / "src" / "repro", MEMBER_NAMES)
+    assert not unknown, ("backticked `Class.attr` names that name no "
+                         "member: " + ", ".join(unknown))
+
+
+MEMBER_TOY = '''
+class Base:
+    LIMIT = 3
+
+    def shared(self):
+        return 0
+
+
+class Thing(Base):
+    size: int = 1
+
+    def __init__(self):
+        self.router = None
+
+    def run(self):
+        return 1
+
+
+class Error(ValueError):
+    pass
+'''
+
+
+@pytest.mark.parametrize("attr,ok", [
+    ("run", True), ("size", True), ("router", True), ("LIMIT", True),
+    ("shared", True), ("__init__", True), ("copy", False),
+    ("max_fires", False),
+])
+def test_member_check_on_a_toy_package(tmp_path, attr, ok):
+    (tmp_path / "lib.py").write_text(MEMBER_TOY, encoding="utf-8")
+    problems = _member_problems(tmp_path, {("Thing", attr): ("DOC.md", 7)})
+    assert problems == ([] if ok else [f"DOC.md:7 `Thing.{attr}`"])
+
+
+def test_member_check_looks_up_builtin_bases_and_skips_foreign_classes(
+        tmp_path):
+    (tmp_path / "lib.py").write_text(MEMBER_TOY, encoding="utf-8")
+    assert _member_problems(tmp_path, {
+        ("Error", "args"): ("DOC.md", 1),
+        ("Error", "retries"): ("DOC.md", 2),
+        ("ExitStack", "anything"): ("DOC.md", 3),
+    }) == ["DOC.md:2 `Error.retries`"]
+
+
+def test_member_pattern_skips_dotted_tails():
+    assert MEMBER.findall("`FaaSPlatform.build` and "
+                          "`repro.faas.platform.FaaSPlatform.build`") == [
+        ("FaaSPlatform", "build")]
 
 
 def test_the_docs_cite_files():

@@ -16,6 +16,9 @@ from repro.faas import (
     ResourceManager,
 )
 from repro import make_world, obs
+from repro.faas.deployer import MAX_REPLICAS
+from repro.faas.resources import NODE_MEMORY_MIB
+from repro.faults.errors import CapacityExhausted
 from repro.criu.checkpoint import CheckpointEngine
 from repro.faas.replica import ReplicaState
 from repro.functions import MarkdownFunction, NoopFunction
@@ -53,40 +56,42 @@ class TestFunctionRegistry:
 
 class TestResources:
     def test_allocate_and_release(self):
-        node = ComputeNode(name="n", memory_mib=1024)
+        node = ComputeNode(name="n")
         allocation = node.allocate("fn", 256.0)
-        assert node.free_mib == 768.0
+        assert node.free_mib == NODE_MEMORY_MIB - 256.0
         allocation.release()
-        assert node.free_mib == 1024.0
+        assert node.free_mib == NODE_MEMORY_MIB
 
     def test_release_idempotent(self):
-        node = ComputeNode(name="n", memory_mib=100)
+        node = ComputeNode(name="n")
         allocation = node.allocate("fn", 10.0)
         allocation.release()
         allocation.release()
-        assert node.free_mib == 100.0
+        assert node.free_mib == NODE_MEMORY_MIB
 
     def test_over_capacity_rejected(self):
-        node = ComputeNode(name="n", memory_mib=100)
+        node = ComputeNode(name="n")
         with pytest.raises(ResourceError, match="free"):
-            node.allocate("fn", 101.0)
+            node.allocate("fn", NODE_MEMORY_MIB + 1.0)
 
     def test_privileged_gate(self):
-        node = ComputeNode(name="n", memory_mib=100, allow_privileged=False)
+        node = ComputeNode(name="n")
+        node.allow_privileged = False
         with pytest.raises(ResourceError, match="privileged"):
             node.allocate("fn", 10.0, privileged=True)
 
     def test_manager_places_on_freest_node(self):
-        small = ComputeNode(name="small", memory_mib=512)
-        big = ComputeNode(name="big", memory_mib=4096)
-        manager = ResourceManager(nodes=[small, big])
+        busy = ComputeNode(name="busy")
+        idle = ComputeNode(name="idle")
+        busy.allocate("other", 1024.0)
+        manager = ResourceManager(nodes=[busy, idle])
         allocation = manager.place("fn", 128.0)
-        assert allocation.node is big
+        assert allocation.node is idle
 
     def test_manager_exhaustion(self):
-        manager = ResourceManager(nodes=[ComputeNode(name="n", memory_mib=64)])
+        manager = ResourceManager(nodes=[ComputeNode(name="n")])
         with pytest.raises(ResourceError, match="no node"):
-            manager.place("fn", 1000.0)
+            manager.place("fn", NODE_MEMORY_MIB + 1.0)
 
 
 @pytest.fixture
@@ -209,9 +214,9 @@ class TestPlatformFlow:
         assert platform.router.stats.cold_starts == 2
 
     def test_max_replica_cap(self, platform):
-        platform.register_function(NoopFunction, max_replicas=2)
-        platform.scale("noop", 10)
-        assert platform.replica_count("noop") <= 2
+        platform.register_function(NoopFunction)
+        platform.scale("noop", MAX_REPLICAS + 4)
+        assert platform.replica_count("noop") == MAX_REPLICAS
 
     def test_replica_serve_states(self, platform):
         platform.register_function(NoopFunction)
@@ -280,24 +285,14 @@ class TestReplicaGauge:
         assert self._gauge(kernel) == 0.0
 
 
-class TestMaxReplicasValidation:
-    @pytest.mark.parametrize("max_replicas", [0, -1])
-    def test_non_positive_cap_rejected_before_baking(self, platform,
-                                                     max_replicas):
-        # A cap below one used to register and bake fine, then every
-        # invoke queued until RequestTimeout: no replica could start.
-        with pytest.raises(ValueError, match="max_replicas"):
-            platform.register_function(NoopFunction,
-                                       start_technique="prebake",
-                                       max_replicas=max_replicas)
-        assert not platform.registry.contains("noop")
-        with pytest.raises(KeyError, match="never deployed"):
-            platform.prebake_manager.current_version("noop")
-
-    def test_cap_of_one_serves(self, platform):
-        platform.register_function(NoopFunction, start_technique="prebake",
-                                   max_replicas=1)
-        assert platform.invoke("noop").ok
+class TestMaxReplicas:
+    def test_a_provision_past_the_cap_raises(self, platform):
+        platform.register_function(NoopFunction, start_technique="prebake")
+        platform.scale("noop", MAX_REPLICAS)
+        with pytest.raises(CapacityExhausted) as caught:
+            platform.deployer.provision("noop")
+        assert caught.value.max_replicas == MAX_REPLICAS
+        assert platform.replica_count("noop") == MAX_REPLICAS
 
 
 class TestCachePolicyValidation:

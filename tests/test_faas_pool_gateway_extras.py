@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs
 from repro.faas import AutoscalerConfig, FaaSPlatform, PlatformConfig
+from repro.faas.deployer import MAX_REPLICAS
 from repro.faas.replica import FunctionReplica, ReplicaState
 from repro.core.starters import VanillaStarter
 from repro.functions import NoopFunction, make_app
@@ -51,26 +52,25 @@ class TestReplicaLifecycle:
 
 
 class TestAutoscalerBoundaries:
-    def _platform(self, kernel, min_replicas=0, idle_timeout=1000.0):
+    def _platform(self, kernel, idle_timeout=1000.0):
         platform = FaaSPlatform(kernel, PlatformConfig(
-            autoscaler=AutoscalerConfig(idle_timeout_ms=idle_timeout,
-                                        min_replicas=min_replicas)))
+            autoscaler=AutoscalerConfig(idle_timeout_ms=idle_timeout)))
         platform.register_function(NoopFunction)
         return platform
 
-    def test_min_replicas_survive_gc(self, kernel):
-        platform = self._platform(kernel, min_replicas=1)
+    def test_idle_gc_scales_to_zero(self, kernel):
+        platform = self._platform(kernel)
         platform.scale("noop", 3)
         kernel.clock.advance(10_000.0)
         platform.gc_tick()
-        assert platform.replica_count("noop") == 1
+        assert platform.replica_count("noop") == 0
 
-    def test_ensure_capacity_respects_metadata_cap(self, kernel):
+    def test_ensure_capacity_respects_the_replica_cap(self, kernel):
         platform = FaaSPlatform(kernel)
-        platform.register_function(NoopFunction, max_replicas=2)
-        added = platform.autoscaler.ensure_capacity("noop", 10)
-        assert added == 2
-        assert platform.replica_count("noop") == 2
+        platform.register_function(NoopFunction)
+        added = platform.autoscaler.ensure_capacity("noop", MAX_REPLICAS + 4)
+        assert added == MAX_REPLICAS
+        assert platform.replica_count("noop") == MAX_REPLICAS
 
     def test_ensure_capacity_noop_when_satisfied(self, kernel):
         platform = self._platform(kernel)
@@ -106,10 +106,9 @@ class TestRouterEdgeCases:
             platform.invoke("ghost")
 
     def test_provision_failure_releases_allocation(self, kernel):
-        platform = FaaSPlatform(kernel, PlatformConfig(
-            nodes=1, node_memory_mib=100_000.0))
-        platform.register_function(NoopFunction, max_replicas=1)
-        platform.invoke("noop")
+        platform = FaaSPlatform(kernel, PlatformConfig(nodes=1))
+        platform.register_function(NoopFunction)
+        platform.scale("noop", MAX_REPLICAS)
         free_before = sum(n.free_mib for n in platform.resources.nodes)
         with pytest.raises(RuntimeError, match="max_replicas"):
             platform.deployer.provision("noop")

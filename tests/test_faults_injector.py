@@ -7,6 +7,7 @@ from repro.core.bake import Prebaker
 from repro.core.policy import AfterReady
 from repro.faults import (
     DEFAULT_DELAY_MS,
+    IO_SLOW,
     REPLICA_CRASH,
     RESTORE_FAIL,
     RESTORE_HANG,
@@ -17,6 +18,7 @@ from repro.faults import (
 )
 from repro.functions import make_app
 from repro.bench.fault_sweep import knob_plan
+from tests.transient import install_transient
 
 
 class TestFaultSpec:
@@ -29,10 +31,6 @@ class TestFaultSpec:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             FaultSpec(RESTORE_HANG, probability=0.5, delay_ms=-1.0)
-
-    def test_negative_max_fires_rejected(self):
-        with pytest.raises(ValueError):
-            FaultSpec(RESTORE_FAIL, probability=0.5, max_fires=-1)
 
     def test_default_delay_by_site(self):
         assert FaultSpec(RESTORE_HANG, 1.0).effective_delay_ms == 1_000.0
@@ -66,8 +64,9 @@ class TestFaultPlan:
 
     def test_describe_lists_sites(self):
         plan = FaultPlan(specs={
-            RESTORE_FAIL: FaultSpec(RESTORE_FAIL, 0.5, max_fires=2)})
-        assert "restore.fail=0.5(max 2)" in plan.describe()
+            RESTORE_FAIL: FaultSpec(RESTORE_FAIL, 0.5),
+            IO_SLOW: FaultSpec(IO_SLOW, 1.0, delay_ms=5.0)})
+        assert plan.describe() == "faults: io.slow=1, restore.fail=0.5"
         assert FaultPlan().describe() == "faults: none"
 
 
@@ -99,10 +98,10 @@ class TestInjectorLifecycle:
         assert faults.should_fire(kernel, RESTORE_FAIL) is False
         assert injector.records == []
 
-    def test_max_fires_caps_injection(self, kernel):
+    def test_transient_injector_caps_fires(self, kernel):
         plan = FaultPlan(specs={
-            RESTORE_FAIL: FaultSpec(RESTORE_FAIL, 1.0, max_fires=2)})
-        injector = faults.install(kernel, plan)
+            RESTORE_FAIL: FaultSpec(RESTORE_FAIL, 1.0)})
+        injector = install_transient(kernel, plan, fires=2)
         fires = [faults.should_fire(kernel, RESTORE_FAIL) for _ in range(5)]
         assert fires == [True, True, False, False, False]
         assert injector.fired[RESTORE_FAIL] == 2

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults, make_world, obs
-from repro.core import starters
 from repro.core.manager import PrebakeManager
+from repro.faas.deployer import MAX_REPLICAS
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.replica import ReplicaState
 from repro.faults import (
@@ -30,11 +30,12 @@ from repro.faults import (
     RESTORE_HANG,
     RequestTimeout,
     RestoreFailed,
-    RetryPolicy,
 )
+from repro.faults import retry
 from repro.functions import make_app
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.bench.fault_sweep import knob_plan
+from tests.transient import install_transient
 
 QUIET = replace(DEFAULT_COST_MODEL, noise_sigma=0.0)
 
@@ -50,9 +51,14 @@ def observed_manager(seed=77):
     return world.kernel, PrebakeManager(world.kernel)
 
 
-def deployed_prebake_starter(kernel, manager, app, plan, **starter_kwargs):
+def deployed_prebake_starter(kernel, manager, app, plan, fires=None,
+                             **starter_kwargs):
+    """Deploy ``app`` and arm ``plan``; ``fires`` caps each site."""
     manager.deploy(app)
-    faults.install(kernel, plan)
+    if fires is None:
+        faults.install(kernel, plan)
+    else:
+        install_transient(kernel, plan, fires)
     return manager.starter("prebake",
                            version=manager.current_version(app.name),
                            **starter_kwargs)
@@ -76,8 +82,9 @@ class TestRetryAndFallback:
         kernel, manager = observed_manager()
         app = make_app("noop")
         plan = FaultPlan(specs={RESTORE_FAIL: FaultSpec(
-            RESTORE_FAIL, 1.0, max_fires=1)})
-        starter = deployed_prebake_starter(kernel, manager, app, plan)
+            RESTORE_FAIL, 1.0)})
+        starter = deployed_prebake_starter(kernel, manager, app, plan,
+                                           fires=1)
         handle = starter.start(app)
         assert handle.technique == "prebake"
         assert kernel.obs.metrics.value("prebake_fallback_total") == 0
@@ -87,8 +94,9 @@ class TestRetryAndFallback:
         kernel, manager = observed_manager()
         app = make_app("noop")
         plan = FaultPlan(specs={RESTORE_FAIL: FaultSpec(
-            RESTORE_FAIL, 1.0, max_fires=1)})
-        starter = deployed_prebake_starter(kernel, manager, app, plan)
+            RESTORE_FAIL, 1.0)})
+        starter = deployed_prebake_starter(kernel, manager, app, plan,
+                                           fires=1)
         before = kernel.clock.now
         handle = starter.start(app)
         # spawned_at is rewritten to the loop start, so the measured
@@ -100,8 +108,9 @@ class TestRetryAndFallback:
         kernel, manager = observed_manager()
         app = make_app("noop")
         plan = FaultPlan(specs={RESTORE_HANG: FaultSpec(
-            RESTORE_HANG, 1.0, delay_ms=500.0, max_fires=1)})
-        starter = deployed_prebake_starter(kernel, manager, app, plan)
+            RESTORE_HANG, 1.0, delay_ms=500.0)})
+        starter = deployed_prebake_starter(kernel, manager, app, plan,
+                                           fires=1)
         before = kernel.clock.now
         handle = starter.start(app)
         assert handle.technique == "prebake"
@@ -132,8 +141,9 @@ class TestQuarantineAndRebake:
         kernel, manager = observed_manager()
         app = make_app("noop")
         plan = FaultPlan(specs={IMAGE_CORRUPT: FaultSpec(
-            IMAGE_CORRUPT, 1.0, max_fires=1)})
-        starter = deployed_prebake_starter(kernel, manager, app, plan)
+            IMAGE_CORRUPT, 1.0)})
+        starter = deployed_prebake_starter(kernel, manager, app, plan,
+                                           fires=1)
         handle = starter.start(app)
         # Page-level corruption is repaired in place from the
         # content-addressed chunk store — no quarantine, no rebake.
@@ -175,28 +185,24 @@ class TestRouterResilience:
 
     def test_replica_crash_is_redispatched(self):
         kernel, platform = self._platform()
-        plan = FaultPlan(specs={REPLICA_CRASH: FaultSpec(
-            REPLICA_CRASH, 1.0, max_fires=1)})
-        platform.install_faults(plan)
+        install_transient(kernel, FaultPlan(specs={REPLICA_CRASH: FaultSpec(
+            REPLICA_CRASH, 1.0)}))
         response = platform.invoke("noop")
         assert response.ok
-        record = platform.router.stats.records[-1]
-        assert record.crash_retries == 1
         assert kernel.obs.metrics.value("replica_crashes_total") == 1
         assert kernel.obs.metrics.value("router_crash_retries_total") == 1
 
     def test_unrecoverable_crash_storm_raises_typed_error(self):
         from repro.faults import ReplicaCrashed
-        kernel, platform = self._platform(max_crash_retries=1)
+        kernel, platform = self._platform()
         platform.install_faults(knob_plan(1.0, {"replica.crash": 1.0}))
         with pytest.raises(ReplicaCrashed):
             platform.invoke("noop")
 
     def test_oom_kill_terminates_replica_and_records_event(self):
         kernel, platform = self._platform()
-        plan = FaultPlan(specs={OOM_KILL: FaultSpec(
-            OOM_KILL, 1.0, max_fires=1)})
-        platform.install_faults(plan)
+        install_transient(kernel, FaultPlan(specs={OOM_KILL: FaultSpec(
+            OOM_KILL, 1.0)}))
         response = platform.invoke("noop")
         assert response.ok  # the request itself completed first
         assert platform.replica_count("noop") == 0
@@ -207,13 +213,12 @@ class TestRouterResilience:
 
     def test_capacity_exhaustion_times_out_with_typed_error(self):
         world = make_world(seed=31, observe=True)
-        platform = FaaSPlatform(world.kernel, PlatformConfig(
-            requeue_backoff_ms=10.0, request_timeout_ms=50.0))
-        platform.register_function(lambda: make_app("noop"),
-                                   max_replicas=1)
-        # The only slot is held by an in-flight request for the whole
+        platform = FaaSPlatform(world.kernel, PlatformConfig())
+        platform.register_function(lambda: make_app("noop"))
+        # Every slot is held by an in-flight request for the whole
         # wait, so every dispatch try finds the function at its cap.
-        platform.deployer.provision("noop").state = ReplicaState.BUSY
+        for _ in range(MAX_REPLICAS):
+            platform.deployer.provision("noop").state = ReplicaState.BUSY
         with pytest.raises(RequestTimeout):
             platform.invoke("noop")
         metrics = world.kernel.obs.metrics
@@ -222,12 +227,11 @@ class TestRouterResilience:
 
     def test_provision_beyond_limit_raises_capacity_exhausted(self):
         _, platform = self._platform()
-        platform.register_function(lambda: make_app("noop"),
-                                   max_replicas=1)
-        platform.deployer.provision("noop")
+        for _ in range(MAX_REPLICAS):
+            platform.deployer.provision("noop")
         with pytest.raises(CapacityExhausted) as exc_info:
             platform.deployer.provision("noop")
-        assert exc_info.value.max_replicas == 1
+        assert exc_info.value.max_replicas == MAX_REPLICAS
 
     def test_health_check_reaps_dead_replicas(self):
         kernel, platform = self._platform()
@@ -239,22 +243,15 @@ class TestRouterResilience:
         assert platform.replica_count("noop") == 0
         assert kernel.obs.metrics.value("deployer_reaped_total") == 1
 
-    def test_autoscaler_heals_to_min_replicas(self):
-        world = make_world(seed=31, observe=True)
-        from repro.faas.autoscaler import AutoscalerConfig
-        platform = FaaSPlatform(world.kernel, PlatformConfig(
-            autoscaler=AutoscalerConfig(min_replicas=1)))
-        platform.register_function(lambda: make_app("noop"))
-        platform.gc_tick()
-        assert platform.replica_count("noop") == 1
+    def test_autoscaler_reaps_a_dead_replica_without_replacing_it(self):
+        kernel, platform = self._platform()
+        platform.invoke("noop")
         (replica,) = platform.deployer.replicas("noop")
-        world.kernel.kill(replica.handle.process.pid)
-        platform.gc_tick()  # reap the corpse, then heal back to the floor
-        assert platform.replica_count("noop") == 1
-        metrics = world.kernel.obs.metrics
-        for action in ("reap", "heal"):
-            assert metrics.value("autoscaler_actions_total",
-                                 {"action": action}) > 0
+        kernel.kill(replica.handle.process.pid)
+        platform.gc_tick()  # reap the corpse; the next request cold-starts
+        assert platform.replica_count("noop") == 0
+        assert kernel.obs.metrics.value("autoscaler_actions_total",
+                                        {"action": "reap"}) == 1
 
 
 class TestSpanErrorTagging:
@@ -286,10 +283,9 @@ class TestConvergenceProperty:
         faults.install(kernel, knob_plan(1.0, {"restore.fail": 1.0}))
         starter = manager.starter(
             "prebake", version=manager.current_version(app.name))
-        # The starter retries by the platform's one policy; swap it for
-        # this many attempts.
-        with mock.patch.object(starters, "DEFAULT_RETRY_POLICY",
-                               RetryPolicy(max_attempts=max_attempts)):
+        # The starter reads the platform's one attempt budget; swap it
+        # for this many attempts.
+        with mock.patch.object(retry, "MAX_ATTEMPTS", max_attempts):
             return starter.start(app).startup_ms("ready")
 
     @settings(max_examples=10, deadline=None)
@@ -298,15 +294,14 @@ class TestConvergenceProperty:
         vanilla = self._startup(0, technique="vanilla")
         one_attempt = self._startup(1)
         attempt_cost = one_attempt - vanilla  # one failed restore try
-        policy = RetryPolicy(max_attempts=max_attempts)
         measured = self._startup(max_attempts)
         predicted = (vanilla + max_attempts * attempt_cost
-                     + policy.total_backoff_ms())
+                     + sum(retry.backoff_ms(i) for i in range(1, max_attempts)))
         assert measured == pytest.approx(predicted, abs=1e-6)
 
     def test_backoff_budget_is_capped_exponential(self):
-        policy = RetryPolicy(max_attempts=5, backoff_base_ms=10.0,
-                             backoff_multiplier=2.0, backoff_cap_ms=35.0)
-        assert [policy.backoff_ms(i) for i in range(1, 5)] == [
-            10.0, 20.0, 35.0, 35.0]
-        assert policy.total_backoff_ms() == 100.0
+        assert [retry.backoff_ms(i) for i in range(1, 9)] == [
+            10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1_000.0]
+        assert retry.total_backoff_ms() == 30.0  # three tries, two sleeps
+        with pytest.raises(ValueError, match="1-based"):
+            retry.backoff_ms(0)

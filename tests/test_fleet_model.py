@@ -255,9 +255,9 @@ class TestPrewarm:
             model.close(3_000.0)
             return model, outcomes
 
-        oracle = OraclePolicy({0: [1.0, 5.0, 0.0]}, window_ms=1_000.0)
-        controller = PrewarmController(PrewarmConfig(window_ms=1_000.0),
-                                       policy=oracle)
+        config = PrewarmConfig(window_ms=1_000.0)
+        oracle = OraclePolicy({0: [1.0, 5.0, 0.0]}, config)
+        controller = PrewarmController(config, policy=oracle)
         model, outcomes = run(controller)
         assert outcomes == ["cold", "warm"]
         assert model.registry.value("prewarm_placements_total") >= 1

@@ -16,6 +16,7 @@ import pytest
 from repro.functions.imaging import Image, resize_box, synthetic_photo
 from repro.functions.imaging.resize import scale_to_fraction
 from repro.functions.markdown import SAMPLE_DOCUMENT
+from repro.functions.markdown_engine import blocks as markdown_blocks
 from repro.functions.markdown_engine import parse_blocks, render_document
 from repro.functions.markdown_engine.nodes import (
     BlockQuote, CodeBlock, Heading, ListBlock)
@@ -131,20 +132,30 @@ def _block_kinds(nodes, kinds):
             kinds.add("quote")
             _block_kinds(node.children, kinds)
         elif isinstance(node, CodeBlock):
-            kinds.add("fenced" if node.fenced else "indented")
+            kinds.add("code")
         else:
             kinds.add(type(node).__name__)
     return kinds
 
 
-def test_block_corpus_reaches_every_block_kind():
+def test_block_corpus_reaches_every_block_kind(monkeypatch):
+    # A fenced block is built with its info-string language, an
+    # indented one without: spy on the parser's constructor calls.
+    code_kinds = set()
+
+    def code_block(code, **fields):
+        code_kinds.add("fenced" if "language" in fields else "indented")
+        return CodeBlock(code, **fields)
+
+    monkeypatch.setattr(markdown_blocks, "CodeBlock", code_block)
     documents = _block_documents(seed=2020)
     kinds = set()
     for text in documents:
         _block_kinds(parse_blocks(text).children, kinds)
+    assert code_kinds == {"fenced", "indented"}
     assert kinds >= {("ol", "tight"), ("ol", "loose"), ("ul", "tight"),
-                     ("ul", "loose"), "ol-start", "quote", "fenced",
-                     "indented", "Heading", "HtmlBlock", "ThematicBreak",
+                     ("ul", "loose"), "ol-start", "quote", "code",
+                     "Heading", "HtmlBlock", "ThematicBreak",
                      "Paragraph"}
     # Setext headings: a level-1 heading in a document without "#".
     assert any(isinstance(node, Heading) and node.level == 1

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro import make_world, obs
+from repro.obs import flight
 from repro.bench.harness import run_startup_experiment
 from repro.core.manager import PrebakeManager
 from repro.faas import FaaSPlatform
@@ -82,9 +83,10 @@ class TestEventRoundTrip:
 
 
 class TestRingEviction:
-    def test_oldest_evicted_first_and_drops_counted(self):
+    def test_oldest_evicted_first_and_drops_counted(self, monkeypatch):
+        monkeypatch.setattr(flight, "CAPACITY", 4)
         kernel = make_world(seed=1).kernel
-        recorder = FlightRecorder(kernel.clock, capacity=4)
+        recorder = FlightRecorder(kernel.clock)
         for index in range(10):
             recorder.record("request.admitted", request_id=index)
         kept = [e.attrs["request_id"] for e in recorder.events()]
@@ -95,27 +97,30 @@ class TestRingEviction:
         # seq numbering is global, not per-ring-slot.
         assert [e.seq for e in recorder.events()] == [7, 8, 9, 10]
 
-    def test_evictions_count_into_flight_dropped_total(self):
+    def test_evictions_count_into_flight_dropped_total(self, monkeypatch):
         from repro.obs.metrics import MetricsRegistry
 
+        monkeypatch.setattr(flight, "CAPACITY", 4)
         kernel = make_world(seed=1).kernel
         registry = MetricsRegistry()
-        recorder = FlightRecorder(kernel.clock, capacity=4, metrics=registry)
+        recorder = FlightRecorder(kernel.clock, metrics=registry)
         for index in range(10):
             recorder.record("request.admitted", request_id=index)
         assert recorder.dropped == 6
         assert registry.value("flight_dropped_total") == 6.0
 
-    def test_installed_recorder_reports_drops_to_world_metrics(self):
+    def test_installed_recorder_reports_drops_to_world_metrics(
+            self, monkeypatch):
+        monkeypatch.setattr(flight, "CAPACITY", 2)
         kernel = make_world(seed=2, observe=True).kernel
-        recorder = obs.install_flight(kernel, capacity=2)
+        recorder = obs.install_flight(kernel)
         for index in range(5):
             recorder.record("request.admitted", request_id=index)
         assert kernel.obs.metrics.value("flight_dropped_total") == 3.0
 
     def test_last_n_keeps_arrival_order(self):
         kernel = make_world(seed=1).kernel
-        recorder = FlightRecorder(kernel.clock, capacity=8)
+        recorder = FlightRecorder(kernel.clock)
         recorder.record("request.admitted", request_id=0)
         recorder.record("restore.started", image="img-1")
         recorder.record("request.admitted", request_id=1)

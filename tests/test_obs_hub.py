@@ -46,9 +46,11 @@ class TestSingleSwitch:
         profiler = obs.profile.install(profiled)
         assert profiled.obs is not None and profiled.obs.profile is profiler
 
-    def test_tape_installed_before_hub_correlates_and_counts_drops(self):
+    def test_tape_installed_before_hub_correlates_and_counts_drops(
+            self, monkeypatch):
+        monkeypatch.setattr(obs.flight, "CAPACITY", 2)
         kernel = make_world(seed=1).kernel
-        recorder = obs.install_flight(kernel, capacity=2)
+        recorder = obs.install_flight(kernel)
         hub = obs.install(kernel)
         with obs.span(kernel, "unit.work"):
             for index in range(3):

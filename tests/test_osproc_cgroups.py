@@ -121,7 +121,7 @@ register_app("hungry", HungryFunction)
 class TestPlatformOomIntegration:
     def test_replica_gets_cgroup(self, kernel):
         platform = FaaSPlatform(kernel)
-        platform.register_function(HungryFunction, max_replicas=4)
+        platform.register_function(HungryFunction)
         replica = platform.deployer.provision("hungry")
         assert replica.cgroup is not None
         assert replica.cgroup.limit_mib > 0
@@ -129,7 +129,7 @@ class TestPlatformOomIntegration:
 
     def test_oom_kill_on_runaway_growth(self, kernel):
         platform = FaaSPlatform(kernel)
-        platform.register_function(HungryFunction, max_replicas=8)
+        platform.register_function(HungryFunction)
         # Each request adds 500 MiB against a ~64-128 MiB limit: the
         # first response still succeeds (OOM is post-request, like the
         # async OOM killer) but the replica dies.
@@ -143,7 +143,7 @@ class TestPlatformOomIntegration:
 
     def test_platform_recovers_after_oom(self, kernel):
         platform = FaaSPlatform(kernel)
-        platform.register_function(HungryFunction, max_replicas=8)
+        platform.register_function(HungryFunction)
         platform.invoke("hungry")
         response = platform.invoke("hungry")  # fresh replica, cold start
         assert response.ok

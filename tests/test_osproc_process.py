@@ -21,9 +21,9 @@ class TestProcess:
         assert len(proc.threads) == 1
         assert proc.threads[0].state is ThreadState.RUNNING
 
-    def test_thread_ids_unique(self):
-        tids = {make_process(pid).threads[0].tid for pid in range(100, 111)}
-        assert len(tids) == 11
+    def test_initial_thread_is_named_after_the_command(self):
+        proc = make_process()
+        assert proc.threads[0].name == proc.comm
 
     @pytest.mark.parametrize("state,alive", [
         (ProcessState.RUNNING, True),

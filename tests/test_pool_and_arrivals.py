@@ -17,26 +17,26 @@ from repro.bench.platform_study import (
     run_pool_study,
 )
 from repro.core.starters import VanillaStarter
-from repro.faas.pool import WarmPool
+from repro.faas.pool import POOL_SIZE, WarmPool
 from repro.functions import NoopFunction
 
 
 @pytest.fixture
 def pool(kernel):
-    return WarmPool(kernel, VanillaStarter(kernel), NoopFunction, size=2)
+    return WarmPool(kernel, VanillaStarter(kernel), NoopFunction)
 
 
 class TestWarmPool:
     def test_refill_tops_up(self, pool):
-        assert pool.refill() == 2
-        assert pool.idle_count == 2
+        assert pool.refill() == POOL_SIZE == 1
+        assert pool.idle_count == 1
         assert pool.refill() == 0
 
     def test_take_hit_consumes_idle(self, pool):
         pool.refill()
         handle = pool.take()
         assert handle.runtime.ready
-        assert pool.idle_count == 1
+        assert pool.idle_count == 0
         assert pool.stats.hits == 1
 
     def test_take_miss_cold_starts(self, pool, kernel):
@@ -56,24 +56,23 @@ class TestWarmPool:
         pool.refill()
         response = pool.serve()
         assert response.ok
-        assert pool.idle_count == 2
+        assert pool.idle_count == 1
 
     def test_idle_cost_accrues_over_time(self, pool, kernel):
         pool.refill()
         kernel.clock.advance(1000.0)
         cost = pool.snapshot_idle_cost()
-        # 2 idle replicas x ~13 MiB x 1000 ms.
-        assert cost == pytest.approx(2 * 13.0 * 1000.0, rel=0.1)
+        # 1 idle replica x ~13 MiB x 1000 ms.
+        assert cost == pytest.approx(13.0 * 1000.0, rel=0.1)
 
-    def test_zero_size_pool_always_misses(self, kernel):
-        pool = WarmPool(kernel, VanillaStarter(kernel), NoopFunction, size=0)
+    def test_a_release_into_a_full_pool_kills_the_replica(self, pool):
         pool.refill()
-        pool.take()
-        assert pool.stats.misses == 1
-
-    def test_negative_size_rejected(self, kernel):
-        with pytest.raises(ValueError):
-            WarmPool(kernel, VanillaStarter(kernel), NoopFunction, size=-1)
+        hit, miss = pool.take(), pool.take()
+        assert (pool.stats.hits, pool.stats.misses) == (1, 1)
+        assert pool.release(hit) is True
+        assert pool.release(miss) is False
+        assert not miss.process.alive
+        assert pool.idle_count == 1
 
 
 class TestArrivals:
@@ -148,7 +147,7 @@ class TestPlatformStudy:
         assert prebake.latency_p(0.99) < 0.7 * vanilla.latency_p(0.99)
 
     def test_pool_eliminates_cold_waits_at_memory_cost(self, trace):
-        pool = run_pool_study("markdown", trace, pool_size=1)
+        pool = run_pool_study("markdown", trace)
         assert pool.latency_p(0.99) == 0.0
         assert pool.idle_mib_ms > 0
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.predict.forecast import EwmaForecaster, InterArrivalHistogram
+from repro.predict.forecast import ALPHA, EwmaForecaster, InterArrivalHistogram
 from repro.predict.policy import (
     HORIZON,
+    KEEPALIVE_FLOOR_MS,
     HistogramEwmaPolicy,
     OraclePolicy,
     PrewarmConfig,
@@ -97,12 +98,12 @@ class TestEwmaForecaster:
     def test_converges_to_true_rate_on_stationary_poisson_counts(
             self, rate, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
-        ewma = EwmaForecaster(alpha=0.25)
+        ewma = EwmaForecaster()
         for count in rng.poisson(rate, size=800):
             ewma.observe(float(count))
         # Steady-state EWMA standard error: sqrt(alpha/(2-alpha)) of
         # the per-window sigma = sqrt(rate); 6 of those is a safe band.
-        sigma = math.sqrt(0.25 / 1.75) * math.sqrt(rate)
+        sigma = math.sqrt(ALPHA / (2.0 - ALPHA)) * math.sqrt(rate)
         assert abs(ewma.forecast() - rate) < 6.0 * sigma + 1e-9
 
     def test_first_observation_seeds_the_average(self):
@@ -110,11 +111,13 @@ class TestEwmaForecaster:
         ewma.observe(10.0)
         assert ewma.forecast() == 10.0
 
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            EwmaForecaster(alpha=0.0)
-        with pytest.raises(ValueError):
-            EwmaForecaster(alpha=1.5)
+    def test_each_window_moves_the_average_by_alpha(self):
+        ewma = EwmaForecaster()
+        ewma.observe(10.0)
+        ewma.observe(30.0)
+        assert ewma.forecast() == 10.0 + ALPHA * 20.0
+        ewma.observe(-1.0)        # rejected: no count is negative
+        assert ewma.forecast() == 10.0 + ALPHA * 20.0
 
 
 def _keepalive_formula(policy, key):
@@ -125,13 +128,12 @@ def _keepalive_formula(policy, key):
         return default
     shortest = hist.quantile(0.1)
     if shortest is not None and shortest > policy.keepalive_cap_ms:
-        return policy.keepalive_floor_ms
+        return KEEPALIVE_FLOOR_MS
     median, tail = hist.quantile(0.5), hist.quantile(policy.HIST_QUANTILE)
     if median is not None and tail is not None \
             and tail > policy.BROAD_RATIO * median:
         return default
-    value = hist.keepalive_ms(policy.HIST_QUANTILE,
-                              policy.keepalive_floor_ms,
+    value = hist.keepalive_ms(policy.HIST_QUANTILE, KEEPALIVE_FLOOR_MS,
                               policy.keepalive_cap_ms)
     if value > policy.DEFAULT_KEEPALIVE_MS:
         rate = hist.rate_per_ms()
@@ -151,7 +153,7 @@ class TestPolicies:
         policy = HistogramEwmaPolicy(keepalive_cap_ms=30_000.0)
         for _ in range(12):
             policy.note_gap("timer", 180_000.0)
-        assert policy.keepalive_ms("timer") == policy.keepalive_floor_ms
+        assert policy.keepalive_ms("timer") == KEEPALIVE_FLOOR_MS
         schedule = policy.prewarm_schedule("timer")
         assert schedule is not None
         eta, hold = schedule
@@ -210,8 +212,8 @@ class TestPolicies:
         assert policy.keepalive_ms("f") < policy.DEFAULT_KEEPALIVE_MS
 
     def test_oracle_reads_the_next_window_off_the_trace(self):
-        policy = OraclePolicy({"f": [4.0, 0.0, 2.0]}, window_ms=1_000.0,
-                              service_ms=500.0)
+        policy = OraclePolicy({"f": [4.0, 0.0, 2.0]}, PrewarmConfig(
+            window_ms=1_000.0, service_ms_hint=500.0))
         # The window read is floor(now / window): the one starting at
         # the plan's boundary, whatever windows were fed before.
         for now_ms, count in ((0.0, 4.0), (999.0, 4.0), (1_000.0, 0.0),
@@ -231,10 +233,9 @@ class TestPolicies:
         window = 1_000.0
         counts = [0.0] * (HORIZON + 10)
         counts[-1] = 3.0
-        policy = OraclePolicy({"f": counts}, window_ms=window,
-                              service_ms=500.0)
-        controller = PrewarmController(
-            PrewarmConfig(window_ms=window), policy=policy)
+        config = PrewarmConfig(window_ms=window, service_ms_hint=500.0)
+        policy = OraclePolicy({"f": counts}, config)
+        controller = PrewarmController(config, policy=policy)
         controller.note_arrival("f", 0.0)
         # The controller hands the oracle the plan's time.
         (action,) = controller.plan((len(counts) - 1) * window, {"f": 0})
@@ -252,13 +253,8 @@ class TestPrewarmController:
             PrewarmConfig(window_ms=0.0)
         with pytest.raises(ValueError):
             PrewarmConfig(max_prewarm_per_tick=0)
-        # A floor of 0 would let a policy keep-alive of 0 reach the GC.
-        with pytest.raises(ValueError, match="keepalive_floor_ms"):
-            PrewarmConfig(keepalive_floor_ms=0.0)
-        with pytest.raises(ValueError, match="keepalive_floor_ms"):
-            PrewarmConfig(keepalive_floor_ms=-1.0)
         with pytest.raises(ValueError, match="keepalive_cap_ms"):
-            PrewarmConfig(keepalive_cap_ms=10.0)     # default floor 1 s
+            PrewarmConfig(keepalive_cap_ms=10.0)     # the floor is 1 s
         # A zero warm cap silently disabled every pre-placement.
         with pytest.raises(ValueError, match="max_warm_per_function"):
             PrewarmConfig(max_warm_per_function=0)
@@ -298,8 +294,9 @@ class TestPrewarmController:
         assert controller.keepalive_ms("unknown", 42_000.0) == 42_000.0
 
     def test_controller_takes_its_policy(self):
-        policy = OraclePolicy({"f": [0.0]})
-        controller = PrewarmController(PrewarmConfig(), policy=policy)
+        config = PrewarmConfig()
+        policy = OraclePolicy({"f": [0.0]}, config)
+        controller = PrewarmController(config, policy=policy)
         assert controller.policy is policy
         controller.note_arrival("f", 0.0)
         # The oracle's keep-alive of 0 is 0, not the default.

@@ -87,7 +87,7 @@ class TestRealProcesses:
     def test_vanilla_start_measures(self):
         sample = VanillaProcessRunner().start_once("noop")
         assert sample.startup_ms > 1.0
-        assert sample.first_service_ms is not None
+        assert sample.function == "noop"
 
     def test_zygote_much_faster_than_vanilla(self):
         vanilla = VanillaProcessRunner().start_once("noop").startup_ms
@@ -97,8 +97,11 @@ class TestRealProcesses:
 
     def test_zygote_serves_correct_results(self):
         with ZygoteRunner("markdown") as zygote:
+            # start_once raises unless the first request's reply is an
+            # OK line.
             sample = zygote.start_once()
-        assert sample.first_service_ms is not None
+        assert sample.function == "markdown"
+        assert sample.startup_ms > 0.0
 
     def test_zygote_multiple_spawns(self):
         with ZygoteRunner("noop") as zygote:

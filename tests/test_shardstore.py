@@ -190,7 +190,6 @@ class TestShardedSnapshotStore:
         for _ in range(3):                     # three hops open the breaker
             assert store.fetch_window(ref.chunk_id).retry_hops == 1
         assert store.breakers[home].state == BREAKER_OPEN
-        assert home in store.open_breakers()
         # An open breaker is skipped for free: no more retry hops.
         assert store.fetch_window(ref.chunk_id).retry_hops == 0
         # After the cooldown a half-open probe pays one hop and re-opens.
@@ -263,7 +262,8 @@ class TestShardedSnapshotStore:
         result = store.fetch_window(cid)
         assert not result.found
         assert result.retry_hops == 2
-        assert not store.open_breakers()
+        assert all(b.state == BREAKER_CLOSED
+                   for b in store.breakers.values())
         assert _replicas(store, cid) == 0
 
     def test_registering_an_image_again_changes_no_holding(self, kernel):

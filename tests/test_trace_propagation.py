@@ -9,6 +9,8 @@ restores and injected transient restore failures, whose retry/backoff
 work must land in the *same* request's trace.
 """
 
+import functools
+
 import pytest
 
 from repro import make_world, obs
@@ -18,11 +20,20 @@ from repro.faults import FaultPlan, FaultSpec, RESTORE_FAIL
 from repro.functions import make_app
 from repro.runtime.base import Request
 from repro.bench.fault_sweep import knob_plan
+from tests.transient import install_transient
 
 
 def observed_platform(seed=11):
     world = make_world(seed=seed, observe=True)
     return world.kernel, FaaSPlatform(world.kernel, PlatformConfig())
+
+
+def restore_with(platform, restore_mode):
+    """Make the platform's prebake starters restore in ``restore_mode``
+    (the platform itself always restores eagerly)."""
+    manager = platform.prebake_manager
+    manager.starter = functools.partial(manager.starter,
+                                        restore_mode=restore_mode)
 
 
 def spans_by_trace(kernel, trace_id):
@@ -46,9 +57,9 @@ class TestSingleRequestTrace:
                              [RestoreMode.EAGER, RestoreMode.WORKING_SET])
     def test_cold_start_spans_share_one_trace(self, restore_mode):
         kernel, platform = observed_platform()
+        restore_with(platform, restore_mode)
         platform.register_function(lambda: make_app("markdown"),
-                                   start_technique="prebake",
-                                   restore_mode=restore_mode)
+                                   start_technique="prebake")
         request = Request()
         platform.invoke("markdown", request)
         assert request.trace is not None, "router did not mint a trace"
@@ -106,8 +117,8 @@ class TestTraceUnderFaults:
         kernel, platform = observed_platform()
         platform.register_function(lambda: make_app("markdown"),
                                    start_technique="prebake")
-        platform.install_faults(FaultPlan(specs={RESTORE_FAIL: FaultSpec(
-            RESTORE_FAIL, 1.0, max_fires=2)}))
+        install_transient(kernel, FaultPlan(specs={RESTORE_FAIL: FaultSpec(
+            RESTORE_FAIL, 1.0)}), fires=2)
         request = Request()
         response = platform.invoke("markdown", request)
         assert response.status == 200
@@ -125,9 +136,9 @@ class TestTraceUnderFaults:
     def test_fallback_after_exhausted_retries_joins_the_trace(
             self, restore_mode):
         kernel, platform = observed_platform()
+        restore_with(platform, restore_mode)
         platform.register_function(lambda: make_app("noop"),
-                                   start_technique="prebake",
-                                   restore_mode=restore_mode)
+                                   start_technique="prebake")
         platform.install_faults(knob_plan(1.0, {"restore.fail": 1.0}))
         request = Request()
         response = platform.invoke("noop", request)
